@@ -514,11 +514,12 @@ BENCHMARK(BM_SaturatedSmallReads)
 
 // --- Packed-container small reads ----------------------------------
 //
-// The small-file gate (FanStore-style packing): the per-file protocol
-// (kOpen + kRead + kClose per sample, three round trips and a server
-// open(2) each) against the packed protocol (one kReadScatter by
-// path; the server serves by offset out of an already-open container
-// handle). Both run against a REAL HvacServer over a real PFS tree at
+// The small-file gate (FanStore-style packing): the legacy per-file
+// protocol (kOpen + kRead + kClose per sample, three round trips and a
+// server open(2) each, as raw-wire clients still send it) against the
+// packed protocol (one kReadScatter by path; the server serves by
+// offset out of an already-open container handle) and the client's
+// stateless inline kOpen (one round trip, below). Both run against a REAL HvacServer over a real PFS tree at
 // the DL-sample sizes. scripts/bench_compare.py pairs the two series
 // as an advisory gate: packed must be >= 2x the per-file path.
 
@@ -637,6 +638,43 @@ void BM_PackedSmallReads(benchmark::State& state) {
   state.SetBytesProcessed(int64_t(state.iterations()) * file_bytes);
 }
 BENCHMARK(BM_PackedSmallReads)
+    ->ArgName("bytes")
+    ->Arg(4 << 10)
+    ->Arg(16 << 10)
+    ->Arg(64 << 10)
+    ->UseRealTime();
+
+// Stateless per-file protocol: the HvacClient's one kOpen per sample,
+// whose reply carries the bytes of a file up to kMaxInlineBytes —
+// answered on the reactor for a cached copy. EOF is known from the
+// size and close is client-local, so this ONE round trip is the whole
+// per-sample cost, like the packed path but with no packing step.
+void BM_SmallFileReadsInline(benchmark::State& state) {
+  const uint32_t file_bytes = uint32_t(state.range(0));
+  SmallFileFixture& f = small_file_fixture(file_bytes, /*packed=*/false);
+  RpcClient client(Endpoint{f.server->address()});
+  size_t cursor = 0;
+  for (auto _ : state) {
+    const std::string& path = f.paths[cursor++ % f.paths.size()];
+    WireWriter w;
+    w.put_string(path);
+    w.put_u8(1);  // stateless
+    const auto resp = client.call_payload(hvac::proto::kOpen, w.bytes());
+    if (!resp.ok()) { state.SkipWithError("open failed"); break; }
+    WireReader r(resp->data(), resp->size());
+    (void)r.get_u64();
+    const auto size = r.get_u64();
+    (void)r.get_u8();
+    const auto blob = r.get_blob_view();
+    if (!size.ok() || !blob.ok() || blob->size != *size) {
+      state.SkipWithError("bad inline reply");
+      break;
+    }
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()));
+  state.SetBytesProcessed(int64_t(state.iterations()) * file_bytes);
+}
+BENCHMARK(BM_SmallFileReadsInline)
     ->ArgName("bytes")
     ->Arg(4 << 10)
     ->Arg(16 << 10)

@@ -134,6 +134,27 @@ def packed_ratios(rows):
             if packed[size] > 0]
 
 
+def inline_ratios(rows):
+    """Pair BM_SmallFileReadsInline with BM_PackedSmallReads by size.
+
+    Returns [(size_bytes, inline_time / packed_time), ...]. Both are
+    one round trip per sample (the stateless kOpen carries the bytes;
+    the packed path reads by path), so the ratio should sit near 1.0.
+    """
+    inline, packed = {}, {}
+    for name, (t, _unit) in rows.items():
+        m = re.match(r"BM_SmallFileReadsInline/bytes:(\d+)", name)
+        if m:
+            inline[int(m.group(1))] = t
+            continue
+        m = re.match(r"BM_PackedSmallReads/bytes:(\d+)", name)
+        if m:
+            packed[int(m.group(1))] = t
+    return [(size, inline[size] / packed[size])
+            for size in sorted(set(inline) & set(packed))
+            if packed[size] > 0]
+
+
 def epoch_prefetch_ratios(rows):
     """Pair the BM_EpochRead* cold-epoch medians.
 
@@ -316,6 +337,27 @@ def main():
                           f"at {len(slow)} size(s)** — the packed path "
                           "exists to amortise per-file opens; check the "
                           "kPackedIndex/handle-cache hit path.")
+
+    # Advisory one-RTT gate: the stateless kOpen that inlines a small
+    # file costs one round trip like a packed read, so per-file samples
+    # should no longer need packing to be cheap (inline ~= packed).
+    il = inline_ratios(curr)
+    if il:
+        footer.append("")
+        footer.append("### inline kOpen vs packed small reads (current run)")
+        slow = []
+        for size, ratio in il:
+            marker = ""
+            if ratio > 1.25:
+                marker = " ⚠ inline above 1.25x the packed read"
+                slow.append((size, ratio))
+            footer.append(f"- {size:,} B: inline open costs {ratio:.2f}x "
+                          f"the packed read{marker}")
+        if slow:
+            footer.append(f"**inline kOpen above 1.25x the packed read at "
+                          f"{len(slow)} size(s)** — both are one round "
+                          "trip; check that cached opens are answered on "
+                          "the reactor, not through the mover.")
 
     # Advisory clairvoyant-prefetch gate: a planned cold epoch should
     # beat sequential read-ahead by >= 1.5x (read-ahead cannot cross

@@ -47,6 +47,11 @@
 #                               (TELEMETRY_FILES overrides the tree
 #                               size, default 256), and smoke
 #                               `hvacctl top`
+#   scripts/check.sh perfbench  the live benchmark's own tests at smoke
+#                               size (~40 s on 4 cores): every workload's
+#                               correctness gate, traced mode including
+#                               its raw-RPC pass, and the exact-count
+#                               repeats (python3 perfbench/test_perfbench.py)
 #   scripts/check.sh write-chaos  the checkpoint write path under ASan:
 #                               journal framing + ENOSPC-shed suites,
 #                               fault injection over the four write
@@ -399,8 +404,12 @@ case "$MODE" in
       --benchmark_context=git_sha="$GIT_SHA" \
       --benchmark_context=git_date="$GIT_DATE"
     ;;
+  perfbench)
+    # run.py builds its own Release tree under .bench_build/.
+    python3 perfbench/test_perfbench.py
+    ;;
   *)
-    echo "usage: $0 [tier1|asan|tsan|bench|chaos|packed|prefetch|trace|telemetry|write-chaos]" >&2
+    echo "usage: $0 [tier1|asan|tsan|bench|chaos|packed|prefetch|trace|telemetry|perfbench|write-chaos]" >&2
     exit 2
     ;;
 esac

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -325,13 +326,8 @@ void HvacClient::readahead_advance(int vfd, const core::FdEntry& entry,
   }
   if (batch.empty()) return;
   WireWriter w;
-  if (entry.path_mode) {
-    w.put_u8(1);  // by path
-    w.put_string(entry.logical_path);
-  } else {
-    w.put_u8(0);  // by remote fd
-    w.put_u64(entry.remote_fd);
-  }
+  w.put_u8(1);  // by path
+  w.put_string(entry.logical_path);
   w.put_u32(static_cast<uint32_t>(batch.size()));
   for (const auto& [off, len] : batch) {
     w.put_u64(off);
@@ -445,10 +441,10 @@ Result<int> HvacClient::open(const std::string& path) {
   if (PrefetchScheduler* pf = prefetch_scheduler()) pf->on_access(logical);
 
   // Packed sample: everything open() needs (size, home) comes from the
-  // locally cached index — hand out a path-mode fd with zero round
-  // trips. The fd homes at the *container's* home server (that is
-  // where the blob gets cached); reads still address the sample by its
-  // own logical path and the server translates per read.
+  // locally cached index — hand out a fd with zero round trips. The fd
+  // homes at the *container's* home server (that is where the blob
+  // gets cached); reads still address the sample by its own logical
+  // path and the server translates per read.
   if (std::optional<PackedCatalog::Resolved> packed = packed_lookup(logical)) {
     if (PrefetchScheduler* pf = prefetch_scheduler()) {
       pf->observe_sample_bytes(packed->length);
@@ -456,7 +452,6 @@ Result<int> HvacClient::open(const std::string& path) {
     core::FdEntry entry;
     entry.logical_path = logical;
     entry.server_index = placement_.home(packed->container_logical);
-    entry.path_mode = true;
     entry.size = packed->length;
     const int vfd = fds_.insert(std::move(entry));
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -482,12 +477,11 @@ Result<int> HvacClient::open(const std::string& path) {
   }
 
   // Metadata-cache fast path: a fresh entry saying "home X holds a
-  // cached copy of this file" lets us skip the open round trip and
-  // hand out a path-mode fd — reads address the file by logical path
-  // (kReadScatter mode 1), and the server re-resolves its cached copy
-  // per read. If the copy was evicted meanwhile the server degrades
-  // that read to its PFS path, so a stale entry costs latency, never
-  // correctness.
+  // cached copy of this file" lets us skip the open round trip — reads
+  // address the file by logical path like every read, and the server
+  // re-resolves its cached copy per read. If the copy was evicted
+  // meanwhile the server degrades that read to its PFS path, so a
+  // stale entry costs latency, never correctness.
   if (std::optional<MetaEntry> meta = meta_lookup(logical);
       meta.has_value() && meta->cached) {
     if (PrefetchScheduler* pf = prefetch_scheduler()) {
@@ -496,7 +490,6 @@ Result<int> HvacClient::open(const std::string& path) {
     core::FdEntry entry;
     entry.logical_path = logical;
     entry.server_index = meta->home;
-    entry.path_mode = true;
     entry.size = meta->size;
     const int vfd = fds_.insert(std::move(entry));
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -513,36 +506,20 @@ Result<int> HvacClient::open(const std::string& path) {
   Error last_error(ErrorCode::kUnavailable, "no servers");
   for (size_t attempt = 0; attempt < homes.size(); ++attempt) {
     const uint32_t server = homes[attempt];
-    WireWriter w;
-    w.put_string(logical);
-    Result<Bytes> resp = channel(server).call(proto::kOpen, w);
-    if (resp.ok()) {
-      WireReader r(*resp);
-      HVAC_ASSIGN_OR_RETURN(uint64_t remote_fd, r.get_u64());
-      HVAC_ASSIGN_OR_RETURN(uint64_t size, r.get_u64());
-      HVAC_ASSIGN_OR_RETURN(uint8_t served_from, r.get_u8());
-      if (PrefetchScheduler* pf = prefetch_scheduler()) {
-        pf->observe_sample_bytes(size);
+    Result<int> vfd = open_remote(logical, server);
+    if (vfd.ok()) {
+      if (attempt > 0) {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++stats_.failovers;
       }
-      core::FdEntry entry;
-      entry.logical_path = logical;
-      entry.server_index = server;
-      entry.remote_fd = remote_fd;
-      entry.size = size;
-      const int vfd = fds_.insert(std::move(entry));
-      meta_.put(logical,
-                MetaEntry{size, server,
-                          served_from == proto::kFromCache});
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.remote_opens;
-      if (attempt > 0) ++stats_.failovers;
       return vfd;
     }
-    last_error = resp.error();
-    // Only transport-level failures justify fail-over; a real error
-    // from a healthy server (ENOENT etc.) is final.
+    last_error = vfd.error();
+    // Transport failures and malformed replies justify fail-over; a
+    // real error from a healthy server (ENOENT etc.) is final.
     if (last_error.code != ErrorCode::kUnavailable &&
-        last_error.code != ErrorCode::kTimeout) {
+        last_error.code != ErrorCode::kTimeout &&
+        last_error.code != ErrorCode::kProtocol) {
       return last_error;
     }
     meta_.invalidate(logical);
@@ -555,6 +532,48 @@ Result<int> HvacClient::open(const std::string& path) {
     return open_via_pfs(path);
   }
   return last_error;
+}
+
+Result<int> HvacClient::open_remote(const std::string& logical,
+                                    uint32_t server) {
+  WireWriter w;
+  w.put_string(logical);
+  w.put_u8(1);  // stateless: no server-side fd, small files inline
+  HVAC_ASSIGN_OR_RETURN(rpc::Payload resp,
+                        channel(server).call_payload(proto::kOpen, w.bytes()));
+  WireReader r(resp.data(), resp.size());
+  HVAC_ASSIGN_OR_RETURN(uint64_t remote_fd, r.get_u64());
+  (void)remote_fd;  // 0: the stateless reply allocates none
+  HVAC_ASSIGN_OR_RETURN(uint64_t size, r.get_u64());
+  HVAC_ASSIGN_OR_RETURN(uint8_t served_from, r.get_u8());
+  HVAC_ASSIGN_OR_RETURN(WireReader::BlobView blob, r.get_blob_view());
+  // The blob is the whole file or nothing. Any other length — short,
+  // overlong, or bytes for a file too big to inline — would hand the
+  // application wrong bytes, so the reply is rejected and the caller
+  // fails over.
+  const bool inlined = size <= proto::kMaxInlineBytes;
+  if (blob.size != (inlined ? size : 0)) {
+    return Error(ErrorCode::kProtocol,
+                 "kOpen reply inlines " + std::to_string(blob.size) +
+                     " bytes of a " + std::to_string(size) + "-byte file");
+  }
+  if (PrefetchScheduler* pf = prefetch_scheduler()) {
+    pf->observe_sample_bytes(size);
+  }
+  core::FdEntry entry;
+  entry.logical_path = logical;
+  entry.server_index = server;
+  entry.size = size;
+  if (inlined) {
+    entry.inline_data = std::make_shared<const std::vector<uint8_t>>(
+        blob.data, blob.data + blob.size);
+  }
+  const int vfd = fds_.insert(std::move(entry));
+  meta_.put(logical,
+            MetaEntry{size, server, served_from == proto::kFromCache});
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++stats_.remote_opens;
+  return vfd;
 }
 
 Result<size_t> HvacClient::pread_segmented(const core::FdEntry& entry,
@@ -615,21 +634,46 @@ Status HvacClient::recover_fd(int vfd, const core::FdEntry& stale,
                               bool force_pfs) {
   HVAC_LOG_INFO("recovering fd " << vfd << " for " << stale.logical_path
                                  << " after server loss");
-  const std::string abs_path =
-      path_join(options_.dataset_dir, stale.logical_path);
   // Whatever the meta cache believed about this file routed us to the
-  // server we just lost — the re-open below must not trust it.
+  // server that just failed; any read-ahead in flight targets it too.
   meta_.invalidate(stale.logical_path);
-  if (force_pfs && !options_.allow_pfs_fallback) {
-    return Error(ErrorCode::kUnavailable,
-                 "remote reads keep failing and PFS fallback is disabled");
-  }
-  HVAC_ASSIGN_OR_RETURN(int fresh_vfd,
-                        force_pfs ? open_via_pfs(abs_path) : open(abs_path));
-  HVAC_ASSIGN_OR_RETURN(core::FdEntry fresh, fds_.erase(fresh_vfd));
-  fresh.offset = stale.offset;  // the application's position survives
-  // Any read-ahead in flight targets the dead server's remote fd.
   readahead_drop(vfd);
+  core::FdEntry fresh = stale;
+  bool retargeted = false;
+  if (!force_pfs) {
+    // Reads carry the path, not a server-side fd, so there is nothing
+    // to re-open: retarget to the next home after the failed one (a
+    // replica, which serves or fetches its own copy), skipping homes
+    // whose breaker is open.
+    std::string key = stale.logical_path;
+    if (auto packed = packed_lookup(stale.logical_path)) {
+      key = packed->container_logical;
+    }
+    const std::vector<uint32_t> homes = placement_.homes(key);
+    auto it = std::find(homes.begin(), homes.end(), stale.server_index);
+    it = it == homes.end() ? homes.begin() : it + 1;
+    for (; it != homes.end() && !retargeted; ++it) {
+      const auto health = rpc::HealthRegistry::global().get(
+          options_.server_endpoints[*it]);
+      if (*it == stale.server_index ||
+          health->state() == rpc::EndpointHealth::State::kOpen) {
+        continue;
+      }
+      fresh.server_index = *it;
+      retargeted = true;
+    }
+  }
+  if (!retargeted) {
+    if (!options_.allow_pfs_fallback) {
+      return Error(ErrorCode::kUnavailable,
+                   "remote reads keep failing and PFS fallback is disabled");
+    }
+    HVAC_ASSIGN_OR_RETURN(
+        int pfs_vfd,
+        open_via_pfs(path_join(options_.dataset_dir, stale.logical_path)));
+    HVAC_ASSIGN_OR_RETURN(fresh, fds_.erase(pfs_vfd));
+    fresh.offset = stale.offset;  // the application's position survives
+  }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.failovers;
@@ -664,9 +708,27 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
     stats_.bytes_read += static_cast<uint64_t>(n);
     return static_cast<size_t>(n);
   }
+  if (entry.writable) {
+    // A checkpoint write handle has no read side (O_WRONLY).
+    return Error(ErrorCode::kBadFd, "fd not open for reading");
+  }
 
+  // Every other read fd is remote, and its size is authoritative (the
+  // open reply, the meta cache or the packed index, for immutable
+  // dataset files): nothing past it is requested, and a read at EOF
+  // returns 0 without a round trip.
   auto* out = static_cast<uint8_t*>(buf);
   size_t total = 0;
+  count = offset < entry.size
+              ? static_cast<size_t>(std::min<uint64_t>(count,
+                                                       entry.size - offset))
+              : 0;
+  if (entry.inline_data != nullptr && count > 0) {
+    // The open reply carried the whole file: no RPC at all.
+    std::memcpy(out, entry.inline_data->data() + offset, count);
+    total = count;
+    stall_charge(core::StallBucket::kLocalHit);
+  }
   while (total < count) {
     const uint32_t chunk = static_cast<uint32_t>(
         std::min<size_t>(count - total, options_.read_chunk_bytes));
@@ -675,8 +737,8 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
     // Read-ahead hit: the chunk is already in flight (or landed); take
     // its bytes instead of a fresh round trip. The whole issue batch
     // came back as one scatter frame — this chunk is one extent of it.
-    // A transport/parse failure falls through to the synchronous path
-    // below.
+    // A transport/parse failure or a short extent falls through to the
+    // synchronous path below.
     if (options_.readahead_chunks > 0) {
       if (auto pending =
               readahead_take(vfd, chunk_offset, chunk, entry.size)) {
@@ -693,7 +755,7 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
           auto view = rpc::decode_scatter(ready->data(), ready->size());
           if (view.ok() && pending->extent_index < view->extents.size()) {
             const auto& ext = view->extents[pending->extent_index];
-            if (ext.offset == chunk_offset && ext.length <= chunk) {
+            if (ext.offset == chunk_offset && ext.length == chunk) {
               std::memcpy(out + total, ext.data, ext.length);
               total += ext.length;
               core::ReadAheadCounters::global().consumed.fetch_add(
@@ -704,7 +766,6 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
               }
               readahead_advance(vfd, entry, chunk_offset, ext.length,
                                 chunk);
-              if (ext.length < chunk) break;  // EOF
               continue;
             }
           }
@@ -712,46 +773,16 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
       }
     }
 
-    // Positional reads are idempotent: transient transport errors get
-    // a bounded retry with backoff before the recover_fd machinery
-    // (replica fail-over / PFS) takes over. Path-mode fds (opened from
-    // the meta cache, no remote fd) read by logical path via a
-    // single-extent scatter request.
-    WireWriter w;
-    uint16_t opcode = proto::kRead;
-    if (entry.path_mode) {
-      opcode = proto::kReadScatter;
-      w.put_u8(1);  // by path
-      w.put_string(entry.logical_path);
-      w.put_u32(1);
-      w.put_u64(chunk_offset);
-      w.put_u32(chunk);
-    } else {
-      w.put_u64(entry.remote_fd);
-      w.put_u64(chunk_offset);
-      w.put_u32(chunk);
-    }
-    Result<rpc::Payload> resp = channel(entry.server_index)
-                                    .call_payload_idempotent(opcode,
-                                                             w.bytes());
-    if (!resp.ok()) {
-      // The failed attempt's wall time (and the recovery below) is
-      // retry/fail-over penalty, whatever the eventual serving path.
-      stall_charge(core::StallBucket::kRetry);
-      const ErrorCode code = resp.error().code;
-      if (code != ErrorCode::kUnavailable && code != ErrorCode::kTimeout &&
-          code != ErrorCode::kBadFd) {
-        return resp.error();
-      }
+    // The serving copy failed us: recover like the home died — retarget
+    // to a replica, then the PFS — and finish the read there
+    // (fail-open extends to in-flight fds, §III-H). Recovery is
+    // bounded: a server that answers opens but fails every read (e.g.
+    // a hostile frame bound) must not trap the client in a loop, so
+    // the last attempt goes straight to the PFS.
+    auto recover = [&](Error cause) -> Result<size_t> {
       meta_.invalidate(entry.logical_path);
-      // The home server died (or restarted and lost the fd) while we
-      // held it open: re-open via replicas/PFS and finish the read
-      // there (fail-open extends to in-flight fds, §III-H). Recovery
-      // is bounded: a server that accepts opens but fails every read
-      // (e.g. a hostile frame bound) must not trap the client in an
-      // open/fail loop, so the last attempt goes straight to the PFS.
       constexpr int kMaxRecoveries = 3;
-      if (recoveries >= kMaxRecoveries) return resp.error();
+      if (recoveries >= kMaxRecoveries) return cause;
       const bool force_pfs = recoveries + 1 == kMaxRecoveries;
       HVAC_RETURN_IF_ERROR(recover_fd(vfd, entry, force_pfs));
       stall_charge(core::StallBucket::kRetry);
@@ -759,51 +790,52 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
                             pread_attempt(vfd, out + total, count - total,
                                           chunk_offset, recoveries + 1));
       return total + rest;
+    };
+
+    // Positional reads are idempotent: transient transport errors get
+    // a bounded retry with backoff before recovery takes over. Every
+    // read addresses the file by logical path with a single-extent
+    // scatter request.
+    WireWriter w;
+    w.put_u8(1);  // by path
+    w.put_string(entry.logical_path);
+    w.put_u32(1);
+    w.put_u64(chunk_offset);
+    w.put_u32(chunk);
+    Result<rpc::Payload> resp =
+        channel(entry.server_index)
+            .call_payload_idempotent(proto::kReadScatter, w.bytes());
+    if (!resp.ok()) {
+      // The failed attempt's wall time (and the recovery below) is
+      // retry/fail-over penalty, whatever the eventual serving path.
+      stall_charge(core::StallBucket::kRetry);
+      const ErrorCode code = resp.error().code;
+      if (code != ErrorCode::kUnavailable && code != ErrorCode::kTimeout) {
+        return resp.error();
+      }
+      return recover(resp.error());
     }
     stall_charge(core::StallBucket::kRemoteRpc);
-    // Single copy: response buffer (pooled) -> caller's buffer.
-    size_t got = 0;
-    if (entry.path_mode) {
-      HVAC_ASSIGN_OR_RETURN(
-          rpc::ScatterView sv,
-          rpc::decode_scatter(resp->data(), resp->size()));
-      if (sv.extents.size() != 1 || sv.extents[0].length > chunk) {
-        return Error(ErrorCode::kProtocol, "bad scatter response shape");
-      }
-      // A scatter extent may only come back short at EOF (the fd's
-      // size came from the open-time stat or the packed index, both
-      // authoritative for immutable files). Short mid-file means the
-      // serving copy was cut — an eviction race or an injected fault —
-      // so recover like a transport failure instead of handing the
-      // application a truncated sample.
-      if (sv.extents[0].length < chunk &&
-          chunk_offset + sv.extents[0].length < entry.size) {
-        meta_.invalidate(entry.logical_path);
-        constexpr int kMaxRecoveries = 3;
-        if (recoveries >= kMaxRecoveries) {
-          return Error(ErrorCode::kUnavailable,
-                       "short scatter read mid-file for " +
-                           entry.logical_path);
-        }
-        const bool force_pfs = recoveries + 1 == kMaxRecoveries;
-        HVAC_RETURN_IF_ERROR(recover_fd(vfd, entry, force_pfs));
-        stall_charge(core::StallBucket::kRetry);
-        HVAC_ASSIGN_OR_RETURN(
-            size_t rest, pread_attempt(vfd, out + total, count - total,
-                                       chunk_offset, recoveries + 1));
-        return total + rest;
-      }
-      std::memcpy(out + total, sv.extents[0].data, sv.extents[0].length);
-      got = sv.extents[0].length;
-    } else {
-      WireReader r(resp->data(), resp->size());
-      HVAC_ASSIGN_OR_RETURN(WireReader::BlobView data, r.get_blob_view());
-      std::memcpy(out + total, data.data, data.size);
-      got = data.size;
+    Result<rpc::ScatterView> sv =
+        rpc::decode_scatter(resp->data(), resp->size());
+    if (!sv.ok() || sv->extents.size() != 1 ||
+        sv->extents[0].offset != chunk_offset ||
+        sv->extents[0].length > chunk) {
+      return recover(Error(ErrorCode::kProtocol,
+                           "bad scatter response for " + entry.logical_path));
     }
-    total += got;
-    readahead_advance(vfd, entry, chunk_offset, got, chunk);
-    if (got < chunk) break;  // EOF
+    // The request stops at EOF, so a short extent means the serving
+    // copy was cut — an eviction race or an injected fault — and is
+    // never handed to the application as a truncated sample.
+    if (sv->extents[0].length < chunk) {
+      return recover(Error(ErrorCode::kUnavailable,
+                           "short scatter read mid-file for " +
+                               entry.logical_path));
+    }
+    // Single copy: response buffer (pooled) -> caller's buffer.
+    std::memcpy(out + total, sv->extents[0].data, chunk);
+    total += chunk;
+    readahead_advance(vfd, entry, chunk_offset, chunk, chunk);
   }
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.reads;
@@ -845,8 +877,6 @@ Status HvacClient::close(int vfd) {
   trace::Span span("client.close");
   HVAC_ASSIGN_OR_RETURN(core::FdEntry entry, fds_.erase(vfd));
   readahead_drop(vfd);
-  // Segmented and path-mode fds never opened anything remotely.
-  if (entry.segmented || entry.path_mode) return Status::Ok();
   if (entry.fallback_pfs) {
     if (entry.writable && ::fsync(entry.pfs_fd) != 0) {
       const Error e = Error::from_errno(errno, "fsync(pfs)");
@@ -870,15 +900,15 @@ Status HvacClient::close(int vfd) {
     (void)resp;
     return Status::Ok();
   }
-  // Out-of-band teardown RPC (paper §III-D step 8). Failure here is
-  // non-fatal — the server GCs fds when the connection drops.
-  WireWriter w;
-  w.put_u64(entry.remote_fd);
-  Result<Bytes> resp = channel(entry.server_index).call(proto::kClose, w);
-  if (!resp.ok() && resp.error().code != ErrorCode::kUnavailable) {
-    return resp.error();
-  }
+  // Read fds hold no server-side state: closing one is local.
   return Status::Ok();
+}
+
+Result<uint64_t> HvacClient::fstat_size(int vfd) {
+  // One table read and no offset writes, so it cannot race a read()
+  // on the same vfd.
+  HVAC_ASSIGN_OR_RETURN(core::FdEntry entry, fds_.get(vfd));
+  return entry.size;
 }
 
 // ---- checkpoint write path ------------------------------------------------

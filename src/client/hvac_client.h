@@ -3,11 +3,14 @@
 //
 // The client owns the server map (endpoint per server index, in
 // allocation order), computes each file's home with the metadata-less
-// Placement function, and forwards open/read/close over RPC. Reads
-// above the chunk size are split into multiple bulk pulls. On any
-// transport failure the client fails open: replicas are tried in
-// order, and as a last resort the file is read directly from the PFS
-// mount — a cache must never kill a training run (paper §III-H).
+// Placement function, and forwards opens and reads over RPC. Read fds
+// are stateless on the server: open is one kOpen that returns the size
+// (and the whole file when it is small), every other read addresses
+// the file by path, and close is local. Reads above the chunk size
+// are split into multiple bulk pulls. On any transport failure the
+// client fails open: replicas are tried in order, and as a last
+// resort the file is read directly from the PFS mount — a cache must
+// never kill a training run (paper §III-H).
 #pragma once
 
 #include <atomic>
@@ -75,7 +78,7 @@ struct HvacClientOptions {
   std::string prefetch_plan_file;
   // TTL for the client metadata cache (HVAC_META_TTL_MS): per-epoch
   // re-opens of a file whose {size, home, cached} is still fresh skip
-  // the stat/open round trip entirely (path-mode fds). 0 disables.
+  // the stat/open round trip entirely. 0 disables.
   int64_t meta_ttl_ms = 3000;
   // Packed-container resolution (HVAC_PACK): when the dataset carries
   // a .hvacpack index, the client fetches it once and resolves packed
@@ -148,6 +151,10 @@ class HvacClient {
 
   // Size without opening.
   Result<uint64_t> stat_size(const std::string& path);
+
+  // Size of an open vfd (the shim's fstat): one fd-table read that
+  // never touches the offset, so it is safe beside a concurrent read.
+  Result<uint64_t> fstat_size(int vfd);
 
   // Warms the home server's cache (paper future work: prefetching).
   Status prefetch(const std::string& path);
@@ -233,7 +240,7 @@ class HvacClient {
   void readahead_advance(int vfd, const core::FdEntry& entry,
                          uint64_t offset, size_t got, uint32_t chunk);
 
-  // Drops all read-ahead state for `vfd` (close / failover re-open).
+  // Drops all read-ahead state for `vfd` (close / failover).
   void readahead_drop(int vfd);
 
   // Clears a window, counting its in-flight chunks as wasted (caller
@@ -241,6 +248,11 @@ class HvacClient {
   void discard_window(ReadAheadState& state);
 
   Result<int> open_via_pfs(const std::string& path);
+
+  // One stateless kOpen to `server`: a vfd whose reads go by path, with
+  // the inline bytes attached for a small file. kProtocol when the
+  // reply is malformed (the caller fails over as for a dead server).
+  Result<int> open_remote(const std::string& logical, uint32_t server);
 
   // Meta-cache lookup with the breaker check folded in: an entry whose
   // home endpoint has an open circuit is invalidated on the spot (the
@@ -258,15 +270,15 @@ class HvacClient {
   Result<size_t> pread_segmented(const core::FdEntry& entry, void* buf,
                                  size_t count, uint64_t offset);
 
-  // pread with a bounded recovery budget (recover_fd may re-home the
-  // fd remotely; after kMaxRecoveries the read fails rather than loop).
+  // pread with a bounded recovery budget (recover_fd may retarget the
+  // fd; after kMaxRecoveries the read fails rather than loop).
   Result<size_t> pread_attempt(int vfd, void* buf, size_t count,
                                uint64_t offset, int recoveries);
 
-  // The home server died while `vfd` was open: re-open the file (via
-  // replicas or PFS fallback) and swap the fd's backing in place.
-  // `force_pfs` skips the remote re-open — used when remote reads keep
-  // failing even though opens succeed.
+  // The serving server failed a read while `vfd` was open: retarget
+  // the fd to the next healthy home, else to a direct PFS fd, keeping
+  // the vfd and its offset. `force_pfs` goes straight to the PFS —
+  // used when remote reads keep failing.
   Status recover_fd(int vfd, const core::FdEntry& stale,
                     bool force_pfs = false);
 

@@ -6,8 +6,8 @@
 // size, its home server, and whether that server holds a cached copy.
 // This cache remembers {size, home, cached} per logical path for a
 // short TTL (HVAC_META_TTL_MS), so a fresh entry lets open() hand out
-// a path-mode fd with zero round trips — reads then address the file
-// by path via kReadScatter.
+// a fd with zero round trips — reads address the file by path via
+// kReadScatter, like every read fd.
 //
 // Staleness is bounded three ways: the TTL, explicit invalidation on
 // any transport-level failure touching the path, and a breaker check

@@ -225,6 +225,14 @@ void Span::finish() {
   }
 }
 
+void Span::discard() {
+  if (!armed_) return;
+  ThreadState& state = tls();
+  state.active_span = prev_span_;
+  state.trace_id = prev_trace_;
+  armed_ = false;
+}
+
 void Span::event(const char* name, uint64_t arg) {
   if (!enabled()) return;
   ThreadState& state = tls();

@@ -98,6 +98,11 @@ class Span {
   uint32_t id() const { return span_id_; }
   void set_arg(uint64_t arg) { arg_ = arg; }
 
+  // Ends the span without recording it (work that turned out to be
+  // redone elsewhere, e.g. a declined reactor probe). Spans opened
+  // under it must already be closed.
+  void discard();
+
   // Zero-duration child of the current active span ("retry happened",
   // "meta cache miss"). No-op when tracing is off or no trace active.
   static void event(const char* name, uint64_t arg = 0);

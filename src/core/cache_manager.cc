@@ -27,16 +27,19 @@ bool CacheManager::make_room(uint64_t needed) {
   return true;
 }
 
+bool CacheManager::touch_if_cached(const std::string& key) {
+  if (!store_->contains(key)) return false;
+  eviction_->on_access(key);
+  metrics_.on_hit();
+  return true;
+}
+
 Result<bool> CacheManager::ensure_key_cached(
     const std::string& key,
     const std::function<Result<uint64_t>()>& sized,
     const std::function<Result<uint64_t>(const std::string& dst)>& fetch) {
   // Fast path: already cached.
-  if (store_->contains(key)) {
-    eviction_->on_access(key);
-    metrics_.on_hit();
-    return true;
-  }
+  if (touch_if_cached(key)) return true;
 
   // Serialize concurrent first-reads of the same key.
   {

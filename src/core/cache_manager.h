@@ -76,6 +76,12 @@ class CacheManager {
     return store_->contains(logical_path);
   }
 
+  // Hit accounting for a copy served outside ensure_cached (the
+  // server's reactor-side kOpen): records the eviction touch and the
+  // hit that ensure_cached's fast path records. Returns false, having
+  // recorded nothing, when `key` is not cached.
+  bool touch_if_cached(const std::string& key);
+
   // Drops one file (tests / manual control).
   Status evict(const std::string& logical_path);
 

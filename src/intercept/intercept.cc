@@ -508,25 +508,25 @@ FILE* fopen64(const char* path, const char* mode) {
 }
 
 // Applications commonly fstat a freshly opened fd to size their read
-// buffer; synthesize a regular-file stat for virtual fds.
+// buffer; synthesize a regular-file stat for virtual fds. The size is
+// one fd-table read, so a concurrent read() on the same vfd keeps its
+// offset.
 int fstat(int fd, struct stat* st) {
   struct stat* volatile st_checked = st;
   if (g_in_shim == 0 && FdTable::is_virtual(fd) && g_client != nullptr &&
       st_checked != nullptr) {
     ShimGuard guard;
-    auto pos = g_client->lseek(fd, 0, SEEK_CUR);
-    auto end = g_client->lseek(fd, 0, SEEK_END);
-    if (pos.ok() && end.ok()) {
-      (void)g_client->lseek(fd, *pos, SEEK_SET);
-      std::memset(st, 0, sizeof(*st));
-      st->st_mode = S_IFREG | 0444;
-      st->st_size = static_cast<off_t>(*end);
-      st->st_blksize = 4096;
-      st->st_nlink = 1;
-      return 0;
+    auto size = g_client->fstat_size(fd);
+    if (!size.ok()) {
+      errno = EBADF;
+      return -1;
     }
-    errno = EBADF;
-    return -1;
+    std::memset(st, 0, sizeof(*st));
+    st->st_mode = S_IFREG | 0444;
+    st->st_size = static_cast<off_t>(*size);
+    st->st_blksize = 4096;
+    st->st_nlink = 1;
+    return 0;
   }
   using fstat_fn = int (*)(int, struct stat*);
   static fstat_fn fn = resolve<fstat_fn>("fstat");

@@ -131,7 +131,14 @@ void RpcServer::register_handler(uint16_t opcode, Handler handler,
 void RpcServer::register_payload_handler(uint16_t opcode,
                                          PayloadHandler handler,
                                          DispatchHint hint) {
-  handlers_[opcode] = HandlerEntry{std::move(handler), hint};
+  handlers_[opcode] = HandlerEntry{std::move(handler), hint, nullptr};
+}
+
+void RpcServer::register_payload_handler(uint16_t opcode,
+                                         PayloadHandler pooled,
+                                         ReactorProbe on_reactor) {
+  handlers_[opcode] = HandlerEntry{std::move(pooled), DispatchHint::kPooled,
+                                   std::move(on_reactor)};
 }
 
 size_t RpcServer::resolve_reactor_count() const {
@@ -685,58 +692,73 @@ Status RpcServer::write_response(const std::shared_ptr<Connection>& conn,
   return Status::Ok();
 }
 
-void RpcServer::run_request(const std::shared_ptr<Connection>& conn,
+bool RpcServer::run_request(const std::shared_ptr<Connection>& conn,
                             const FrameHeader& header, const Bytes& payload,
-                            uint64_t enqueue_ns) {
+                            uint64_t enqueue_ns, bool probe) {
   const uint32_t reactor_id = conn->reactor->id;
-  // Adopt the caller's context (no-op for untraced frames), make the
-  // pool wait visible as its own span — zero-length for inline
-  // dispatch, where the handler runs on the reactor with no queue —
-  // then wrap the handler + send. Both spans carry the reactor id so
-  // a timeline groups by core: server.queue's arg is the id itself,
-  // server.dispatch packs it above the opcode.
+  // Adopt the caller's context (no-op for untraced frames) and wrap
+  // the handler + send in server.dispatch; the pool wait becomes its
+  // own server.queue span — zero-length for inline dispatch, where
+  // the handler runs on the reactor with no queue. Both spans carry
+  // the reactor id so a timeline groups by core: server.queue's arg
+  // is the id itself, server.dispatch packs it above the opcode.
   trace::ScopedContext adopt(header.trace);
-  if (enqueue_ns != 0 && header.has_trace) {
-    trace::emit("server.queue", enqueue_ns, trace::now_ns(), reactor_id);
-  }
-  trace::Span dspan("server.dispatch",
-                    (static_cast<uint64_t>(reactor_id) << 32) |
-                        header.opcode);
-  Result<Payload> result = [&]() -> Result<Payload> {
-    auto it = handlers_.find(header.opcode);
-    if (it == handlers_.end()) {
-      return Error(ErrorCode::kUnimplemented,
-                   "no handler for opcode " + std::to_string(header.opcode));
+  const bool traced_queue = enqueue_ns != 0 && header.has_trace;
+  const uint64_t dispatch_ns = traced_queue ? trace::now_ns() : 0;
+  {
+    trace::Span dspan("server.dispatch",
+                      (static_cast<uint64_t>(reactor_id) << 32) |
+                          header.opcode);
+    std::optional<Result<Payload>> answer =
+        [&]() -> std::optional<Result<Payload>> {
+      auto it = handlers_.find(header.opcode);
+      if (it == handlers_.end()) {
+        return Result<Payload>(Error(
+            ErrorCode::kUnimplemented,
+            "no handler for opcode " + std::to_string(header.opcode)));
+      }
+      if (probe) return it->second.probe(payload);
+      return it->second.fn(payload);
+    }();
+    if (!answer.has_value()) {
+      // Declined: the pooled run records the request's spans.
+      dspan.discard();
+      return false;
     }
-    return it->second.fn(payload);
-  }();
+    Result<Payload>& result = *answer;
 
-  FrameHeader resp;
-  resp.request_id = header.request_id;
-  resp.opcode = header.opcode;
-  resp.kind = FrameKind::kResponse;
-  Payload body;
-  if (result.ok()) {
-    resp.status = ErrorCode::kOk;
-    body = std::move(result).value();
-  } else {
-    resp.status = result.error().code;
-    WireWriter w;
-    w.put_string(result.error().message);
-    body = Payload(std::move(w).take());
+    FrameHeader resp;
+    resp.request_id = header.request_id;
+    resp.opcode = header.opcode;
+    resp.kind = FrameKind::kResponse;
+    Payload body;
+    if (result.ok()) {
+      resp.status = ErrorCode::kOk;
+      body = std::move(result).value();
+    } else {
+      resp.status = result.error().code;
+      WireWriter w;
+      w.put_string(result.error().message);
+      body = Payload(std::move(w).take());
+    }
+    resp.payload_len = static_cast<uint32_t>(body.total_size());
+
+    // Count before the write so a client that has already seen the
+    // response also sees the counter (tests rely on this ordering).
+    requests_served_.fetch_add(1, std::memory_order_relaxed);
+    conn->reactor->requests.fetch_add(1, std::memory_order_relaxed);
+    if (Status ws = write_response(conn, resp, body); !ws.ok()) {
+      // The header may already be on the wire with the payload short:
+      // nothing valid can follow, so shut the socket down and let the
+      // owning reactor reap the connection (it owns drop_connection).
+      HVAC_LOG_DEBUG("response write failed: " << ws.error().to_string());
+      ::shutdown(conn->fd.get(), SHUT_RDWR);
+    }
   }
-  resp.payload_len = static_cast<uint32_t>(body.total_size());
-
-  // Count before the write so a client that has already seen the
-  // response also sees the counter (tests rely on this ordering).
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
-  conn->reactor->requests.fetch_add(1, std::memory_order_relaxed);
-  if (Status ws = write_response(conn, resp, body); !ws.ok()) {
-    // The header may already be on the wire with the payload short:
-    // nothing valid can follow, so shut the socket down and let the
-    // owning reactor reap the connection (it owns drop_connection).
-    HVAC_LOG_DEBUG("response write failed: " << ws.error().to_string());
-    ::shutdown(conn->fd.get(), SHUT_RDWR);
+  // Recorded once the request is answered, beside server.dispatch, so
+  // a declined probe's re-queue yields one queue span, not two.
+  if (traced_queue) {
+    trace::emit("server.queue", enqueue_ns, dispatch_ns, reactor_id);
   }
   if (draining_.load(std::memory_order_acquire)) {
     ResilienceCounters::global().drained_requests.fetch_add(
@@ -744,6 +766,7 @@ void RpcServer::run_request(const std::shared_ptr<Connection>& conn,
   }
   conn->inflight.fetch_sub(1, std::memory_order_relaxed);
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  return true;
 }
 
 void RpcServer::dispatch(const std::shared_ptr<Connection>& conn,
@@ -771,13 +794,21 @@ void RpcServer::dispatch(const std::shared_ptr<Connection>& conn,
   const uint64_t enqueue_ns = trace::enabled() ? trace::now_ns() : 0;
 
   auto hint = DispatchHint::kPooled;
+  bool has_probe = false;
   if (auto it = handlers_.find(header.opcode); it != handlers_.end()) {
     hint = it->second.hint;
+    has_probe = static_cast<bool>(it->second.probe);
   }
   if (hint == DispatchHint::kInline) {
     // Fast path: run on the owning reactor, no queue, no wake, no
     // cross-core handoff. The handler promised not to block.
     run_request(conn, header, payload, enqueue_ns);
+    return;
+  }
+  // Inline-first: the probe answers hits here; what it declines falls
+  // through to the pool below, still counted in flight once.
+  if (has_probe &&
+      run_request(conn, header, payload, enqueue_ns, /*probe=*/true)) {
     return;
   }
 

@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -43,6 +44,17 @@ using PayloadHandler = std::function<Result<Payload>(const Bytes& request)>;
 // handler's duration — only mark handlers that never block on
 // anything slower than local NVMe.
 enum class DispatchHint : uint8_t { kPooled = 0, kInline };
+
+// Reactor-side first attempt of a pooled handler: it runs inline on
+// the owning reactor and either answers (a Result) or declines with
+// std::nullopt because answering would block (a mover wait, a PFS
+// read). A declined request is queued on the pool shard and the
+// pooled handler runs it anew, so one opcode serves its hit
+// path inline and its miss path pooled. Either way the request counts
+// once as served and records one server.queue + server.dispatch pair
+// (a declined probe records no spans).
+using ReactorProbe =
+    std::function<std::optional<Result<Payload>>(const Bytes& request)>;
 
 struct RpcServerOptions {
   // Bind address: "127.0.0.1:0" for an ephemeral TCP port, or
@@ -97,6 +109,11 @@ class RpcServer {
   void register_payload_handler(uint16_t opcode, PayloadHandler handler,
                                 DispatchHint hint = DispatchHint::kPooled);
 
+  // Registers a pooled handler fronted by a reactor probe (see
+  // ReactorProbe above).
+  void register_payload_handler(uint16_t opcode, PayloadHandler pooled,
+                                ReactorProbe on_reactor);
+
   // Binds the listener shards and spawns the reactor threads.
   Status start();
 
@@ -142,6 +159,7 @@ class RpcServer {
   struct HandlerEntry {
     PayloadHandler fn;
     DispatchHint hint = DispatchHint::kPooled;
+    ReactorProbe probe;  // empty: no reactor-side attempt
   };
 
   size_t resolve_reactor_count() const;
@@ -152,9 +170,12 @@ class RpcServer {
   void handle_readable(Reactor& r, const std::shared_ptr<Connection>& conn);
   void dispatch(const std::shared_ptr<Connection>& conn, FrameHeader header,
                 Bytes payload);
-  void run_request(const std::shared_ptr<Connection>& conn,
+  // Runs the handler (or, with `probe`, the reactor probe) and writes
+  // the response. Returns false only when the probe declined: nothing
+  // was written and the request is still in flight.
+  bool run_request(const std::shared_ptr<Connection>& conn,
                    const FrameHeader& header, const Bytes& payload,
-                   uint64_t enqueue_ns);
+                   uint64_t enqueue_ns, bool probe = false);
   // Writes one response frame (header + memory head + extents) under
   // the connection write lock, choosing the zero-copy rung for extent
   // bytes. A failure after the header bytes hit the wire leaves the

@@ -6,11 +6,30 @@
 
 namespace hvac::proto {
 
+// Raw-wire only: kRead, kClose, the legacy kOpen form (no `stateless`
+// flag) and fd-mode kReadScatter have no HvacClient sender. They stay
+// served, with the server's remote-fd table behind them, because the
+// benchmark's raw-RPC pass still sends them.
+// TODO: remove them, with open_fds_, once that pass sends the
+// stateless kOpen (opcode numbers are never reused).
 enum Opcode : uint16_t {
   kPing = 1,      // ()                 -> ()
-  kOpen = 2,      // (path)             -> (remote_fd, size, served_from)
-  kRead = 3,      // (remote_fd, offset, count) -> (blob)
-  kClose = 4,     // (remote_fd)        -> ()
+  kOpen = 2,      // (path [, stateless u8])
+                  //   -> (remote_fd u64, size u64, served_from u8
+                  //       [, inline blob])
+                  // With `stateless` = 1 (every HvacClient open) the
+                  // server keeps no per-open state: remote_fd is 0 and
+                  // the reply carries a trailing blob holding the whole
+                  // file when size <= kMaxInlineBytes, empty otherwise.
+                  // Reads then address the file by path (kReadScatter
+                  // mode 1) and close is client-local, so a warm small
+                  // sample costs one round trip. A cached copy is
+                  // answered on the reactor; a miss waits on the mover
+                  // from the pool. Without the flag (raw-wire only) the
+                  // server allocates a remote fd and replies with the
+                  // prefix alone.
+  kRead = 3,      // (remote_fd, offset, count) -> (blob). Raw-wire only.
+  kClose = 4,     // (remote_fd)        -> (). Raw-wire only.
   kStat = 5,      // (path)             -> (size)
   kPrefetch = 6,  // (path)             -> (cached: u8)
   kMetrics = 7,   // ()                 -> (hits, misses, dedup_waits,
@@ -26,6 +45,9 @@ enum Opcode : uint16_t {
                      // -> scatter frame (rpc/wire.h decode_scatter):
                      // one reply, N extents, each kernel-copied on the
                      // hit path. Extents crossing EOF come back short.
+                     // Path mode is the client's only read; fd mode is
+                     // raw-wire only. A cached reply of at most
+                     // kMaxInlineBytes is answered on the reactor.
   kPrefetchBatch = 10,  // (n u32, path * n) -> (n u32, status u8 * n)
                         // batched kPrefetch: one round trip warms a
                         // whole epoch's worth of files. Every path is
@@ -103,6 +125,14 @@ enum ServedFrom : uint8_t {
 // transfer" chunk size; Mercury would do an RDMA pull of similar
 // granularity).
 constexpr uint32_t kMaxReadChunk = 4u << 20;
+
+// Files up to this size travel whole in the stateless kOpen reply. 64
+// KiB covers a typical image/text training sample (and every file of
+// the benchmark's 16 KiB small-file set) while keeping a reactor-side
+// reply short enough not to stall the reactor's other connections.
+// A protocol constant, not a knob: the client validates replies
+// against it.
+constexpr uint32_t kMaxInlineBytes = 64u << 10;
 
 // Bounds on one kReadScatter request: at most kMaxScatterExtents
 // extents of at most kMaxReadChunk each, and at most kMaxScatterBytes

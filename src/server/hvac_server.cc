@@ -29,6 +29,38 @@ rpc::RpcServerOptions make_rpc_options(const HvacServerOptions& o) {
   return r;
 }
 
+// kOpen request: (path [, stateless u8]). Without the trailing flag it
+// is the legacy form that allocates a remote fd.
+struct OpenRequest {
+  std::string path;
+  bool stateless = false;
+};
+
+Result<OpenRequest> parse_open(const Bytes& req) {
+  WireReader r(req);
+  OpenRequest open;
+  HVAC_ASSIGN_OR_RETURN(open.path, r.get_string());
+  if (!r.exhausted()) {
+    HVAC_ASSIGN_OR_RETURN(uint8_t flag, r.get_u8());
+    open.stateless = flag != 0;
+  }
+  return open;
+}
+
+// The kOpen reply prefix both request forms share.
+WireWriter open_reply_head(uint64_t remote_fd, uint64_t size, bool cached) {
+  WireWriter w;
+  w.put_u64(remote_fd);
+  w.put_u64(size);
+  w.put_u8(cached ? proto::kFromCache : proto::kFromPfsFallback);
+  return w;
+}
+
+// Bytes a stateless kOpen reply inlines for a file of `size` bytes.
+uint64_t inline_length(uint64_t size) {
+  return size <= proto::kMaxInlineBytes ? size : 0;
+}
+
 }  // namespace
 
 HvacServer::HvacServer(storage::PfsBackend* pfs, HvacServerOptions options)
@@ -287,10 +319,22 @@ void HvacServer::register_handlers() {
     core::ScopedLatencyTimer t(latency_, proto::kPing);
     return Bytes{};
   }, rpc::DispatchHint::kInline);
-  rpc_.register_handler(proto::kOpen, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kOpen);
-    return handle_open(req);
-  });
+  // kOpen and kReadScatter answer cached copies on the reactor and
+  // re-queue whatever needs the mover or the PFS on the pool. A
+  // declined probe records no latency: its pooled run does, so each
+  // request is timed once.
+  rpc_.register_payload_handler(
+      proto::kOpen,
+      [this](const Bytes& req) {
+        core::ScopedLatencyTimer t(latency_, proto::kOpen);
+        return handle_open(req);
+      },
+      [this](const Bytes& req) {
+        core::ScopedLatencyTimer t(latency_, proto::kOpen);
+        auto answer = open_on_reactor(req);
+        if (!answer.has_value()) t.dismiss();
+        return answer;
+      });
   rpc_.register_payload_handler(proto::kRead, [this](const Bytes& req) {
     core::ScopedLatencyTimer t(latency_, proto::kRead);
     return handle_read(req);
@@ -320,11 +364,18 @@ void HvacServer::register_handlers() {
     core::ScopedLatencyTimer t(latency_, proto::kReadSegment);
     return handle_read_segment(req);
   });
-  rpc_.register_payload_handler(proto::kReadScatter,
-                                [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kReadScatter);
-    return handle_read_scatter(req);
-  });
+  rpc_.register_payload_handler(
+      proto::kReadScatter,
+      [this](const Bytes& req) {
+        core::ScopedLatencyTimer t(latency_, proto::kReadScatter);
+        return handle_read_scatter(req);
+      },
+      [this](const Bytes& req) {
+        core::ScopedLatencyTimer t(latency_, proto::kReadScatter);
+        auto answer = read_scatter_on_reactor(req);
+        if (!answer.has_value()) t.dismiss();
+        return answer;
+      });
   rpc_.register_handler(proto::kPrefetchBatch, [this](const Bytes& req) {
     core::ScopedLatencyTimer t(latency_, proto::kPrefetchBatch);
     return handle_prefetch_batch(req);
@@ -406,57 +457,121 @@ Result<rpc::Payload> HvacServer::handle_read_segment(const Bytes& req) {
   return rpc::blob_payload(std::move(lease), n);
 }
 
-Result<Bytes> HvacServer::handle_open(const Bytes& req) {
-  WireReader r(req);
-  HVAC_ASSIGN_OR_RETURN(std::string path, r.get_string());
-  // Packed sample: the fd hands back the *container* (fetched and
-  // cached once for all its samples) with the sample's base/length
-  // stamped on it; the reported size is the sample's, not the blob's.
+std::optional<Result<rpc::Payload>> HvacServer::open_on_reactor(
+    const Bytes& req) {
+  Result<OpenRequest> open = parse_open(req);
+  if (!open.ok()) return Result<rpc::Payload>(open.error());
+  std::string path = std::move(open->path);
+  const PackedRoute route = route_packed(path);
+  if (!cache_->is_cached(path)) return std::nullopt;  // the mover decides
+  // Any failure here (evicted since the check, an injected store
+  // fault) is for the pooled run to retry or report.
+  Result<rpc::Payload> reply = open_cached_reply(path, route, open->stateless);
+  if (!reply.ok()) return std::nullopt;
+  // The hit and eviction touch the mover's ensure_cached records on
+  // the pooled path, so hit counts do not depend on where kOpen ran.
+  (void)cache_->touch_if_cached(path);
+  return reply;
+}
+
+Result<rpc::Payload> HvacServer::handle_open(const Bytes& req) {
+  HVAC_ASSIGN_OR_RETURN(OpenRequest open, parse_open(req));
+  std::string path = std::move(open.path);
+  // Packed sample: the reply is for the *container* (fetched and cached
+  // once for all its samples) with the sample's base/length applied;
+  // the reported size is the sample's, not the blob's.
   const PackedRoute route = route_packed(path);
 
   // Forward to the data-mover FIFO (paper §III-D steps 4-6) and wait
   // for the cache decision. Retry if the fresh copy is evicted before
   // we open it (possible under heavy capacity pressure); fall back to
   // the PFS otherwise.
-  auto open_file = std::make_shared<OpenFile>();
-  open_file->logical_path = path;
-  open_file->pfs_fallback = true;
   for (int attempt = 0; attempt < 3; ++attempt) {
     HVAC_ASSIGN_OR_RETURN(bool cached, mover_->fetch(path));
     if (!cached) break;  // capacity overflow: serve from the PFS
-    auto f = cache_->open_cached(path);
-    if (f.ok()) {
-      open_file->file = std::move(f).value();
-      open_file->pfs_fallback = false;
-      break;
+    Result<rpc::Payload> reply =
+        open_cached_reply(path, route, open.stateless);
+    if (reply.ok() || reply.error().code != ErrorCode::kNotFound) {
+      return reply;
     }
-    if (f.error().code != ErrorCode::kNotFound) return f.error();
   }
-  uint64_t size = 0;
-  if (open_file->pfs_fallback) {
-    HVAC_ASSIGN_OR_RETURN(open_file->file, pfs_->open(path));
+  HVAC_ASSIGN_OR_RETURN(storage::PosixFile file, pfs_->open(path));
+  if (!open.stateless) {
+    return open_remote_fd(std::move(file), path, route, /*pfs=*/true);
   }
-  if (route.packed) {
-    open_file->base_offset = route.base;
-    size = route.length;
-  } else {
-    HVAC_ASSIGN_OR_RETURN(size, open_file->file.size());
+  uint64_t size = route.length;
+  if (!route.packed) {
+    HVAC_ASSIGN_OR_RETURN(size, file.size());
   }
-  open_file->size = size;
-  const bool cached = !open_file->pfs_fallback;
+  std::vector<uint8_t> bytes(inline_length(size));
+  size_t got = 0;
+  while (got < bytes.size()) {
+    HVAC_ASSIGN_OR_RETURN(size_t n,
+                          pfs_->pread(file, bytes.data() + got,
+                                      bytes.size() - got, route.base + got));
+    if (n == 0) {
+      return Error(ErrorCode::kIoError, "PFS file shrank under open: " + path);
+    }
+    got += n;
+  }
+  cache_->record_served_bytes(got, false);
+  WireWriter w = open_reply_head(0, size, /*cached=*/false);
+  w.put_blob(bytes.data(), bytes.size());
+  return rpc::Payload(std::move(w).take());
+}
 
+Result<rpc::Payload> HvacServer::open_cached_reply(const std::string& path,
+                                                   const PackedRoute& route,
+                                                   bool stateless) {
+  if (!stateless) {
+    HVAC_ASSIGN_OR_RETURN(storage::PosixFile file, cache_->open_cached(path));
+    return open_remote_fd(std::move(file), path, route, /*pfs=*/false);
+  }
+  HVAC_ASSIGN_OR_RETURN(storage::OpenHandleCache::Pin pinned,
+                        cache_->store().open_pinned(path));
+  auto pin = std::make_shared<storage::OpenHandleCache::Pin>(
+      std::move(pinned));
+  uint64_t size = route.length;
+  if (!route.packed) {
+    HVAC_ASSIGN_OR_RETURN(size, pin->size());
+  }
+  // The inline bytes go out like a kRead hit: a sendfile extent off
+  // the pinned handle, which the pin keeps open until they are sent.
+  const uint64_t inline_len = inline_length(size);
+  WireWriter w = open_reply_head(0, size, /*cached=*/true);
+  w.put_u32(static_cast<uint32_t>(inline_len));
+  rpc::Payload reply(std::move(w).take());
+  if (inline_len > 0) {
+    const int fd = pin->file().fd();
+    reply.add_extent(rpc::FileExtent{std::move(pin), fd, route.base,
+                                     inline_len});
+    cache_->record_served_bytes(inline_len, true);
+  }
+  return reply;
+}
+
+Result<rpc::Payload> HvacServer::open_remote_fd(storage::PosixFile file,
+                                                const std::string& path,
+                                                const PackedRoute& route,
+                                                bool pfs_fallback) {
+  auto open_file = std::make_shared<OpenFile>();
+  open_file->file = std::move(file);
+  open_file->logical_path = path;
+  open_file->pfs_fallback = pfs_fallback;
+  open_file->base_offset = route.base;
+  if (route.packed) {
+    open_file->size = route.length;
+  } else {
+    HVAC_ASSIGN_OR_RETURN(open_file->size, open_file->file.size());
+  }
   const uint64_t remote_fd =
       next_remote_fd_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(fds_mutex_);
     open_fds_[remote_fd] = open_file;
   }
-
-  WireWriter w;
-  w.put_u64(remote_fd);
-  w.put_u64(size);
-  w.put_u8(cached ? proto::kFromCache : proto::kFromPfsFallback);
-  return std::move(w).take();
+  return rpc::Payload(
+      open_reply_head(remote_fd, open_file->size, !pfs_fallback).take());
 }
 
 Result<rpc::Payload> HvacServer::handle_read(const Bytes& req) {
@@ -523,11 +638,11 @@ Result<rpc::Payload> HvacServer::handle_read(const Bytes& req) {
   return rpc::blob_payload(std::move(lease), n);
 }
 
-Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
+Result<HvacServer::ScatterRequest> HvacServer::parse_scatter(
+    const Bytes& req) {
   WireReader r(req);
+  ScatterRequest s;
   HVAC_ASSIGN_OR_RETURN(uint8_t mode, r.get_u8());
-  std::shared_ptr<OpenFile> open_file;
-  std::string path;
   if (mode == 0) {
     HVAC_ASSIGN_OR_RETURN(uint64_t remote_fd, r.get_u64());
     std::lock_guard<std::mutex> lock(fds_mutex_);
@@ -536,9 +651,9 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
       return Error(ErrorCode::kBadFd,
                    "unknown remote fd " + std::to_string(remote_fd));
     }
-    open_file = it->second;
+    s.open_file = it->second;
   } else if (mode == 1) {
-    HVAC_ASSIGN_OR_RETURN(path, r.get_string());
+    HVAC_ASSIGN_OR_RETURN(s.path, r.get_string());
   } else {
     return Error(ErrorCode::kInvalidArgument, "bad scatter mode");
   }
@@ -546,19 +661,85 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
   if (n == 0 || n > proto::kMaxScatterExtents) {
     return Error(ErrorCode::kInvalidArgument, "bad scatter extent count");
   }
-  std::vector<std::pair<uint64_t, uint32_t>> want(n);
-  uint64_t total = 0;
-  for (auto& [off, len] : want) {
+  s.want.resize(n);
+  for (auto& [off, len] : s.want) {
     HVAC_ASSIGN_OR_RETURN(off, r.get_u64());
     HVAC_ASSIGN_OR_RETURN(len, r.get_u32());
     if (len > proto::kMaxReadChunk) {
       return Error(ErrorCode::kInvalidArgument, "scatter extent too large");
     }
-    total += len;
+    s.total += len;
   }
-  if (total > proto::kMaxScatterBytes) {
+  if (s.total > proto::kMaxScatterBytes) {
     return Error(ErrorCode::kInvalidArgument, "scatter request too large");
   }
+  return s;
+}
+
+rpc::Payload HvacServer::scatter_extent_reply(ScatterRequest& s,
+                                              uint64_t base, uint64_t limit,
+                                              std::shared_ptr<const void> owner,
+                                              int fd) {
+  WireWriter table;
+  table.put_u32(static_cast<uint32_t>(s.want.size()));
+  uint64_t total_act = 0;
+  for (auto& [off, len] : s.want) {
+    const uint64_t avail = off < limit ? limit - off : 0;
+    len = static_cast<uint32_t>(std::min<uint64_t>(len, avail));
+    table.put_u64(off);
+    table.put_u32(len);
+    total_act += len;
+  }
+  rpc::Payload p(std::move(table).take());
+  for (const auto& [off, len] : s.want) {
+    if (len == 0) continue;
+    p.add_extent(rpc::FileExtent{owner, fd, base + off, len});
+  }
+  cache_->record_served_bytes(total_act, true);
+  return p;
+}
+
+std::optional<Result<rpc::Payload>> HvacServer::read_scatter_on_reactor(
+    const Bytes& req) {
+  Result<ScatterRequest> parsed = parse_scatter(req);
+  if (!parsed.ok()) return Result<rpc::Payload>(parsed.error());
+  ScatterRequest& s = *parsed;
+  // Only small replies run here: a bulk read-ahead batch would hold
+  // the reactor's other connections for its whole send.
+  if (s.total > proto::kMaxInlineBytes) return std::nullopt;
+  if (s.open_file != nullptr) {
+    const std::shared_ptr<OpenFile>& f = s.open_file;
+    if (f->pfs_fallback) return std::nullopt;  // PFS pread: pooled
+    return scatter_extent_reply(s, f->base_offset, f->size, f,
+                                f->file.fd());
+  }
+  std::string path = s.path;
+  const PackedRoute route = route_packed(path);
+  // A packed read counts the container hit its pooled run would (the
+  // mover's fetch); a plain path-mode read counts none either way.
+  const bool cached = route.packed ? cache_->touch_if_cached(path)
+                                   : cache_->is_cached(path);
+  if (!cached) return std::nullopt;
+  auto pinned = cache_->store().open_pinned(path);
+  if (!pinned.ok()) return std::nullopt;
+  auto pin = std::make_shared<storage::OpenHandleCache::Pin>(
+      std::move(pinned).value());
+  uint64_t limit = route.length;
+  if (!route.packed) {
+    Result<uint64_t> size = pin->size();
+    if (!size.ok()) return Result<rpc::Payload>(size.error());
+    limit = *size;
+  }
+  const int fd = pin->file().fd();
+  return scatter_extent_reply(s, route.base, limit, std::move(pin), fd);
+}
+
+Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
+  HVAC_ASSIGN_OR_RETURN(ScatterRequest s, parse_scatter(req));
+  const std::shared_ptr<OpenFile>& open_file = s.open_file;
+  std::string& path = s.path;
+  auto& want = s.want;
+  const uint32_t n = static_cast<uint32_t>(want.size());
 
   // Resolve a cached fd for the extents when one exists. In path mode
   // the file may have been evicted since the client's metadata said
@@ -618,23 +799,7 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
   }
 
   if (cached_fd && rpc_.zerocopy_mode() != rpc::ZeroCopyMode::kOff) {
-    WireWriter table;
-    table.put_u32(n);
-    uint64_t total_act = 0;
-    for (auto& [off, len] : want) {
-      const uint64_t avail = off < limit ? limit - off : 0;
-      len = static_cast<uint32_t>(std::min<uint64_t>(len, avail));
-      table.put_u64(off);
-      table.put_u32(len);
-      total_act += len;
-    }
-    rpc::Payload p(std::move(table).take());
-    for (const auto& [off, len] : want) {
-      if (len == 0) continue;
-      p.add_extent(rpc::FileExtent{owner, src_fd, base + off, len});
-    }
-    cache_->record_served_bytes(total_act, true);
-    return p;
+    return scatter_extent_reply(s, base, limit, std::move(owner), src_fd);
   }
 
   // Pooled path: stage the extents packed behind the table in one
@@ -642,7 +807,7 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
   // preads, so the table is stamped last.
   const size_t table_size = rpc::scatter_table_size(n);
   hvac::BufferPool::Lease lease =
-      hvac::BufferPool::local().acquire(table_size + total);
+      hvac::BufferPool::local().acquire(table_size + s.total);
   uint8_t* data = lease.data() + table_size;
   size_t cursor = 0;
   std::vector<uint32_t> actual(n);

@@ -14,9 +14,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "core/cache_manager.h"
@@ -139,10 +142,17 @@ class HvacServer {
 
   void register_handlers();
 
-  Result<rpc::Bytes> handle_open(const rpc::Bytes& req);
-  // The two read handlers return pooled payloads (rpc::Payload): the
-  // file bytes are pread straight into a BufferPool lease that the
-  // RPC server writes out with one gathered syscall.
+  // kOpen, pooled: waits on the mover, then replies for the cached
+  // copy or the PFS. Stateless requests get no remote fd and carry
+  // small files inline (see proto::kOpen).
+  Result<rpc::Payload> handle_open(const rpc::Bytes& req);
+  // kOpen on the reactor: answers a cached copy, declines (nullopt)
+  // everything that needs the mover or the PFS.
+  std::optional<Result<rpc::Payload>> open_on_reactor(
+      const rpc::Bytes& req);
+  // The read handlers return pooled payloads (rpc::Payload): the file
+  // bytes are pread straight into a BufferPool lease or sent as file
+  // extents, which the RPC server writes out without staging.
   Result<rpc::Payload> handle_read(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_close(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_stat(const rpc::Bytes& req);
@@ -152,6 +162,10 @@ class HvacServer {
   // FileExtents (kernel-copied at send time); otherwise they are
   // staged packed into one pooled lease behind the extent table.
   Result<rpc::Payload> handle_read_scatter(const rpc::Bytes& req);
+  // Scatter on the reactor: answers a cached reply of at most
+  // kMaxInlineBytes, declines the rest to handle_read_scatter.
+  std::optional<Result<rpc::Payload>> read_scatter_on_reactor(
+      const rpc::Bytes& req);
   Result<rpc::Bytes> handle_prefetch(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_prefetch_batch(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_metrics(const rpc::Bytes& req);
@@ -189,6 +203,35 @@ class HvacServer {
     bool packed = false;
   };
   PackedRoute route_packed(std::string& path) const;
+
+  // kOpen reply for the cached copy of `path` (kNotFound once evicted):
+  // stateless, the inline blob as an extent off a handle-cache pin;
+  // legacy, a new remote fd.
+  Result<rpc::Payload> open_cached_reply(const std::string& path,
+                                         const PackedRoute& route,
+                                         bool stateless);
+  // Legacy kOpen: registers `file` in open_fds_ and replies with its
+  // remote fd.
+  Result<rpc::Payload> open_remote_fd(storage::PosixFile file,
+                                      const std::string& path,
+                                      const PackedRoute& route,
+                                      bool pfs_fallback);
+
+  // A validated kReadScatter request. Fd mode resolves `open_file`;
+  // path mode leaves it null and fills `path`.
+  struct ScatterRequest {
+    std::shared_ptr<OpenFile> open_file;
+    std::string path;
+    std::vector<std::pair<uint64_t, uint32_t>> want;  // (offset, len)
+    uint64_t total = 0;
+  };
+  Result<ScatterRequest> parse_scatter(const rpc::Bytes& req);
+  // Zero-copy scatter reply: the extent table in memory, every extent
+  // clamped to `limit` and sent off `fd` at `base` + offset.
+  rpc::Payload scatter_extent_reply(ScatterRequest& s, uint64_t base,
+                                    uint64_t limit,
+                                    std::shared_ptr<const void> owner,
+                                    int fd);
 
   storage::PfsBackend* pfs_;
   HvacServerOptions options_;

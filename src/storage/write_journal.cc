@@ -154,7 +154,12 @@ Status WriteJournal::append_truncate(const std::string& logical_path) {
 
 Status WriteJournal::commit() {
   std::lock_guard<std::mutex> lock(mutex_);
-  HVAC_RETURN_IF_ERROR(append_record(JournalRecordType::kCommit, {}));
+  // An empty journal (everything flushed, checkpoint-reset) has nothing
+  // to commit; a lone commit record would only keep it from being empty
+  // until the next reset.
+  if (records_ > 0) {
+    HVAC_RETURN_IF_ERROR(append_record(JournalRecordType::kCommit, {}));
+  }
   HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kJournalFsync));
   return file_.datasync();
 }

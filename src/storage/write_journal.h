@@ -76,8 +76,9 @@ class WriteJournal {
 
   // The durability barrier: appends a kCommit marker and fdatasyncs
   // the journal. When this returns Ok, every record appended before
-  // it survives kill -9. Fault sites: journal_append (the marker),
-  // journal_fsync (the sync).
+  // it survives kill -9. An empty journal gets no marker, so a commit
+  // racing the flusher's checkpoint reset leaves it empty. Fault
+  // sites: journal_append (the marker), journal_fsync (the sync).
   Status commit();
 
   // Re-applies the log through `apply` (called for each kWrite record;

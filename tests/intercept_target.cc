@@ -3,14 +3,24 @@
 // given in argv, printing "<path> <size> <fnv64>" per file. When run
 // under libhvac_intercept.so with HVAC_* env set, the exact same
 // binary is served by the cache — the output must not change.
+//
+//   intercept_target [--repeat N] PATH...  read every path N times
+//   intercept_target --stdio PATH...        fopen/fread instead
+//   intercept_target --fstat-race PATH...   a second thread fstats each
+//                                           fd in a loop while read()
+//                                           streams it
+//   intercept_target --copy SRC DST         checkpoint-shaped write
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -113,6 +123,117 @@ int run_copy(const char* src, const char* dst) {
   return 0;
 }
 
+// The default shape: open, fstat, lseek there and back, read() to
+// EOF, close.
+void run_posix(const char* path) {
+  const int fd = ::open(path, O_RDONLY);
+  if (fd < 0) {
+    std::printf("%s ERROR open\n", path);
+    return;
+  }
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) {
+    std::printf("%s ERROR fstat\n", path);
+    ::close(fd);
+    return;
+  }
+  // Exercise lseek: skip the first byte, then rewind.
+  if (::lseek(fd, 1, SEEK_SET) != 1 || ::lseek(fd, 0, SEEK_SET) != 0) {
+    std::printf("%s ERROR lseek\n", path);
+    ::close(fd);
+    return;
+  }
+  uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t total = 0;
+  std::vector<uint8_t> buf(8192);
+  for (;;) {
+    const ssize_t n = ::read(fd, buf.data(), buf.size());
+    if (n < 0) {
+      std::printf("%s ERROR read\n", path);
+      break;
+    }
+    if (n == 0) break;
+    h = fnv1a(buf.data(), static_cast<size_t>(n), h);
+    total += static_cast<uint64_t>(n);
+  }
+  if (::close(fd) != 0) {
+    std::printf("%s ERROR close\n", path);
+    return;
+  }
+  std::printf("%s %" PRIu64 " %016" PRIx64 "\n", path, total, h);
+}
+
+// fstat racing read(): one thread streams the fd with small reads,
+// front to back and over again, while another fstats it in a loop.
+// fstat must report the size without ever moving the reader's offset:
+// every pass has to see exactly the first pass's bytes.
+int run_fstat_race(const char* path) {
+  const int fd = ::open(path, O_RDONLY);
+  if (fd < 0) {
+    std::printf("%s ERROR open\n", path);
+    return 1;
+  }
+  struct stat first{};
+  if (::fstat(fd, &first) != 0) {
+    std::printf("%s ERROR fstat\n", path);
+    ::close(fd);
+    return 1;
+  }
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::atomic<bool> bad_size{false};
+  std::thread statter([&] {
+    started.store(true);
+    while (!done.load(std::memory_order_relaxed)) {
+      struct stat st{};
+      if (::fstat(fd, &st) != 0 || st.st_size != first.st_size) {
+        bad_size.store(true);
+      }
+    }
+  });
+  while (!started.load()) std::this_thread::yield();
+  constexpr int kPasses = 2000;
+  uint64_t first_hash = 0;
+  uint64_t first_total = 0;
+  const char* error = nullptr;
+  uint8_t buf[256];
+  for (int pass = 0; pass < kPasses && error == nullptr; ++pass) {
+    if (::lseek(fd, 0, SEEK_SET) != 0) {
+      error = "lseek";
+      break;
+    }
+    uint64_t h = 0xcbf29ce484222325ULL;
+    uint64_t total = 0;
+    for (;;) {
+      const ssize_t n = ::read(fd, buf, sizeof(buf));
+      if (n < 0) {
+        error = "read";
+        break;
+      }
+      if (n == 0) break;
+      h = fnv1a(buf, static_cast<size_t>(n), h);
+      total += static_cast<uint64_t>(n);
+    }
+    if (pass == 0) {
+      first_hash = h;
+      first_total = total;
+    } else if (h != first_hash || total != first_total) {
+      error = "offset moved under read";
+    }
+  }
+  done.store(true);
+  statter.join();
+  ::close(fd);
+  if (error == nullptr && bad_size.load()) error = "fstat";
+  if (error != nullptr) {
+    std::printf("%s ERROR %s\n", path, error);
+    return 1;
+  }
+  std::printf("%s %" PRIu64 " %016" PRIx64 "\n", path, first_total,
+              first_hash);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -120,6 +241,11 @@ int main(int argc, char** argv) {
   bool stdio_mode = false;
   if (argc == 4 && std::string_view(argv[1]) == "--copy") {
     return run_copy(argv[2], argv[3]);
+  }
+  if (argc > 1 && std::string_view(argv[1]) == "--fstat-race") {
+    int rc = 0;
+    for (int i = 2; i < argc; ++i) rc |= run_fstat_race(argv[i]);
+    return rc;
   }
   if (argc > 1 && std::string_view(argv[1]) == "--stdio") {
     stdio_mode = true;
@@ -130,43 +256,13 @@ int main(int argc, char** argv) {
     for (int i = first; i < argc; ++i) rc |= run_stdio(argv[i]);
     return rc;
   }
-  for (int i = first; i < argc; ++i) {
-    const char* path = argv[i];
-    const int fd = ::open(path, O_RDONLY);
-    if (fd < 0) {
-      std::printf("%s ERROR open\n", path);
-      continue;
-    }
-    struct stat st{};
-    if (::fstat(fd, &st) != 0) {
-      std::printf("%s ERROR fstat\n", path);
-      ::close(fd);
-      continue;
-    }
-    // Exercise lseek: skip the first byte, then rewind.
-    if (::lseek(fd, 1, SEEK_SET) != 1 || ::lseek(fd, 0, SEEK_SET) != 0) {
-      std::printf("%s ERROR lseek\n", path);
-      ::close(fd);
-      continue;
-    }
-    uint64_t h = 0xcbf29ce484222325ULL;
-    uint64_t total = 0;
-    std::vector<uint8_t> buf(8192);
-    for (;;) {
-      const ssize_t n = ::read(fd, buf.data(), buf.size());
-      if (n < 0) {
-        std::printf("%s ERROR read\n", path);
-        break;
-      }
-      if (n == 0) break;
-      h = fnv1a(buf.data(), static_cast<size_t>(n), h);
-      total += static_cast<uint64_t>(n);
-    }
-    if (::close(fd) != 0) {
-      std::printf("%s ERROR close\n", path);
-      continue;
-    }
-    std::printf("%s %" PRIu64 " %016" PRIx64 "\n", path, total, h);
+  long repeat = 1;
+  if (argc > 2 && std::string_view(argv[1]) == "--repeat") {
+    repeat = std::strtol(argv[2], nullptr, 10);
+    first = 3;
+  }
+  for (long round = 0; round < repeat; ++round) {
+    for (int i = first; i < argc; ++i) run_posix(argv[i]);
   }
   return 0;
 }

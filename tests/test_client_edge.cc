@@ -11,6 +11,8 @@
 #include "client/hvac_client.h"
 #include "client/meta_cache.h"
 #include "rpc/health.h"
+#include "rpc/rpc_server.h"
+#include "rpc/wire.h"
 #include "server/hvac_proto.h"
 #include "server/node_runtime.h"
 #include "workload/file_tree.h"
@@ -30,12 +32,16 @@ std::string temp_dir(const std::string& name) {
   return dir;
 }
 
+// Above proto::kMaxInlineBytes, so reads go over the wire (a smaller
+// file travels whole in the open reply and never sends one).
+constexpr size_t kFileBytes = 80'000;
+
 class EdgeFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     pfs_root_ = temp_dir("pfs");
     rel_ = "f.bin";
-    expected_ = workload::expected_contents(rel_, 20'000);
+    expected_ = workload::expected_contents(rel_, kFileBytes);
     ASSERT_TRUE(storage::write_file(pfs_root_ + "/" + rel_,
                                     expected_.data(), expected_.size())
                     .ok());
@@ -64,12 +70,12 @@ TEST_F(EdgeFixture, ReadAtAndPastEofReturnsZero) {
   ASSERT_TRUE(vfd.ok());
   uint8_t buf[64];
   // Exactly at EOF.
-  ASSERT_EQ(client.lseek(*vfd, 0, SEEK_END).value(), 20'000);
+  ASSERT_EQ(client.lseek(*vfd, 0, SEEK_END).value(), 80'000);
   EXPECT_EQ(client.read(*vfd, buf, sizeof(buf)).value(), 0u);
   // Far past EOF via pread.
   EXPECT_EQ(client.pread(*vfd, buf, sizeof(buf), 1u << 30).value(), 0u);
   // Short final read.
-  ASSERT_EQ(client.lseek(*vfd, 19'990, SEEK_SET).value(), 19'990);
+  ASSERT_EQ(client.lseek(*vfd, 79'990, SEEK_SET).value(), 79'990);
   EXPECT_EQ(client.read(*vfd, buf, sizeof(buf)).value(), 10u);
   ASSERT_TRUE(client.close(*vfd).ok());
 }
@@ -94,7 +100,7 @@ TEST_F(EdgeFixture, DoubleCloseFails) {
 }
 
 TEST_F(EdgeFixture, TinyChunkSizeStillCorrect) {
-  // Force many bulk RPCs per read: 512-byte chunks over a 20 KB file.
+  // Force many bulk RPCs per read: 512-byte chunks over an 80 KB file.
   auto options = base_options();
   options.read_chunk_bytes = 512;
   HvacClient client(options);
@@ -169,7 +175,7 @@ TEST_F(EdgeFixture, StatSizeFallsBackWhenServersDie) {
 
 TEST_F(EdgeFixture, ReadAheadSequentialStreamIsCorrectAndHits) {
   auto options = base_options();
-  options.read_chunk_bytes = 1024;  // 20 chunks over the 20 KB file
+  options.read_chunk_bytes = 1024;  // 79 chunks over the 80 KB file
   options.readahead_chunks = 3;
   HvacClient client(options);
   auto vfd = client.open(pfs_root_ + "/" + rel_);
@@ -273,15 +279,16 @@ TEST_F(EdgeFixture, ReadAheadFailsOpenWhenServersDie) {
 
 // A server whose frame bound admits opens (tiny request) but drops
 // every read (20-byte header + path exceeds 16 bytes) is the nastiest
-// failure shape: recover_fd re-opens remotely just fine, then the
-// next read dies again. The recovery budget must bottom out at the
-// PFS instead of recursing, and the stream must stay byte-exact —
-// the fd-table's logical offset is the only position that survives
-// the mid-stream swap.
+// failure shape: the open succeeds, then every read dies. The file is
+// larger than proto::kMaxInlineBytes so its bytes are not in the open
+// reply. The recovery budget must bottom out at the PFS instead of
+// recursing, and the stream must stay byte-exact — the fd-table's
+// logical offset is the only position that survives the mid-stream
+// swap.
 TEST(HostileServer, OpensPassReadsDroppedDegradesToPfsExactly) {
   const std::string pfs_root = temp_dir("hostile_pfs");
   const std::string rel = "h.bin";
-  const auto expected = workload::expected_contents(rel, 20'000);
+  const auto expected = workload::expected_contents(rel, 100'000);
   ASSERT_TRUE(storage::write_file(pfs_root + "/" + rel,
                                   expected.data(), expected.size())
                   .ok());
@@ -340,7 +347,7 @@ TEST(HostileServer, OpensPassReadsDroppedDegradesToPfsExactly) {
 TEST(HostileServer, RecoveryBudgetExhaustsWithoutPfsFallback) {
   const std::string pfs_root = temp_dir("budget_pfs");
   const std::string rel = "b.bin";
-  const auto expected = workload::expected_contents(rel, 8'000);
+  const auto expected = workload::expected_contents(rel, 80'000);
   ASSERT_TRUE(storage::write_file(pfs_root + "/" + rel,
                                   expected.data(), expected.size())
                   .ok());
@@ -372,8 +379,9 @@ TEST(HostileServer, RecoveryBudgetExhaustsWithoutPfsFallback) {
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   ASSERT_FALSE(n.ok());
   EXPECT_EQ(n.error().code, ErrorCode::kUnavailable);
-  // kMaxRecoveries re-opens plus the dropped reads, each bounded by
-  // the 500 ms recv timeout — nowhere near an unbounded loop.
+  // At most kMaxRecoveries retargets plus the dropped reads, each
+  // bounded by the 500 ms recv timeout — nowhere near an unbounded
+  // loop.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed)
                 .count(),
             20);
@@ -381,6 +389,175 @@ TEST(HostileServer, RecoveryBudgetExhaustsWithoutPfsFallback) {
   // The fd is still usable bookkeeping-wise: close must not hang.
   (void)client.close(*vfd);
   node->stop();
+}
+
+// ---- hostile inline kOpen replies ------------------------------------------
+//
+// A stateless kOpen reply carries the whole file when it is at most
+// proto::kMaxInlineBytes. A reply whose blob disagrees with its size
+// must be rejected with kProtocol and recovered like a dead server —
+// the replica, then the PFS — never handed to the application as
+// short or extra bytes.
+
+// kOpen replies for a file of `real_size` bytes, each malformed in
+// one way.
+std::vector<std::pair<std::string, rpc::Bytes>> hostile_open_replies(
+    const std::vector<uint8_t>& real) {
+  auto reply = [](uint64_t size, const uint8_t* data, size_t n) {
+    rpc::WireWriter w;
+    w.put_u64(0);
+    w.put_u64(size);
+    w.put_u8(proto::kFromCache);
+    w.put_blob(data, n);
+    return std::move(w).take();
+  };
+  std::vector<uint8_t> longer(real);
+  longer.push_back(0xab);
+  std::vector<std::pair<std::string, rpc::Bytes>> out;
+  out.emplace_back("blob_longer_than_size",
+                   reply(real.size(), longer.data(), longer.size()));
+  out.emplace_back("blob_shorter_than_size",
+                   reply(real.size(), real.data(), real.size() - 1));
+  out.emplace_back("blob_for_large_file",
+                   reply(proto::kMaxInlineBytes + 1, real.data(), 16));
+  rpc::Bytes truncated = reply(real.size(), real.data(), real.size());
+  truncated.resize(truncated.size() - 7);  // blob cut short of its prefix
+  out.emplace_back("truncated_tail", std::move(truncated));
+  rpc::WireWriter no_blob;  // the legacy prefix alone
+  no_blob.put_u64(7);
+  no_blob.put_u64(real.size());
+  no_blob.put_u8(proto::kFromCache);
+  out.emplace_back("missing_blob", std::move(no_blob).take());
+  return out;
+}
+
+// An RPC server that answers every kOpen with `reply`.
+std::unique_ptr<rpc::RpcServer> hostile_open_server(rpc::Bytes reply) {
+  auto server = std::make_unique<rpc::RpcServer>(rpc::RpcServerOptions{});
+  server->register_handler(proto::kOpen,
+                           [reply](const rpc::Bytes&) -> Result<rpc::Bytes> {
+                             return reply;
+                           });
+  EXPECT_TRUE(server->start().ok());
+  return server;
+}
+
+// One small file on the PFS plus a real server for it.
+struct InlineRig {
+  InlineRig() {
+    pfs_root_ = temp_dir("inline_pfs");
+    rel_ = "small.bin";
+    expected_ = workload::expected_contents(rel_, 3'000);
+    EXPECT_TRUE(storage::write_file(pfs_root_ + "/" + rel_,
+                                    expected_.data(), expected_.size())
+                    .ok());
+    server::NodeRuntimeOptions o;
+    o.pfs_root = pfs_root_;
+    o.cache_root = temp_dir("inline_cache");
+    node_ = std::make_unique<server::NodeRuntime>(o);
+    EXPECT_TRUE(node_->start().ok());
+  }
+
+  HvacClientOptions options(std::vector<std::string> endpoints) const {
+    HvacClientOptions o;
+    o.dataset_dir = pfs_root_;
+    o.server_endpoints = std::move(endpoints);
+    o.meta_ttl_ms = 0;
+    o.rpc.max_retries = 0;
+    return o;
+  }
+
+  // Reads the whole file through a fresh vfd and closes it.
+  std::vector<uint8_t> read_all(HvacClient& client) {
+    auto vfd = client.open(pfs_root_ + "/" + rel_);
+    EXPECT_TRUE(vfd.ok()) << vfd.error().to_string();
+    if (!vfd.ok()) return {};
+    std::vector<uint8_t> data(expected_.size() + 64);
+    size_t pos = 0;
+    for (;;) {
+      const auto n = client.read(*vfd, data.data() + pos, 1000);
+      EXPECT_TRUE(n.ok()) << n.error().to_string();
+      if (!n.ok() || *n == 0) break;
+      pos += *n;
+      if (pos + 1000 > data.size()) break;
+    }
+    EXPECT_TRUE(client.close(*vfd).ok());
+    data.resize(pos);
+    return data;
+  }
+
+  uint64_t real_opens() const {
+    auto lat = node_->aggregated_frame().op_latency;
+    return lat.count(proto::kOpen) ? lat.at(proto::kOpen).count : 0;
+  }
+
+  std::string pfs_root_, rel_;
+  std::vector<uint8_t> expected_;
+  std::unique_ptr<server::NodeRuntime> node_;
+};
+
+TEST(InlineOpen, SmallFileServedWithoutReadRpc) {
+  InlineRig rig;
+  HvacClient client(rig.options(rig.node_->endpoints()));
+  // A miss (fetched, then inlined), then a hit answered on the reactor.
+  EXPECT_EQ(rig.read_all(client), rig.expected_);
+  EXPECT_EQ(rig.read_all(client), rig.expected_);
+  const auto lat = rig.node_->aggregated_frame().op_latency;
+  EXPECT_EQ(lat.at(proto::kOpen).count, 2u);
+  EXPECT_EQ(lat.count(proto::kReadScatter), 0u);
+  EXPECT_EQ(lat.count(proto::kRead), 0u);
+  EXPECT_EQ(lat.count(proto::kClose), 0u);
+  EXPECT_EQ(rig.node_->instance(0).open_remote_fds(), 0u);
+}
+
+TEST(HostileServer, InlineReplyRejectedAndRecoveredViaReplica) {
+  InlineRig rig;
+  for (auto& [name, reply] : hostile_open_replies(rig.expected_)) {
+    SCOPED_TRACE(name);
+    rpc::HealthRegistry::global().reset();
+    auto hostile = hostile_open_server(reply);
+    // Place the hostile server at the file's primary home and the real
+    // one at its replica.
+    std::vector<std::string> endpoints = {hostile->endpoint().address,
+                                          rig.node_->endpoints()[0]};
+    auto o = rig.options(endpoints);
+    o.replicas = 2;
+    if (HvacClient(o).home_of(rig.pfs_root_ + "/" + rig.rel_) != 0) {
+      std::swap(endpoints[0], endpoints[1]);
+      o.server_endpoints = endpoints;
+    }
+    HvacClient client(o);
+    const uint64_t opens_before = rig.real_opens();
+    EXPECT_EQ(rig.read_all(client), rig.expected_);
+    EXPECT_EQ(rig.real_opens(), opens_before + 1);  // the replica served
+    EXPECT_EQ(client.stats().failovers, 1u);
+    EXPECT_EQ(client.stats().fallback_opens, 0u);
+    hostile->stop();
+  }
+  rpc::HealthRegistry::global().reset();
+}
+
+TEST(HostileServer, InlineReplyRejectedAndRecoveredViaPfs) {
+  InlineRig rig;
+  for (auto& [name, reply] : hostile_open_replies(rig.expected_)) {
+    SCOPED_TRACE(name);
+    rpc::HealthRegistry::global().reset();
+    auto hostile = hostile_open_server(reply);
+    HvacClient client(rig.options({hostile->endpoint().address}));
+    EXPECT_EQ(rig.read_all(client), rig.expected_);
+    EXPECT_EQ(client.stats().fallback_opens, 1u);
+
+    // With the PFS escape hatch closed the open fails with the
+    // protocol error instead of serving wrong bytes.
+    auto closed = rig.options({hostile->endpoint().address});
+    closed.allow_pfs_fallback = false;
+    HvacClient strict(closed);
+    const auto vfd = strict.open(rig.pfs_root_ + "/" + rig.rel_);
+    ASSERT_FALSE(vfd.ok());
+    EXPECT_EQ(vfd.error().code, ErrorCode::kProtocol);
+    hostile->stop();
+  }
+  rpc::HealthRegistry::global().reset();
 }
 
 // ---- client metadata cache ------------------------------------------------

@@ -1,7 +1,11 @@
 // End-to-end LD_PRELOAD tests: an unmodified helper binary reads
 // dataset files through the shim against a live in-process allocation
 // (paper §III-F — portability without touching application code).
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cinttypes>
@@ -12,6 +16,7 @@
 #include <sstream>
 
 #include "common/hash.h"
+#include "server/hvac_proto.h"
 #include "server/node_runtime.h"
 #include "storage/posix_file.h"
 #include "workload/file_tree.h"
@@ -193,6 +198,96 @@ TEST_F(InterceptTest, DeadServersFailOpenToPfs) {
   node_->stop();  // cache gone; application must still work
   const std::string out = run_target(abs_paths(), pfs_root_, servers, true);
   EXPECT_EQ(out, expected_output());
+}
+
+// fstat on a vfd is one fd-table read: a second thread fstat-ing in a
+// loop never moves the offset of a read() streaming the same fd.
+TEST_F(InterceptTest, FstatNeverMovesAConcurrentReader) {
+  std::vector<std::string> args = {"--fstat-race"};
+  for (const auto& p : abs_paths()) args.push_back(p);
+  const std::string out =
+      run_target(args, pfs_root_, node_->endpoints_csv(), true);
+  EXPECT_EQ(out, expected_output());
+}
+
+uint64_t op_count(const server::NodeRuntime& node, uint16_t op) {
+  const auto lat = node.aggregated_frame().op_latency;
+  const auto it = lat.find(op);
+  return it == lat.end() ? 0 : it->second.count;
+}
+
+// A warm sample of at most proto::kMaxInlineBytes costs one round
+// trip: the stateless kOpen returns its bytes, EOF is known from the
+// size, and close is local.
+TEST_F(InterceptTest, WarmSmallSampleIsOneOpenRpc) {
+  for (const uint64_t size : tree_.sizes) {
+    ASSERT_LE(size, proto::kMaxInlineBytes);
+  }
+  (void)run_target(abs_paths(), pfs_root_, node_->endpoints_csv(), true);
+  const uint64_t opens = op_count(*node_, proto::kOpen);
+  const uint64_t hits = node_->aggregated_frame().cache.hits;
+  const std::string out =
+      run_target(abs_paths(), pfs_root_, node_->endpoints_csv(), true);
+  EXPECT_EQ(out, expected_output());
+  EXPECT_EQ(op_count(*node_, proto::kOpen) - opens,
+            tree_.relative_paths.size());
+  EXPECT_EQ(node_->aggregated_frame().cache.hits - hits,
+            tree_.relative_paths.size());
+  for (const uint16_t op :
+       {proto::kRead, proto::kClose, proto::kReadScatter}) {
+    EXPECT_EQ(op_count(*node_, op), 0u) << "opcode " << op;
+  }
+}
+
+// Read fds hold no server state, so shim clients SIGKILLed mid-epoch
+// leave nothing behind: the server's remote-fd gauge stays 0 while
+// they run and after they die.
+TEST_F(InterceptTest, KilledShimClientsLeaveNoServerFds) {
+  std::vector<std::string> env;
+  for (char** e = environ; *e != nullptr; ++e) env.emplace_back(*e);
+  env.push_back(std::string("LD_PRELOAD=") + HVAC_INTERCEPT_SO);
+  env.push_back("ASAN_OPTIONS=verify_asan_link_order=0");
+  env.push_back("HVAC_DATASET_DIR=" + pfs_root_);
+  env.push_back("HVAC_SERVERS=" + node_->endpoints_csv());
+  env.push_back("HVAC_META_TTL_MS=0");  // every re-open sends a kOpen
+  std::vector<std::string> args = {HVAC_TARGET_BIN, "--repeat", "1000000"};
+  for (const auto& p : abs_paths()) args.push_back(p);
+  std::vector<char*> argv, envp;
+  for (auto& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  for (auto& e : env) envp.push_back(e.data());
+  envp.push_back(nullptr);
+
+  auto expect_no_fds = [&] {
+    for (size_t i = 0; i < node_->instance_count(); ++i) {
+      EXPECT_EQ(node_->instance(i).open_remote_fds(), 0u);
+    }
+  };
+  for (int round = 0; round < 5; ++round) {
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, "/dev/null",
+                                     O_WRONLY, 0);
+    pid_t pid = -1;
+    const int rc = ::posix_spawn(&pid, HVAC_TARGET_BIN, &actions, nullptr,
+                                 argv.data(), envp.data());
+    posix_spawn_file_actions_destroy(&actions);
+    ASSERT_EQ(rc, 0);
+    // Mid-epoch: wait until this client has opened samples, sampling
+    // the gauge while it runs.
+    const uint64_t opens = op_count(*node_, proto::kOpen);
+    for (int i = 0; i < 10000 && op_count(*node_, proto::kOpen) < opens + 20;
+         ++i) {
+      expect_no_fds();
+      ::usleep(1000);
+    }
+    EXPECT_GE(op_count(*node_, proto::kOpen), opens + 20);
+    ASSERT_EQ(::kill(pid, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFSIGNALED(status));
+    expect_no_fds();
+  }
 }
 
 }  // namespace

@@ -173,8 +173,10 @@ TEST(Trace, EndToEndSpanTreeAcrossRetryAndZeroCopy) {
 
   const std::string pfs_root = temp_dir("pfs");
   const std::string cache_root = temp_dir("cache");
+  // Larger than proto::kMaxInlineBytes: a smaller file travels whole
+  // in the open reply and the read below would make no RPC at all.
   auto generated = workload::generate_tree(
-      pfs_root, workload::synthetic_small(4, 1 << 16, 0.0));
+      pfs_root, workload::synthetic_small(4, 1 << 17, 0.0));
   ASSERT_TRUE(generated.ok());
 
   NodeRuntimeOptions no;
@@ -235,11 +237,24 @@ TEST(Trace, EndToEndSpanTreeAcrossRetryAndZeroCopy) {
   EXPECT_EQ(*n, file_size);
   ASSERT_TRUE(hvac.close(*vfd).ok());
 
-  const auto spans = trace::drain();
+  // The server records its spans once the reply is on the wire, and
+  // close sends nothing: poll until the read's server.queue (recorded
+  // last) has landed.
+  std::vector<trace::SpanRecord> spans = trace::drain();
   const auto preads = named(spans, "client.pread");
   ASSERT_EQ(preads.size(), 1u);
-  const auto& root = preads[0];
+  const auto root = preads[0];
   EXPECT_EQ(root.parent_id, 0u);  // the read roots the trace
+  auto server_done = [&] {
+    for (const auto& s : named(spans, "server.queue")) {
+      if (s.trace_id == root.trace_id) return true;
+    }
+    return false;
+  };
+  for (int i = 0; i < 500 && !server_done(); ++i) {
+    ::usleep(2 * 1000);
+    for (const auto& s : trace::drain()) spans.push_back(s);
+  }
 
   std::map<uint32_t, trace::SpanRecord> by_id;
   for (const auto& s : spans) {

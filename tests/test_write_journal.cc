@@ -360,6 +360,21 @@ TEST(WriteShed, CleanWriteBackLandsOnPfsAndResetsJournal) {
   EXPECT_EQ(n.node->aggregated_frame().write_back.journal_records, 0u);
 }
 
+// A checkpoint handle is write-only: reading it is EBADF, as with an
+// O_WRONLY kernel fd, never a read of some other copy of the file.
+TEST(WritePath, ReadOnWriteHandleIsBadFd) {
+  WriteNode n("wronly");
+  client::HvacClient client(n.copts);
+  auto vfd = client.open_write(n.pfs_root + "/ckpt/r.bin", true);
+  ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+  ASSERT_TRUE(client.write(*vfd, "abc", 3).ok());
+  char buf[8];
+  const auto n_read = client.pread(*vfd, buf, sizeof(buf), 0);
+  ASSERT_FALSE(n_read.ok());
+  EXPECT_EQ(n_read.error().code, ErrorCode::kBadFd);
+  EXPECT_TRUE(client.close(*vfd).ok());
+}
+
 // ---- non-truncating opens: partial overwrites must keep old bytes ----
 
 TEST(WritePath, NonTruncatingOpenPreservesExistingPfsContent) {
@@ -475,6 +490,22 @@ TEST(WritePath, UndrainedStopKeepsLocalStoreForReplay) {
   }
   EXPECT_EQ(got, "AAAABBBB");
   node2.stop();
+}
+
+// A commit that lands after the flusher's checkpoint reset (the client
+// fsyncs or closes once its bytes already reached the PFS) must leave
+// the journal empty, not holding a lone commit marker.
+TEST(WriteJournal, CommitOnEmptyJournalLeavesItEmpty) {
+  const std::string path = temp_dir("empty_commit") + "/j.wal";
+  auto j = WriteJournal::open(path);
+  ASSERT_TRUE(j.ok());
+  ASSERT_TRUE((*j)->append_write("a", 0, "data", 4).ok());
+  ASSERT_TRUE((*j)->commit().ok());
+  EXPECT_EQ((*j)->record_count(), 2u);
+  ASSERT_TRUE((*j)->checkpoint_reset().ok());
+  ASSERT_TRUE((*j)->commit().ok());
+  EXPECT_EQ((*j)->record_count(), 0u);
+  EXPECT_EQ((*j)->size_bytes(), 0u);
 }
 
 // ---- injected journal faults must surface cleanly, never wedge ----
