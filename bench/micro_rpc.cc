@@ -560,8 +560,9 @@ struct SmallFileFixture {
     RpcClient warm(Endpoint{server->address()});
     for (const auto& p : paths) {
       WireWriter w;
+      w.put_u32(1);
       w.put_string(p);
-      if (!warm.call(hvac::proto::kPrefetch, w).ok()) std::abort();
+      if (!warm.call(hvac::proto::kPrefetchBatch, w).ok()) std::abort();
     }
   }
 };

@@ -1097,10 +1097,17 @@ Result<uint64_t> HvacClient::stat_size(const std::string& path) {
 Status HvacClient::prefetch(const std::string& path) {
   HVAC_ASSIGN_OR_RETURN(std::string logical, logical_path(path));
   WireWriter w;
+  w.put_u32(1);
   w.put_string(logical);
   HVAC_ASSIGN_OR_RETURN(
-      Bytes resp, channel(placement_.home(logical)).call(proto::kPrefetch, w));
-  (void)resp;
+      Bytes resp,
+      channel(placement_.home(logical)).call(proto::kPrefetchBatch, w));
+  WireReader r(resp);
+  HVAC_ASSIGN_OR_RETURN(uint32_t n, r.get_u32());
+  HVAC_ASSIGN_OR_RETURN(uint8_t status, r.get_u8());
+  if (n != 1 || status == proto::kPrefetchShed) {
+    return Error(ErrorCode::kUnavailable, "prefetch shed: " + logical);
+  }
   return Status::Ok();
 }
 

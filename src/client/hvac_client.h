@@ -156,7 +156,9 @@ class HvacClient {
   // never touches the offset, so it is safe beside a concurrent read.
   Result<uint64_t> fstat_size(int vfd);
 
-  // Warms the home server's cache (paper future work: prefetching).
+  // Warms the home server's cache (paper future work: prefetching):
+  // a one-path kPrefetchBatch. kUnavailable when the mover shed it; a
+  // capacity fallback still returns Ok (reads go through the PFS).
   Status prefetch(const std::string& path);
 
   // Pipelined warm-up: fans the prefetches out over async channels

@@ -415,6 +415,8 @@ int cmd_path_op(uint16_t opcode, const std::string& endpoint,
                 const std::string& path) {
   rpc::RpcClient client(rpc::Endpoint{endpoint}, cli_options());
   WireWriter w;
+  // `warm` is a one-path kPrefetchBatch.
+  if (opcode == proto::kPrefetchBatch) w.put_u32(1);
   w.put_string(path);
   const auto resp = client.call(opcode, w.bytes());
   if (!resp.ok()) {
@@ -427,10 +429,12 @@ int cmd_path_op(uint16_t opcode, const std::string& endpoint,
     std::printf("%s: %lu bytes\n", path.c_str(),
                 (unsigned long)size.value_or(0));
   } else {
-    const auto cached = r.get_u8();
-    std::printf("%s: %s\n", path.c_str(),
-                cached.ok() && *cached == 1 ? "cached"
-                                            : "pfs-fallback");
+    (void)r.get_u32();
+    const auto status = r.get_u8();
+    const char* what = "miss";  // fetch failed or fell back to the PFS
+    if (status.ok() && *status == proto::kPrefetchCached) what = "cached";
+    if (status.ok() && *status == proto::kPrefetchShed) what = "shed";
+    std::printf("%s: %s\n", path.c_str(), what);
   }
   return 0;
 }
@@ -947,7 +951,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (cmd == "stat") return cmd_path_op(proto::kStat, args[1], args[2]);
-  if (cmd == "warm") return cmd_path_op(proto::kPrefetch, args[1], args[2]);
+  if (cmd == "warm") {
+    return cmd_path_op(proto::kPrefetchBatch, args[1], args[2]);
+  }
   std::fprintf(stderr, "unknown command %s\n", cmd.c_str());
   return 2;
 }

@@ -12,19 +12,33 @@ CacheManager::CacheManager(storage::PfsBackend* pfs,
                            std::unique_ptr<EvictionPolicy> eviction)
     : pfs_(pfs), store_(std::move(store)), eviction_(std::move(eviction)) {}
 
-bool CacheManager::make_room(uint64_t needed) {
-  const uint64_t capacity = store_->capacity_bytes();
-  if (capacity == 0) return true;  // unlimited
-  if (needed > capacity) return false;
-  while (store_->bytes_used() + needed > capacity) {
+bool CacheManager::reserve_room(uint64_t needed) {
+  std::unique_lock<std::mutex> lock(room_mutex_);
+  for (;;) {
+    if (store_->reserve(needed).ok()) return true;
+    if (needed > store_->capacity_bytes()) return false;
     auto victim = eviction_->select_victim();
-    if (!victim.has_value()) return false;
-    eviction_->on_evict(*victim);
-    if (store_->evict(*victim).ok()) {
-      metrics_.on_eviction();
+    if (victim.has_value()) {
+      eviction_->on_evict(*victim);
+      if (store_->evict(*victim).ok()) {
+        metrics_.on_eviction();
+      }
+      continue;
     }
+    // Nothing evictable: if copies are in flight, their bytes come
+    // back as evictable entries or released claims.
+    if (store_->reserved_bytes() == 0) return false;
+    const uint64_t seen = room_changes_;
+    room_cv_.wait(lock, [&] { return room_changes_ != seen; });
   }
-  return true;
+}
+
+void CacheManager::notify_room() {
+  {
+    std::lock_guard<std::mutex> lock(room_mutex_);
+    ++room_changes_;
+  }
+  room_cv_.notify_all();
 }
 
 bool CacheManager::touch_if_cached(const std::string& key) {
@@ -35,9 +49,9 @@ bool CacheManager::touch_if_cached(const std::string& key) {
 }
 
 Result<bool> CacheManager::ensure_key_cached(
-    const std::string& key,
-    const std::function<Result<uint64_t>()>& sized,
-    const std::function<Result<uint64_t>(const std::string& dst)>& fetch) {
+    const std::string& key, const std::string& logical_path,
+    uint64_t offset,
+    const std::function<Result<uint64_t>(uint64_t file_size)>& sized) {
   // Fast path: already cached.
   if (touch_if_cached(key)) return true;
 
@@ -74,37 +88,43 @@ Result<bool> CacheManager::ensure_key_cached(
     return result;
   };
 
-  auto size = sized();
+  // One PFS metadata op: the open. The size comes from fstat on that
+  // fd and the copy reads the same fd.
+  auto src = pfs_->open(logical_path);
+  if (!src.ok()) return finish(src.error());
+  auto file_size = src->size();
+  if (!file_size.ok()) return finish(file_size.error());
+  auto size = sized(*file_size);
   if (!size.ok()) return finish(size.error());
 
-  if (!make_room(*size)) {
+  if (!reserve_room(*size)) {
     HVAC_LOG_DEBUG("capacity fallback for " << key << " (" << *size
                                             << " bytes)");
     return finish(false);
   }
 
   const std::string dst = store_->physical_path(key);
-  auto copied = fetch(dst);
-  if (!copied.ok()) {
-    (void)storage::remove_file(dst);
-    return finish(copied.error());
-  }
-  Status inserted = store_->insert(key, *copied);
+  auto copied = pfs_->copy_out(*src, dst, offset, *size);
+  Status inserted =
+      copied.ok() ? store_->insert(key, *copied, *size) : copied.error();
   if (!inserted.ok()) {
+    store_->release(*size);
     (void)storage::remove_file(dst);
+    notify_room();
+    if (!copied.ok()) return finish(copied.error());
     return finish(false);
   }
   eviction_->on_insert(key);
+  notify_room();
   metrics_.on_miss(*copied);
   return finish(true);
 }
 
 Result<bool> CacheManager::ensure_cached(const std::string& logical_path) {
-  return ensure_key_cached(
-      logical_path, [&] { return pfs_->size_of(logical_path); },
-      [&](const std::string& dst) {
-        return pfs_->copy_out(logical_path, dst);
-      });
+  return ensure_key_cached(logical_path, logical_path, 0,
+                           [](uint64_t file_size) -> Result<uint64_t> {
+                             return file_size;
+                           });
 }
 
 Result<bool> CacheManager::ensure_segment_cached(
@@ -116,19 +136,13 @@ Result<bool> CacheManager::ensure_segment_cached(
   const std::string key = segment_key(logical_path, seg_index);
   const uint64_t offset = seg_index * segment_bytes;
   return ensure_key_cached(
-      key,
-      [&]() -> Result<uint64_t> {
-        HVAC_ASSIGN_OR_RETURN(uint64_t file_size,
-                              pfs_->size_of(logical_path));
+      key, logical_path, offset,
+      [&](uint64_t file_size) -> Result<uint64_t> {
         if (offset >= file_size) {
           return Error(ErrorCode::kInvalidArgument,
                        "segment past EOF: " + key);
         }
         return std::min<uint64_t>(segment_bytes, file_size - offset);
-      },
-      [&](const std::string& dst) {
-        return pfs_->copy_range_out(logical_path, dst, offset,
-                                    segment_bytes);
       });
 }
 

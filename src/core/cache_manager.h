@@ -6,9 +6,12 @@
 //     callers block until it completes ("we use mutex lock on shared
 //     queue to guarantee consistency and to avoid repeated copying").
 //   * Capacity: when the local store exceeds its budget, the eviction
-//     policy picks victims until the new file fits (paper §III-G). A
-//     file that is larger than the whole store is served from PFS
-//     directly (counted as a pfs_fallback) rather than thrashing.
+//     policy picks victims until the new file fits (paper §III-G). The
+//     bytes are reserved before the copy starts, so concurrent movers
+//     never overcommit the store or fall back while eviction could
+//     make room. A file that is larger than the whole store is served
+//     from PFS directly (counted as a pfs_fallback) rather than
+//     thrashing.
 //   * Read-only: the cache never mutates the source file; a cached
 //     copy is immutable until evicted or purged.
 #pragma once
@@ -16,7 +19,6 @@
 #include <condition_variable>
 #include <functional>
 #include <memory>
-#include <string>  // (segment keys)
 #include <mutex>
 #include <string>
 #include <unordered_set>
@@ -104,20 +106,31 @@ class CacheManager {
   storage::PfsBackend& pfs() { return *pfs_; }
 
  private:
-  // Makes room for `needed` bytes; returns false when impossible.
-  bool make_room(uint64_t needed);
+  // Reserves `needed` bytes of store capacity, evicting victims until
+  // they fit. Waits while the only obstacle is other copies in flight
+  // (they land as evictable entries or hand their claim back); false
+  // when the bytes can never fit.
+  bool reserve_room(uint64_t needed);
+  // Wakes reserve_room waiters after a claim was inserted or released.
+  void notify_room();
 
-  // Shared miss path: serializes concurrent first-reads of `key`,
-  // sizes the payload with `sized`, copies it in with `fetch`.
+  // Shared miss path: serializes concurrent first-reads of `key`, opens
+  // `logical_path` on the PFS once (one metadata op), sizes the payload
+  // from the fd with `sized(file_size)`, reserves that much capacity
+  // and copies it in from `offset` on the same fd.
   Result<bool> ensure_key_cached(
-      const std::string& key,
-      const std::function<Result<uint64_t>()>& sized,
-      const std::function<Result<uint64_t>(const std::string& dst)>& fetch);
+      const std::string& key, const std::string& logical_path,
+      uint64_t offset,
+      const std::function<Result<uint64_t>(uint64_t file_size)>& sized);
 
   storage::PfsBackend* pfs_;
   std::unique_ptr<storage::LocalStore> store_;
   std::unique_ptr<EvictionPolicy> eviction_;
   Metrics metrics_;
+
+  std::mutex room_mutex_;
+  std::condition_variable room_cv_;
+  uint64_t room_changes_ = 0;  // claims inserted or released so far
 
   std::mutex inflight_mutex_;
   std::condition_variable inflight_cv_;

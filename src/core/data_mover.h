@@ -1,13 +1,16 @@
-// DataMover — the dedicated per-server-instance thread of §III-C.
+// DataMover — the per-server-instance data movers of §III-C.
 //
 // "Every HVAC server instance spawns a dedicated data-mover thread,
 //  which manages a shared FIFO queue to track and manage the forwarded
 //  file I/O operations."
 //
-// RPC handlers enqueue fetch tasks; the mover drains them in FIFO
-// order and runs CacheManager::ensure_cached. Callers wait on a
+// RPC handlers enqueue fetch tasks; the movers drain them in FIFO
+// order and run CacheManager::ensure_cached. Callers wait on a
 // per-task future, so many handler threads can be parked on one
-// in-flight copy without tying up the mover.
+// in-flight copy without tying up a mover. The default of
+// kDefaultMovers = 4 threads models the paper's headline HVAC(4×1)
+// copy concurrency (Fig. 9b/11): four fetches overlap their PFS
+// metadata round trips and transfers instead of queueing behind one.
 //
 // Duplicate-fetch suppression: concurrent submits for the SAME path
 // coalesce onto one queued task — later submitters get the same
@@ -36,9 +39,12 @@ namespace hvac::core {
 
 class DataMover {
  public:
+  // HVAC(4×1): four movers per server instance.
+  static constexpr size_t kDefaultMovers = 4;
+
   // `movers` parallel threads drain the same FIFO queue — this models
   // the HVAC(i×1) variants where i instances widen the copy path.
-  DataMover(CacheManager* cache, size_t movers = 1,
+  DataMover(CacheManager* cache, size_t movers = kDefaultMovers,
             size_t queue_capacity = 4096);
   ~DataMover();
 

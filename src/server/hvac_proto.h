@@ -31,7 +31,9 @@ enum Opcode : uint16_t {
   kRead = 3,      // (remote_fd, offset, count) -> (blob). Raw-wire only.
   kClose = 4,     // (remote_fd)        -> (). Raw-wire only.
   kStat = 5,      // (path)             -> (size)
-  kPrefetch = 6,  // (path)             -> (cached: u8)
+  kPrefetch = 6,  // Retired: a batch of 1; send a one-path
+                  // kPrefetchBatch. No handler (kUnimplemented); the
+                  // number is never reused.
   kMetrics = 7,   // ()                 -> (hits, misses, dedup_waits,
                   //                        evictions, bytes_cache,
                   //                        bytes_pfs, fallbacks, open_fds)
@@ -49,7 +51,7 @@ enum Opcode : uint16_t {
                      // raw-wire only. A cached reply of at most
                      // kMaxInlineBytes is answered on the reactor.
   kPrefetchBatch = 10,  // (n u32, path * n) -> (n u32, status u8 * n)
-                        // batched kPrefetch: one round trip warms a
+                        // The only prefetch: one round trip warms a
                         // whole epoch's worth of files. Every path is
                         // submitted to the mover up front (the fetches
                         // overlap) and each gets a PrefetchStatus:

@@ -347,10 +347,6 @@ void HvacServer::register_handlers() {
     core::ScopedLatencyTimer t(latency_, proto::kStat);
     return handle_stat(req);
   });
-  rpc_.register_handler(proto::kPrefetch, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kPrefetch);
-    return handle_prefetch(req);
-  });
   rpc_.register_handler(proto::kMetrics, [this](const Bytes& req) {
     core::ScopedLatencyTimer t(latency_, proto::kMetrics);
     return handle_metrics(req);
@@ -894,17 +890,6 @@ Result<Bytes> HvacServer::handle_stat(const Bytes& req) {
   // Trailing cached flag (added for the client metadata cache). Old
   // clients read the u64 and stop; new clients treat a missing flag as
   // not-cached.
-  w.put_u8(cached ? 1 : 0);
-  return std::move(w).take();
-}
-
-Result<Bytes> HvacServer::handle_prefetch(const Bytes& req) {
-  WireReader r(req);
-  HVAC_ASSIGN_OR_RETURN(std::string path, r.get_string());
-  // Prefetching a packed sample warms its whole container.
-  (void)route_packed(path);
-  HVAC_ASSIGN_OR_RETURN(bool cached, mover_->fetch(path));
-  WireWriter w;
   w.put_u8(cached ? 1 : 0);
   return std::move(w).take();
 }

@@ -44,7 +44,7 @@ struct HvacServerOptions {
   uint64_t cache_capacity_bytes = 0;
   // "random" (paper default), "fifo" or "lru".
   std::string eviction_policy = "random";
-  size_t data_mover_threads = 1;
+  size_t data_mover_threads = core::DataMover::kDefaultMovers;
   size_t rpc_handler_threads = 2;
   // Bound on queued fetches in the data-mover FIFO; beyond it opens/
   // prefetches are answered kUnavailable (backpressure) rather than
@@ -166,7 +166,6 @@ class HvacServer {
   // kMaxInlineBytes, declines the rest to handle_read_scatter.
   std::optional<Result<rpc::Payload>> read_scatter_on_reactor(
       const rpc::Bytes& req);
-  Result<rpc::Bytes> handle_prefetch(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_prefetch_batch(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_metrics(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_time_series(const rpc::Bytes& req);

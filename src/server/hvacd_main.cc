@@ -40,7 +40,7 @@ void usage(const char* argv0) {
       "  --capacity BYTES    per-instance cache capacity (default "
       "unlimited)\n"
       "  --eviction POLICY   random|fifo|lru (default random)\n"
-      "  --movers N          data-mover threads per instance (default 1)\n"
+      "  --movers N          data-mover threads per instance (default 4)\n"
       "  --port-file PATH    also write the endpoint CSV here\n",
       argv0);
 }

@@ -23,7 +23,7 @@ struct NodeRuntimeOptions {
   uint32_t instances = 1;
   uint64_t cache_capacity_bytes_per_instance = 0;
   std::string eviction_policy = "random";
-  size_t data_mover_threads = 1;
+  size_t data_mover_threads = core::DataMover::kDefaultMovers;
   size_t rpc_handler_threads = 2;
   // Per-instance RPC reactor count (0 = auto, see RpcServerOptions).
   size_t rpc_reactors = 0;

@@ -33,14 +33,38 @@ bool LocalStore::contains(const std::string& logical_path) const {
   return entries_.count(logical_path) > 0;
 }
 
-Status LocalStore::insert(const std::string& logical_path,
-                          uint64_t size_bytes) {
+Status LocalStore::reserve(uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (capacity_ != 0 &&
-      bytes_used_.load(std::memory_order_relaxed) + size_bytes > capacity_) {
+      bytes_used_.load(std::memory_order_relaxed) + bytes > capacity_) {
+    return Error(ErrorCode::kCapacity, "local store full");
+  }
+  reserved_ += bytes;
+  bytes_used_.fetch_add(bytes, std::memory_order_relaxed);
+  return Status::Ok();
+}
+
+void LocalStore::release(uint64_t bytes) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  reserved_ -= bytes;
+  bytes_used_.fetch_sub(bytes, std::memory_order_relaxed);
+}
+
+uint64_t LocalStore::reserved_bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return reserved_;
+}
+
+Status LocalStore::insert(const std::string& logical_path,
+                          uint64_t size_bytes, uint64_t reserved) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const uint64_t used = bytes_used_.load(std::memory_order_relaxed);
+  if (capacity_ != 0 && used - reserved + size_bytes > capacity_) {
     return Error(ErrorCode::kCapacity,
                  "local store over capacity inserting " + logical_path);
   }
+  reserved_ -= reserved;
+  bytes_used_.fetch_sub(reserved, std::memory_order_relaxed);
   auto [it, inserted] = entries_.emplace(logical_path, size_bytes);
   if (!inserted) return Status::Ok();  // already cached; idempotent
   bytes_used_.fetch_add(size_bytes, std::memory_order_relaxed);
@@ -122,7 +146,7 @@ void LocalStore::purge() {
     (void)remove_file(physical_path(logical));
   }
   entries_.clear();
-  bytes_used_.store(0, std::memory_order_relaxed);
+  bytes_used_.store(reserved_, std::memory_order_relaxed);
 }
 
 size_t LocalStore::entry_count() const {

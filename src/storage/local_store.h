@@ -37,10 +37,21 @@ class LocalStore {
 
   bool contains(const std::string& logical_path) const;
 
-  // Registers a file that was just copied in via physical_path().
-  // Returns kCapacity when the store is over budget (caller evicts and
-  // retries).
-  Status insert(const std::string& logical_path, uint64_t size_bytes);
+  // Capacity claim for a copy in flight: reserve() takes `bytes` of
+  // the budget before the copy lands at physical_path() (kCapacity when
+  // they do not fit), insert() turns the claim into an entry, release()
+  // hands it back after a failed copy. Reserved bytes count in
+  // bytes_used(), so concurrent copies never overcommit the budget.
+  Status reserve(uint64_t bytes);
+  void release(uint64_t bytes);
+  uint64_t reserved_bytes() const;
+
+  // Registers a file that was just copied in via physical_path(),
+  // consuming `reserved` bytes claimed by reserve() (0: none). Returns
+  // kCapacity when the store is over budget (caller evicts and
+  // retries); the claim is then still held.
+  Status insert(const std::string& logical_path, uint64_t size_bytes,
+                uint64_t reserved = 0);
 
   // Opens a cached file for reading.
   Result<PosixFile> open(const std::string& logical_path) const;
@@ -89,6 +100,8 @@ class LocalStore {
   uint64_t capacity_;
   mutable std::mutex mutex_;
   std::unordered_map<std::string, uint64_t> entries_;  // logical -> size
+  uint64_t reserved_ = 0;  // claims of copies in flight
+  // Sum of entries_ sizes plus reserved_.
   std::atomic<uint64_t> bytes_used_{0};
   // Mutable: reads are logically const but touch the LRU/pin state.
   mutable std::unique_ptr<OpenHandleCache> handles_;

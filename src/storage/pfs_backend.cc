@@ -1,6 +1,5 @@
 #include "storage/pfs_backend.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -69,39 +68,19 @@ Result<std::vector<uint8_t>> PfsBackend::read_all(
   return data;
 }
 
-Result<uint64_t> PfsBackend::copy_out(const std::string& relative_path,
-                                      const std::string& dst) {
-  HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kPfsRead));
-  charge_metadata();
-  HVAC_ASSIGN_OR_RETURN(
-      uint64_t bytes, copy_file_contents(absolute(relative_path), dst));
-  charge_bandwidth(bytes);
-  return bytes;
-}
-
-Result<uint64_t> PfsBackend::copy_range_out(const std::string& relative_path,
-                                            const std::string& dst,
-                                            uint64_t offset,
-                                            uint64_t length) {
-  HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kPfsRead));
-  charge_metadata();
-  HVAC_ASSIGN_OR_RETURN(PosixFile in,
-                        PosixFile::open_read(absolute(relative_path)));
+Result<uint64_t> PfsBackend::copy_out(PosixFile& src, const std::string& dst,
+                                      uint64_t offset, uint64_t length) {
   HVAC_ASSIGN_OR_RETURN(PosixFile out, PosixFile::create_write(dst));
-  std::vector<uint8_t> buf(std::min<uint64_t>(length, 1u << 20));
-  uint64_t copied = 0;
-  while (copied < length) {
-    const size_t want =
-        static_cast<size_t>(std::min<uint64_t>(buf.size(), length - copied));
-    HVAC_ASSIGN_OR_RETURN(size_t n,
-                          in.pread(buf.data(), want, offset + copied));
-    if (n == 0) break;  // EOF inside the last segment
-    HVAC_ASSIGN_OR_RETURN(size_t w, out.write(buf.data(), n));
-    copied += w;
-  }
+  HVAC_ASSIGN_OR_RETURN(uint64_t copied, copy_range(src, offset, length, out));
   HVAC_RETURN_IF_ERROR(out.close());
   charge_bandwidth(copied);
   return copied;
+}
+
+Result<uint64_t> PfsBackend::copy_out(const std::string& relative_path,
+                                      const std::string& dst) {
+  HVAC_ASSIGN_OR_RETURN(PosixFile src, open(relative_path));
+  return copy_out(src, dst);
 }
 
 Result<PosixFile> PfsBackend::open_write(const std::string& relative_path,
@@ -138,14 +117,7 @@ Result<uint64_t> PfsBackend::copy_in(const std::string& src,
       dst.rfind('/') == std::string::npos ? std::string("/")
                                           : dst.substr(0, dst.rfind('/'))));
   HVAC_ASSIGN_OR_RETURN(PosixFile out, PosixFile::create_write(tmp));
-  std::vector<uint8_t> buf(1u << 20);
-  uint64_t total = 0;
-  for (;;) {
-    HVAC_ASSIGN_OR_RETURN(size_t n, in.read(buf.data(), buf.size()));
-    if (n == 0) break;
-    HVAC_ASSIGN_OR_RETURN(size_t w, out.write(buf.data(), n));
-    total += w;
-  }
+  HVAC_ASSIGN_OR_RETURN(uint64_t total, copy_range(in, 0, UINT64_MAX, out));
   HVAC_RETURN_IF_ERROR(out.sync());
   HVAC_RETURN_IF_ERROR(out.close());
   if (::rename(tmp.c_str(), dst.c_str()) != 0) {

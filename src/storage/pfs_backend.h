@@ -9,6 +9,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -39,6 +40,8 @@ class PfsBackend {
   explicit PfsBackend(std::string root, PfsOptions options = {});
 
   // Opens `relative_path` under the PFS root, paying metadata latency.
+  // Fault site: pfs_read. A cold fetch is this one open, an fstat on
+  // the fd and copy_out from it: one metadata op, one fault draw.
   Result<PosixFile> open(const std::string& relative_path);
 
   // Reads the whole file, paying metadata + bandwidth costs.
@@ -51,19 +54,20 @@ class PfsBackend {
   // stat() with metadata cost.
   Result<uint64_t> size_of(const std::string& relative_path);
 
-  // Copies a PFS file out to `dst` (an absolute path outside the PFS),
-  // paying metadata + bandwidth costs. This is the data-mover's
-  // fs::copy(src, dst) step from the paper's I/O flow (§III-D, step 6).
+  // Copies [offset, offset+length) of an already-open PFS file to
+  // `dst` (an absolute path outside the PFS, created or truncated),
+  // paying bandwidth only: open() already paid the metadata op. The
+  // copy runs in the kernel (storage::copy_range). Returns bytes
+  // copied, clamped at EOF. This is the data-mover's fs::copy(src,
+  // dst) step from the paper's I/O flow (§III-D, step 6); a range is
+  // the fetch behind segment-level caching (§III-E, HFetch-style).
+  Result<uint64_t> copy_out(PosixFile& src, const std::string& dst,
+                            uint64_t offset = 0,
+                            uint64_t length = UINT64_MAX);
+
+  // open() + copy_out() of the whole file.
   Result<uint64_t> copy_out(const std::string& relative_path,
                             const std::string& dst);
-
-  // Copies one byte range [offset, offset+length) out to `dst` —
-  // the fetch primitive behind segment-level caching (paper §III-E
-  // cites HFetch-style segmentation for skewed file sizes). Returns
-  // bytes copied (clamped at EOF).
-  Result<uint64_t> copy_range_out(const std::string& relative_path,
-                                  const std::string& dst, uint64_t offset,
-                                  uint64_t length);
 
   // Opens `relative_path` for writing (creating parents and the file,
   // truncating if asked), paying metadata latency — the write-through

@@ -5,6 +5,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 
 namespace hvac::storage {
@@ -169,21 +170,37 @@ Status write_file(const std::string& path, const void* data, size_t size) {
   return f.close();
 }
 
-Result<uint64_t> copy_file_contents(const std::string& src,
-                                    const std::string& dst) {
-  HVAC_ASSIGN_OR_RETURN(PosixFile in, PosixFile::open_read(src));
-  HVAC_RETURN_IF_ERROR(make_directories(parent_dir(dst)));
-  HVAC_ASSIGN_OR_RETURN(PosixFile out, PosixFile::create_write(dst));
-  std::vector<uint8_t> buf(1u << 20);
-  uint64_t total = 0;
-  for (;;) {
-    HVAC_ASSIGN_OR_RETURN(size_t n, in.read(buf.data(), buf.size()));
-    if (n == 0) break;
-    HVAC_ASSIGN_OR_RETURN(size_t w, out.write(buf.data(), n));
-    total += w;
+Result<uint64_t> copy_range(PosixFile& in, uint64_t offset, uint64_t length,
+                            PosixFile& out, bool kernel) {
+  uint64_t copied = 0;
+  while (kernel && copied < length) {
+    loff_t off_in = static_cast<loff_t>(offset + copied);
+    const size_t want =
+        static_cast<size_t>(std::min<uint64_t>(length - copied, 1u << 30));
+    const ssize_t n =
+        ::copy_file_range(in.fd(), &off_in, out.fd(), nullptr, want, 0);
+    if (n > 0) {
+      copied += static_cast<uint64_t>(n);
+      continue;
+    }
+    if (n == 0) return copied;  // EOF
+    if (errno == EINTR) continue;
+    if (errno != EXDEV && errno != EINVAL && errno != ENOSYS &&
+        errno != EOPNOTSUPP) {
+      return Error::from_errno(errno, "copy_file_range");
+    }
+    kernel = false;  // no kernel copy between these files
   }
-  HVAC_RETURN_IF_ERROR(out.close());
-  return total;
+  uint8_t buf[64u << 10];
+  while (copied < length) {
+    const size_t want =
+        static_cast<size_t>(std::min<uint64_t>(sizeof(buf), length - copied));
+    HVAC_ASSIGN_OR_RETURN(size_t n, in.pread(buf, want, offset + copied));
+    if (n == 0) break;  // EOF
+    HVAC_ASSIGN_OR_RETURN(size_t w, out.write(buf, n));
+    copied += w;
+  }
+  return copied;
 }
 
 bool file_exists(const std::string& path) {

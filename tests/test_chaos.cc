@@ -409,21 +409,26 @@ TEST(Backpressure, DataMoverQueueRejectsWhenSaturated) {
   const uint64_t rejects_before =
       counters.mover_rejects.load(std::memory_order_relaxed);
 
-  // Concurrent single prefetches: prefetch_many now batches per server
-  // (one kPrefetchBatch call submits its fetches sequentially inside a
+  // Concurrent one-path batches: prefetch_many batches per server (one
+  // kPrefetchBatch call submits its fetches sequentially inside a
   // single handler), so saturating the one-slot queue needs the calls
   // fanned out individually across the four handler threads.
   rpc::AsyncRpcClient direct(rpc::Endpoint{server.address()});
   std::vector<std::future<Result<rpc::Bytes>>> futs;
   for (const auto& rel : rels) {
     rpc::WireWriter w;
+    w.put_u32(1);
     w.put_string(rel);
-    futs.push_back(direct.call_async(proto::kPrefetch, w.bytes()));
+    futs.push_back(direct.call_async(proto::kPrefetchBatch, w.bytes()));
   }
   size_t warmed = 0;
   for (auto& fut : futs) {
     const auto resp = fut.get();
-    if (resp.ok() && !resp->empty() && (*resp)[0] == 1) ++warmed;
+    // (n u32 = 1, status u8)
+    if (resp.ok() && resp->size() == 5 &&
+        (*resp)[4] == proto::kPrefetchCached) {
+      ++warmed;
+    }
   }
 
   const uint64_t rejects =

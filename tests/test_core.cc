@@ -457,6 +457,30 @@ TEST(CacheManager, CachedContentMatchesPfsBytes) {
   EXPECT_EQ(*fx.cache->read_through("pat.bin"), data);
 }
 
+TEST(CacheManager, ColdFetchCostsOneMetadataOp) {
+  CacheFixture fx("one_meta");
+  fx.put_pfs_file("a.bin", 3000, 4);
+  // Cold: one PFS open, sized by fstat on that fd and copied from it.
+  ASSERT_TRUE(fx.cache->ensure_cached("a.bin").value());
+  EXPECT_EQ(fx.pfs->metadata_ops(), 1u);
+  EXPECT_EQ(fx.pfs->bytes_read(), 3000u);
+  // Cached: no PFS op at all.
+  ASSERT_TRUE(fx.cache->ensure_cached("a.bin").value());
+  EXPECT_EQ(fx.pfs->metadata_ops(), 1u);
+  // A cold segment costs one op too, and copies only its range.
+  ASSERT_TRUE(fx.cache->ensure_segment_cached("a.bin", 1, 1024).value());
+  EXPECT_EQ(fx.pfs->metadata_ops(), 2u);
+  EXPECT_EQ(fx.pfs->bytes_read(), 3000u + 1024u);
+  // The short last segment is clamped at EOF; past EOF is invalid.
+  ASSERT_TRUE(fx.cache->ensure_segment_cached("a.bin", 2, 1024).value());
+  EXPECT_EQ(fx.pfs->bytes_read(), 3000u + 1024u + 952u);
+  EXPECT_EQ(fx.cache->store().bytes_used(), 3000u + 1024u + 952u);
+  const auto past = fx.cache->ensure_segment_cached("a.bin", 3, 1024);
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_EQ(fx.cache->store().reserved_bytes(), 0u);
+}
+
 // ---- data mover ----------------------------------------------------------------
 
 TEST(DataMover, FetchCachesFile) {

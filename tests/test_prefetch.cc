@@ -216,6 +216,100 @@ TEST_F(DataMoverDedup, StoreReadFaultOnWarmFileFailsOpenToPfs) {
   EXPECT_EQ(data->size(), 4096u);
 }
 
+// ---- mover concurrency (HVAC(4×1)) ---------------------------------------
+
+TEST(DataMoverConcurrency, FourMoversOverlapMetadataLatency) {
+  const std::string pfs_root = temp_dir("overlap_pfs");
+  for (int i = 0; i < 8; ++i) {
+    std::vector<uint8_t> data(4096, uint8_t(i));
+    ASSERT_TRUE(storage::write_file(pfs_root + "/f" + std::to_string(i),
+                                    data.data(), data.size())
+                    .ok());
+  }
+  storage::PfsOptions po;
+  po.metadata_latency_us = 20'000;
+  storage::PfsBackend pfs(pfs_root, po);
+  core::CacheManager cache(
+      &pfs,
+      std::make_unique<storage::LocalStore>(temp_dir("overlap_cache"), 0),
+      core::make_eviction_policy("random"));
+  core::DataMover mover(&cache, /*movers=*/4);
+
+  // A serial mover pays 8 × 20 ms = 160 ms; four overlap to ~40 ms.
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::shared_future<Result<bool>>> futs;
+  for (int i = 0; i < 8; ++i) {
+    futs.push_back(mover.submit("f" + std::to_string(i)));
+  }
+  for (auto& f : futs) ASSERT_TRUE(f.get().value());
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  EXPECT_LT(ms, 100.0);
+  EXPECT_EQ(pfs.metadata_ops(), 8u);
+}
+
+TEST(DataMoverConcurrency, FullStoreEvictsInsteadOfFallingBack) {
+  // 32 files, a store that holds 8, four movers and 32 concurrent
+  // fetches. Capacity is reserved before each copy, so every fetch
+  // evicts its way in — none falls back to the PFS — and the store
+  // never accounts more than its capacity.
+  constexpr size_t kFile = 64u << 10;
+  constexpr uint64_t kCapacity = 8 * kFile;
+  const std::string pfs_root = temp_dir("room_pfs");
+  for (int i = 0; i < 32; ++i) {
+    std::vector<uint8_t> data(kFile, uint8_t(i));
+    ASSERT_TRUE(storage::write_file(pfs_root + "/f" + std::to_string(i),
+                                    data.data(), data.size())
+                    .ok());
+  }
+  // A throttled PFS stretches each copy (~1 ms) so the movers' copies
+  // overlap while the store is full.
+  storage::PfsOptions po;
+  po.bandwidth_bytes_per_sec = 64.0 * (1u << 20);
+  po.burst_bytes = kFile;
+  storage::PfsBackend pfs(pfs_root, po);
+  core::CacheManager cache(
+      &pfs,
+      std::make_unique<storage::LocalStore>(temp_dir("room_cache"),
+                                            kCapacity),
+      core::make_eviction_policy("random"));
+  storage::LocalStore& store = cache.store();
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> samples{0}, over{0};
+  std::thread sampler([&] {
+    while (!done.load()) {
+      if (store.bytes_used() > kCapacity) over.fetch_add(1);
+      samples.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  {
+    core::DataMover mover(&cache, /*movers=*/4);
+    std::vector<std::shared_future<Result<bool>>> futs;
+    for (int i = 0; i < 32; ++i) {
+      futs.push_back(mover.submit("f" + std::to_string(i)));
+    }
+    size_t fallbacks = 0;
+    for (auto& f : futs) {
+      const Result<bool> r = f.get();
+      ASSERT_TRUE(r.ok()) << r.error().message;
+      if (!*r) ++fallbacks;
+    }
+    EXPECT_EQ(fallbacks, 0u);
+  }
+  done = true;
+  sampler.join();
+  EXPECT_GT(samples.load(), 0u);
+  EXPECT_EQ(over.load(), 0u);
+  EXPECT_EQ(cache.metrics().misses, 32u);
+  EXPECT_EQ(cache.metrics().pfs_fallbacks, 0u);
+  EXPECT_EQ(store.reserved_bytes(), 0u);
+  EXPECT_LE(store.bytes_used(), kCapacity);
+  EXPECT_EQ(store.bytes_used(), store.entry_count() * kFile);
+}
+
 // ---- token-bucket pacing -------------------------------------------------
 
 TEST(PrefetchPacing, TokenBucketWaitIsDeterministic) {

@@ -66,13 +66,17 @@ class ServerEdge : public ::testing::Test {
 
 TEST_F(ServerEdge, EmptyPayloadsRejectedCleanly) {
   for (uint16_t opcode : {proto::kOpen, proto::kRead, proto::kClose,
-                          proto::kStat, proto::kPrefetch,
+                          proto::kStat, proto::kPrefetchBatch,
                           proto::kReadSegment}) {
     const auto resp = client_->call(opcode, Bytes{});
     ASSERT_FALSE(resp.ok()) << "opcode " << opcode;
     EXPECT_EQ(resp.error().code, ErrorCode::kProtocol)
         << "opcode " << opcode;
   }
+  // The retired single-path prefetch has no handler.
+  const auto retired = client_->call(proto::kPrefetch, Bytes{});
+  ASSERT_FALSE(retired.ok());
+  EXPECT_EQ(retired.error().code, ErrorCode::kUnimplemented);
   // The server is still healthy afterwards.
   EXPECT_TRUE(client_->call(proto::kPing, Bytes{}).ok());
 }

@@ -67,12 +67,37 @@ TEST(PosixFile, PreadAtOffsets) {
 
 TEST(PosixFile, CopyContents) {
   const std::string dir = temp_dir("copy");
-  std::vector<uint8_t> data(300000, 7);
+  std::vector<uint8_t> data(300000);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = uint8_t(i * 7 + i / 251);
   ASSERT_TRUE(write_file(dir + "/src.bin", data.data(), data.size()).ok());
-  const auto n = copy_file_contents(dir + "/src.bin", dir + "/sub/dst.bin");
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, data.size());
-  EXPECT_EQ(read_file(dir + "/sub/dst.bin").value(), data);
+  // The kernel copy and the buffered fallback produce the same bytes,
+  // for the whole file and for a range clamped at EOF, and neither
+  // moves the source's file offset.
+  for (const bool kernel : {true, false}) {
+    auto in = PosixFile::open_read(dir + "/src.bin");
+    ASSERT_TRUE(in.ok());
+    auto whole = PosixFile::create_write(dir + "/whole.bin");
+    ASSERT_TRUE(whole.ok());
+    const auto n = copy_range(*in, 0, UINT64_MAX, *whole, kernel);
+    ASSERT_TRUE(n.ok()) << n.error().message;
+    EXPECT_EQ(*n, data.size());
+    ASSERT_TRUE(whole->close().ok());
+    EXPECT_EQ(read_file(dir + "/whole.bin").value(), data);
+
+    auto tail = PosixFile::create_write(dir + "/tail.bin");
+    ASSERT_TRUE(tail.ok());
+    const uint64_t offset = 200000;
+    const auto m = copy_range(*in, offset, 1u << 20, *tail, kernel);
+    ASSERT_TRUE(m.ok()) << m.error().message;
+    EXPECT_EQ(*m, data.size() - offset);
+    ASSERT_TRUE(tail->close().ok());
+    EXPECT_EQ(read_file(dir + "/tail.bin").value(),
+              std::vector<uint8_t>(data.begin() + offset, data.end()));
+
+    uint8_t first = 0;
+    ASSERT_EQ(in->read(&first, 1).value(), 1u);
+    EXPECT_EQ(first, data[0]);
+  }
 }
 
 TEST(PosixFile, MakeDirectoriesIdempotent) {
