@@ -20,7 +20,8 @@
 #                               DELETE the originals, read every sample
 #                               back through the LD_PRELOAD shim and
 #                               byte-compare against the manifest, then
-#                               assert the zero-per-file-open invariants
+#                               assert the zero-per-file-open and
+#                               one-scatter-per-small-sample invariants
 #                               from server metrics (PACKED_FILES
 #                               overrides the tree size, default 10000)
 #   scripts/check.sh prefetch   clairvoyant-prefetch smoke: gen a tree,
@@ -135,7 +136,9 @@ case "$MODE" in
       rm -rf "$TMP"
     }
     trap cleanup EXIT
-    ./build-asan/src/client/hvacctl gentree "$TMP/pfs" "$NUM_FILES" 2048 \
+    # ~16 KiB samples: more than one 8 KiB read() each, so the read-RPC
+    # bound below catches a sample that costs more than one round trip.
+    ./build-asan/src/client/hvacctl gentree "$TMP/pfs" "$NUM_FILES" 16384 \
       --manifest "$TMP/manifest.txt"
     ./build-asan/src/client/hvacctl pack "$TMP/pfs" \
       --container-bytes $((4 << 20))
@@ -173,7 +176,7 @@ case "$MODE" in
     ./build-asan/src/client/hvacctl metrics "$EP" --json \
       > "$TMP/metrics.json"
     python3 scripts/check_packed_metrics.py "$TMP/metrics.json" \
-      --containers "$CONTAINERS"
+      --containers "$CONTAINERS" --manifest "$TMP/manifest.txt"
     ;;
   prefetch)
     # Clairvoyant smoke: the exact flow a training job uses — a plan

@@ -1,19 +1,25 @@
 #!/usr/bin/env python3
 """Assert the packed-read invariants from `hvacctl metrics --json`.
 
-    scripts/check_packed_metrics.py METRICS.json --containers N
+    scripts/check_packed_metrics.py METRICS.json --containers N \
+        [--manifest MANIFEST.txt]
 
 Run after the packed smoke leg in scripts/check.sh: a packed dataset
 read end-to-end through the shim must never touch the per-file open
 RPC (the client resolves samples from the one-shot kPackedIndex
 fetch), and the server must open each container blob at most once
-(every later read is an OpenHandleCache hit).
+(every later read is an OpenHandleCache hit). With the gentree
+manifest ("<path> <size> <fnv64>" lines) it also bounds the read RPCs:
+a sample of at most 64 KiB is fetched whole by its first read, so it
+costs one kReadScatter; a larger one, read in 8 KiB pieces, at most
+one per piece.
 
 Checks, against the `aggregate` frame:
   * latency_us.open.count == 0        (missing key counts as 0)
   * latency_us.packed_index.count >= 1
   * handle_cache.misses <= --containers
   * handle_cache.hits > 0
+  * latency_us.read_scatter.count <= the manifest's bound (--manifest)
 
 Exit 0 when every invariant holds, 1 otherwise (this one IS a hard
 gate — these are correctness properties of the protocol, not timing).
@@ -23,9 +29,30 @@ import argparse
 import json
 import sys
 
+MAX_INLINE_BYTES = 64 << 10  # proto::kMaxInlineBytes
+READ_BYTES = 8 << 10         # intercept_target's read() size
+
 
 def op_count(frame, op):
     return int(frame.get("latency_us", {}).get(op, {}).get("count", 0))
+
+
+def scatter_bound(manifest_path):
+    """One scatter per small sample, one per 8 KiB piece of a large one."""
+    bound = 0
+    samples = 0
+    with open(manifest_path) as f:
+        for line in f:
+            fields = line.split()
+            if not fields:
+                continue
+            size = int(fields[1])
+            samples += 1
+            if size <= MAX_INLINE_BYTES:
+                bound += 1
+            else:
+                bound += -(-size // READ_BYTES)
+    return samples, bound
 
 
 def main():
@@ -33,6 +60,8 @@ def main():
     parser.add_argument("metrics", help="output of hvacctl metrics --json")
     parser.add_argument("--containers", type=int, required=True,
                         help="number of container blobs in the packed set")
+    parser.add_argument("--manifest",
+                        help="hvacctl gentree manifest of the samples read")
     args = parser.parse_args()
 
     with open(args.metrics) as f:
@@ -44,6 +73,7 @@ def main():
     index_fetches = op_count(frame, "packed_index")
     misses = int(hc.get("misses", 0))
     hits = int(hc.get("hits", 0))
+    scatters = op_count(frame, "read_scatter")
 
     failures = []
     if opens != 0:
@@ -61,8 +91,15 @@ def main():
         failures.append("no handle-cache hits — container fds are not "
                         "being reused across sample reads")
 
+    if args.manifest:
+        samples, bound = scatter_bound(args.manifest)
+        if scatters > bound:
+            failures.append(
+                f"{scatters} read_scatter RPC(s) for {samples} sample(s); "
+                f"at most {bound} allowed (one per sample of <= 64 KiB)")
+
     print(f"packed metrics: open={opens} packed_index={index_fetches} "
-          f"handle_cache={hits}h/{misses}m "
+          f"read_scatter={scatters} handle_cache={hits}h/{misses}m "
           f"(containers={args.containers})")
     for msg in failures:
         print(f"FAIL: {msg}", file=sys.stderr)

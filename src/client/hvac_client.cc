@@ -75,6 +75,19 @@ struct StallScope {
   }
 };
 
+// A direct-PFS read entry for `path`, sized from the file itself.
+Result<core::FdEntry> pfs_read_entry(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Error::from_errno(errno, "open " + path);
+  const off_t end = ::lseek(fd, 0, SEEK_END);
+  core::FdEntry entry;
+  entry.logical_path = path;
+  entry.fallback_pfs = true;
+  entry.pfs_fd = fd;
+  entry.size = end < 0 ? 0 : static_cast<uint64_t>(end);
+  return entry;
+}
+
 }  // namespace
 
 Result<HvacClientOptions> options_from_env() {
@@ -361,15 +374,7 @@ void HvacClient::readahead_drop(int vfd) {
 }
 
 Result<int> HvacClient::open_via_pfs(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return Error::from_errno(errno, "open " + path);
-  const off_t end = ::lseek(fd, 0, SEEK_END);
-  ::lseek(fd, 0, SEEK_SET);
-  core::FdEntry entry;
-  entry.logical_path = path;
-  entry.fallback_pfs = true;
-  entry.pfs_fd = fd;
-  entry.size = end < 0 ? 0 : static_cast<uint64_t>(end);
+  HVAC_ASSIGN_OR_RETURN(core::FdEntry entry, pfs_read_entry(path));
   const int vfd = fds_.insert(std::move(entry));
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.fallback_opens;
@@ -453,6 +458,8 @@ Result<int> HvacClient::open(const std::string& path) {
     entry.logical_path = logical;
     entry.server_index = placement_.home(packed->container_logical);
     entry.size = packed->length;
+    entry.container_logical = std::move(packed->container_logical);
+    entry.base = packed->base;
     const int vfd = fds_.insert(std::move(entry));
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.remote_opens;
@@ -640,16 +647,16 @@ Status HvacClient::recover_fd(int vfd, const core::FdEntry& stale,
   readahead_drop(vfd);
   core::FdEntry fresh = stale;
   bool retargeted = false;
+  // A packed sample is placed, and lives on the PFS, as its container.
+  const std::string& pfs_key = stale.container_logical.empty()
+                                   ? stale.logical_path
+                                   : stale.container_logical;
   if (!force_pfs) {
     // Reads carry the path, not a server-side fd, so there is nothing
     // to re-open: retarget to the next home after the failed one (a
     // replica, which serves or fetches its own copy), skipping homes
     // whose breaker is open.
-    std::string key = stale.logical_path;
-    if (auto packed = packed_lookup(stale.logical_path)) {
-      key = packed->container_logical;
-    }
-    const std::vector<uint32_t> homes = placement_.homes(key);
+    const std::vector<uint32_t> homes = placement_.homes(pfs_key);
     auto it = std::find(homes.begin(), homes.end(), stale.server_index);
     it = it == homes.end() ? homes.begin() : it + 1;
     for (; it != homes.end() && !retargeted; ++it) {
@@ -668,17 +675,29 @@ Status HvacClient::recover_fd(int vfd, const core::FdEntry& stale,
       return Error(ErrorCode::kUnavailable,
                    "remote reads keep failing and PFS fallback is disabled");
     }
+    // A packed sample's own file may be gone (the originals are
+    // deleted after packing): read it out of its container instead,
+    // at its base and no further than its length.
     HVAC_ASSIGN_OR_RETURN(
-        int pfs_vfd,
-        open_via_pfs(path_join(options_.dataset_dir, stale.logical_path)));
-    HVAC_ASSIGN_OR_RETURN(fresh, fds_.erase(pfs_vfd));
-    fresh.offset = stale.offset;  // the application's position survives
+        core::FdEntry pfs,
+        pfs_read_entry(path_join(options_.dataset_dir, pfs_key)));
+    if (!stale.container_logical.empty()) {
+      pfs.size = stale.size;
+      pfs.base = stale.base;
+    }
+    pfs.logical_path = stale.logical_path;
+    fresh = std::move(pfs);
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.fallback_opens;
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.failovers;
   }
-  return fds_.replace(vfd, std::move(fresh));
+  // The table keeps the application's offset across the swap.
+  Status swapped = fds_.replace(vfd, fresh);
+  if (!swapped.ok() && fresh.fallback_pfs) ::close(fresh.pfs_fd);
+  return swapped;
 }
 
 Result<size_t> HvacClient::pread(int vfd, void* buf, size_t count,
@@ -698,9 +717,22 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
     stall_charge(core::StallBucket::kRemoteRpc);
     return n;
   }
+  if (entry.writable) {
+    // A checkpoint write handle has no read side (O_WRONLY).
+    return Error(ErrorCode::kBadFd, "fd not open for reading");
+  }
+  // Every read fd's size is authoritative (the open reply, the meta
+  // cache or the packed index, for immutable dataset files; the file
+  // itself on the PFS): nothing past it is requested, and a read at EOF
+  // returns 0 without a round trip.
+  count = offset < entry.size
+              ? static_cast<size_t>(std::min<uint64_t>(count,
+                                                       entry.size - offset))
+              : 0;
   if (entry.fallback_pfs) {
+    // A packed sample sits at `base` inside its container blob.
     const ssize_t n = ::pread(entry.pfs_fd, buf, count,
-                              static_cast<off_t>(offset));
+                              static_cast<off_t>(entry.base + offset));
     stall_charge(core::StallBucket::kPfsWait);
     if (n < 0) return Error::from_errno(errno, "pread(pfs)");
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -708,38 +740,55 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
     stats_.bytes_read += static_cast<uint64_t>(n);
     return static_cast<size_t>(n);
   }
-  if (entry.writable) {
-    // A checkpoint write handle has no read side (O_WRONLY).
-    return Error(ErrorCode::kBadFd, "fd not open for reading");
-  }
 
-  // Every other read fd is remote, and its size is authoritative (the
-  // open reply, the meta cache or the packed index, for immutable
-  // dataset files): nothing past it is requested, and a read at EOF
-  // returns 0 without a round trip.
   auto* out = static_cast<uint8_t*>(buf);
   size_t total = 0;
-  count = offset < entry.size
-              ? static_cast<size_t>(std::min<uint64_t>(count,
-                                                       entry.size - offset))
-              : 0;
+
+  // The serving copy failed us: recover like the home died — retarget
+  // to a replica, then the PFS — and finish the read there (fail-open
+  // extends to in-flight fds, §III-H). Recovery is bounded: a server
+  // that answers opens but fails every read (e.g. a hostile frame
+  // bound) must not trap the client in a loop, so the last attempt
+  // goes straight to the PFS.
+  auto recover = [&](Error cause) -> Result<size_t> {
+    meta_.invalidate(entry.logical_path);
+    constexpr int kMaxRecoveries = 3;
+    if (recoveries >= kMaxRecoveries) return cause;
+    const bool force_pfs = recoveries + 1 == kMaxRecoveries;
+    HVAC_RETURN_IF_ERROR(recover_fd(vfd, entry, force_pfs));
+    stall_charge(core::StallBucket::kRetry);
+    HVAC_ASSIGN_OR_RETURN(size_t rest,
+                          pread_attempt(vfd, out + total, count - total,
+                                        offset + total, recoveries + 1));
+    return total + rest;
+  };
+
+  // A small file is fetched whole by its first read — one round trip,
+  // as when the open reply carried it inline — and every later read of
+  // the fd is a local copy. Read-ahead never starts for it.
+  const bool whole_file = entry.inline_data == nullptr && count > 0 &&
+                          entry.size <= proto::kMaxInlineBytes;
   if (entry.inline_data != nullptr && count > 0) {
-    // The open reply carried the whole file: no RPC at all.
+    // The fd already holds the whole file: no RPC at all.
     std::memcpy(out, entry.inline_data->data() + offset, count);
     total = count;
     stall_charge(core::StallBucket::kLocalHit);
   }
   while (total < count) {
-    const uint32_t chunk = static_cast<uint32_t>(
+    uint64_t chunk_offset = offset + total;
+    uint32_t chunk = static_cast<uint32_t>(
         std::min<size_t>(count - total, options_.read_chunk_bytes));
-    const uint64_t chunk_offset = offset + total;
+    if (whole_file) {
+      chunk_offset = 0;
+      chunk = static_cast<uint32_t>(entry.size);
+    }
 
     // Read-ahead hit: the chunk is already in flight (or landed); take
     // its bytes instead of a fresh round trip. The whole issue batch
     // came back as one scatter frame — this chunk is one extent of it.
     // A transport/parse failure or a short extent falls through to the
     // synchronous path below.
-    if (options_.readahead_chunks > 0) {
+    if (options_.readahead_chunks > 0 && !whole_file) {
       if (auto pending =
               readahead_take(vfd, chunk_offset, chunk, entry.size)) {
         const bool was_ready =
@@ -772,25 +821,6 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
         }
       }
     }
-
-    // The serving copy failed us: recover like the home died — retarget
-    // to a replica, then the PFS — and finish the read there
-    // (fail-open extends to in-flight fds, §III-H). Recovery is
-    // bounded: a server that answers opens but fails every read (e.g.
-    // a hostile frame bound) must not trap the client in a loop, so
-    // the last attempt goes straight to the PFS.
-    auto recover = [&](Error cause) -> Result<size_t> {
-      meta_.invalidate(entry.logical_path);
-      constexpr int kMaxRecoveries = 3;
-      if (recoveries >= kMaxRecoveries) return cause;
-      const bool force_pfs = recoveries + 1 == kMaxRecoveries;
-      HVAC_RETURN_IF_ERROR(recover_fd(vfd, entry, force_pfs));
-      stall_charge(core::StallBucket::kRetry);
-      HVAC_ASSIGN_OR_RETURN(size_t rest,
-                            pread_attempt(vfd, out + total, count - total,
-                                          chunk_offset, recoveries + 1));
-      return total + rest;
-    };
 
     // Positional reads are idempotent: transient transport errors get
     // a bounded retry with backoff before recovery takes over. Every
@@ -832,8 +862,17 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
                            "short scatter read mid-file for " +
                                entry.logical_path));
     }
+    const uint8_t* data = sv->extents[0].data;
+    if (whole_file) {
+      auto bytes =
+          std::make_shared<const std::vector<uint8_t>>(data, data + chunk);
+      std::memcpy(out, bytes->data() + offset, count);
+      total = count;
+      fds_.attach_inline(vfd, std::move(bytes));
+      break;
+    }
     // Single copy: response buffer (pooled) -> caller's buffer.
-    std::memcpy(out + total, sv->extents[0].data, chunk);
+    std::memcpy(out + total, data, chunk);
     total += chunk;
     readahead_advance(vfd, entry, chunk_offset, chunk, chunk);
   }
@@ -848,10 +887,19 @@ Result<size_t> HvacClient::read(int vfd, void* buf, size_t count) {
   // both remote and PFS-backed entries. (Kernel offset semantics on
   // the private pfs_fd would desynchronize when recover_fd swaps a
   // remote entry for a PFS one mid-stream: the recovering pread
-  // delivers bytes without advancing the kernel offset.)
-  HVAC_ASSIGN_OR_RETURN(core::FdEntry entry, fds_.get(vfd));
-  HVAC_ASSIGN_OR_RETURN(size_t n, pread(vfd, buf, count, entry.offset));
-  HVAC_RETURN_IF_ERROR(fds_.set_offset(vfd, entry.offset + n));
+  // delivers bytes without advancing the kernel offset.) The range is
+  // reserved up front, so concurrent read()s on one vfd never deliver
+  // the same bytes twice.
+  HVAC_ASSIGN_OR_RETURN(core::FdTable::Range range,
+                        fds_.reserve_read(vfd, count));
+  Result<size_t> n = pread(vfd, buf, range.length, range.offset);
+  const size_t done = n.ok() ? *n : 0;
+  if (done < range.length) {
+    // Short or failed read: give back the unread tail when no later
+    // reader has reserved past it.
+    (void)fds_.rewind_offset(vfd, range.offset + range.length,
+                             range.offset + done);
+  }
   return n;
 }
 

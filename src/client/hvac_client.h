@@ -6,8 +6,10 @@
 // Placement function, and forwards opens and reads over RPC. Read fds
 // are stateless on the server: open is one kOpen that returns the size
 // (and the whole file when it is small), every other read addresses
-// the file by path, and close is local. Reads above the chunk size
-// are split into multiple bulk pulls. On any transport failure the
+// the file by path, and close is local. A small file whose open
+// carried no bytes (packed index, meta cache) is fetched whole by its
+// first read, so every small fd costs one round trip. Reads above the
+// chunk size are split into multiple bulk pulls. On any transport failure the
 // client fails open: replicas are tried in order, and as a last
 // resort the file is read directly from the PFS mount — a cache must
 // never kill a training run (paper §III-H).

@@ -1,5 +1,7 @@
 #include "core/fd_table.h"
 
+#include <algorithm>
+
 namespace hvac::core {
 
 int FdTable::insert(FdEntry entry) {
@@ -42,6 +44,23 @@ Result<uint64_t> FdTable::reserve_offset(int vfd, uint64_t count) {
   return offset;
 }
 
+Result<FdTable::Range> FdTable::reserve_read(int vfd, uint64_t count) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(vfd);
+  if (it == entries_.end()) {
+    return Error(ErrorCode::kBadFd, "unknown virtual fd " +
+                                        std::to_string(vfd));
+  }
+  FdEntry& entry = it->second;
+  Range range;
+  range.offset = entry.offset;
+  if (entry.offset < entry.size) {
+    range.length = std::min(count, entry.size - entry.offset);
+  }
+  entry.offset += range.length;
+  return range;
+}
+
 Status FdTable::rewind_offset(int vfd, uint64_t reserved_end,
                               uint64_t actual_end) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -56,6 +75,13 @@ Status FdTable::rewind_offset(int vfd, uint64_t reserved_end,
   return Status::Ok();
 }
 
+void FdTable::attach_inline(
+    int vfd, std::shared_ptr<const std::vector<uint8_t>> data) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(vfd);
+  if (it != entries_.end()) it->second.inline_data = std::move(data);
+}
+
 Status FdTable::replace(int vfd, FdEntry entry) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(vfd);
@@ -63,6 +89,7 @@ Status FdTable::replace(int vfd, FdEntry entry) {
     return Error(ErrorCode::kBadFd, "unknown virtual fd " +
                                         std::to_string(vfd));
   }
+  entry.offset = it->second.offset;
   it->second = std::move(entry);
   return Status::Ok();
 }

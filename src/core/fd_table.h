@@ -32,10 +32,16 @@ struct FdEntry {
                               // at or past it are EOF without an RPC
   bool fallback_pfs = false;  // true: served by direct PFS fd
   int pfs_fd = -1;            // real fd when fallback_pfs
+  // Packed sample: the container blob holding it (its placement key,
+  // and the file a PFS fallback opens) and the sample's byte offset
+  // inside it. Empty / 0 for a plain file.
+  std::string container_logical;
+  uint64_t base = 0;
   bool segmented = false;     // true: stateless segment-granular reads
                               // (see core/segment.h)
-  // The whole file, when the open reply carried it inline: reads are
-  // served from here with no RPC. Shared because get() copies entries.
+  // The whole file, once the open reply carried it inline or the first
+  // read fetched it: reads are served from here with no RPC. Shared
+  // because get() copies entries.
   std::shared_ptr<const std::vector<uint8_t>> inline_data;
   bool writable = false;      // true: checkpoint write handle (remote_fd
                               // is a kWriteOpen cookie, or pfs_fd is a
@@ -54,8 +60,21 @@ class FdTable {
   // I/O).
   Result<FdEntry> get(int vfd) const;
 
-  // Replaces the stored offset after a read/lseek.
+  // Replaces the stored offset after an lseek.
   Status set_offset(int vfd, uint64_t offset);
+
+  struct Range {
+    uint64_t offset = 0;
+    uint64_t length = 0;
+  };
+
+  // Atomically reserves the next `count` bytes for a plain read(),
+  // clamped to the entry's size: returns the range and advances the
+  // stored offset past it in one critical section, so concurrent
+  // readers of one vfd get disjoint ranges (read(2)'s kernel-atomic
+  // offset update). A short read gives its tail back with
+  // rewind_offset.
+  Result<Range> reserve_read(int vfd, uint64_t count);
 
   // Atomically reserves [offset, offset+count) for a plain write():
   // returns the pre-advance offset and bumps the stored offset by
@@ -64,14 +83,21 @@ class FdTable {
   // update).
   Result<uint64_t> reserve_offset(int vfd, uint64_t count);
 
-  // Undoes the tail of a reservation after a short or failed write:
+  // Undoes the tail of a reservation after a short or failed I/O:
   // sets the offset to `actual_end` only while it still equals
   // `reserved_end` (i.e. no later writer has reserved past us).
   Status rewind_offset(int vfd, uint64_t reserved_end,
                        uint64_t actual_end);
 
-  // Swaps the whole entry (fail-over keeps the vfd stable for the
-  // application while the backing server changes underneath).
+  // Attaches the whole file's bytes to a live entry, so its later reads
+  // are local copies. A no-op when the vfd is gone.
+  void attach_inline(int vfd,
+                     std::shared_ptr<const std::vector<uint8_t>> data);
+
+  // Swaps the entry's backing but keeps its stored offset (fail-over
+  // keeps the vfd and its position stable for the application while
+  // the backing server changes underneath, even with reads in flight
+  // on other threads).
   Status replace(int vfd, FdEntry entry);
 
   // Removes the entry, returning it (so close can tear down remote

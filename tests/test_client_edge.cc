@@ -4,8 +4,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <thread>
 
 #include "client/hvac_client.h"
@@ -510,6 +513,65 @@ TEST(InlineOpen, SmallFileServedWithoutReadRpc) {
   EXPECT_EQ(rig.node_->instance(0).open_remote_fds(), 0u);
 }
 
+// Total RPCs the node has answered, over every opcode.
+uint64_t total_rpcs(const server::NodeRuntime& node) {
+  uint64_t n = 0;
+  for (const auto& [op, snap] : node.aggregated_frame().op_latency) {
+    n += snap.count;
+  }
+  return n;
+}
+
+// A re-open answered by the meta cache carries no bytes, so its first
+// read fetches the whole small file in one kReadScatter; every later
+// read — a pread mid-file, then lseek(0) and a full re-read — is local.
+TEST(InlineOpen, MetaCacheReopenFetchesWholeFileOnce) {
+  InlineRig rig;
+  auto o = rig.options(rig.node_->endpoints());
+  o.meta_ttl_ms = 60'000;
+  HvacClient client(o);
+  const std::string path = rig.pfs_root_ + "/" + rig.rel_;
+  ASSERT_TRUE(client.prefetch(path).ok());
+  // This open's reply says "served from cache": the client remembers
+  // {size, home, cached}.
+  EXPECT_EQ(rig.read_all(client), rig.expected_);
+
+  const uint64_t before = total_rpcs(*rig.node_);
+  const auto lat_before = rig.node_->aggregated_frame().op_latency;
+  const uint64_t scatters_before =
+      lat_before.count(proto::kReadScatter)
+          ? lat_before.at(proto::kReadScatter).count
+          : 0;
+  const auto stats_before = client.stats();
+  auto vfd = client.open(path);
+  ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+  EXPECT_EQ(client.stats().meta_hits, stats_before.meta_hits + 1);
+
+  std::vector<uint8_t> mid(1000);
+  auto n = client.pread(*vfd, mid.data(), mid.size(), 1000);
+  ASSERT_TRUE(n.ok()) << n.error().to_string();
+  ASSERT_EQ(*n, mid.size());
+  EXPECT_TRUE(std::equal(mid.begin(), mid.end(), rig.expected_.begin() + 1000));
+  EXPECT_EQ(total_rpcs(*rig.node_), before + 1);
+  EXPECT_EQ(rig.node_->aggregated_frame().op_latency.at(proto::kReadScatter)
+                .count,
+            scatters_before + 1);
+
+  ASSERT_EQ(client.lseek(*vfd, 0, SEEK_SET).value(), 0);
+  std::vector<uint8_t> data;
+  uint8_t buf[700];
+  for (;;) {
+    n = client.read(*vfd, buf, sizeof(buf));
+    ASSERT_TRUE(n.ok()) << n.error().to_string();
+    if (*n == 0) break;
+    data.insert(data.end(), buf, buf + *n);
+  }
+  EXPECT_EQ(data, rig.expected_);
+  EXPECT_TRUE(client.close(*vfd).ok());
+  EXPECT_EQ(total_rpcs(*rig.node_), before + 1);
+  EXPECT_EQ(client.stats().readahead_issued, 0u);
+}
+
 TEST(HostileServer, InlineReplyRejectedAndRecoveredViaReplica) {
   InlineRig rig;
   for (auto& [name, reply] : hostile_open_replies(rig.expected_)) {
@@ -558,6 +620,218 @@ TEST(HostileServer, InlineReplyRejectedAndRecoveredViaPfs) {
     hostile->stop();
   }
   rpc::HealthRegistry::global().reset();
+}
+
+// ---- hostile whole-file scatter replies -------------------------------------
+//
+// A small file whose open carried no bytes (a meta-cache or packed-index
+// open) is fetched whole by its first read: one path-mode kReadScatter
+// for [0, size). A reply that is not exactly that one extent is treated
+// like a dead server — the replica, then the PFS — and never handed to
+// the application.
+
+// kReadScatter replies for a whole-file request of `real`, each
+// malformed in one way.
+std::vector<std::pair<std::string, rpc::Bytes>> hostile_scatter_replies(
+    const std::vector<uint8_t>& real) {
+  auto reply = [](std::vector<std::pair<uint64_t, uint32_t>> extents,
+                  const std::vector<uint8_t>& data) {
+    rpc::WireWriter w;
+    w.put_u32(static_cast<uint32_t>(extents.size()));
+    for (const auto& [off, len] : extents) {
+      w.put_u64(off);
+      w.put_u32(len);
+    }
+    rpc::Bytes out = std::move(w).take();
+    out.insert(out.end(), data.begin(), data.end());
+    return out;
+  };
+  const auto size = static_cast<uint32_t>(real.size());
+  std::vector<uint8_t> longer(real);
+  longer.push_back(0xab);
+  const std::vector<uint8_t> shorter(real.begin(), real.end() - 1);
+  std::vector<std::pair<std::string, rpc::Bytes>> out;
+  out.emplace_back("short_extent", reply({{0, size - 1}}, shorter));
+  out.emplace_back("overlong_extent", reply({{0, size + 1}}, longer));
+  out.emplace_back("wrong_offset", reply({{1, size}}, real));
+  out.emplace_back("two_extents",
+                   reply({{0, size / 2}, {size / 2, size - size / 2}}, real));
+  rpc::WireWriter truncated;  // one extent announced, half its entry sent
+  truncated.put_u32(1);
+  truncated.put_u64(0);
+  out.emplace_back("truncated_table", std::move(truncated).take());
+  return out;
+}
+
+// An RPC server that answers kOpen honestly (the whole file inline,
+// "served from cache") and every kReadScatter with `reply`.
+std::unique_ptr<rpc::RpcServer> hostile_scatter_server(
+    const std::vector<uint8_t>& real, rpc::Bytes reply) {
+  auto server = std::make_unique<rpc::RpcServer>(rpc::RpcServerOptions{});
+  rpc::WireWriter w;
+  w.put_u64(0);
+  w.put_u64(real.size());
+  w.put_u8(proto::kFromCache);
+  w.put_blob(real.data(), real.size());
+  server->register_handler(
+      proto::kOpen, [open = std::move(w).take()](const rpc::Bytes&)
+                        -> Result<rpc::Bytes> { return open; });
+  server->register_handler(proto::kReadScatter,
+                           [reply](const rpc::Bytes&) -> Result<rpc::Bytes> {
+                             return reply;
+                           });
+  EXPECT_TRUE(server->start().ok());
+  return server;
+}
+
+TEST(HostileServer, WholeFileScatterRejectedAndRecoveredViaReplica) {
+  InlineRig rig;
+  for (auto& [name, reply] : hostile_scatter_replies(rig.expected_)) {
+    SCOPED_TRACE(name);
+    rpc::HealthRegistry::global().reset();
+    auto hostile = hostile_scatter_server(rig.expected_, reply);
+    std::vector<std::string> endpoints = {hostile->endpoint().address,
+                                          rig.node_->endpoints()[0]};
+    auto o = rig.options(endpoints);
+    o.replicas = 2;
+    o.meta_ttl_ms = 60'000;
+    if (HvacClient(o).home_of(rig.pfs_root_ + "/" + rig.rel_) != 0) {
+      std::swap(endpoints[0], endpoints[1]);
+      o.server_endpoints = endpoints;
+    }
+    HvacClient client(o);
+    // The first open is answered inline by the hostile primary and
+    // teaches the meta cache "cached there"; the re-open carries no
+    // bytes, so its first read is the whole-file scatter.
+    EXPECT_EQ(rig.read_all(client), rig.expected_);
+    const auto lat = rig.node_->aggregated_frame().op_latency;
+    const uint64_t scatters_before =
+        lat.count(proto::kReadScatter) ? lat.at(proto::kReadScatter).count
+                                       : 0;
+    EXPECT_EQ(rig.read_all(client), rig.expected_);
+    EXPECT_EQ(client.stats().meta_hits, 1u);
+    EXPECT_EQ(rig.node_->aggregated_frame().op_latency.at(
+                  proto::kReadScatter).count,
+              scatters_before + 1);  // the replica served
+    EXPECT_EQ(client.stats().failovers, 1u);
+    EXPECT_EQ(client.stats().fallback_opens, 0u);
+    hostile->stop();
+  }
+  rpc::HealthRegistry::global().reset();
+}
+
+TEST(HostileServer, WholeFileScatterRejectedAndRecoveredViaPfs) {
+  InlineRig rig;
+  for (auto& [name, reply] : hostile_scatter_replies(rig.expected_)) {
+    SCOPED_TRACE(name);
+    rpc::HealthRegistry::global().reset();
+    auto hostile = hostile_scatter_server(rig.expected_, reply);
+    auto o = rig.options({hostile->endpoint().address});
+    o.meta_ttl_ms = 60'000;
+    HvacClient client(o);
+    EXPECT_EQ(rig.read_all(client), rig.expected_);
+    EXPECT_EQ(rig.read_all(client), rig.expected_);
+    EXPECT_EQ(client.stats().meta_hits, 1u);
+    EXPECT_EQ(client.stats().fallback_opens, 1u);
+
+    // With the PFS escape hatch closed the read fails instead of
+    // serving wrong bytes.
+    o.allow_pfs_fallback = false;
+    HvacClient strict(o);
+    EXPECT_EQ(rig.read_all(strict), rig.expected_);  // inline open
+    const auto vfd = strict.open(rig.pfs_root_ + "/" + rig.rel_);
+    ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+    std::vector<uint8_t> buf(rig.expected_.size(), 0);
+    const auto n = strict.pread(*vfd, buf.data(), buf.size(), 0);
+    EXPECT_FALSE(n.ok());
+    EXPECT_EQ(buf, std::vector<uint8_t>(rig.expected_.size(), 0));
+    EXPECT_TRUE(strict.close(*vfd).ok());
+    hostile->stop();
+  }
+  rpc::HealthRegistry::global().reset();
+}
+
+// ---- concurrent read() on one vfd ------------------------------------------
+
+// Four threads read() one vfd in 1 KiB pieces until EOF. read(2)
+// reserves each range atomically, so every byte is delivered exactly
+// once: the pieces, put back together by offset, are the file.
+TEST(ConcurrentRead, SharedVfdDeliversEveryByteOnce) {
+  const std::string pfs_root = temp_dir("shared_read_pfs");
+  server::NodeRuntimeOptions no;
+  no.pfs_root = pfs_root;
+  no.cache_root = temp_dir("shared_read_cache");
+  server::NodeRuntime node(no);
+  // Each 4-byte word holds its own offset, so a piece names its place.
+  const std::vector<uint64_t> sizes = {256u << 10, 40u << 10};
+  std::vector<std::vector<uint8_t>> files;
+  for (size_t f = 0; f < sizes.size(); ++f) {
+    std::vector<uint8_t> data(sizes[f]);
+    for (uint32_t off = 0; off < data.size(); off += 4) {
+      std::memcpy(data.data() + off, &off, 4);
+    }
+    ASSERT_TRUE(storage::write_file(pfs_root + "/f" + std::to_string(f),
+                                    data.data(), data.size())
+                    .ok());
+    files.push_back(std::move(data));
+  }
+  ASSERT_TRUE(node.start().ok());
+  HvacClientOptions o;
+  o.dataset_dir = pfs_root;
+  o.server_endpoints = node.endpoints();
+  o.read_chunk_bytes = 4096;
+  HvacClient client(o);
+
+  for (size_t f = 0; f < files.size(); ++f) {
+    SCOPED_TRACE(sizes[f]);
+    const auto vfd = client.open(pfs_root + "/f" + std::to_string(f));
+    ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+    constexpr int kThreads = 4;
+    constexpr size_t kPiece = 1024;
+    std::atomic<int> ready{0};
+    std::atomic<bool> failed{false};
+    std::vector<std::vector<std::vector<uint8_t>>> pieces(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        for (;;) {
+          std::vector<uint8_t> piece(kPiece);
+          const auto n = client.read(*vfd, piece.data(), piece.size());
+          if (!n.ok()) {
+            failed = true;
+            return;
+          }
+          if (*n == 0) return;
+          piece.resize(*n);
+          pieces[t].push_back(std::move(piece));
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    ASSERT_FALSE(failed.load());
+    std::map<uint32_t, std::vector<uint8_t>> by_offset;
+    size_t duplicates = 0;
+    for (auto& list : pieces) {
+      for (auto& piece : list) {
+        ASSERT_GE(piece.size(), 4u);
+        uint32_t off = 0;
+        std::memcpy(&off, piece.data(), 4);
+        if (!by_offset.emplace(off, std::move(piece)).second) ++duplicates;
+      }
+    }
+    EXPECT_EQ(duplicates, 0u);
+    std::vector<uint8_t> joined;
+    for (const auto& [off, piece] : by_offset) {
+      EXPECT_EQ(off, joined.size());
+      joined.insert(joined.end(), piece.begin(), piece.end());
+    }
+    EXPECT_EQ(joined, files[f]);
+    EXPECT_TRUE(client.close(*vfd).ok());
+  }
+  node.stop();
 }
 
 // ---- client metadata cache ------------------------------------------------

@@ -305,6 +305,43 @@ TEST(FdTable, RewindOffsetOnlyUndoesTheLatestReservation) {
   EXPECT_EQ(table.get(vfd)->offset, 24u);
 }
 
+TEST(FdTable, ReserveReadClampsToSizeAndReplaceKeepsOffset) {
+  FdTable table;
+  FdEntry e;
+  e.size = 10;
+  const int vfd = table.insert(e);
+  auto r = table.reserve_read(vfd, 6);  // [0, 6)
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->offset, 0u);
+  EXPECT_EQ(r->length, 6u);
+  r = table.reserve_read(vfd, 6);  // clamped to [6, 10)
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->offset, 6u);
+  EXPECT_EQ(r->length, 4u);
+  r = table.reserve_read(vfd, 6);  // at EOF: nothing reserved
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->offset, 10u);
+  EXPECT_EQ(r->length, 0u);
+
+  // A fail-over swap keeps the application's offset and takes the rest.
+  FdEntry fresh;
+  fresh.size = 10;
+  fresh.fallback_pfs = true;
+  fresh.offset = 3;
+  ASSERT_TRUE(table.replace(vfd, fresh).ok());
+  EXPECT_EQ(table.get(vfd)->offset, 10u);
+  EXPECT_TRUE(table.get(vfd)->fallback_pfs);
+
+  // Attaching bytes to a live fd sticks; to a closed one is a no-op.
+  auto bytes = std::make_shared<const std::vector<uint8_t>>(10, 7);
+  table.attach_inline(vfd, bytes);
+  EXPECT_EQ(table.get(vfd)->inline_data, bytes);
+  ASSERT_TRUE(table.erase(vfd).ok());
+  table.attach_inline(vfd, bytes);
+  EXPECT_FALSE(table.get(vfd).ok());
+  EXPECT_EQ(table.size(), 0u);
+}
+
 // ---- cache manager -------------------------------------------------------------
 
 struct CacheFixture {

@@ -18,6 +18,7 @@
 #include "common/hash.h"
 #include "server/hvac_proto.h"
 #include "server/node_runtime.h"
+#include "storage/packed_format.h"
 #include "storage/posix_file.h"
 #include "workload/file_tree.h"
 
@@ -48,7 +49,8 @@ std::string temp_dir(const std::string& name) {
 std::string run_target(const std::vector<std::string>& files,
                        const std::string& dataset_dir,
                        const std::string& servers, bool preload,
-                       bool stdio_mode = false) {
+                       bool stdio_mode = false,
+                       const std::string& extra_env = "") {
   const std::string out_file = ::testing::TempDir() + "hvac_shim_out_" +
                                std::to_string(::getpid()) + ".txt";
   std::ostringstream cmd;
@@ -63,6 +65,7 @@ std::string run_target(const std::vector<std::string>& files,
   }
   if (!dataset_dir.empty()) cmd << "HVAC_DATASET_DIR=" << dataset_dir << " ";
   if (!servers.empty()) cmd << "HVAC_SERVERS=" << servers << " ";
+  if (!extra_env.empty()) cmd << extra_env << " ";
   cmd << HVAC_TARGET_BIN;
   if (stdio_mode) cmd << " --stdio";
   for (const auto& f : files) cmd << " " << f;
@@ -237,6 +240,56 @@ TEST_F(InterceptTest, WarmSmallSampleIsOneOpenRpc) {
        {proto::kRead, proto::kClose, proto::kReadScatter}) {
     EXPECT_EQ(op_count(*node_, op), 0u) << "opcode " << op;
   }
+}
+
+// A warm packed sample of at most proto::kMaxInlineBytes costs one
+// round trip too: the open resolves from the packed index, the first
+// 8 KiB read() fetches the whole sample in one kReadScatter, and the
+// rest of the sample — and EOF — are local. Nothing is read ahead.
+TEST_F(InterceptTest, WarmPackedSampleIsOneScatterRpc) {
+  const std::string root = temp_dir("packed_pfs");
+  auto tree = workload::generate_tree(
+      root, workload::synthetic_small(16, 16384, 0.3));
+  ASSERT_TRUE(tree.ok());
+  bool multi_read = false;
+  for (const uint64_t size : tree->sizes) {
+    ASSERT_LE(size, proto::kMaxInlineBytes);
+    multi_read = multi_read || size > 8192;  // the target reads 8 KiB
+  }
+  ASSERT_TRUE(multi_read);
+  storage::PackOptions pack;
+  pack.container_bytes = 64 << 10;
+  ASSERT_TRUE(storage::pack_tree(root, pack).ok());
+  std::vector<std::string> paths;
+  std::string expected;
+  for (size_t i = 0; i < tree->relative_paths.size(); ++i) {
+    const std::string& rel = tree->relative_paths[i];
+    fs::remove(root + "/" + rel);
+    paths.push_back(root + "/" + rel);
+    expected += expected_line(root + "/" + rel, rel, tree->sizes[i]) + "\n";
+  }
+  server::NodeRuntimeOptions o;
+  o.pfs_root = root;
+  o.cache_root = temp_dir("packed_cache");
+  o.instances = 2;
+  server::NodeRuntime node(o);
+  ASSERT_TRUE(node.start().ok());
+
+  EXPECT_EQ(run_target(paths, root, node.endpoints_csv(), true), expected);
+  const uint64_t scatters = op_count(node, proto::kReadScatter);
+  const std::string stats = temp_dir("packed_stats") + "/stats.json";
+  EXPECT_EQ(run_target(paths, root, node.endpoints_csv(), true, false,
+                       "HVAC_STATS_FILE=" + stats),
+            expected);
+  EXPECT_EQ(op_count(node, proto::kReadScatter) - scatters, paths.size());
+  EXPECT_EQ(op_count(node, proto::kOpen), 0u);
+  std::ifstream in(stats);
+  std::stringstream json;
+  json << in.rdbuf();
+  EXPECT_NE(json.str().find("\"read_ahead\":{\"issued\":0,"),
+            std::string::npos)
+      << json.str();
+  node.stop();
 }
 
 // Read fds hold no server state, so shim clients SIGKILLed mid-epoch

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
+#include <thread>
 
 #include "client/hvac_client.h"
 #include "common/fault_injection.h"
@@ -370,6 +372,91 @@ TEST(PackedSystem, PackedReadsSurviveStoreFaults) {
   EXPECT_EQ(verified, alloc.tree.relative_paths.size());
   EXPECT_GT(fault::stats(fault::Site::kStoreRead).errors, 0u);
   fault::reset();
+}
+
+// Server loss after a packed open: the client falls back to the PFS,
+// where the sample's own file was deleted by the pack flow. The
+// fallback must read the sample out of its container — at its base,
+// and never past its length into the neighbouring sample.
+TEST(PackedSystem, PfsFallbackReadsDeletedOriginalFromContainer) {
+  PackedAllocation alloc("pfs_fallback", 12);
+  HvacClientOptions options = alloc.client_options();
+  options.rpc.max_retries = 0;
+  HvacClient client(options);
+
+  std::vector<int> vfds;
+  for (const auto& rel : alloc.tree.relative_paths) {
+    auto vfd = client.open(alloc.pfs_root + "/" + rel);
+    ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+    vfds.push_back(*vfd);
+  }
+  alloc.node->stop();
+
+  for (size_t i = 0; i < vfds.size(); ++i) {
+    const std::string& rel = alloc.tree.relative_paths[i];
+    const uint64_t size = alloc.tree.sizes[i];
+    const auto expected = workload::expected_contents(rel, size);
+    // One positional read asking for more than the sample holds.
+    std::vector<uint8_t> data(size + 512);
+    auto n = client.pread(vfds[i], data.data(), data.size(), 0);
+    ASSERT_TRUE(n.ok()) << rel << ": " << n.error().to_string();
+    ASSERT_EQ(*n, size) << rel;
+    data.resize(*n);
+    EXPECT_EQ(data, expected) << rel;
+    // And a tail read straddling the sample's end.
+    std::vector<uint8_t> tail(64);
+    n = client.pread(vfds[i], tail.data(), tail.size(), size - 10);
+    ASSERT_TRUE(n.ok()) << rel << ": " << n.error().to_string();
+    ASSERT_EQ(*n, 10u) << rel;
+    EXPECT_TRUE(std::equal(tail.begin(), tail.begin() + 10,
+                           expected.end() - 10))
+        << rel;
+    EXPECT_TRUE(client.close(vfds[i]).ok());
+  }
+  EXPECT_EQ(client.stats().fallback_opens, vfds.size());
+}
+
+// Two threads race the first read of one packed vfd: each may fetch
+// the whole sample, so at most two scatters go out, and both get the
+// exact bytes.
+TEST(PackedSystem, ConcurrentFirstReadsOfOnePackedFd) {
+  PackedAllocation alloc("first_read_race", 12);
+  HvacClient client(alloc.client_options());
+  for (size_t i = 0; i < alloc.tree.relative_paths.size(); ++i) {
+    const std::string& rel = alloc.tree.relative_paths[i];
+    const auto expected = workload::expected_contents(rel, alloc.tree.sizes[i]);
+    const uint64_t before =
+        op_count(alloc.node->aggregated_frame(), proto::kReadScatter);
+    auto vfd = client.open(alloc.pfs_root + "/" + rel);
+    ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+    std::atomic<int> ready{0};
+    std::vector<std::vector<uint8_t>> got(2);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        got[t].resize(expected.size());
+        auto n = client.pread(*vfd, got[t].data(), got[t].size(), 0);
+        if (!n.ok()) {
+          got[t].clear();
+          return;
+        }
+        got[t].resize(*n);
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(got[0], expected) << rel;
+    EXPECT_EQ(got[1], expected) << rel;
+    const uint64_t scatters =
+        op_count(alloc.node->aggregated_frame(), proto::kReadScatter) -
+        before;
+    EXPECT_GE(scatters, 1u) << rel;
+    EXPECT_LE(scatters, 2u) << rel;
+    EXPECT_TRUE(client.close(*vfd).ok());
+  }
+  EXPECT_EQ(client.stats().readahead_issued, 0u);
 }
 
 }  // namespace
