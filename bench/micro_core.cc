@@ -1,13 +1,18 @@
 // Microbenchmarks (google-benchmark) for the hot primitives: stable
 // hashing, the three placement policies, eviction bookkeeping, the
-// MPMC queue and wire serialization.
+// MPMC queue, wire serialization and the write-ahead journal append.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/mpmc_queue.h"
 #include "core/eviction.h"
 #include "core/placement.h"
 #include "rpc/wire.h"
+#include "storage/write_journal.h"
 
 namespace {
 
@@ -95,6 +100,39 @@ void BM_WireDecodeReadResponse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WireDecodeReadResponse)->Arg(4096)->Arg(1 << 20);
+
+// One kWrite record per iteration: CRC plus the gathered pwritev into
+// the page cache (no commit, so no fdatasync). The log is reset every
+// 64 MiB, off the clock, to keep the file small.
+void BM_JournalAppendWrite(benchmark::State& state) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("hvac_bench_journal_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  auto journal = storage::WriteJournal::open((dir / "j.wal").string());
+  if (!journal.ok()) {
+    state.SkipWithError(journal.error().to_string().c_str());
+    return;
+  }
+  const std::vector<uint8_t> data(size_t(state.range(0)), 0x5A);
+  uint64_t offset = 0;
+  for (auto _ : state) {
+    if (!(*journal)->append_write("ckpt/shard_0.bin", offset, data.data(),
+                                  data.size()).ok()) {
+      state.SkipWithError("append_write failed");
+      break;
+    }
+    offset += data.size();
+    if ((*journal)->size_bytes() >= (64u << 20)) {
+      state.PauseTiming();
+      (void)(*journal)->checkpoint_reset();
+      state.ResumeTiming();
+    }
+  }
+  state.SetBytesProcessed(int64_t(state.iterations()) * state.range(0));
+  journal->reset();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_JournalAppendWrite)->Arg(4096)->Arg(1 << 20);
 
 }  // namespace
 

@@ -74,12 +74,12 @@ std::string lexically_normal(const std::string& path) {
     }
     i = j + 1;
   }
+  if (parts.empty()) return absolute ? "/" : ".";
   std::string out = absolute ? "/" : "";
   for (size_t k = 0; k < parts.size(); ++k) {
     out += parts[k];
     if (k + 1 < parts.size()) out += "/";
   }
-  if (out.empty()) out = ".";
   return out;
 }
 

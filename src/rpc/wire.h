@@ -177,8 +177,11 @@ class WireWriter {
     // this alignment-safe. (A static_assert guards the assumption.)
     static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
                   "big-endian hosts need byte swaps here");
-    const auto* src = static_cast<const uint8_t*>(p);
-    buf_.insert(buf_.end(), src, src + n);
+    // resize + memcpy rather than insert: GCC 12 misreports a 2-8
+    // byte vector::insert as an overflow (-Wstringop-overflow).
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
   }
 
   Bytes buf_;

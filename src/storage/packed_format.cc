@@ -23,8 +23,11 @@ constexpr size_t kChecksumBytes = 8;
 void put_le(std::vector<uint8_t>& out, const void* p, size_t n) {
   static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
                 "big-endian hosts need byte swaps here");
-  const auto* src = static_cast<const uint8_t*>(p);
-  out.insert(out.end(), src, src + n);
+  // resize + memcpy rather than insert: GCC 12 misreports a 2-8 byte
+  // vector::insert as an overflow (-Wstringop-overflow).
+  const size_t at = out.size();
+  out.resize(at + n);
+  std::memcpy(out.data() + at, p, n);
 }
 
 void put_u16(std::vector<uint8_t>& out, uint16_t v) { put_le(out, &v, 2); }

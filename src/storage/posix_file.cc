@@ -88,6 +88,35 @@ Result<size_t> PosixFile::pwrite(const void* buf, size_t count,
   return done;
 }
 
+Result<size_t> PosixFile::pwritev(const iovec* iov, int iovcnt,
+                                  uint64_t offset) {
+  std::vector<iovec> rest;  // filled only after a short write
+  size_t done = 0;
+  while (iovcnt > 0) {
+    const ssize_t n = ::pwritev(fd_, iov, iovcnt,
+                                static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR || errno == EAGAIN) continue;
+      return Error::from_errno(errno, "pwritev");
+    }
+    done += static_cast<size_t>(n);
+    size_t left = static_cast<size_t>(n);
+    while (iovcnt > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --iovcnt;
+    }
+    if (left > 0) {  // resume inside a buffer from a private copy
+      std::vector<iovec> next(iov, iov + iovcnt);
+      next[0].iov_base = static_cast<uint8_t*>(next[0].iov_base) + left;
+      next[0].iov_len -= left;
+      rest.swap(next);
+      iov = rest.data();
+    }
+  }
+  return done;
+}
+
 Status PosixFile::sync() {
   while (::fsync(fd_) != 0) {
     if (errno != EINTR) return Error::from_errno(errno, "fsync");

@@ -5,6 +5,8 @@
 // library funnels through this thin syscalls wrapper.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -39,11 +41,14 @@ class PosixFile {
   Result<size_t> read(void* buf, size_t count);
   // Positional read; does not move the file offset.
   Result<size_t> pread(void* buf, size_t count, uint64_t offset);
-  // Both writes are exact: they resume short transfers and retry
+  // The writes are exact: they resume short transfers and retry
   // EINTR/EAGAIN until every byte is down or a real error surfaces
   // (same discipline as sendfile_exact/splice_exact on the read side).
   Result<size_t> write(const void* buf, size_t count);
   Result<size_t> pwrite(const void* buf, size_t count, uint64_t offset);
+  // Gathered pwrite of `iovcnt` buffers to consecutive bytes from
+  // `offset`; `iov` itself is never modified.
+  Result<size_t> pwritev(const iovec* iov, int iovcnt, uint64_t offset);
   // fsync / fdatasync. The journal's commit barrier is datasync():
   // record bytes must be on media before an fsync is acked, but the
   // inode mtime is not part of the durability contract.

@@ -17,21 +17,34 @@ namespace {
 constexpr uint32_t kMaxBody = (8u << 20);
 constexpr size_t kFrameHeader = 8;  // u32 len + u32 crc
 
-void put_u32(std::vector<uint8_t>& out, uint32_t v) {
-  const size_t at = out.size();
-  out.resize(at + 4);
-  std::memcpy(out.data() + at, &v, 4);
+// Byte offset of the seq field in a frame: [u32 len][u32 crc][u8 type].
+constexpr size_t kSeqAt = kFrameHeader + 1;
+// Frame header plus the body fields every record type starts with.
+constexpr size_t kHeadBytes = kSeqAt + 8;
+
+// A record's head: the frame header and its body up to the payload,
+// [u32 len][u32 crc][u8 type][u64 seq][type-specific fields]. len, crc
+// and seq are filled in by append_record() under the journal lock.
+std::vector<uint8_t> record_head(JournalRecordType type, size_t fields) {
+  std::vector<uint8_t> head;
+  head.reserve(kHeadBytes + fields);
+  head.resize(kHeadBytes);
+  head[kFrameHeader] = static_cast<uint8_t>(type);
+  return head;
 }
 
-void put_u64(std::vector<uint8_t>& out, uint64_t v) {
+void put_bytes(std::vector<uint8_t>& out, const void* p, size_t n) {
   const size_t at = out.size();
-  out.resize(at + 8);
-  std::memcpy(out.data() + at, &v, 8);
+  out.resize(at + n);
+  if (n > 0) std::memcpy(out.data() + at, p, n);
 }
+
+void put_u32(std::vector<uint8_t>& out, uint32_t v) { put_bytes(out, &v, 4); }
+void put_u64(std::vector<uint8_t>& out, uint64_t v) { put_bytes(out, &v, 8); }
 
 void put_string(std::vector<uint8_t>& out, const std::string& s) {
   put_u32(out, static_cast<uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
+  put_bytes(out, s.data(), s.size());
 }
 
 // Bounds-checked little-endian cursor over a replayed body. Any
@@ -70,26 +83,57 @@ struct Cursor {
   }
 };
 
+// Slicing-by-8 tables: kCrcTables[0] is the classic bytewise table;
+// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so
+// eight lookups fold one little-endian 8-byte word into the state.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
 }  // namespace
 
-uint32_t crc32(const void* data, size_t size) {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
+uint32_t crc32_update(uint32_t crc, const void* data, size_t size) {
+  static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+                "the word step assumes little-endian loads");
+  const auto& t = kCrcTables;
   const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  crc = ~crc;
+  for (; size >= 8; p += 8, size -= 8) {
+    uint32_t lo;
+    uint32_t hi;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= crc;
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+          t[0][hi >> 24];
   }
-  return crc ^ 0xFFFFFFFFu;
+  for (; size > 0; ++p, --size) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+uint32_t crc32(const void* data, size_t size) {
+  return crc32_update(0, data, size);
 }
 
 WriteJournal::WriteJournal(std::string path, PosixFile file, uint64_t end)
@@ -103,65 +147,74 @@ Result<std::unique_ptr<WriteJournal>> WriteJournal::open(
       new WriteJournal(path, std::move(f), end));
 }
 
-Status WriteJournal::append_record(JournalRecordType type,
-                                   const std::vector<uint8_t>& body_tail) {
+Status WriteJournal::append_record(std::vector<uint8_t>& head,
+                                   const void* payload, size_t size) {
   HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kJournalAppend));
-  std::vector<uint8_t> frame;
-  frame.reserve(kFrameHeader + 9 + body_tail.size());
-  frame.resize(kFrameHeader);  // patched below
-  frame.push_back(static_cast<uint8_t>(type));
-  put_u64(frame, seq_);
-  frame.insert(frame.end(), body_tail.begin(), body_tail.end());
-  const uint32_t len = static_cast<uint32_t>(frame.size() - kFrameHeader);
-  const uint32_t crc = crc32(frame.data() + kFrameHeader, len);
-  std::memcpy(frame.data(), &len, 4);
-  std::memcpy(frame.data() + 4, &crc, 4);
-  HVAC_ASSIGN_OR_RETURN(size_t n,
-                        file_.pwrite(frame.data(), frame.size(), end_));
-  end_ += n;
+  const uint32_t len =
+      static_cast<uint32_t>(head.size() - kFrameHeader + size);
+  std::memcpy(head.data() + kSeqAt, &seq_, 8);
+  const uint32_t crc = crc32_update(
+      crc32(head.data() + kFrameHeader, head.size() - kFrameHeader),
+      payload, size);
+  std::memcpy(head.data(), &len, 4);
+  std::memcpy(head.data() + 4, &crc, 4);
+  const iovec iov[2] = {{head.data(), head.size()},
+                        {const_cast<void*>(payload), size}};
+  Result<size_t> n = file_.pwritev(iov, size > 0 ? 2 : 1, end_);
+  if (!n.ok()) {
+    // Cut any partial frame: the next append lands at end_ again and
+    // may not cover all of it, and replay must never parse the rest.
+    (void)file_.truncate(end_);
+    return n.error();
+  }
+  end_ += *n;
   ++seq_;
   ++records_;
+  unsynced_ = true;
   return Status::Ok();
 }
 
 Status WriteJournal::append_write(const std::string& logical_path,
                                   uint64_t offset, const void* data,
                                   size_t size) {
-  std::vector<uint8_t> tail;
-  tail.reserve(4 + logical_path.size() + 8 + 4 + size);
-  put_string(tail, logical_path);
-  put_u64(tail, offset);
-  put_u32(tail, static_cast<uint32_t>(size));
-  const auto* p = static_cast<const uint8_t*>(data);
-  tail.insert(tail.end(), p, p + size);
+  std::vector<uint8_t> head = record_head(
+      JournalRecordType::kWrite, 4 + logical_path.size() + 8 + 4);
+  put_string(head, logical_path);
+  put_u64(head, offset);
+  put_u32(head, static_cast<uint32_t>(size));
   std::lock_guard<std::mutex> lock(mutex_);
-  return append_record(JournalRecordType::kWrite, tail);
+  return append_record(head, data, size);
+}
+
+Status WriteJournal::append_path_record(JournalRecordType type,
+                                        const std::string& logical_path) {
+  std::vector<uint8_t> head = record_head(type, 4 + logical_path.size());
+  put_string(head, logical_path);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return append_record(head, nullptr, 0);
 }
 
 Status WriteJournal::append_flushed(const std::string& logical_path) {
-  std::vector<uint8_t> tail;
-  put_string(tail, logical_path);
-  std::lock_guard<std::mutex> lock(mutex_);
-  return append_record(JournalRecordType::kFlushed, tail);
+  return append_path_record(JournalRecordType::kFlushed, logical_path);
 }
 
 Status WriteJournal::append_truncate(const std::string& logical_path) {
-  std::vector<uint8_t> tail;
-  put_string(tail, logical_path);
-  std::lock_guard<std::mutex> lock(mutex_);
-  return append_record(JournalRecordType::kTruncate, tail);
+  return append_path_record(JournalRecordType::kTruncate, logical_path);
 }
 
 Status WriteJournal::commit() {
   std::lock_guard<std::mutex> lock(mutex_);
-  // An empty journal (everything flushed, checkpoint-reset) has nothing
-  // to commit; a lone commit record would only keep it from being empty
-  // until the next reset.
-  if (records_ > 0) {
-    HVAC_RETURN_IF_ERROR(append_record(JournalRecordType::kCommit, {}));
-  }
+  // Nothing appended since the last successful barrier or reset: the
+  // log is already as durable as a barrier would make it. This also
+  // keeps a commit racing the flusher's reset from leaving a lone
+  // marker in an otherwise empty journal.
+  if (!unsynced_) return Status::Ok();
+  std::vector<uint8_t> head = record_head(JournalRecordType::kCommit, 0);
+  HVAC_RETURN_IF_ERROR(append_record(head, nullptr, 0));
   HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kJournalFsync));
-  return file_.datasync();
+  HVAC_RETURN_IF_ERROR(file_.datasync());
+  unsynced_ = false;
+  return Status::Ok();
 }
 
 Result<JournalReplayStats> WriteJournal::replay(const ApplyFn& apply,
@@ -275,6 +328,7 @@ Status WriteJournal::checkpoint_reset() {
   HVAC_RETURN_IF_ERROR(file_.datasync());
   end_ = 0;
   records_ = 0;
+  unsynced_ = false;
   return Status::Ok();
 }
 

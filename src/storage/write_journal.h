@@ -12,11 +12,20 @@
 //     kWrite   : [u32 path_len][path][u64 offset][u32 data_len][data]
 //     kCommit  : (nothing — an fsync barrier marker)
 //     kFlushed : [u32 path_len][path]  (PFS now holds the bytes)
+//     kTruncate: [u32 path_len][path]  (file reset to empty)
 //
-// `crc` is CRC-32 (IEEE 802.3 polynomial) over the body. Appends are
-// buffered in the page cache; `commit()` appends a kCommit marker and
-// fdatasync()s — that is the durability barrier behind the shim's
-// fsync/fdatasync/close. On restart, `replay()` walks the log from the
+// `crc` is CRC-32 (IEEE 802.3 polynomial) over the body. An append is
+// gathered, not copied: the frame header and the body up to the
+// payload (type, seq and the type's fields) are encoded into a small
+// head buffer, the CRC is chained over the head and then the caller's
+// bytes, and one exact pwritev at the end of the log stores both. The
+// bytes on disk are exactly the layout above, unchanged from when
+// records were assembled whole in memory, so older journals replay
+// as they are. Appends are buffered in the page cache; `commit()`
+// appends a kCommit marker and fdatasync()s — that is the durability
+// barrier behind the shim's fsync/fdatasync/close — and does nothing
+// when nothing was appended since the last successful barrier or
+// reset. On restart, `replay()` walks the log from the
 // start: complete CRC-valid records are re-applied idempotently
 // (pwrite of the same bytes at the same offset commutes with itself),
 // the first torn or CRC-bad record truncates the tail — by
@@ -36,8 +45,11 @@
 
 namespace hvac::storage {
 
-// CRC-32 (polynomial 0xEDB88320, the IEEE one), table-driven.
+// CRC-32 (polynomial 0xEDB88320, the IEEE one), slicing-by-8: eight
+// table lookups per 8-byte word. crc32_update extends a finished CRC
+// with more bytes, so crc32_update(crc32(a), b) == crc32(a + b).
 uint32_t crc32(const void* data, size_t size);
+uint32_t crc32_update(uint32_t crc, const void* data, size_t size);
 
 enum class JournalRecordType : uint8_t {
   kWrite = 1,
@@ -76,9 +88,12 @@ class WriteJournal {
 
   // The durability barrier: appends a kCommit marker and fdatasyncs
   // the journal. When this returns Ok, every record appended before
-  // it survives kill -9. An empty journal gets no marker, so a commit
-  // racing the flusher's checkpoint reset leaves it empty. Fault
-  // sites: journal_append (the marker), journal_fsync (the sync).
+  // it survives kill -9. With nothing appended since the last
+  // successful barrier or checkpoint_reset() it does nothing, so a
+  // close after fsync pays no second sync and a commit racing the
+  // flusher's reset leaves the journal empty; a failed barrier is
+  // retried by the next commit. Fault sites: journal_append (the
+  // marker), journal_fsync (the sync).
   Status commit();
 
   // Re-applies the log through `apply` (called for each kWrite record;
@@ -108,8 +123,12 @@ class WriteJournal {
  private:
   WriteJournal(std::string path, PosixFile file, uint64_t end);
 
-  Status append_record(JournalRecordType type,
-                       const std::vector<uint8_t>& body_tail);
+  // Stamps seq, len and CRC into `head` (see record_head in the .cc)
+  // and appends head + payload as one frame. Caller holds mutex_.
+  Status append_record(std::vector<uint8_t>& head, const void* payload,
+                       size_t size);
+  Status append_path_record(JournalRecordType type,
+                            const std::string& logical_path);
 
   const std::string path_;
   mutable std::mutex mutex_;
@@ -117,6 +136,7 @@ class WriteJournal {
   uint64_t end_ = 0;        // append position
   uint64_t seq_ = 0;        // next record sequence number
   uint64_t records_ = 0;
+  bool unsynced_ = false;   // appended since the last barrier or reset
 };
 
 }  // namespace hvac::storage

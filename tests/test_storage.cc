@@ -1,8 +1,10 @@
 // Tests for the storage substrate: RAII files, throttling, the
 // GPFS-like PFS backend and the node-local store.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -63,6 +65,47 @@ TEST(PosixFile, PreadAtOffsets) {
   // Reading past EOF returns 0.
   EXPECT_EQ(f->pread(buf, sizeof(buf), 5000).value(), 0u);
   EXPECT_EQ(f->size().value(), 1000u);
+}
+
+TEST(PosixFile, PwritevGathersAtOffset) {
+  const std::string path = temp_dir("pwritev") + "/f.bin";
+  auto f = PosixFile::open_rw(path);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(f->pwrite("0123456789", 10, 0).ok());
+  char a[] = "ab";
+  char b[] = "cde";
+  const iovec iov[3] = {{a, 2}, {nullptr, 0}, {b, 3}};
+  const auto n = f->pwritev(iov, 3, 4);
+  ASSERT_TRUE(n.ok()) << n.error().to_string();
+  EXPECT_EQ(*n, 5u);
+  const auto back = read_file(path);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(std::string(back->begin(), back->end()), "0123abcde9");
+}
+
+// A file-size limit cuts the first pwritev short inside its second
+// buffer; the resumed call then fails with EFBIG, which must surface
+// as an error with the written prefix intact.
+TEST(PosixFile, PwritevResumesShortWriteThenReportsError) {
+  const std::string path = temp_dir("pwritev_short") + "/f.bin";
+  auto f = PosixFile::open_rw(path);
+  ASSERT_TRUE(f.ok());
+  char a[] = "AAAAAAAA";
+  char b[] = "BBBBBBBB";
+  const iovec iov[2] = {{a, 8}, {b, 8}};
+  rlimit old{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old), 0);
+  auto* old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit cap = old;
+  cap.rlim_cur = 11;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &cap), 0);
+  const auto n = f->pwritev(iov, 2, 0);
+  ::setrlimit(RLIMIT_FSIZE, &old);
+  std::signal(SIGXFSZ, old_handler);
+  ASSERT_FALSE(n.ok());
+  const auto back = read_file(path);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(std::string(back->begin(), back->end()), "AAAAAAAABBB");
 }
 
 TEST(PosixFile, CopyContents) {

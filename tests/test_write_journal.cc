@@ -3,8 +3,10 @@
 // corruption, idempotent replay) and the server's graceful ENOSPC
 // degradation from write-back to write-through.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +25,7 @@ namespace hvac {
 namespace {
 
 namespace fs = std::filesystem;
+using storage::JournalRecordType;
 using storage::WriteJournal;
 
 std::string temp_dir(const std::string& name) {
@@ -73,6 +76,155 @@ TEST(WriteJournal, Crc32KnownAnswer) {
   // The IEEE 802.3 check value for "123456789".
   EXPECT_EQ(storage::crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(storage::crc32("", 0), 0u);
+}
+
+// CRC-32 straight from its definition, one bit at a time: the
+// reference the word-at-a-time crc32 must match.
+uint32_t reference_crc32(const uint8_t* p, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> pseudo_random(size_t n, uint32_t seed) {
+  std::vector<uint8_t> out(n);
+  for (auto& b : out) {
+    seed = seed * 1664525u + 1013904223u;
+    b = static_cast<uint8_t>(seed >> 24);
+  }
+  return out;
+}
+
+TEST(WriteJournal, Crc32MatchesReferenceAtEveryLengthAndAlignment) {
+  const std::vector<uint8_t> buf = pseudo_random(64 + 8, 7);
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(storage::crc32(buf.data() + align, len),
+                reference_crc32(buf.data() + align, len))
+          << "align " << align << " len " << len;
+    }
+  }
+  const std::vector<uint8_t> big = pseudo_random(1u << 20, 11);
+  EXPECT_EQ(storage::crc32(big.data(), big.size()),
+            reference_crc32(big.data(), big.size()));
+}
+
+TEST(WriteJournal, Crc32UpdateChainsAtAnySplit) {
+  const std::vector<uint8_t> buf = pseudo_random(131, 3);
+  const uint32_t whole = storage::crc32(buf.data(), buf.size());
+  for (size_t cut = 0; cut <= buf.size(); ++cut) {
+    const uint32_t head = storage::crc32(buf.data(), cut);
+    EXPECT_EQ(storage::crc32_update(head, buf.data() + cut, buf.size() - cut),
+              whole)
+        << "cut " << cut;
+  }
+}
+
+// One frame built by hand from the layout in write_journal.h:
+// [u32 len][u32 crc][body], body = [u8 type][u64 seq][fields].
+struct Frame {
+  std::vector<uint8_t> body;
+
+  Frame(JournalRecordType type, uint64_t seq) {
+    body.push_back(static_cast<uint8_t>(type));
+    u64(seq);
+  }
+  Frame& raw(const void* p, size_t n) {
+    const auto* b = static_cast<const uint8_t*>(p);
+    body.insert(body.end(), b, b + n);
+    return *this;
+  }
+  Frame& u32(uint32_t v) { return raw(&v, 4); }
+  Frame& u64(uint64_t v) { return raw(&v, 8); }
+  Frame& str(const std::string& s) {
+    u32(static_cast<uint32_t>(s.size()));
+    return raw(s.data(), s.size());
+  }
+  void append_to(std::vector<uint8_t>& log) const {
+    const uint32_t len = static_cast<uint32_t>(body.size());
+    const uint32_t crc = reference_crc32(body.data(), body.size());
+    log.insert(log.end(), reinterpret_cast<const uint8_t*>(&len),
+               reinterpret_cast<const uint8_t*>(&len) + 4);
+    log.insert(log.end(), reinterpret_cast<const uint8_t*>(&crc),
+               reinterpret_cast<const uint8_t*>(&crc) + 4);
+    log.insert(log.end(), body.begin(), body.end());
+  }
+};
+
+Frame write_frame(uint64_t seq, const std::string& path, uint64_t offset,
+                  const std::vector<uint8_t>& data) {
+  Frame f(JournalRecordType::kWrite, seq);
+  f.str(path).u64(offset).u32(static_cast<uint32_t>(data.size()));
+  f.raw(data.data(), data.size());
+  return f;
+}
+
+std::vector<uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(WriteJournal, GatheredRecordsMatchHandBuiltFrames) {
+  const std::string path = temp_dir("golden") + "/j.wal";
+  const std::vector<uint8_t> payload = pseudo_random(1000, 5);
+  {
+    auto j = WriteJournal::open(path);
+    ASSERT_TRUE(j.ok());
+    ASSERT_TRUE((*j)->append_write("ckpt/a.bin", 4096, payload.data(),
+                                   payload.size()).ok());
+    ASSERT_TRUE((*j)->append_write("ckpt/a.bin", 7, "", 0).ok());
+    ASSERT_TRUE((*j)->append_truncate("ckpt/a.bin").ok());
+    ASSERT_TRUE((*j)->append_flushed("ckpt/b.bin").ok());
+    ASSERT_TRUE((*j)->commit().ok());
+  }
+  std::vector<uint8_t> expect;
+  write_frame(0, "ckpt/a.bin", 4096, payload).append_to(expect);
+  write_frame(1, "ckpt/a.bin", 7, {}).append_to(expect);
+  Frame(JournalRecordType::kTruncate, 2).str("ckpt/a.bin").append_to(expect);
+  Frame(JournalRecordType::kFlushed, 3).str("ckpt/b.bin").append_to(expect);
+  Frame(JournalRecordType::kCommit, 4).append_to(expect);
+  EXPECT_EQ(file_bytes(path), expect);
+}
+
+// A log laid down frame by frame from the documented layout — what
+// any earlier build wrote — replays, and the next append continues it.
+TEST(WriteJournal, HandBuiltJournalReplaysUnchanged) {
+  const std::string path = temp_dir("handbuilt") + "/j.wal";
+  std::vector<uint8_t> log;
+  write_frame(0, "a", 0, bytes("alpha")).append_to(log);
+  write_frame(1, "b", 0, bytes("stale")).append_to(log);
+  Frame(JournalRecordType::kFlushed, 2).str("a").append_to(log);
+  Frame(JournalRecordType::kTruncate, 3).str("b").append_to(log);
+  write_frame(4, "b", 0, bytes("new")).append_to(log);
+  Frame(JournalRecordType::kCommit, 5).append_to(log);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(log.data()),
+              static_cast<std::streamsize>(log.size()));
+  }
+  auto j = WriteJournal::open(path);
+  ASSERT_TRUE(j.ok());
+  Replayed r;
+  auto stats = (*j)->replay(r.apply(), r.truncate());
+  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
+  EXPECT_EQ(stats->writes_applied, 3u);
+  EXPECT_EQ(stats->flushes_seen, 1u);
+  EXPECT_EQ(stats->truncates_seen, 1u);
+  EXPECT_EQ(stats->commits_seen, 1u);
+  EXPECT_EQ(stats->truncated_bytes, 0u);
+  EXPECT_EQ(stats->dirty_paths, std::vector<std::string>{"b"});
+  EXPECT_EQ(r.files["a"], bytes("alpha"));
+  EXPECT_EQ(r.files["b"], bytes("new"));
+  EXPECT_EQ((*j)->next_seq(), 6u);
+
+  ASSERT_TRUE((*j)->append_write("c", 3, "xyz", 3).ok());
+  write_frame(6, "c", 3, bytes("xyz")).append_to(log);
+  EXPECT_EQ(file_bytes(path), log);
 }
 
 TEST(WriteJournal, RoundTripAndDirtyTracking) {
@@ -525,6 +677,114 @@ TEST(WriteJournalFaults, AppendAndFsyncFaultsSurfaceCleanly) {
   }
   // The journal keeps working after injected failures.
   EXPECT_TRUE((*j)->commit().ok());
+}
+
+// A refused append leaves no trace: the next one lands at the same
+// offset with the same seq, and replay sees exactly the acked records.
+TEST(WriteJournalFaults, FailedAppendLeavesNextAtSameOffset) {
+  const std::string path = temp_dir("append_fault") + "/j.wal";
+  std::vector<uint8_t> expect;
+  {
+    auto j = WriteJournal::open(path);
+    ASSERT_TRUE(j.ok());
+    ASSERT_TRUE((*j)->append_write("a", 0, "acked", 5).ok());
+    write_frame(0, "a", 0, bytes("acked")).append_to(expect);
+    const uint64_t end = (*j)->size_bytes();
+    {
+      FaultGuard f("journal_append:error=io");
+      EXPECT_FALSE((*j)->append_write("b", 0, "refused", 7).ok());
+      EXPECT_FALSE((*j)->commit().ok());
+    }
+    EXPECT_EQ((*j)->size_bytes(), end);
+    EXPECT_EQ((*j)->next_seq(), 1u);
+    EXPECT_EQ((*j)->record_count(), 1u);
+    EXPECT_EQ(fs::file_size(path), end);
+    ASSERT_TRUE((*j)->append_write("c", 0, "next", 4).ok());
+    write_frame(1, "c", 0, bytes("next")).append_to(expect);
+    EXPECT_EQ(file_bytes(path), expect);
+    ASSERT_TRUE((*j)->commit().ok());
+  }
+  auto j = WriteJournal::open(path);
+  ASSERT_TRUE(j.ok());
+  Replayed r;
+  auto stats = (*j)->replay(r.apply());
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->writes_applied, 2u);
+  EXPECT_EQ(stats->truncated_bytes, 0u);
+  EXPECT_EQ(r.files.count("b"), 0u);
+  EXPECT_EQ(r.files["a"], bytes("acked"));
+  EXPECT_EQ(r.files["c"], bytes("next"));
+}
+
+// A pwritev that fails part way (here: a file-size limit) must not
+// leave the partial frame behind for a later, shorter append to only
+// half cover.
+TEST(WriteJournalFaults, FailedWriteCutsPartialFrame) {
+  const std::string path = temp_dir("partial") + "/j.wal";
+  auto j = WriteJournal::open(path);
+  ASSERT_TRUE(j.ok());
+  ASSERT_TRUE((*j)->append_write("a", 0, "acked", 5).ok());
+  const uint64_t end = (*j)->size_bytes();
+  const std::vector<uint8_t> big = pseudo_random(4096, 9);
+  rlimit old{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old), 0);
+  auto* old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit cap = old;
+  cap.rlim_cur = end + 100;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &cap), 0);
+  const Status failed = (*j)->append_write("big", 0, big.data(), big.size());
+  ::setrlimit(RLIMIT_FSIZE, &old);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ((*j)->size_bytes(), end);
+  EXPECT_EQ(fs::file_size(path), end);
+  ASSERT_TRUE((*j)->append_write("c", 0, "next", 4).ok());
+  ASSERT_TRUE((*j)->commit().ok());
+
+  auto j2 = WriteJournal::open(path);
+  ASSERT_TRUE(j2.ok());
+  Replayed r;
+  auto stats = (*j2)->replay(r.apply());
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->writes_applied, 2u);
+  EXPECT_EQ(stats->truncated_bytes, 0u);
+  EXPECT_EQ(r.files.count("big"), 0u);
+  EXPECT_EQ(r.files["c"], bytes("next"));
+}
+
+// commit() syncs only when something was appended since the last
+// successful barrier or reset; a failed barrier is retried.
+TEST(WriteJournalFaults, CommitSyncsOnlyAfterNewAppends) {
+  const std::string path = temp_dir("commit_skip") + "/j.wal";
+  auto j = WriteJournal::open(path);
+  ASSERT_TRUE(j.ok());
+  const auto fsync_checks = [] {
+    return fault::stats(fault::Site::kJournalFsync).checks;
+  };
+  FaultGuard f("journal_fsync:error=io");
+  EXPECT_TRUE((*j)->commit().ok());  // fresh journal: nothing to sync
+  EXPECT_EQ(fsync_checks(), 0u);
+
+  ASSERT_TRUE((*j)->append_write("a", 0, "x", 1).ok());
+  EXPECT_FALSE((*j)->commit().ok());
+  EXPECT_EQ(fsync_checks(), 1u);
+  EXPECT_FALSE((*j)->commit().ok());  // the failed barrier is retried
+  EXPECT_EQ(fsync_checks(), 2u);
+
+  ASSERT_TRUE(fault::configure("").ok());
+  ASSERT_TRUE((*j)->commit().ok());
+  const uint64_t records = (*j)->record_count();
+  ASSERT_TRUE(fault::configure("journal_fsync:error=io").ok());
+  EXPECT_TRUE((*j)->commit().ok());  // e.g. close() right after fsync()
+  EXPECT_EQ(fsync_checks(), 0u);
+  EXPECT_EQ((*j)->record_count(), records);  // no second marker
+
+  ASSERT_TRUE((*j)->append_flushed("a").ok());
+  EXPECT_FALSE((*j)->commit().ok());
+  EXPECT_EQ(fsync_checks(), 1u);
+  ASSERT_TRUE((*j)->checkpoint_reset().ok());
+  EXPECT_TRUE((*j)->commit().ok());  // the reset is its own barrier
+  EXPECT_EQ(fsync_checks(), 1u);
 }
 
 TEST(WriteJournalFaults, ServerSurvivesJournalAppendFailure) {
