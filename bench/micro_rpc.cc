@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -141,6 +142,45 @@ void BM_SyncRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SyncRoundTrip);
+
+// BM_SyncRoundTrip with the client, the reactors and the handler pool
+// on one CPU, as a reader and hvacd share a core on a node whose loader
+// is confined to one. Each reactor wakeup is then a context switch
+// away from the caller, so what a request frame costs in wakeups shows
+// up in the latency; `split_frames` counts frames that needed more
+// than one readiness event, per call.
+void BM_SyncRoundTripOneCpu(benchmark::State& state) {
+  cpu_set_t old;
+  if (::sched_getaffinity(0, sizeof(old), &old) != 0) {
+    state.SkipWithError("sched_getaffinity failed");
+    return;
+  }
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &old)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ::sched_setaffinity(0, sizeof(one), &one);  // threads started below inherit
+  {
+    RpcServer server(RpcServerOptions{"127.0.0.1:0", 2});
+    server.register_handler(1, [](const Bytes& req) -> hvac::Result<Bytes> {
+      Bytes out = req;
+      return out;
+    });
+    if (!server.start().ok()) std::abort();
+    RpcClient client(server.endpoint());
+    Bytes msg(64);
+    for (auto _ : state) {
+      auto resp = client.call(1, msg);
+      if (!resp.ok()) state.SkipWithError("call failed");
+      benchmark::DoNotOptimize(resp);
+    }
+    state.counters["split_frames"] = benchmark::Counter(
+        double(server.split_frames()), benchmark::Counter::kAvgIterations);
+  }
+  ::sched_setaffinity(0, sizeof(old), &old);
+}
+BENCHMARK(BM_SyncRoundTripOneCpu);
 
 void BM_AsyncPipelined(benchmark::State& state) {
   AsyncRpcClient client(shared_server().endpoint());

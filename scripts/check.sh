@@ -68,8 +68,8 @@ cd "$(dirname "$0")/.."
 MODE="${1:-tier1}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-# The concurrency-sensitive suites worth a TSan pass: the pinned-handle
-# cache, the buffer pool, the RPC stack (reactors + work stealing) and
+# The concurrency-sensitive suites worth a TSan pass: the store's
+# pinned fds, the buffer pool, the RPC stack (reactors + work stealing) and
 # the client read path.
 TSAN_SUITES="test_storage test_common test_rpc test_async_rpc \
 test_client_edge test_stress test_trace test_reactor test_write_journal \

@@ -8,7 +8,7 @@ Run after the packed smoke leg in scripts/check.sh: a packed dataset
 read end-to-end through the shim must never touch the per-file open
 RPC (the client resolves samples from the one-shot kPackedIndex
 fetch), and the server must open each container blob at most once
-(every later read is an OpenHandleCache hit). With the gentree
+(every later read is served by its store entry's fd). With the gentree
 manifest ("<path> <size> <fnv64>" lines) it also bounds the read RPCs:
 a sample of at most 64 KiB is fetched whole by its first read, so it
 costs one kReadScatter; a larger one, read in 8 KiB pieces, at most

@@ -103,10 +103,17 @@ Result<bool> CacheManager::ensure_key_cached(
     return finish(false);
   }
 
+  // The copy's read-write fd becomes the entry's read fd: a fetch
+  // costs no second open.
   const std::string dst = store_->physical_path(key);
-  auto copied = pfs_->copy_out(*src, dst, offset, *size);
+  auto out = storage::PosixFile::create_write(dst);
+  Result<uint64_t> copied =
+      out.ok() ? pfs_->copy_out(*src, *out, offset, *size)
+               : Result<uint64_t>(out.error());
   Status inserted =
-      copied.ok() ? store_->insert(key, *copied, *size) : copied.error();
+      copied.ok()
+          ? store_->insert(key, *copied, *size, std::move(out).value())
+          : copied.error();
   if (!inserted.ok()) {
     store_->release(*size);
     (void)storage::remove_file(dst);

@@ -53,13 +53,14 @@ enum MetricsSection : uint16_t {
   kSectionStall = 12,
 };
 
+// The local store's read fds (storage::LocalStore::FdStats).
 struct HandleCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t open = 0;    // entries resident in the index
+  uint64_t hits = 0;    // reads served by an entry's own fd
+  uint64_t misses = 0;  // reads that opened an fd
+  uint64_t open = 0;    // entries holding an fd
   uint64_t pinned = 0;  // entries with at least one active reader
   uint64_t deferred_closes = 0;  // evicted while pinned; fd closed late
-  uint64_t capacity = 0;
+  uint64_t capacity = 0;         // fd budget
 
   void merge(const HandleCacheStats& other);
 };

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 
+#include "common/fault_injection.h"
 #include "common/log.h"
 #include "common/trace.h"
 #include "rpc/wire.h"
@@ -108,9 +109,10 @@ std::future<Result<Bytes>> AsyncRpcClient::call_async(uint16_t opcode,
 
   uint8_t hdr[kMaxHeaderSize];
   const size_t hdr_len = encode_header(header, hdr);
-  Status sent = send_all(socket_.get(), hdr, hdr_len);
-  if (sent.ok() && !request.empty()) {
-    sent = send_all(socket_.get(), request.data(), request.size());
+  Status sent = fault::check(fault::Site::kRpcSend);
+  if (sent.ok()) {
+    sent = send_frame(socket_.get(), hdr, hdr_len, request.data(),
+                      request.size());
   }
   if (!sent.ok()) {
     pending_.erase(header.request_id);
@@ -125,6 +127,9 @@ void AsyncRpcClient::receiver_loop(int fd) {
   for (;;) {
     uint8_t hdr[kHeaderSize];
     Status got = recv_all(fd, hdr, kHeaderSize);
+    // One draw per response, as RpcClient draws one per call: an
+    // injected recv fault loses this response and all others pending.
+    if (got.ok()) got = fault::check(fault::Site::kRpcRecv);
     if (!got.ok()) {
       fail_all(Error(ErrorCode::kUnavailable,
                      "connection lost: " + got.error().message));

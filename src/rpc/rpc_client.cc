@@ -101,9 +101,9 @@ Result<Payload> RpcClient::call_payload(uint16_t opcode,
   uint8_t hdr[kMaxHeaderSize];
   const size_t hdr_len = encode_header(header, hdr);
   Status sent = fault::check(fault::Site::kRpcSend);
-  if (sent.ok()) sent = send_all(socket_.get(), hdr, hdr_len);
-  if (sent.ok() && !request.empty()) {
-    sent = send_all(socket_.get(), request.data(), request.size());
+  if (sent.ok()) {
+    sent = send_frame(socket_.get(), hdr, hdr_len, request.data(),
+                      request.size());
   }
   if (!sent.ok()) {
     socket_.reset();

@@ -75,8 +75,10 @@ struct RpcServer::Connection {
   Bytes payload;
   size_t payload_got = 0;
   bool in_payload = false;
+  bool split = false;  // this frame already waited for another event
 
   void reset_frame() {
+    split = false;
     header_got = 0;
     trace_got = 0;
     in_trace = false;
@@ -459,7 +461,17 @@ void RpcServer::reactor_loop(Reactor& r) {
 void RpcServer::handle_readable(Reactor& r,
                                 const std::shared_ptr<Connection>& conn) {
   // Drain everything available without blocking; a single readable
-  // event may carry several pipelined requests.
+  // event may carry several pipelined requests. A frame cut off at
+  // EAGAIN waits for another readiness event: count each such frame
+  // once.
+  auto await_more = [&] {
+    const bool mid_frame =
+        conn->header_got > 0 || conn->in_trace || conn->in_payload;
+    if (mid_frame && !conn->split) {
+      conn->split = true;
+      split_frames_.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
   for (;;) {
     if (!conn->in_payload && !conn->in_trace) {
       const ssize_t n =
@@ -470,7 +482,10 @@ void RpcServer::handle_readable(Reactor& r,
         return;
       }
       if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
+        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+          await_more();
+          return;
+        }
         drop_connection(r, conn->fd.get());
         return;
       }
@@ -518,7 +533,10 @@ void RpcServer::handle_readable(Reactor& r,
         return;
       }
       if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
+        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+          await_more();
+          return;
+        }
         drop_connection(r, conn->fd.get());
         return;
       }
@@ -551,7 +569,10 @@ void RpcServer::handle_readable(Reactor& r,
       return;
     }
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
+      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+        await_more();
+        return;
+      }
       drop_connection(r, conn->fd.get());
       return;
     }

@@ -144,6 +144,12 @@ class RpcServer {
   uint64_t requests_served() const {
     return requests_served_.load(std::memory_order_relaxed);
   }
+  // Request frames whose bytes took more than one readiness event to
+  // arrive (each cost the reactor an extra wakeup). Not in the metrics
+  // frame: a regression check for clients that split their sends.
+  uint64_t split_frames() const {
+    return split_frames_.load(std::memory_order_relaxed);
+  }
   uint64_t requests_shed() const {
     return requests_shed_.load(std::memory_order_relaxed);
   }
@@ -197,6 +203,7 @@ class RpcServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   std::atomic<uint64_t> requests_served_{0};
+  std::atomic<uint64_t> split_frames_{0};
   std::atomic<uint64_t> requests_shed_{0};
   std::atomic<uint64_t> inflight_{0};
   // Round-robin cursor for unix-socket fd handoff (reactor 0 accepts).

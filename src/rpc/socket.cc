@@ -202,20 +202,6 @@ Result<Fd> connect_to(const Endpoint& endpoint, int timeout_ms) {
   return fd;
 }
 
-Status send_all(int fd, const void* data, size_t size) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, p + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Error::from_errno(errno, "send");
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
 namespace {
 
 // Blocks until `fd` is writable again (EAGAIN on a non-blocking
@@ -234,10 +220,10 @@ Status wait_writable(int fd) {
 }
 
 Status send_vectored_flags(int fd, iovec* iov, int iovcnt, int flags) {
-  // sendmsg (not writev) so MSG_NOSIGNAL applies, matching send_all's
-  // no-SIGPIPE behaviour on dead peers. `flags` carries MSG_NOSIGNAL
-  // (always) plus MSG_MORE for the corked variant; every retry after
-  // EINTR or a short write re-sends with the same flags.
+  // sendmsg (not writev) so MSG_NOSIGNAL applies: no SIGPIPE on dead
+  // peers. `flags` carries MSG_NOSIGNAL (always) plus MSG_MORE for the
+  // corked variant; every retry after EINTR or a short write re-sends
+  // with the same flags.
   int first = 0;
   while (first < iovcnt) {
     msghdr msg{};
@@ -278,6 +264,13 @@ Status send_vectored(int fd, iovec* iov, int iovcnt) {
 
 Status send_vectored_more(int fd, iovec* iov, int iovcnt) {
   return send_vectored_flags(fd, iov, iovcnt, MSG_NOSIGNAL | MSG_MORE);
+}
+
+Status send_frame(int fd, const void* header, size_t header_len,
+                  const void* body, size_t body_len) {
+  iovec iov[2] = {{const_cast<void*>(header), header_len},
+                  {const_cast<void*>(body), body_len}};
+  return send_vectored(fd, iov, body_len == 0 ? 1 : 2);
 }
 
 Status recv_all(int fd, void* data, size_t size) {
@@ -343,7 +336,7 @@ namespace {
 // sendfile/splice have no MSG_NOSIGNAL: a dead peer raises SIGPIPE at
 // the thread that wrote. Block it for the scope of the transfer and
 // swallow any instance it generated, so the zero-copy rungs keep the
-// same no-SIGPIPE contract as send_all/send_vectored. If SIGPIPE was
+// same no-SIGPIPE contract as send_vectored. If SIGPIPE was
 // already blocked (or the mask call failed) this is a no-op.
 class ScopedSigpipeBlock {
  public:

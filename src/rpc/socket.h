@@ -66,9 +66,6 @@ Result<Fd> listen_on(const Endpoint& endpoint, Endpoint* bound_endpoint,
 // the OS default).
 Result<Fd> connect_to(const Endpoint& endpoint, int timeout_ms = 5000);
 
-// Writes exactly `size` bytes (retrying on EINTR / short writes).
-Status send_all(int fd, const void* data, size_t size);
-
 // Gathered write: sends every byte of `iov[0..iovcnt)` in order,
 // handling EINTR and partial writev()s (a short write mid-iovec
 // resumes at the exact byte where the kernel stopped; the retry after
@@ -76,8 +73,15 @@ Status send_all(int fd, const void* data, size_t size);
 // applied — no SIGPIPE and no duplicated bytes). The iovec array is
 // clobbered as progress bookkeeping — pass a scratch copy. One
 // syscall in the common case, so a frame header + payload go out
-// together instead of as two send_all round trips.
+// together.
 Status send_vectored(int fd, iovec* iov, int iovcnt);
+
+// One frame in one gathered send: `header` (the frame header plus any
+// trace context) and then `body`. A header sent on its own wakes the
+// peer's reactor, which reads it, finds no body yet and sleeps again;
+// gathered, the frame costs the peer one wakeup.
+Status send_frame(int fd, const void* header, size_t header_len,
+                  const void* body, size_t body_len);
 
 // send_vectored with MSG_MORE: corks the bytes so the kernel holds
 // them until the next uncorked send on the fd. Used to emit a frame

@@ -27,7 +27,7 @@ using Bytes = std::vector<uint8_t>;
 // of `fd`. The server sends it kernel-to-kernel (sendfile/splice) —
 // or preads it into a pooled buffer when zero-copy is off — so handler
 // code never stages these bytes in user space. `owner` is an opaque
-// keepalive (an OpenHandleCache pin, a shared OpenFile, …) that must
+// keepalive (a LocalStore pin's fd, a shared OpenFile, …) that must
 // keep `fd` valid until the response is fully on the wire.
 struct FileExtent {
   std::shared_ptr<const void> owner;

@@ -80,8 +80,7 @@ HvacServer::HvacServer(storage::PfsBackend* pfs, HvacServerOptions options)
     }
   }
   auto store = std::make_unique<storage::LocalStore>(
-      options_.cache_dir, options_.cache_capacity_bytes,
-      options_.handle_cache_slots);
+      options_.cache_dir, options_.cache_capacity_bytes);
   auto eviction = core::make_eviction_policy(options_.eviction_policy,
                                              options_.seed);
   cache_ = std::make_unique<core::CacheManager>(pfs_, std::move(store),
@@ -459,8 +458,7 @@ std::optional<Result<rpc::Payload>> HvacServer::open_on_reactor(
   if (!open.ok()) return Result<rpc::Payload>(open.error());
   std::string path = std::move(open->path);
   const PackedRoute route = route_packed(path);
-  if (!cache_->is_cached(path)) return std::nullopt;  // the mover decides
-  // Any failure here (evicted since the check, an injected store
+  // Any failure here (not cached: the mover decides; an injected store
   // fault) is for the pooled run to retry or report.
   Result<rpc::Payload> reply = open_cached_reply(path, route, open->stateless);
   if (!reply.ok()) return std::nullopt;
@@ -523,13 +521,11 @@ Result<rpc::Payload> HvacServer::open_cached_reply(const std::string& path,
     HVAC_ASSIGN_OR_RETURN(storage::PosixFile file, cache_->open_cached(path));
     return open_remote_fd(std::move(file), path, route, /*pfs=*/false);
   }
-  HVAC_ASSIGN_OR_RETURN(storage::OpenHandleCache::Pin pinned,
+  HVAC_ASSIGN_OR_RETURN(storage::LocalStore::Pin pin,
                         cache_->store().open_pinned(path));
-  auto pin = std::make_shared<storage::OpenHandleCache::Pin>(
-      std::move(pinned));
   uint64_t size = route.length;
   if (!route.packed) {
-    HVAC_ASSIGN_OR_RETURN(size, pin->size());
+    HVAC_ASSIGN_OR_RETURN(size, pin.size());
   }
   // The inline bytes go out like a kRead hit: a sendfile extent off
   // the pinned handle, which the pin keeps open until they are sent.
@@ -538,9 +534,8 @@ Result<rpc::Payload> HvacServer::open_cached_reply(const std::string& path,
   w.put_u32(static_cast<uint32_t>(inline_len));
   rpc::Payload reply(std::move(w).take());
   if (inline_len > 0) {
-    const int fd = pin->file().fd();
-    reply.add_extent(rpc::FileExtent{std::move(pin), fd, route.base,
-                                     inline_len});
+    reply.add_extent(rpc::FileExtent{pin.owner(), pin.file().fd(),
+                                     route.base, inline_len});
     cache_->record_served_bytes(inline_len, true);
   }
   return reply;
@@ -713,21 +708,17 @@ std::optional<Result<rpc::Payload>> HvacServer::read_scatter_on_reactor(
   const PackedRoute route = route_packed(path);
   // A packed read counts the container hit its pooled run would (the
   // mover's fetch); a plain path-mode read counts none either way.
-  const bool cached = route.packed ? cache_->touch_if_cached(path)
-                                   : cache_->is_cached(path);
-  if (!cached) return std::nullopt;
-  auto pinned = cache_->store().open_pinned(path);
-  if (!pinned.ok()) return std::nullopt;
-  auto pin = std::make_shared<storage::OpenHandleCache::Pin>(
-      std::move(pinned).value());
+  if (route.packed && !cache_->touch_if_cached(path)) return std::nullopt;
+  auto pin = cache_->store().open_pinned(path);
+  if (!pin.ok()) return std::nullopt;
   uint64_t limit = route.length;
   if (!route.packed) {
     Result<uint64_t> size = pin->size();
     if (!size.ok()) return Result<rpc::Payload>(size.error());
     limit = *size;
   }
-  const int fd = pin->file().fd();
-  return scatter_extent_reply(s, route.base, limit, std::move(pin), fd);
+  return scatter_extent_reply(s, route.base, limit, pin->owner(),
+                              pin->file().fd());
 }
 
 Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
@@ -755,7 +746,7 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
   uint64_t base = 0;
   uint64_t limit = 0;     // clamp bound: sample length or file size
   bool has_limit = false;
-  std::shared_ptr<storage::OpenHandleCache::Pin> pin;
+  std::optional<storage::LocalStore::Pin> pin;
   if (open_file != nullptr) {
     path = open_file->logical_path;
     base = open_file->base_offset;
@@ -777,19 +768,16 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
       // runs pooled, so the mover wait cannot stall a reactor.
       (void)mover_->fetch(path);
     }
-    if (cache_->is_cached(path)) {
-      auto pinned = cache_->store().open_pinned(path);
-      if (pinned.ok()) {
-        pin = std::make_shared<storage::OpenHandleCache::Pin>(
-            std::move(pinned).value());
-        HVAC_ASSIGN_OR_RETURN(src_size, pin->size());
-        src_fd = pin->file().fd();
-        owner = pin;
-        cached_fd = true;
-        if (!has_limit) {
-          limit = src_size;
-          has_limit = true;
-        }
+    auto pinned = cache_->store().open_pinned(path);
+    if (pinned.ok()) {
+      pin = std::move(pinned).value();
+      HVAC_ASSIGN_OR_RETURN(src_size, pin->size());
+      src_fd = pin->file().fd();
+      owner = pin->owner();
+      cached_fd = true;
+      if (!has_limit) {
+        limit = src_size;
+        has_limit = true;
       }
     }
   }
@@ -1203,13 +1191,13 @@ core::MetricsFrame HvacServer::metrics_frame() const {
   f.cache = cache_->metrics();
   f.open_fds = open_remote_fds();
 
-  const storage::OpenHandleCache& hc = cache_->store().handle_cache();
-  f.handle_cache.hits = hc.hits();
-  f.handle_cache.misses = hc.misses();
-  f.handle_cache.open = hc.open_handles();
-  f.handle_cache.pinned = hc.pinned_handles();
-  f.handle_cache.deferred_closes = hc.deferred_closes();
-  f.handle_cache.capacity = hc.capacity();
+  const storage::LocalStore::FdStats fds = cache_->store().fd_stats();
+  f.handle_cache.hits = fds.hits;
+  f.handle_cache.misses = fds.misses;
+  f.handle_cache.open = fds.open;
+  f.handle_cache.pinned = fds.pinned;
+  f.handle_cache.deferred_closes = fds.deferred_closes;
+  f.handle_cache.capacity = fds.budget;
 
   // Pool counters aggregate the global pool plus every reactor arena;
   // like the other process-wide sections, instances in one process

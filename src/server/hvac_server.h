@@ -51,10 +51,6 @@ struct HvacServerOptions {
   // queueing without limit. Tightened via HVAC_MOVER_QUEUE.
   size_t mover_queue_capacity = 4096;
   uint64_t seed = 0;
-  // Open-handle cache slots for the local store (default: the
-  // HVAC_HANDLE_CACHE env knob, 128; 0 = open-per-read, the seed
-  // behaviour).
-  size_t handle_cache_slots = storage::LocalStore::kHandleCacheFromEnv;
   // RPC reactor count, forwarded to RpcServerOptions::reactors
   // (0 = auto: HVAC_REACTORS, else min(cores, 8)).
   size_t rpc_reactors = 0;

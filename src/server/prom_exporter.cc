@@ -79,17 +79,17 @@ std::string render_openmetrics(const core::MetricsFrame& f) {
           "Requests served directly from the PFS", f.cache.pfs_fallbacks);
   gauge(o, "hvac_open_fds", "Open remote file handles", f.open_fds);
 
-  counter(o, "hvac_handle_cache_hits", "Open-handle cache hits",
+  counter(o, "hvac_handle_cache_hits", "Reads served by an entry's own fd",
           f.handle_cache.hits);
-  counter(o, "hvac_handle_cache_misses", "Open-handle cache misses",
+  counter(o, "hvac_handle_cache_misses", "Reads that opened an fd",
           f.handle_cache.misses);
   counter(o, "hvac_handle_cache_deferred_closes",
-          "Handles evicted while pinned", f.handle_cache.deferred_closes);
-  gauge(o, "hvac_handle_cache_open", "Handle-cache resident entries",
+          "Entries dropped while pinned", f.handle_cache.deferred_closes);
+  gauge(o, "hvac_handle_cache_open", "Cache entries holding an fd",
         f.handle_cache.open);
-  gauge(o, "hvac_handle_cache_pinned", "Handle-cache pinned entries",
+  gauge(o, "hvac_handle_cache_pinned", "Entries with a pinned fd",
         f.handle_cache.pinned);
-  gauge(o, "hvac_handle_cache_capacity", "Handle-cache slots",
+  gauge(o, "hvac_handle_cache_capacity", "Store fd budget",
         f.handle_cache.capacity);
 
   counter(o, "hvac_buffer_pool_leases", "Buffer-pool acquires",

@@ -19,7 +19,7 @@
 //
 // Containers are ordinary PFS files addressed by those logical paths,
 // so the existing cache machinery (DataMover fetch, LocalStore,
-// OpenHandleCache, sendfile ladder) serves them unchanged.
+// pinned fds, sendfile ladder) serves them unchanged.
 //
 // Index layout (little-endian, same byte order as rpc/wire.h; the
 // on-disk bytes are also the kPackedIndex RPC payload, verbatim):

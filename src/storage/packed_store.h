@@ -5,7 +5,7 @@
 // the decoded lookup table. resolve() turns a logical sample path
 // into (container logical path, base offset, length); the server then
 // serves the read out of the container through the regular cache
-// machinery — DataMover fetch, LocalStore, OpenHandleCache pin,
+// machinery — DataMover fetch, LocalStore pin,
 // sendfile ladder — so a whole packed dataset costs one open(2) per
 // container, not one per sample.
 #pragma once

@@ -68,11 +68,9 @@ Result<std::vector<uint8_t>> PfsBackend::read_all(
   return data;
 }
 
-Result<uint64_t> PfsBackend::copy_out(PosixFile& src, const std::string& dst,
+Result<uint64_t> PfsBackend::copy_out(PosixFile& src, PosixFile& dst,
                                       uint64_t offset, uint64_t length) {
-  HVAC_ASSIGN_OR_RETURN(PosixFile out, PosixFile::create_write(dst));
-  HVAC_ASSIGN_OR_RETURN(uint64_t copied, copy_range(src, offset, length, out));
-  HVAC_RETURN_IF_ERROR(out.close());
+  HVAC_ASSIGN_OR_RETURN(uint64_t copied, copy_range(src, offset, length, dst));
   charge_bandwidth(copied);
   return copied;
 }
@@ -80,7 +78,10 @@ Result<uint64_t> PfsBackend::copy_out(PosixFile& src, const std::string& dst,
 Result<uint64_t> PfsBackend::copy_out(const std::string& relative_path,
                                       const std::string& dst) {
   HVAC_ASSIGN_OR_RETURN(PosixFile src, open(relative_path));
-  return copy_out(src, dst);
+  HVAC_ASSIGN_OR_RETURN(PosixFile out, PosixFile::create_write(dst));
+  HVAC_ASSIGN_OR_RETURN(uint64_t copied, copy_out(src, out));
+  HVAC_RETURN_IF_ERROR(out.close());
+  return copied;
 }
 
 Result<PosixFile> PfsBackend::open_write(const std::string& relative_path,

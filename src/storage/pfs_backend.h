@@ -54,18 +54,19 @@ class PfsBackend {
   // stat() with metadata cost.
   Result<uint64_t> size_of(const std::string& relative_path);
 
-  // Copies [offset, offset+length) of an already-open PFS file to
-  // `dst` (an absolute path outside the PFS, created or truncated),
-  // paying bandwidth only: open() already paid the metadata op. The
-  // copy runs in the kernel (storage::copy_range). Returns bytes
-  // copied, clamped at EOF. This is the data-mover's fs::copy(src,
-  // dst) step from the paper's I/O flow (§III-D, step 6); a range is
-  // the fetch behind segment-level caching (§III-E, HFetch-style).
-  Result<uint64_t> copy_out(PosixFile& src, const std::string& dst,
+  // Copies [offset, offset+length) of an already-open PFS file into
+  // `dst` (a file outside the PFS) at its file offset, paying
+  // bandwidth only: open() already paid the metadata op. The copy runs
+  // in the kernel (storage::copy_range). Returns bytes copied, clamped
+  // at EOF. This is the data-mover's fs::copy(src, dst) step from the
+  // paper's I/O flow (§III-D, step 6); a range is the fetch behind
+  // segment-level caching (§III-E, HFetch-style).
+  Result<uint64_t> copy_out(PosixFile& src, PosixFile& dst,
                             uint64_t offset = 0,
                             uint64_t length = UINT64_MAX);
 
-  // open() + copy_out() of the whole file.
+  // open() + copy_out() of the whole file to `dst`, an absolute path
+  // that is created or truncated.
   Result<uint64_t> copy_out(const std::string& relative_path,
                             const std::string& dst);
 

@@ -30,7 +30,7 @@ Result<PosixFile> PosixFile::open_read(const std::string& path) {
 
 Result<PosixFile> PosixFile::create_write(const std::string& path) {
   const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+      ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return Error::from_errno(errno, "create " + path);
   return PosixFile(fd);
 }
@@ -49,7 +49,8 @@ Result<size_t> PosixFile::read(void* buf, size_t count) {
   }
 }
 
-Result<size_t> PosixFile::pread(void* buf, size_t count, uint64_t offset) {
+Result<size_t> PosixFile::pread(void* buf, size_t count,
+                                uint64_t offset) const {
   for (;;) {
     const ssize_t n =
         ::pread(fd_, buf, count, static_cast<off_t>(offset));

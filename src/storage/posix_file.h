@@ -27,6 +27,9 @@ class PosixFile {
   PosixFile& operator=(PosixFile&& other) noexcept;
 
   static Result<PosixFile> open_read(const std::string& path);
+  // Creates or truncates `path`. The fd is open for reading too, so
+  // the data mover can keep the cache copy it just wrote as the fd
+  // that serves it.
   static Result<PosixFile> create_write(const std::string& path);
   // Read/write open that preserves existing contents (O_RDWR|O_CREAT,
   // no truncation): the journal and the write-back store both re-open
@@ -40,7 +43,7 @@ class PosixFile {
   // Sequential read; returns the byte count (0 at EOF).
   Result<size_t> read(void* buf, size_t count);
   // Positional read; does not move the file offset.
-  Result<size_t> pread(void* buf, size_t count, uint64_t offset);
+  Result<size_t> pread(void* buf, size_t count, uint64_t offset) const;
   // The writes are exact: they resume short transfers and retry
   // EINTR/EAGAIN until every byte is down or a real error surfaces
   // (same discipline as sendfile_exact/splice_exact on the read side).

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "client/hvac_client.h"
+#include "common/fault_injection.h"
 #include "rpc/async_client.h"
 #include "rpc/rpc_server.h"
 #include "server/node_runtime.h"
@@ -46,6 +47,39 @@ TEST_F(AsyncRpcFixture, SingleCall) {
   const auto resp = client.call(1, msg);
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(*resp, msg);
+}
+
+uint64_t accepted_conns(const RpcServer& server) {
+  uint64_t total = 0;
+  for (const auto& r : server.reactor_stats()) total += r.conns;
+  return total;
+}
+
+// The async channel draws the rpc_send and rpc_recv fault sites where
+// RpcClient does, so chaos specs reach the prefetch and read-ahead
+// channel: each armed fault fails exactly one call, and the next call
+// redials and succeeds.
+TEST_F(AsyncRpcFixture, ArmedTransportFaultFailsOneCallThenRedials) {
+  AsyncRpcClient client(server_.endpoint());
+  ASSERT_TRUE(client.call(1, Bytes{1}).ok());
+  for (const auto& [spec, site] :
+       {std::pair{"rpc_send:error=unavailable:count=1",
+                  fault::Site::kRpcSend},
+        std::pair{"rpc_recv:error=unavailable:count=1",
+                  fault::Site::kRpcRecv}}) {
+    const uint64_t conns_before = accepted_conns(server_);
+    ASSERT_TRUE(fault::configure(spec).ok());
+    const auto failed = client.call(1, Bytes{2});
+    const auto next = client.call(1, Bytes{3});
+    const fault::SiteStats stats = fault::stats(site);
+    fault::reset();
+    ASSERT_FALSE(failed.ok()) << spec;
+    EXPECT_EQ(failed.error().code, ErrorCode::kUnavailable) << spec;
+    ASSERT_TRUE(next.ok()) << spec << ": " << next.error().to_string();
+    EXPECT_EQ(*next, Bytes{3});
+    EXPECT_EQ(stats.errors, 1u) << spec;
+    EXPECT_EQ(accepted_conns(server_), conns_before + 1) << spec;
+  }
 }
 
 TEST_F(AsyncRpcFixture, ManyOutstandingOnOneConnection) {

@@ -402,9 +402,10 @@ TEST(MetricsFrameAggregation, NodeRuntimeAggregatesInstances) {
     }
   }
 
-  // The open/read path serves whole files; the pinned-handle cache sits
-  // under segment reads. Hit the same segment twice on one instance so
-  // its counters move deterministically (first pin misses, second hits).
+  // The open/read path serves whole files; store pins also sit under
+  // segment reads. Hit the same segment twice on one instance so its
+  // counters move deterministically (both pins use the fd the mover
+  // handed to the segment's entry).
   {
     rpc::RpcClient direct(rpc::Endpoint{node.endpoints()[0]},
                           rpc::RpcClientOptions{2000, 10000});
@@ -425,9 +426,10 @@ TEST(MetricsFrameAggregation, NodeRuntimeAggregatesInstances) {
   // miss/hit pair from the segment cached above.
   EXPECT_EQ(total.cache.misses, tree->relative_paths.size() + 1);
   EXPECT_EQ(total.cache.hits, tree->relative_paths.size() + 1);
-  // The segment reads went through the pinned-handle cache.
-  EXPECT_GE(total.handle_cache.misses, 1u);
-  EXPECT_GE(total.handle_cache.hits, 1u);
+  // The segment reads were served by the entry's own fd: every pin
+  // hit, and none opened per read.
+  EXPECT_EQ(total.handle_cache.misses, 0u);
+  EXPECT_GE(total.handle_cache.hits, 2u);
   // Every open shows up in the per-op histograms, once whether the
   // reactor or the pool answered it. The files are small enough to
   // travel inline in the open reply, so no read or close RPC follows.

@@ -2,6 +2,7 @@
 // and the client/server pair (the Mercury-equivalent layer).
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,6 +13,7 @@
 
 #include "common/buffer_pool.h"
 #include "common/fault_injection.h"
+#include "rpc/async_client.h"
 #include "rpc/protocol.h"
 #include "rpc/rpc_client.h"
 #include "rpc/rpc_server.h"
@@ -422,6 +424,61 @@ TEST(RpcServer, FrameOverMaxFrameBytesDropsConnection) {
   // The server itself stays healthy for new connections.
   RpcClient fresh(server.endpoint());
   EXPECT_TRUE(fresh.call(1, Bytes(256)).ok());
+}
+
+// ---- one wakeup per request frame ------------------------------------------
+
+// Pins the calling thread, and every thread it starts afterwards, to
+// one CPU for its lifetime; restores the old mask on destruction.
+class OneCpu {
+ public:
+  OneCpu() {
+    ok_ = ::sched_getaffinity(0, sizeof(old_), &old_) == 0;
+    int cpu = 0;
+    while (ok_ && cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &old_)) ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ok_ = ok_ && ::sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~OneCpu() {
+    if (ok_) ::sched_setaffinity(0, sizeof(old_), &old_);
+  }
+  OneCpu(const OneCpu&) = delete;
+  OneCpu& operator=(const OneCpu&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  cpu_set_t old_{};
+  bool ok_ = false;
+};
+
+// A request whose header and body leave in separate sends wakes the
+// server twice when both ends share a CPU: the header alone makes the
+// socket readable, the reactor reads it, finds no body and sleeps. A
+// gathered send leaves every frame whole in the socket on the first
+// wakeup.
+TEST(RpcServer, RequestFramesArriveInOneReadinessEvent) {
+  OneCpu pin;
+  ASSERT_TRUE(pin.ok());
+  RpcServer server(RpcServerOptions{"127.0.0.1:0", 2});
+  server.register_handler(1, [](const Bytes& b) -> Result<Bytes> {
+    Bytes out = b;
+    return out;
+  });
+  ASSERT_TRUE(server.start().ok());
+
+  const Bytes body(64, 0x5a);
+  RpcClient sync_client(server.endpoint());
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(sync_client.call(1, body).ok());
+  }
+  AsyncRpcClient async_client(server.endpoint());
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(async_client.call(1, body).ok());
+  }
+  EXPECT_EQ(server.requests_served(), 2000u);
+  EXPECT_EQ(server.split_frames(), 0u);
 }
 
 // ---- pooled payload path --------------------------------------------------

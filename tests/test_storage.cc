@@ -1,6 +1,7 @@
 // Tests for the storage substrate: RAII files, throttling, the
 // GPFS-like PFS backend and the node-local store.
 #include <gtest/gtest.h>
+#include <fcntl.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -8,11 +9,11 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <thread>
 
 #include "common/env.h"
 #include "storage/local_store.h"
-#include "storage/open_handle_cache.h"
 #include "storage/pfs_backend.h"
 #include "storage/posix_file.h"
 #include "storage/throttle.h"
@@ -360,149 +361,37 @@ TEST(LocalStore, LogicalPathsSnapshot) {
   EXPECT_EQ(paths, (std::vector<std::string>{"x", "y"}));
 }
 
-// ---- open-handle cache ---------------------------------------------------
+// ---- resident fds --------------------------------------------------------
 
-// Writes `n` small distinct files into `dir`, returns their paths.
-std::vector<std::string> make_files(const std::string& dir, size_t n) {
-  std::vector<std::string> paths;
-  for (size_t i = 0; i < n; ++i) {
-    const std::string p = dir + "/f" + std::to_string(i) + ".bin";
-    std::vector<uint8_t> data(64, uint8_t('a' + i));
-    EXPECT_TRUE(write_file(p, data.data(), data.size()).ok());
-    paths.push_back(p);
-  }
-  return paths;
+// Writes `size` bytes of `fill` as the cached copy of `logical`.
+void put_cached(LocalStore& store, const std::string& logical, size_t size,
+                uint8_t fill) {
+  std::vector<uint8_t> data(size, fill);
+  ASSERT_TRUE(write_file(store.physical_path(logical), data.data(),
+                         data.size())
+                  .ok());
 }
 
-TEST(OpenHandleCache, HitMissAccountingAndLruBound) {
-  const std::string dir = temp_dir("ohc1");
-  const auto files = make_files(dir, 4);
-  OpenHandleCache cache(2);
-  ASSERT_TRUE(cache.enabled());
-
-  // Two distinct keys: miss then hit.
-  ASSERT_TRUE(cache.acquire("k0", files[0]).ok());
-  ASSERT_TRUE(cache.acquire("k0", files[0]).ok());
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-
-  // Filling past capacity evicts the least-recently-used handle.
-  ASSERT_TRUE(cache.acquire("k1", files[1]).ok());
-  ASSERT_TRUE(cache.acquire("k2", files[2]).ok());
-  EXPECT_EQ(cache.open_handles(), 2u);
-  // k0 was evicted; touching it again is a fresh miss.
-  ASSERT_TRUE(cache.acquire("k0", files[0]).ok());
-  EXPECT_EQ(cache.misses(), 4u);
-}
-
-TEST(OpenHandleCache, DisabledOpensOneShotHandles) {
-  const std::string dir = temp_dir("ohc2");
-  const auto files = make_files(dir, 1);
-  OpenHandleCache cache(0);
-  EXPECT_FALSE(cache.enabled());
-  auto pin = cache.acquire("k", files[0]);
-  ASSERT_TRUE(pin.ok());
-  uint8_t buf[8];
-  EXPECT_EQ(pin->pread(buf, sizeof(buf), 0).value(), 8u);
-  EXPECT_EQ(buf[0], 'a');
-  EXPECT_EQ(cache.open_handles(), 0u);  // never indexed
-}
-
-TEST(OpenHandleCache, PinSurvivesInvalidate) {
-  const std::string dir = temp_dir("ohc3");
-  const auto files = make_files(dir, 1);
-  OpenHandleCache cache(4);
-  auto pin = cache.acquire("k", files[0]);
-  ASSERT_TRUE(pin.ok());
-  EXPECT_EQ(cache.pinned_handles(), 1u);
-
-  cache.invalidate("k");
-  EXPECT_EQ(cache.open_handles(), 0u);
-  // The pinned handle still reads fine — the fd closes when the pin
-  // drops, not when the index entry goes.
-  uint8_t buf[16];
-  EXPECT_EQ(pin->pread(buf, sizeof(buf), 0).value(), 16u);
-  EXPECT_EQ(buf[0], 'a');
-}
-
-TEST(OpenHandleCache, EvictionSkipsPinnedEntries) {
-  const std::string dir = temp_dir("ohc4");
-  const auto files = make_files(dir, 3);
-  OpenHandleCache cache(1);
-  auto pinned = cache.acquire("k0", files[0]);
-  ASSERT_TRUE(pinned.ok());
-  // k1/k2 push the cache over budget; the pinned k0 must not be
-  // churned, so the index transiently holds the pinned entry plus the
-  // newest one.
-  ASSERT_TRUE(cache.acquire("k1", files[1]).ok());
-  ASSERT_TRUE(cache.acquire("k2", files[2]).ok());
-  EXPECT_EQ(cache.pinned_handles(), 1u);
-  ASSERT_TRUE(cache.acquire("k0", files[0]).ok());
-  EXPECT_EQ(cache.hits(), 1u);  // k0 stayed resident while pinned
-}
-
-// The TSAN target: readers pread through pins while another thread
-// storms invalidate()/clear() over the same keys. The deferred-close
-// contract means no read ever races a close.
-TEST(OpenHandleCache, ConcurrentEvictVsPinnedRead) {
-  const std::string dir = temp_dir("ohc5");
-  constexpr size_t kFiles = 8;
-  const auto files = make_files(dir, kFiles);
-  OpenHandleCache cache(2);  // tiny: constant eviction pressure
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> read_errors{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&, t] {
-      for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-        const size_t idx = size_t(t + i) % kFiles;
-        auto pin = cache.acquire("k" + std::to_string(idx), files[idx]);
-        if (!pin.ok()) {
-          ++read_errors;
-          continue;
-        }
-        uint8_t buf[64];
-        const auto n = pin->pread(buf, sizeof(buf), 0);
-        if (!n.ok() || *n != 64u || buf[0] != uint8_t('a' + idx)) {
-          ++read_errors;
-        }
-      }
-    });
-  }
-  std::thread evictor([&] {
-    for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-      cache.invalidate("k" + std::to_string(i % kFiles));
-      if (i % 64 == 0) cache.clear();
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  stop.store(true);
-  for (auto& th : readers) th.join();
-  evictor.join();
-
-  EXPECT_EQ(read_errors.load(), 0u);
-  EXPECT_EQ(cache.pinned_handles(), 0u);
-}
+bool fd_closed(int fd) { return ::fcntl(fd, F_GETFD) == -1 && errno == EBADF; }
 
 TEST(LocalStore, OpenPinnedReadsAndEvictInvalidatesHandle) {
   const std::string root = temp_dir("store8");
-  LocalStore store(root, /*capacity_bytes=*/0, /*handle_cache_slots=*/8);
-  std::vector<uint8_t> data(128, 0x42);
-  ASSERT_TRUE(
-      write_file(store.physical_path("a"), data.data(), data.size()).ok());
-  ASSERT_TRUE(store.insert("a", data.size()).ok());
+  LocalStore store(root);
+  put_cached(store, "a", 128, 0x42);
+  ASSERT_TRUE(store.insert("a", 128).ok());
 
   auto pin = store.open_pinned("a");
   ASSERT_TRUE(pin.ok());
   uint8_t buf[128];
   EXPECT_EQ(pin->pread(buf, sizeof(buf), 0).value(), 128u);
-  EXPECT_EQ(store.handle_cache().open_handles(), 1u);
+  EXPECT_EQ(store.fd_stats().open, 1u);
+  EXPECT_EQ(store.fd_stats().hits, 1u);
+  EXPECT_EQ(store.fd_stats().misses, 0u);
 
-  // Evicting the entry drops the cached handle; the held pin still
-  // reads (fail-open for in-flight requests).
+  // Evicting the entry drops the store's fd; the held pin still reads
+  // (fail-open for in-flight requests).
   ASSERT_TRUE(store.evict("a").ok());
-  EXPECT_EQ(store.handle_cache().open_handles(), 0u);
+  EXPECT_EQ(store.fd_stats().open, 0u);
   EXPECT_EQ(pin->pread(buf, sizeof(buf), 64).value(), 64u);
 
   // A fresh open_pinned after eviction reports kNotFound.
@@ -511,15 +400,245 @@ TEST(LocalStore, OpenPinnedReadsAndEvictInvalidatesHandle) {
 
 TEST(LocalStore, PurgeClearsHandleCache) {
   const std::string root = temp_dir("store9");
-  LocalStore store(root, 0, 8);
-  std::vector<uint8_t> data(32, 1);
-  ASSERT_TRUE(
-      write_file(store.physical_path("a"), data.data(), data.size()).ok());
-  ASSERT_TRUE(store.insert("a", data.size()).ok());
+  LocalStore store(root);
+  put_cached(store, "a", 32, 1);
+  ASSERT_TRUE(store.insert("a", 32).ok());
   ASSERT_TRUE(store.open_pinned("a").ok());
-  EXPECT_EQ(store.handle_cache().open_handles(), 1u);
+  EXPECT_EQ(store.fd_stats().open, 1u);
   store.purge();
-  EXPECT_EQ(store.handle_cache().open_handles(), 0u);
+  EXPECT_EQ(store.fd_stats().open, 0u);
+}
+
+// The data mover hands its copy's fd to insert(); hits serve from that
+// very fd, so a fetch costs no second open.
+TEST(LocalStore, InsertKeepsTheHandedFd) {
+  const std::string root = temp_dir("store10");
+  LocalStore store(root);
+  auto out = PosixFile::create_write(store.physical_path("a"));
+  ASSERT_TRUE(out.ok());
+  const int fd = out->fd();
+  std::vector<uint8_t> data(100, 7);
+  ASSERT_TRUE(out->write(data.data(), data.size()).ok());
+  ASSERT_TRUE(store.insert("a", data.size(), 0, std::move(out).value()).ok());
+
+  auto pin = store.open_pinned("a");
+  ASSERT_TRUE(pin.ok());
+  EXPECT_EQ(pin->file().fd(), fd);
+  uint8_t buf[100];
+  EXPECT_EQ(pin->pread(buf, sizeof(buf), 0).value(), 100u);
+  EXPECT_EQ(buf[99], 7);
+
+  // A second insert of the same path is idempotent and closes its fd.
+  auto dup = PosixFile::open_read(store.physical_path("a"));
+  ASSERT_TRUE(dup.ok());
+  const int dup_fd = dup->fd();
+  ASSERT_TRUE(store.insert("a", data.size(), 0, std::move(dup).value()).ok());
+  EXPECT_TRUE(fd_closed(dup_fd));
+  EXPECT_EQ(store.fd_stats().open, 1u);
+}
+
+TEST(LocalStore, PinnedReadSurvivesEvictAndPurgeUntilLastUnpin) {
+  const std::string root = temp_dir("store11");
+  LocalStore store(root);
+  for (const char* key : {"a", "b"}) {
+    put_cached(store, key, 64, uint8_t(key[0]));
+    ASSERT_TRUE(store.insert(key, 64).ok());
+  }
+  uint8_t buf[64];
+
+  // evict: two pins share the fd; it closes only when both are gone.
+  std::optional<LocalStore::Pin> first = store.open_pinned("a").value();
+  std::optional<LocalStore::Pin> second = store.open_pinned("a").value();
+  const int fd_a = first->file().fd();
+  EXPECT_EQ(second->file().fd(), fd_a);
+  EXPECT_EQ(store.fd_stats().pinned, 1u);
+  ASSERT_TRUE(store.evict("a").ok());
+  EXPECT_EQ(store.fd_stats().deferred_closes, 1u);
+  EXPECT_EQ(first->pread(buf, sizeof(buf), 0).value(), 64u);
+  EXPECT_EQ(buf[0], 'a');
+  first.reset();
+  EXPECT_FALSE(fd_closed(fd_a));
+  EXPECT_EQ(second->pread(buf, sizeof(buf), 0).value(), 64u);
+  second.reset();
+  EXPECT_TRUE(fd_closed(fd_a));
+
+  // purge: same contract.
+  std::optional<LocalStore::Pin> pin = store.open_pinned("b").value();
+  const int fd_b = pin->file().fd();
+  store.purge();
+  EXPECT_EQ(store.fd_stats().deferred_closes, 2u);
+  EXPECT_EQ(store.fd_stats().pinned, 0u);
+  EXPECT_EQ(pin->pread(buf, sizeof(buf), 0).value(), 64u);
+  EXPECT_EQ(buf[0], 'b');
+  EXPECT_FALSE(fd_closed(fd_b));
+  pin.reset();
+  EXPECT_TRUE(fd_closed(fd_b));
+}
+
+// The TSAN target: readers pread through pins while another thread
+// storms evict()/purge() and re-inserts over the same keys. A pin owns
+// its fd, so no read ever races a close.
+TEST(LocalStore, ConcurrentEvictVsPinnedReads) {
+  const std::string root = temp_dir("store12");
+  LocalStore store(root);
+  constexpr size_t kFiles = 8;
+  auto key = [](size_t i) { return "k" + std::to_string(i); };
+  for (size_t i = 0; i < kFiles; ++i) {
+    put_cached(store, key(i), 64, uint8_t('a' + i));
+    ASSERT_TRUE(store.insert(key(i), 64).ok());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> read_errors{0};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        const size_t idx = (t + i) % kFiles;
+        auto pin = store.open_pinned(key(idx));
+        if (!pin.ok()) {
+          if (pin.error().code != ErrorCode::kNotFound) ++read_errors;
+          continue;
+        }
+        uint8_t buf[64];
+        const auto n = pin->pread(buf, sizeof(buf), 0);
+        if (!n.ok() || *n != 64u || buf[0] != uint8_t('a' + idx)) {
+          ++read_errors;
+        }
+        ++reads;
+      }
+    });
+  }
+  std::thread evictor([&] {
+    for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      const size_t idx = i % kFiles;
+      if (i % 64 == 63) {
+        store.purge();
+      } else {
+        (void)store.evict(key(idx));
+      }
+      // Re-cache the evicted files: a new copy, then a new entry.
+      for (size_t j = 0; j < kFiles; ++j) {
+        if (store.contains(key(j))) continue;
+        put_cached(store, key(j), 64, uint8_t('a' + j));
+        (void)store.insert(key(j), 64);
+      }
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  stop.store(true);
+  for (auto& th : readers) th.join();
+  evictor.join();
+
+  EXPECT_EQ(read_errors.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(store.fd_stats().pinned, 0u);
+  EXPECT_EQ(store.fd_stats().open, store.entry_count());
+}
+
+TEST(LocalStore, ZeroFdBudgetServesPerRequestOpens) {
+  const std::string root = temp_dir("store13");
+  LocalStore store(root, /*capacity_bytes=*/0, /*fd_budget=*/0);
+  put_cached(store, "a", 48, 'z');
+  auto out = PosixFile::open_read(store.physical_path("a"));
+  ASSERT_TRUE(out.ok());
+  const int handed = out->fd();
+  ASSERT_TRUE(store.insert("a", 48, 0, std::move(out).value()).ok());
+  EXPECT_TRUE(fd_closed(handed));  // over budget: not kept
+
+  for (int round = 0; round < 2; ++round) {
+    auto pin = store.open_pinned("a");
+    ASSERT_TRUE(pin.ok());
+    uint8_t buf[48];
+    EXPECT_EQ(pin->pread(buf, sizeof(buf), 0).value(), 48u);
+    EXPECT_EQ(buf[47], 'z');
+    EXPECT_EQ(pin->size().value(), 48u);
+  }
+  const LocalStore::FdStats stats = store.fd_stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.open, 0u);
+  EXPECT_EQ(stats.budget, 0u);
+}
+
+TEST(LocalStore, FdBudgetCapsHeldFds) {
+  const std::string root = temp_dir("store14");
+  LocalStore store(root, 0, /*fd_budget=*/1);
+  for (const char* key : {"a", "b"}) {
+    put_cached(store, key, 16, uint8_t(key[0]));
+    ASSERT_TRUE(store.insert(key, 16).ok());
+  }
+  EXPECT_EQ(store.fd_stats().open, 1u);
+  ASSERT_TRUE(store.open_pinned("a").ok());
+  ASSERT_TRUE(store.open_pinned("b").ok());
+  EXPECT_EQ(store.fd_stats().hits, 1u);
+  EXPECT_EQ(store.fd_stats().misses, 1u);
+  // Evicting the entry with the fd frees its slot for the next insert.
+  ASSERT_TRUE(store.evict("a").ok());
+  put_cached(store, "c", 16, 'c');
+  ASSERT_TRUE(store.insert("c", 16).ok());
+  EXPECT_EQ(store.fd_stats().open, 1u);
+  ASSERT_TRUE(store.open_pinned("c").ok());
+  EXPECT_EQ(store.fd_stats().hits, 2u);
+}
+
+TEST(LocalStore, EmfileAtInsertKeepsEntryWithoutFd) {
+  const std::string root = temp_dir("store15");
+  LocalStore store(root);
+  put_cached(store, "a", 40, 'e');
+
+  // Cap the fd table at its lowest free slot: the open inside insert()
+  // fails with EMFILE.
+  rlimit old{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &old), 0);
+  const int lowest_free = ::dup(0);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit cap = old;
+  cap.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &cap), 0);
+  const Status inserted = store.insert("a", 40);
+  const int probe = ::open(store.physical_path("a").c_str(), O_RDONLY);
+  const int probe_errno = errno;
+  ::setrlimit(RLIMIT_NOFILE, &old);
+  ASSERT_TRUE(inserted.ok());
+  ASSERT_EQ(probe, -1);
+  EXPECT_EQ(probe_errno, EMFILE);
+  EXPECT_EQ(store.fd_stats().open, 0u);
+
+  auto pin = store.open_pinned("a");
+  ASSERT_TRUE(pin.ok());
+  uint8_t buf[40];
+  EXPECT_EQ(pin->pread(buf, sizeof(buf), 0).value(), 40u);
+  EXPECT_EQ(buf[0], 'e');
+  EXPECT_EQ(store.fd_stats().misses, 1u);
+}
+
+// The write path grows a file through its own read-write fd and then
+// records the size; a pin (per-read fd, or the entry's own) sees both.
+TEST(LocalStore, GrownFileReadsBackThroughOpenPinned) {
+  const std::string root = temp_dir("store16");
+  LocalStore store(root);
+  put_cached(store, "cached", 10, 'c');
+  ASSERT_TRUE(store.insert("cached", 10).ok());
+
+  for (const std::string key : {"fresh", "cached"}) {
+    auto w = store.open_write(key);
+    ASSERT_TRUE(w.ok());
+    std::vector<uint8_t> tail(300, 'w');
+    ASSERT_TRUE(w->pwrite(tail.data(), tail.size(), 10).ok());
+    ASSERT_TRUE(store.update_size(key, 310).ok());
+
+    auto pin = store.open_pinned(key);
+    ASSERT_TRUE(pin.ok()) << key;
+    EXPECT_EQ(pin->size().value(), 310u) << key;
+    std::vector<uint8_t> back(310);
+    EXPECT_EQ(pin->pread(back.data(), back.size(), 0).value(), 310u);
+    EXPECT_EQ(back[0], key == "cached" ? 'c' : 0) << key;
+    EXPECT_EQ(back[309], 'w') << key;
+  }
+  EXPECT_EQ(store.bytes_used(), 620u);
 }
 
 }  // namespace
