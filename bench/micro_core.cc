@@ -1,14 +1,19 @@
 // Microbenchmarks (google-benchmark) for the hot primitives: stable
 // hashing, the three placement policies, eviction bookkeeping, the
-// MPMC queue, wire serialization and the write-ahead journal append.
+// MPMC queue, wire serialization, the write-ahead journal append and
+// the data mover's cold fetch.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <filesystem>
+#include <future>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/mpmc_queue.h"
+#include "core/cache_manager.h"
+#include "core/data_mover.h"
 #include "core/eviction.h"
 #include "core/placement.h"
 #include "rpc/wire.h"
@@ -133,6 +138,76 @@ void BM_JournalAppendWrite(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_JournalAppendWrite)->Arg(4096)->Arg(1 << 20);
+
+uint64_t process_cpu_us() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return uint64_t(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) * 1000000 +
+         uint64_t(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
+// One cold epoch of the mover: the default four movers fetch 1,024
+// unthrottled 256 KiB files through CacheManager into a fresh store on
+// a root whose previous store has just purged its 1,024 entries (a new
+// server per epoch, as in perfbench's cold_pfs). cpu_us_per_fetch is
+// the process's user+sys CPU over the fetches; the purge runs off the
+// clock.
+void BM_ColdFetch(benchmark::State& state) {
+  constexpr int kFiles = 1024;
+  constexpr size_t kFileBytes = 256u << 10;
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("hvac_bench_cold_" + std::to_string(::getpid()));
+  const std::string pfs_root = (dir / "pfs").string();
+  const std::string cache_root = (dir / "cache").string();
+  std::filesystem::create_directories(pfs_root);
+  std::vector<std::string> paths;
+  std::vector<uint8_t> data(kFileBytes);
+  for (int i = 0; i < kFiles; ++i) {
+    std::fill(data.begin(), data.end(), uint8_t(i));
+    paths.push_back("f" + std::to_string(i) + ".bin");
+    if (!storage::write_file(pfs_root + "/" + paths.back(), data.data(),
+                             data.size())
+             .ok()) {
+      state.SkipWithError("dataset write failed");
+      return;
+    }
+  }
+  storage::PfsBackend pfs(pfs_root);
+  bool ok = true;
+  auto epoch = [&](bool timed) {
+    core::CacheManager cache(
+        &pfs, std::make_unique<storage::LocalStore>(cache_root),
+        core::make_eviction_policy("random"));
+    core::DataMover mover(&cache);
+    std::vector<std::shared_future<Result<bool>>> futures;
+    futures.reserve(paths.size());
+    const uint64_t cpu0 = process_cpu_us();
+    for (const std::string& p : paths) futures.push_back(mover.submit(p));
+    for (auto& f : futures) {
+      const Result<bool>& r = f.get();
+      if (!r.ok() || !*r) ok = false;
+    }
+    const uint64_t cpu = process_cpu_us() - cpu0;
+    if (timed) state.PauseTiming();
+    cache.purge();
+    return cpu;
+  };
+  (void)epoch(false);  // the first predecessor
+  uint64_t cpu_us = 0;
+  for (auto _ : state) {
+    cpu_us += epoch(true);
+    state.ResumeTiming();
+  }
+  if (!ok) state.SkipWithError("a fetch failed");
+  state.counters["cpu_us_per_fetch"] =
+      double(cpu_us) / double(state.iterations() * kFiles);
+  state.SetBytesProcessed(int64_t(state.iterations()) * kFiles * kFileBytes);
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_ColdFetch)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(8)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -9,9 +9,11 @@
 #   scripts/check.sh tsan       the same under -DHVAC_SANITIZE=thread
 #                               (concurrency suites only — full TSan runs
 #                               are slow; widen TSAN_FILTER to taste)
-#   scripts/check.sh bench      run bench/micro_rpc, emit BENCH_rpc.json
-#                               (BENCH_OUT overrides the output path,
-#                               BENCH_REPS the repetition count)
+#   scripts/check.sh bench      run bench/micro_rpc and bench/micro_core,
+#                               emit BENCH_rpc.json and BENCH_core.json
+#                               (BENCH_OUT / BENCH_CORE_OUT override the
+#                               output paths, BENCH_REPS the repetition
+#                               count)
 #   scripts/check.sh chaos      the resilience suites (fault injection,
 #                               circuit breaker, deadlines, backpressure,
 #                               drain, daemon-kill chaos) under ASan
@@ -394,18 +396,22 @@ case "$MODE" in
     ;;
   bench)
     cmake -B build -S .
-    cmake --build build -j "$JOBS" --target micro_rpc
+    cmake --build build -j "$JOBS" --target micro_rpc micro_core
     # Stamp the JSON with the commit it measured so scripts/bench_compare.py
     # (and anyone reading an uploaded artifact) can tell results apart.
     GIT_SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
     GIT_DATE="$(git show -s --format=%cI HEAD 2>/dev/null || echo unknown)"
-    ./build/bench/micro_rpc \
-      --benchmark_out="${BENCH_OUT:-BENCH_rpc.json}" \
-      --benchmark_out_format=json \
-      --benchmark_repetitions="${BENCH_REPS:-3}" \
-      --benchmark_report_aggregates_only=true \
-      --benchmark_context=git_sha="$GIT_SHA" \
-      --benchmark_context=git_date="$GIT_DATE"
+    run_bench() {
+      "./build/bench/$1" \
+        --benchmark_out="$2" \
+        --benchmark_out_format=json \
+        --benchmark_repetitions="${BENCH_REPS:-3}" \
+        --benchmark_report_aggregates_only=true \
+        --benchmark_context=git_sha="$GIT_SHA" \
+        --benchmark_context=git_date="$GIT_DATE"
+    }
+    run_bench micro_rpc "${BENCH_OUT:-BENCH_rpc.json}"
+    run_bench micro_core "${BENCH_CORE_OUT:-BENCH_core.json}"
     ;;
   perfbench)
     # run.py builds its own Release tree under .bench_build/.

@@ -19,8 +19,12 @@ bool CacheManager::reserve_room(uint64_t needed) {
     if (needed > store_->capacity_bytes()) return false;
     auto victim = eviction_->select_victim();
     if (victim.has_value()) {
-      eviction_->on_evict(*victim);
-      if (store_->evict(*victim).ok()) {
+      // Space comes back a slab at a time: every entry sharing the
+      // victim's slab goes with it, and the policy hears of each.
+      const std::vector<std::string> dropped = store_->evict_slab(*victim);
+      if (dropped.empty()) eviction_->on_evict(*victim);  // stale victim
+      for (const std::string& key : dropped) {
+        eviction_->on_evict(key);
         metrics_.on_eviction();
       }
       continue;
@@ -103,24 +107,22 @@ Result<bool> CacheManager::ensure_key_cached(
     return finish(false);
   }
 
-  // The copy's read-write fd becomes the entry's read fd: a fetch
-  // costs no second open.
-  const std::string dst = store_->physical_path(key);
-  auto out = storage::PosixFile::create_write(dst);
-  Result<uint64_t> copied =
-      out.ok() ? pfs_->copy_out(*src, *out, offset, *size)
-               : Result<uint64_t>(out.error());
-  Status inserted =
-      copied.ok()
-          ? store_->insert(key, *copied, *size, std::move(out).value())
-          : copied.error();
-  if (!inserted.ok()) {
+  // The copy lands in a slot of a slab the store holds open: a fetch
+  // creates no file, and the slab's fd serves the entry's reads.
+  auto slot = store_->claim(*size);
+  if (!slot.ok()) {
     store_->release(*size);
-    (void)storage::remove_file(dst);
     notify_room();
-    if (!copied.ok()) return finish(copied.error());
-    return finish(false);
+    return finish(slot.error());
   }
+  Result<uint64_t> copied =
+      pfs_->copy_out(*src, slot->file(), offset, *size, slot->base());
+  if (!copied.ok()) {
+    store_->abandon(std::move(slot).value());
+    notify_room();
+    return finish(copied.error());
+  }
+  store_->insert(key, std::move(slot).value(), *copied);
   eviction_->on_insert(key);
   notify_room();
   metrics_.on_miss(*copied);
@@ -186,11 +188,6 @@ Result<size_t> CacheManager::pread_segment(const std::string& logical_path,
   return n;
 }
 
-Result<storage::PosixFile> CacheManager::open_cached(
-    const std::string& logical_path) {
-  return store_->open(logical_path);
-}
-
 Result<std::vector<uint8_t>> CacheManager::read_through(
     const std::string& logical_path) {
   // Retry if the file is evicted between the ensure and the open
@@ -203,8 +200,7 @@ Result<std::vector<uint8_t>> CacheManager::read_through(
       if (pin.error().code == ErrorCode::kNotFound) continue;  // evicted
       return pin.error();
     }
-    HVAC_ASSIGN_OR_RETURN(uint64_t sz, pin->size());
-    std::vector<uint8_t> data(sz);
+    std::vector<uint8_t> data(pin->size());
     size_t got = 0;
     while (got < data.size()) {
       // pread (not read): the shared pinned handle must not carry a

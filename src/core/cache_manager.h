@@ -6,7 +6,8 @@
 //     callers block until it completes ("we use mutex lock on shared
 //     queue to guarantee consistency and to avoid repeated copying").
 //   * Capacity: when the local store exceeds its budget, the eviction
-//     policy picks victims until the new file fits (paper §III-G). The
+//     policy picks victims until the new file fits (paper §III-G); each
+//     victim takes the rest of its cache slab with it. The
 //     bytes are reserved before the copy starts, so concurrent movers
 //     never overcommit the store or fall back while eviction could
 //     make room. A file that is larger than the whole store is served
@@ -45,9 +46,6 @@ class CacheManager {
   //           to the PFS (fallback), file is NOT cached
   // or an error if the PFS itself failed.
   Result<bool> ensure_cached(const std::string& logical_path);
-
-  // Opens the cached copy (ensure_cached must have returned true).
-  Result<storage::PosixFile> open_cached(const std::string& logical_path);
 
   // Reads file bytes through the cache: hit -> local store, miss ->
   // copy then local store, capacity overflow -> PFS passthrough.
@@ -106,8 +104,8 @@ class CacheManager {
   storage::PfsBackend& pfs() { return *pfs_; }
 
  private:
-  // Reserves `needed` bytes of store capacity, evicting victims until
-  // they fit. Waits while the only obstacle is other copies in flight
+  // Reserves `needed` bytes of store capacity, evicting victims (and
+  // their slabs) until they fit. Waits while the only obstacle is other copies in flight
   // (they land as evictable entries or hand their claim back); false
   // when the bytes can never fit.
   bool reserve_room(uint64_t needed);

@@ -55,12 +55,13 @@ enum MetricsSection : uint16_t {
 
 // The local store's read fds (storage::LocalStore::FdStats).
 struct HandleCacheStats {
-  uint64_t hits = 0;    // reads served by an entry's own fd
-  uint64_t misses = 0;  // reads that opened an fd
-  uint64_t open = 0;    // entries holding an fd
-  uint64_t pinned = 0;  // entries with at least one active reader
-  uint64_t deferred_closes = 0;  // evicted while pinned; fd closed late
-  uint64_t capacity = 0;         // fd budget
+  uint64_t hits = 0;    // reads served from a resident slab's fd
+  uint64_t misses = 0;  // per-read opens: write-back files, slabs past
+                        // the fd budget
+  uint64_t open = 0;    // slab fds held
+  uint64_t pinned = 0;  // slabs with at least one active reader
+  uint64_t deferred_closes = 0;  // slabs dropped while pinned; fd closed late
+  uint64_t capacity = 0;         // fd budget, in slabs
 
   void merge(const HandleCacheStats& other);
 };

@@ -490,12 +490,13 @@ Result<rpc::Payload> HvacServer::handle_open(const Bytes& req) {
     }
   }
   HVAC_ASSIGN_OR_RETURN(storage::PosixFile file, pfs_->open(path));
-  if (!open.stateless) {
-    return open_remote_fd(std::move(file), path, route, /*pfs=*/true);
-  }
   uint64_t size = route.length;
   if (!route.packed) {
     HVAC_ASSIGN_OR_RETURN(size, file.size());
+  }
+  if (!open.stateless) {
+    return open_remote_fd(std::move(file), path, route.base, size,
+                          /*pfs=*/true);
   }
   std::vector<uint8_t> bytes(inline_length(size));
   size_t got = 0;
@@ -518,24 +519,24 @@ Result<rpc::Payload> HvacServer::open_cached_reply(const std::string& path,
                                                    const PackedRoute& route,
                                                    bool stateless) {
   if (!stateless) {
-    HVAC_ASSIGN_OR_RETURN(storage::PosixFile file, cache_->open_cached(path));
-    return open_remote_fd(std::move(file), path, route, /*pfs=*/false);
+    HVAC_ASSIGN_OR_RETURN(storage::LocalStore::Opened opened,
+                          cache_->store().open(path));
+    return open_remote_fd(std::move(opened.file), path,
+                          opened.base + route.base,
+                          route.length_in(opened.size), /*pfs=*/false);
   }
   HVAC_ASSIGN_OR_RETURN(storage::LocalStore::Pin pin,
                         cache_->store().open_pinned(path));
-  uint64_t size = route.length;
-  if (!route.packed) {
-    HVAC_ASSIGN_OR_RETURN(size, pin.size());
-  }
+  const uint64_t size = route.length_in(pin.size());
   // The inline bytes go out like a kRead hit: a sendfile extent off
-  // the pinned handle, which the pin keeps open until they are sent.
+  // the pinned slab, which the pin keeps open until they are sent.
   const uint64_t inline_len = inline_length(size);
   WireWriter w = open_reply_head(0, size, /*cached=*/true);
   w.put_u32(static_cast<uint32_t>(inline_len));
   rpc::Payload reply(std::move(w).take());
   if (inline_len > 0) {
     reply.add_extent(rpc::FileExtent{pin.owner(), pin.file().fd(),
-                                     route.base, inline_len});
+                                     pin.base() + route.base, inline_len});
     cache_->record_served_bytes(inline_len, true);
   }
   return reply;
@@ -543,18 +544,14 @@ Result<rpc::Payload> HvacServer::open_cached_reply(const std::string& path,
 
 Result<rpc::Payload> HvacServer::open_remote_fd(storage::PosixFile file,
                                                 const std::string& path,
-                                                const PackedRoute& route,
+                                                uint64_t base, uint64_t size,
                                                 bool pfs_fallback) {
   auto open_file = std::make_shared<OpenFile>();
   open_file->file = std::move(file);
   open_file->logical_path = path;
   open_file->pfs_fallback = pfs_fallback;
-  open_file->base_offset = route.base;
-  if (route.packed) {
-    open_file->size = route.length;
-  } else {
-    HVAC_ASSIGN_OR_RETURN(open_file->size, open_file->file.size());
-  }
+  open_file->base_offset = base;
+  open_file->size = size;
   const uint64_t remote_fd =
       next_remote_fd_.fetch_add(1, std::memory_order_relaxed);
   {
@@ -711,13 +708,8 @@ std::optional<Result<rpc::Payload>> HvacServer::read_scatter_on_reactor(
   if (route.packed && !cache_->touch_if_cached(path)) return std::nullopt;
   auto pin = cache_->store().open_pinned(path);
   if (!pin.ok()) return std::nullopt;
-  uint64_t limit = route.length;
-  if (!route.packed) {
-    Result<uint64_t> size = pin->size();
-    if (!size.ok()) return Result<rpc::Payload>(size.error());
-    limit = *size;
-  }
-  return scatter_extent_reply(s, route.base, limit, pin->owner(),
+  return scatter_extent_reply(s, pin->base() + route.base,
+                              route.length_in(pin->size()), pin->owner(),
                               pin->file().fd());
 }
 
@@ -741,7 +733,6 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
   // *requested* sample-relative offsets.
   std::shared_ptr<const void> owner;
   int src_fd = -1;
-  uint64_t src_size = 0;
   bool cached_fd = false;
   uint64_t base = 0;
   uint64_t limit = 0;     // clamp bound: sample length or file size
@@ -755,13 +746,12 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
     if (!open_file->pfs_fallback) {
       owner = open_file;
       src_fd = open_file->file.fd();
-      src_size = open_file->size;
       cached_fd = true;
     }
   } else {
     const PackedRoute route = route_packed(path);
+    base = route.base;
     if (route.packed) {
-      base = route.base;
       limit = route.length;
       has_limit = true;
       // One blocking fetch caches the whole container; this handler
@@ -771,19 +761,18 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
     auto pinned = cache_->store().open_pinned(path);
     if (pinned.ok()) {
       pin = std::move(pinned).value();
-      HVAC_ASSIGN_OR_RETURN(src_size, pin->size());
       src_fd = pin->file().fd();
       owner = pin->owner();
       cached_fd = true;
-      if (!has_limit) {
-        limit = src_size;
-        has_limit = true;
-      }
+      limit = route.length_in(pin->size());
+      has_limit = true;
     }
   }
 
   if (cached_fd && rpc_.zerocopy_mode() != rpc::ZeroCopyMode::kOff) {
-    return scatter_extent_reply(s, base, limit, std::move(owner), src_fd);
+    // A pin reads relative to its entry; the raw fd needs its slot base.
+    const uint64_t fd_base = pin ? pin->base() + base : base;
+    return scatter_extent_reply(s, fd_base, limit, std::move(owner), src_fd);
   }
 
   // Pooled path: stage the extents packed behind the table in one
@@ -865,11 +854,10 @@ Result<Bytes> HvacServer::handle_stat(const Bytes& req) {
     return std::move(w).take();
   }
   uint64_t size = 0;
-  bool cached = false;
-  if (cache_->is_cached(path)) {
-    HVAC_ASSIGN_OR_RETURN(storage::PosixFile f, cache_->open_cached(path));
-    HVAC_ASSIGN_OR_RETURN(size, f.size());
-    cached = true;
+  Result<uint64_t> cached_size = cache_->store().cached_size(path);
+  const bool cached = cached_size.ok();
+  if (cached) {
+    size = *cached_size;
   } else {
     HVAC_ASSIGN_OR_RETURN(size, pfs_->size_of(path));
   }
@@ -959,7 +947,7 @@ Result<Bytes> HvacServer::handle_write_open(const Bytes& req) {
                      "prefill over store capacity: " + path);
       }
     }
-    return cache_->store().open_write(path);
+    return cache_->store().open_write(path, /*keep_contents=*/!trunc);
   };
   auto f = open_backing();
   if (f.ok()) {

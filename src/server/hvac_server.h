@@ -117,9 +117,9 @@ class HvacServer {
     storage::PosixFile file;
     std::string logical_path;
     uint64_t size = 0;  // at open time; cached copies are immutable
-    // For a packed sample the fd is the *container*: reads add
-    // base_offset and clamp to `size` (the sample length) so they can
-    // never bleed into the neighbouring sample.
+    // The fd is a cache slab (or, for a packed sample, the container):
+    // reads add base_offset and clamp to `size` so they can never bleed
+    // into the neighbouring slot or sample.
     uint64_t base_offset = 0;
     bool pfs_fallback = false;
   };
@@ -196,6 +196,13 @@ class HvacServer {
     uint64_t base = 0;
     uint64_t length = 0;
     bool packed = false;
+    // The routed bytes of a cached copy of `size` bytes: the whole
+    // file, or the sample clamped to the container, so a read never
+    // runs into a neighbouring slab slot.
+    uint64_t length_in(uint64_t size) const {
+      if (!packed) return size;
+      return base < size ? std::min(length, size - base) : 0;
+    }
   };
   PackedRoute route_packed(std::string& path) const;
 
@@ -205,11 +212,11 @@ class HvacServer {
   Result<rpc::Payload> open_cached_reply(const std::string& path,
                                          const PackedRoute& route,
                                          bool stateless);
-  // Legacy kOpen: registers `file` in open_fds_ and replies with its
-  // remote fd.
+  // Legacy kOpen: registers `file`, whose bytes for `path` sit at
+  // [base, base + size), in open_fds_ and replies with its remote fd.
   Result<rpc::Payload> open_remote_fd(storage::PosixFile file,
                                       const std::string& path,
-                                      const PackedRoute& route,
+                                      uint64_t base, uint64_t size,
                                       bool pfs_fallback);
 
   // A validated kReadScatter request. Fd mode resolves `open_file`;

@@ -79,17 +79,20 @@ std::string render_openmetrics(const core::MetricsFrame& f) {
           "Requests served directly from the PFS", f.cache.pfs_fallbacks);
   gauge(o, "hvac_open_fds", "Open remote file handles", f.open_fds);
 
-  counter(o, "hvac_handle_cache_hits", "Reads served by an entry's own fd",
+  counter(o, "hvac_handle_cache_hits",
+          "Reads served from a resident cache slab's fd",
           f.handle_cache.hits);
-  counter(o, "hvac_handle_cache_misses", "Reads that opened an fd",
+  counter(o, "hvac_handle_cache_misses",
+          "Reads that opened an fd (write-back files, slabs past the "
+          "fd budget)",
           f.handle_cache.misses);
   counter(o, "hvac_handle_cache_deferred_closes",
-          "Entries dropped while pinned", f.handle_cache.deferred_closes);
-  gauge(o, "hvac_handle_cache_open", "Cache entries holding an fd",
+          "Cache slabs dropped while pinned", f.handle_cache.deferred_closes);
+  gauge(o, "hvac_handle_cache_open", "Cache slab fds held",
         f.handle_cache.open);
-  gauge(o, "hvac_handle_cache_pinned", "Entries with a pinned fd",
+  gauge(o, "hvac_handle_cache_pinned", "Cache slabs with a pinned fd",
         f.handle_cache.pinned);
-  gauge(o, "hvac_handle_cache_capacity", "Store fd budget",
+  gauge(o, "hvac_handle_cache_capacity", "Store fd budget, in slabs",
         f.handle_cache.capacity);
 
   counter(o, "hvac_buffer_pool_leases", "Buffer-pool acquires",

@@ -1,9 +1,13 @@
 #include "storage/local_store.h"
 
+#include <dirent.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 
 #include "common/env.h"
 #include "common/fault_injection.h"
@@ -13,8 +17,13 @@ namespace hvac::storage {
 
 namespace {
 
-// fds held by entries of every store in the process.
+constexpr char kSlabSuffix[] = ".slab";
+
+// fds held by slabs of every store in the process.
 std::atomic<size_t> g_fds_held{0};
+// Slab names are unique in the process, so a slab unlinked late (with
+// its last pin) never takes a newer store's slab with it.
+std::atomic<uint64_t> g_slab_seq{0};
 
 bool claim_fd(size_t budget) {
   if (g_fds_held.fetch_add(1, std::memory_order_relaxed) < budget) {
@@ -28,7 +37,50 @@ void release_fds(size_t n) {
   g_fds_held.fetch_sub(n, std::memory_order_relaxed);
 }
 
+bool is_slab_name(const char* name) {
+  const size_t n = std::strlen(name);
+  const size_t s = sizeof(kSlabSuffix) - 1;
+  return n > s && std::strcmp(name + n - s, kSlabSuffix) == 0;
+}
+
+uint64_t align_up(uint64_t v) {
+  return (v + LocalStore::kSlotAlign - 1) & ~(LocalStore::kSlotAlign - 1);
+}
+
 }  // namespace
+
+struct LocalStore::Handle {
+  PosixFile file;
+  std::shared_ptr<const std::string> slab_name;  // null: a named file
+};
+
+struct LocalStore::Slab {
+  // The slab's path; its deleter unlinks the file, so the slab stays
+  // linked while the store or any handle on it holds a reference.
+  std::shared_ptr<const std::string> name;
+  // The read-write fd: kept for reads when `budgeted`, otherwise only
+  // while claims append to it.
+  std::shared_ptr<Handle> handle;
+  bool budgeted = false;
+  uint64_t limit = 0;
+  uint64_t length = 0;   // end of the last slot, padding included
+  size_t entries = 0;    // live entries
+  size_t inflight = 0;   // claimed slots not yet settled
+  // Every path inserted here; evict_slab() skips those that moved.
+  std::vector<std::string> keys;
+};
+
+const PosixFile& LocalStore::Pin::file() const { return handle_->file; }
+
+Result<size_t> LocalStore::Pin::pread(void* buf, size_t count,
+                                      uint64_t offset) const {
+  if (offset >= size_) return size_t{0};
+  const size_t n = static_cast<size_t>(
+      std::min<uint64_t>(count, size_ - offset));
+  return handle_->file.pread(buf, n, base_ + offset);
+}
+
+PosixFile& LocalStore::Slot::file() const { return handle_->file; }
 
 size_t LocalStore::process_fd_budget() {
   static const size_t budget = [] {
@@ -43,8 +95,22 @@ LocalStore::LocalStore(std::string root, uint64_t capacity_bytes,
                        size_t fd_budget)
     : root_(std::move(root)),
       capacity_(capacity_bytes),
+      slab_bytes_(capacity_bytes == 0
+                      ? kSlabBytes
+                      : std::clamp<uint64_t>(capacity_bytes / 16, 1,
+                                             kSlabBytes)),
       fd_budget_(fd_budget) {
   (void)make_directories(root_);
+  // A killed process's slabs are cache, never state: nothing refers to
+  // them once it is gone.
+  if (DIR* dir = ::opendir(root_.c_str())) {
+    while (const dirent* e = ::readdir(dir)) {
+      if (is_slab_name(e->d_name)) {
+        (void)remove_file(path_join(root_, e->d_name));
+      }
+    }
+    ::closedir(dir);
+  }
 }
 
 LocalStore::~LocalStore() { release_fds(fds_held_); }
@@ -84,65 +150,224 @@ uint64_t LocalStore::reserved_bytes() const {
   return reserved_;
 }
 
-Status LocalStore::insert(const std::string& logical_path,
-                          uint64_t size_bytes, uint64_t reserved,
-                          PosixFile file) {
-  // Settle the fd before taking the lock: an open is a syscall, and a
-  // failed one (EMFILE/ENFILE, a vanished copy) only costs the entry
-  // its fd.
-  std::shared_ptr<const PosixFile> held;
-  if (claim_fd(fd_budget_)) {
-    if (!file.valid()) {
-      auto opened = PosixFile::open_read(physical_path(logical_path));
-      if (opened.ok()) file = std::move(opened).value();
-    }
-    if (file.valid()) {
-      held = std::make_shared<const PosixFile>(std::move(file));
-    } else {
-      release_fds(1);
-    }
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  const uint64_t used = bytes_used_.load(std::memory_order_relaxed);
-  const bool fits =
-      capacity_ == 0 || used - reserved + size_bytes <= capacity_;
-  const bool fresh = fits && entries_.count(logical_path) == 0;
-  if (held && !fresh) release_fds(1);  // `held` closes on return
-  if (!fits) {
-    return Error(ErrorCode::kCapacity,
-                 "local store over capacity inserting " + logical_path);
-  }
-  reserved_ -= reserved;
-  bytes_used_.fetch_sub(reserved, std::memory_order_relaxed);
-  if (!fresh) return Status::Ok();  // already cached; idempotent
-  if (held) ++fds_held_;
-  entries_.emplace(logical_path, Entry{size_bytes, std::move(held)});
-  bytes_used_.fetch_add(size_bytes, std::memory_order_relaxed);
-  return Status::Ok();
+Result<std::shared_ptr<LocalStore::Slab>> LocalStore::new_slab(
+    uint64_t limit) {
+  char name[48];
+  std::snprintf(name, sizeof(name), "%d-%" PRIu64 "%s",
+                static_cast<int>(::getpid()),
+                g_slab_seq.fetch_add(1, std::memory_order_relaxed),
+                kSlabSuffix);
+  const std::string path = path_join(root_, name);
+  HVAC_ASSIGN_OR_RETURN(PosixFile file, PosixFile::create_write(path));
+  auto slab = std::make_shared<Slab>();
+  slab->name = std::shared_ptr<const std::string>(
+      new std::string(path), [](const std::string* p) {
+        (void)remove_file(*p);
+        delete p;
+      });
+  slab->handle = std::make_shared<Handle>(Handle{std::move(file), slab->name});
+  slab->limit = limit;
+  slab->budgeted = claim_fd(fd_budget_);
+  return slab;
 }
 
-Result<PosixFile> LocalStore::open(const std::string& logical_path) const {
+Result<LocalStore::Slot> LocalStore::claim(uint64_t bytes) {
+  Slot slot;
+  slot.length_ = bytes;
+  if (bytes <= slab_bytes_) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // The filling slab with the fewest copies in flight: copies into
+    // one file serialize on its inode lock, so concurrent movers take
+    // a slab each, up to kFillingSlabs.
+    auto lane = std::min_element(
+        filling_.begin(), filling_.end(),
+        [](const auto& a, const auto& b) { return a->inflight < b->inflight; });
+    if (lane != filling_.end() &&
+        ((*lane)->inflight == 0 || filling_.size() >= kFillingSlabs)) {
+      Slab& s = **lane;
+      const uint64_t base = align_up(s.length);
+      const uint64_t pad = base - s.length;
+      if (base + bytes <= s.limit &&
+          (capacity_ == 0 ||
+           bytes_used_.load(std::memory_order_relaxed) + pad <= capacity_)) {
+        s.length = base + bytes;
+        ++s.inflight;
+        bytes_used_.fetch_add(pad, std::memory_order_relaxed);
+        slot.slab_ = *lane;
+        slot.handle_ = s.handle;
+        slot.base_ = base;
+        return slot;
+      }
+      seal_locked(*lane);
+    }
+  }
+  HVAC_ASSIGN_OR_RETURN(std::shared_ptr<Slab> slab,
+                        new_slab(std::max(bytes, slab_bytes_)));
+  std::lock_guard<std::mutex> lock(mutex_);
+  slab->length = bytes;
+  slab->inflight = 1;
+  slabs_.insert(slab);
+  if (slab->budgeted) ++fds_held_;
+  slot.slab_ = slab;
+  slot.handle_ = slab->handle;
+  if (bytes <= slab_bytes_) {
+    if (filling_.size() >= kFillingSlabs) seal_locked(filling_.front());
+    filling_.push_back(slab);
+  } else if (!slab->budgeted) {
+    slab->handle.reset();  // a slab of its own takes no more claims
+  }
+  return slot;
+}
+
+void LocalStore::settle_locked(const Slot& slot, Dropped* dropped) {
+  reserved_ -= slot.length_;  // the bytes stay in bytes_used_, as slab bytes
+  --slot.slab_->inflight;
+  drop_if_idle_locked(slot.slab_, dropped);
+}
+
+void LocalStore::insert(const std::string& logical_path, Slot slot,
+                        uint64_t size) {
+  Dropped dropped;
+  std::lock_guard<std::mutex> lock(mutex_);
+  // A path already cached keeps its entry (idempotent insert).
+  auto [it, fresh] = entries_.try_emplace(logical_path);
+  if (fresh) {
+    it->second = Entry{std::min(size, slot.length_), slot.base_, slot.slab_};
+    ++slot.slab_->entries;
+    slot.slab_->keys.push_back(logical_path);
+  }
+  settle_locked(slot, &dropped);
+}
+
+void LocalStore::abandon(Slot slot) {
+  Dropped dropped;
+  std::lock_guard<std::mutex> lock(mutex_);
+  settle_locked(slot, &dropped);
+}
+
+void LocalStore::seal_locked(std::shared_ptr<Slab> slab) {
+  auto it = std::find(filling_.begin(), filling_.end(), slab);
+  if (it == filling_.end()) return;
+  filling_.erase(it);
+  if (!slab->budgeted) slab->handle.reset();
+}
+
+void LocalStore::detach_locked(const Entry& entry, Dropped* dropped) {
+  --entry.slab->entries;
+  drop_if_idle_locked(entry.slab, dropped);
+}
+
+void LocalStore::drop_if_idle_locked(const std::shared_ptr<Slab>& slab,
+                                     Dropped* dropped) {
+  if (slab->entries == 0 && slab->inflight == 0) drop_locked(slab, dropped);
+}
+
+void LocalStore::drop_locked(const std::shared_ptr<Slab>& slab,
+                             Dropped* dropped) {
+  if (slabs_.erase(slab) == 0) return;
+  bytes_used_.fetch_sub(slab->length, std::memory_order_relaxed);
+  if (slab->budgeted) {
+    --fds_held_;
+    release_fds(1);
+    if (slab->handle.use_count() > 1) ++deferred_closes_;
+  }
+  seal_locked(slab);
+  dropped->push_back(slab);
+}
+
+Result<LocalStore::Opened> LocalStore::open(
+    const std::string& logical_path) const {
   HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kStoreRead));
+  Opened opened;
+  std::shared_ptr<const std::string> slab_name;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.count(logical_path) == 0) {
+    auto it = entries_.find(logical_path);
+    if (it == entries_.end()) {
       return Error(ErrorCode::kNotFound, "not cached: " + logical_path);
     }
+    opened.base = it->second.base;
+    opened.size = it->second.size;
+    if (it->second.slab) slab_name = it->second.slab->name;
   }
-  return PosixFile::open_read(physical_path(logical_path));
+  if (slab_name) {
+    HVAC_ASSIGN_OR_RETURN(opened.file, PosixFile::open_read(*slab_name));
+  } else {
+    HVAC_ASSIGN_OR_RETURN(opened.file,
+                          PosixFile::open_read(physical_path(logical_path)));
+    HVAC_ASSIGN_OR_RETURN(opened.size, opened.file.size());
+  }
+  return opened;
 }
 
-Result<PosixFile> LocalStore::open_write(
+Result<uint64_t> LocalStore::cached_size(
     const std::string& logical_path) const {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(logical_path);
+    if (it == entries_.end()) {
+      return Error(ErrorCode::kNotFound, "not cached: " + logical_path);
+    }
+    if (it->second.slab) return it->second.size;
+  }
+  return file_size(physical_path(logical_path));
+}
+
+Result<PosixFile> LocalStore::open_write(const std::string& logical_path,
+                                         bool keep_contents) {
   HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kStoreWrite));
-  return PosixFile::open_rw(physical_path(logical_path));
+  const std::string path = physical_path(logical_path);
+  if (!keep_contents) return PosixFile::open_rw(path);
+  std::lock_guard<std::mutex> serial(materialize_mutex_);
+  Entry held;
+  std::shared_ptr<Handle> handle;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(logical_path);
+    if (it != entries_.end() && it->second.slab) {
+      held = it->second;
+      handle = held.slab->handle;
+    }
+  }
+  if (!held.slab) return PosixFile::open_rw(path);
+
+  // Copy the slab bytes into the named file, which writes then grow in
+  // place and the flusher copies out.
+  PosixFile per_read;
+  if (!handle) {
+    HVAC_ASSIGN_OR_RETURN(per_read, PosixFile::open_read(*held.slab->name));
+  }
+  PosixFile& src = handle ? handle->file : per_read;
+  HVAC_ASSIGN_OR_RETURN(PosixFile out, PosixFile::open_rw(path));
+  HVAC_RETURN_IF_ERROR(out.truncate(0));
+  HVAC_ASSIGN_OR_RETURN(uint64_t copied,
+                        copy_range(src, held.base, held.size, out, 0));
+  Dropped dropped;
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (capacity_ != 0 &&
+      bytes_used_.load(std::memory_order_relaxed) + copied > capacity_) {
+    lock.unlock();
+    (void)remove_file(path);
+    return Error(ErrorCode::kCapacity,
+                 "local store over capacity copying out " + logical_path);
+  }
+  auto it = entries_.find(logical_path);
+  if (it != entries_.end()) {
+    if (!it->second.slab) return out;  // re-pointed meanwhile
+    detach_locked(it->second, &dropped);
+  }
+  entries_[logical_path] = Entry{copied, 0, nullptr};
+  bytes_used_.fetch_add(copied, std::memory_order_relaxed);
+  return out;
 }
 
 Status LocalStore::update_size(const std::string& logical_path,
                                uint64_t new_size) {
+  Dropped dropped;
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(logical_path);
-  const uint64_t old_size = it == entries_.end() ? 0 : it->second.size;
+  const bool named = it != entries_.end() && !it->second.slab;
+  const uint64_t old_size = named ? it->second.size : 0;
   if (new_size > old_size) {
     const uint64_t grow = new_size - old_size;
     if (capacity_ != 0 &&
@@ -154,42 +379,55 @@ Status LocalStore::update_size(const std::string& logical_path,
   } else {
     bytes_used_.fetch_sub(old_size - new_size, std::memory_order_relaxed);
   }
-  entries_[logical_path].size = new_size;
+  if (it != entries_.end() && it->second.slab) {
+    detach_locked(it->second, &dropped);
+  }
+  entries_[logical_path] = Entry{new_size, 0, nullptr};
   return Status::Ok();
 }
 
 Result<LocalStore::Pin> LocalStore::open_pinned(
     const std::string& logical_path) const {
-  std::shared_ptr<const PosixFile> held;
+  std::shared_ptr<const Handle> held;
+  std::shared_ptr<const std::string> slab_name;
+  uint64_t base = 0;
+  uint64_t size = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(logical_path);
     if (it == entries_.end()) {
       return Error(ErrorCode::kNotFound, "not cached: " + logical_path);
     }
-    held = it->second.file;
+    const Entry& e = it->second;
+    base = e.base;
+    size = e.size;
+    if (e.slab) {
+      if (e.slab->budgeted) {
+        held = e.slab->handle;
+      } else {
+        slab_name = e.slab->name;
+      }
+    }
   }
   // Drawn for cached files only, where a local read would happen.
   HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kStoreRead));
   if (held) {
     fd_hits_.fetch_add(1, std::memory_order_relaxed);
-    return Pin(std::move(held));
+    return Pin(std::move(held), base, size);
   }
   fd_misses_.fetch_add(1, std::memory_order_relaxed);
-  HVAC_ASSIGN_OR_RETURN(PosixFile file,
-                        PosixFile::open_read(physical_path(logical_path)));
-  return Pin(std::make_shared<const PosixFile>(std::move(file)));
-}
-
-void LocalStore::drop_fd_locked(const Entry& entry) {
-  if (!entry.file) return;
-  --fds_held_;
-  release_fds(1);
-  if (entry.file.use_count() > 1) ++deferred_closes_;
+  HVAC_ASSIGN_OR_RETURN(
+      PosixFile file,
+      PosixFile::open_read(slab_name ? *slab_name
+                                     : physical_path(logical_path)));
+  return Pin(std::make_shared<const Handle>(
+                 Handle{std::move(file), std::move(slab_name)}),
+             base, size);
 }
 
 Result<uint64_t> LocalStore::evict(const std::string& logical_path) {
-  Entry doomed;  // its fd closes on return, or with the last pin
+  Dropped dropped;
+  Entry doomed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(logical_path);
@@ -198,23 +436,69 @@ Result<uint64_t> LocalStore::evict(const std::string& logical_path) {
     }
     doomed = std::move(it->second);
     entries_.erase(it);
-    bytes_used_.fetch_sub(doomed.size, std::memory_order_relaxed);
-    drop_fd_locked(doomed);
+    if (doomed.slab) {
+      detach_locked(doomed, &dropped);
+    } else {
+      bytes_used_.fetch_sub(doomed.size, std::memory_order_relaxed);
+    }
   }
-  // Pinned reads keep their fd: unlink does not invalidate it.
-  HVAC_RETURN_IF_ERROR(remove_file(physical_path(logical_path)));
+  if (!doomed.slab) {
+    HVAC_RETURN_IF_ERROR(remove_file(physical_path(logical_path)));
+  }
   return doomed.size;
 }
 
-void LocalStore::purge() {
-  std::unordered_map<std::string, Entry> drained;  // fds close after unlock
-  std::lock_guard<std::mutex> lock(mutex_);
-  drained.swap(entries_);
-  for (const auto& [logical, entry] : drained) {
-    (void)remove_file(physical_path(logical));
-    drop_fd_locked(entry);
+std::vector<std::string> LocalStore::evict_slab(
+    const std::string& logical_path) {
+  Dropped dropped;
+  std::vector<std::string> out;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(logical_path);
+    if (it == entries_.end()) return out;
+    if (it->second.slab) {
+      const std::shared_ptr<Slab> slab = it->second.slab;
+      for (const std::string& key : slab->keys) {
+        auto e = entries_.find(key);
+        if (e != entries_.end() && e->second.slab == slab) {
+          entries_.erase(e);
+          out.push_back(key);
+        }
+      }
+      slab->keys.clear();
+      slab->entries = 0;
+      seal_locked(slab);
+      // Copies still landing keep it (and its bytes) until they settle.
+      drop_if_idle_locked(slab, &dropped);
+      return out;
+    }
   }
-  bytes_used_.store(reserved_, std::memory_order_relaxed);
+  // A named file is a unit of its own.
+  if (evict(logical_path).ok()) out.push_back(logical_path);
+  return out;
+}
+
+void LocalStore::purge() {
+  Dropped dropped;
+  std::vector<std::string> named;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [logical, entry] : entries_) {
+      if (entry.slab) continue;
+      named.push_back(physical_path(logical));
+      bytes_used_.fetch_sub(entry.size, std::memory_order_relaxed);
+    }
+    entries_.clear();
+    while (!filling_.empty()) seal_locked(filling_.front());
+    const std::vector<std::shared_ptr<Slab>> all(slabs_.begin(),
+                                                 slabs_.end());
+    for (const auto& slab : all) {
+      slab->entries = 0;
+      slab->keys.clear();
+      drop_if_idle_locked(slab, &dropped);
+    }
+  }
+  for (const std::string& path : named) (void)remove_file(path);
 }
 
 size_t LocalStore::entry_count() const {
@@ -238,8 +522,8 @@ LocalStore::FdStats LocalStore::fd_stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   stats.open = fds_held_;
   stats.deferred_closes = deferred_closes_;
-  for (const auto& [logical, entry] : entries_) {
-    if (entry.file && entry.file.use_count() > 1) ++stats.pinned;
+  for (const auto& slab : slabs_) {
+    if (slab->budgeted && slab->handle.use_count() > 1) ++stats.pinned;
   }
   return stats;
 }

@@ -1,17 +1,30 @@
 // Node-local cache store: the XFS-on-NVMe directory an HVAC server
-// owns. Cached files are stored flat, named by the stable hash of
-// their logical (PFS) path — the cache never needs to reproduce the
-// dataset's directory tree, and lookup is O(1) with no directory
-// walking. Capacity is tracked in bytes so eviction can keep the
-// store under the NVMe budget.
+// owns. It holds two kinds of file:
 //
-// A resident entry owns the fd that serves it: the data mover hands
-// over the fd it copied the file in with, so a warm read is one map
-// lookup and a pread, never an open(). A shuffled epoch reads each
-// sample once, so an LRU of C handles over N files would hit only
-// C/N; ownership hits on every entry that fits in the fd budget (half
-// the soft RLIMIT_NOFILE). Entries past it keep no fd and open one
-// per read.
+//  * Slabs. Every data-mover copy (a whole file, a file segment or a
+//    packed container) is appended into a 4 KiB-aligned slot of a
+//    slab file: 64 MiB, or capacity/16 for a store with a capacity,
+//    and a copy larger than that gets a slab of its own. A fetch is a
+//    copy_file_range at an offset into a file the store already holds
+//    open, not a create, and its eviction is not an unlink: on a
+//    small-file epoch that create was most of the mover's CPU
+//    (DESIGN.md §18). An entry is {slab, base, size}.
+//  * Named files, named by the stable hash of their logical (PFS)
+//    path: the write-back copies checkpoint writes grow in place, the
+//    flusher copies out and journal replay rebuilds.
+//
+// A written slot is never rewritten or hole-punched: a queued
+// sendfile/splice reply may still reference its page-cache pages after
+// its pin drops. Space comes back a slab at a time, when a slab's last
+// entry goes (evict_slab() drops all of them at once); until then the
+// slab's bytes count in bytes_used(). A dropped slab is unlinked when
+// its last pin lets go, and a new store deletes the slabs a killed
+// process left in its root.
+//
+// Each slab owns the fd that serves it, within the fd budget (half the
+// soft RLIMIT_NOFILE, counted in slabs across every store in the
+// process): a warm read is one map lookup and a pread, never an
+// open(). Slabs past the budget, and named files, open one fd per read.
 #pragma once
 
 #include <atomic>
@@ -20,6 +33,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -28,47 +42,90 @@
 namespace hvac::storage {
 
 class LocalStore {
+  struct Handle;
+  struct Slab;
+
  public:
-  // A read handle on a resident file: shared ownership of its entry's
-  // fd (or of a per-read fd when the entry holds none). evict() and
+  // A read handle on a resident entry: shared ownership of the fd that
+  // serves it (its slab's, or one opened for this pin). evict() and
   // purge() drop only the store's reference, so a pinned read keeps
-  // its fd until the last pin drops.
+  // its fd, and the slab its name, until the last pin drops.
   class Pin {
    public:
-    explicit Pin(std::shared_ptr<const PosixFile> file)
-        : file_(std::move(file)) {}
-
-    const PosixFile& file() const { return *file_; }
-    Result<size_t> pread(void* buf, size_t count, uint64_t offset) const {
-      return file_->pread(buf, count, offset);
-    }
-    Result<uint64_t> size() const { return file_->size(); }
+    // The backing file; the entry's bytes sit at [base(), base() +
+    // size()) of it.
+    const PosixFile& file() const;
+    uint64_t base() const { return base_; }
+    uint64_t size() const { return size_; }
+    // Reads at `offset` into the entry, clamped to its size, so a read
+    // never bleeds into the neighbouring slot.
+    Result<size_t> pread(void* buf, size_t count, uint64_t offset) const;
     // Keeps the fd open while the returned pointer lives (a queued
     // sendfile extent holds one).
-    const std::shared_ptr<const PosixFile>& owner() const { return file_; }
+    std::shared_ptr<const void> owner() const { return handle_; }
 
    private:
-    std::shared_ptr<const PosixFile> file_;
+    friend class LocalStore;
+    Pin(std::shared_ptr<const Handle> handle, uint64_t base, uint64_t size)
+        : handle_(std::move(handle)), base_(base), size_(size) {}
+
+    std::shared_ptr<const Handle> handle_;
+    uint64_t base_ = 0;
+    uint64_t size_ = 0;
+  };
+
+  // A slab range claimed for a copy in flight: the copy lands at
+  // [base(), base() + length()) of file(), then insert() makes it an
+  // entry or abandon() gives it up.
+  class Slot {
+   public:
+    PosixFile& file() const;
+    uint64_t base() const { return base_; }
+    uint64_t length() const { return length_; }
+
+   private:
+    friend class LocalStore;
+    std::shared_ptr<Slab> slab_;
+    std::shared_ptr<Handle> handle_;
+    uint64_t base_ = 0;
+    uint64_t length_ = 0;
+  };
+
+  // A fresh fd on an entry's backing file, for a caller that keeps its
+  // own handle (the legacy stateful kOpen).
+  struct Opened {
+    PosixFile file;
+    uint64_t base = 0;
+    uint64_t size = 0;
   };
 
   // The handle counters the metrics frame reports.
   struct FdStats {
-    uint64_t hits = 0;     // open_pinned() served by an entry's own fd
+    uint64_t hits = 0;     // open_pinned() served by a slab's own fd
     uint64_t misses = 0;   // open_pinned() that opened per read
-    uint64_t open = 0;     // entries holding an fd
-    uint64_t pinned = 0;   // of those, entries a reader holds now
-    uint64_t deferred_closes = 0;  // entries dropped while pinned
+    uint64_t open = 0;     // slabs holding an fd
+    uint64_t pinned = 0;   // of those, slabs a reader holds now
+    uint64_t deferred_closes = 0;  // slabs dropped while pinned
     uint64_t budget = 0;   // fds this store may hold
   };
+
+  // Slab size of a store without a capacity.
+  static constexpr uint64_t kSlabBytes = 64u << 20;
+  // Slot alignment inside a slab.
+  static constexpr uint64_t kSlotAlign = 4096;
+  // Slabs filled at once: one per concurrent copy, up to the default
+  // mover count (core::DataMover::kDefaultMovers).
+  static constexpr size_t kFillingSlabs = 4;
 
   // Half the process's soft RLIMIT_NOFILE, read once: the fds all
   // stores in the process may hold together.
   static size_t process_fd_budget();
 
-  // `root` is created if missing. `capacity_bytes` of 0 means
-  // unlimited (the paper's common case: datasets fit in aggregate
-  // NVMe). `fd_budget` caps the fds held by entries, counted across
-  // every store in the process.
+  // `root` is created if missing, and slabs left in it by a killed
+  // process are deleted (named files and journals stay).
+  // `capacity_bytes` of 0 means unlimited (the paper's common case:
+  // datasets fit in aggregate NVMe). `fd_budget` caps the fds held by
+  // slabs, counted across every store in the process.
   explicit LocalStore(std::string root, uint64_t capacity_bytes = 0,
                       size_t fd_budget = process_fd_budget());
   ~LocalStore();
@@ -76,51 +133,77 @@ class LocalStore {
   LocalStore(const LocalStore&) = delete;
   LocalStore& operator=(const LocalStore&) = delete;
 
-  // Physical path a logical path would be cached at.
+  // Path of `logical_path`'s named (write-back) file.
   std::string physical_path(const std::string& logical_path) const;
 
   bool contains(const std::string& logical_path) const;
 
   // Capacity claim for a copy in flight: reserve() takes `bytes` of
-  // the budget before the copy lands at physical_path() (kCapacity when
-  // they do not fit), insert() turns the claim into an entry, release()
-  // hands it back after a failed copy. Reserved bytes count in
+  // the budget (kCapacity when they do not fit), claim() turns them
+  // into a slot, and insert() or abandon() settles it; release() hands
+  // back a claim that never got a slot. Reserved bytes count in
   // bytes_used(), so concurrent copies never overcommit the budget.
   Status reserve(uint64_t bytes);
   void release(uint64_t bytes);
+  // Claims not yet settled, slots in flight included.
   uint64_t reserved_bytes() const;
 
-  // Registers a file that was just copied in via physical_path(),
-  // consuming `reserved` bytes claimed by reserve() (0: none). The
-  // entry keeps `file` (the copy's fd; opened read-only here when not
-  // given) while the fd budget allows; past it, or on EMFILE/ENFILE,
-  // it keeps none. Returns kCapacity when the store is over budget
-  // (caller evicts and retries); the claim is then still held.
-  Status insert(const std::string& logical_path, uint64_t size_bytes,
-                uint64_t reserved = 0, PosixFile file = {});
+  // A slot of `bytes` for reserve()d bytes: the next aligned offset of
+  // a slab being filled (the one with the fewest copies in flight), or
+  // offset 0 of a new slab (created here, outside the lock; the only
+  // create on the fetch path). Alignment
+  // padding counts in bytes_used(); a slab is sealed rather than
+  // padded past the capacity.
+  Result<Slot> claim(uint64_t bytes);
 
-  // Opens a cached file for reading.
-  Result<PosixFile> open(const std::string& logical_path) const;
+  // Registers the copy in `slot` as `logical_path`, `size` bytes
+  // (clamped to the slot: a short copy), settling the slot's claim.
+  // Idempotent: a path already cached keeps its entry, and the slot
+  // stays dead space in its slab.
+  void insert(const std::string& logical_path, Slot slot, uint64_t size);
+  // Settles a slot whose copy failed; its bytes stay in the slab.
+  void abandon(Slot slot);
 
-  // Write path: opens (creating if absent, never truncating) the
-  // backing file for read/write. Does not register the entry —
-  // callers account the bytes with update_size() once they land.
+  // Opens a fresh fd on a cached entry.
+  Result<Opened> open(const std::string& logical_path) const;
+
+  // Size of a cached entry: slabs from the entry, named files from a
+  // stat (a write-back entry's size can run ahead of its bytes).
+  Result<uint64_t> cached_size(const std::string& logical_path) const;
+
+  // Write path: opens (creating if absent, never truncating) the named
+  // file for read/write. A path held in a slab is first copied into
+  // its named file and its entry re-pointed there, unless the caller
+  // drops the contents anyway (`keep_contents` false: a truncating
+  // open, whose update_size() re-points the entry). kCapacity when that
+  // copy does not fit. Other paths are not registered — callers
+  // account the bytes with update_size() once they land.
   // Fault site: store_write.
-  Result<PosixFile> open_write(const std::string& logical_path) const;
+  Result<PosixFile> open_write(const std::string& logical_path,
+                               bool keep_contents = true);
 
-  // Records that `logical_path` now occupies `new_size` bytes (a
-  // checkpoint write extended or truncated it), inserting the entry
-  // if new. kCapacity when the growth would blow the NVMe budget —
-  // the write path sheds to write-through PFS mode on that.
+  // Records that `logical_path`'s named file now occupies `new_size`
+  // bytes (a checkpoint write extended or truncated it), inserting the
+  // entry if new and re-pointing a slab entry. kCapacity when the
+  // growth would blow the NVMe budget — the write path sheds to
+  // write-through PFS mode on that.
   Status update_size(const std::string& logical_path, uint64_t new_size);
 
-  // Hot-path open: one lookup that pins the entry's fd, so a hit
-  // costs one pread instead of an open/pread/close triple. An entry
-  // without an fd opens one for this pin. kNotFound when not cached.
+  // Hot-path open: one lookup that pins the entry's slab fd, so a hit
+  // costs one pread instead of an open/pread/close triple. Named files
+  // and slabs past the fd budget open one for this pin. kNotFound
+  // when not cached.
   Result<Pin> open_pinned(const std::string& logical_path) const;
 
-  // Removes one cached entry; returns its size, or kNotFound.
+  // Removes one cached entry; returns its size, or kNotFound. A slab
+  // entry's bytes come back when its slab's last entry goes.
   Result<uint64_t> evict(const std::string& logical_path);
+
+  // Removes `logical_path` and every entry sharing its slab, and
+  // returns them (just `logical_path` for a named file; empty when not
+  // cached). The slab's bytes come back at once unless copies into it
+  // are still in flight.
+  std::vector<std::string> evict_slab(const std::string& logical_path);
 
   // Removes everything (job teardown: "cache lifetime == job
   // lifetime", paper §III-D).
@@ -130,6 +213,8 @@ class LocalStore {
     return bytes_used_.load(std::memory_order_relaxed);
   }
   uint64_t capacity_bytes() const { return capacity_; }
+  // Bytes of a slab being filled: kSlabBytes, or capacity/16.
+  uint64_t slab_bytes() const { return slab_bytes_; }
   size_t entry_count() const;
 
   // Snapshot of cached logical paths (eviction policies sample this).
@@ -142,24 +227,48 @@ class LocalStore {
  private:
   struct Entry {
     uint64_t size = 0;
-    std::shared_ptr<const PosixFile> file;  // null: open per read
+    uint64_t base = 0;
+    std::shared_ptr<Slab> slab;  // null: a named file
   };
-  // Returns `entry`'s fd to the budget; the fd itself closes when its
-  // last pin drops. Caller holds mutex_.
-  void drop_fd_locked(const Entry& entry);
+  using Dropped = std::vector<std::shared_ptr<Slab>>;
+
+  // Creates a slab file of at most `limit` bytes.
+  Result<std::shared_ptr<Slab>> new_slab(uint64_t limit);
+  // Detaches `entry` from its slab (caller erases or re-points it),
+  // dropping the slab once nothing lives in it. Caller holds mutex_.
+  void detach_locked(const Entry& entry, Dropped* dropped);
+  // Drops `slab` when it holds no entry and no copy in flight. Caller
+  // holds mutex_.
+  void drop_if_idle_locked(const std::shared_ptr<Slab>& slab,
+                           Dropped* dropped);
+  // Stops claims into `slab` if it is being filled. Caller holds
+  // mutex_.
+  void seal_locked(std::shared_ptr<Slab> slab);
+  // Forgets `slab` and its bytes; the file goes with the last pin.
+  // Caller holds mutex_ and destroys `dropped` after unlocking.
+  void drop_locked(const std::shared_ptr<Slab>& slab, Dropped* dropped);
+  // Settles `slot`'s claim. Caller holds mutex_.
+  void settle_locked(const Slot& slot, Dropped* dropped);
 
   std::string root_;
   uint64_t capacity_;
+  uint64_t slab_bytes_;
   size_t fd_budget_;
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Entry> entries_;
+  std::unordered_set<std::shared_ptr<Slab>> slabs_;
+  // The slabs claim() appends to, at most kFillingSlabs.
+  std::vector<std::shared_ptr<Slab>> filling_;
   uint64_t reserved_ = 0;  // claims of copies in flight
-  size_t fds_held_ = 0;    // entries with an fd
-  // Sum of entries_ sizes plus reserved_.
+  size_t fds_held_ = 0;    // slabs with a budgeted fd
+  // Sum of slab bytes, named entry sizes and reserved_.
   std::atomic<uint64_t> bytes_used_{0};
   mutable std::atomic<uint64_t> fd_hits_{0};
   mutable std::atomic<uint64_t> fd_misses_{0};
   uint64_t deferred_closes_ = 0;  // guarded by mutex_
+  // Serializes open_write()'s copy-out of a slab entry, so a second
+  // writer never copies stale slab bytes over the first one's writes.
+  std::mutex materialize_mutex_;
 };
 
 }  // namespace hvac::storage

@@ -69,8 +69,10 @@ Result<std::vector<uint8_t>> PfsBackend::read_all(
 }
 
 Result<uint64_t> PfsBackend::copy_out(PosixFile& src, PosixFile& dst,
-                                      uint64_t offset, uint64_t length) {
-  HVAC_ASSIGN_OR_RETURN(uint64_t copied, copy_range(src, offset, length, dst));
+                                      uint64_t offset, uint64_t length,
+                                      uint64_t dst_offset) {
+  HVAC_ASSIGN_OR_RETURN(uint64_t copied,
+                        copy_range(src, offset, length, dst, dst_offset));
   charge_bandwidth(copied);
   return copied;
 }
@@ -118,7 +120,7 @@ Result<uint64_t> PfsBackend::copy_in(const std::string& src,
       dst.rfind('/') == std::string::npos ? std::string("/")
                                           : dst.substr(0, dst.rfind('/'))));
   HVAC_ASSIGN_OR_RETURN(PosixFile out, PosixFile::create_write(tmp));
-  HVAC_ASSIGN_OR_RETURN(uint64_t total, copy_range(in, 0, UINT64_MAX, out));
+  HVAC_ASSIGN_OR_RETURN(uint64_t total, copy_range(in, 0, UINT64_MAX, out, 0));
   HVAC_RETURN_IF_ERROR(out.sync());
   HVAC_RETURN_IF_ERROR(out.close());
   if (::rename(tmp.c_str(), dst.c_str()) != 0) {

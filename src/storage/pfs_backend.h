@@ -55,15 +55,16 @@ class PfsBackend {
   Result<uint64_t> size_of(const std::string& relative_path);
 
   // Copies [offset, offset+length) of an already-open PFS file into
-  // `dst` (a file outside the PFS) at its file offset, paying
-  // bandwidth only: open() already paid the metadata op. The copy runs
-  // in the kernel (storage::copy_range). Returns bytes copied, clamped
-  // at EOF. This is the data-mover's fs::copy(src, dst) step from the
+  // `dst` (a file outside the PFS) at `dst_offset`, charging the
+  // bandwidth for every byte copied: open() already paid the metadata
+  // op. The copy runs in the kernel (storage::copy_range). Returns
+  // bytes copied, clamped at EOF. This is the data-mover's fs::copy(src, dst) step from the
   // paper's I/O flow (§III-D, step 6); a range is the fetch behind
   // segment-level caching (§III-E, HFetch-style).
   Result<uint64_t> copy_out(PosixFile& src, PosixFile& dst,
                             uint64_t offset = 0,
-                            uint64_t length = UINT64_MAX);
+                            uint64_t length = UINT64_MAX,
+                            uint64_t dst_offset = 0);
 
   // open() + copy_out() of the whole file to `dst`, an absolute path
   // that is created or truncated.

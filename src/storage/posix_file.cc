@@ -201,14 +201,16 @@ Status write_file(const std::string& path, const void* data, size_t size) {
 }
 
 Result<uint64_t> copy_range(PosixFile& in, uint64_t offset, uint64_t length,
-                            PosixFile& out, bool kernel) {
+                            PosixFile& out, uint64_t out_offset,
+                            bool kernel) {
   uint64_t copied = 0;
   while (kernel && copied < length) {
     loff_t off_in = static_cast<loff_t>(offset + copied);
+    loff_t off_out = static_cast<loff_t>(out_offset + copied);
     const size_t want =
         static_cast<size_t>(std::min<uint64_t>(length - copied, 1u << 30));
     const ssize_t n =
-        ::copy_file_range(in.fd(), &off_in, out.fd(), nullptr, want, 0);
+        ::copy_file_range(in.fd(), &off_in, out.fd(), &off_out, want, 0);
     if (n > 0) {
       copied += static_cast<uint64_t>(n);
       continue;
@@ -227,7 +229,7 @@ Result<uint64_t> copy_range(PosixFile& in, uint64_t offset, uint64_t length,
         static_cast<size_t>(std::min<uint64_t>(sizeof(buf), length - copied));
     HVAC_ASSIGN_OR_RETURN(size_t n, in.pread(buf, want, offset + copied));
     if (n == 0) break;  // EOF
-    HVAC_ASSIGN_OR_RETURN(size_t w, out.write(buf, n));
+    HVAC_ASSIGN_OR_RETURN(size_t w, out.pwrite(buf, n, out_offset + copied));
     copied += w;
   }
   return copied;

@@ -74,14 +74,15 @@ Result<std::vector<uint8_t>> read_file(const std::string& path);
 Status write_file(const std::string& path, const void* data, size_t size);
 
 // Copies up to `length` bytes of `in`, starting at `offset`, to `out`
-// at its current file offset; returns bytes copied (short at EOF).
-// `in`'s file offset does not move, so a shared fd stays usable. The
-// copy runs in the kernel (copy_file_range) and drops to a 64 KiB
-// stack-buffer pread/write loop on EXDEV, EINVAL, ENOSYS or
-// EOPNOTSUPP; `kernel = false` forces that loop. This is the
-// data-mover's PFS -> NVMe "fs::copy" step and the flusher's inverse.
+// at `out_offset`; returns bytes copied (short at EOF). Neither file
+// offset moves, so shared fds stay usable. The copy runs in the kernel
+// (copy_file_range) and drops to a 64 KiB stack-buffer pread/pwrite
+// loop on EXDEV, EINVAL, ENOSYS or EOPNOTSUPP; `kernel = false` forces
+// that loop. This is the data-mover's PFS -> NVMe "fs::copy" step (into
+// a cache slab slot) and the flusher's inverse.
 Result<uint64_t> copy_range(PosixFile& in, uint64_t offset, uint64_t length,
-                            PosixFile& out, bool kernel = true);
+                            PosixFile& out, uint64_t out_offset,
+                            bool kernel = true);
 
 // mkdir -p.
 Status make_directories(const std::string& path);

@@ -313,6 +313,75 @@ TEST(WriteCrash, KillNineLosesNoAckedFsyncBytes) {
   ::waitpid(pid, &status, 0);
 }
 
+size_t count_slabs(const std::string& dir) {
+  size_t n = 0;
+  for (const auto& e : fs::recursive_directory_iterator(dir)) {
+    if (e.is_regular_file() && e.path().extension() == ".slab") ++n;
+  }
+  return n;
+}
+
+// A kill -9 after a cached epoch leaves the daemon's cache slabs on
+// disk. The next daemon on the same cache dir deletes them at start,
+// and still replays the journal from the named write-back files.
+TEST(WriteCrash, KillNineLeavesNoStaleSlabs) {
+  const std::string pfs = temp_dir("slab_pfs");
+  const std::string cache = temp_dir("slab_cache");
+  const std::string meta = temp_dir("slab_meta");
+  auto tree = workload::generate_tree(
+      pfs, workload::synthetic_small(16, 4096, 0.2));
+  ASSERT_TRUE(tree.ok());
+
+  pid_t pid = spawn_hvacd(pfs, cache, meta + "/ports1", "pfs_write:error");
+  ASSERT_GT(pid, 0);
+  const std::string endpoints = wait_endpoints(meta + "/ports1");
+  ASSERT_FALSE(endpoints.empty()) << "hvacd did not come up";
+  const std::string payload(3000, 'S');
+  {
+    client::HvacClientOptions copts;
+    copts.dataset_dir = pfs;
+    copts.server_endpoints = split_csv(endpoints);
+    copts.allow_pfs_fallback = false;
+    client::HvacClient client(copts);
+    for (size_t i = 0; i < tree->relative_paths.size(); ++i) {
+      const std::string& rel = tree->relative_paths[i];
+      auto vfd = client.open(pfs + "/" + rel);
+      ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+      std::vector<uint8_t> buf(tree->sizes[i]);
+      auto n = client.pread(*vfd, buf.data(), buf.size(), 0);
+      ASSERT_TRUE(n.ok());
+      ASSERT_TRUE(workload::verify_contents(rel, buf)) << rel;
+      ASSERT_TRUE(client.close(*vfd).ok());
+    }
+    auto vfd = client.open_write(pfs + "/ckpt/s.bin", true);
+    ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+    ASSERT_TRUE(client.write(*vfd, payload.data(), payload.size()).ok());
+    ASSERT_TRUE(client.fsync(*vfd).ok());
+    ASSERT_TRUE(client.close(*vfd).ok());
+  }
+  ::kill(pid, SIGKILL);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  EXPECT_GT(count_slabs(cache), 0u);
+  EXPECT_FALSE(fs::exists(pfs + "/ckpt/s.bin"));
+
+  pid = spawn_hvacd(pfs, cache, meta + "/ports2", nullptr);
+  ASSERT_GT(pid, 0);
+  ASSERT_FALSE(wait_endpoints(meta + "/ports2").empty())
+      << "hvacd did not restart";
+  EXPECT_EQ(count_slabs(cache), 0u);
+  std::string got;
+  for (int tries = 0; tries < 1000 && got.size() != payload.size();
+       ++tries) {
+    if (fs::exists(pfs + "/ckpt/s.bin")) got = read_file(pfs + "/ckpt/s.bin");
+    if (got.size() != payload.size()) ::usleep(10 * 1000);
+  }
+  EXPECT_EQ(got, payload);
+
+  ::kill(pid, SIGTERM);
+  ::waitpid(pid, &status, 0);
+}
+
 // ---- hvacctl top over the kTimeSeries ring ----
 
 // Two server instances with a fast collector cadence: `hvacctl top`

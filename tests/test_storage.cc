@@ -2,6 +2,7 @@
 // GPFS-like PFS backend and the node-local store.
 #include <gtest/gtest.h>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -10,9 +11,12 @@
 #include <chrono>
 #include <filesystem>
 #include <optional>
+#include <set>
 #include <thread>
 
 #include "common/env.h"
+#include "core/cache_manager.h"
+#include "core/eviction.h"
 #include "storage/local_store.h"
 #include "storage/pfs_backend.h"
 #include "storage/posix_file.h"
@@ -122,7 +126,7 @@ TEST(PosixFile, CopyContents) {
     ASSERT_TRUE(in.ok());
     auto whole = PosixFile::create_write(dir + "/whole.bin");
     ASSERT_TRUE(whole.ok());
-    const auto n = copy_range(*in, 0, UINT64_MAX, *whole, kernel);
+    const auto n = copy_range(*in, 0, UINT64_MAX, *whole, 0, kernel);
     ASSERT_TRUE(n.ok()) << n.error().message;
     EXPECT_EQ(*n, data.size());
     ASSERT_TRUE(whole->close().ok());
@@ -131,7 +135,7 @@ TEST(PosixFile, CopyContents) {
     auto tail = PosixFile::create_write(dir + "/tail.bin");
     ASSERT_TRUE(tail.ok());
     const uint64_t offset = 200000;
-    const auto m = copy_range(*in, offset, 1u << 20, *tail, kernel);
+    const auto m = copy_range(*in, offset, 1u << 20, *tail, 0, kernel);
     ASSERT_TRUE(m.ok()) << m.error().message;
     EXPECT_EQ(*m, data.size() - offset);
     ASSERT_TRUE(tail->close().ok());
@@ -141,6 +145,42 @@ TEST(PosixFile, CopyContents) {
     uint8_t first = 0;
     ASSERT_EQ(in->read(&first, 1).value(), 1u);
     EXPECT_EQ(first, data[0]);
+  }
+}
+
+// Both the kernel copy and the fallback land at the destination
+// offset, leave the bytes around it alone, and move no file offset.
+TEST(PosixFile, CopyRangeAtDestinationOffset) {
+  const std::string dir = temp_dir("copy_at");
+  std::vector<uint8_t> data(100000);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = uint8_t(i * 13 + 5);
+  ASSERT_TRUE(write_file(dir + "/src.bin", data.data(), data.size()).ok());
+  for (const bool kernel : {true, false}) {
+    auto in = PosixFile::open_read(dir + "/src.bin");
+    ASSERT_TRUE(in.ok());
+    const std::string dst = dir + (kernel ? "/k.bin" : "/u.bin");
+    auto out = PosixFile::create_write(dst);
+    ASSERT_TRUE(out.ok());
+    const std::vector<uint8_t> head(8192, 0xEE);
+    ASSERT_TRUE(out->pwrite(head.data(), head.size(), 0).ok());
+    const auto n = copy_range(*in, 1000, 50000, *out, 8192, kernel);
+    ASSERT_TRUE(n.ok()) << n.error().message;
+    EXPECT_EQ(*n, 50000u);
+    // A second copy past the first, clamped at the source's EOF.
+    const auto m = copy_range(*in, 90000, 50000, *out, 65536, kernel);
+    ASSERT_TRUE(m.ok());
+    EXPECT_EQ(*m, 10000u);
+    uint8_t first = 0;
+    ASSERT_EQ(out->read(&first, 1).value(), 1u);  // offset still 0
+    EXPECT_EQ(first, 0xEE);
+    ASSERT_TRUE(out->close().ok());
+    const std::vector<uint8_t> got = read_file(dst).value();
+    ASSERT_EQ(got.size(), 65536u + 10000u);
+    EXPECT_TRUE(std::equal(head.begin(), head.end(), got.begin()));
+    EXPECT_TRUE(std::equal(data.begin() + 1000, data.begin() + 51000,
+                           got.begin() + 8192));
+    EXPECT_TRUE(std::equal(data.begin() + 90000, data.end(),
+                           got.begin() + 65536));
   }
 }
 
@@ -247,6 +287,35 @@ TEST(PfsBackend, CopyOutChargesAndCopies) {
   EXPECT_EQ(read_file(out + "/f.copy").value(), data);
 }
 
+// The fd form copies a range to a destination offset and charges the
+// bandwidth for every byte, without a second metadata op.
+TEST(PfsBackend, CopyOutAtDestinationOffset) {
+  const std::string root = temp_dir("pfs6");
+  const std::string out = temp_dir("pfs6out");
+  std::vector<uint8_t> data(20000);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = uint8_t(i % 251);
+  ASSERT_TRUE(write_file(root + "/f.bin", data.data(), data.size()).ok());
+  PfsBackend pfs(root);
+  auto src = pfs.open("f.bin");
+  ASSERT_TRUE(src.ok());
+  auto dst = PosixFile::create_write(out + "/slab");
+  ASSERT_TRUE(dst.ok());
+  const auto a = pfs.copy_out(*src, *dst, 0, UINT64_MAX, 4096);
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(*a, data.size());
+  const auto b = pfs.copy_out(*src, *dst, 5000, 3000, 28672);
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(*b, 3000u);
+  EXPECT_EQ(pfs.bytes_read(), data.size() + 3000u);
+  EXPECT_EQ(pfs.metadata_ops(), 1u);
+  std::vector<uint8_t> back(data.size());
+  ASSERT_EQ(dst->pread(back.data(), back.size(), 4096).value(), back.size());
+  EXPECT_EQ(back, data);
+  ASSERT_EQ(dst->pread(back.data(), 3000, 28672).value(), 3000u);
+  EXPECT_TRUE(std::equal(back.begin(), back.begin() + 3000,
+                         data.begin() + 5000));
+}
+
 TEST(PfsBackend, MetadataLatencySlowsOpens) {
   const std::string root = temp_dir("pfs4");
   uint8_t b = 1;
@@ -272,27 +341,50 @@ TEST(PfsBackend, AbsolutePathPassthrough) {
 
 // ---- local store -----------------------------------------------------------------
 
+// Copies `size` bytes of `fill` into the store as `logical`, the way the
+// data mover does: reserve, claim a slab slot, write it, insert.
+void put_cached(LocalStore& store, const std::string& logical, size_t size,
+                uint8_t fill) {
+  ASSERT_TRUE(store.reserve(size).ok());
+  auto slot = store.claim(size);
+  ASSERT_TRUE(slot.ok()) << slot.error().to_string();
+  std::vector<uint8_t> data(size, fill);
+  ASSERT_TRUE(slot->file().pwrite(data.data(), size, slot->base()).ok());
+  store.insert(logical, std::move(slot).value(), size);
+}
+
+std::vector<std::string> slab_files(const std::string& root) {
+  std::vector<std::string> out;
+  for (const auto& e : fs::directory_iterator(root)) {
+    if (e.path().extension() == ".slab") out.push_back(e.path().string());
+  }
+  return out;
+}
+
+bool fd_closed(int fd) { return ::fcntl(fd, F_GETFD) == -1 && errno == EBADF; }
+
 TEST(LocalStore, InsertOpenEvict) {
   const std::string root = temp_dir("store1");
   LocalStore store(root);
   const std::string logical = "class_1/a.bin";
-  std::vector<uint8_t> data(100, 9);
-  ASSERT_TRUE(write_file(store.physical_path(logical), data.data(),
-                         data.size())
-                  .ok());
-  ASSERT_TRUE(store.insert(logical, data.size()).ok());
+  put_cached(store, logical, 100, 9);
   EXPECT_TRUE(store.contains(logical));
   EXPECT_EQ(store.bytes_used(), 100u);
   EXPECT_EQ(store.entry_count(), 1u);
+  EXPECT_EQ(slab_files(root).size(), 1u);
 
   auto f = store.open(logical);
   ASSERT_TRUE(f.ok());
-  EXPECT_EQ(f->size().value(), 100u);
+  EXPECT_EQ(f->size, 100u);
+  uint8_t b = 0;
+  EXPECT_EQ(f->file.pread(&b, 1, f->base + 99).value(), 1u);
+  EXPECT_EQ(b, 9);
+  EXPECT_EQ(store.cached_size(logical).value(), 100u);
 
   EXPECT_EQ(store.evict(logical).value(), 100u);
   EXPECT_FALSE(store.contains(logical));
   EXPECT_EQ(store.bytes_used(), 0u);
-  EXPECT_FALSE(file_exists(store.physical_path(logical)));
+  EXPECT_TRUE(slab_files(root).empty());
 }
 
 TEST(LocalStore, OpenUncachedIsNotFound) {
@@ -301,13 +393,15 @@ TEST(LocalStore, OpenUncachedIsNotFound) {
   ASSERT_FALSE(f.ok());
   EXPECT_EQ(f.error().code, ErrorCode::kNotFound);
   EXPECT_FALSE(store.evict("missing").ok());
+  EXPECT_TRUE(store.evict_slab("missing").empty());
+  EXPECT_EQ(store.cached_size("missing").error().code, ErrorCode::kNotFound);
 }
 
 TEST(LocalStore, CapacityEnforced) {
   LocalStore store(temp_dir("store3"), 250);
-  EXPECT_TRUE(store.insert("a", 100).ok());
-  EXPECT_TRUE(store.insert("b", 100).ok());
-  const Status s = store.insert("c", 100);
+  put_cached(store, "a", 100, 1);
+  put_cached(store, "b", 100, 2);
+  const Status s = store.reserve(100);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.error().code, ErrorCode::kCapacity);
   EXPECT_EQ(store.bytes_used(), 200u);
@@ -315,23 +409,28 @@ TEST(LocalStore, CapacityEnforced) {
 
 TEST(LocalStore, InsertIdempotent) {
   LocalStore store(temp_dir("store4"));
-  EXPECT_TRUE(store.insert("a", 100).ok());
-  EXPECT_TRUE(store.insert("a", 100).ok());
-  EXPECT_EQ(store.bytes_used(), 100u);
+  put_cached(store, "a", 100, 'x');
+  put_cached(store, "a", 100, 'y');
   EXPECT_EQ(store.entry_count(), 1u);
+  // The first copy stays; the second is dead space in the slab, which
+  // counts (padding included) until the slab goes.
+  uint8_t b = 0;
+  EXPECT_EQ(store.open_pinned("a")->pread(&b, 1, 0).value(), 1u);
+  EXPECT_EQ(b, 'x');
+  EXPECT_EQ(store.bytes_used(), LocalStore::kSlotAlign + 100);
 }
 
 TEST(LocalStore, PurgeRemovesEverything) {
   const std::string root = temp_dir("store5");
   LocalStore store(root);
   for (int i = 0; i < 10; ++i) {
-    const std::string logical = "f" + std::to_string(i);
-    uint8_t b = 1;
-    ASSERT_TRUE(
-        write_file(store.physical_path(logical), &b, 1).ok());
-    ASSERT_TRUE(store.insert(logical, 1).ok());
+    put_cached(store, "f" + std::to_string(i), 1, 1);
   }
-  EXPECT_EQ(store.entry_count(), 10u);
+  auto named = store.open_write("ckpt");
+  ASSERT_TRUE(named.ok());
+  ASSERT_TRUE(named->pwrite("x", 1, 0).ok());
+  ASSERT_TRUE(store.update_size("ckpt", 1).ok());
+  EXPECT_EQ(store.entry_count(), 11u);
   store.purge();
   EXPECT_EQ(store.entry_count(), 0u);
   EXPECT_EQ(store.bytes_used(), 0u);
@@ -354,31 +453,19 @@ TEST(LocalStore, PhysicalPathsFlatAndDistinct) {
 
 TEST(LocalStore, LogicalPathsSnapshot) {
   LocalStore store(temp_dir("store7"));
-  ASSERT_TRUE(store.insert("x", 1).ok());
-  ASSERT_TRUE(store.insert("y", 2).ok());
+  put_cached(store, "x", 1, 1);
+  put_cached(store, "y", 2, 2);
   auto paths = store.logical_paths();
   std::sort(paths.begin(), paths.end());
   EXPECT_EQ(paths, (std::vector<std::string>{"x", "y"}));
 }
 
-// ---- resident fds --------------------------------------------------------
-
-// Writes `size` bytes of `fill` as the cached copy of `logical`.
-void put_cached(LocalStore& store, const std::string& logical, size_t size,
-                uint8_t fill) {
-  std::vector<uint8_t> data(size, fill);
-  ASSERT_TRUE(write_file(store.physical_path(logical), data.data(),
-                         data.size())
-                  .ok());
-}
-
-bool fd_closed(int fd) { return ::fcntl(fd, F_GETFD) == -1 && errno == EBADF; }
+// ---- slabs and their fds ---------------------------------------------------
 
 TEST(LocalStore, OpenPinnedReadsAndEvictInvalidatesHandle) {
   const std::string root = temp_dir("store8");
   LocalStore store(root);
   put_cached(store, "a", 128, 0x42);
-  ASSERT_TRUE(store.insert("a", 128).ok());
 
   auto pin = store.open_pinned("a");
   ASSERT_TRUE(pin.ok());
@@ -388,8 +475,8 @@ TEST(LocalStore, OpenPinnedReadsAndEvictInvalidatesHandle) {
   EXPECT_EQ(store.fd_stats().hits, 1u);
   EXPECT_EQ(store.fd_stats().misses, 0u);
 
-  // Evicting the entry drops the store's fd; the held pin still reads
-  // (fail-open for in-flight requests).
+  // Evicting the slab's only entry drops the store's fd; the held pin
+  // still reads (fail-open for in-flight requests).
   ASSERT_TRUE(store.evict("a").ok());
   EXPECT_EQ(store.fd_stats().open, 0u);
   EXPECT_EQ(pin->pread(buf, sizeof(buf), 64).value(), 64u);
@@ -402,57 +489,110 @@ TEST(LocalStore, PurgeClearsHandleCache) {
   const std::string root = temp_dir("store9");
   LocalStore store(root);
   put_cached(store, "a", 32, 1);
-  ASSERT_TRUE(store.insert("a", 32).ok());
   ASSERT_TRUE(store.open_pinned("a").ok());
   EXPECT_EQ(store.fd_stats().open, 1u);
   store.purge();
   EXPECT_EQ(store.fd_stats().open, 0u);
 }
 
-// The data mover hands its copy's fd to insert(); hits serve from that
-// very fd, so a fetch costs no second open.
+// The data mover copies into the slot's fd; hits on every entry of the
+// slab serve from that very fd, so a fetch costs no open at all.
 TEST(LocalStore, InsertKeepsTheHandedFd) {
   const std::string root = temp_dir("store10");
   LocalStore store(root);
-  auto out = PosixFile::create_write(store.physical_path("a"));
-  ASSERT_TRUE(out.ok());
-  const int fd = out->fd();
+  ASSERT_TRUE(store.reserve(100).ok());
+  auto slot = store.claim(100);
+  ASSERT_TRUE(slot.ok());
+  const int fd = slot->file().fd();
+  EXPECT_EQ(slot->base(), 0u);
   std::vector<uint8_t> data(100, 7);
-  ASSERT_TRUE(out->write(data.data(), data.size()).ok());
-  ASSERT_TRUE(store.insert("a", data.size(), 0, std::move(out).value()).ok());
+  ASSERT_TRUE(slot->file().pwrite(data.data(), data.size(), 0).ok());
+  store.insert("a", std::move(slot).value(), data.size());
+  put_cached(store, "b", 10, 8);
 
-  auto pin = store.open_pinned("a");
-  ASSERT_TRUE(pin.ok());
-  EXPECT_EQ(pin->file().fd(), fd);
+  for (const char* key : {"a", "b"}) {
+    auto pin = store.open_pinned(key);
+    ASSERT_TRUE(pin.ok());
+    EXPECT_EQ(pin->file().fd(), fd) << key;
+  }
+  auto b = store.open_pinned("b");
+  EXPECT_EQ(b->base(), LocalStore::kSlotAlign);
+  EXPECT_EQ(b->size(), 10u);
   uint8_t buf[100];
-  EXPECT_EQ(pin->pread(buf, sizeof(buf), 0).value(), 100u);
-  EXPECT_EQ(buf[99], 7);
-
-  // A second insert of the same path is idempotent and closes its fd.
-  auto dup = PosixFile::open_read(store.physical_path("a"));
-  ASSERT_TRUE(dup.ok());
-  const int dup_fd = dup->fd();
-  ASSERT_TRUE(store.insert("a", data.size(), 0, std::move(dup).value()).ok());
-  EXPECT_TRUE(fd_closed(dup_fd));
+  // Clamped to the entry: never into the next slot.
+  EXPECT_EQ(store.open_pinned("a")->pread(buf, sizeof(buf), 50).value(), 50u);
+  EXPECT_EQ(buf[49], 7);
+  EXPECT_EQ(b->pread(buf, sizeof(buf), 0).value(), 10u);
+  EXPECT_EQ(buf[9], 8);
   EXPECT_EQ(store.fd_stats().open, 1u);
+  EXPECT_EQ(slab_files(root).size(), 1u);
+}
+
+// Copies in flight at once land in different slabs (one file's copies
+// serialize on its inode lock), up to kFillingSlabs; past that, and
+// once they settle, claims share.
+TEST(LocalStore, ConcurrentClaimsFillSeparateSlabs) {
+  const std::string root = temp_dir("store20");
+  LocalStore store(root);
+  std::vector<LocalStore::Slot> slots;
+  std::set<int> fds;
+  for (size_t i = 0; i <= LocalStore::kFillingSlabs; ++i) {
+    ASSERT_TRUE(store.reserve(100).ok());
+    slots.push_back(store.claim(100).value());
+    fds.insert(slots.back().file().fd());
+  }
+  EXPECT_EQ(fds.size(), LocalStore::kFillingSlabs);
+  EXPECT_EQ(slab_files(root).size(), LocalStore::kFillingSlabs);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    store.insert("k" + std::to_string(i), std::move(slots[i]), 100);
+  }
+  EXPECT_EQ(store.reserved_bytes(), 0u);
+  put_cached(store, "late", 100, 1);
+  EXPECT_EQ(slab_files(root).size(), LocalStore::kFillingSlabs);
+  EXPECT_EQ(store.fd_stats().open, LocalStore::kFillingSlabs);
+}
+
+// Two entries share one slab: pin A, evict A and B, and A's bytes still
+// read back through the pin from a slab that is still on disk; it goes
+// with the last pin.
+TEST(LocalStore, SlabOutlivesEvictionWhilePinned) {
+  const std::string root = temp_dir("store17");
+  LocalStore store(root);
+  put_cached(store, "A", 5000, 'A');
+  put_cached(store, "B", 3000, 'B');
+  ASSERT_EQ(slab_files(root).size(), 1u);
+
+  std::optional<LocalStore::Pin> pin = store.open_pinned("A").value();
+  ASSERT_TRUE(store.evict("A").ok());
+  ASSERT_TRUE(store.evict("B").ok());
+  EXPECT_EQ(store.entry_count(), 0u);
+  EXPECT_EQ(store.bytes_used(), 0u);
+  EXPECT_EQ(slab_files(root).size(), 1u);
+  std::vector<uint8_t> back(5000);
+  EXPECT_EQ(pin->pread(back.data(), back.size(), 0).value(), 5000u);
+  EXPECT_EQ(back, std::vector<uint8_t>(5000, 'A'));
+
+  pin.reset();
+  EXPECT_TRUE(slab_files(root).empty());
 }
 
 TEST(LocalStore, PinnedReadSurvivesEvictAndPurgeUntilLastUnpin) {
   const std::string root = temp_dir("store11");
   LocalStore store(root);
-  for (const char* key : {"a", "b"}) {
-    put_cached(store, key, 64, uint8_t(key[0]));
-    ASSERT_TRUE(store.insert(key, 64).ok());
-  }
+  put_cached(store, "a", 64, 'a');
+  put_cached(store, "b", 64, 'b');
   uint8_t buf[64];
 
-  // evict: two pins share the fd; it closes only when both are gone.
+  // evict_slab: two pins share the fd; it closes only when both are
+  // gone.
   std::optional<LocalStore::Pin> first = store.open_pinned("a").value();
   std::optional<LocalStore::Pin> second = store.open_pinned("a").value();
   const int fd_a = first->file().fd();
   EXPECT_EQ(second->file().fd(), fd_a);
   EXPECT_EQ(store.fd_stats().pinned, 1u);
-  ASSERT_TRUE(store.evict("a").ok());
+  std::vector<std::string> dropped = store.evict_slab("a");
+  std::sort(dropped.begin(), dropped.end());
+  EXPECT_EQ(dropped, (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(store.fd_stats().deferred_closes, 1u);
   EXPECT_EQ(first->pread(buf, sizeof(buf), 0).value(), 64u);
   EXPECT_EQ(buf[0], 'a');
@@ -463,6 +603,7 @@ TEST(LocalStore, PinnedReadSurvivesEvictAndPurgeUntilLastUnpin) {
   EXPECT_TRUE(fd_closed(fd_a));
 
   // purge: same contract.
+  put_cached(store, "b", 64, 'b');
   std::optional<LocalStore::Pin> pin = store.open_pinned("b").value();
   const int fd_b = pin->file().fd();
   store.purge();
@@ -485,7 +626,6 @@ TEST(LocalStore, ConcurrentEvictVsPinnedReads) {
   auto key = [](size_t i) { return "k" + std::to_string(i); };
   for (size_t i = 0; i < kFiles; ++i) {
     put_cached(store, key(i), 64, uint8_t('a' + i));
-    ASSERT_TRUE(store.insert(key(i), 64).ok());
   }
 
   std::atomic<bool> stop{false};
@@ -515,6 +655,8 @@ TEST(LocalStore, ConcurrentEvictVsPinnedReads) {
       const size_t idx = i % kFiles;
       if (i % 64 == 63) {
         store.purge();
+      } else if (i % 8 == 7) {
+        (void)store.evict_slab(key(idx));
       } else {
         (void)store.evict(key(idx));
       }
@@ -522,7 +664,6 @@ TEST(LocalStore, ConcurrentEvictVsPinnedReads) {
       for (size_t j = 0; j < kFiles; ++j) {
         if (store.contains(key(j))) continue;
         put_cached(store, key(j), 64, uint8_t('a' + j));
-        (void)store.insert(key(j), 64);
       }
     }
   });
@@ -534,18 +675,14 @@ TEST(LocalStore, ConcurrentEvictVsPinnedReads) {
   EXPECT_EQ(read_errors.load(), 0u);
   EXPECT_GT(reads.load(), 0u);
   EXPECT_EQ(store.fd_stats().pinned, 0u);
-  EXPECT_EQ(store.fd_stats().open, store.entry_count());
+  // Every slab on disk is a live one holding its fd.
+  EXPECT_EQ(store.fd_stats().open, slab_files(root).size());
 }
 
 TEST(LocalStore, ZeroFdBudgetServesPerRequestOpens) {
   const std::string root = temp_dir("store13");
   LocalStore store(root, /*capacity_bytes=*/0, /*fd_budget=*/0);
   put_cached(store, "a", 48, 'z');
-  auto out = PosixFile::open_read(store.physical_path("a"));
-  ASSERT_TRUE(out.ok());
-  const int handed = out->fd();
-  ASSERT_TRUE(store.insert("a", 48, 0, std::move(out).value()).ok());
-  EXPECT_TRUE(fd_closed(handed));  // over budget: not kept
 
   for (int round = 0; round < 2; ++round) {
     auto pin = store.open_pinned("a");
@@ -553,7 +690,7 @@ TEST(LocalStore, ZeroFdBudgetServesPerRequestOpens) {
     uint8_t buf[48];
     EXPECT_EQ(pin->pread(buf, sizeof(buf), 0).value(), 48u);
     EXPECT_EQ(buf[47], 'z');
-    EXPECT_EQ(pin->size().value(), 48u);
+    EXPECT_EQ(pin->size(), 48u);
   }
   const LocalStore::FdStats stats = store.fd_stats();
   EXPECT_EQ(stats.hits, 0u);
@@ -562,34 +699,36 @@ TEST(LocalStore, ZeroFdBudgetServesPerRequestOpens) {
   EXPECT_EQ(stats.budget, 0u);
 }
 
+// The budget counts slabs, not entries.
 TEST(LocalStore, FdBudgetCapsHeldFds) {
   const std::string root = temp_dir("store14");
-  LocalStore store(root, 0, /*fd_budget=*/1);
-  for (const char* key : {"a", "b"}) {
-    put_cached(store, key, 16, uint8_t(key[0]));
-    ASSERT_TRUE(store.insert(key, 16).ok());
-  }
+  // 64 KiB slabs: each 40 KiB entry fills one.
+  LocalStore store(root, /*capacity_bytes=*/1u << 20, /*fd_budget=*/1);
+  ASSERT_EQ(store.slab_bytes(), 64u << 10);
+  constexpr size_t kEntry = 40u << 10;
+  put_cached(store, "a", kEntry, 'a');
+  put_cached(store, "b", kEntry, 'b');
+  ASSERT_EQ(slab_files(root).size(), 2u);
   EXPECT_EQ(store.fd_stats().open, 1u);
   ASSERT_TRUE(store.open_pinned("a").ok());
   ASSERT_TRUE(store.open_pinned("b").ok());
   EXPECT_EQ(store.fd_stats().hits, 1u);
   EXPECT_EQ(store.fd_stats().misses, 1u);
-  // Evicting the entry with the fd frees its slot for the next insert.
+  // Dropping the slab with the fd frees its place for the next slab.
   ASSERT_TRUE(store.evict("a").ok());
-  put_cached(store, "c", 16, 'c');
-  ASSERT_TRUE(store.insert("c", 16).ok());
+  put_cached(store, "c", kEntry, 'c');
   EXPECT_EQ(store.fd_stats().open, 1u);
   ASSERT_TRUE(store.open_pinned("c").ok());
   EXPECT_EQ(store.fd_stats().hits, 2u);
 }
 
-TEST(LocalStore, EmfileAtInsertKeepsEntryWithoutFd) {
+TEST(LocalStore, EmfileAtClaimFailsWithoutLeaking) {
   const std::string root = temp_dir("store15");
   LocalStore store(root);
-  put_cached(store, "a", 40, 'e');
+  ASSERT_TRUE(store.reserve(40).ok());
 
-  // Cap the fd table at its lowest free slot: the open inside insert()
-  // fails with EMFILE.
+  // Cap the fd table at its lowest free slot: the slab create inside
+  // claim() fails with EMFILE.
   rlimit old{};
   ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &old), 0);
   const int lowest_free = ::dup(0);
@@ -598,30 +737,32 @@ TEST(LocalStore, EmfileAtInsertKeepsEntryWithoutFd) {
   rlimit cap = old;
   cap.rlim_cur = static_cast<rlim_t>(lowest_free);
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &cap), 0);
-  const Status inserted = store.insert("a", 40);
-  const int probe = ::open(store.physical_path("a").c_str(), O_RDONLY);
-  const int probe_errno = errno;
+  auto slot = store.claim(40);
   ::setrlimit(RLIMIT_NOFILE, &old);
-  ASSERT_TRUE(inserted.ok());
-  ASSERT_EQ(probe, -1);
-  EXPECT_EQ(probe_errno, EMFILE);
+  ASSERT_FALSE(slot.ok());
+  EXPECT_EQ(slot.error().code, ErrorCode::kIoError)
+      << slot.error().to_string();
+  store.release(40);
+  EXPECT_EQ(store.bytes_used(), 0u);
   EXPECT_EQ(store.fd_stats().open, 0u);
+  EXPECT_TRUE(slab_files(root).empty());
 
+  put_cached(store, "a", 40, 'e');
   auto pin = store.open_pinned("a");
   ASSERT_TRUE(pin.ok());
   uint8_t buf[40];
   EXPECT_EQ(pin->pread(buf, sizeof(buf), 0).value(), 40u);
   EXPECT_EQ(buf[0], 'e');
-  EXPECT_EQ(store.fd_stats().misses, 1u);
+  EXPECT_EQ(store.fd_stats().open, 1u);
 }
 
-// The write path grows a file through its own read-write fd and then
-// records the size; a pin (per-read fd, or the entry's own) sees both.
+// The write path grows a named file through its own read-write fd and
+// then records the size; a pin sees both. A path held in a slab is
+// copied out to its named file first.
 TEST(LocalStore, GrownFileReadsBackThroughOpenPinned) {
   const std::string root = temp_dir("store16");
   LocalStore store(root);
   put_cached(store, "cached", 10, 'c');
-  ASSERT_TRUE(store.insert("cached", 10).ok());
 
   for (const std::string key : {"fresh", "cached"}) {
     auto w = store.open_write(key);
@@ -632,13 +773,146 @@ TEST(LocalStore, GrownFileReadsBackThroughOpenPinned) {
 
     auto pin = store.open_pinned(key);
     ASSERT_TRUE(pin.ok()) << key;
-    EXPECT_EQ(pin->size().value(), 310u) << key;
+    EXPECT_EQ(pin->size(), 310u) << key;
+    EXPECT_EQ(pin->base(), 0u) << key;
     std::vector<uint8_t> back(310);
     EXPECT_EQ(pin->pread(back.data(), back.size(), 0).value(), 310u);
     EXPECT_EQ(back[0], key == "cached" ? 'c' : 0) << key;
     EXPECT_EQ(back[309], 'w') << key;
   }
+  // The slab went with its last entry.
+  EXPECT_TRUE(slab_files(root).empty());
   EXPECT_EQ(store.bytes_used(), 620u);
+  EXPECT_EQ(store.cached_size("cached").value(), 310u);
+}
+
+// A truncating write open skips the copy-out; its update_size(0)
+// re-points the entry, and readers saw the slab bytes until then.
+TEST(LocalStore, TruncatingWriteOpenRepointsWithoutCopy) {
+  const std::string root = temp_dir("store18");
+  LocalStore store(root);
+  put_cached(store, "ckpt", 100, 'c');
+  auto w = store.open_write("ckpt", /*keep_contents=*/false);
+  ASSERT_TRUE(w.ok());
+  EXPECT_EQ(w->size().value(), 0u);
+  EXPECT_EQ(store.open_pinned("ckpt")->size(), 100u);
+  ASSERT_TRUE(store.update_size("ckpt", 0).ok());
+  EXPECT_EQ(store.open_pinned("ckpt")->size(), 0u);
+  EXPECT_TRUE(slab_files(root).empty());
+  EXPECT_EQ(store.bytes_used(), 0u);
+}
+
+// A killed process's slabs are deleted by the next store on the same
+// root; named write-back files and journals stay.
+TEST(LocalStore, ConstructionDeletesStaleSlabs) {
+  const std::string root = temp_dir("store19");
+  uint8_t b = 1;
+  for (const char* name : {"77-0.slab", "77-1.slab", "00ab.hvac",
+                           "hvac-00ab.wal"}) {
+    ASSERT_TRUE(write_file(root + "/" + name, &b, 1).ok());
+  }
+  LocalStore store(root);
+  EXPECT_TRUE(slab_files(root).empty());
+  EXPECT_TRUE(file_exists(root + "/00ab.hvac"));
+  EXPECT_TRUE(file_exists(root + "/hvac-00ab.wal"));
+}
+
+// ---- slab invariants under the cache manager ------------------------------
+
+// Records every policy event on top of FIFO.
+class RecordingPolicy : public core::FifoEviction {
+ public:
+  void on_evict(const std::string& logical_path) override {
+    evicted.push_back(logical_path);
+    core::FifoEviction::on_evict(logical_path);
+  }
+  std::vector<std::string> evicted;
+};
+
+struct ChurnFixture {
+  std::string pfs_root, cache_root;
+  std::unique_ptr<PfsBackend> pfs;
+  std::unique_ptr<core::CacheManager> cache;
+  std::vector<uint64_t> sizes;
+
+  ChurnFixture(const std::string& name, uint64_t capacity, size_t files,
+               std::unique_ptr<core::EvictionPolicy> policy) {
+    pfs_root = temp_dir(name + "_pfs");
+    cache_root = temp_dir(name + "_cache");
+    uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (size_t i = 0; i < files; ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      sizes.push_back(1 + (x >> 33) % (48u << 10));
+      std::vector<uint8_t> data(sizes.back(), uint8_t(i));
+      EXPECT_TRUE(write_file(pfs_root + "/" + name_of(i), data.data(),
+                             data.size())
+                      .ok());
+    }
+    pfs = std::make_unique<PfsBackend>(pfs_root);
+    cache = std::make_unique<core::CacheManager>(
+        pfs.get(), std::make_unique<LocalStore>(cache_root, capacity),
+        std::move(policy));
+  }
+  static std::string name_of(size_t i) { return "f" + std::to_string(i); }
+};
+
+// Whole-slab eviction keeps the disk footprint honest: the slabs'
+// allocated blocks never exceed the capacity plus one slab.
+TEST(LocalStore, ChurnKeepsSlabBlocksWithinCapacity) {
+  constexpr uint64_t kCapacity = 4u << 20;
+  ChurnFixture fx("churn", kCapacity, 256,
+                  core::make_eviction_policy("random", 7));
+  LocalStore& store = fx.cache->store();
+  uint64_t x = 12345;
+  uint64_t peak = 0;
+  for (int op = 0; op < 600; ++op) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const size_t i = (x >> 33) % fx.sizes.size();
+    const auto data = fx.cache->read_through(ChurnFixture::name_of(i));
+    ASSERT_TRUE(data.ok());
+    ASSERT_EQ(data->size(), fx.sizes[i]);
+    ASSERT_EQ((*data)[data->size() - 1], uint8_t(i));
+    ASSERT_LE(store.bytes_used(), kCapacity);
+    uint64_t blocks = 0;
+    for (const std::string& slab : slab_files(fx.cache_root)) {
+      struct stat st{};
+      ASSERT_EQ(::stat(slab.c_str(), &st), 0);
+      blocks += uint64_t(st.st_blocks) * 512;
+    }
+    ASSERT_LE(blocks, kCapacity + store.slab_bytes()) << "op " << op;
+    peak = std::max(peak, blocks);
+  }
+  EXPECT_GT(fx.cache->metrics().evictions, 0u);
+  EXPECT_GT(peak, kCapacity / 2);
+}
+
+// Evicting a victim drops its whole slab, and the policy hears of every
+// entry that went, and of nothing else.
+TEST(LocalStore, EvictedSlabReportsEveryEntry) {
+  constexpr uint64_t kCapacity = 2u << 20;  // 128 KiB slabs
+  auto owned = std::make_unique<RecordingPolicy>();
+  RecordingPolicy* policy = owned.get();
+  ChurnFixture fx("report", kCapacity, 128, std::move(owned));
+  LocalStore& store = fx.cache->store();
+  std::set<std::string> cached;
+  for (size_t i = 0; i < fx.sizes.size(); ++i) {
+    const std::string key = ChurnFixture::name_of(i);
+    const size_t before = policy->evicted.size();
+    ASSERT_TRUE(fx.cache->read_through(key).ok());
+    for (size_t k = before; k < policy->evicted.size(); ++k) {
+      const std::string& gone = policy->evicted[k];
+      EXPECT_EQ(cached.erase(gone), 1u) << gone;
+      EXPECT_FALSE(store.contains(gone)) << gone;
+    }
+    cached.insert(key);
+    // Everything not reported is still resident.
+    for (const std::string& live : cached) {
+      ASSERT_TRUE(store.contains(live)) << live;
+    }
+  }
+  EXPECT_EQ(fx.cache->metrics().evictions, policy->evicted.size());
+  // Slabs held several entries each, so some evictions took neighbours.
+  EXPECT_GT(policy->evicted.size(), store.entry_count() / 4);
 }
 
 }  // namespace
