@@ -129,6 +129,23 @@ Result<bool> CacheManager::ensure_key_cached(
   return finish(true);
 }
 
+Result<uint64_t> CacheManager::prefill(const std::string& logical_path,
+                                       storage::PosixFile& out) {
+  HVAC_ASSIGN_OR_RETURN(storage::PosixFile src, pfs_->open(logical_path));
+  HVAC_ASSIGN_OR_RETURN(uint64_t size, src.size());
+  if (!reserve_room(size)) {
+    return Error(ErrorCode::kCapacity,
+                 "prefill over store capacity: " + logical_path);
+  }
+  Result<uint64_t> copied = pfs_->copy_out(src, out, 0, size, 0);
+  store_->release(copied.ok() ? size - *copied : size);
+  notify_room();
+  if (!copied.ok()) return copied.error();
+  eviction_->on_insert(logical_path);
+  metrics_.on_miss(*copied);
+  return *copied;
+}
+
 Result<bool> CacheManager::ensure_cached(const std::string& logical_path) {
   return ensure_key_cached(logical_path, logical_path, 0,
                            [](uint64_t file_size) -> Result<uint64_t> {

@@ -72,6 +72,13 @@ class CacheManager {
                                void* buf, size_t count,
                                uint64_t offset_in_segment);
 
+  // The write-open prefill (a storage::LocalStore::Fill): copies
+  // `logical_path` from the PFS into its named file `out` (one metadata
+  // op), reserving room for it as a fetch does. kCapacity when it can
+  // never fit; kNotFound when the PFS has no such file.
+  Result<uint64_t> prefill(const std::string& logical_path,
+                           storage::PosixFile& out);
+
   bool is_cached(const std::string& logical_path) const {
     return store_->contains(logical_path);
   }

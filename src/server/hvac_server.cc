@@ -930,33 +930,27 @@ Result<Bytes> HvacServer::handle_write_open(const Bytes& req) {
   // A non-truncating open of a path the store does not hold yet must
   // prefill the local copy from the PFS: the flusher later replaces
   // the whole PFS file with the local file, so starting from an empty
-  // backing file would turn a partial overwrite into data loss. A
-  // kNotFound from the fetch means the file does not exist anywhere —
-  // this open (O_CREAT on the shim side) creates it, starting empty.
+  // backing file would turn a partial overwrite into data loss. The
+  // prefill copies straight into the named file; a file that does not
+  // exist anywhere starts empty (this open is O_CREAT on the shim
+  // side), and one too big for the NVMe budget gets kCapacity, which
+  // writes through to the PFS (which keeps its own content, so
+  // non-truncating semantics hold).
   auto open_backing = [&]() -> Result<storage::PosixFile> {
-    if (!trunc && !cache_->is_cached(path)) {
-      Result<bool> fetched = mover_->fetch(path);
-      if (!fetched.ok() &&
-          fetched.error().code != ErrorCode::kNotFound) {
-        return fetched.error();
-      }
-      if (fetched.ok() && !*fetched) {
-        // Too big for the NVMe budget: write through to the PFS (which
-        // keeps its own content, so non-truncating semantics hold).
-        return Error(ErrorCode::kCapacity,
-                     "prefill over store capacity: " + path);
-      }
+    if (trunc) {
+      return cache_->store().open_write(path, /*keep_contents=*/false);
     }
-    return cache_->store().open_write(path, /*keep_contents=*/!trunc);
+    return cache_->store().open_write(
+        path, /*keep_contents=*/true,
+        [&](storage::PosixFile& out) { return cache_->prefill(path, out); });
   };
   auto f = open_backing();
   if (f.ok()) {
     h->file = std::move(f).value();
     h->mode = proto::kWriteBack;
     if (trunc) {
+      // open_write() emptied the file and its entry.
       std::lock_guard<std::mutex> lock(write_state_mutex_);
-      HVAC_RETURN_IF_ERROR(h->file.truncate(0));
-      HVAC_RETURN_IF_ERROR(cache_->store().update_size(path, 0));
       HVAC_RETURN_IF_ERROR(journal_->append_truncate(path));
       h->size = 0;
       // The truncation itself must reach the PFS.

@@ -64,6 +64,9 @@ struct LocalStore::Slab {
   bool budgeted = false;
   uint64_t limit = 0;
   uint64_t length = 0;   // end of the last slot, padding included
+  // Bytes of slots whose entries moved to named files: they count as
+  // those entries' bytes, not the slab's.
+  uint64_t moved = 0;
   size_t entries = 0;    // live entries
   size_t inflight = 0;   // claimed slots not yet settled
   // Every path inserted here; evict_slab() skips those that moved.
@@ -176,15 +179,8 @@ Result<LocalStore::Slot> LocalStore::claim(uint64_t bytes) {
   slot.length_ = bytes;
   if (bytes <= slab_bytes_) {
     std::lock_guard<std::mutex> lock(mutex_);
-    // The filling slab with the fewest copies in flight: copies into
-    // one file serialize on its inode lock, so concurrent movers take
-    // a slab each, up to kFillingSlabs.
-    auto lane = std::min_element(
-        filling_.begin(), filling_.end(),
-        [](const auto& a, const auto& b) { return a->inflight < b->inflight; });
-    if (lane != filling_.end() &&
-        ((*lane)->inflight == 0 || filling_.size() >= kFillingSlabs)) {
-      Slab& s = **lane;
+    if (filling_) {
+      Slab& s = *filling_;
       const uint64_t base = align_up(s.length);
       const uint64_t pad = base - s.length;
       if (base + bytes <= s.limit &&
@@ -193,12 +189,12 @@ Result<LocalStore::Slot> LocalStore::claim(uint64_t bytes) {
         s.length = base + bytes;
         ++s.inflight;
         bytes_used_.fetch_add(pad, std::memory_order_relaxed);
-        slot.slab_ = *lane;
+        slot.slab_ = filling_;
         slot.handle_ = s.handle;
         slot.base_ = base;
         return slot;
       }
-      seal_locked(*lane);
+      seal_locked(filling_);
     }
   }
   HVAC_ASSIGN_OR_RETURN(std::shared_ptr<Slab> slab,
@@ -211,8 +207,10 @@ Result<LocalStore::Slot> LocalStore::claim(uint64_t bytes) {
   slot.slab_ = slab;
   slot.handle_ = slab->handle;
   if (bytes <= slab_bytes_) {
-    if (filling_.size() >= kFillingSlabs) seal_locked(filling_.front());
-    filling_.push_back(slab);
+    // A claim that raced this one to a new slab loses its filling
+    // slab's tail.
+    if (filling_) seal_locked(filling_);
+    filling_ = slab;
   } else if (!slab->budgeted) {
     slab->handle.reset();  // a slab of its own takes no more claims
   }
@@ -245,11 +243,10 @@ void LocalStore::abandon(Slot slot) {
   settle_locked(slot, &dropped);
 }
 
-void LocalStore::seal_locked(std::shared_ptr<Slab> slab) {
-  auto it = std::find(filling_.begin(), filling_.end(), slab);
-  if (it == filling_.end()) return;
-  filling_.erase(it);
+void LocalStore::seal_locked(const std::shared_ptr<Slab>& slab) {
+  if (filling_ != slab) return;
   if (!slab->budgeted) slab->handle.reset();
+  filling_.reset();
 }
 
 void LocalStore::detach_locked(const Entry& entry, Dropped* dropped) {
@@ -265,7 +262,8 @@ void LocalStore::drop_if_idle_locked(const std::shared_ptr<Slab>& slab,
 void LocalStore::drop_locked(const std::shared_ptr<Slab>& slab,
                              Dropped* dropped) {
   if (slabs_.erase(slab) == 0) return;
-  bytes_used_.fetch_sub(slab->length, std::memory_order_relaxed);
+  bytes_used_.fetch_sub(slab->length - slab->moved,
+                        std::memory_order_relaxed);
   if (slab->budgeted) {
     --fds_held_;
     release_fds(1);
@@ -314,50 +312,87 @@ Result<uint64_t> LocalStore::cached_size(
 }
 
 Result<PosixFile> LocalStore::open_write(const std::string& logical_path,
-                                         bool keep_contents) {
+                                         bool keep_contents,
+                                         const Fill& fill) {
   HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kStoreWrite));
   const std::string path = physical_path(logical_path);
-  if (!keep_contents) return PosixFile::open_rw(path);
-  std::lock_guard<std::mutex> serial(materialize_mutex_);
-  Entry held;
+  std::lock_guard<std::mutex> serial(
+      write_open_mutexes_[stable_hash(logical_path) %
+                          write_open_mutexes_.size()]);
+  Dropped dropped;
+  if (!keep_contents) {
+    HVAC_ASSIGN_OR_RETURN(PosixFile out, PosixFile::open_rw(path));
+    HVAC_RETURN_IF_ERROR(out.truncate(0));
+    std::lock_guard<std::mutex> lock(mutex_);
+    HVAC_RETURN_IF_ERROR(update_size_locked(logical_path, 0, &dropped));
+    return out;
+  }
+  bool held = false;
+  Entry entry;
   std::shared_ptr<Handle> handle;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(logical_path);
-    if (it != entries_.end() && it->second.slab) {
-      held = it->second;
-      handle = held.slab->handle;
+    if (it != entries_.end()) {
+      held = true;
+      entry = it->second;
+      if (entry.slab) handle = entry.slab->handle;
     }
   }
-  if (!held.slab) return PosixFile::open_rw(path);
+  HVAC_ASSIGN_OR_RETURN(PosixFile out, PosixFile::open_rw(path));
+  if (held && !entry.slab) return out;
+
+  if (!held) {
+    if (!fill) return out;
+    Result<uint64_t> filled = fill(out);
+    if (!filled.ok()) {
+      if (filled.error().code == ErrorCode::kNotFound) return out;
+      return filled.error();
+    }
+    if (Status cut = out.truncate(*filled); !cut.ok()) {
+      release(*filled);
+      return cut.error();
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    reserved_ -= *filled;  // the bytes stay in bytes_used_, as the entry's
+    auto it = entries_.find(logical_path);
+    if (it != entries_.end()) {
+      // A mover fetched the same bytes meanwhile.
+      if (it->second.slab) {
+        detach_locked(it->second, &dropped);
+      } else {
+        bytes_used_.fetch_sub(it->second.size, std::memory_order_relaxed);
+      }
+    }
+    entries_[logical_path] = Entry{*filled, 0, nullptr};
+    return out;
+  }
 
   // Copy the slab bytes into the named file, which writes then grow in
   // place and the flusher copies out.
   PosixFile per_read;
   if (!handle) {
-    HVAC_ASSIGN_OR_RETURN(per_read, PosixFile::open_read(*held.slab->name));
+    HVAC_ASSIGN_OR_RETURN(per_read, PosixFile::open_read(*entry.slab->name));
   }
   PosixFile& src = handle ? handle->file : per_read;
-  HVAC_ASSIGN_OR_RETURN(PosixFile out, PosixFile::open_rw(path));
   HVAC_RETURN_IF_ERROR(out.truncate(0));
   HVAC_ASSIGN_OR_RETURN(uint64_t copied,
-                        copy_range(src, held.base, held.size, out, 0));
-  Dropped dropped;
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (capacity_ != 0 &&
-      bytes_used_.load(std::memory_order_relaxed) + copied > capacity_) {
-    lock.unlock();
-    (void)remove_file(path);
-    return Error(ErrorCode::kCapacity,
-                 "local store over capacity copying out " + logical_path);
-  }
+                        copy_range(src, entry.base, entry.size, out, 0));
+  std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(logical_path);
-  if (it != entries_.end()) {
-    if (!it->second.slab) return out;  // re-pointed meanwhile
+  if (it != entries_.end() && it->second.slab == entry.slab &&
+      it->second.base == entry.base) {
+    // The slot's bytes now count as the named file's, until its slab
+    // drops; the copy needs no new capacity.
+    entry.slab->moved += entry.size;
+    bytes_used_.fetch_sub(entry.size - copied, std::memory_order_relaxed);
     detach_locked(it->second, &dropped);
+    it->second = Entry{copied, 0, nullptr};
+    return out;
   }
-  entries_[logical_path] = Entry{copied, 0, nullptr};
-  bytes_used_.fetch_add(copied, std::memory_order_relaxed);
+  if (it != entries_.end() && !it->second.slab) return out;  // re-pointed
+  // Evicted or fetched again meanwhile: the copy is new bytes.
+  HVAC_RETURN_IF_ERROR(update_size_locked(logical_path, copied, &dropped));
   return out;
 }
 
@@ -365,6 +400,11 @@ Status LocalStore::update_size(const std::string& logical_path,
                                uint64_t new_size) {
   Dropped dropped;
   std::lock_guard<std::mutex> lock(mutex_);
+  return update_size_locked(logical_path, new_size, &dropped);
+}
+
+Status LocalStore::update_size_locked(const std::string& logical_path,
+                                      uint64_t new_size, Dropped* dropped) {
   auto it = entries_.find(logical_path);
   const bool named = it != entries_.end() && !it->second.slab;
   const uint64_t old_size = named ? it->second.size : 0;
@@ -380,7 +420,7 @@ Status LocalStore::update_size(const std::string& logical_path,
     bytes_used_.fetch_sub(old_size - new_size, std::memory_order_relaxed);
   }
   if (it != entries_.end() && it->second.slab) {
-    detach_locked(it->second, &dropped);
+    detach_locked(it->second, dropped);
   }
   entries_[logical_path] = Entry{new_size, 0, nullptr};
   return Status::Ok();
@@ -420,6 +460,11 @@ Result<LocalStore::Pin> LocalStore::open_pinned(
       PosixFile file,
       PosixFile::open_read(slab_name ? *slab_name
                                      : physical_path(logical_path)));
+  if (!slab_name) {
+    // A named file's bytes are what is on disk: a write records its
+    // size before its bytes land, and keeps it if the write fails.
+    HVAC_ASSIGN_OR_RETURN(size, file.size());
+  }
   return Pin(std::make_shared<const Handle>(
                  Handle{std::move(file), std::move(slab_name)}),
              base, size);
@@ -489,7 +534,7 @@ void LocalStore::purge() {
       bytes_used_.fetch_sub(entry.size, std::memory_order_relaxed);
     }
     entries_.clear();
-    while (!filling_.empty()) seal_locked(filling_.front());
+    if (filling_) seal_locked(filling_);
     const std::vector<std::shared_ptr<Slab>> all(slabs_.begin(),
                                                  slabs_.end());
     for (const auto& slab : all) {

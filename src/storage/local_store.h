@@ -17,7 +17,9 @@
 // sendfile/splice reply may still reference its page-cache pages after
 // its pin drops. Space comes back a slab at a time, when a slab's last
 // entry goes (evict_slab() drops all of them at once); until then the
-// slab's bytes count in bytes_used(). A dropped slab is unlinked when
+// slab's bytes count in bytes_used(), but for the slots of entries a
+// write open moved to named files, which count as those files' bytes.
+// A dropped slab is unlinked when
 // its last pin lets go, and a new store deletes the slabs a killed
 // process left in its root.
 //
@@ -27,8 +29,10 @@
 // open(). Slabs past the budget, and named files, open one fd per read.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -113,9 +117,6 @@ class LocalStore {
   static constexpr uint64_t kSlabBytes = 64u << 20;
   // Slot alignment inside a slab.
   static constexpr uint64_t kSlotAlign = 4096;
-  // Slabs filled at once: one per concurrent copy, up to the default
-  // mover count (core::DataMover::kDefaultMovers).
-  static constexpr size_t kFillingSlabs = 4;
 
   // Half the process's soft RLIMIT_NOFILE, read once: the fds all
   // stores in the process may hold together.
@@ -149,11 +150,10 @@ class LocalStore {
   uint64_t reserved_bytes() const;
 
   // A slot of `bytes` for reserve()d bytes: the next aligned offset of
-  // a slab being filled (the one with the fewest copies in flight), or
-  // offset 0 of a new slab (created here, outside the lock; the only
-  // create on the fetch path). Alignment
-  // padding counts in bytes_used(); a slab is sealed rather than
-  // padded past the capacity.
+  // the slab being filled, or offset 0 of a new slab once it is full
+  // (created here, outside the lock; the only create on the fetch
+  // path). Alignment padding counts in bytes_used(); a slab is sealed
+  // rather than padded past the capacity.
   Result<Slot> claim(uint64_t bytes);
 
   // Registers the copy in `slot` as `logical_path`, `size` bytes
@@ -171,16 +171,29 @@ class LocalStore {
   // stat (a write-back entry's size can run ahead of its bytes).
   Result<uint64_t> cached_size(const std::string& logical_path) const;
 
-  // Write path: opens (creating if absent, never truncating) the named
-  // file for read/write. A path held in a slab is first copied into
-  // its named file and its entry re-pointed there, unless the caller
-  // drops the contents anyway (`keep_contents` false: a truncating
-  // open, whose update_size() re-points the entry). kCapacity when that
-  // copy does not fit. Other paths are not registered — callers
-  // account the bytes with update_size() once they land.
+  // Fills the named file of a path the store does not hold, for a
+  // non-truncating write open: copies the path's bytes into `out` from
+  // offset 0 and returns how many, having reserve()d exactly that many.
+  // kNotFound when the path exists nowhere (the write starts empty).
+  using Fill = std::function<Result<uint64_t>(PosixFile& out)>;
+
+  // Write path: opens the named file for read/write, creating it if
+  // absent. Write opens of one path run one at a time, so no open's
+  // copy into the named file interleaves with another's truncation.
+  //  * `keep_contents` false (a truncating open): the file is emptied
+  //    and the entry re-pointed to it at once, so a later open never
+  //    copies stale slab bytes over this writer's.
+  //  * A path held in a slab is copied into its named file and its
+  //    entry re-pointed there; the slot's bytes move to the entry, so
+  //    the copy needs no new capacity.
+  //  * A path the store does not hold is filled by `fill` when given
+  //    (kCapacity when it does not fit); otherwise it is not
+  //    registered, and callers account the bytes with update_size()
+  //    once they land.
   // Fault site: store_write.
   Result<PosixFile> open_write(const std::string& logical_path,
-                               bool keep_contents = true);
+                               bool keep_contents = true,
+                               const Fill& fill = nullptr);
 
   // Records that `logical_path`'s named file now occupies `new_size`
   // bytes (a checkpoint write extended or truncated it), inserting the
@@ -191,8 +204,9 @@ class LocalStore {
 
   // Hot-path open: one lookup that pins the entry's slab fd, so a hit
   // costs one pread instead of an open/pread/close triple. Named files
-  // and slabs past the fd budget open one for this pin. kNotFound
-  // when not cached.
+  // and slabs past the fd budget open one for this pin; a named file's
+  // pin is sized from that fd, since a write records its size before
+  // its bytes land. kNotFound when not cached.
   Result<Pin> open_pinned(const std::string& logical_path) const;
 
   // Removes one cached entry; returns its size, or kNotFound. A slab
@@ -243,12 +257,16 @@ class LocalStore {
                            Dropped* dropped);
   // Stops claims into `slab` if it is being filled. Caller holds
   // mutex_.
-  void seal_locked(std::shared_ptr<Slab> slab);
+  void seal_locked(const std::shared_ptr<Slab>& slab);
   // Forgets `slab` and its bytes; the file goes with the last pin.
   // Caller holds mutex_ and destroys `dropped` after unlocking.
   void drop_locked(const std::shared_ptr<Slab>& slab, Dropped* dropped);
   // Settles `slot`'s claim. Caller holds mutex_.
   void settle_locked(const Slot& slot, Dropped* dropped);
+  // Sets `logical_path`'s entry to a named file of `new_size` bytes,
+  // re-pointing a slab entry. Caller holds mutex_.
+  Status update_size_locked(const std::string& logical_path,
+                            uint64_t new_size, Dropped* dropped);
 
   std::string root_;
   uint64_t capacity_;
@@ -257,8 +275,8 @@ class LocalStore {
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Entry> entries_;
   std::unordered_set<std::shared_ptr<Slab>> slabs_;
-  // The slabs claim() appends to, at most kFillingSlabs.
-  std::vector<std::shared_ptr<Slab>> filling_;
+  // The slab claim() appends to; null once sealed.
+  std::shared_ptr<Slab> filling_;
   uint64_t reserved_ = 0;  // claims of copies in flight
   size_t fds_held_ = 0;    // slabs with a budgeted fd
   // Sum of slab bytes, named entry sizes and reserved_.
@@ -266,9 +284,9 @@ class LocalStore {
   mutable std::atomic<uint64_t> fd_hits_{0};
   mutable std::atomic<uint64_t> fd_misses_{0};
   uint64_t deferred_closes_ = 0;  // guarded by mutex_
-  // Serializes open_write()'s copy-out of a slab entry, so a second
-  // writer never copies stale slab bytes over the first one's writes.
-  std::mutex materialize_mutex_;
+  // Serialize open_write() per path (striped by its hash), held across
+  // its copies into the named file.
+  std::array<std::mutex, 16> write_open_mutexes_;
 };
 
 }  // namespace hvac::storage

@@ -528,28 +528,37 @@ TEST(LocalStore, InsertKeepsTheHandedFd) {
   EXPECT_EQ(slab_files(root).size(), 1u);
 }
 
-// Copies in flight at once land in different slabs (one file's copies
-// serialize on its inode lock), up to kFillingSlabs; past that, and
-// once they settle, claims share.
-TEST(LocalStore, ConcurrentClaimsFillSeparateSlabs) {
+// One slab fills at a time: copies in flight at once take consecutive
+// aligned slots of it, and a claim that does not fit seals it and
+// starts the next.
+TEST(LocalStore, ClaimsFillOneSlabAtATime) {
   const std::string root = temp_dir("store20");
-  LocalStore store(root);
+  LocalStore store(root, /*capacity_bytes=*/16 * 64 * 1024);  // 64 KiB slabs
+  ASSERT_EQ(store.slab_bytes(), 64u * 1024);
   std::vector<LocalStore::Slot> slots;
-  std::set<int> fds;
-  for (size_t i = 0; i <= LocalStore::kFillingSlabs; ++i) {
-    ASSERT_TRUE(store.reserve(100).ok());
-    slots.push_back(store.claim(100).value());
-    fds.insert(slots.back().file().fd());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(store.reserve(10000).ok());
+    slots.push_back(store.claim(10000).value());
   }
-  EXPECT_EQ(fds.size(), LocalStore::kFillingSlabs);
-  EXPECT_EQ(slab_files(root).size(), LocalStore::kFillingSlabs);
   for (size_t i = 0; i < slots.size(); ++i) {
-    store.insert("k" + std::to_string(i), std::move(slots[i]), 100);
+    EXPECT_EQ(slots[i].file().fd(), slots[0].file().fd());
+    EXPECT_EQ(slots[i].base(), i * 3 * LocalStore::kSlotAlign);
+  }
+  EXPECT_EQ(slab_files(root).size(), 1u);
+  // 48 KiB in use: a 20,000-byte copy does not fit the 64 KiB slab.
+  ASSERT_TRUE(store.reserve(20000).ok());
+  slots.push_back(store.claim(20000).value());
+  EXPECT_NE(slots.back().file().fd(), slots[0].file().fd());
+  EXPECT_EQ(slots.back().base(), 0u);
+  EXPECT_EQ(slab_files(root).size(), 2u);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const uint64_t length = slots[i].length();
+    store.insert("k" + std::to_string(i), std::move(slots[i]), length);
   }
   EXPECT_EQ(store.reserved_bytes(), 0u);
   put_cached(store, "late", 100, 1);
-  EXPECT_EQ(slab_files(root).size(), LocalStore::kFillingSlabs);
-  EXPECT_EQ(store.fd_stats().open, LocalStore::kFillingSlabs);
+  EXPECT_EQ(slab_files(root).size(), 2u);
+  EXPECT_EQ(store.open_pinned("late")->base(), 20480u);
 }
 
 // Two entries share one slab: pin A, evict A and B, and A's bytes still
@@ -786,8 +795,8 @@ TEST(LocalStore, GrownFileReadsBackThroughOpenPinned) {
   EXPECT_EQ(store.cached_size("cached").value(), 310u);
 }
 
-// A truncating write open skips the copy-out; its update_size(0)
-// re-points the entry, and readers saw the slab bytes until then.
+// A truncating write open empties the named file and re-points the
+// entry at once, without copying the slab bytes.
 TEST(LocalStore, TruncatingWriteOpenRepointsWithoutCopy) {
   const std::string root = temp_dir("store18");
   LocalStore store(root);
@@ -795,11 +804,139 @@ TEST(LocalStore, TruncatingWriteOpenRepointsWithoutCopy) {
   auto w = store.open_write("ckpt", /*keep_contents=*/false);
   ASSERT_TRUE(w.ok());
   EXPECT_EQ(w->size().value(), 0u);
-  EXPECT_EQ(store.open_pinned("ckpt")->size(), 100u);
-  ASSERT_TRUE(store.update_size("ckpt", 0).ok());
   EXPECT_EQ(store.open_pinned("ckpt")->size(), 0u);
+  EXPECT_EQ(store.open_pinned("ckpt")->base(), 0u);
   EXPECT_TRUE(slab_files(root).empty());
   EXPECT_EQ(store.bytes_used(), 0u);
+}
+
+// A non-truncating open that follows a truncating one, before the
+// truncating writer's first update_size(), finds the emptied named
+// file: it never copies the stale slab bytes over the writer's.
+TEST(LocalStore, KeepingOpenAfterTruncatingOpenCopiesNothing) {
+  const std::string root = temp_dir("store21");
+  LocalStore store(root);
+  put_cached(store, "ckpt", 100, 'c');
+  auto trunc = store.open_write("ckpt", /*keep_contents=*/false);
+  ASSERT_TRUE(trunc.ok());
+  auto keep = store.open_write("ckpt");
+  ASSERT_TRUE(keep.ok());
+  EXPECT_EQ(keep->size().value(), 0u);
+  const std::string fresh(5, 'w');
+  ASSERT_TRUE(trunc->pwrite(fresh.data(), fresh.size(), 0).ok());
+  ASSERT_TRUE(store.update_size("ckpt", fresh.size()).ok());
+  std::string back(16, '\0');
+  EXPECT_EQ(keep->pread(back.data(), back.size(), 0).value(), 5u);
+  EXPECT_EQ(back.substr(0, 5), fresh);
+  EXPECT_EQ(store.cached_size("ckpt").value(), 5u);
+}
+
+// Truncating and non-truncating opens of a slab-held path, interleaved
+// from two threads: however they race, the named file ends holding
+// exactly the truncating writer's bytes, never the slab's.
+TEST(LocalStore, InterleavedTruncatingAndKeepingOpensNeverResurrectSlab) {
+  const std::string root = temp_dir("store22");
+  LocalStore store(root);
+  const std::string fresh(64, 'w');
+  for (int round = 0; round < 200; ++round) {
+    (void)store.evict("ckpt");
+    put_cached(store, "ckpt", 4096, 'c');
+    std::thread truncating([&] {
+      auto w = store.open_write("ckpt", /*keep_contents=*/false);
+      ASSERT_TRUE(w.ok());
+      ASSERT_TRUE(w->pwrite(fresh.data(), fresh.size(), 0).ok());
+      ASSERT_TRUE(store.update_size("ckpt", fresh.size()).ok());
+    });
+    std::thread keeping([&] { ASSERT_TRUE(store.open_write("ckpt").ok()); });
+    truncating.join();
+    keeping.join();
+    auto on_disk = read_file(store.physical_path("ckpt"));
+    ASSERT_TRUE(on_disk.ok());
+    ASSERT_EQ(std::string(on_disk->begin(), on_disk->end()), fresh)
+        << "round " << round;
+    ASSERT_EQ(store.cached_size("ckpt").value(), fresh.size());
+  }
+}
+
+// A write records its size before its bytes land (and keeps it if the
+// write then fails): a named file's pin, fresh fd and stat all report
+// the bytes on disk, so no reply extent runs past EOF.
+TEST(LocalStore, NamedFileSizedFromDiskNotBookkeeping) {
+  const std::string root = temp_dir("store23");
+  LocalStore store(root);
+  auto w = store.open_write("ckpt");
+  ASSERT_TRUE(w.ok());
+  ASSERT_TRUE(w->pwrite("abc", 3, 0).ok());
+  ASSERT_TRUE(store.update_size("ckpt", 10).ok());
+  auto pin = store.open_pinned("ckpt");
+  ASSERT_TRUE(pin.ok());
+  EXPECT_EQ(pin->size(), 3u);
+  char buf[16];
+  EXPECT_EQ(pin->pread(buf, sizeof(buf), 0).value(), 3u);
+  EXPECT_EQ(store.open("ckpt")->size, 3u);
+  EXPECT_EQ(store.cached_size("ckpt").value(), 3u);
+}
+
+// A non-truncating write open of a slab-held path in a full store moves
+// the slot's bytes to the named copy rather than asking for new room.
+TEST(LocalStore, CopyOutOfFullStoreNeedsNoRoom) {
+  const std::string root = temp_dir("store24");
+  constexpr uint64_t kCapacity = 16 * 64 * 1024;  // 64 KiB slabs
+  LocalStore store(root, kCapacity);
+  for (int i = 0; i < 16; ++i) {
+    put_cached(store, "k" + std::to_string(i), 64 * 1024, uint8_t(i));
+  }
+  ASSERT_EQ(store.bytes_used(), kCapacity);
+  auto w = store.open_write("k3");
+  ASSERT_TRUE(w.ok()) << w.error().to_string();
+  EXPECT_EQ(w->size().value(), 64u * 1024);
+  uint8_t b = 0;
+  EXPECT_EQ(w->pread(&b, 1, 1000).value(), 1u);
+  EXPECT_EQ(b, 3);
+  EXPECT_EQ(store.bytes_used(), kCapacity);
+  EXPECT_EQ(store.open_pinned("k3")->base(), 0u);
+  // k3's slab held nothing else, so it is gone; its bytes are k3's now.
+  EXPECT_EQ(slab_files(root).size(), 15u);
+  ASSERT_TRUE(store.evict("k3").ok());
+  EXPECT_EQ(store.bytes_used(), kCapacity - 64 * 1024);
+}
+
+// A write open of a path the store does not hold fills the named file
+// through `fill`, which reserves what it copies; the entry is the named
+// file, and no slab is made. kNotFound from `fill` starts the file
+// empty and unregistered.
+TEST(LocalStore, WriteOpenFillsNamedFileDirectly) {
+  const std::string root = temp_dir("store25");
+  LocalStore store(root, /*capacity_bytes=*/1 << 20);
+  const std::string body(5000, 'p');
+  auto w = store.open_write("ckpt", true,
+                            [&](PosixFile& out) -> Result<uint64_t> {
+                              HVAC_RETURN_IF_ERROR(store.reserve(body.size()));
+                              HVAC_ASSIGN_OR_RETURN(
+                                  size_t n,
+                                  out.pwrite(body.data(), body.size(), 0));
+                              return uint64_t{n};
+                            });
+  ASSERT_TRUE(w.ok()) << w.error().to_string();
+  EXPECT_EQ(w->size().value(), body.size());
+  EXPECT_EQ(store.cached_size("ckpt").value(), body.size());
+  EXPECT_EQ(store.bytes_used(), body.size());
+  EXPECT_EQ(store.reserved_bytes(), 0u);
+  EXPECT_TRUE(slab_files(root).empty());
+
+  auto fresh = store.open_write("new", true, [](PosixFile&) -> Result<uint64_t> {
+    return Error(ErrorCode::kNotFound, "nowhere");
+  });
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh->size().value(), 0u);
+  EXPECT_FALSE(store.contains("new"));
+
+  auto full = store.open_write("big", true, [](PosixFile&) -> Result<uint64_t> {
+    return Error(ErrorCode::kCapacity, "too big");
+  });
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.error().code, ErrorCode::kCapacity);
+  EXPECT_EQ(store.bytes_used(), body.size());
 }
 
 // A killed process's slabs are deleted by the next store on the same

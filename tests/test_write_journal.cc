@@ -408,13 +408,14 @@ struct WriteNode {
   std::unique_ptr<server::NodeRuntime> node;
   client::HvacClientOptions copts;
 
-  explicit WriteNode(const std::string& name) {
+  explicit WriteNode(const std::string& name, uint64_t capacity = 0) {
     pfs_root = temp_dir(name + "_pfs");
     cache_root = temp_dir(name + "_cache");
     server::NodeRuntimeOptions o;
     o.pfs_root = pfs_root;
     o.cache_root = cache_root;
     o.instances = 1;
+    o.cache_capacity_bytes_per_instance = capacity;
     node = std::make_unique<server::NodeRuntime>(o);
     EXPECT_TRUE(node->start().ok());
     copts.dataset_dir = pfs_root;
@@ -583,6 +584,75 @@ TEST(WritePath, NonTruncatingOpenOfNewFileStartsEmpty) {
     ::usleep(10 * 1000);
   }
   EXPECT_EQ(got, "abc");
+}
+
+// A non-truncating open in a store that epoch reads have filled stays
+// write-back, for a path the store holds (its copy moves out of its
+// slab) and for one it does not (the prefill evicts to make room).
+TEST(WritePath, NonTruncatingOpenOfFullStoreWritesBack) {
+  constexpr uint64_t kFile = 16 * 1024;
+  WriteNode n("notrunc_full", /*capacity=*/16 * kFile);  // 16 KiB slabs
+  fs::create_directories(n.pfs_root + "/d");
+  for (int i = 0; i < 17; ++i) {
+    const std::string body(kFile, char('a' + i));
+    std::ofstream out(n.pfs_root + "/d/f" + std::to_string(i),
+                      std::ios::binary);
+    out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  }
+  client::HvacClient client(n.copts);
+  for (int i = 0; i < 16; ++i) {
+    auto vfd = client.open(n.pfs_root + "/d/f" + std::to_string(i));
+    ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+    char b = 0;
+    ASSERT_EQ(client.pread(*vfd, &b, 1, kFile - 1).value(), 1u);
+    ASSERT_TRUE(client.close(*vfd).ok());
+  }
+  const storage::LocalStore& store = n.node->instance(0).cache().store();
+  ASSERT_EQ(store.bytes_used(), store.capacity_bytes());
+
+  for (const char* rel : {"d/f3", "d/f16"}) {
+    auto vfd = client.open_write(n.pfs_root + "/" + rel, false);
+    ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+    ASSERT_TRUE(client.pwrite(*vfd, "PATCH", 5, 100).ok());
+    ASSERT_TRUE(client.fsync(*vfd).ok());
+    ASSERT_TRUE(client.close(*vfd).ok());
+  }
+  EXPECT_EQ(n.node->aggregated_frame().write_back.write_through_sheds, 0u);
+  for (const auto& [rel, fill] : {std::pair{"d/f3", 'd'}, {"d/f16", 'q'}}) {
+    std::string expect(kFile, fill);
+    expect.replace(100, 5, "PATCH");
+    std::string got;
+    for (int i = 0; i < 500; ++i) {
+      got = n.pfs_read(rel);
+      if (got == expect) break;
+      ::usleep(10 * 1000);
+    }
+    EXPECT_EQ(got, expect) << rel;
+  }
+}
+
+// A write whose journal record failed has already recorded its size:
+// a read of the file serves the bytes on disk, not that size.
+TEST(WritePath, FailedWriteLeavesReadsAtOnDiskBytes) {
+  WriteNode n("short_named");
+  client::HvacClient writer(n.copts);
+  const std::string path = n.pfs_root + "/ckpt/s.bin";
+  auto wfd = writer.open_write(path, true);
+  ASSERT_TRUE(wfd.ok()) << wfd.error().to_string();
+  ASSERT_TRUE(writer.write(*wfd, "abc", 3).ok());
+  {
+    FaultGuard f("journal_append:error=io");
+    ASSERT_FALSE(writer.write(*wfd, "xxxx", 4).ok());
+  }
+  client::HvacClient reader(n.copts);
+  auto rfd = reader.open(path);
+  ASSERT_TRUE(rfd.ok()) << rfd.error().to_string();
+  char buf[64];
+  auto got = reader.pread(*rfd, buf, sizeof(buf), 0);
+  ASSERT_TRUE(got.ok()) << got.error().to_string();
+  EXPECT_EQ(std::string(buf, *got), "abc");
+  EXPECT_TRUE(reader.close(*rfd).ok());
+  EXPECT_TRUE(writer.close(*wfd).ok());
 }
 
 // ---- an undrained stop must not purge the local store ----
