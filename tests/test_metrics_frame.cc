@@ -9,6 +9,7 @@
 #include "client/hvac_client.h"
 #include "core/metrics.h"
 #include "core/metrics_frame.h"
+#include "metrics_golden.h"
 #include "rpc/rpc_client.h"
 #include "rpc/wire.h"
 #include "server/hvac_proto.h"
@@ -358,6 +359,130 @@ TEST(MetricsFrame, JsonSpellsOutEverySection) {
         "\"stall\"", "\"pfs_wait_s\"", "\"retry_s\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
+}
+
+// ---- goldens ----------------------------------------------------------------
+//
+// Captured from the hand-written codecs before the field table replaced
+// them: golden::frame() (tests/metrics_golden.h) sets every field to a
+// value of its own, so these pin each field's wire position and JSON
+// spelling. A change here is a wire or output format change.
+
+const char* const kGoldenWire =
+    "0100000000000000020000000000000003000000000000000400000000000000"
+    "0500000000000000060000000000000007000000000000000800000000000000"
+    "48564d3202000c0001003000000009000000000000000a000000000000000b00"
+    "0000000000000c000000000000000d000000000000000e000000000000000200"
+    "280000000f000000000000001000000000000000110000000000000012000000"
+    "0000000013000000000000000300180000001400000000000000150000000000"
+    "000016000000000000000400aa020000020002006419000000000000b7000000"
+    "0000000028008f00000000000000900000000000000091000000000000009200"
+    "0000000000009300000000000000940000000000000095000000000000009600"
+    "0000000000009700000000000000980000000000000099000000000000009a00"
+    "0000000000009b000000000000009c000000000000009d000000000000009e00"
+    "0000000000009f00000000000000a000000000000000a100000000000000a200"
+    "000000000000a300000000000000a400000000000000a500000000000000a600"
+    "000000000000a700000000000000a800000000000000a900000000000000aa00"
+    "000000000000ab00000000000000ac00000000000000ad00000000000000ae00"
+    "000000000000af00000000000000b000000000000000b100000000000000b200"
+    "000000000000b300000000000000b400000000000000b500000000000000b600"
+    "0000000000000300cc1f000000000000e0000000000000002800b80000000000"
+    "0000b900000000000000ba00000000000000bb00000000000000bc0000000000"
+    "0000bd00000000000000be00000000000000bf00000000000000c00000000000"
+    "0000c100000000000000c200000000000000c300000000000000c40000000000"
+    "0000c500000000000000c600000000000000c700000000000000c80000000000"
+    "0000c900000000000000ca00000000000000cb00000000000000cc0000000000"
+    "0000cd00000000000000ce00000000000000cf00000000000000d00000000000"
+    "0000d100000000000000d200000000000000d300000000000000d40000000000"
+    "0000d500000000000000d600000000000000d700000000000000d80000000000"
+    "0000d900000000000000da00000000000000db00000000000000dc0000000000"
+    "0000dd00000000000000de00000000000000df00000000000000050058000000"
+    "1700000000000000180000000000000019000000000000001a00000000000000"
+    "1b000000000000001c000000000000001d000000000000001e00000000000000"
+    "1f00000000000000200000000000000021000000000000000600300000002200"
+    "0000000000002300000000000000240000000000000025000000000000002600"
+    "0000000000002700000000000000070020000000280000000000000029000000"
+    "000000002a000000000000002b000000000000000800280000002c0000000000"
+    "00002d000000000000002e000000000000002f00000000000000300000000000"
+    "0000090054000000020005003100000000000000320000000000000033000000"
+    "0000000034000000000000003500000000000000360000000000000037000000"
+    "00000000380000000000000039000000000000003a000000000000000a009800"
+    "00003b000000000000003c000000000000003d000000000000003e0000000000"
+    "00003f0000000000000040000000000000004100000000000000420000000000"
+    "0000430000000000000044000000000000004500000000000000460000000000"
+    "00004700000000000000480000000000000049000000000000004a0000000000"
+    "00004b000000000000004c000000000000004d000000000000000b009a010000"
+    "4e000000000000004f0000000000000050000000000000005100000000000000"
+    "5200000000000000530000000000000054000000000000005500000000000000"
+    "00000000000000007c100000000000007e000000000000002800560000000000"
+    "00005700000000000000580000000000000059000000000000005a0000000000"
+    "00005b000000000000005c000000000000005d000000000000005e0000000000"
+    "00005f0000000000000060000000000000006100000000000000620000000000"
+    "0000630000000000000064000000000000006500000000000000660000000000"
+    "00006700000000000000680000000000000069000000000000006a0000000000"
+    "00006b000000000000006c000000000000006d000000000000006e0000000000"
+    "00006f0000000000000070000000000000007100000000000000720000000000"
+    "0000730000000000000074000000000000007500000000000000760000000000"
+    "00007700000000000000780000000000000079000000000000007a0000000000"
+    "00007b000000000000007c000000000000007d000000000000000c0084000000"
+    "020008007f000000000000008000000000000000810000000000000082000000"
+    "0000000083000000000000008400000000000000850000000000000086000000"
+    "000000008700000000000000880000000000000089000000000000008a000000"
+    "000000008b000000000000008c000000000000008d000000000000008e000000"
+    "00000000";
+
+const char* const kGoldenJson =
+    "{\"version\":2,\"cache\":{\"hits\":1,\"misses\":2,\"hit_rate\":0.333333"
+    ",\"dedup_waits\":3,\"evictions\":4,\"bytes_from_cache\":5"
+    ",\"bytes_from_pfs\":6,\"pfs_fallbacks\":7},\"open_fds\":8"
+    ",\"handle_cache\":{\"hits\":9,\"misses\":10,\"open\":11,\"pinned\":12"
+    ",\"deferred_closes\":13,\"capacity\":14},\"buffer_pool\":{\"leases\":15"
+    ",\"pool_hits\":16,\"fallback_allocs\":17,\"recycled\":18,\"dropped\":19}"
+    ",\"read_ahead\":{\"issued\":20,\"consumed\":21,\"wasted\":22}"
+    ",\"resilience\":{\"breaker_opens\":23,\"breaker_closes\":24"
+    ",\"breaker_probes\":25,\"breaker_shed\":26,\"retries\":27"
+    ",\"deadline_misses\":28,\"server_shed\":29,\"mover_rejects\":30"
+    ",\"drains\":31,\"drained_requests\":32,\"faults_injected\":33}"
+    ",\"zero_copy\":{\"sendfile_sends\":34,\"splice_sends\":35"
+    ",\"fallback_sends\":36,\"sendfile_bytes\":37,\"splice_bytes\":38"
+    ",\"short_resumes\":39},\"meta_cache\":{\"hits\":40,\"misses\":41"
+    ",\"expired\":42,\"invalidated\":43},\"trace\":{\"emitted\":44,\"dropped\":45"
+    ",\"rings\":46,\"ring_capacity\":47,\"occupancy\":48}"
+    ",\"reactors\":[{\"conns\":49,\"requests\":50,\"steals\":51,\"shed\":52"
+    ",\"steal_backoffs\":53},{\"conns\":54,\"requests\":55,\"steals\":56"
+    ",\"shed\":57,\"steal_backoffs\":58}],\"write_back\":{\"writes\":59"
+    ",\"bytes_written\":60,\"fsyncs\":61,\"dirty_bytes\":62,\"dirty_files\":63"
+    ",\"journal_records\":64,\"journal_bytes\":65,\"flushed_files\":66"
+    ",\"flush_retries\":67,\"flush_failures\":68,\"flush_queue_depth\":69"
+    ",\"flush_inflight\":70,\"flush_lag_ms\":71,\"write_through_sheds\":72"
+    ",\"write_through_bytes\":73,\"replay_writes\":74,\"replay_bytes\":75"
+    ",\"replay_truncated_bytes\":76,\"replay_dirty_files\":77}"
+    ",\"prefetch\":{\"planned\":78,\"issued\":79,\"completed\":80,\"shed\":81"
+    ",\"late\":82,\"hit_after_prefetch\":83,\"deduped\":84,\"dedup_inflight\":85"
+    ",\"paced_delay_us\":{\"count\":4220,\"mean\":0.000,\"p50\":3919.910"
+    ",\"p99\":905997581.287}},\"stall\":[{\"epoch\":127,\"reads\":128"
+    ",\"stall_s\":0.000000,\"local_hit_s\":0.000000,\"remote_rpc_s\":0.000000"
+    ",\"pfs_wait_s\":0.000000,\"backpressure_s\":0.000000,\"retry_s\":0.000000}"
+    ",{\"epoch\":135,\"reads\":136,\"stall_s\":0.000000,\"local_hit_s\":0.000000"
+    ",\"remote_rpc_s\":0.000000,\"pfs_wait_s\":0.000000"
+    ",\"backpressure_s\":0.000000,\"retry_s\":0.000000}]"
+    ",\"latency_us\":{\"open\":{\"count\":6500,\"mean\":0.000,\"p50\":2557.502"
+    ",\"p99\":900149629.333},\"read\":{\"count\":8140,\"mean\":0.000"
+    ",\"p50\":2071.452,\"p99\":894893993.011}}}";
+
+TEST(MetricsFrameGolden, WireBytesArePinned) {
+  EXPECT_EQ(golden::hex(golden::frame().encode()), kGoldenWire);
+}
+
+TEST(MetricsFrameGolden, DecodeReencodesTheGoldenBytes) {
+  const auto decoded = MetricsFrame::decode(golden::frame().encode());
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  EXPECT_EQ(golden::hex(decoded->encode()), kGoldenWire);
+  EXPECT_EQ(decoded->to_json(), kGoldenJson);
+}
+
+TEST(MetricsFrameGolden, JsonTextIsPinned) {
+  EXPECT_EQ(golden::frame().to_json(), kGoldenJson);
 }
 
 // ---- end to end: live instances -> aggregated frame -----------------------

@@ -8,11 +8,13 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/metrics_frame.h"
 #include "core/timeseries.h"
+#include "metrics_golden.h"
 #include "rpc/wire.h"
 #include "server/hvac_proto.h"
 #include "server/prom_exporter.h"
@@ -276,6 +278,467 @@ TEST(OpenMetrics, HistogramIsCumulativeAndEndsAtInf) {
   EXPECT_TRUE(saw_inf);
   EXPECT_EQ(cumulative.back(), count_value);
   EXPECT_EQ(count_value, 4u);
+}
+
+// ---- goldens ----------------------------------------------------------------
+//
+// Captured from the hand-written delta and exporter before the field
+// table replaced them (frames from tests/metrics_golden.h).
+
+const char* const kGoldenDelta =
+    "e203000000000000dc03000000000000d603000000000000d003000000000000"
+    "ca03000000000000c403000000000000be030000000000002004000000000000"
+    "48564d3202000c00010030000000b203000000000000ac030000000000003504"
+    "0000000000003c040000000000009a030000000000004a040000000000000200"
+    "280000008e03000000000000880300000000000082030000000000007c030000"
+    "00000000760300000000000003001800000070030000000000006a0300000000"
+    "000064030000000000000400aa02000002000200fc4d010000000000e9080000"
+    "000000002800d107000000000000d807000000000000df07000000000000e607"
+    "000000000000ed07000000000000f407000000000000fb070000000000000208"
+    "0000000000000908000000000000100800000000000017080000000000001e08"
+    "00000000000025080000000000002c0800000000000033080000000000003a08"
+    "000000000000410800000000000048080000000000004f080000000000005608"
+    "0000000000005d0800000000000064080000000000006b080000000000007208"
+    "0000000000007908000000000000800800000000000087080000000000008e08"
+    "00000000000095080000000000009c08000000000000a308000000000000aa08"
+    "000000000000b108000000000000b808000000000000bf08000000000000c608"
+    "000000000000cd08000000000000d408000000000000db08000000000000e208"
+    "0000000000000300000000000000000000000000000000002800000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000050058000000"
+    "5e03000000000000580300000000000052030000000000004c03000000000000"
+    "460300000000000040030000000000003a030000000000003403000000000000"
+    "2e03000000000000280300000000000022030000000000000600300000001c03"
+    "000000000000160300000000000010030000000000000a030000000000000403"
+    "000000000000fe02000000000000070020000000f802000000000000f2020000"
+    "00000000ec02000000000000e602000000000000080028000000e00200000000"
+    "0000da020000000000002a050000000000003105000000000000380500000000"
+    "000009005400000002000500c202000000000000bc02000000000000b6020000"
+    "00000000b002000000000000aa02000000000000620500000000000069050000"
+    "00000000700500000000000077050000000000007e050000000000000a009800"
+    "0000860200000000000080020000000000007a020000000000009a0500000000"
+    "0000a105000000000000a805000000000000af050000000000005c0200000000"
+    "000056020000000000005002000000000000cb05000000000000d20500000000"
+    "0000d90500000000000038020000000000003202000000000000ee0500000000"
+    "0000f505000000000000fc0500000000000003060000000000000b009a010000"
+    "14020000000000000e0200000000000008020000000000000202000000000000"
+    "fc01000000000000f601000000000000f0010000000000003b06000000000000"
+    "00000000000000005839000000000000f4000000000000002800e40100000000"
+    "0000de01000000000000d801000000000000d201000000000000cc0100000000"
+    "0000c601000000000000c001000000000000ba01000000000000b40100000000"
+    "0000ae01000000000000a801000000000000a2010000000000009c0100000000"
+    "0000960100000000000090010000000000008a01000000000000840100000000"
+    "00007e01000000000000780100000000000072010000000000006c0100000000"
+    "0000660100000000000060010000000000005a01000000000000540100000000"
+    "00004e01000000000000480100000000000042010000000000003c0100000000"
+    "0000360100000000000030010000000000002a01000000000000240100000000"
+    "00001e01000000000000180100000000000012010000000000000c0100000000"
+    "000006010000000000000001000000000000fa000000000000000c0084000000"
+    "02000800610700000000000068070000000000006f0700000000000076070000"
+    "000000007d0700000000000084070000000000008b0700000000000092070000"
+    "000000009907000000000000a007000000000000a707000000000000ae070000"
+    "00000000b507000000000000bc07000000000000c307000000000000ca070000"
+    "00000000";
+
+TEST(TimeSeriesGolden, FrameDeltaIsPinned) {
+  const MetricsFrame d =
+      core::frame_delta(golden::delta_cur(), golden::delta_prev());
+  EXPECT_EQ(golden::hex(d.encode()), kGoldenDelta);
+}
+
+const char* const kGoldenOpenMetrics = R"golden(# HELP hvac_cache_hits Reads served from the node-local cache
+# TYPE hvac_cache_hits counter
+hvac_cache_hits_total 1
+# HELP hvac_cache_misses Reads that required a PFS fetch
+# TYPE hvac_cache_misses counter
+hvac_cache_misses_total 2
+# HELP hvac_cache_dedup_waits First-reads coalesced onto an in-flight copy
+# TYPE hvac_cache_dedup_waits counter
+hvac_cache_dedup_waits_total 3
+# HELP hvac_cache_evictions Cache evictions
+# TYPE hvac_cache_evictions counter
+hvac_cache_evictions_total 4
+# HELP hvac_cache_bytes_from_cache Bytes served from the node-local cache
+# TYPE hvac_cache_bytes_from_cache counter
+hvac_cache_bytes_from_cache_total 5
+# HELP hvac_cache_bytes_from_pfs Bytes read from the PFS
+# TYPE hvac_cache_bytes_from_pfs counter
+hvac_cache_bytes_from_pfs_total 6
+# HELP hvac_cache_pfs_fallbacks Requests served directly from the PFS
+# TYPE hvac_cache_pfs_fallbacks counter
+hvac_cache_pfs_fallbacks_total 7
+# HELP hvac_open_fds Open remote file handles
+# TYPE hvac_open_fds gauge
+hvac_open_fds 8
+# HELP hvac_handle_cache_hits Reads served from a resident cache slab's fd
+# TYPE hvac_handle_cache_hits counter
+hvac_handle_cache_hits_total 9
+# HELP hvac_handle_cache_misses Reads that opened an fd (write-back files, slabs past the fd budget)
+# TYPE hvac_handle_cache_misses counter
+hvac_handle_cache_misses_total 10
+# HELP hvac_handle_cache_deferred_closes Cache slabs dropped while pinned
+# TYPE hvac_handle_cache_deferred_closes counter
+hvac_handle_cache_deferred_closes_total 13
+# HELP hvac_handle_cache_open Cache slab fds held
+# TYPE hvac_handle_cache_open gauge
+hvac_handle_cache_open 11
+# HELP hvac_handle_cache_pinned Cache slabs with a pinned fd
+# TYPE hvac_handle_cache_pinned gauge
+hvac_handle_cache_pinned 12
+# HELP hvac_handle_cache_capacity Store fd budget, in slabs
+# TYPE hvac_handle_cache_capacity gauge
+hvac_handle_cache_capacity 14
+# HELP hvac_buffer_pool_leases Buffer-pool acquires
+# TYPE hvac_buffer_pool_leases counter
+hvac_buffer_pool_leases_total 15
+# HELP hvac_buffer_pool_hits Leases served from a free list
+# TYPE hvac_buffer_pool_hits counter
+hvac_buffer_pool_hits_total 16
+# HELP hvac_buffer_pool_fallback_allocs Leases that hit the allocator
+# TYPE hvac_buffer_pool_fallback_allocs counter
+hvac_buffer_pool_fallback_allocs_total 17
+# HELP hvac_buffer_pool_recycled Leases returned to a free list
+# TYPE hvac_buffer_pool_recycled counter
+hvac_buffer_pool_recycled_total 18
+# HELP hvac_buffer_pool_dropped Leases freed (list full)
+# TYPE hvac_buffer_pool_dropped counter
+hvac_buffer_pool_dropped_total 19
+# HELP hvac_readahead_issued Chunks requested ahead of the application
+# TYPE hvac_readahead_issued counter
+hvac_readahead_issued_total 20
+# HELP hvac_readahead_consumed Reads served from a pending chunk
+# TYPE hvac_readahead_consumed counter
+hvac_readahead_consumed_total 21
+# HELP hvac_readahead_wasted Pending chunks discarded unread
+# TYPE hvac_readahead_wasted counter
+hvac_readahead_wasted_total 22
+# HELP hvac_resilience_breaker_opens Circuit-breaker opens
+# TYPE hvac_resilience_breaker_opens counter
+hvac_resilience_breaker_opens_total 23
+# HELP hvac_resilience_breaker_closes Circuit-breaker closes
+# TYPE hvac_resilience_breaker_closes counter
+hvac_resilience_breaker_closes_total 24
+# HELP hvac_resilience_breaker_probes Half-open probes
+# TYPE hvac_resilience_breaker_probes counter
+hvac_resilience_breaker_probes_total 25
+# HELP hvac_resilience_breaker_shed Calls shed by an open breaker
+# TYPE hvac_resilience_breaker_shed counter
+hvac_resilience_breaker_shed_total 26
+# HELP hvac_resilience_retries Idempotent call retries
+# TYPE hvac_resilience_retries counter
+hvac_resilience_retries_total 27
+# HELP hvac_resilience_deadline_misses Per-call deadline misses
+# TYPE hvac_resilience_deadline_misses counter
+hvac_resilience_deadline_misses_total 28
+# HELP hvac_resilience_server_shed Requests shed by server backpressure
+# TYPE hvac_resilience_server_shed counter
+hvac_resilience_server_shed_total 29
+# HELP hvac_resilience_mover_rejects Fetches rejected by the mover queue
+# TYPE hvac_resilience_mover_rejects counter
+hvac_resilience_mover_rejects_total 30
+# HELP hvac_resilience_drains Graceful drains
+# TYPE hvac_resilience_drains counter
+hvac_resilience_drains_total 31
+# HELP hvac_resilience_drained_requests Requests completed during drain
+# TYPE hvac_resilience_drained_requests counter
+hvac_resilience_drained_requests_total 32
+# HELP hvac_resilience_faults_injected HVAC_FAULT harness activations
+# TYPE hvac_resilience_faults_injected counter
+hvac_resilience_faults_injected_total 33
+# HELP hvac_zerocopy_sendfile_sends sendfile response sends
+# TYPE hvac_zerocopy_sendfile_sends counter
+hvac_zerocopy_sendfile_sends_total 34
+# HELP hvac_zerocopy_splice_sends splice response sends
+# TYPE hvac_zerocopy_splice_sends counter
+hvac_zerocopy_splice_sends_total 35
+# HELP hvac_zerocopy_fallback_sends Extents staged through the pool
+# TYPE hvac_zerocopy_fallback_sends counter
+hvac_zerocopy_fallback_sends_total 36
+# HELP hvac_zerocopy_sendfile_bytes Bytes sent via sendfile
+# TYPE hvac_zerocopy_sendfile_bytes counter
+hvac_zerocopy_sendfile_bytes_total 37
+# HELP hvac_zerocopy_splice_bytes Bytes sent via splice
+# TYPE hvac_zerocopy_splice_bytes counter
+hvac_zerocopy_splice_bytes_total 38
+# HELP hvac_zerocopy_short_resumes Partial kernel sends resumed in place
+# TYPE hvac_zerocopy_short_resumes counter
+hvac_zerocopy_short_resumes_total 39
+# HELP hvac_meta_cache_hits Client metadata-cache hits
+# TYPE hvac_meta_cache_hits counter
+hvac_meta_cache_hits_total 40
+# HELP hvac_meta_cache_misses Client metadata-cache misses
+# TYPE hvac_meta_cache_misses counter
+hvac_meta_cache_misses_total 41
+# HELP hvac_meta_cache_expired Metadata entries aged out
+# TYPE hvac_meta_cache_expired counter
+hvac_meta_cache_expired_total 42
+# HELP hvac_meta_cache_invalidated Metadata entries dropped on failure
+# TYPE hvac_meta_cache_invalidated counter
+hvac_meta_cache_invalidated_total 43
+# HELP hvac_trace_emitted Trace spans emitted
+# TYPE hvac_trace_emitted counter
+hvac_trace_emitted_total 44
+# HELP hvac_trace_dropped Trace spans dropped (ring full)
+# TYPE hvac_trace_dropped counter
+hvac_trace_dropped_total 45
+# HELP hvac_trace_rings Per-thread trace rings
+# TYPE hvac_trace_rings gauge
+hvac_trace_rings 46
+# HELP hvac_trace_ring_capacity Trace ring capacity
+# TYPE hvac_trace_ring_capacity gauge
+hvac_trace_ring_capacity 47
+# HELP hvac_trace_occupancy Trace ring occupancy
+# TYPE hvac_trace_occupancy gauge
+hvac_trace_occupancy 48
+# HELP hvac_reactor_conns Connections accepted
+# TYPE hvac_reactor_conns counter
+hvac_reactor_conns_total{reactor="0"} 49
+hvac_reactor_conns_total{reactor="1"} 54
+# HELP hvac_reactor_requests Requests dispatched
+# TYPE hvac_reactor_requests counter
+hvac_reactor_requests_total{reactor="0"} 50
+hvac_reactor_requests_total{reactor="1"} 55
+# HELP hvac_reactor_steals Requests stolen from another reactor
+# TYPE hvac_reactor_steals counter
+hvac_reactor_steals_total{reactor="0"} 51
+hvac_reactor_steals_total{reactor="1"} 56
+# HELP hvac_reactor_shed Requests shed by backpressure
+# TYPE hvac_reactor_shed counter
+hvac_reactor_shed_total{reactor="0"} 52
+hvac_reactor_shed_total{reactor="1"} 57
+# HELP hvac_reactor_steal_backoffs Steal scans skipped by the throttle
+# TYPE hvac_reactor_steal_backoffs counter
+hvac_reactor_steal_backoffs_total{reactor="0"} 53
+hvac_reactor_steal_backoffs_total{reactor="1"} 58
+# HELP hvac_write_back_writes kWrite ops acked
+# TYPE hvac_write_back_writes counter
+hvac_write_back_writes_total 59
+# HELP hvac_write_back_bytes_written Bytes written back
+# TYPE hvac_write_back_bytes_written counter
+hvac_write_back_bytes_written_total 60
+# HELP hvac_write_back_fsyncs Durability barriers honored
+# TYPE hvac_write_back_fsyncs counter
+hvac_write_back_fsyncs_total 61
+# HELP hvac_write_back_flushed_files Files flushed to the PFS
+# TYPE hvac_write_back_flushed_files counter
+hvac_write_back_flushed_files_total 66
+# HELP hvac_write_back_flush_retries Flush retries
+# TYPE hvac_write_back_flush_retries counter
+hvac_write_back_flush_retries_total 67
+# HELP hvac_write_back_flush_failures Flush failures
+# TYPE hvac_write_back_flush_failures counter
+hvac_write_back_flush_failures_total 68
+# HELP hvac_write_back_write_through_sheds Handles shed to write-through
+# TYPE hvac_write_back_write_through_sheds counter
+hvac_write_back_write_through_sheds_total 72
+# HELP hvac_write_back_write_through_bytes Bytes written through to the PFS
+# TYPE hvac_write_back_write_through_bytes counter
+hvac_write_back_write_through_bytes_total 73
+# HELP hvac_write_back_dirty_bytes Unflushed write-back bytes
+# TYPE hvac_write_back_dirty_bytes gauge
+hvac_write_back_dirty_bytes 62
+# HELP hvac_write_back_dirty_files Unflushed write-back files
+# TYPE hvac_write_back_dirty_files gauge
+hvac_write_back_dirty_files 63
+# HELP hvac_write_back_journal_records Journal depth in records
+# TYPE hvac_write_back_journal_records gauge
+hvac_write_back_journal_records 64
+# HELP hvac_write_back_journal_bytes Journal depth in bytes
+# TYPE hvac_write_back_journal_bytes gauge
+hvac_write_back_journal_bytes 65
+# HELP hvac_write_back_flush_queue_depth Flush queue depth
+# TYPE hvac_write_back_flush_queue_depth gauge
+hvac_write_back_flush_queue_depth 69
+# HELP hvac_write_back_flush_inflight Flushes in flight
+# TYPE hvac_write_back_flush_inflight gauge
+hvac_write_back_flush_inflight 70
+# HELP hvac_write_back_flush_lag_ms Age of the oldest unflushed file (ms)
+# TYPE hvac_write_back_flush_lag_ms gauge
+hvac_write_back_flush_lag_ms 71
+# HELP hvac_prefetch_planned Samples accepted into access plans
+# TYPE hvac_prefetch_planned counter
+hvac_prefetch_planned_total 78
+# HELP hvac_prefetch_issued Samples sent in prefetch batches
+# TYPE hvac_prefetch_issued counter
+hvac_prefetch_issued_total 79
+# HELP hvac_prefetch_completed Prefetches answered cached
+# TYPE hvac_prefetch_completed counter
+hvac_prefetch_completed_total 80
+# HELP hvac_prefetch_shed Prefetches shed by mover backpressure
+# TYPE hvac_prefetch_shed counter
+hvac_prefetch_shed_total 81
+# HELP hvac_prefetch_late Samples the cursor beat the prefetch to
+# TYPE hvac_prefetch_late counter
+hvac_prefetch_late_total 82
+# HELP hvac_prefetch_hit_after Samples found warmed by their prefetch
+# TYPE hvac_prefetch_hit_after counter
+hvac_prefetch_hit_after_total 83
+# HELP hvac_prefetch_deduped Mover fetches coalesced onto an in-flight one
+# TYPE hvac_prefetch_deduped counter
+hvac_prefetch_deduped_total 84
+# HELP hvac_prefetch_dedup_inflight Paths with a fetch in flight
+# TYPE hvac_prefetch_dedup_inflight gauge
+hvac_prefetch_dedup_inflight 85
+# HELP hvac_stall_reads Intercepted reads attributed
+# TYPE hvac_stall_reads counter
+hvac_stall_reads_total 264
+# HELP hvac_stall_seconds Intercepted-read wall time by stall bucket
+# TYPE hvac_stall_seconds counter
+hvac_stall_seconds_total{bucket="local_hit"} 2.68e-07
+hvac_stall_seconds_total{bucket="remote_rpc"} 2.7e-07
+hvac_stall_seconds_total{bucket="pfs_wait"} 2.72e-07
+hvac_stall_seconds_total{bucket="backpressure"} 2.74e-07
+hvac_stall_seconds_total{bucket="retry"} 2.76e-07
+# HELP hvac_op_latency_seconds Per-op handler latency
+# TYPE hvac_op_latency_seconds histogram
+hvac_op_latency_seconds_bucket{op="open",le="2e-09"} 143
+hvac_op_latency_seconds_bucket{op="open",le="4e-09"} 287
+hvac_op_latency_seconds_bucket{op="open",le="8e-09"} 432
+hvac_op_latency_seconds_bucket{op="open",le="1.6e-08"} 578
+hvac_op_latency_seconds_bucket{op="open",le="3.2e-08"} 725
+hvac_op_latency_seconds_bucket{op="open",le="6.4e-08"} 873
+hvac_op_latency_seconds_bucket{op="open",le="1.28e-07"} 1022
+hvac_op_latency_seconds_bucket{op="open",le="2.56e-07"} 1172
+hvac_op_latency_seconds_bucket{op="open",le="5.12e-07"} 1323
+hvac_op_latency_seconds_bucket{op="open",le="1.024e-06"} 1475
+hvac_op_latency_seconds_bucket{op="open",le="2.048e-06"} 1628
+hvac_op_latency_seconds_bucket{op="open",le="4.096e-06"} 1782
+hvac_op_latency_seconds_bucket{op="open",le="8.192e-06"} 1937
+hvac_op_latency_seconds_bucket{op="open",le="1.6384e-05"} 2093
+hvac_op_latency_seconds_bucket{op="open",le="3.2768e-05"} 2250
+hvac_op_latency_seconds_bucket{op="open",le="6.5536e-05"} 2408
+hvac_op_latency_seconds_bucket{op="open",le="0.000131072"} 2567
+hvac_op_latency_seconds_bucket{op="open",le="0.000262144"} 2727
+hvac_op_latency_seconds_bucket{op="open",le="0.000524288"} 2888
+hvac_op_latency_seconds_bucket{op="open",le="0.001048576"} 3050
+hvac_op_latency_seconds_bucket{op="open",le="0.002097152"} 3213
+hvac_op_latency_seconds_bucket{op="open",le="0.004194304"} 3377
+hvac_op_latency_seconds_bucket{op="open",le="0.008388608"} 3542
+hvac_op_latency_seconds_bucket{op="open",le="0.016777216"} 3708
+hvac_op_latency_seconds_bucket{op="open",le="0.033554432"} 3875
+hvac_op_latency_seconds_bucket{op="open",le="0.067108864"} 4043
+hvac_op_latency_seconds_bucket{op="open",le="0.134217728"} 4212
+hvac_op_latency_seconds_bucket{op="open",le="0.268435456"} 4382
+hvac_op_latency_seconds_bucket{op="open",le="0.536870912"} 4553
+hvac_op_latency_seconds_bucket{op="open",le="1.07374182"} 4725
+hvac_op_latency_seconds_bucket{op="open",le="2.14748365"} 4898
+hvac_op_latency_seconds_bucket{op="open",le="4.2949673"} 5072
+hvac_op_latency_seconds_bucket{op="open",le="8.58993459"} 5247
+hvac_op_latency_seconds_bucket{op="open",le="17.1798692"} 5423
+hvac_op_latency_seconds_bucket{op="open",le="34.3597384"} 5600
+hvac_op_latency_seconds_bucket{op="open",le="68.7194767"} 5778
+hvac_op_latency_seconds_bucket{op="open",le="137.438953"} 5957
+hvac_op_latency_seconds_bucket{op="open",le="274.877907"} 6137
+hvac_op_latency_seconds_bucket{op="open",le="549.755814"} 6318
+hvac_op_latency_seconds_bucket{op="open",le="+Inf"} 6500
+hvac_op_latency_seconds_sum{op="open"} 1.83e-07
+hvac_op_latency_seconds_count{op="open"} 6500
+hvac_op_latency_seconds_bucket{op="read",le="2e-09"} 184
+hvac_op_latency_seconds_bucket{op="read",le="4e-09"} 369
+hvac_op_latency_seconds_bucket{op="read",le="8e-09"} 555
+hvac_op_latency_seconds_bucket{op="read",le="1.6e-08"} 742
+hvac_op_latency_seconds_bucket{op="read",le="3.2e-08"} 930
+hvac_op_latency_seconds_bucket{op="read",le="6.4e-08"} 1119
+hvac_op_latency_seconds_bucket{op="read",le="1.28e-07"} 1309
+hvac_op_latency_seconds_bucket{op="read",le="2.56e-07"} 1500
+hvac_op_latency_seconds_bucket{op="read",le="5.12e-07"} 1692
+hvac_op_latency_seconds_bucket{op="read",le="1.024e-06"} 1885
+hvac_op_latency_seconds_bucket{op="read",le="2.048e-06"} 2079
+hvac_op_latency_seconds_bucket{op="read",le="4.096e-06"} 2274
+hvac_op_latency_seconds_bucket{op="read",le="8.192e-06"} 2470
+hvac_op_latency_seconds_bucket{op="read",le="1.6384e-05"} 2667
+hvac_op_latency_seconds_bucket{op="read",le="3.2768e-05"} 2865
+hvac_op_latency_seconds_bucket{op="read",le="6.5536e-05"} 3064
+hvac_op_latency_seconds_bucket{op="read",le="0.000131072"} 3264
+hvac_op_latency_seconds_bucket{op="read",le="0.000262144"} 3465
+hvac_op_latency_seconds_bucket{op="read",le="0.000524288"} 3667
+hvac_op_latency_seconds_bucket{op="read",le="0.001048576"} 3870
+hvac_op_latency_seconds_bucket{op="read",le="0.002097152"} 4074
+hvac_op_latency_seconds_bucket{op="read",le="0.004194304"} 4279
+hvac_op_latency_seconds_bucket{op="read",le="0.008388608"} 4485
+hvac_op_latency_seconds_bucket{op="read",le="0.016777216"} 4692
+hvac_op_latency_seconds_bucket{op="read",le="0.033554432"} 4900
+hvac_op_latency_seconds_bucket{op="read",le="0.067108864"} 5109
+hvac_op_latency_seconds_bucket{op="read",le="0.134217728"} 5319
+hvac_op_latency_seconds_bucket{op="read",le="0.268435456"} 5530
+hvac_op_latency_seconds_bucket{op="read",le="0.536870912"} 5742
+hvac_op_latency_seconds_bucket{op="read",le="1.07374182"} 5955
+hvac_op_latency_seconds_bucket{op="read",le="2.14748365"} 6169
+hvac_op_latency_seconds_bucket{op="read",le="4.2949673"} 6384
+hvac_op_latency_seconds_bucket{op="read",le="8.58993459"} 6600
+hvac_op_latency_seconds_bucket{op="read",le="17.1798692"} 6817
+hvac_op_latency_seconds_bucket{op="read",le="34.3597384"} 7035
+hvac_op_latency_seconds_bucket{op="read",le="68.7194767"} 7254
+hvac_op_latency_seconds_bucket{op="read",le="137.438953"} 7474
+hvac_op_latency_seconds_bucket{op="read",le="274.877907"} 7695
+hvac_op_latency_seconds_bucket{op="read",le="549.755814"} 7917
+hvac_op_latency_seconds_bucket{op="read",le="+Inf"} 8140
+hvac_op_latency_seconds_sum{op="read"} 2.24e-07
+hvac_op_latency_seconds_count{op="read"} 8140
+# EOF
+)golden";
+
+struct Family {
+  std::string type;
+  std::string help;
+  std::vector<std::string> samples;
+  bool operator==(const Family&) const = default;
+};
+
+// family -> {TYPE, HELP, sample lines}; family order is not part of
+// the format.
+std::map<std::string, Family> parse_families(const std::string& text) {
+  std::map<std::string, Family> out;
+  Family* cur = nullptr;
+  for (const std::string& line : split_lines(text)) {
+    if (line == "# EOF") break;
+    if (line.rfind("# HELP ", 0) == 0 || line.rfind("# TYPE ", 0) == 0) {
+      const size_t name_end = line.find(' ', 7);
+      cur = &out[line.substr(7, name_end - 7)];
+      (line[2] == 'H' ? cur->help : cur->type) = line.substr(name_end + 1);
+    } else if (cur != nullptr) {
+      cur->samples.push_back(line);
+    }
+  }
+  return out;
+}
+
+TEST(OpenMetricsGolden, FamiliesMatchTheGolden) {
+  const auto want = parse_families(kGoldenOpenMetrics);
+  const auto got =
+      parse_families(server::render_openmetrics(golden::frame()));
+  for (const auto& [name, family] : want) {
+    auto it = got.find(name);
+    ASSERT_NE(it, got.end()) << name;
+    EXPECT_EQ(it->second.type, family.type) << name;
+    EXPECT_EQ(it->second.help, family.help) << name;
+    EXPECT_EQ(it->second.samples, family.samples) << name;
+  }
+  // The only families the golden may lack: the journal-replay gauges.
+  const core::WriteBackStats wb = golden::frame().write_back;
+  const std::map<std::string, uint64_t> allowed = {
+      {"hvac_write_back_replay_writes", wb.replay_writes},
+      {"hvac_write_back_replay_bytes", wb.replay_bytes},
+      {"hvac_write_back_replay_truncated_bytes", wb.replay_truncated_bytes},
+      {"hvac_write_back_replay_dirty_files", wb.replay_dirty_files},
+  };
+  for (const auto& [name, family] : got) {
+    if (want.count(name) != 0) continue;
+    auto it = allowed.find(name);
+    ASSERT_NE(it, allowed.end()) << "unexpected family " << name;
+    EXPECT_EQ(family.type, "gauge") << name;
+    EXPECT_FALSE(family.help.empty()) << name;
+    EXPECT_EQ(family.samples,
+              std::vector<std::string>{name + " " + std::to_string(it->second)});
+  }
 }
 
 // ---- live HTTP scrape -----------------------------------------------------
