@@ -71,11 +71,12 @@ MODE="${1:-tier1}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 # The concurrency-sensitive suites worth a TSan pass: the store's
-# pinned fds, the buffer pool, the RPC stack (reactors + work stealing) and
-# the client read path.
+# pinned fds, the buffer pool, the RPC stack (reactors + work stealing),
+# the client read path, and metrics-frame assembly racing the
+# time-series collector and the OpenMetrics exporter.
 TSAN_SUITES="test_storage test_common test_rpc test_async_rpc \
 test_client_edge test_stress test_trace test_reactor test_write_journal \
-test_prefetch"
+test_prefetch test_metrics_frame test_telemetry"
 
 case "$MODE" in
   tier1)

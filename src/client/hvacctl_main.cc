@@ -46,6 +46,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -53,6 +55,7 @@
 #include "common/env.h"
 #include "common/hash.h"
 #include "core/metrics_frame.h"
+#include "core/metrics_schema.h"
 #include "core/timeseries.h"
 #include "core/trace_wire.h"
 #include "rpc/health.h"
@@ -95,6 +98,55 @@ int cmd_ping(const std::string& csv) {
   return failures == 0 ? 0 : 1;
 }
 
+// Column width of a v1 prefix word in the per-endpoint row.
+int column_width(const core::FieldSpec& field) {
+  return std::max(static_cast<int>(std::strlen(field.name)), 8);
+}
+
+void print_metrics_header() {
+  std::printf("%-24s", "endpoint");
+  for (const core::FieldSpec& field : core::frame_fields()) {
+    if (field.section != core::kV1Prefix) continue;
+    std::printf(" %*s", column_width(field), field.name);
+  }
+  std::printf("\n");
+}
+
+// Section `id`'s words as " name=value" (prefetch adds paced_delay).
+void print_words(const core::MetricsFrame& f, uint16_t id) {
+  for (const core::FieldSpec& field : core::frame_fields()) {
+    if (field.section == id) {
+      std::printf(" %s=%lu", field.name, (unsigned long)field.get(f));
+    }
+  }
+  if (id == core::kSectionPrefetch) {
+    const core::LatencySnapshot& s = f.prefetch.paced_delay;
+    std::printf(" paced_delay(n=%lu p50=%.1fus p99=%.1fus)",
+                (unsigned long)s.count, s.percentile_ns(50) / 1e3,
+                s.percentile_ns(99) / 1e3);
+  }
+}
+
+// Closes a per-endpoint listing: the JSON envelope, then the exit code.
+int finish_endpoints(bool json, const std::string& json_rows, int failures) {
+  if (json) {
+    std::printf("{\"endpoints\":[%s],\"failures\":%d}\n", json_rows.c_str(),
+                failures);
+  }
+  std::fflush(stdout);
+  return failures == 0 ? 0 : 1;
+}
+
+// The endpoint's v2 metrics frame; nothing if it is down or speaks v1.
+std::optional<core::MetricsFrame> fetch_frame(rpc::RpcClient& client) {
+  const auto resp = client.call(proto::kMetrics, Bytes{});
+  if (!resp.ok()) return std::nullopt;
+  auto frame = core::MetricsFrame::decode(*resp);
+  if (!frame.ok() || frame->version < 2) return std::nullopt;
+  return std::move(*frame);
+}
+
+// Per-endpoint UP/DOWN, ping RTT and the resilience section.
 int cmd_health(const std::string& csv, bool json) {
   int failures = 0;
   std::string json_rows;
@@ -107,108 +159,69 @@ int cmd_health(const std::string& csv, bool json) {
     const int64_t t0 = rpc::steady_now_us();
     const auto ping = client.call(proto::kPing, Bytes{});
     const int64_t rtt_us = rpc::steady_now_us() - t0;
-    core::ResilienceStats rs;
-    bool have_stats = false;
-    if (ping.ok()) {
-      const auto resp = client.call(proto::kMetrics, Bytes{});
-      if (resp.ok()) {
-        if (const auto frame = core::MetricsFrame::decode(*resp);
-            frame.ok() && frame->version >= 2) {
-          rs = frame->resilience;
-          have_stats = true;
-        }
-      }
-    }
+    const std::optional<core::MetricsFrame> frame =
+        ping.ok() ? fetch_frame(client) : std::nullopt;
     if (json) {
       if (!json_rows.empty()) json_rows += ",";
       json_rows += "{\"endpoint\":\"" + endpoint + "\",\"up\":" +
                    (ping.ok() ? "true" : "false") +
                    ",\"rtt_us\":" + std::to_string(rtt_us);
-      if (have_stats) {
-        json_rows +=
-            ",\"breaker_opens\":" + std::to_string(rs.breaker_opens) +
-            ",\"breaker_shed\":" + std::to_string(rs.breaker_shed) +
-            ",\"retries\":" + std::to_string(rs.retries) +
-            ",\"deadline_misses\":" + std::to_string(rs.deadline_misses) +
-            ",\"server_shed\":" + std::to_string(rs.server_shed) +
-            ",\"mover_rejects\":" + std::to_string(rs.mover_rejects) +
-            ",\"drains\":" + std::to_string(rs.drains) +
-            ",\"faults_injected\":" + std::to_string(rs.faults_injected);
-      }
+      if (frame) json_rows += frame->section_json(core::kSectionResilience);
       json_rows += "}";
     } else if (!ping.ok()) {
       std::printf("%-24s %-6s %8s  %s\n", endpoint.c_str(), "DOWN", "-",
                   ping.error().to_string().c_str());
-    } else if (have_stats) {
-      std::printf("%-24s %-6s %8ld  opens=%lu shed=%lu+%lu retries=%lu "
-                  "deadline_misses=%lu mover_rejects=%lu drains=%lu\n",
-                  endpoint.c_str(), "UP", (long)rtt_us,
-                  (unsigned long)rs.breaker_opens,
-                  (unsigned long)rs.breaker_shed,
-                  (unsigned long)rs.server_shed, (unsigned long)rs.retries,
-                  (unsigned long)rs.deadline_misses,
-                  (unsigned long)rs.mover_rejects,
-                  (unsigned long)rs.drains);
     } else {
-      std::printf("%-24s %-6s %8ld  (v1 server, no resilience section)\n",
-                  endpoint.c_str(), "UP", (long)rtt_us);
+      std::printf("%-24s %-6s %8ld ", endpoint.c_str(), "UP", (long)rtt_us);
+      if (frame) {
+        print_words(*frame, core::kSectionResilience);
+      } else {
+        std::printf(" (v1 server, no resilience section)");
+      }
+      std::printf("\n");
     }
     if (!ping.ok()) ++failures;
   }
-  if (json) {
-    std::printf("{\"endpoints\":[%s],\"failures\":%d}\n", json_rows.c_str(),
-                failures);
-  }
-  std::fflush(stdout);
-  return failures == 0 ? 0 : 1;
+  return finish_endpoints(json, json_rows, failures);
 }
 
+// The v1 prefix words under the header, then one name=value line per
+// section, reactor, stall epoch and op.
 void print_metrics_row(const std::string& endpoint,
                        const core::MetricsFrame& f) {
-  const auto& m = f.cache;
-  std::printf("%-24s %10lu %10lu %8lu %10lu %12lu %12lu %8lu %6lu\n",
-              endpoint.c_str(), (unsigned long)m.hits,
-              (unsigned long)m.misses, (unsigned long)m.dedup_waits,
-              (unsigned long)m.evictions, (unsigned long)m.bytes_from_cache,
-              (unsigned long)m.bytes_from_pfs, (unsigned long)m.pfs_fallbacks,
-              (unsigned long)f.open_fds);
+  std::printf("%-24s", endpoint.c_str());
+  for (const core::FieldSpec& field : core::frame_fields()) {
+    if (field.section != core::kV1Prefix) continue;
+    std::printf(" %*lu", column_width(field), (unsigned long)field.get(f));
+  }
+  std::printf("\n");
   if (f.version < 2) return;
-  std::printf("  handle_cache hits=%lu misses=%lu open=%lu pinned=%lu "
-              "deferred_closes=%lu\n",
-              (unsigned long)f.handle_cache.hits,
-              (unsigned long)f.handle_cache.misses,
-              (unsigned long)f.handle_cache.open,
-              (unsigned long)f.handle_cache.pinned,
-              (unsigned long)f.handle_cache.deferred_closes);
-  std::printf("  buffer_pool  leases=%lu pool_hits=%lu fallback_allocs=%lu\n",
-              (unsigned long)f.buffer_pool.leases,
-              (unsigned long)f.buffer_pool.pool_hits,
-              (unsigned long)f.buffer_pool.fallback_allocs);
-  std::printf("  read_ahead   issued=%lu consumed=%lu wasted=%lu\n",
-              (unsigned long)f.readahead.issued,
-              (unsigned long)f.readahead.consumed,
-              (unsigned long)f.readahead.wasted);
-  const auto& rs = f.resilience;
-  std::printf("  resilience   breaker(opens=%lu closes=%lu probes=%lu "
-              "shed=%lu) retries=%lu deadline_misses=%lu server_shed=%lu "
-              "mover_rejects=%lu drains=%lu drained=%lu faults=%lu\n",
-              (unsigned long)rs.breaker_opens,
-              (unsigned long)rs.breaker_closes,
-              (unsigned long)rs.breaker_probes,
-              (unsigned long)rs.breaker_shed, (unsigned long)rs.retries,
-              (unsigned long)rs.deadline_misses,
-              (unsigned long)rs.server_shed,
-              (unsigned long)rs.mover_rejects, (unsigned long)rs.drains,
-              (unsigned long)rs.drained_requests,
-              (unsigned long)rs.faults_injected);
-  // Present only on servers with the sharded-reactor core (section 9);
-  // an old binary's frame simply has no rows here.
+  uint16_t printed = core::kV1Prefix;  // table rows come in section runs
+  for (const core::FieldSpec& field : core::frame_fields()) {
+    if (field.section == printed) continue;
+    printed = field.section;
+    std::printf("  %-13s", field.group);
+    print_words(f, printed);
+    std::printf("\n");
+  }
   for (size_t i = 0; i < f.reactor.reactors.size(); ++i) {
-    const auto& rr = f.reactor.reactors[i];
-    std::printf("  reactor %-4zu conns=%lu requests=%lu steals=%lu "
-                "shed=%lu\n",
-                i, (unsigned long)rr.conns, (unsigned long)rr.requests,
-                (unsigned long)rr.steals, (unsigned long)rr.shed);
+    std::printf("  reactor %-5zu", i);
+    for (const core::ReactorField& field : core::reactor_fields()) {
+      std::printf(" %s=%lu", field.name,
+                  (unsigned long)(f.reactor.reactors[i].*field.member));
+    }
+    std::printf("\n");
+  }
+  for (const core::StallEpochRow& e : f.stall.epochs) {
+    std::printf("  %-13s", "stall");
+    for (const core::StallField& field : core::stall_fields()) {
+      if (field.seconds) {
+        std::printf(" %s=%.6f", field.name, double(e.*field.member) / 1e9);
+      } else {
+        std::printf(" %s=%lu", field.name, (unsigned long)(e.*field.member));
+      }
+    }
+    std::printf("\n");
   }
   for (const auto& [op, snap] : f.op_latency) {
     std::printf("  latency %-12s n=%-8lu p50=%.1fus p99=%.1fus\n",
@@ -235,11 +248,7 @@ int metrics_once(const std::vector<std::string>& endpoints, bool json,
   core::MetricsFrame aggregate;
   bool first = true;
   std::string json_endpoints;
-  if (!json) {
-    std::printf("%-24s %10s %10s %8s %10s %12s %12s %8s %6s\n", "endpoint",
-                "hits", "misses", "dedup", "evictions", "cache_bytes",
-                "pfs_bytes", "fallbk", "fds");
-  }
+  if (!json) print_metrics_header();
   for (const auto& endpoint : endpoints) {
     rpc::RpcClient client(rpc::Endpoint{endpoint}, cli_options());
     const auto resp = client.call(proto::kMetrics, Bytes{});
@@ -531,152 +540,34 @@ int cmd_gentree(const std::vector<std::string>& args) {
   return 0;
 }
 
-// Write-back health: journal depth, flush-queue state, the age of the
-// oldest unflushed file and the last restart's replay summary — the
-// operator's view of "would a crash right now lose anything" (no: the
-// journal covers it) and "how far behind is the PFS".
-int cmd_journal(const std::string& csv, bool json) {
+// One section of every endpoint's frame, as the schema spells it:
+// `journal` shows the write-back tier ("would a crash right now lose
+// anything, and how far behind is the PFS"), `prefetch` the warm-up
+// pipeline ("is warm-up ahead of training, and is it stampeding the
+// PFS").
+int cmd_section(const std::string& csv, bool json, uint16_t section) {
   int failures = 0;
   std::string json_rows;
-  if (!json) {
-    std::printf("%-24s %10s %12s %8s %9s %8s  %s\n", "endpoint", "journal",
-                "dirty", "queue", "lag_ms", "flushed", "last_replay");
-  }
   for (const auto& endpoint : split_csv(csv)) {
     rpc::RpcClient client(rpc::Endpoint{endpoint}, cli_options());
-    const auto resp = client.call(proto::kMetrics, Bytes{});
-    core::WriteBackStats wb;
-    bool have = false;
-    if (resp.ok()) {
-      if (const auto frame = core::MetricsFrame::decode(*resp);
-          frame.ok() && frame->version >= 2) {
-        wb = frame->write_back;
-        have = true;
-      }
-    }
+    const std::optional<core::MetricsFrame> frame = fetch_frame(client);
+    const bool have = frame.has_value();
     if (json) {
       if (!json_rows.empty()) json_rows += ",";
       json_rows += "{\"endpoint\":\"" + endpoint + "\",\"up\":" +
                    (have ? "true" : "false");
-      if (have) {
-        json_rows +=
-            ",\"journal_records\":" + std::to_string(wb.journal_records) +
-            ",\"journal_bytes\":" + std::to_string(wb.journal_bytes) +
-            ",\"dirty_files\":" + std::to_string(wb.dirty_files) +
-            ",\"dirty_bytes\":" + std::to_string(wb.dirty_bytes) +
-            ",\"flush_queue_depth\":" +
-            std::to_string(wb.flush_queue_depth) +
-            ",\"flush_inflight\":" + std::to_string(wb.flush_inflight) +
-            ",\"flush_lag_ms\":" + std::to_string(wb.flush_lag_ms) +
-            ",\"flushed_files\":" + std::to_string(wb.flushed_files) +
-            ",\"flush_retries\":" + std::to_string(wb.flush_retries) +
-            ",\"flush_failures\":" + std::to_string(wb.flush_failures) +
-            ",\"write_through_sheds\":" +
-            std::to_string(wb.write_through_sheds) +
-            ",\"replay\":{\"writes\":" + std::to_string(wb.replay_writes) +
-            ",\"bytes\":" + std::to_string(wb.replay_bytes) +
-            ",\"truncated_bytes\":" +
-            std::to_string(wb.replay_truncated_bytes) +
-            ",\"dirty_files\":" + std::to_string(wb.replay_dirty_files) +
-            "}";
-      }
+      if (have) json_rows += frame->section_json(section);
       json_rows += "}";
     } else if (!have) {
-      std::printf("%-24s %s\n", endpoint.c_str(),
-                  resp.ok() ? "(no write-back section)"
-                            : resp.error().to_string().c_str());
+      std::printf("%-24s (down, or a v1 server)\n", endpoint.c_str());
     } else {
-      char replay[96];
-      std::snprintf(replay, sizeof(replay),
-                    "%lu writes/%lu bytes, %lu dirty, %lu torn",
-                    (unsigned long)wb.replay_writes,
-                    (unsigned long)wb.replay_bytes,
-                    (unsigned long)wb.replay_dirty_files,
-                    (unsigned long)wb.replay_truncated_bytes);
-      std::printf("%-24s %7lur/%luB %6luf/%luB %8lu %9lu %8lu  %s\n",
-                  endpoint.c_str(), (unsigned long)wb.journal_records,
-                  (unsigned long)wb.journal_bytes,
-                  (unsigned long)wb.dirty_files,
-                  (unsigned long)wb.dirty_bytes,
-                  (unsigned long)(wb.flush_queue_depth + wb.flush_inflight),
-                  (unsigned long)wb.flush_lag_ms,
-                  (unsigned long)wb.flushed_files, replay);
+      std::printf("%-24s", endpoint.c_str());
+      print_words(*frame, section);
+      std::printf("\n");
     }
     if (!have) ++failures;
   }
-  if (json) {
-    std::printf("{\"endpoints\":[%s],\"failures\":%d}\n", json_rows.c_str(),
-                failures);
-  }
-  std::fflush(stdout);
-  return failures == 0 ? 0 : 1;
-}
-
-// Clairvoyant-prefetch health: how much of the plan has been warmed,
-// how much the mover shed or deduplicated, and whether bandwidth
-// pacing actually stalled anything — the operator's view of "is
-// warm-up ahead of training, and is it stampeding the PFS".
-int cmd_prefetch(const std::string& csv, bool json) {
-  int failures = 0;
-  std::string json_rows;
-  if (!json) {
-    std::printf("%-24s %8s %8s %9s %6s %6s %9s %8s %10s\n", "endpoint",
-                "planned", "issued", "completed", "shed", "late",
-                "hit_after", "deduped", "paced_ms");
-  }
-  for (const auto& endpoint : split_csv(csv)) {
-    rpc::RpcClient client(rpc::Endpoint{endpoint}, cli_options());
-    const auto resp = client.call(proto::kMetrics, Bytes{});
-    core::PrefetchStats pf;
-    bool have = false;
-    if (resp.ok()) {
-      if (const auto frame = core::MetricsFrame::decode(*resp);
-          frame.ok() && frame->version >= 2) {
-        pf = frame->prefetch;
-        have = true;
-      }
-    }
-    if (json) {
-      if (!json_rows.empty()) json_rows += ",";
-      json_rows += "{\"endpoint\":\"" + endpoint + "\",\"up\":" +
-                   (have ? "true" : "false");
-      if (have) {
-        json_rows +=
-            ",\"planned\":" + std::to_string(pf.planned) +
-            ",\"issued\":" + std::to_string(pf.issued) +
-            ",\"completed\":" + std::to_string(pf.completed) +
-            ",\"shed\":" + std::to_string(pf.shed) +
-            ",\"late\":" + std::to_string(pf.late) +
-            ",\"hit_after_prefetch\":" +
-            std::to_string(pf.hit_after_prefetch) +
-            ",\"deduped\":" + std::to_string(pf.deduped) +
-            ",\"dedup_inflight\":" + std::to_string(pf.dedup_inflight) +
-            ",\"paced_delay\":{\"batches\":" +
-            std::to_string(pf.paced_delay.count) + ",\"total_ns\":" +
-            std::to_string(pf.paced_delay.total_ns) + "}";
-      }
-      json_rows += "}";
-    } else if (!have) {
-      std::printf("%-24s %s\n", endpoint.c_str(),
-                  resp.ok() ? "(no prefetch section)"
-                            : resp.error().to_string().c_str());
-    } else {
-      std::printf("%-24s %8lu %8lu %9lu %6lu %6lu %9lu %8lu %10.1f\n",
-                  endpoint.c_str(), (unsigned long)pf.planned,
-                  (unsigned long)pf.issued, (unsigned long)pf.completed,
-                  (unsigned long)pf.shed, (unsigned long)pf.late,
-                  (unsigned long)pf.hit_after_prefetch,
-                  (unsigned long)pf.deduped,
-                  double(pf.paced_delay.total_ns) / 1e6);
-    }
-    if (!have) ++failures;
-  }
-  if (json) {
-    std::printf("{\"endpoints\":[%s],\"failures\":%d}\n", json_rows.c_str(),
-                failures);
-  }
-  std::fflush(stdout);
-  return failures == 0 ? 0 : 1;
+  return finish_endpoints(json, json_rows, failures);
 }
 
 // ---- top: live dashboard off the server-side time-series ring -------------
@@ -795,12 +686,7 @@ int top_once(const std::vector<std::string>& endpoints, bool json) {
     }
     if (!resp.ok()) ++failures;
   }
-  if (json) {
-    std::printf("{\"endpoints\":[%s],\"failures\":%d}\n", json_rows.c_str(),
-                failures);
-  }
-  std::fflush(stdout);
-  return failures == 0 ? 0 : 1;
+  return finish_endpoints(json, json_rows, failures);
 }
 
 int cmd_top(const std::string& csv, bool json, int interval_seconds,
@@ -875,29 +761,20 @@ int main(int argc, char** argv) {
     }
     return cmd_health(args[1], json);
   }
-  if (cmd == "journal") {
+  if (cmd == "journal" || cmd == "prefetch") {
     bool json = false;
     for (size_t i = 2; i < args.size(); ++i) {
       if (args[i] == "--json") {
         json = true;
       } else {
-        std::fprintf(stderr, "unknown journal flag %s\n", args[i].c_str());
+        std::fprintf(stderr, "unknown %s flag %s\n", cmd.c_str(),
+                     args[i].c_str());
         return 2;
       }
     }
-    return cmd_journal(args[1], json);
-  }
-  if (cmd == "prefetch") {
-    bool json = false;
-    for (size_t i = 2; i < args.size(); ++i) {
-      if (args[i] == "--json") {
-        json = true;
-      } else {
-        std::fprintf(stderr, "unknown prefetch flag %s\n", args[i].c_str());
-        return 2;
-      }
-    }
-    return cmd_prefetch(args[1], json);
+    return cmd_section(args[1], json,
+                       cmd == "journal" ? core::kSectionWriteBack
+                                        : core::kSectionPrefetch);
   }
   if (cmd == "top") {
     bool json = false;

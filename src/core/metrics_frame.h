@@ -14,6 +14,9 @@
 //   u16 count     number of sections
 //   sections      [u16 id][u32 byte_len][byte_len bytes] ...
 //
+// Which u64 words each section carries, in which order, is the field
+// table in core/metrics_schema.h.
+//
 // Compatibility rules (both directions hold by construction):
 //   * old client, v2 frame: the prefix is byte-identical to v1.
 //   * new client, v1 frame: no magic after the prefix -> sections
@@ -56,14 +59,11 @@ enum MetricsSection : uint16_t {
 // The local store's read fds (storage::LocalStore::FdStats).
 struct HandleCacheStats {
   uint64_t hits = 0;    // reads served from a resident slab's fd
-  uint64_t misses = 0;  // per-read opens: write-back files, slabs past
-                        // the fd budget
+  uint64_t misses = 0;  // per-read opens
   uint64_t open = 0;    // slab fds held
   uint64_t pinned = 0;  // slabs with at least one active reader
   uint64_t deferred_closes = 0;  // slabs dropped while pinned; fd closed late
   uint64_t capacity = 0;         // fd budget, in slabs
-
-  void merge(const HandleCacheStats& other);
 };
 
 struct BufferPoolStats {
@@ -72,21 +72,15 @@ struct BufferPoolStats {
   uint64_t fallback_allocs = 0;  // had to hit the allocator
   uint64_t recycled = 0;         // leases returned to a free list
   uint64_t dropped = 0;          // leases freed (list full)
-
-  void merge(const BufferPoolStats& other);
 };
 
 struct ReadAheadStats {
   uint64_t issued = 0;    // chunks requested ahead of the application
   uint64_t consumed = 0;  // reads served from a pending chunk
   uint64_t wasted = 0;    // pending chunks discarded unread
-
-  void merge(const ReadAheadStats& other);
 };
 
-// Fault-domain counters (rpc/health.h): breaker transitions, retries,
-// deadline misses, backpressure sheds, drain stats. Process-wide, like
-// the buffer pool.
+// Fault-domain counters (rpc/health.h).
 struct ResilienceStats {
   uint64_t breaker_opens = 0;
   uint64_t breaker_closes = 0;
@@ -99,13 +93,9 @@ struct ResilienceStats {
   uint64_t drains = 0;
   uint64_t drained_requests = 0;
   uint64_t faults_injected = 0;  // HVAC_FAULT harness activity
-
-  void merge(const ResilienceStats& other);
 };
 
-// Kernel zero-copy send path (rpc/socket.h ZeroCopyCounters):
-// sendfile/splice response sends, their byte volume, and how often the
-// pooled fallback carried extents instead. Process-wide.
+// Kernel zero-copy send path (rpc/socket.h ZeroCopyCounters).
 struct ZeroCopyStats {
   uint64_t sendfile_sends = 0;
   uint64_t splice_sends = 0;
@@ -113,25 +103,18 @@ struct ZeroCopyStats {
   uint64_t sendfile_bytes = 0;
   uint64_t splice_bytes = 0;
   uint64_t short_resumes = 0;  // partial kernel sends resumed in-place
-
-  void merge(const ZeroCopyStats& other);
 };
 
-// Client metadata cache (client/meta_cache.h). Process-wide, like the
-// read-ahead counters.
+// Client metadata cache (client/meta_cache.h).
 struct MetaCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t expired = 0;
   uint64_t invalidated = 0;
-
-  void merge(const MetaCacheStats& other);
 };
 
 // Checkpoint write path (server/hvac_server.cc write handlers,
-// storage/write_journal.h, core/flush_manager.h): write-back volume,
-// journal depth, flush-queue health and the last journal-replay
-// summary. Per-instance, like the handle cache.
+// storage/write_journal.h, core/flush_manager.h).
 struct WriteBackStats {
   uint64_t writes = 0;          // kWrite ops acked on the write-back tier
   uint64_t bytes_written = 0;
@@ -152,17 +135,11 @@ struct WriteBackStats {
   uint64_t replay_bytes = 0;
   uint64_t replay_truncated_bytes = 0;  // torn/CRC-bad tail cut
   uint64_t replay_dirty_files = 0;      // re-queued to the flusher
-
-  void merge(const WriteBackStats& other);
 };
 
 // Clairvoyant prefetch pipeline (client/prefetch_scheduler.h) plus the
-// server-side duplicate-fetch suppression in the data mover. The
-// client-side words are process-wide globals (core::PrefetchCounters);
-// deduped/dedup_inflight are per-instance mover counters. Body layout:
-// nine u64s, then the paced-delay histogram as
-// [count u64][total_ns u64][n_buckets u16][bucket u64 * n] — a decoder
-// that stops after the words it knows still parses.
+// server-side duplicate-fetch suppression in the data mover. On the
+// wire a reserved zero word sits between the words and paced_delay.
 struct PrefetchStats {
   uint64_t planned = 0;    // samples accepted into access plans
   uint64_t issued = 0;     // samples sent in prefetch batches
@@ -170,47 +147,29 @@ struct PrefetchStats {
   uint64_t shed = 0;       // answered shed (mover backpressure)
   uint64_t late = 0;       // training cursor beat the prefetch
   uint64_t hit_after_prefetch = 0;  // cursor found the sample warmed
-  uint64_t deduped = 0;         // mover submits coalesced onto an
-                                // in-flight fetch (N clients, 1 read)
+  uint64_t deduped = 0;         // mover submits coalesced in flight
   uint64_t dedup_inflight = 0;  // gauge: paths with a fetch in flight
-  uint64_t reserved = 0;        // room to grow without re-shaping
   LatencySnapshot paced_delay;  // token-bucket stall per issued batch
-
-  void merge(const PrefetchStats& other);
 };
 
 // Per-epoch I/O stall attribution from the client read path
 // (core::StallCounters, charged by client/hvac_client.cc): where
-// intercepted-read wall time went — local-hit service, remote RPC,
-// direct PFS wait, read-ahead backpressure, retry/recovery penalty.
-// Body layout: [u16 n_epochs][u16 words_per_row] then n_epochs rows of
-// words_per_row u64s {epoch, reads, total_ns, local_hit_ns,
-// remote_rpc_ns, pfs_wait_ns, backpressure_ns, retry_ns} — like the
-// reactor rows, decoders read the words they know and skip the tail,
-// so rows can grow without a new section.
+// intercepted-read wall time went.
 struct StallStats {
   std::vector<StallEpochRow> epochs;
-
-  // Keyed by epoch id: same-epoch rows sum, new epochs append.
-  void merge(const StallStats& other);
 };
 
-// Trace-ring health (common/trace.h). Process-wide; `dropped` rising
-// means HVAC_TRACE_RING is too small for the drain cadence.
+// Trace-ring health (common/trace.h); `dropped` rising means
+// HVAC_TRACE_RING is too small for the drain cadence.
 struct TraceStats {
   uint64_t emitted = 0;
   uint64_t dropped = 0;
   uint64_t rings = 0;
   uint64_t ring_capacity = 0;
   uint64_t occupancy = 0;
-
-  void merge(const TraceStats& other);
 };
 
-// Per-reactor server counters (rpc/rpc_server.h). Body layout:
-// [u16 reactor_count][u16 words_per_reactor] then reactor_count rows
-// of words_per_reactor u64s — a decoder reads the words it knows and
-// skips the tail of each row, so rows can grow without a new section.
+// Per-reactor server counters (rpc/rpc_server.h).
 struct ReactorStats {
   struct PerReactor {
     uint64_t conns = 0;
@@ -222,10 +181,6 @@ struct ReactorStats {
     uint64_t steal_backoffs = 0;
   };
   std::vector<PerReactor> reactors;
-
-  // Element-wise by reactor index (instances in one process report
-  // their own reactor sets; index i of each merges into index i).
-  void merge(const ReactorStats& other);
 };
 
 struct MetricsFrame {
@@ -253,15 +208,19 @@ struct MetricsFrame {
   rpc::Bytes encode() const;
   static Result<MetricsFrame> decode(const rpc::Bytes& bytes);
 
-  // Sums every section of `other` into this frame. Per-process
-  // sections (buffer pool, read-ahead) double-count when the merged
-  // frames come from instances sharing one process — NodeRuntime
-  // handles that case by assigning them once.
-  void merge(const MetricsFrame& other);
+  // Folds `other` in by each field's kind (core/metrics_schema.h):
+  // counters and gauges sum, max-gauges keep the larger. Instances of
+  // one process (kSameProcess) repeat its process-scope fields, so
+  // those keep this frame's values.
+  enum class Peers : uint8_t { kSeparateProcesses, kSameProcess };
+  void merge(const MetricsFrame& other,
+             Peers peers = Peers::kSeparateProcesses);
 
-  // JSON object (single line) with every section spelled out —
-  // the `hvacctl metrics --json` / HVAC_STATS_FILE format.
+  // JSON object (single line) with every section spelled out — the
+  // `hvacctl metrics --json` format.
   std::string to_json() const;
+  // The `,"<group>":{...}` piece of to_json() for one section's words.
+  std::string section_json(uint16_t id) const;
 };
 
 // Human name for a proto::Opcode value ("read", "open", ...);

@@ -1,5 +1,7 @@
 #include "core/timeseries.h"
 
+#include "core/metrics_schema.h"
+
 namespace hvac::core {
 
 using rpc::Bytes;
@@ -29,154 +31,28 @@ LatencySnapshot snap_delta(const LatencySnapshot& cur,
 }  // namespace
 
 MetricsFrame frame_delta(const MetricsFrame& cur, const MetricsFrame& prev) {
-  MetricsFrame d;
-  d.version = cur.version;
-
-  d.cache.hits = monus(cur.cache.hits, prev.cache.hits);
-  d.cache.misses = monus(cur.cache.misses, prev.cache.misses);
-  d.cache.dedup_waits = monus(cur.cache.dedup_waits, prev.cache.dedup_waits);
-  d.cache.evictions = monus(cur.cache.evictions, prev.cache.evictions);
-  d.cache.bytes_from_cache =
-      monus(cur.cache.bytes_from_cache, prev.cache.bytes_from_cache);
-  d.cache.bytes_from_pfs =
-      monus(cur.cache.bytes_from_pfs, prev.cache.bytes_from_pfs);
-  d.cache.pfs_fallbacks =
-      monus(cur.cache.pfs_fallbacks, prev.cache.pfs_fallbacks);
-  d.open_fds = cur.open_fds;  // gauge
-
-  d.handle_cache.hits = monus(cur.handle_cache.hits, prev.handle_cache.hits);
-  d.handle_cache.misses =
-      monus(cur.handle_cache.misses, prev.handle_cache.misses);
-  d.handle_cache.open = cur.handle_cache.open;      // gauge
-  d.handle_cache.pinned = cur.handle_cache.pinned;  // gauge
-  d.handle_cache.deferred_closes = monus(cur.handle_cache.deferred_closes,
-                                         prev.handle_cache.deferred_closes);
-  d.handle_cache.capacity = cur.handle_cache.capacity;  // static
-
-  d.buffer_pool.leases = monus(cur.buffer_pool.leases, prev.buffer_pool.leases);
-  d.buffer_pool.pool_hits =
-      monus(cur.buffer_pool.pool_hits, prev.buffer_pool.pool_hits);
-  d.buffer_pool.fallback_allocs =
-      monus(cur.buffer_pool.fallback_allocs, prev.buffer_pool.fallback_allocs);
-  d.buffer_pool.recycled =
-      monus(cur.buffer_pool.recycled, prev.buffer_pool.recycled);
-  d.buffer_pool.dropped =
-      monus(cur.buffer_pool.dropped, prev.buffer_pool.dropped);
-
-  d.readahead.issued = monus(cur.readahead.issued, prev.readahead.issued);
-  d.readahead.consumed =
-      monus(cur.readahead.consumed, prev.readahead.consumed);
-  d.readahead.wasted = monus(cur.readahead.wasted, prev.readahead.wasted);
-
-  d.resilience.breaker_opens =
-      monus(cur.resilience.breaker_opens, prev.resilience.breaker_opens);
-  d.resilience.breaker_closes =
-      monus(cur.resilience.breaker_closes, prev.resilience.breaker_closes);
-  d.resilience.breaker_probes =
-      monus(cur.resilience.breaker_probes, prev.resilience.breaker_probes);
-  d.resilience.breaker_shed =
-      monus(cur.resilience.breaker_shed, prev.resilience.breaker_shed);
-  d.resilience.retries = monus(cur.resilience.retries, prev.resilience.retries);
-  d.resilience.deadline_misses =
-      monus(cur.resilience.deadline_misses, prev.resilience.deadline_misses);
-  d.resilience.server_shed =
-      monus(cur.resilience.server_shed, prev.resilience.server_shed);
-  d.resilience.mover_rejects =
-      monus(cur.resilience.mover_rejects, prev.resilience.mover_rejects);
-  d.resilience.drains = monus(cur.resilience.drains, prev.resilience.drains);
-  d.resilience.drained_requests =
-      monus(cur.resilience.drained_requests, prev.resilience.drained_requests);
-  d.resilience.faults_injected =
-      monus(cur.resilience.faults_injected, prev.resilience.faults_injected);
-
-  d.zerocopy.sendfile_sends =
-      monus(cur.zerocopy.sendfile_sends, prev.zerocopy.sendfile_sends);
-  d.zerocopy.splice_sends =
-      monus(cur.zerocopy.splice_sends, prev.zerocopy.splice_sends);
-  d.zerocopy.fallback_sends =
-      monus(cur.zerocopy.fallback_sends, prev.zerocopy.fallback_sends);
-  d.zerocopy.sendfile_bytes =
-      monus(cur.zerocopy.sendfile_bytes, prev.zerocopy.sendfile_bytes);
-  d.zerocopy.splice_bytes =
-      monus(cur.zerocopy.splice_bytes, prev.zerocopy.splice_bytes);
-  d.zerocopy.short_resumes =
-      monus(cur.zerocopy.short_resumes, prev.zerocopy.short_resumes);
-
-  d.meta_cache.hits = monus(cur.meta_cache.hits, prev.meta_cache.hits);
-  d.meta_cache.misses = monus(cur.meta_cache.misses, prev.meta_cache.misses);
-  d.meta_cache.expired = monus(cur.meta_cache.expired, prev.meta_cache.expired);
-  d.meta_cache.invalidated =
-      monus(cur.meta_cache.invalidated, prev.meta_cache.invalidated);
-
-  d.trace.emitted = monus(cur.trace.emitted, prev.trace.emitted);
-  d.trace.dropped = monus(cur.trace.dropped, prev.trace.dropped);
-  d.trace.rings = cur.trace.rings;                  // gauge
-  d.trace.ring_capacity = cur.trace.ring_capacity;  // gauge
-  d.trace.occupancy = cur.trace.occupancy;          // gauge
-
-  d.reactor.reactors.resize(cur.reactor.reactors.size());
-  for (size_t i = 0; i < cur.reactor.reactors.size(); ++i) {
-    const auto& c = cur.reactor.reactors[i];
+  // Gauges, the version and the per-epoch cumulative stall rows carry
+  // cur's values (a history reader diffs same-epoch rows itself if it
+  // wants within-epoch rates); counters subtract.
+  MetricsFrame d = cur;
+  for (const FieldSpec& field : frame_fields()) {
+    if (field.kind == FieldKind::kCounter) {
+      field.ref(d) = monus(field.get(cur), field.get(prev));
+    }
+  }
+  for (size_t i = 0; i < d.reactor.reactors.size(); ++i) {
     ReactorStats::PerReactor p;  // zero row when prev had fewer reactors
     if (i < prev.reactor.reactors.size()) p = prev.reactor.reactors[i];
-    d.reactor.reactors[i].conns = monus(c.conns, p.conns);
-    d.reactor.reactors[i].requests = monus(c.requests, p.requests);
-    d.reactor.reactors[i].steals = monus(c.steals, p.steals);
-    d.reactor.reactors[i].shed = monus(c.shed, p.shed);
-    d.reactor.reactors[i].steal_backoffs =
-        monus(c.steal_backoffs, p.steal_backoffs);
+    for (const ReactorField& field : reactor_fields()) {
+      d.reactor.reactors[i].*field.member =
+          monus(cur.reactor.reactors[i].*field.member, p.*field.member);
+    }
   }
-
-  d.write_back.writes = monus(cur.write_back.writes, prev.write_back.writes);
-  d.write_back.bytes_written =
-      monus(cur.write_back.bytes_written, prev.write_back.bytes_written);
-  d.write_back.fsyncs = monus(cur.write_back.fsyncs, prev.write_back.fsyncs);
-  d.write_back.dirty_bytes = cur.write_back.dirty_bytes;  // gauge
-  d.write_back.dirty_files = cur.write_back.dirty_files;  // gauge
-  d.write_back.journal_records = cur.write_back.journal_records;  // gauge
-  d.write_back.journal_bytes = cur.write_back.journal_bytes;      // gauge
-  d.write_back.flushed_files =
-      monus(cur.write_back.flushed_files, prev.write_back.flushed_files);
-  d.write_back.flush_retries =
-      monus(cur.write_back.flush_retries, prev.write_back.flush_retries);
-  d.write_back.flush_failures =
-      monus(cur.write_back.flush_failures, prev.write_back.flush_failures);
-  d.write_back.flush_queue_depth = cur.write_back.flush_queue_depth;  // gauge
-  d.write_back.flush_inflight = cur.write_back.flush_inflight;        // gauge
-  d.write_back.flush_lag_ms = cur.write_back.flush_lag_ms;            // gauge
-  d.write_back.write_through_sheds = monus(cur.write_back.write_through_sheds,
-                                           prev.write_back.write_through_sheds);
-  d.write_back.write_through_bytes = monus(cur.write_back.write_through_bytes,
-                                           prev.write_back.write_through_bytes);
-  // Replay words describe the last restart, not a flow; carry them.
-  d.write_back.replay_writes = cur.write_back.replay_writes;
-  d.write_back.replay_bytes = cur.write_back.replay_bytes;
-  d.write_back.replay_truncated_bytes = cur.write_back.replay_truncated_bytes;
-  d.write_back.replay_dirty_files = cur.write_back.replay_dirty_files;
-
-  d.prefetch.planned = monus(cur.prefetch.planned, prev.prefetch.planned);
-  d.prefetch.issued = monus(cur.prefetch.issued, prev.prefetch.issued);
-  d.prefetch.completed =
-      monus(cur.prefetch.completed, prev.prefetch.completed);
-  d.prefetch.shed = monus(cur.prefetch.shed, prev.prefetch.shed);
-  d.prefetch.late = monus(cur.prefetch.late, prev.prefetch.late);
-  d.prefetch.hit_after_prefetch = monus(cur.prefetch.hit_after_prefetch,
-                                        prev.prefetch.hit_after_prefetch);
-  d.prefetch.deduped = monus(cur.prefetch.deduped, prev.prefetch.deduped);
-  d.prefetch.dedup_inflight = cur.prefetch.dedup_inflight;  // gauge
-  d.prefetch.reserved = cur.prefetch.reserved;
   d.prefetch.paced_delay =
       snap_delta(cur.prefetch.paced_delay, prev.prefetch.paced_delay);
-
-  // Per-epoch cumulative rows; a history reader diffs same-epoch rows
-  // itself if it wants within-epoch rates.
-  d.stall = cur.stall;
-
-  for (const auto& [op, snap] : cur.op_latency) {
+  for (auto& [op, snap] : d.op_latency) {
     auto it = prev.op_latency.find(op);
-    d.op_latency[op] = it == prev.op_latency.end()
-                           ? snap
-                           : snap_delta(snap, it->second);
+    if (it != prev.op_latency.end()) snap = snap_delta(snap, it->second);
   }
   return d;
 }

@@ -60,10 +60,10 @@ struct TimeSeriesFrame {
   static Result<TimeSeriesFrame> decode(const rpc::Bytes& bytes);
 };
 
-// `cur - prev`, field-wise: counters and histogram buckets subtract
-// (clamped at zero so a restarted peer never yields negative rates),
-// gauges (occupancy-style fields) carry cur's point value. The stall
-// section is per-epoch cumulative and carries over as-is.
+// `cur - prev` by each field's kind (core/metrics_schema.h): counters
+// and histogram buckets subtract (clamped at zero so a restarted peer
+// never yields negative rates), gauges and the per-epoch cumulative
+// stall rows carry cur's values.
 MetricsFrame frame_delta(const MetricsFrame& cur, const MetricsFrame& prev);
 
 // Fixed-capacity sample history. push() overwrites the oldest sample

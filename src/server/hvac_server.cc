@@ -1168,6 +1168,9 @@ storage::JournalReplayStats HvacServer::last_replay() const {
   return last_replay_;
 }
 
+// Fills every section from its source. Many sources are process-wide
+// globals; the schema's scope column (core/metrics_schema.h) says which,
+// so NodeRuntime takes them once across co-resident instances.
 core::MetricsFrame HvacServer::metrics_frame() const {
   core::MetricsFrame f;
   f.cache = cache_->metrics();
@@ -1181,9 +1184,7 @@ core::MetricsFrame HvacServer::metrics_frame() const {
   f.handle_cache.deferred_closes = fds.deferred_closes;
   f.handle_cache.capacity = fds.budget;
 
-  // Pool counters aggregate the global pool plus every reactor arena;
-  // like the other process-wide sections, instances in one process
-  // report the same values and NodeRuntime takes them once.
+  // Pool counters aggregate the global pool plus every reactor arena.
   const BufferPool::Stats bp = BufferPool::aggregated_stats();
   f.buffer_pool.leases = bp.hits + bp.misses + bp.unpooled;
   f.buffer_pool.pool_hits = bp.hits;
@@ -1191,54 +1192,40 @@ core::MetricsFrame HvacServer::metrics_frame() const {
   f.buffer_pool.recycled = bp.recycled;
   f.buffer_pool.dropped = bp.dropped;
 
+  const auto load = [](const std::atomic<uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
   const core::ReadAheadCounters& ra = core::ReadAheadCounters::global();
-  f.readahead.issued = ra.issued.load(std::memory_order_relaxed);
-  f.readahead.consumed = ra.consumed.load(std::memory_order_relaxed);
-  f.readahead.wasted = ra.wasted.load(std::memory_order_relaxed);
+  f.readahead.issued = load(ra.issued);
+  f.readahead.consumed = load(ra.consumed);
+  f.readahead.wasted = load(ra.wasted);
 
-  // Resilience counters are process-wide (rpc/health.h globals), like
-  // the buffer pool: every instance in one process reports the same
-  // values and NodeRuntime takes them once.
   const rpc::ResilienceCounters& rc = rpc::ResilienceCounters::global();
-  f.resilience.breaker_opens =
-      rc.breaker_opens.load(std::memory_order_relaxed);
-  f.resilience.breaker_closes =
-      rc.breaker_closes.load(std::memory_order_relaxed);
-  f.resilience.breaker_probes =
-      rc.breaker_probes.load(std::memory_order_relaxed);
-  f.resilience.breaker_shed =
-      rc.breaker_shed.load(std::memory_order_relaxed);
-  f.resilience.retries = rc.retries.load(std::memory_order_relaxed);
-  f.resilience.deadline_misses =
-      rc.deadline_misses.load(std::memory_order_relaxed);
-  f.resilience.server_shed = rc.server_shed.load(std::memory_order_relaxed);
-  f.resilience.mover_rejects =
-      rc.mover_rejects.load(std::memory_order_relaxed);
-  f.resilience.drains = rc.drains.load(std::memory_order_relaxed);
-  f.resilience.drained_requests =
-      rc.drained_requests.load(std::memory_order_relaxed);
+  f.resilience.breaker_opens = load(rc.breaker_opens);
+  f.resilience.breaker_closes = load(rc.breaker_closes);
+  f.resilience.breaker_probes = load(rc.breaker_probes);
+  f.resilience.breaker_shed = load(rc.breaker_shed);
+  f.resilience.retries = load(rc.retries);
+  f.resilience.deadline_misses = load(rc.deadline_misses);
+  f.resilience.server_shed = load(rc.server_shed);
+  f.resilience.mover_rejects = load(rc.mover_rejects);
+  f.resilience.drains = load(rc.drains);
+  f.resilience.drained_requests = load(rc.drained_requests);
   f.resilience.faults_injected = fault::total_injected();
 
-  // Zero-copy send and client meta-cache counters are process-wide
-  // globals too.
   const rpc::ZeroCopyCounters& zc = rpc::ZeroCopyCounters::global();
-  f.zerocopy.sendfile_sends =
-      zc.sendfile_sends.load(std::memory_order_relaxed);
-  f.zerocopy.splice_sends = zc.splice_sends.load(std::memory_order_relaxed);
-  f.zerocopy.fallback_sends =
-      zc.fallback_sends.load(std::memory_order_relaxed);
-  f.zerocopy.sendfile_bytes =
-      zc.sendfile_bytes.load(std::memory_order_relaxed);
-  f.zerocopy.splice_bytes = zc.splice_bytes.load(std::memory_order_relaxed);
-  f.zerocopy.short_resumes =
-      zc.short_resumes.load(std::memory_order_relaxed);
+  f.zerocopy.sendfile_sends = load(zc.sendfile_sends);
+  f.zerocopy.splice_sends = load(zc.splice_sends);
+  f.zerocopy.fallback_sends = load(zc.fallback_sends);
+  f.zerocopy.sendfile_bytes = load(zc.sendfile_bytes);
+  f.zerocopy.splice_bytes = load(zc.splice_bytes);
+  f.zerocopy.short_resumes = load(zc.short_resumes);
 
   const core::MetaCacheCounters& mc = core::MetaCacheCounters::global();
-  f.meta_cache.hits = mc.hits.load(std::memory_order_relaxed);
-  f.meta_cache.misses = mc.misses.load(std::memory_order_relaxed);
-  f.meta_cache.expired = mc.expired.load(std::memory_order_relaxed);
-  f.meta_cache.invalidated =
-      mc.invalidated.load(std::memory_order_relaxed);
+  f.meta_cache.hits = load(mc.hits);
+  f.meta_cache.misses = load(mc.misses);
+  f.meta_cache.expired = load(mc.expired);
+  f.meta_cache.invalidated = load(mc.invalidated);
 
   const trace::Stats ts = trace::stats();
   f.trace.emitted = ts.emitted;
@@ -1259,13 +1246,11 @@ core::MetricsFrame HvacServer::metrics_frame() const {
   }
 
   // Checkpoint write path (section 10).
-  f.write_back.writes = writes_.load(std::memory_order_relaxed);
-  f.write_back.bytes_written = write_bytes_.load(std::memory_order_relaxed);
-  f.write_back.fsyncs = fsyncs_.load(std::memory_order_relaxed);
-  f.write_back.write_through_sheds =
-      write_through_sheds_.load(std::memory_order_relaxed);
-  f.write_back.write_through_bytes =
-      write_through_bytes_.load(std::memory_order_relaxed);
+  f.write_back.writes = load(writes_);
+  f.write_back.bytes_written = load(write_bytes_);
+  f.write_back.fsyncs = load(fsyncs_);
+  f.write_back.write_through_sheds = load(write_through_sheds_);
+  f.write_back.write_through_bytes = load(write_through_bytes_);
   {
     std::lock_guard<std::mutex> lock(write_state_mutex_);
     f.write_back.dirty_files = dirty_bytes_by_path_.size();
@@ -1291,18 +1276,16 @@ core::MetricsFrame HvacServer::metrics_frame() const {
   f.write_back.replay_truncated_bytes = last_replay_.truncated_bytes;
   f.write_back.replay_dirty_files = last_replay_.dirty_paths.size();
 
-  // Clairvoyant prefetch (section 11): the client-side scheduler
-  // counters are process-wide globals (nonzero when a client shares
-  // this process — the embedded/bench topology); the dedup words are
-  // this instance's mover.
+  // Clairvoyant prefetch (section 11): the scheduler counters are
+  // nonzero when a client shares this process (the embedded/bench
+  // topology); the dedup words are this instance's mover.
   const core::PrefetchCounters& pf = core::PrefetchCounters::global();
-  f.prefetch.planned = pf.planned.load(std::memory_order_relaxed);
-  f.prefetch.issued = pf.issued.load(std::memory_order_relaxed);
-  f.prefetch.completed = pf.completed.load(std::memory_order_relaxed);
-  f.prefetch.shed = pf.shed.load(std::memory_order_relaxed);
-  f.prefetch.late = pf.late.load(std::memory_order_relaxed);
-  f.prefetch.hit_after_prefetch =
-      pf.hit_after.load(std::memory_order_relaxed);
+  f.prefetch.planned = load(pf.planned);
+  f.prefetch.issued = load(pf.issued);
+  f.prefetch.completed = load(pf.completed);
+  f.prefetch.shed = load(pf.shed);
+  f.prefetch.late = load(pf.late);
+  f.prefetch.hit_after_prefetch = load(pf.hit_after);
   f.prefetch.deduped = mover_->dedup_coalesced();
   f.prefetch.dedup_inflight = mover_->dedup_inflight();
   f.prefetch.paced_delay = pf.paced_delay.snapshot();

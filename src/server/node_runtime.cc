@@ -57,48 +57,18 @@ std::string NodeRuntime::endpoints_csv() const {
 }
 
 core::MetricsFrame NodeRuntime::aggregated_frame() const {
-  core::MetricsFrame total;
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    core::MetricsFrame f = servers_[i]->metrics_frame();
-    if (i == 0) {
-      total = std::move(f);
-      continue;
-    }
-    // The process-global sections repeat identically in every
-    // instance's frame; keep the first copy and merge the rest of the
-    // sections.
-    f.buffer_pool = core::BufferPoolStats{};
-    f.readahead = core::ReadAheadStats{};
-    f.resilience = core::ResilienceStats{};
-    f.zerocopy = core::ZeroCopyStats{};
-    f.meta_cache = core::MetaCacheStats{};
-    f.trace = core::TraceStats{};
-    f.stall = core::StallStats{};
-    // Prefetch mixes process-global counters (plan/issue/pacing, taken
-    // once) with per-instance mover dedup (summed).
-    const uint64_t deduped = f.prefetch.deduped;
-    const uint64_t dedup_inflight = f.prefetch.dedup_inflight;
-    f.prefetch = core::PrefetchStats{};
-    f.prefetch.deduped = deduped;
-    f.prefetch.dedup_inflight = dedup_inflight;
-    total.merge(f);
+  // The instances share this process, so its process-scope fields are
+  // taken once instead of summed.
+  core::MetricsFrame total = servers_[0]->metrics_frame();
+  for (size_t i = 1; i < servers_.size(); ++i) {
+    total.merge(servers_[i]->metrics_frame(),
+                core::MetricsFrame::Peers::kSameProcess);
   }
   return total;
 }
 
 core::MetricsSnapshot NodeRuntime::aggregated_metrics() const {
-  core::MetricsSnapshot total;
-  for (const auto& server : servers_) {
-    const core::MetricsSnapshot m = server->metrics();
-    total.hits += m.hits;
-    total.misses += m.misses;
-    total.dedup_waits += m.dedup_waits;
-    total.evictions += m.evictions;
-    total.bytes_from_cache += m.bytes_from_cache;
-    total.bytes_from_pfs += m.bytes_from_pfs;
-    total.pfs_fallbacks += m.pfs_fallbacks;
-  }
-  return total;
+  return aggregated_frame().cache;
 }
 
 }  // namespace hvac::server

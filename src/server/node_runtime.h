@@ -54,11 +54,9 @@ class NodeRuntime {
   // Aggregated metrics across instances.
   core::MetricsSnapshot aggregated_metrics() const;
 
-  // Full metrics frame v2 aggregated across the node's instances.
-  // Per-instance sections (cache, fds, handle cache, latency) are
-  // summed; process-wide sections (buffer pool, read-ahead,
-  // resilience) are taken once — the instances share one process, so
-  // summing them would multiply-count the same counters.
+  // Full metrics frame v2 aggregated across the node's instances. They
+  // share one process, so process-scope fields (core/metrics_schema.h)
+  // are taken once rather than multiply-counted.
   core::MetricsFrame aggregated_frame() const;
 
  private:

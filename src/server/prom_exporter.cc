@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "common/log.h"
+#include "core/metrics_schema.h"
 
 namespace hvac::server {
 
@@ -30,22 +31,13 @@ void put_family(std::string& o, const char* name, const char* type,
   o += '\n';
 }
 
-// One label-free counter family. OpenMetrics: the family name carries
-// no suffix; the sample is <name>_total.
-void counter(std::string& o, const char* name, const char* help,
-             uint64_t value) {
-  put_family(o, name, "counter", help);
+// One label-free family. OpenMetrics: the family name carries no
+// suffix; a counter's sample is <name>_total.
+void scalar(std::string& o, const char* name, const char* help,
+            bool counter, uint64_t value) {
+  put_family(o, name, counter ? "counter" : "gauge", help);
   o += name;
-  o += "_total ";
-  o += std::to_string(value);
-  o += '\n';
-}
-
-void gauge(std::string& o, const char* name, const char* help,
-           uint64_t value) {
-  put_family(o, name, "gauge", help);
-  o += name;
-  o += ' ';
+  o += counter ? "_total " : " ";
   o += std::to_string(value);
   o += '\n';
 }
@@ -62,216 +54,42 @@ std::string render_openmetrics(const core::MetricsFrame& f) {
   std::string o;
   o.reserve(16384);
 
-  counter(o, "hvac_cache_hits", "Reads served from the node-local cache",
-          f.cache.hits);
-  counter(o, "hvac_cache_misses", "Reads that required a PFS fetch",
-          f.cache.misses);
-  counter(o, "hvac_cache_dedup_waits",
-          "First-reads coalesced onto an in-flight copy",
-          f.cache.dedup_waits);
-  counter(o, "hvac_cache_evictions", "Cache evictions", f.cache.evictions);
-  counter(o, "hvac_cache_bytes_from_cache",
-          "Bytes served from the node-local cache",
-          f.cache.bytes_from_cache);
-  counter(o, "hvac_cache_bytes_from_pfs", "Bytes read from the PFS",
-          f.cache.bytes_from_pfs);
-  counter(o, "hvac_cache_pfs_fallbacks",
-          "Requests served directly from the PFS", f.cache.pfs_fallbacks);
-  gauge(o, "hvac_open_fds", "Open remote file handles", f.open_fds);
-
-  counter(o, "hvac_handle_cache_hits",
-          "Reads served from a resident cache slab's fd",
-          f.handle_cache.hits);
-  counter(o, "hvac_handle_cache_misses",
-          "Reads that opened an fd (write-back files, slabs past the "
-          "fd budget)",
-          f.handle_cache.misses);
-  counter(o, "hvac_handle_cache_deferred_closes",
-          "Cache slabs dropped while pinned", f.handle_cache.deferred_closes);
-  gauge(o, "hvac_handle_cache_open", "Cache slab fds held",
-        f.handle_cache.open);
-  gauge(o, "hvac_handle_cache_pinned", "Cache slabs with a pinned fd",
-        f.handle_cache.pinned);
-  gauge(o, "hvac_handle_cache_capacity", "Store fd budget, in slabs",
-        f.handle_cache.capacity);
-
-  counter(o, "hvac_buffer_pool_leases", "Buffer-pool acquires",
-          f.buffer_pool.leases);
-  counter(o, "hvac_buffer_pool_hits", "Leases served from a free list",
-          f.buffer_pool.pool_hits);
-  counter(o, "hvac_buffer_pool_fallback_allocs",
-          "Leases that hit the allocator", f.buffer_pool.fallback_allocs);
-  counter(o, "hvac_buffer_pool_recycled", "Leases returned to a free list",
-          f.buffer_pool.recycled);
-  counter(o, "hvac_buffer_pool_dropped", "Leases freed (list full)",
-          f.buffer_pool.dropped);
-
-  counter(o, "hvac_readahead_issued",
-          "Chunks requested ahead of the application", f.readahead.issued);
-  counter(o, "hvac_readahead_consumed",
-          "Reads served from a pending chunk", f.readahead.consumed);
-  counter(o, "hvac_readahead_wasted", "Pending chunks discarded unread",
-          f.readahead.wasted);
-
-  counter(o, "hvac_resilience_breaker_opens", "Circuit-breaker opens",
-          f.resilience.breaker_opens);
-  counter(o, "hvac_resilience_breaker_closes", "Circuit-breaker closes",
-          f.resilience.breaker_closes);
-  counter(o, "hvac_resilience_breaker_probes", "Half-open probes",
-          f.resilience.breaker_probes);
-  counter(o, "hvac_resilience_breaker_shed",
-          "Calls shed by an open breaker", f.resilience.breaker_shed);
-  counter(o, "hvac_resilience_retries", "Idempotent call retries",
-          f.resilience.retries);
-  counter(o, "hvac_resilience_deadline_misses", "Per-call deadline misses",
-          f.resilience.deadline_misses);
-  counter(o, "hvac_resilience_server_shed",
-          "Requests shed by server backpressure", f.resilience.server_shed);
-  counter(o, "hvac_resilience_mover_rejects",
-          "Fetches rejected by the mover queue", f.resilience.mover_rejects);
-  counter(o, "hvac_resilience_drains", "Graceful drains",
-          f.resilience.drains);
-  counter(o, "hvac_resilience_drained_requests",
-          "Requests completed during drain", f.resilience.drained_requests);
-  counter(o, "hvac_resilience_faults_injected",
-          "HVAC_FAULT harness activations", f.resilience.faults_injected);
-
-  counter(o, "hvac_zerocopy_sendfile_sends", "sendfile response sends",
-          f.zerocopy.sendfile_sends);
-  counter(o, "hvac_zerocopy_splice_sends", "splice response sends",
-          f.zerocopy.splice_sends);
-  counter(o, "hvac_zerocopy_fallback_sends",
-          "Extents staged through the pool", f.zerocopy.fallback_sends);
-  counter(o, "hvac_zerocopy_sendfile_bytes", "Bytes sent via sendfile",
-          f.zerocopy.sendfile_bytes);
-  counter(o, "hvac_zerocopy_splice_bytes", "Bytes sent via splice",
-          f.zerocopy.splice_bytes);
-  counter(o, "hvac_zerocopy_short_resumes",
-          "Partial kernel sends resumed in place", f.zerocopy.short_resumes);
-
-  counter(o, "hvac_meta_cache_hits", "Client metadata-cache hits",
-          f.meta_cache.hits);
-  counter(o, "hvac_meta_cache_misses", "Client metadata-cache misses",
-          f.meta_cache.misses);
-  counter(o, "hvac_meta_cache_expired", "Metadata entries aged out",
-          f.meta_cache.expired);
-  counter(o, "hvac_meta_cache_invalidated",
-          "Metadata entries dropped on failure", f.meta_cache.invalidated);
-
-  counter(o, "hvac_trace_emitted", "Trace spans emitted", f.trace.emitted);
-  counter(o, "hvac_trace_dropped", "Trace spans dropped (ring full)",
-          f.trace.dropped);
-  gauge(o, "hvac_trace_rings", "Per-thread trace rings", f.trace.rings);
-  gauge(o, "hvac_trace_ring_capacity", "Trace ring capacity",
-        f.trace.ring_capacity);
-  gauge(o, "hvac_trace_occupancy", "Trace ring occupancy",
-        f.trace.occupancy);
+  for (const core::FieldSpec& field : core::frame_fields()) {
+    scalar(o, field.prom, field.help,
+           field.kind == core::FieldKind::kCounter, field.get(f));
+  }
 
   // Reactor rows as one family per word, reactor index as a label.
-  struct ReactorField {
-    const char* name;
-    const char* help;
-    uint64_t core::ReactorStats::PerReactor::* member;
-  };
-  const ReactorField reactor_fields[] = {
-      {"hvac_reactor_conns", "Connections accepted",
-       &core::ReactorStats::PerReactor::conns},
-      {"hvac_reactor_requests", "Requests dispatched",
-       &core::ReactorStats::PerReactor::requests},
-      {"hvac_reactor_steals", "Requests stolen from another reactor",
-       &core::ReactorStats::PerReactor::steals},
-      {"hvac_reactor_shed", "Requests shed by backpressure",
-       &core::ReactorStats::PerReactor::shed},
-      {"hvac_reactor_steal_backoffs", "Steal scans skipped by the throttle",
-       &core::ReactorStats::PerReactor::steal_backoffs},
-  };
-  for (const ReactorField& rf : reactor_fields) {
-    put_family(o, rf.name, "counter", rf.help);
+  for (const core::ReactorField& field : core::reactor_fields()) {
+    put_family(o, field.prom, "counter", field.help);
     for (size_t i = 0; i < f.reactor.reactors.size(); ++i) {
-      o += rf.name;
+      o += field.prom;
       o += "_total{reactor=\"";
       o += std::to_string(i);
       o += "\"} ";
-      o += std::to_string(f.reactor.reactors[i].*(rf.member));
+      o += std::to_string(f.reactor.reactors[i].*field.member);
       o += '\n';
     }
   }
 
-  counter(o, "hvac_write_back_writes", "kWrite ops acked", f.write_back.writes);
-  counter(o, "hvac_write_back_bytes_written", "Bytes written back",
-          f.write_back.bytes_written);
-  counter(o, "hvac_write_back_fsyncs", "Durability barriers honored",
-          f.write_back.fsyncs);
-  counter(o, "hvac_write_back_flushed_files", "Files flushed to the PFS",
-          f.write_back.flushed_files);
-  counter(o, "hvac_write_back_flush_retries", "Flush retries",
-          f.write_back.flush_retries);
-  counter(o, "hvac_write_back_flush_failures", "Flush failures",
-          f.write_back.flush_failures);
-  counter(o, "hvac_write_back_write_through_sheds",
-          "Handles shed to write-through", f.write_back.write_through_sheds);
-  counter(o, "hvac_write_back_write_through_bytes",
-          "Bytes written through to the PFS",
-          f.write_back.write_through_bytes);
-  gauge(o, "hvac_write_back_dirty_bytes", "Unflushed write-back bytes",
-        f.write_back.dirty_bytes);
-  gauge(o, "hvac_write_back_dirty_files", "Unflushed write-back files",
-        f.write_back.dirty_files);
-  gauge(o, "hvac_write_back_journal_records", "Journal depth in records",
-        f.write_back.journal_records);
-  gauge(o, "hvac_write_back_journal_bytes", "Journal depth in bytes",
-        f.write_back.journal_bytes);
-  gauge(o, "hvac_write_back_flush_queue_depth", "Flush queue depth",
-        f.write_back.flush_queue_depth);
-  gauge(o, "hvac_write_back_flush_inflight", "Flushes in flight",
-        f.write_back.flush_inflight);
-  gauge(o, "hvac_write_back_flush_lag_ms",
-        "Age of the oldest unflushed file (ms)", f.write_back.flush_lag_ms);
-
-  counter(o, "hvac_prefetch_planned", "Samples accepted into access plans",
-          f.prefetch.planned);
-  counter(o, "hvac_prefetch_issued", "Samples sent in prefetch batches",
-          f.prefetch.issued);
-  counter(o, "hvac_prefetch_completed", "Prefetches answered cached",
-          f.prefetch.completed);
-  counter(o, "hvac_prefetch_shed", "Prefetches shed by mover backpressure",
-          f.prefetch.shed);
-  counter(o, "hvac_prefetch_late", "Samples the cursor beat the prefetch to",
-          f.prefetch.late);
-  counter(o, "hvac_prefetch_hit_after",
-          "Samples found warmed by their prefetch",
-          f.prefetch.hit_after_prefetch);
-  counter(o, "hvac_prefetch_deduped",
-          "Mover fetches coalesced onto an in-flight one",
-          f.prefetch.deduped);
-  gauge(o, "hvac_prefetch_dedup_inflight", "Paths with a fetch in flight",
-        f.prefetch.dedup_inflight);
-
   // Stall attribution: seconds per bucket, summed over the epoch
   // window (the per-epoch rows stay in the frame/JSON surfaces).
-  {
-    uint64_t reads = 0;
-    double by_bucket[5] = {};
+  uint64_t reads = 0;
+  for (const core::StallEpochRow& e : f.stall.epochs) reads += e.reads;
+  scalar(o, "hvac_stall_reads", "Intercepted reads attributed", true, reads);
+  put_family(o, "hvac_stall_seconds", "counter",
+             "Intercepted-read wall time by stall bucket");
+  for (const core::StallField& field : core::stall_fields()) {
+    if (field.bucket == nullptr) continue;
+    double seconds = 0;
     for (const core::StallEpochRow& e : f.stall.epochs) {
-      reads += e.reads;
-      by_bucket[0] += double(e.local_hit_ns) / 1e9;
-      by_bucket[1] += double(e.remote_rpc_ns) / 1e9;
-      by_bucket[2] += double(e.pfs_wait_ns) / 1e9;
-      by_bucket[3] += double(e.backpressure_ns) / 1e9;
-      by_bucket[4] += double(e.retry_ns) / 1e9;
+      seconds += double(e.*field.member) / 1e9;
     }
-    counter(o, "hvac_stall_reads", "Intercepted reads attributed", reads);
-    put_family(o, "hvac_stall_seconds", "counter",
-               "Intercepted-read wall time by stall bucket");
-    const char* names[5] = {"local_hit", "remote_rpc", "pfs_wait",
-                            "backpressure", "retry"};
-    for (size_t b = 0; b < 5; ++b) {
-      o += "hvac_stall_seconds_total{bucket=\"";
-      o += names[b];
-      o += "\"} ";
-      fmt_double(o, by_bucket[b]);
-      o += '\n';
-    }
+    o += "hvac_stall_seconds_total{bucket=\"";
+    o += field.bucket;
+    o += "\"} ";
+    fmt_double(o, seconds);
+    o += '\n';
   }
 
   // Per-op handler latency as a native histogram family. Bucket i of

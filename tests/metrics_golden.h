@@ -5,10 +5,13 @@
 // changes a golden.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <string>
 
 #include "core/metrics_frame.h"
+#include "core/metrics_schema.h"
 #include "rpc/wire.h"
 #include "server/hvac_proto.h"
 
@@ -82,6 +85,50 @@ inline core::MetricsFrame delta_prev() {
   f.reactor.reactors.pop_back();
   f.op_latency.erase(proto::kOpen);
   return f;
+}
+
+// What a decoder may make of a cut-short or damaged copy of `want`:
+// every word is want's or zero, every row and op want's or absent.
+inline void expect_golden_or_zero(const core::MetricsFrame& got,
+                                  const core::MetricsFrame& want) {
+  auto golden_or_zero = [](uint64_t got, uint64_t want) {
+    return got == 0 || got == want;
+  };
+  for (const core::FieldSpec& field : core::frame_fields()) {
+    EXPECT_TRUE(golden_or_zero(field.get(got), field.get(want)))
+        << field.group << "." << field.name << " = " << field.get(got);
+  }
+  ASSERT_LE(got.reactor.reactors.size(), want.reactor.reactors.size());
+  for (size_t i = 0; i < got.reactor.reactors.size(); ++i) {
+    for (const core::ReactorField& field : core::reactor_fields()) {
+      EXPECT_EQ(got.reactor.reactors[i].*field.member,
+                want.reactor.reactors[i].*field.member)
+          << "reactor " << i << " " << field.name;
+    }
+  }
+  ASSERT_LE(got.stall.epochs.size(), want.stall.epochs.size());
+  for (size_t i = 0; i < got.stall.epochs.size(); ++i) {
+    for (const core::StallField& field : core::stall_fields()) {
+      EXPECT_EQ(got.stall.epochs[i].*field.member,
+                want.stall.epochs[i].*field.member)
+          << "stall " << i << " " << field.name;
+    }
+  }
+  for (const auto& [op, snap] : got.op_latency) {
+    ASSERT_EQ(want.op_latency.count(op), 1u) << "op " << op;
+    const core::LatencySnapshot& w = want.op_latency.at(op);
+    EXPECT_EQ(snap.count, w.count);
+    EXPECT_EQ(snap.total_ns, w.total_ns);
+    EXPECT_EQ(snap.buckets, w.buckets);
+  }
+  const core::LatencySnapshot& paced = got.prefetch.paced_delay;
+  const core::LatencySnapshot& want_paced = want.prefetch.paced_delay;
+  EXPECT_TRUE(golden_or_zero(paced.count, want_paced.count));
+  EXPECT_TRUE(golden_or_zero(paced.total_ns, want_paced.total_ns));
+  for (size_t b = 0; b < core::kLatencyBuckets; ++b) {
+    EXPECT_TRUE(golden_or_zero(paced.buckets[b], want_paced.buckets[b]))
+        << "paced_delay bucket " << b;
+  }
 }
 
 inline std::string hex(const rpc::Bytes& bytes) {

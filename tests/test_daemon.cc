@@ -14,6 +14,7 @@
 
 #include "client/hvac_client.h"
 #include "common/env.h"
+#include "core/metrics_schema.h"
 #include "storage/posix_file.h"
 #include "workload/file_tree.h"
 
@@ -145,6 +146,22 @@ TEST_F(DaemonFixture, HvacctlPingAndMetrics) {
                     &out),
             0);
   EXPECT_NE(out.find("misses"), std::string::npos);
+  // The text view walks the schema: every section and word shows up.
+  for (const core::FieldSpec& field : core::frame_fields()) {
+    if (field.section == core::kV1Prefix) continue;
+    EXPECT_NE(out.find(std::string("  ") + field.group + " "),
+              std::string::npos)
+        << field.group;
+    EXPECT_NE(out.find(std::string(" ") + field.name + "="),
+              std::string::npos)
+        << field.group << "." << field.name;
+  }
+  for (const core::ReactorField& field : core::reactor_fields()) {
+    EXPECT_NE(out.find(std::string(" ") + field.name + "="),
+              std::string::npos)
+        << field.name;
+  }
+  EXPECT_NE(out.find("paced_delay"), std::string::npos);
 }
 
 TEST_F(DaemonFixture, SigtermPurgesCache) {
@@ -306,8 +323,8 @@ TEST(WriteCrash, KillNineLosesNoAckedFsyncBytes) {
                                  .c_str());
   EXPECT_EQ(rc, 0);
   const std::string out = read_file(out_file);
-  EXPECT_NE(out.find("\"replay\":{\"writes\":"), std::string::npos) << out;
-  EXPECT_EQ(out.find("\"replay\":{\"writes\":0,"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"replay_writes\":"), std::string::npos) << out;
+  EXPECT_EQ(out.find("\"replay_writes\":0,"), std::string::npos) << out;
 
   ::kill(pid, SIGTERM);
   ::waitpid(pid, &status, 0);

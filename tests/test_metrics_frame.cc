@@ -9,11 +9,14 @@
 #include "client/hvac_client.h"
 #include "core/metrics.h"
 #include "core/metrics_frame.h"
+#include "core/metrics_schema.h"
+#include "core/timeseries.h"
 #include "metrics_golden.h"
 #include "rpc/rpc_client.h"
 #include "rpc/wire.h"
 #include "server/hvac_proto.h"
 #include "server/node_runtime.h"
+#include "server/prom_exporter.h"
 #include "workload/file_tree.h"
 
 namespace hvac {
@@ -485,6 +488,166 @@ TEST(MetricsFrameGolden, JsonTextIsPinned) {
   EXPECT_EQ(golden::frame().to_json(), kGoldenJson);
 }
 
+// ---- the schema table, row by row ------------------------------------------
+
+using core::FieldKind;
+using core::FieldScope;
+using Peers = MetricsFrame::Peers;
+
+std::string label(const core::FieldSpec& field) {
+  return std::string(field.group) + "." + field.name;
+}
+
+TEST(MetricsSchema, GoldenFrameSetsEveryRow) {
+  // Keeps the goldens complete: a row the golden frame leaves at zero
+  // would not be pinned by them.
+  const MetricsFrame g = golden::frame();
+  for (const core::FieldSpec& field : core::frame_fields()) {
+    EXPECT_NE(field.get(g), 0u) << label(field);
+  }
+  for (const core::ReactorField& field : core::reactor_fields()) {
+    EXPECT_NE(g.reactor.reactors[1].*field.member, 0u) << field.name;
+  }
+  for (const core::StallField& field : core::stall_fields()) {
+    EXPECT_NE(g.stall.epochs[1].*field.member, 0u) << field.name;
+  }
+}
+
+TEST(MetricsSchema, EveryRowRoundTripsMergesAndDeltas) {
+  for (const core::FieldSpec& field : core::frame_fields()) {
+    SCOPED_TRACE(label(field));
+    MetricsFrame x;
+    field.ref(x) = 1000;
+
+    // Round trip: this word comes back and no other moves.
+    const auto decoded = MetricsFrame::decode(x.encode());
+    ASSERT_TRUE(decoded.ok());
+    for (const core::FieldSpec& other : core::frame_fields()) {
+      EXPECT_EQ(other.get(*decoded), &other == &field ? 1000u : 0u)
+          << label(other);
+    }
+
+    // merge(x, x): sum, max, or (same process, process scope) once.
+    const uint64_t folded = field.kind == FieldKind::kMaxGauge ? 1000 : 2000;
+    MetricsFrame across = x;
+    across.merge(x);
+    EXPECT_EQ(field.get(across), folded);
+    MetricsFrame shared = x;
+    shared.merge(x, Peers::kSameProcess);
+    EXPECT_EQ(field.get(shared),
+              field.scope == FieldScope::kProcess ? 1000u : folded);
+
+    // frame_delta(x, x): counters flat, gauges carried.
+    EXPECT_EQ(field.get(core::frame_delta(x, x)),
+              field.kind == FieldKind::kCounter ? 0u : 1000u);
+
+    // Every output surface names the row.
+    EXPECT_NE(x.to_json().find("\"" + std::string(field.name) + "\":1000"),
+              std::string::npos);
+    const std::string sample =
+        std::string(field.prom) +
+        (field.kind == FieldKind::kCounter ? "_total 1000\n" : " 1000\n");
+    EXPECT_NE(server::render_openmetrics(x).find(sample), std::string::npos)
+        << sample;
+  }
+}
+
+TEST(MetricsSchema, RowSectionsRoundTripMergeAndDelta) {
+  for (const core::ReactorField& field : core::reactor_fields()) {
+    SCOPED_TRACE(field.name);
+    MetricsFrame x;
+    x.reactor.reactors.resize(2);
+    x.reactor.reactors[1].*field.member = 1000;
+    const auto decoded = MetricsFrame::decode(x.encode());
+    ASSERT_TRUE(decoded.ok());
+    ASSERT_EQ(decoded->reactor.reactors.size(), 2u);
+    EXPECT_EQ(decoded->reactor.reactors[1].*field.member, 1000u);
+    for (Peers peers : {Peers::kSeparateProcesses, Peers::kSameProcess}) {
+      MetricsFrame m = x;
+      m.merge(x, peers);  // instance scope: always summed
+      EXPECT_EQ(m.reactor.reactors[1].*field.member, 2000u);
+    }
+    EXPECT_EQ(core::frame_delta(x, x).reactor.reactors[1].*field.member, 0u);
+  }
+  for (const core::StallField& field : core::stall_fields()) {
+    SCOPED_TRACE(field.name);
+    MetricsFrame x;
+    x.stall.epochs = {{}};
+    x.stall.epochs[0].*field.member = 1000;
+    const auto decoded = MetricsFrame::decode(x.encode());
+    ASSERT_TRUE(decoded.ok());
+    ASSERT_EQ(decoded->stall.epochs.size(), 1u);
+    EXPECT_EQ(decoded->stall.epochs[0].*field.member, 1000u);
+    MetricsFrame across = x;
+    across.merge(x);  // same epoch: the key stays, the words sum
+    ASSERT_EQ(across.stall.epochs.size(), 1u);
+    EXPECT_EQ(across.stall.epochs[0].*field.member,
+              field.member == &core::StallEpochRow::epoch ? 1000u : 2000u);
+    MetricsFrame shared = x;
+    shared.merge(x, Peers::kSameProcess);  // process scope: once
+    EXPECT_EQ(shared.stall.epochs[0].*field.member, 1000u);
+    // Cumulative per epoch: carried, not differenced.
+    EXPECT_EQ(core::frame_delta(x, x).stall.epochs[0].*field.member, 1000u);
+  }
+
+  MetricsFrame x;
+  LatencySnapshot hist;
+  hist.count = 3;
+  hist.total_ns = 3000;
+  hist.buckets[10] = 3;
+  x.op_latency[proto::kRead] = hist;  // instance scope
+  x.prefetch.paced_delay = hist;      // process scope
+  const auto decoded = MetricsFrame::decode(x.encode());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->op_latency.at(proto::kRead).buckets, hist.buckets);
+  EXPECT_EQ(decoded->prefetch.paced_delay.total_ns, 3000u);
+  MetricsFrame across = x;
+  across.merge(x);
+  EXPECT_EQ(across.op_latency.at(proto::kRead).count, 6u);
+  EXPECT_EQ(across.prefetch.paced_delay.count, 6u);
+  MetricsFrame shared = x;
+  shared.merge(x, Peers::kSameProcess);
+  EXPECT_EQ(shared.op_latency.at(proto::kRead).count, 6u);
+  EXPECT_EQ(shared.prefetch.paced_delay.count, 3u);
+  const MetricsFrame d = core::frame_delta(x, x);
+  EXPECT_EQ(d.op_latency.at(proto::kRead).count, 0u);
+  EXPECT_EQ(d.prefetch.paced_delay.buckets[10], 0u);
+}
+
+// ---- hostile input ----------------------------------------------------------
+
+TEST(MetricsFrameHostile, EveryTruncationDecodesToGoldenOrZero) {
+  const MetricsFrame want = golden::frame();
+  const Bytes full = want.encode();
+  for (size_t len = 0; len < full.size(); ++len) {
+    SCOPED_TRACE(len);
+    const auto got =
+        MetricsFrame::decode(Bytes(full.begin(), full.begin() + len));
+    if (len < 64) {  // the v1 prefix is mandatory
+      EXPECT_FALSE(got.ok());
+      continue;
+    }
+    ASSERT_TRUE(got.ok());
+    golden::expect_golden_or_zero(*got, want);
+  }
+}
+
+TEST(MetricsFrameHostile, EverySingleByteFlipDecodesSafely) {
+  const Bytes full = golden::frame().encode();
+  for (size_t i = 0; i < full.size(); ++i) {
+    for (uint8_t mask : {0x01, 0x80, 0xff}) {
+      Bytes damaged = full;
+      damaged[i] ^= mask;
+      const auto got = MetricsFrame::decode(damaged);
+      ASSERT_TRUE(got.ok()) << i;  // the prefix always decodes
+      // Whatever decoded stays usable by every surface.
+      EXPECT_TRUE(MetricsFrame::decode(got->encode()).ok());
+      EXPECT_FALSE(got->to_json().empty());
+      EXPECT_FALSE(server::render_openmetrics(*got).empty());
+    }
+  }
+}
+
 // ---- end to end: live instances -> aggregated frame -----------------------
 
 TEST(MetricsFrameAggregation, NodeRuntimeAggregatesInstances) {
@@ -571,6 +734,8 @@ TEST(MetricsFrameAggregation, NodeRuntimeAggregatesInstances) {
   const MetricsFrame one = node.instance(0).metrics_frame();
   EXPECT_EQ(total.buffer_pool.leases, one.buffer_pool.leases);
   EXPECT_EQ(total.readahead.issued, one.readahead.issued);
+  // Every store's fd budget is the one process-wide budget.
+  EXPECT_EQ(total.handle_cache.capacity, one.handle_cache.capacity);
 
   // The wire round trip preserves the aggregate.
   const auto decoded = MetricsFrame::decode(total.encode());

@@ -1,23 +1,33 @@
 // Telemetry plane: time-series ring semantics, kTimeSeries codec
 // cross-version tolerance, frame_delta counter/gauge rules, and the
-// OpenMetrics exporter (rendered grammar + a live HTTP scrape).
+// OpenMetrics exporter (rendered grammar + a live HTTP scrape), the
+// pinned goldens, hostile time-series payloads, and the collector,
+// exporter and client traffic running at once.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "client/hvac_client.h"
 #include "core/metrics_frame.h"
 #include "core/timeseries.h"
 #include "metrics_golden.h"
+#include "rpc/rpc_client.h"
 #include "rpc/wire.h"
 #include "server/hvac_proto.h"
+#include "server/node_runtime.h"
 #include "server/prom_exporter.h"
+#include "workload/file_tree.h"
 
 namespace hvac {
 namespace {
@@ -741,6 +751,49 @@ TEST(OpenMetricsGolden, FamiliesMatchTheGolden) {
   }
 }
 
+TEST(OpenMetrics, JournalReplayGaugesRenderFromTheTable) {
+  const core::WriteBackStats wb = golden::frame().write_back;
+  const std::string body = server::render_openmetrics(golden::frame());
+  for (const auto& [name, value] :
+       std::map<std::string, uint64_t>{
+           {"hvac_write_back_replay_writes", wb.replay_writes},
+           {"hvac_write_back_replay_bytes", wb.replay_bytes},
+           {"hvac_write_back_replay_truncated_bytes",
+            wb.replay_truncated_bytes},
+           {"hvac_write_back_replay_dirty_files", wb.replay_dirty_files}}) {
+    EXPECT_NE(body.find("# TYPE " + name + " gauge\n" + name + " " +
+                        std::to_string(value) + "\n"),
+              std::string::npos)
+        << name;
+  }
+}
+
+TEST(TimeSeriesHostile, TruncatedAndFlippedPayloadsDecodeSafely) {
+  TimeSeriesRing ring(4);
+  for (uint64_t t = 1; t <= 3; ++t) {
+    ring.push(TimeSeriesSample{t * 1000, 1000, golden::frame()});
+  }
+  const Bytes full = ring.encode(1000);
+  for (size_t len = 0; len < full.size(); ++len) {
+    SCOPED_TRACE(len);
+    const auto got =
+        TimeSeriesFrame::decode(Bytes(full.begin(), full.begin() + len));
+    if (!got.ok()) continue;  // header cut short
+    ASSERT_LE(got->samples.size(), 3u);
+    for (const TimeSeriesSample& s : got->samples) {
+      golden::expect_golden_or_zero(s.delta, golden::frame());
+    }
+  }
+  for (size_t i = 0; i < full.size(); ++i) {
+    for (uint8_t mask : {0x01, 0x80, 0xff}) {
+      Bytes damaged = full;
+      damaged[i] ^= mask;
+      const auto got = TimeSeriesFrame::decode(damaged);
+      EXPECT_TRUE(!got.ok() || got->samples.size() <= 3u);
+    }
+  }
+}
+
 // ---- live HTTP scrape -----------------------------------------------------
 
 std::string http_get(uint16_t port, const std::string& target) {
@@ -798,6 +851,73 @@ TEST(PromExporter, ServesLiveScrapeOnEphemeralPort) {
   EXPECT_EQ(again.rfind("HTTP/1.1 200 OK", 0), 0u);
 
   exporter.stop();
+}
+
+// ---- collector, exporter and traffic at once -------------------------------
+
+// Frame assembly runs on the collector threads (every few ms here), the
+// exporter thread and the kTimeSeries handler while a client drives
+// traffic — the suite's TSan leg watches these for races.
+TEST(TelemetryLive, CollectorExporterAndTrafficRunTogether) {
+  namespace fs = std::filesystem;
+  const std::string suffix = std::to_string(::getpid());
+  const std::string pfs_root = ::testing::TempDir() + "hvac_tl_pfs_" + suffix;
+  const std::string cache_root =
+      ::testing::TempDir() + "hvac_tl_cache_" + suffix;
+  fs::remove_all(pfs_root);
+  fs::remove_all(cache_root);
+  auto tree = workload::generate_tree(
+      pfs_root, workload::synthetic_small(16, 4096, 0.3));
+  ASSERT_TRUE(tree.ok());
+
+  server::NodeRuntimeOptions o;
+  o.pfs_root = pfs_root;
+  o.cache_root = cache_root;
+  o.instances = 2;
+  ::setenv("HVAC_TS_INTERVAL_MS", "5", 1);
+  server::NodeRuntime node(o);
+  ::unsetenv("HVAC_TS_INTERVAL_MS");
+  ASSERT_TRUE(node.start().ok());
+  server::PromExporter exporter(0, [&node] { return node.aggregated_frame(); });
+  ASSERT_TRUE(exporter.start().ok());
+
+  std::atomic<bool> stop{false};
+  std::thread traffic([&] {
+    client::HvacClientOptions copts;
+    copts.dataset_dir = pfs_root;
+    copts.server_endpoints = node.endpoints();
+    client::HvacClient client(copts);
+    std::vector<uint8_t> buf(4096);
+    while (!stop.load()) {
+      for (const auto& rel : tree->relative_paths) {
+        auto vfd = client.open(pfs_root + "/" + rel);
+        if (!vfd.ok()) continue;
+        (void)client.read(*vfd, buf.data(), buf.size());
+        (void)client.close(*vfd);
+      }
+    }
+  });
+
+  rpc::RpcClient direct(rpc::Endpoint{node.endpoints()[0]},
+                        rpc::RpcClientOptions{2000, 10000});
+  uint64_t pushed = 0;
+  for (int i = 0; i < 20; ++i) {
+    const std::string scrape = http_get(exporter.port(), "/metrics");
+    EXPECT_NE(scrape.find("hvac_cache_hits_total "), std::string::npos);
+    auto resp = direct.call(proto::kTimeSeries, Bytes{});
+    ASSERT_TRUE(resp.ok());
+    auto ts = TimeSeriesFrame::decode(*resp);
+    ASSERT_TRUE(ts.ok());
+    pushed = ts->total;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  stop.store(true);
+  traffic.join();
+  exporter.stop();
+  node.stop();
+  EXPECT_GT(pushed, 0u);  // the collector ticked while traffic ran
+  fs::remove_all(pfs_root);
+  fs::remove_all(cache_root);
 }
 
 }  // namespace
