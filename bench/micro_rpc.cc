@@ -148,8 +148,10 @@ BENCHMARK(BM_SyncRoundTrip);
 // is confined to one. Each reactor wakeup is then a context switch
 // away from the caller, so what a request frame costs in wakeups shows
 // up in the latency; `split_frames` counts frames that needed more
-// than one readiness event, per call.
-void BM_SyncRoundTripOneCpu(benchmark::State& state) {
+// than one readiness event, per call. The client dials the server's
+// bound address, which reaches it over the node-local alias, or with
+// `tcp` as localhost:PORT, which names no alias and stays on TCP.
+void sync_round_trip_one_cpu(benchmark::State& state, bool tcp) {
   cpu_set_t old;
   if (::sched_getaffinity(0, sizeof(old), &old) != 0) {
     state.SkipWithError("sched_getaffinity failed");
@@ -168,7 +170,12 @@ void BM_SyncRoundTripOneCpu(benchmark::State& state) {
       return out;
     });
     if (!server.start().ok()) std::abort();
-    RpcClient client(server.endpoint());
+    Endpoint dial = server.endpoint();
+    if (tcp) {
+      dial.address = "localhost:" +
+                     std::to_string(server.endpoint().host_port()->second);
+    }
+    RpcClient client(dial);
     Bytes msg(64);
     for (auto _ : state) {
       auto resp = client.call(1, msg);
@@ -177,10 +184,22 @@ void BM_SyncRoundTripOneCpu(benchmark::State& state) {
     }
     state.counters["split_frames"] = benchmark::Counter(
         double(server.split_frames()), benchmark::Counter::kAvgIterations);
+    uint64_t local_conns = 0;
+    for (const auto& r : server.reactor_stats()) local_conns += r.local_conns;
+    state.counters["local_conns"] = double(local_conns);
   }
   ::sched_setaffinity(0, sizeof(old), &old);
 }
+
+void BM_SyncRoundTripOneCpu(benchmark::State& state) {
+  sync_round_trip_one_cpu(state, /*tcp=*/false);
+}
 BENCHMARK(BM_SyncRoundTripOneCpu);
+
+void BM_SyncRoundTripOneCpuTcp(benchmark::State& state) {
+  sync_round_trip_one_cpu(state, /*tcp=*/true);
+}
+BENCHMARK(BM_SyncRoundTripOneCpuTcp);
 
 void BM_AsyncPipelined(benchmark::State& state) {
   AsyncRpcClient client(shared_server().endpoint());

@@ -39,6 +39,7 @@ REQUIRED_FAMILIES = [
     "hvac_meta_cache_hits",
     "hvac_trace_emitted",
     "hvac_reactor_requests",
+    "hvac_reactor_local_conns",
     "hvac_write_back_writes",
     "hvac_prefetch_planned",
     "hvac_stall_reads",

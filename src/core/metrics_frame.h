@@ -179,6 +179,8 @@ struct ReactorStats {
     // Steal scans skipped by the adaptive throttle (shard depths were
     // uniform, so a steal would only have moved the imbalance around).
     uint64_t steal_backoffs = 0;
+    // Of `conns`, those accepted over the node-local alias.
+    uint64_t local_conns = 0;
   };
   std::vector<PerReactor> reactors;
 };

@@ -192,6 +192,8 @@ const ReactorField kReactorFields[] = {
      &Reactor::shed},
     {"steal_backoffs", "hvac_reactor_steal_backoffs",
      "Steal scans skipped by the throttle", &Reactor::steal_backoffs},
+    {"local_conns", "hvac_reactor_local_conns",
+     "Connections accepted over the node-local alias", &Reactor::local_conns},
 };
 
 const StallField kStallFields[] = {

@@ -29,6 +29,7 @@ namespace hvac::rpc {
 struct RpcServer::Reactor {
   uint32_t id = 0;
   Fd listen_fd;  // TCP: SO_REUSEPORT shard; unix: reactor 0 only
+  Fd alias_fd;   // TCP server's node-local alias: reactor 0 only
   Fd epoll_fd;
   Fd wake_fd;  // eventfd: stop/drain signal + fd-handoff doorbell
   std::thread thread;
@@ -36,12 +37,17 @@ struct RpcServer::Reactor {
   std::mutex conns_mutex;
   std::unordered_map<int, std::shared_ptr<Connection>> conns;
 
-  // Unix-socket fallback: reactor 0 accepts and hands raw fds here;
-  // the owner adopts them on its next wake.
+  // Unix-socket and alias connections: reactor 0 accepts and hands
+  // raw fds here; the owner adopts them on its next wake.
+  struct Handoff {
+    int fd;
+    bool local;  // accepted over the alias
+  };
   std::mutex intake_mutex;
-  std::vector<int> intake;
+  std::vector<Handoff> intake;
 
   std::atomic<uint64_t> conns_accepted{0};
+  std::atomic<uint64_t> local_conns{0};
   std::atomic<uint64_t> requests{0};
   std::atomic<uint64_t> shed{0};
 };
@@ -157,10 +163,7 @@ size_t RpcServer::resolve_reactor_count() const {
   return std::clamp<size_t>(count, 1, 64);
 }
 
-Status RpcServer::setup_reactor(Reactor& r, bool with_listener) {
-  if (with_listener) {
-    HVAC_RETURN_IF_ERROR(set_nonblocking(r.listen_fd.get(), true));
-  }
+Status RpcServer::setup_reactor(Reactor& r) {
   const int efd = ::epoll_create1(EPOLL_CLOEXEC);
   if (efd < 0) return Error::from_errno(errno, "epoll_create1");
   r.epoll_fd = Fd(efd);
@@ -169,19 +172,17 @@ Status RpcServer::setup_reactor(Reactor& r, bool with_listener) {
   if (wfd < 0) return Error::from_errno(errno, "eventfd");
   r.wake_fd = Fd(wfd);
 
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  if (with_listener) {
-    ev.data.fd = r.listen_fd.get();
-    if (::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, r.listen_fd.get(),
-                    &ev) != 0) {
-      return Error::from_errno(errno, "epoll_ctl(listen)");
+  for (const Fd* fd : {&r.listen_fd, &r.alias_fd, &r.wake_fd}) {
+    if (!fd->valid()) continue;
+    if (fd != &r.wake_fd) {
+      HVAC_RETURN_IF_ERROR(set_nonblocking(fd->get(), true));
     }
-  }
-  ev.data.fd = r.wake_fd.get();
-  if (::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, r.wake_fd.get(), &ev) !=
-      0) {
-    return Error::from_errno(errno, "epoll_ctl(wake)");
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd->get();
+    if (::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, fd->get(), &ev) != 0) {
+      return Error::from_errno(errno, "epoll_ctl(add)");
+    }
   }
   return Status::Ok();
 }
@@ -213,11 +214,16 @@ Status RpcServer::start() {
       HVAC_ASSIGN_OR_RETURN(reactors_[i]->listen_fd,
                             listen_on(bound_, nullptr, /*reuseport=*/true));
     }
+    // Same-host clients dial the alias first (DESIGN.md §19). Losing
+    // the name to another socket costs speed, not service.
+    auto alias = listen_on_alias(bound_);
+    if (alias.ok()) {
+      reactors_[0]->alias_fd = std::move(alias).value();
+    } else {
+      HVAC_LOG_WARN("serving TCP only: " << alias.error().to_string());
+    }
   }
-  for (size_t i = 0; i < count; ++i) {
-    const bool with_listener = reactors_[i]->listen_fd.valid();
-    HVAC_RETURN_IF_ERROR(setup_reactor(*reactors_[i], with_listener));
-  }
+  for (auto& r : reactors_) HVAC_RETURN_IF_ERROR(setup_reactor(*r));
 
   zerocopy_mode_ = resolve_zerocopy_mode();
 
@@ -243,7 +249,11 @@ Status RpcServer::start() {
     rp->thread = std::thread([this, rp] { reactor_loop(*rp); });
   }
   HVAC_LOG_INFO("rpc server listening on "
-                << bound_.address << " (reactors=" << count << ", zerocopy="
+                << bound_.address
+                << (reactors_[0]->alias_fd.valid()
+                        ? " and " + local_alias_name(bound_)
+                        : std::string())
+                << " (reactors=" << count << ", zerocopy="
                 << zerocopy_mode_name(zerocopy_mode_) << ")");
   return Status::Ok();
 }
@@ -268,7 +278,7 @@ void RpcServer::stop() {
   for (auto& r : reactors_) {
     {
       std::lock_guard<std::mutex> lock(r->intake_mutex);
-      for (int fd : r->intake) ::close(fd);
+      for (const Reactor::Handoff& h : r->intake) ::close(h.fd);
       r->intake.clear();
     }
     {
@@ -276,6 +286,7 @@ void RpcServer::stop() {
       r->conns.clear();
     }
     r->listen_fd.reset();
+    r->alias_fd.reset();
   }
   if (bound_.is_unix()) ::unlink(bound_.unix_path().c_str());
 }
@@ -303,6 +314,7 @@ std::vector<RpcServer::ReactorStats> RpcServer::reactor_stats() const {
   for (const auto& r : reactors_) {
     ReactorStats s;
     s.conns = r->conns_accepted.load(std::memory_order_relaxed);
+    s.local_conns = r->local_conns.load(std::memory_order_relaxed);
     s.requests = r->requests.load(std::memory_order_relaxed);
     s.steals = pool_ ? pool_->steals(r->id) : 0;
     s.steal_backoffs = pool_ ? pool_->steal_backoffs(r->id) : 0;
@@ -312,7 +324,7 @@ std::vector<RpcServer::ReactorStats> RpcServer::reactor_stats() const {
   return out;
 }
 
-void RpcServer::adopt_connection(Reactor& r, int cfd) {
+void RpcServer::adopt_connection(Reactor& r, int cfd, bool local) {
   set_nodelay(cfd);
   auto conn = std::make_shared<Connection>(Fd(cfd), &r);
   {
@@ -331,6 +343,7 @@ void RpcServer::adopt_connection(Reactor& r, int cfd) {
     return;
   }
   r.conns_accepted.fetch_add(1, std::memory_order_relaxed);
+  if (local) r.local_conns.fetch_add(1, std::memory_order_relaxed);
 }
 
 namespace {
@@ -379,16 +392,45 @@ void RpcServer::reactor_loop(Reactor& r) {
     // recycle through it without touching the global pool's mutex.
     BufferPool::set_thread_arena(&BufferPool::arena(r.id));
   }
-  const bool unix_handoff = bound_.is_unix() && count > 1;
+  // Accepts every pending connection on `listen_fd`. With `handoff`
+  // they are round-robined across reactors; remote ones travel as raw
+  // fds through the owner's intake queue.
+  auto accept_all = [&](int listen_fd, bool handoff, bool local) {
+    for (;;) {
+      const int cfd = ::accept4(listen_fd, nullptr, nullptr,
+                                SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (cfd < 0) {
+        if (errno == EINTR) continue;  // signal, not "done accepting"
+        return;  // EAGAIN or error: done accepting
+      }
+      if (handoff && count > 1) {
+        const size_t target =
+            next_reactor_.fetch_add(1, std::memory_order_relaxed) % count;
+        if (target != r.id) {
+          Reactor& owner = *reactors_[target];
+          {
+            std::lock_guard<std::mutex> lock(owner.intake_mutex);
+            owner.intake.push_back({cfd, local});
+          }
+          wake(owner);
+          continue;
+        }
+      }
+      adopt_connection(r, cfd, local);
+    }
+  };
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (running_.load(std::memory_order_acquire)) {
-    if (draining_.load(std::memory_order_acquire) && r.listen_fd.valid()) {
+    if (draining_.load(std::memory_order_acquire)) {
       // Drain: stop accepting. Deregister + close here (the thread
-      // that polls the fd) so no event for it can be in flight.
-      ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_DEL, r.listen_fd.get(),
-                  nullptr);
-      r.listen_fd.reset();
+      // that polls the fds) so no event for them can be in flight.
+      for (Fd* listener : {&r.listen_fd, &r.alias_fd}) {
+        if (!listener->valid()) continue;
+        ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_DEL, listener->get(),
+                    nullptr);
+        listener->reset();
+      }
     }
     const int n = ::epoll_wait(r.epoll_fd.get(), events, kMaxEvents, 500);
     if (n < 0) {
@@ -404,47 +446,29 @@ void RpcServer::reactor_loop(Reactor& r) {
         uint64_t wcount = 0;
         [[maybe_unused]] ssize_t wr =
             ::read(r.wake_fd.get(), &wcount, sizeof(wcount));
-        // Adopt any connections handed off by reactor 0 (unix mode).
-        std::vector<int> handed;
+        // Adopt any connections handed off by reactor 0.
+        std::vector<Reactor::Handoff> handed;
         {
           std::lock_guard<std::mutex> lock(r.intake_mutex);
           handed.swap(r.intake);
         }
-        for (int cfd : handed) {
+        for (const Reactor::Handoff& h : handed) {
           if (draining_.load(std::memory_order_acquire)) {
-            ::close(cfd);
+            ::close(h.fd);
             continue;
           }
-          adopt_connection(r, cfd);
+          adopt_connection(r, h.fd, h.local);
         }
         continue;
       }
       if (r.listen_fd.valid() && fd == r.listen_fd.get()) {
-        for (;;) {
-          const int cfd = ::accept4(r.listen_fd.get(), nullptr, nullptr,
-                                    SOCK_NONBLOCK | SOCK_CLOEXEC);
-          if (cfd < 0) {
-            if (errno == EINTR) continue;  // signal, not "done accepting"
-            break;  // EAGAIN or error: done accepting
-          }
-          if (unix_handoff) {
-            // Round-robin accepted unix connections across reactors;
-            // remote ones travel as raw fds through the intake queue.
-            const size_t target =
-                next_reactor_.fetch_add(1, std::memory_order_relaxed) %
-                count;
-            if (target != r.id) {
-              Reactor& owner = *reactors_[target];
-              {
-                std::lock_guard<std::mutex> lock(owner.intake_mutex);
-                owner.intake.push_back(cfd);
-              }
-              wake(owner);
-              continue;
-            }
-          }
-          adopt_connection(r, cfd);
-        }
+        // SO_REUSEPORT does not shard unix stream sockets usefully:
+        // reactor 0 spreads them itself.
+        accept_all(fd, /*handoff=*/bound_.is_unix(), /*local=*/false);
+        continue;
+      }
+      if (r.alias_fd.valid() && fd == r.alias_fd.get()) {
+        accept_all(fd, /*handoff=*/true, /*local=*/true);
         continue;
       }
       std::shared_ptr<Connection> conn;

@@ -1,6 +1,7 @@
 // RPC server: N sharded reactors, each owning an epoll loop, a
 // listener shard (SO_REUSEPORT for TCP; fd handoff from reactor 0 for
-// unix sockets) and the connections it accepted — the multi-instance
+// unix sockets and for a TCP server's node-local alias, socket.h) and
+// the connections it accepted — the multi-instance
 // trick the HVAC paper uses to widen one Mercury progress loop,
 // folded into a single process. Frame decode and fast handlers run on
 // the owning reactor with no cross-reactor locks; mover-bound
@@ -58,7 +59,8 @@ using ReactorProbe =
 
 struct RpcServerOptions {
   // Bind address: "127.0.0.1:0" for an ephemeral TCP port, or
-  // "unix:/tmp/x.sock".
+  // "unix:/tmp/x.sock". A TCP server also listens on its node-local
+  // alias (local_alias_name in socket.h).
   std::string bind_address = "127.0.0.1:0";
   // Handler pool width (total across all reactors). The paper runs i
   // server instances per node to widen this; we additionally allow
@@ -87,6 +89,7 @@ class RpcServer {
   // Per-reactor counters exposed to the metrics frame (section 9).
   struct ReactorStats {
     uint64_t conns = 0;     // connections accepted by this reactor
+    uint64_t local_conns = 0;  // of those, accepted over the alias
     uint64_t requests = 0;  // requests served for its connections
     uint64_t steals = 0;    // its queued tasks run by foreign workers
     uint64_t shed = 0;      // requests shed on its connections
@@ -169,10 +172,10 @@ class RpcServer {
   };
 
   size_t resolve_reactor_count() const;
-  Status setup_reactor(Reactor& r, bool with_listener);
+  Status setup_reactor(Reactor& r);
   void reactor_loop(Reactor& r);
   void wake(Reactor& r);
-  void adopt_connection(Reactor& r, int cfd);
+  void adopt_connection(Reactor& r, int cfd, bool local);
   void handle_readable(Reactor& r, const std::shared_ptr<Connection>& conn);
   void dispatch(const std::shared_ptr<Connection>& conn, FrameHeader header,
                 Bytes payload);
@@ -206,7 +209,8 @@ class RpcServer {
   std::atomic<uint64_t> split_frames_{0};
   std::atomic<uint64_t> requests_shed_{0};
   std::atomic<uint64_t> inflight_{0};
-  // Round-robin cursor for unix-socket fd handoff (reactor 0 accepts).
+  // Round-robin cursor for unix-socket and alias fd handoff (reactor 0
+  // accepts).
   std::atomic<uint64_t> next_reactor_{0};
 };
 

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 
@@ -95,7 +96,98 @@ Result<sockaddr_un> unix_addr(const Endpoint& endpoint) {
   return addr;
 }
 
+constexpr char kAliasPrefix[] = "hvac:";
+
+// An abstract name is every byte of sun_path up to the address length
+// (no terminator), so bind and connect must pass the same exact length.
+struct AliasAddr {
+  sockaddr_un addr{};
+  socklen_t len = 0;
+};
+
+Result<AliasAddr> alias_addr(const Endpoint& endpoint) {
+  const std::string name = kAliasPrefix + endpoint.address;
+  AliasAddr a;
+  a.addr.sun_family = AF_UNIX;
+  if (name.size() + 1 > sizeof(a.addr.sun_path)) {
+    return Error(ErrorCode::kInvalidArgument, "alias too long: " + name);
+  }
+  a.addr.sun_path[0] = '\0';
+  std::memcpy(a.addr.sun_path + 1, name.data(), name.size());
+  a.len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
+                                 name.size());
+  return a;
+}
+
+// Non-blocking AF_UNIX connect. A unix stream connect either completes
+// at once or fails; a full backlog is EAGAIN, which `retry_full`
+// retries until the deadline (timeout_ms <= 0: none) and which
+// otherwise fails at once. Returns a blocking socket.
+Result<Fd> connect_unix(const sockaddr_un& addr, socklen_t len,
+                        const std::string& name, int timeout_ms,
+                        bool retry_full) {
+  const int raw =
+      ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
+  if (raw < 0) return Error::from_errno(errno, "socket(AF_UNIX)");
+  Fd fd(raw);
+  const int64_t deadline = steady_now_ms() + timeout_ms;
+  while (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                   len) != 0) {
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN || !retry_full) {
+      return Error::from_errno(errno, "connect " + name);
+    }
+    if (timeout_ms > 0 && steady_now_ms() >= deadline) {
+      return Error(ErrorCode::kTimeout, "connect timeout to " + name);
+    }
+    // Nothing to poll for: the backlog frees when the server accepts.
+    timespec ts{0, 1'000'000};  // 1 ms
+    ::nanosleep(&ts, nullptr);
+  }
+  HVAC_RETURN_IF_ERROR(set_nonblocking(fd.get(), false));
+  return fd;
+}
+
+// The alias of a TCP endpoint, or an invalid Fd when it cannot be
+// used: nothing listens, the backlog is full, or the listener belongs
+// to another user. Abstract names carry no file permissions, so any
+// local user could bind one first; the listener's credentials decide.
+Fd dial_alias(const Endpoint& endpoint) {
+  auto alias = alias_addr(endpoint);
+  if (!alias.ok()) return Fd();
+  auto dialed = connect_unix(alias->addr, alias->len,
+                             local_alias_name(endpoint), 0,
+                             /*retry_full=*/false);
+  if (!dialed.ok()) return Fd();
+  ucred peer{};
+  socklen_t peer_len = sizeof(peer);
+  if (::getsockopt(dialed->get(), SOL_SOCKET, SO_PEERCRED, &peer,
+                   &peer_len) != 0 ||
+      (peer.uid != ::geteuid() && peer.uid != 0)) {
+    return Fd();
+  }
+  return std::move(dialed).value();
+}
+
 }  // namespace
+
+std::string local_alias_name(const Endpoint& endpoint) {
+  return std::string("@") + kAliasPrefix + endpoint.address;
+}
+
+Result<Fd> listen_on_alias(const Endpoint& endpoint) {
+  HVAC_ASSIGN_OR_RETURN(AliasAddr alias, alias_addr(endpoint));
+  HVAC_ASSIGN_OR_RETURN(Fd fd, make_unix_socket());
+  const std::string name = local_alias_name(endpoint);
+  if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&alias.addr),
+             alias.len) != 0) {
+    return Error::from_errno(errno, "bind " + name);
+  }
+  if (::listen(fd.get(), 128) != 0) {
+    return Error::from_errno(errno, "listen " + name);
+  }
+  return fd;
+}
 
 Result<Fd> listen_on(const Endpoint& endpoint, Endpoint* bound_endpoint,
                      bool reuseport) {
@@ -147,58 +239,56 @@ Result<Fd> listen_on(const Endpoint& endpoint, Endpoint* bound_endpoint,
 
 Result<Fd> connect_to(const Endpoint& endpoint, int timeout_ms) {
   HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kRpcConnect));
-  Fd fd;
-  int rc = 0;
   if (endpoint.is_unix()) {
-    HVAC_ASSIGN_OR_RETURN(fd, make_unix_socket());
     HVAC_ASSIGN_OR_RETURN(sockaddr_un addr, unix_addr(endpoint));
-    rc = ::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr));
-  } else {
-    HVAC_ASSIGN_OR_RETURN(fd, make_tcp_socket());
-    HVAC_ASSIGN_OR_RETURN(sockaddr_in addr, tcp_addr(endpoint));
-    if (timeout_ms > 0) {
-      HVAC_RETURN_IF_ERROR(set_nonblocking(fd.get(), true));
-    }
-    rc = ::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr));
-    if (rc != 0 && errno == EINPROGRESS && timeout_ms > 0) {
-      // poll with the *remaining* time: a signal (EINTR) mid-wait must
-      // not abort the connect, and must not reset the clock either.
-      const int64_t deadline = steady_now_ms() + timeout_ms;
-      int pr;
-      for (;;) {
-        const int64_t remaining = deadline - steady_now_ms();
-        if (remaining <= 0) {
-          pr = 0;
-          break;
-        }
-        pollfd pfd{fd.get(), POLLOUT, 0};
-        pr = ::poll(&pfd, 1, static_cast<int>(remaining));
-        if (pr < 0 && errno == EINTR) continue;
+    return connect_unix(addr, sizeof(addr), endpoint.address, timeout_ms,
+                        /*retry_full=*/true);
+  }
+  if (Fd local = dial_alias(endpoint); local.valid()) return local;
+
+  HVAC_ASSIGN_OR_RETURN(Fd fd, make_tcp_socket());
+  HVAC_ASSIGN_OR_RETURN(sockaddr_in addr, tcp_addr(endpoint));
+  if (timeout_ms > 0) {
+    HVAC_RETURN_IF_ERROR(set_nonblocking(fd.get(), true));
+  }
+  int rc = ::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr));
+  if (rc != 0 && errno == EINPROGRESS && timeout_ms > 0) {
+    // poll with the *remaining* time: a signal (EINTR) mid-wait must
+    // not abort the connect, and must not reset the clock either.
+    const int64_t deadline = steady_now_ms() + timeout_ms;
+    int pr;
+    for (;;) {
+      const int64_t remaining = deadline - steady_now_ms();
+      if (remaining <= 0) {
+        pr = 0;
         break;
       }
-      if (pr == 0) {
-        return Error(ErrorCode::kTimeout,
-                     "connect timeout to " + endpoint.address);
-      }
-      if (pr < 0) return Error::from_errno(errno, "poll(connect)");
-      int err = 0;
-      socklen_t len = sizeof(err);
-      ::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &err, &len);
-      if (err != 0) {
-        return Error::from_errno(err, "connect " + endpoint.address);
-      }
-      rc = 0;
+      pollfd pfd{fd.get(), POLLOUT, 0};
+      pr = ::poll(&pfd, 1, static_cast<int>(remaining));
+      if (pr < 0 && errno == EINTR) continue;
+      break;
     }
-    if (rc == 0 && timeout_ms > 0) {
-      HVAC_RETURN_IF_ERROR(set_nonblocking(fd.get(), false));
+    if (pr == 0) {
+      return Error(ErrorCode::kTimeout,
+                   "connect timeout to " + endpoint.address);
     }
-    set_nodelay(fd.get());
+    if (pr < 0) return Error::from_errno(errno, "poll(connect)");
+    int err = 0;
+    socklen_t len = sizeof(err);
+    ::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &err, &len);
+    if (err != 0) {
+      return Error::from_errno(err, "connect " + endpoint.address);
+    }
+    rc = 0;
   }
   if (rc != 0) {
     return Error::from_errno(errno, "connect " + endpoint.address);
   }
+  if (timeout_ms > 0) {
+    HVAC_RETURN_IF_ERROR(set_nonblocking(fd.get(), false));
+  }
+  set_nodelay(fd.get());
   return fd;
 }
 

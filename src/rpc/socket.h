@@ -1,6 +1,8 @@
 // RAII socket plumbing for the RPC transport: TCP (loopback or real
-// network) and Unix-domain stream sockets, plus robust full-buffer
-// send/recv helpers that handle EINTR and short transfers.
+// network) and Unix-domain stream sockets, the node-local alias that
+// lets same-host clients of a TCP endpoint skip the TCP stack, plus
+// robust full-buffer send/recv helpers that handle EINTR and short
+// transfers.
 #pragma once
 
 #include <sys/uio.h>
@@ -62,8 +64,24 @@ struct Endpoint {
 Result<Fd> listen_on(const Endpoint& endpoint, Endpoint* bound_endpoint,
                      bool reuseport = false);
 
-// Blocking connect with an optional timeout in milliseconds (<=0 means
-// the OS default).
+// The node-local alias of a TCP endpoint: the abstract-namespace
+// AF_UNIX name "\0hvac:<host:port>", spelled from the address string a
+// TCP-bound server reports (so "localhost:PORT" names no alias). Shown
+// as "@hvac:<host:port>", the way ss(8) prints abstract names. The
+// kernel scopes abstract names to the network namespace and drops the
+// name with the socket: no file to clean up after a crash.
+std::string local_alias_name(const Endpoint& endpoint);
+
+// Listens on `endpoint`'s alias (CLOEXEC, like every listener here).
+// EADDRINUSE when another socket holds the name.
+Result<Fd> listen_on_alias(const Endpoint& endpoint);
+
+// Connect with an optional timeout in milliseconds (<=0 means no
+// deadline). unix: endpoints connect non-blocking and retry a full
+// backlog until the deadline (kTimeout). A TCP endpoint first dials its
+// alias and takes it when the listener's owner (SO_PEERCRED) is this
+// process's euid or root; a missing, busy or foreign alias falls back to
+// TCP at once.
 Result<Fd> connect_to(const Endpoint& endpoint, int timeout_ms = 5000);
 
 // Gathered write: sends every byte of `iov[0..iovcnt)` in order,

@@ -1242,6 +1242,7 @@ core::MetricsFrame HvacServer::metrics_frame() const {
     row.steals = rs.steals;
     row.shed = rs.shed;
     row.steal_backoffs = rs.steal_backoffs;
+    row.local_conns = rs.local_conns;
     f.reactor.reactors.push_back(row);
   }
 

@@ -36,7 +36,8 @@ void usage(const char* argv0) {
       "  --cache-dir DIR     node-local cache directory (NVMe)\n"
       "  --instances N       HVAC server instances on this node "
       "(default 1)\n"
-      "  --bind HOST         bind address (default 127.0.0.1)\n"
+      "  --bind HOST[:PORT]  bind address (default 127.0.0.1); with PORT,\n"
+      "                      instance i binds PORT+i (default: ephemeral)\n"
       "  --capacity BYTES    per-instance cache capacity (default "
       "unlimited)\n"
       "  --eviction POLICY   random|fifo|lru (default random)\n"

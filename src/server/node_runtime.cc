@@ -8,9 +8,15 @@ NodeRuntime::NodeRuntime(NodeRuntimeOptions options)
     : options_(std::move(options)) {
   pfs_ = std::make_unique<storage::PfsBackend>(options_.pfs_root,
                                                options_.pfs_options);
+  std::string host = options_.bind_host;
+  uint32_t port = 0;
+  if (const auto hp = rpc::Endpoint{host}.host_port(); hp.ok()) {
+    host = hp->first;
+    port = hp->second;
+  }
   for (uint32_t i = 0; i < std::max<uint32_t>(options_.instances, 1); ++i) {
     HvacServerOptions so;
-    so.bind_address = options_.bind_host + ":0";
+    so.bind_address = host + ":" + std::to_string(port == 0 ? 0 : port + i);
     so.cache_dir =
         path_join(options_.cache_root, "instance_" + std::to_string(i));
     so.cache_capacity_bytes = options_.cache_capacity_bytes_per_instance;

@@ -10,11 +10,16 @@
 #include <fstream>
 #include <sstream>
 #include <sys/wait.h>
+#include <tuple>
 #include <unistd.h>
 
 #include "client/hvac_client.h"
 #include "common/env.h"
+#include "core/metrics_frame.h"
 #include "core/metrics_schema.h"
+#include "rpc/health.h"
+#include "rpc/rpc_client.h"
+#include "server/hvac_proto.h"
 #include "storage/posix_file.h"
 #include "workload/file_tree.h"
 
@@ -200,7 +205,8 @@ TEST_F(DaemonFixture, SigtermPurgesCache) {
 // ---- kill -9 crash consistency ----
 
 pid_t spawn_hvacd(const std::string& pfs, const std::string& cache,
-                  const std::string& port_file, const char* fault_spec) {
+                  const std::string& port_file, const char* fault_spec,
+                  const std::string& bind = "127.0.0.1") {
   const pid_t pid = ::fork();
   if (pid == 0) {
     if (fault_spec != nullptr) {
@@ -209,8 +215,9 @@ pid_t spawn_hvacd(const std::string& pfs, const std::string& cache,
       ::unsetenv("HVAC_FAULT");
     }
     ::execl(HVAC_HVACD_BIN, HVAC_HVACD_BIN, "--pfs-root", pfs.c_str(),
-            "--cache-dir", cache.c_str(), "--instances", "1", "--port-file",
-            port_file.c_str(), static_cast<char*>(nullptr));
+            "--cache-dir", cache.c_str(), "--instances", "1", "--bind",
+            bind.c_str(), "--port-file", port_file.c_str(),
+            static_cast<char*>(nullptr));
     _exit(127);
   }
   return pid;
@@ -394,6 +401,62 @@ TEST(WriteCrash, KillNineLeavesNoStaleSlabs) {
     if (got.size() != payload.size()) ::usleep(10 * 1000);
   }
   EXPECT_EQ(got, payload);
+
+  ::kill(pid, SIGTERM);
+  ::waitpid(pid, &status, 0);
+}
+
+// ---- node-local alias across a daemon crash ----
+
+// Connections the daemon at `endpoint` accepted: all, and over its
+// node-local alias.
+std::pair<uint64_t, uint64_t> daemon_conns(const std::string& endpoint) {
+  rpc::RpcClient client(rpc::Endpoint{endpoint});
+  const auto resp = client.call(proto::kMetrics, rpc::Bytes{});
+  EXPECT_TRUE(resp.ok()) << resp.error().to_string();
+  if (!resp.ok()) return {0, 0};
+  const auto frame = core::MetricsFrame::decode(*resp);
+  EXPECT_TRUE(frame.ok());
+  if (!frame.ok()) return {0, 0};
+  std::pair<uint64_t, uint64_t> total{0, 0};
+  for (const auto& r : frame->reactor.reactors) {
+    total.first += r.conns;
+    total.second += r.local_conns;
+  }
+  return total;
+}
+
+// A kill -9'd daemon leaves no alias behind (the kernel drops an
+// abstract name with its socket), so its successor on the same port
+// binds the alias again and a client's redial lands on it.
+TEST(DaemonRestart, KillNineThenSamePortReconnectsThroughAlias) {
+  const std::string pfs = temp_dir("restart_pfs");
+  const std::string cache = temp_dir("restart_cache");
+  const std::string meta = temp_dir("restart_meta");
+  pid_t pid = spawn_hvacd(pfs, cache, meta + "/ports1", nullptr);
+  ASSERT_GT(pid, 0);
+  const std::string endpoint = wait_endpoints(meta + "/ports1");
+  ASSERT_FALSE(endpoint.empty()) << "hvacd did not come up";
+
+  rpc::RpcClient client(rpc::Endpoint{endpoint}, rpc::RpcClientOptions{1000, 1000});
+  ASSERT_TRUE(client.call(proto::kPing, rpc::Bytes{}).ok());
+  auto [conns, local] = daemon_conns(endpoint);
+  EXPECT_EQ(conns, 2u);  // `client` and the metrics probe
+  EXPECT_EQ(local, conns);
+
+  ::kill(pid, SIGKILL);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  EXPECT_FALSE(client.call(proto::kPing, rpc::Bytes{}).ok());
+
+  pid = spawn_hvacd(pfs, cache, meta + "/ports2", nullptr, endpoint);
+  ASSERT_GT(pid, 0);
+  ASSERT_EQ(wait_endpoints(meta + "/ports2"), endpoint);
+  rpc::HealthRegistry::global().reset();  // forget the failed ping
+  ASSERT_TRUE(client.call(proto::kPing, rpc::Bytes{}).ok());
+  std::tie(conns, local) = daemon_conns(endpoint);
+  EXPECT_EQ(conns, 2u);
+  EXPECT_EQ(local, conns);
 
   ::kill(pid, SIGTERM);
   ::waitpid(pid, &status, 0);

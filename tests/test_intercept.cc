@@ -242,6 +242,22 @@ TEST_F(InterceptTest, WarmSmallSampleIsOneOpenRpc) {
   }
 }
 
+// The shim's servers run on this host, so its connections skip the TCP
+// stack: each one arrives over the server's node-local alias.
+TEST_F(InterceptTest, ShimReaderConnectsOverTheAlias) {
+  const std::string out =
+      run_target(abs_paths(), pfs_root_, node_->endpoints_csv(), true);
+  EXPECT_EQ(out, expected_output());
+  uint64_t conns = 0;
+  uint64_t local = 0;
+  for (const auto& r : node_->aggregated_frame().reactor.reactors) {
+    conns += r.conns;
+    local += r.local_conns;
+  }
+  EXPECT_GT(conns, 0u);
+  EXPECT_EQ(local, conns);
+}
+
 // A warm packed sample of at most proto::kMaxInlineBytes costs one
 // round trip too: the open resolves from the packed index, the first
 // 8 KiB read() fetches the whole sample in one kReadScatter, and the

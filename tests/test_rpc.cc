@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 #include <sched.h>
 #include <sys/socket.h>
+#include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 
 #include "common/buffer_pool.h"
@@ -135,6 +140,81 @@ TEST(Endpoint, UnixDetection) {
   EXPECT_FALSE(Endpoint{"127.0.0.1:1"}.is_unix());
 }
 
+// ---- transports -----------------------------------------------------------
+
+// A TCP-bound server is reached over its node-local alias when dialled
+// by the address it reports, and over plain TCP when dialled as
+// localhost:PORT, a spelling that names no alias.
+enum class Transport { kAlias, kTcp };
+
+const char* transport_name(Transport t) {
+  return t == Transport::kAlias ? "alias" : "tcp";
+}
+
+Endpoint dial_address(const RpcServer& server, Transport t) {
+  if (t == Transport::kAlias) return server.endpoint();
+  const auto hp = server.endpoint().host_port();
+  EXPECT_TRUE(hp.ok());
+  return Endpoint{"localhost:" + std::to_string(hp.ok() ? hp->second : 0)};
+}
+
+uint64_t local_conns(const RpcServer& server) {
+  uint64_t total = 0;
+  for (const auto& r : server.reactor_stats()) total += r.local_conns;
+  return total;
+}
+
+uint64_t all_conns(const RpcServer& server) {
+  uint64_t total = 0;
+  for (const auto& r : server.reactor_stats()) total += r.conns;
+  return total;
+}
+
+// Every connection the server accepted came over `t`.
+void expect_transport(const RpcServer& server, Transport t) {
+  EXPECT_GT(all_conns(server), 0u);
+  EXPECT_EQ(local_conns(server),
+            t == Transport::kAlias ? all_conns(server) : 0u)
+      << transport_name(t);
+}
+
+// The abstract address a server bound to `endpoint` listens on.
+struct AliasAddress {
+  sockaddr_un addr{};
+  socklen_t len = 0;
+};
+
+AliasAddress alias_address(const Endpoint& endpoint) {
+  const std::string name = "hvac:" + endpoint.address;
+  AliasAddress a;
+  a.addr.sun_family = AF_UNIX;
+  std::memcpy(a.addr.sun_path + 1, name.data(), name.size());
+  a.len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
+                                 name.size());
+  return a;
+}
+
+// Dials the alias directly: 0 on connect, else the errno.
+int raw_alias_connect(const Endpoint& endpoint) {
+  const AliasAddress a = alias_address(endpoint);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return errno;
+  const int rc =
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&a.addr), a.len);
+  const int err = rc == 0 ? 0 : errno;
+  ::close(fd);
+  return err;
+}
+
+TEST(LocalAlias, NameSpellsTheBoundAddress) {
+  EXPECT_EQ(local_alias_name(Endpoint{"127.0.0.1:4000"}),
+            "@hvac:127.0.0.1:4000");
+  RpcServer server(RpcServerOptions{"127.0.0.1:0", 1});
+  ASSERT_TRUE(server.start().ok());
+  EXPECT_EQ(raw_alias_connect(server.endpoint()), 0);
+  EXPECT_NE(raw_alias_connect(dial_address(server, Transport::kTcp)), 0);
+}
+
 // ---- client/server integration -----------------------------------------------
 
 class RpcFixture : public ::testing::Test {
@@ -165,6 +245,16 @@ TEST_F(RpcFixture, Echo) {
   const auto resp = client.call(1, msg);
   ASSERT_TRUE(resp.ok()) << resp.error().to_string();
   EXPECT_EQ(*resp, msg);
+  expect_transport(server_, Transport::kAlias);
+}
+
+TEST_F(RpcFixture, EchoOverTcp) {
+  RpcClient client(dial_address(server_, Transport::kTcp));
+  Bytes msg{1, 2, 3, 4};
+  const auto resp = client.call(1, msg);
+  ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+  EXPECT_EQ(*resp, msg);
+  expect_transport(server_, Transport::kTcp);
 }
 
 TEST_F(RpcFixture, EmptyPayloadEcho) {
@@ -402,7 +492,7 @@ TEST(SendVectored, ClosedPeerReportsError) {
 
 // ---- frame-size bound -----------------------------------------------------
 
-TEST(RpcServer, FrameOverMaxFrameBytesDropsConnection) {
+void run_frame_over_max_drops_connection(Transport t) {
   RpcServerOptions opts{"127.0.0.1:0", 2};
   opts.max_frame_bytes = 1024;
   RpcServer server(opts);
@@ -412,7 +502,8 @@ TEST(RpcServer, FrameOverMaxFrameBytesDropsConnection) {
   });
   ASSERT_TRUE(server.start().ok());
 
-  RpcClient client(server.endpoint(), RpcClientOptions{500, 500});
+  const Endpoint dial = dial_address(server, t);
+  RpcClient client(dial, RpcClientOptions{500, 500});
   // Within the bound: served normally.
   ASSERT_TRUE(client.call(1, Bytes(512)).ok());
   // Over the bound: the server drops the connection before sizing a
@@ -422,8 +513,17 @@ TEST(RpcServer, FrameOverMaxFrameBytesDropsConnection) {
   EXPECT_TRUE(resp.error().code == ErrorCode::kUnavailable ||
               resp.error().code == ErrorCode::kTimeout);
   // The server itself stays healthy for new connections.
-  RpcClient fresh(server.endpoint());
+  RpcClient fresh(dial);
   EXPECT_TRUE(fresh.call(1, Bytes(256)).ok());
+  expect_transport(server, t);
+}
+
+TEST(RpcServer, FrameOverMaxFrameBytesDropsConnection) {
+  run_frame_over_max_drops_connection(Transport::kAlias);
+}
+
+TEST(RpcServer, FrameOverMaxFrameBytesDropsTcpConnection) {
+  run_frame_over_max_drops_connection(Transport::kTcp);
 }
 
 // ---- one wakeup per request frame ------------------------------------------
@@ -458,7 +558,7 @@ class OneCpu {
 // socket readable, the reactor reads it, finds no body and sleeps. A
 // gathered send leaves every frame whole in the socket on the first
 // wakeup.
-TEST(RpcServer, RequestFramesArriveInOneReadinessEvent) {
+void run_request_frames_in_one_readiness_event(Transport t) {
   OneCpu pin;
   ASSERT_TRUE(pin.ok());
   RpcServer server(RpcServerOptions{"127.0.0.1:0", 2});
@@ -469,16 +569,178 @@ TEST(RpcServer, RequestFramesArriveInOneReadinessEvent) {
   ASSERT_TRUE(server.start().ok());
 
   const Bytes body(64, 0x5a);
-  RpcClient sync_client(server.endpoint());
+  RpcClient sync_client(dial_address(server, t));
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(sync_client.call(1, body).ok());
   }
-  AsyncRpcClient async_client(server.endpoint());
+  AsyncRpcClient async_client(dial_address(server, t));
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(async_client.call(1, body).ok());
   }
   EXPECT_EQ(server.requests_served(), 2000u);
   EXPECT_EQ(server.split_frames(), 0u);
+  expect_transport(server, t);
+}
+
+TEST(RpcServer, RequestFramesArriveInOneReadinessEvent) {
+  run_request_frames_in_one_readiness_event(Transport::kAlias);
+}
+
+TEST(RpcServer, RequestFramesArriveInOneReadinessEventOverTcp) {
+  run_request_frames_in_one_readiness_event(Transport::kTcp);
+}
+
+// ---- node-local alias lifecycle --------------------------------------------
+
+TEST(RpcServer, AliasRefusesConnectionsAfterDrain) {
+  RpcServer server(RpcServerOptions{"127.0.0.1:0", 2});
+  ASSERT_TRUE(server.start().ok());
+  ASSERT_EQ(raw_alias_connect(server.endpoint()), 0);
+  server.drain(1000);
+  // The reactor that owns the alias closes it on its next wakeup.
+  int err = 0;
+  for (int i = 0; i < 200 && err == 0; ++i) {
+    err = raw_alias_connect(server.endpoint());
+    if (err == 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(err, ECONNREFUSED);
+  server.stop();
+}
+
+TEST(RpcServer, RestartedServerIsReachedThroughItsNewAlias) {
+  auto echo = [](const Bytes& b) -> Result<Bytes> {
+    Bytes out = b;
+    return out;
+  };
+  auto first = std::make_unique<RpcServer>(RpcServerOptions{"127.0.0.1:0", 2});
+  first->register_handler(1, echo);
+  ASSERT_TRUE(first->start().ok());
+  const Endpoint endpoint = first->endpoint();
+  RpcClient client(endpoint, RpcClientOptions{500, 500});
+  ASSERT_TRUE(client.call(1, Bytes{1}).ok());
+  expect_transport(*first, Transport::kAlias);
+  first->stop();
+  first.reset();
+  EXPECT_EQ(raw_alias_connect(endpoint), ECONNREFUSED);
+
+  RpcServer second(RpcServerOptions{endpoint.address, 2});
+  second.register_handler(1, echo);
+  ASSERT_TRUE(second.start().ok());
+  // The first call may still meet the dead connection; the redial after
+  // it must land on the new alias.
+  Result<Bytes> resp = client.call(1, Bytes{2});
+  if (!resp.ok()) resp = client.call(1, Bytes{2});
+  ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+  EXPECT_EQ(*resp, Bytes{2});
+  expect_transport(second, Transport::kAlias);
+  HealthRegistry::global().reset();
+}
+
+// Abstract names carry no file permissions: another user can bind a
+// server's alias before it starts. The server must still start, and
+// clients must refuse the squatter (its SO_PEERCRED uid is neither
+// theirs nor root's) and reach the real server over TCP.
+TEST(RpcServer, SquattedAliasIsRefusedAndTcpServes) {
+  if (::geteuid() != 0) GTEST_SKIP() << "needs root to run a squatter uid";
+  Endpoint reserved;
+  {
+    auto fd = listen_on(Endpoint{"127.0.0.1:0"}, &reserved);
+    ASSERT_TRUE(fd.ok());
+  }
+  const AliasAddress squat = alias_address(reserved);
+  int ready[2];
+  int release[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  ASSERT_EQ(::pipe(release), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Raw syscalls only between fork and _exit.
+    ::close(ready[0]);
+    ::close(release[1]);
+    char status = 'E';
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (::setuid(65534) == 0 && fd >= 0 &&
+        ::bind(fd, reinterpret_cast<const sockaddr*>(&squat.addr),
+               squat.len) == 0 &&
+        ::listen(fd, 16) == 0) {
+      status = 'S';
+    }
+    (void)!::write(ready[1], &status, 1);
+    char byte;
+    (void)!::read(release[0], &byte, 1);  // until the parent closes it
+    ::_exit(0);
+  }
+  ::close(ready[1]);
+  ::close(release[0]);
+  char status = 0;
+  ASSERT_EQ(::read(ready[0], &status, 1), 1);
+  ::close(ready[0]);
+  auto reap = [&] {
+    ::close(release[1]);
+    int ws = 0;
+    ::waitpid(child, &ws, 0);
+  };
+  if (status != 'S') {
+    reap();
+    GTEST_SKIP() << "could not bind the alias as uid 65534";
+  }
+  // The squatter answers on the alias.
+  EXPECT_EQ(raw_alias_connect(reserved), 0);
+
+  RpcServer server(RpcServerOptions{reserved.address, 2});
+  server.register_handler(1, [](const Bytes& b) -> Result<Bytes> {
+    Bytes out = b;
+    return out;
+  });
+  ASSERT_TRUE(server.start().ok());
+  ASSERT_EQ(server.endpoint().address, reserved.address);
+  RpcClient client(server.endpoint(), RpcClientOptions{500, 500});
+  const Bytes msg{7, 8, 9};
+  const auto resp = client.call(1, msg);
+  ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+  EXPECT_EQ(*resp, msg);
+  EXPECT_EQ(server.requests_served(), 1u);
+  expect_transport(server, Transport::kTcp);
+  server.stop();
+  reap();
+}
+
+// ---- connect deadlines ------------------------------------------------------
+
+// A unix listener whose backlog is full never lets a blocking connect
+// return; connect_to must give up at its deadline instead.
+TEST(ConnectTo, FullUnixBacklogTimesOut) {
+  const std::string path = ::testing::TempDir() + "/hvac_backlog_" +
+                           std::to_string(::getpid()) + ".sock";
+  ::unlink(path.c_str());
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(path.size(), sizeof(addr.sun_path));
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 0), 0);  // never accepted
+
+  // A connect that hangs fails the test by SIGALRM instead of stalling
+  // the suite.
+  ::alarm(10);
+  const Endpoint endpoint{"unix:" + path};
+  auto first = connect_to(endpoint, 200);
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+  const auto start = std::chrono::steady_clock::now();
+  const auto second = connect_to(endpoint, 200);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  ::alarm(0);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.error().code, ErrorCode::kTimeout);
+  EXPECT_GE(waited, std::chrono::milliseconds(150));
+  EXPECT_LT(waited, std::chrono::seconds(1));
+  ::close(listener);
+  ::unlink(path.c_str());
 }
 
 // ---- pooled payload path --------------------------------------------------
@@ -728,7 +990,7 @@ TEST(ZeroCopy, ShortSpliceResumesUntilComplete) {
 // client sees byte-identical data. Exercised once per zero-copy rung —
 // the wire contract must not depend on how the bytes reached the
 // socket.
-void run_extent_payload_roundtrip() {
+void run_extent_payload_roundtrip(Transport t) {
   constexpr size_t kFile = 512 * 1024;
   auto src = std::make_shared<TempPatternFile>(kFile);
   RpcServer server(RpcServerOptions{"127.0.0.1:0", 2});
@@ -770,7 +1032,7 @@ void run_extent_payload_roundtrip() {
       });
   ASSERT_TRUE(server.start().ok());
 
-  RpcClient client(server.endpoint());
+  RpcClient client(dial_address(server, t));
   // Single-blob extents at assorted offsets and sizes.
   const std::pair<uint64_t, uint32_t> cases[] = {
       {0, 1}, {0, 4096}, {12345, 70000}, {kFile - 9, 9}};
@@ -806,6 +1068,7 @@ void run_extent_payload_roundtrip() {
               0)
         << "extent at " << ext.offset;
   }
+  expect_transport(server, t);
 }
 
 class ZeroCopyLeg : public ::testing::TestWithParam<const char*> {
@@ -827,7 +1090,13 @@ class ZeroCopyLeg : public ::testing::TestWithParam<const char*> {
   bool had_ = false;
 };
 
-TEST_P(ZeroCopyLeg, ExtentPayloadRoundTrip) { run_extent_payload_roundtrip(); }
+TEST_P(ZeroCopyLeg, ExtentPayloadRoundTrip) {
+  run_extent_payload_roundtrip(Transport::kAlias);
+}
+
+TEST_P(ZeroCopyLeg, ExtentPayloadRoundTripOverTcp) {
+  run_extent_payload_roundtrip(Transport::kTcp);
+}
 
 INSTANTIATE_TEST_SUITE_P(AllRungs, ZeroCopyLeg,
                          ::testing::Values("sendfile", "splice", "off"),
