@@ -228,8 +228,11 @@ TEST(WireFuzz, TruncatedPayloadsErrorCleanly) {
 
 // ---- simulator invariants --------------------------------------------------------
 
+// The backend is a std::string, not a const char*: gtest prints a char
+// pointer parameter with its address, which would put a per-run number
+// into every case name.
 class SimInvariants
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(SimInvariants, IoConservation) {
   const auto [backend, nodes] = GetParam();
@@ -251,10 +254,10 @@ TEST_P(SimInvariants, IoConservation) {
   EXPECT_GE(served, 3 * dataset_bytes);
   EXPECT_LE(served, uint64_t(3.2 * double(dataset_bytes)));
 
-  if (std::string(backend) == "GPFS") {
+  if (backend == "GPFS") {
     EXPECT_EQ(r.io.bytes_from_nvme, 0u);
     EXPECT_EQ(r.io.cache_hits, 0u);
-  } else if (std::string(backend) == "XFS") {
+  } else if (backend == "XFS") {
     EXPECT_EQ(r.io.bytes_from_gpfs, 0u);
   } else {
     // HVAC: each file crosses GPFS at most once (single copy).
@@ -270,8 +273,10 @@ TEST_P(SimInvariants, IoConservation) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SimInvariants,
-    ::testing::Combine(::testing::Values("GPFS", "XFS", "HVAC(1x1)",
-                                         "HVAC(4x1)"),
+    ::testing::Combine(::testing::Values(std::string("GPFS"),
+                                         std::string("XFS"),
+                                         std::string("HVAC(1x1)"),
+                                         std::string("HVAC(4x1)")),
                        ::testing::Values(4, 32)));
 
 TEST(SimExactness, SingleRankBatchTimeClosedForm) {
