@@ -741,6 +741,113 @@ BENCHMARK(BM_SmallFileReadsInline)
     ->Arg(64 << 10)
     ->UseRealTime();
 
+// --- Passed-fd bulk reads -----------------------------------------------
+//
+// One warm sample per iteration through the real HvacClient: open,
+// read it front to back in 1 MiB reads, close. Dialled by its bound
+// address the server is reached over its node-local alias, and the
+// kOpen reply passes a read-only fd on the cached copy: every read is
+// one pread and no RPC (DESIGN.md §20). The Tcp twin dials
+// localhost:PORT, which names no alias, and reads over kReadScatter
+// with read-ahead as a remote home would. `passed_fd_opens` per
+// iteration tells the two paths apart.
+
+struct BulkFileFixture {
+  std::string pfs_root;
+  std::unique_ptr<hvac::storage::PfsBackend> pfs;
+  std::unique_ptr<hvac::server::HvacServer> server;
+  std::string path;  // the sample, absolute
+
+  explicit BulkFileFixture(uint32_t file_bytes) {
+    const std::string tag = "bulkfd_" + std::to_string(file_bytes) + "_" +
+                            std::to_string(::getpid());
+    pfs_root = "/tmp/hvac_bench_" + tag + "_pfs";
+    const std::string cache_root = "/tmp/hvac_bench_" + tag + "_cache";
+    std::filesystem::remove_all(pfs_root);
+    std::filesystem::remove_all(cache_root);
+    const auto data = hvac::workload::expected_contents("s.bin", file_bytes);
+    path = pfs_root + "/s.bin";
+    if (!hvac::storage::write_file(path, data.data(), data.size()).ok()) {
+      std::abort();
+    }
+    pfs = std::make_unique<hvac::storage::PfsBackend>(pfs_root);
+    hvac::server::HvacServerOptions o;
+    o.cache_dir = cache_root;
+    server = std::make_unique<hvac::server::HvacServer>(pfs.get(), o);
+    if (!server->start().ok()) std::abort();
+    RpcClient warm(Endpoint{server->address()});
+    WireWriter w;
+    w.put_u32(1);
+    w.put_string("s.bin");
+    if (!warm.call(hvac::proto::kPrefetchBatch, w).ok()) std::abort();
+  }
+};
+
+BulkFileFixture& bulk_file_fixture(uint32_t file_bytes) {
+  static std::mutex mu;
+  static std::map<uint32_t, BulkFileFixture*> fixtures;
+  std::lock_guard<std::mutex> lock(mu);
+  auto*& slot = fixtures[file_bytes];
+  if (slot == nullptr) slot = new BulkFileFixture(file_bytes);
+  return *slot;
+}
+
+void bulk_read_sample(benchmark::State& state, bool tcp) {
+  const uint32_t file_bytes = uint32_t(state.range(0));
+  BulkFileFixture& f = bulk_file_fixture(file_bytes);
+  hvac::client::HvacClientOptions o;
+  o.dataset_dir = f.pfs_root;
+  o.server_endpoints = {f.server->address()};
+  if (tcp) {
+    o.server_endpoints[0] =
+        "localhost:" +
+        std::to_string(Endpoint{f.server->address()}.host_port()->second);
+  }
+  o.meta_ttl_ms = 0;  // every open is a kOpen, as on a first epoch
+  o.allow_pfs_fallback = false;
+  hvac::client::HvacClient client(o);
+  std::vector<uint8_t> buf(1 << 20);
+  for (auto _ : state) {
+    const auto vfd = client.open(f.path);
+    if (!vfd.ok()) { state.SkipWithError("open failed"); break; }
+    uint64_t got = 0;
+    for (;;) {
+      const auto n = client.read(*vfd, buf.data(), buf.size());
+      if (!n.ok()) { state.SkipWithError("read failed"); break; }
+      if (*n == 0) break;
+      got += *n;
+      benchmark::DoNotOptimize(buf.data());
+      benchmark::ClobberMemory();
+    }
+    if (!client.close(*vfd).ok() || got != file_bytes) {
+      state.SkipWithError("short sample");
+      break;
+    }
+  }
+  state.SetBytesProcessed(int64_t(state.iterations()) * file_bytes);
+  state.counters["passed_fd_opens"] =
+      benchmark::Counter(double(client.stats().passed_fd_opens),
+                         benchmark::Counter::kAvgIterations);
+}
+
+void BM_BulkReadPassedFd(benchmark::State& state) {
+  bulk_read_sample(state, /*tcp=*/false);
+}
+BENCHMARK(BM_BulkReadPassedFd)
+    ->ArgName("bytes")
+    ->Arg(1 << 20)
+    ->Arg(4 << 20)
+    ->UseRealTime();
+
+void BM_BulkReadPassedFdTcp(benchmark::State& state) {
+  bulk_read_sample(state, /*tcp=*/true);
+}
+BENCHMARK(BM_BulkReadPassedFdTcp)
+    ->ArgName("bytes")
+    ->Arg(1 << 20)
+    ->Arg(4 << 20)
+    ->UseRealTime();
+
 // --- Clairvoyant epoch reads ----------------------------------------
 //
 // One COLD training epoch per iteration: a fresh server (empty cache)

@@ -76,7 +76,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # time-series collector and the OpenMetrics exporter.
 TSAN_SUITES="test_storage test_common test_rpc test_async_rpc \
 test_client_edge test_stress test_trace test_reactor test_write_journal \
-test_prefetch test_metrics_frame test_telemetry"
+test_prefetch test_metrics_frame test_telemetry test_passed_fd"
 
 case "$MODE" in
   tier1)
@@ -329,6 +329,7 @@ case "$MODE" in
     sleep 0.5  # at least two collector ticks land in the ring
     python3 scripts/check_openmetrics.py \
       "http://127.0.0.1:$PROM/metrics" \
+      --hvacctl ./build/src/client/hvacctl \
       --out "${SCRAPE_OUT:-$TMP/scrape.txt}" \
       --stats "$TMP/stats.json"
     # Operator views over the same ring: one top iteration must render

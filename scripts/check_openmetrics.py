@@ -3,7 +3,7 @@
 
 Usage:
     check_openmetrics.py <url-or-file> [--out FILE] [--stats STATS_JSON]
-                         [--tolerance 0.10]
+                         [--tolerance 0.10] [--hvacctl PATH]
 
 Grammar checks (the subset of the OpenMetrics text format the exporter
 promises):
@@ -15,40 +15,40 @@ promises):
     and end at le="+Inf" with a value equal to `_count`;
   * the exposition ends with `# EOF`.
 
-Required families prove every metrics-frame section renders, the stall
-section included. With --stats, the client's HVAC_STATS_FILE dump is
+The scrape must carry exactly the families `hvacctl metrics --families`
+lists: the schema table's (core/metrics_schema.cc), so a row added there
+is required here with no second list to edit, and a family the schema
+does not know fails the check. --hvacctl defaults to the regular build's
+binary. With --stats, the client's HVAC_STATS_FILE dump is
 cross-checked: the per-epoch stall buckets must sum to the shim's
 wall-clock read time within --tolerance (the buckets are a partition of
 each intercepted read, so anything bigger means attribution lost time).
 """
 import argparse
 import json
+import os
 import re
+import subprocess
 import sys
 import urllib.request
 
-REQUIRED_FAMILIES = [
-    "hvac_cache_hits",
-    "hvac_cache_bytes_from_cache",
-    "hvac_open_fds",
-    "hvac_handle_cache_hits",
-    "hvac_buffer_pool_leases",
-    "hvac_readahead_issued",
-    "hvac_resilience_retries",
-    "hvac_zerocopy_sendfile_bytes",
-    "hvac_meta_cache_hits",
-    "hvac_trace_emitted",
-    "hvac_reactor_requests",
-    "hvac_reactor_local_conns",
-    "hvac_write_back_writes",
-    "hvac_prefetch_planned",
-    "hvac_stall_reads",
-    "hvac_stall_seconds",
-    "hvac_op_latency_seconds",
-]
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 STALL_BUCKETS = ["local_hit", "remote_rpc", "pfs_wait", "backpressure",
                  "retry"]
+
+
+def schema_families(hvacctl):
+    """The families the schema table renders, from `hvacctl`."""
+    try:
+        out = subprocess.run([hvacctl, "metrics", "--families"],
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError) as e:
+        fail(f"cannot list the schema's families with {hvacctl}: {e}")
+    families = out.stdout.split()
+    if not families:
+        fail(f"{hvacctl} listed no families")
+    return families
 
 
 def fetch(source):
@@ -73,7 +73,7 @@ def metric_name(line):
     return m.group(1) if m else ""
 
 
-def check_grammar(text):
+def check_grammar(text, required):
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -117,9 +117,12 @@ def check_grammar(text):
                  f"{name}")
         samples.setdefault(name, []).append(line)
 
-    for name in REQUIRED_FAMILIES:
+    for name in required:
         if name not in families:
             fail(f"required family missing: {name}")
+    for name in families:
+        if name not in required:
+            fail(f"family {name} is not in the schema table")
 
     # Histogram series: cumulative per label set, +Inf == _count.
     for name, ftype in families.items():
@@ -195,13 +198,18 @@ def main():
     ap.add_argument("--stats", help="client HVAC_STATS_FILE dump to "
                                     "cross-check stall attribution")
     ap.add_argument("--tolerance", type=float, default=0.10)
+    ap.add_argument("--hvacctl",
+                    default=os.path.join(ROOT, "build", "src", "client",
+                                         "hvacctl"),
+                    help="hvacctl binary that lists the schema's families")
     args = ap.parse_args()
 
+    required = schema_families(args.hvacctl)
     text = fetch(args.source)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
-    families = check_grammar(text)
+    families = check_grammar(text, required)
     print(f"check_openmetrics: grammar OK ({len(families)} families)")
     if args.stats:
         check_stats(args.stats, args.tolerance)

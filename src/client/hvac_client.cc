@@ -1,6 +1,7 @@
 #include "client/hvac_client.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -546,8 +547,10 @@ Result<int> HvacClient::open_remote(const std::string& logical,
   WireWriter w;
   w.put_string(logical);
   w.put_u8(1);  // stateless: no server-side fd, small files inline
-  HVAC_ASSIGN_OR_RETURN(rpc::Payload resp,
-                        channel(server).call_payload(proto::kOpen, w.bytes()));
+  w.put_u8(1);  // takes_fd: a local home may pass its cached copy
+  HVAC_ASSIGN_OR_RETURN(
+      rpc::Payload resp,
+      channel(server).call_payload_fd(proto::kOpen, w.bytes()));
   WireReader r(resp.data(), resp.size());
   HVAC_ASSIGN_OR_RETURN(uint64_t remote_fd, r.get_u64());
   (void)remote_fd;  // 0: the stateless reply allocates none
@@ -564,10 +567,24 @@ Result<int> HvacClient::open_remote(const std::string& logical,
                  "kOpen reply inlines " + std::to_string(blob.size) +
                      " bytes of a " + std::to_string(size) + "-byte file");
   }
+  core::FdEntry entry;
+  // A trailing base promises a passed cache fd (DESIGN.md §20). An fd
+  // the reply did not promise closes with `resp`.
+  if (!r.exhausted()) {
+    HVAC_ASSIGN_OR_RETURN(entry.base, r.get_u64());
+    rpc::Fd cache_fd = resp.take_fd();
+    struct stat st{};
+    if (inlined || !r.exhausted() || !cache_fd.valid() ||
+        ::fstat(cache_fd.get(), &st) != 0 || !S_ISREG(st.st_mode) ||
+        entry.base + size > static_cast<uint64_t>(st.st_size)) {
+      return Error(ErrorCode::kProtocol,
+                   "kOpen reply promises no usable cache fd for " + logical);
+    }
+    entry.cache_fd = cache_fd.release();
+  }
   if (PrefetchScheduler* pf = prefetch_scheduler()) {
     pf->observe_sample_bytes(size);
   }
-  core::FdEntry entry;
   entry.logical_path = logical;
   entry.server_index = server;
   entry.size = size;
@@ -575,11 +592,13 @@ Result<int> HvacClient::open_remote(const std::string& logical,
     entry.inline_data = std::make_shared<const std::vector<uint8_t>>(
         blob.data, blob.data + blob.size);
   }
+  const bool passed_fd = entry.cache_fd >= 0;
   const int vfd = fds_.insert(std::move(entry));
   meta_.put(logical,
             MetaEntry{size, server, served_from == proto::kFromCache});
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.remote_opens;
+  if (passed_fd) ++stats_.passed_fd_opens;
   return vfd;
 }
 
@@ -729,12 +748,16 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
               ? static_cast<size_t>(std::min<uint64_t>(count,
                                                        entry.size - offset))
               : 0;
-  if (entry.fallback_pfs) {
-    // A packed sample sits at `base` inside its container blob.
-    const ssize_t n = ::pread(entry.pfs_fd, buf, count,
-                              static_cast<off_t>(entry.base + offset));
-    stall_charge(core::StallBucket::kPfsWait);
-    if (n < 0) return Error::from_errno(errno, "pread(pfs)");
+  if (entry.fallback_pfs || entry.cache_fd >= 0) {
+    // A packed sample sits at `base` inside its container blob, a
+    // passed cache fd's file at `base` inside its slab.
+    const bool pfs = entry.fallback_pfs;
+    const ssize_t n = ::pread(pfs ? entry.pfs_fd : entry.cache_fd, buf,
+                              count, static_cast<off_t>(entry.base + offset));
+    stall_charge(pfs ? core::StallBucket::kPfsWait
+                     : core::StallBucket::kLocalHit);
+    if (n < 0) return Error::from_errno(errno, pfs ? "pread(pfs)"
+                                                   : "pread(cache fd)");
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.reads;
     stats_.bytes_read += static_cast<uint64_t>(n);
@@ -925,6 +948,9 @@ Status HvacClient::close(int vfd) {
   trace::Span span("client.close");
   HVAC_ASSIGN_OR_RETURN(core::FdEntry entry, fds_.erase(vfd));
   readahead_drop(vfd);
+  if (entry.cache_fd >= 0 && ::close(entry.cache_fd) != 0) {
+    return Error::from_errno(errno, "close(cache fd)");
+  }
   if (entry.fallback_pfs) {
     if (entry.writable && ::fsync(entry.pfs_fd) != 0) {
       const Error e = Error::from_errno(errno, "fsync(pfs)");
@@ -1262,6 +1288,7 @@ std::string stats_to_json(const ClientStats& s) {
     << ",\"bytes_written\":" << s.bytes_written
     << ",\"fsyncs\":" << s.fsyncs
     << ",\"fallback_write_opens\":" << s.fallback_write_opens
+    << ",\"passed_fd_opens\":" << s.passed_fd_opens
     << ",\"read_ahead\":{\"issued\":" << s.readahead_issued
     << ",\"consumed\":" << s.readahead_hits
     << ",\"wasted\":" << s.readahead_wasted << "}"

@@ -5,8 +5,10 @@
 // allocation order), computes each file's home with the metadata-less
 // Placement function, and forwards opens and reads over RPC. Read fds
 // are stateless on the server: open is one kOpen that returns the size
-// (and the whole file when it is small), every other read addresses
-// the file by path, and close is local. A small file whose open
+// (and the whole file when it is small; a home on this node may pass a
+// read-only fd on its cached copy of a large one, which then serves
+// every read), other reads address the file by path, and close is
+// local. A small file whose open
 // carried no bytes (packed index, meta cache) is fetched whole by its
 // first read, so every small fd costs one round trip. Reads above the
 // chunk size are split into multiple bulk pulls. On any transport failure the
@@ -119,6 +121,7 @@ struct ClientStats {
   uint64_t bytes_written = 0;
   uint64_t fsyncs = 0;           // durability barriers requested
   uint64_t fallback_write_opens = 0;  // write opens served by the PFS
+  uint64_t passed_fd_opens = 0;  // opens answered with a cache fd
 };
 
 // JSON rendering of the shim's exit summary (HVAC_STATS_FILE): the
@@ -254,8 +257,9 @@ class HvacClient {
   Result<int> open_via_pfs(const std::string& path);
 
   // One stateless kOpen to `server`: a vfd whose reads go by path, with
-  // the inline bytes attached for a small file. kProtocol when the
-  // reply is malformed (the caller fails over as for a dead server).
+  // the inline bytes attached for a small file, or the cache fd a local
+  // home passed for a large one. kProtocol when the reply is malformed
+  // (the caller fails over as for a dead server).
   Result<int> open_remote(const std::string& logical, uint32_t server);
 
   // Meta-cache lookup with the breaker check folded in: an entry whose

@@ -4,6 +4,7 @@
 //   hvacctl [--timeout MS] health  HOST:PORT[,HOST:PORT...] [--json]
 //   hvacctl [--timeout MS] metrics HOST:PORT[,HOST:PORT...] [--json]
 //                                  [--watch N]
+//   hvacctl metrics --families
 //   hvacctl [--timeout MS] stat    HOST:PORT <relative-path>
 //   hvacctl [--timeout MS] warm    HOST:PORT <relative-path>
 //   hvacctl [--timeout MS] trace   HOST:PORT[,HOST:PORT...] [--chrome]
@@ -28,7 +29,9 @@
 // and per-op latency histograms) and degrades to the seven v1
 // counters against an old server; --json emits one machine-readable
 // document per sample (the CI bench gate consumes this), --watch N
-// resamples every N seconds until interrupted. `health` pings each
+// resamples every N seconds until interrupted, and --families lists
+// the OpenMetrics families a server's scrape carries (from the schema
+// table; no server involved). `health` pings each
 // endpoint, reports the round-trip time and the server's fault-domain
 // counters, and exits nonzero when any endpoint is unreachable.
 //
@@ -714,6 +717,7 @@ int usage(const char* argv0) {
                "       %s [--timeout MS] health ENDPOINTS [--json]\n"
                "       %s [--timeout MS] metrics ENDPOINTS [--json] "
                "[--watch N]\n"
+               "       %s metrics --families\n"
                "       %s [--timeout MS] stat|warm ENDPOINT PATH\n"
                "       %s [--timeout MS] journal ENDPOINTS [--json]\n"
                "       %s [--timeout MS] prefetch ENDPOINTS [--json]\n"
@@ -724,7 +728,7 @@ int usage(const char* argv0) {
                "       %s gentree ROOT NUM_FILES MEAN_BYTES [--sigma S]\n"
                "                  [--seed N] [--manifest FILE]\n",
                argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-               argv0, argv0);
+               argv0, argv0, argv0);
   return 2;
 }
 
@@ -796,6 +800,13 @@ int main(int argc, char** argv) {
     return cmd_top(args[1], json, interval_seconds, count);
   }
   if (cmd == "metrics") {
+    if (args[1] == "--families") {
+      // The families a scrape must carry, for scripts/check_openmetrics.py.
+      for (const std::string& family : core::openmetrics_families()) {
+        std::printf("%s\n", family.c_str());
+      }
+      return 0;
+    }
     bool json = false;
     int watch_seconds = 0;
     for (size_t i = 2; i < args.size(); ++i) {

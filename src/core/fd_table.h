@@ -32,9 +32,13 @@ struct FdEntry {
                               // at or past it are EOF without an RPC
   bool fallback_pfs = false;  // true: served by direct PFS fd
   int pfs_fd = -1;            // real fd when fallback_pfs
+  // Passed-fd read (DESIGN.md §20): a read-only fd on the home's cached
+  // copy, its bytes at base + offset. Reads are one pread, no RPC.
+  int cache_fd = -1;
   // Packed sample: the container blob holding it (its placement key,
   // and the file a PFS fallback opens) and the sample's byte offset
-  // inside it. Empty / 0 for a plain file.
+  // inside it; for a cache_fd, the slot's offset in its slab. Empty / 0
+  // for a plain file.
   std::string container_logical;
   uint64_t base = 0;
   bool segmented = false;     // true: stateless segment-granular reads

@@ -103,6 +103,8 @@ struct ZeroCopyStats {
   uint64_t sendfile_bytes = 0;
   uint64_t splice_bytes = 0;
   uint64_t short_resumes = 0;  // partial kernel sends resumed in-place
+  uint64_t fd_passes = 0;      // cache fds passed to local clients
+  uint64_t fd_pass_bytes = 0;  // bytes of the files those fds read
 };
 
 // Client metadata cache (client/meta_cache.h).

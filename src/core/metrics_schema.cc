@@ -112,6 +112,10 @@ const FieldSpec kFrameFields[] = {
     ZERO_COPY(splice_bytes, kCounter, kProcess, "Bytes sent via splice"),
     ZERO_COPY(short_resumes, kCounter, kProcess,
               "Partial kernel sends resumed in place"),
+    ZERO_COPY(fd_passes, kCounter, kProcess,
+              "Read-only cache fds passed to local clients"),
+    ZERO_COPY(fd_pass_bytes, kCounter, kProcess,
+              "Bytes of the files whose cache fds were passed"),
 
     META_CACHE(hits, kCounter, kProcess, "Client metadata-cache hits"),
     META_CACHE(misses, kCounter, kProcess, "Client metadata-cache misses"),
@@ -212,5 +216,15 @@ const StallField kStallFields[] = {
 std::span<const FieldSpec> frame_fields() { return kFrameFields; }
 std::span<const ReactorField> reactor_fields() { return kReactorFields; }
 std::span<const StallField> stall_fields() { return kStallFields; }
+
+std::vector<std::string> openmetrics_families() {
+  std::vector<std::string> out;
+  for (const FieldSpec& field : frame_fields()) out.push_back(field.prom);
+  for (const ReactorField& field : reactor_fields()) out.push_back(field.prom);
+  out.push_back(kStallReadsFamily);
+  out.push_back(kStallSecondsFamily);
+  out.push_back(kOpLatencyFamily);
+  return out;
+}
 
 }  // namespace hvac::core

@@ -17,6 +17,8 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "core/metrics_frame.h"
 
@@ -72,5 +74,15 @@ struct StallField {
   uint64_t StallEpochRow::* member;
 };
 std::span<const StallField> stall_fields();
+
+// The OpenMetrics families rendered from the row-shaped sections.
+constexpr const char* kStallReadsFamily = "hvac_stall_reads";
+constexpr const char* kStallSecondsFamily = "hvac_stall_seconds";
+constexpr const char* kOpLatencyFamily = "hvac_op_latency_seconds";
+
+// Every family an OpenMetrics scrape carries, in exposition order:
+// each frame_fields() row, each reactor_fields() row, then the stall
+// and per-op latency families (`hvacctl metrics --families`).
+std::vector<std::string> openmetrics_families();
 
 }  // namespace hvac::core

@@ -59,6 +59,16 @@ Result<Bytes> RpcClient::call(uint16_t opcode, const Bytes& request) {
 
 Result<Payload> RpcClient::call_payload(uint16_t opcode,
                                         const Bytes& request) {
+  return call_impl(opcode, request, /*take_fd=*/false);
+}
+
+Result<Payload> RpcClient::call_payload_fd(uint16_t opcode,
+                                           const Bytes& request) {
+  return call_impl(opcode, request, /*take_fd=*/true);
+}
+
+Result<Payload> RpcClient::call_impl(uint16_t opcode, const Bytes& request,
+                                     bool take_fd) {
   if (request.size() > kMaxFrame) {
     return Error(ErrorCode::kInvalidArgument, "request exceeds max frame");
   }
@@ -116,9 +126,13 @@ Result<Payload> RpcClient::call_payload(uint16_t opcode,
   // but we still validate the id to catch protocol bugs early.
   for (;;) {
     uint8_t rhdr[kHeaderSize];
+    Fd passed;  // closed unless it rides the answering frame out
     Status got = fault::check(fault::Site::kRpcRecv);
     if (got.ok()) {
-      got = recv_all_until(socket_.get(), rhdr, kHeaderSize, deadline_ms);
+      got = take_fd ? recv_all_until_fd(socket_.get(), rhdr, kHeaderSize,
+                                        deadline_ms, &passed)
+                    : recv_all_until(socket_.get(), rhdr, kHeaderSize,
+                                     deadline_ms);
     }
     if (!got.ok()) {
       socket_.reset();
@@ -175,7 +189,9 @@ Result<Payload> RpcClient::call_payload(uint16_t opcode,
       auto msg = r.get_string();
       return Error(resp->status, msg.ok() ? *msg : "(no message)");
     }
-    return Payload(std::move(payload));
+    Payload answer(std::move(payload));
+    answer.set_fd(std::move(passed));
+    return answer;
   }
 }
 

@@ -60,6 +60,13 @@ class RpcClient {
   // the returned Payload and goes back to the pool when it is dropped.
   Result<Payload> call_payload(uint16_t opcode, const Bytes& request);
 
+  // call_payload for a request that opted in to a passed fd: only this
+  // call reads its reply header with recvmsg, and an fd the server
+  // attached to the answering frame comes back in Payload::fd(). Fds on
+  // stale or error frames are closed; a frame with more than one fd or
+  // a truncated control message fails the call like a broken transport.
+  Result<Payload> call_payload_fd(uint16_t opcode, const Bytes& request);
+
   // For idempotent ops only (stat/read/ping/metrics): retries
   // transport-level failures (kUnavailable/kTimeout) up to max_retries
   // times with linear backoff. Retrying is gated by the breaker — once
@@ -88,6 +95,8 @@ class RpcClient {
 
  private:
   Status ensure_connected();
+  Result<Payload> call_impl(uint16_t opcode, const Bytes& request,
+                            bool take_fd);
 
   Endpoint endpoint_;
   RpcClientOptions options_;

@@ -61,6 +61,7 @@ struct RpcServer::Connection {
 
   Fd fd;
   Reactor* reactor;  // owning reactor (per-reactor accounting)
+  bool takes_fds = false;  // see peer_takes_fds()
   std::mutex write_mutex;
   // Scratch pipe for the splice rung, created lazily on the first
   // extent-bearing response and reused for the connection's lifetime
@@ -93,6 +94,23 @@ struct RpcServer::Connection {
     in_payload = false;
   }
 };
+
+namespace {
+
+thread_local bool t_peer_takes_fds = false;
+
+// An AF_UNIX peer of this process's euid or root: the peers a server
+// may pass fds to.
+bool trusted_unix_peer(int fd) {
+  ucred peer{};
+  socklen_t len = sizeof(peer);
+  return ::getsockopt(fd, SOL_SOCKET, SO_PEERCRED, &peer, &len) == 0 &&
+         (peer.uid == ::geteuid() || peer.uid == 0);
+}
+
+}  // namespace
+
+bool peer_takes_fds() { return t_peer_takes_fds; }
 
 RpcServer::RpcServer(RpcServerOptions options)
     : options_(std::move(options)) {
@@ -325,8 +343,12 @@ std::vector<RpcServer::ReactorStats> RpcServer::reactor_stats() const {
 }
 
 void RpcServer::adopt_connection(Reactor& r, int cfd, bool local) {
-  set_nodelay(cfd);
   auto conn = std::make_shared<Connection>(Fd(cfd), &r);
+  if (local || bound_.is_unix()) {
+    conn->takes_fds = trusted_unix_peer(cfd);
+  } else {
+    set_nodelay(cfd);
+  }
   {
     std::lock_guard<std::mutex> lock(r.conns_mutex);
     r.conns[cfd] = conn;
@@ -658,7 +680,11 @@ Status RpcServer::write_response(const std::shared_ptr<Connection>& conn,
     iov[0].iov_len = kHeaderSize;
     iov[1].iov_base = const_cast<uint8_t*>(body.data());
     iov[1].iov_len = body.size();
-    return send_vectored(conn->fd.get(), iov, body.size() == 0 ? 1 : 2);
+    const int iovcnt = body.size() == 0 ? 1 : 2;
+    if (body.fd() >= 0 && conn->takes_fds) {
+      return send_vectored_fd(conn->fd.get(), iov, iovcnt, body.fd());
+    }
+    return send_vectored(conn->fd.get(), iov, iovcnt);
   }
 
   ZeroCopyMode mode = zerocopy_mode_;
@@ -762,8 +788,11 @@ bool RpcServer::run_request(const std::shared_ptr<Connection>& conn,
             ErrorCode::kUnimplemented,
             "no handler for opcode " + std::to_string(header.opcode)));
       }
-      if (probe) return it->second.probe(payload);
-      return it->second.fn(payload);
+      t_peer_takes_fds = conn->takes_fds;
+      std::optional<Result<Payload>> out =
+          probe ? it->second.probe(payload) : it->second.fn(payload);
+      t_peer_takes_fds = false;
+      return out;
     }();
     if (!answer.has_value()) {
       // Declined: the pooled run records the request's spans.

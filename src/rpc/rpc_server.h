@@ -57,6 +57,12 @@ enum class DispatchHint : uint8_t { kPooled = 0, kInline };
 using ReactorProbe =
     std::function<std::optional<Result<Payload>>(const Bytes& request)>;
 
+// True while a handler runs for a request whose connection may be
+// handed an fd (Payload::set_fd): an AF_UNIX peer, over a unix:
+// endpoint or the node-local alias, whose SO_PEERCRED uid is this
+// process's euid or root. False on TCP and outside handlers.
+bool peer_takes_fds();
+
 struct RpcServerOptions {
   // Bind address: "127.0.0.1:0" for an ephemeral TCP port, or
   // "unix:/tmp/x.sock". A TCP server also listens on its node-local
@@ -185,9 +191,9 @@ class RpcServer {
   bool run_request(const std::shared_ptr<Connection>& conn,
                    const FrameHeader& header, const Bytes& payload,
                    uint64_t enqueue_ns, bool probe = false);
-  // Writes one response frame (header + memory head + extents) under
-  // the connection write lock, choosing the zero-copy rung for extent
-  // bytes. A failure after the header bytes hit the wire leaves the
+  // Writes one response frame (header + memory head + extents, and a
+  // payload fd as SCM_RIGHTS) under the connection write lock, choosing
+  // the zero-copy rung for extent bytes. A failure after the header bytes hit the wire leaves the
   // stream mid-frame: the caller must shut the connection down.
   Status write_response(const std::shared_ptr<Connection>& conn,
                         FrameHeader resp, const Payload& body);

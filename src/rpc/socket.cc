@@ -309,16 +309,29 @@ Status wait_writable(int fd) {
   }
 }
 
-Status send_vectored_flags(int fd, iovec* iov, int iovcnt, int flags) {
+Status send_vectored_flags(int fd, iovec* iov, int iovcnt, int flags,
+                           int pass_fd = -1) {
   // sendmsg (not writev) so MSG_NOSIGNAL applies: no SIGPIPE on dead
   // peers. `flags` carries MSG_NOSIGNAL (always) plus MSG_MORE for the
   // corked variant; every retry after EINTR or a short write re-sends
-  // with the same flags.
+  // with the same flags. `pass_fd` rides the first send that moves a
+  // byte, and only that one.
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))];
   int first = 0;
   while (first < iovcnt) {
     msghdr msg{};
     msg.msg_iov = iov + first;
     msg.msg_iovlen = static_cast<size_t>(iovcnt - first);
+    if (pass_fd >= 0) {
+      std::memset(control, 0, sizeof(control));
+      msg.msg_control = control;
+      msg.msg_controllen = sizeof(control);
+      cmsghdr* cmsg = CMSG_FIRSTHDR(&msg);
+      cmsg->cmsg_level = SOL_SOCKET;
+      cmsg->cmsg_type = SCM_RIGHTS;
+      cmsg->cmsg_len = CMSG_LEN(sizeof(int));
+      std::memcpy(CMSG_DATA(cmsg), &pass_fd, sizeof(int));
+    }
     const ssize_t n = ::sendmsg(fd, &msg, flags);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -331,6 +344,7 @@ Status send_vectored_flags(int fd, iovec* iov, int iovcnt, int flags) {
       }
       return Error::from_errno(errno, "sendmsg");
     }
+    pass_fd = -1;
     // Consume `n` bytes across the iovec list; a partial write can
     // stop mid-entry, in which case that entry is advanced in place.
     size_t left = static_cast<size_t>(n);
@@ -354,6 +368,10 @@ Status send_vectored(int fd, iovec* iov, int iovcnt) {
 
 Status send_vectored_more(int fd, iovec* iov, int iovcnt) {
   return send_vectored_flags(fd, iov, iovcnt, MSG_NOSIGNAL | MSG_MORE);
+}
+
+Status send_vectored_fd(int fd, iovec* iov, int iovcnt, int pass_fd) {
+  return send_vectored_flags(fd, iov, iovcnt, MSG_NOSIGNAL, pass_fd);
 }
 
 Status send_frame(int fd, const void* header, size_t header_len,
@@ -381,15 +399,58 @@ Status recv_all(int fd, void* data, size_t size) {
   return Status::Ok();
 }
 
-Status recv_all_until(int fd, void* data, size_t size,
-                      int64_t deadline_ms) {
+namespace {
+
+// recvmsg into [data, data + size), moving an SCM_RIGHTS fd into
+// `*passed`; see recv_all_until_fd.
+ssize_t recv_with_fd(int fd, void* data, size_t size, Fd* passed,
+                     Status* bad) {
+  iovec iov{data, size};
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))];
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = control;
+  msg.msg_controllen = sizeof(control);
+  const ssize_t n = ::recvmsg(fd, &msg, MSG_CMSG_CLOEXEC);
+  if (n < 0) return n;
+  bool extra = false;  // a second fd for one frame
+  for (cmsghdr* c = CMSG_FIRSTHDR(&msg); c != nullptr;
+       c = CMSG_NXTHDR(&msg, c)) {
+    if (c->cmsg_level != SOL_SOCKET || c->cmsg_type != SCM_RIGHTS) continue;
+    const size_t count = (c->cmsg_len - CMSG_LEN(0)) / sizeof(int);
+    for (size_t i = 0; i < count; ++i) {
+      int received = -1;
+      std::memcpy(&received, CMSG_DATA(c) + i * sizeof(int), sizeof(int));
+      if (passed->valid()) {
+        ::close(received);
+        extra = true;
+      } else {
+        *passed = Fd(received);
+      }
+    }
+  }
+  if (extra || (msg.msg_flags & MSG_CTRUNC) != 0) {
+    passed->reset();
+    *bad = Error(ErrorCode::kProtocol, "malformed fd-passing frame");
+  }
+  return n;
+}
+
+Status recv_until(int fd, void* data, size_t size, int64_t deadline_ms,
+                  Fd* passed) {
   auto* p = static_cast<uint8_t*>(data);
   size_t got = 0;
+  Status bad = Status::Ok();
   while (got < size) {
     if (deadline_ms >= 0 && steady_now_ms() >= deadline_ms) {
       return Error(ErrorCode::kTimeout, "call deadline exceeded");
     }
-    const ssize_t n = ::recv(fd, p + got, size - got, 0);
+    const ssize_t n =
+        passed != nullptr
+            ? recv_with_fd(fd, p + got, size - got, passed, &bad)
+            : ::recv(fd, p + got, size - got, 0);
+    if (!bad.ok()) return bad;
     if (n < 0) {
       if (errno == EINTR) continue;
       return Error::from_errno(errno, "recv");
@@ -401,6 +462,18 @@ Status recv_all_until(int fd, void* data, size_t size,
     got += static_cast<size_t>(n);
   }
   return Status::Ok();
+}
+
+}  // namespace
+
+Status recv_all_until(int fd, void* data, size_t size,
+                      int64_t deadline_ms) {
+  return recv_until(fd, data, size, deadline_ms, nullptr);
+}
+
+Status recv_all_until_fd(int fd, void* data, size_t size,
+                         int64_t deadline_ms, Fd* passed) {
+  return recv_until(fd, data, size, deadline_ms, passed);
 }
 
 Status set_nonblocking(int fd, bool nonblocking) {

@@ -94,6 +94,11 @@ Result<Fd> connect_to(const Endpoint& endpoint, int timeout_ms = 5000);
 // together.
 Status send_vectored(int fd, iovec* iov, int iovcnt);
 
+// send_vectored that also passes `pass_fd` to an AF_UNIX peer: the fd
+// rides as SCM_RIGHTS on the first byte of `iov`, so the peer receives
+// it with whichever recvmsg reads that byte. The caller keeps its copy.
+Status send_vectored_fd(int fd, iovec* iov, int iovcnt, int pass_fd);
+
 // One frame in one gathered send: `header` (the frame header plus any
 // trace context) and then `body`. A header sent on its own wakes the
 // peer's reactor, which reads it, finds no body yet and sleeps again;
@@ -155,6 +160,8 @@ struct ZeroCopyCounters {
   std::atomic<uint64_t> sendfile_bytes{0};
   std::atomic<uint64_t> splice_bytes{0};
   std::atomic<uint64_t> short_resumes{0};    // kernel returned < asked
+  std::atomic<uint64_t> fd_passes{0};        // cache fds passed to clients
+  std::atomic<uint64_t> fd_pass_bytes{0};    // bytes of the files passed
   static ZeroCopyCounters& global();
 };
 
@@ -170,6 +177,15 @@ Status recv_all(int fd, void* data, size_t size);
 // kTimeout; the caller must treat the stream as poisoned (bytes may
 // have been consumed mid-frame).
 Status recv_all_until(int fd, void* data, size_t size, int64_t deadline_ms);
+
+// recv_all_until that also takes the fd a peer may attach (SCM_RIGHTS)
+// to these bytes: recvmsg with MSG_CMSG_CLOEXEC, the fd into `*passed`.
+// More than one fd, or a truncated control message (MSG_CTRUNC), is
+// kProtocol with every received fd closed. Plain recv() leaves no fd
+// behind either: the kernel closes what a reader without a control
+// buffer does not take.
+Status recv_all_until_fd(int fd, void* data, size_t size,
+                         int64_t deadline_ms, Fd* passed);
 
 // Marks fd non-blocking (used by the epoll progress loop).
 Status set_nonblocking(int fd, bool nonblocking);

@@ -18,6 +18,7 @@
 #include "common/buffer_pool.h"
 #include "common/result.h"
 #include "common/trace.h"
+#include "rpc/socket.h"
 
 namespace hvac::rpc {
 
@@ -42,6 +43,11 @@ struct FileExtent {
 // contiguous payload of total_size() bytes; how the extent bytes reach
 // the socket (sendfile, splice, or pooled pread fallback) is the
 // server's choice and invisible to the client.
+//
+// An extent-free payload may also carry one fd: the server passes it
+// to an AF_UNIX peer as SCM_RIGHTS on the frame and closes its own copy
+// with the payload; a client that asked for it (RpcClient::
+// call_payload_fd) finds the received fd here.
 class Payload {
  public:
   Payload() = default;
@@ -66,6 +72,10 @@ class Payload {
   const std::vector<FileExtent>& extents() const { return extents_; }
   bool has_extents() const { return !extents_.empty(); }
 
+  void set_fd(Fd fd) { fd_ = std::move(fd); }
+  int fd() const { return fd_.get(); }
+  Fd take_fd() { return std::move(fd_); }
+
   // Wire size of the whole payload: memory head + every extent.
   size_t total_size() const {
     size_t total = size();
@@ -87,6 +97,7 @@ class Payload {
  private:
   std::variant<Bytes, BufferPool::Lease> rep_;
   std::vector<FileExtent> extents_;
+  Fd fd_;
 };
 
 // Wire size of the length prefix put_blob/get_blob use.

@@ -14,9 +14,9 @@ namespace hvac::proto {
 // stateless kOpen (opcode numbers are never reused).
 enum Opcode : uint16_t {
   kPing = 1,      // ()                 -> ()
-  kOpen = 2,      // (path [, stateless u8])
+  kOpen = 2,      // (path [, stateless u8 [, takes_fd u8]])
                   //   -> (remote_fd u64, size u64, served_from u8
-                  //       [, inline blob])
+                  //       [, inline blob [, base u64]])
                   // With `stateless` = 1 (every HvacClient open) the
                   // server keeps no per-open state: remote_fd is 0 and
                   // the reply carries a trailing blob holding the whole
@@ -28,6 +28,14 @@ enum Opcode : uint16_t {
                   // from the pool. Without the flag (raw-wire only) the
                   // server allocates a remote fd and replies with the
                   // prefix alone.
+                  // With `takes_fd` = 1 (every HvacClient open), a
+                  // slab-cached file over kMaxInlineBytes asked for
+                  // over AF_UNIX by a peer of the server's uid or root
+                  // is answered with a read-only fd on its slab as
+                  // SCM_RIGHTS on the reply frame and the slot's `base`
+                  // after the empty blob: the client preads
+                  // base + offset with no further RPC (DESIGN.md §20).
+                  // A reply with `base` and no fd is malformed.
   kRead = 3,      // (remote_fd, offset, count) -> (blob). Raw-wire only.
   kClose = 4,     // (remote_fd)        -> (). Raw-wire only.
   kStat = 5,      // (path)             -> (size)

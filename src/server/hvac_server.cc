@@ -29,11 +29,12 @@ rpc::RpcServerOptions make_rpc_options(const HvacServerOptions& o) {
   return r;
 }
 
-// kOpen request: (path [, stateless u8]). Without the trailing flag it
-// is the legacy form that allocates a remote fd.
+// kOpen request: (path [, stateless u8 [, takes_fd u8]]). Without the
+// stateless flag it is the legacy form that allocates a remote fd.
 struct OpenRequest {
   std::string path;
   bool stateless = false;
+  bool takes_fd = false;
 };
 
 Result<OpenRequest> parse_open(const Bytes& req) {
@@ -43,6 +44,10 @@ Result<OpenRequest> parse_open(const Bytes& req) {
   if (!r.exhausted()) {
     HVAC_ASSIGN_OR_RETURN(uint8_t flag, r.get_u8());
     open.stateless = flag != 0;
+  }
+  if (!r.exhausted()) {
+    HVAC_ASSIGN_OR_RETURN(uint8_t flag, r.get_u8());
+    open.takes_fd = flag != 0;
   }
   return open;
 }
@@ -460,7 +465,8 @@ std::optional<Result<rpc::Payload>> HvacServer::open_on_reactor(
   const PackedRoute route = route_packed(path);
   // Any failure here (not cached: the mover decides; an injected store
   // fault) is for the pooled run to retry or report.
-  Result<rpc::Payload> reply = open_cached_reply(path, route, open->stateless);
+  Result<rpc::Payload> reply =
+      open_cached_reply(path, route, open->stateless, open->takes_fd);
   if (!reply.ok()) return std::nullopt;
   // The hit and eviction touch the mover's ensure_cached records on
   // the pooled path, so hit counts do not depend on where kOpen ran.
@@ -484,7 +490,7 @@ Result<rpc::Payload> HvacServer::handle_open(const Bytes& req) {
     HVAC_ASSIGN_OR_RETURN(bool cached, mover_->fetch(path));
     if (!cached) break;  // capacity overflow: serve from the PFS
     Result<rpc::Payload> reply =
-        open_cached_reply(path, route, open.stateless);
+        open_cached_reply(path, route, open.stateless, open.takes_fd);
     if (reply.ok() || reply.error().code != ErrorCode::kNotFound) {
       return reply;
     }
@@ -517,7 +523,8 @@ Result<rpc::Payload> HvacServer::handle_open(const Bytes& req) {
 
 Result<rpc::Payload> HvacServer::open_cached_reply(const std::string& path,
                                                    const PackedRoute& route,
-                                                   bool stateless) {
+                                                   bool stateless,
+                                                   bool takes_fd) {
   if (!stateless) {
     HVAC_ASSIGN_OR_RETURN(storage::LocalStore::Opened opened,
                           cache_->store().open(path));
@@ -528,6 +535,14 @@ Result<rpc::Payload> HvacServer::open_cached_reply(const std::string& path,
   HVAC_ASSIGN_OR_RETURN(storage::LocalStore::Pin pin,
                         cache_->store().open_pinned(path));
   const uint64_t size = route.length_in(pin.size());
+  // Decided after the size is known, so a small file's open costs no
+  // extra syscall.
+  if (takes_fd && size > proto::kMaxInlineBytes && !route.packed &&
+      rpc::peer_takes_fds()) {
+    if (std::optional<rpc::Payload> passed = passed_fd_reply(path, size)) {
+      return std::move(*passed);
+    }
+  }
   // The inline bytes go out like a kRead hit: a sendfile extent off
   // the pinned slab, which the pin keeps open until they are sent.
   const uint64_t inline_len = inline_length(size);
@@ -539,6 +554,25 @@ Result<rpc::Payload> HvacServer::open_cached_reply(const std::string& path,
                                      pin.base() + route.base, inline_len});
     cache_->record_served_bytes(inline_len, true);
   }
+  return reply;
+}
+
+std::optional<rpc::Payload> HvacServer::passed_fd_reply(
+    const std::string& path, uint64_t size) {
+  // Never the slab's own fd, which is O_RDWR: a fresh read-only open,
+  // closed here once the frame is sent.
+  Result<storage::LocalStore::Opened> opened = cache_->store().open(path);
+  if (!opened.ok() || !opened->slab || opened->size != size) {
+    return std::nullopt;
+  }
+  WireWriter w = open_reply_head(0, size, /*cached=*/true);
+  w.put_u32(0);  // no inline bytes
+  w.put_u64(opened->base);
+  rpc::Payload reply(std::move(w).take());
+  reply.set_fd(rpc::Fd(opened->file.release()));
+  auto& zc = rpc::ZeroCopyCounters::global();
+  zc.fd_passes.fetch_add(1, std::memory_order_relaxed);
+  zc.fd_pass_bytes.fetch_add(size, std::memory_order_relaxed);
   return reply;
 }
 
@@ -1220,6 +1254,8 @@ core::MetricsFrame HvacServer::metrics_frame() const {
   f.zerocopy.sendfile_bytes = load(zc.sendfile_bytes);
   f.zerocopy.splice_bytes = load(zc.splice_bytes);
   f.zerocopy.short_resumes = load(zc.short_resumes);
+  f.zerocopy.fd_passes = load(zc.fd_passes);
+  f.zerocopy.fd_pass_bytes = load(zc.fd_pass_bytes);
 
   const core::MetaCacheCounters& mc = core::MetaCacheCounters::global();
   f.meta_cache.hits = load(mc.hits);

@@ -207,11 +207,18 @@ class HvacServer {
   PackedRoute route_packed(std::string& path) const;
 
   // kOpen reply for the cached copy of `path` (kNotFound once evicted):
-  // stateless, the inline blob as an extent off a handle-cache pin;
-  // legacy, a new remote fd.
+  // stateless, the inline blob as an extent off a handle-cache pin, or,
+  // for a `takes_fd` request that passed_fd_reply() answers, a
+  // read-only fd on the slab; legacy, a new remote fd.
   Result<rpc::Payload> open_cached_reply(const std::string& path,
                                          const PackedRoute& route,
-                                         bool stateless);
+                                         bool stateless, bool takes_fd);
+  // Passed-fd kOpen reply (DESIGN.md §20) for a slab-cached file of
+  // `size` bytes: a fresh O_RDONLY open of its slab attached to the
+  // frame and the slot's base in the body. Nullopt when the entry is
+  // gone or is a named (write-back) file.
+  std::optional<rpc::Payload> passed_fd_reply(const std::string& path,
+                                              uint64_t size);
   // Legacy kOpen: registers `file`, whose bytes for `path` sit at
   // [base, base + size), in open_fds_ and replies with its remote fd.
   Result<rpc::Payload> open_remote_fd(storage::PosixFile file,

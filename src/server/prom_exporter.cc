@@ -76,8 +76,9 @@ std::string render_openmetrics(const core::MetricsFrame& f) {
   // window (the per-epoch rows stay in the frame/JSON surfaces).
   uint64_t reads = 0;
   for (const core::StallEpochRow& e : f.stall.epochs) reads += e.reads;
-  scalar(o, "hvac_stall_reads", "Intercepted reads attributed", true, reads);
-  put_family(o, "hvac_stall_seconds", "counter",
+  scalar(o, core::kStallReadsFamily, "Intercepted reads attributed", true,
+         reads);
+  put_family(o, core::kStallSecondsFamily, "counter",
              "Intercepted-read wall time by stall bucket");
   for (const core::StallField& field : core::stall_fields()) {
     if (field.bucket == nullptr) continue;
@@ -85,7 +86,8 @@ std::string render_openmetrics(const core::MetricsFrame& f) {
     for (const core::StallEpochRow& e : f.stall.epochs) {
       seconds += double(e.*field.member) / 1e9;
     }
-    o += "hvac_stall_seconds_total{bucket=\"";
+    o += core::kStallSecondsFamily;
+    o += "_total{bucket=\"";
     o += field.bucket;
     o += "\"} ";
     fmt_double(o, seconds);
@@ -95,14 +97,15 @@ std::string render_openmetrics(const core::MetricsFrame& f) {
   // Per-op handler latency as a native histogram family. Bucket i of
   // the log2 histogram covers [2^i, 2^(i+1)) ns, so its cumulative
   // upper bound is 2^(i+1) ns rendered in seconds.
-  put_family(o, "hvac_op_latency_seconds", "histogram",
+  put_family(o, core::kOpLatencyFamily, "histogram",
              "Per-op handler latency");
   for (const auto& [op, snap] : f.op_latency) {
     const std::string op_label = core::op_name(op);
     uint64_t cumulative = 0;
     for (size_t i = 0; i < core::kLatencyBuckets; ++i) {
       cumulative += snap.buckets[i];
-      o += "hvac_op_latency_seconds_bucket{op=\"";
+      o += core::kOpLatencyFamily;
+      o += "_bucket{op=\"";
       o += op_label;
       o += "\",le=\"";
       if (i + 1 >= core::kLatencyBuckets) {
@@ -114,12 +117,14 @@ std::string render_openmetrics(const core::MetricsFrame& f) {
       o += std::to_string(cumulative);
       o += '\n';
     }
-    o += "hvac_op_latency_seconds_sum{op=\"";
+    o += core::kOpLatencyFamily;
+    o += "_sum{op=\"";
     o += op_label;
     o += "\"} ";
     fmt_double(o, double(snap.total_ns) / 1e9);
     o += '\n';
-    o += "hvac_op_latency_seconds_count{op=\"";
+    o += core::kOpLatencyFamily;
+    o += "_count{op=\"";
     o += op_label;
     o += "\"} ";
     o += std::to_string(snap.count);

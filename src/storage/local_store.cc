@@ -289,6 +289,7 @@ Result<LocalStore::Opened> LocalStore::open(
     if (it->second.slab) slab_name = it->second.slab->name;
   }
   if (slab_name) {
+    opened.slab = true;
     HVAC_ASSIGN_OR_RETURN(opened.file, PosixFile::open_read(*slab_name));
   } else {
     HVAC_ASSIGN_OR_RETURN(opened.file,

@@ -95,12 +95,15 @@ class LocalStore {
     uint64_t length_ = 0;
   };
 
-  // A fresh fd on an entry's backing file, for a caller that keeps its
-  // own handle (the legacy stateful kOpen).
+  // A fresh read-only fd on an entry's backing file, for a caller that
+  // keeps its own handle (the legacy stateful kOpen, a passed-fd kOpen).
   struct Opened {
     PosixFile file;
     uint64_t base = 0;
     uint64_t size = 0;
+    // A slab slot, whose bytes are never rewritten; false for a named
+    // (write-back) file, which writes grow in place.
+    bool slab = false;
   };
 
   // The handle counters the metrics frame reports.

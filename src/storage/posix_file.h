@@ -39,6 +39,8 @@ class PosixFile {
 
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
+  // Hands the fd to the caller, who closes it.
+  int release() { return std::exchange(fd_, -1); }
 
   // Sequential read; returns the byte count (0 at EOF).
   Result<size_t> read(void* buf, size_t count);

@@ -77,6 +77,8 @@ inline core::MetricsFrame frame(uint64_t base = 0, uint64_t step = 1) {
   // Words appended to the schema after the goldens were first taken
   // draw last, so the earlier words keep their golden values.
   for (auto& row : f.reactor.reactors) row.local_conns = n();
+  f.zerocopy.fd_passes = n();
+  f.zerocopy.fd_pass_bytes = n();
   return f;
 }
 

@@ -36,8 +36,18 @@ std::string temp_dir(const std::string& name) {
 }
 
 // Above proto::kMaxInlineBytes, so reads go over the wire (a smaller
-// file travels whole in the open reply and never sends one).
+// file travels whole in the open reply and never sends one), or, over
+// the node-local alias, through the cache fd the open reply passed.
 constexpr size_t kFileBytes = 80'000;
+
+// `endpoints` spelled localhost:PORT, which names no node-local alias:
+// the client stays on TCP, where a large file's reads are RPCs.
+std::vector<std::string> over_tcp(std::vector<std::string> endpoints) {
+  for (std::string& e : endpoints) {
+    e = "localhost:" + e.substr(e.rfind(':') + 1);
+  }
+  return endpoints;
+}
 
 class EdgeFixture : public ::testing::Test {
  protected:
@@ -178,6 +188,7 @@ TEST_F(EdgeFixture, StatSizeFallsBackWhenServersDie) {
 
 TEST_F(EdgeFixture, ReadAheadSequentialStreamIsCorrectAndHits) {
   auto options = base_options();
+  options.server_endpoints = over_tcp(options.server_endpoints);
   options.read_chunk_bytes = 1024;  // 79 chunks over the 80 KB file
   options.readahead_chunks = 3;
   HvacClient client(options);
@@ -346,7 +357,8 @@ TEST(HostileServer, OpensPassReadsDroppedDegradesToPfsExactly) {
 
 // Same hostile shape with the PFS escape hatch closed: the bounded
 // recovery budget must surface an error after kMaxRecoveries instead
-// of looping open/fail forever.
+// of looping open/fail forever. Over TCP: on the node-local alias the
+// open would pass a cache fd and no read would meet the frame bound.
 TEST(HostileServer, RecoveryBudgetExhaustsWithoutPfsFallback) {
   const std::string pfs_root = temp_dir("budget_pfs");
   const std::string rel = "b.bin";
@@ -366,7 +378,7 @@ TEST(HostileServer, RecoveryBudgetExhaustsWithoutPfsFallback) {
 
   HvacClientOptions co;
   co.dataset_dir = pfs_root;
-  co.server_endpoints = node->endpoints();
+  co.server_endpoints = over_tcp(node->endpoints());
   co.allow_pfs_fallback = false;
   co.rpc.connect_timeout_ms = 500;
   co.rpc.recv_timeout_ms = 500;

@@ -462,6 +462,63 @@ TEST(DaemonRestart, KillNineThenSamePortReconnectsThroughAlias) {
   ::waitpid(pid, &status, 0);
 }
 
+// ---- passed cache fds across a daemon crash ----
+
+size_t slab_files(const std::string& dir) {
+  size_t n = 0;
+  for (const auto& e : fs::recursive_directory_iterator(dir)) {
+    if (e.path().extension() == ".slab") ++n;
+  }
+  return n;
+}
+
+// A client holding a passed cache fd (DESIGN.md §20) keeps reading the
+// exact bytes after the daemon is killed with kill -9 and a successor
+// on the same cache dir deletes the dead daemon's slabs: the held fd
+// pins the inode, and slots are never rewritten.
+TEST(DaemonRestart, HeldCacheFdReadsSurviveKillNineAndSlabSweep) {
+  const std::string pfs = temp_dir("heldfd_pfs");
+  const std::string cache = temp_dir("heldfd_cache");
+  const std::string meta = temp_dir("heldfd_meta");
+  const size_t size = 2u << 20;
+  const auto expected = workload::expected_contents("big.bin", size);
+  ASSERT_TRUE(
+      storage::write_file(pfs + "/big.bin", expected.data(), size).ok());
+  pid_t pid = spawn_hvacd(pfs, cache, meta + "/ports1", nullptr);
+  ASSERT_GT(pid, 0);
+  const std::string endpoint = wait_endpoints(meta + "/ports1");
+  ASSERT_FALSE(endpoint.empty()) << "hvacd did not come up";
+
+  client::HvacClientOptions copts;
+  copts.dataset_dir = pfs;
+  copts.server_endpoints = {endpoint};
+  copts.allow_pfs_fallback = false;
+  client::HvacClient client(copts);
+  auto vfd = client.open(pfs + "/big.bin");
+  ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+  ASSERT_EQ(client.stats().passed_fd_opens, 1u);
+  std::vector<uint8_t> data(size);
+  ASSERT_EQ(client.read(*vfd, data.data(), size / 2).value(), size / 2);
+
+  ::kill(pid, SIGKILL);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  EXPECT_GT(slab_files(cache), 0u);  // the dead daemon's slabs remain
+  pid = spawn_hvacd(pfs, cache, meta + "/ports2", nullptr);
+  ASSERT_GT(pid, 0);
+  ASSERT_FALSE(wait_endpoints(meta + "/ports2").empty());
+  EXPECT_EQ(slab_files(cache), 0u);  // ... until its successor starts
+
+  ASSERT_EQ(client.read(*vfd, data.data() + size / 2, size / 2).value(),
+            size / 2);
+  EXPECT_EQ(data, expected);
+  ASSERT_TRUE(client.close(*vfd).ok());
+  EXPECT_EQ(client.stats().fallback_opens, 0u);
+
+  ::kill(pid, SIGTERM);
+  ::waitpid(pid, &status, 0);
+}
+
 // ---- hvacctl top over the kTimeSeries ring ----
 
 // Two server instances with a fast collector cadence: `hvacctl top`

@@ -242,6 +242,34 @@ TEST_F(InterceptTest, WarmSmallSampleIsOneOpenRpc) {
   }
 }
 
+// A shim reader of a 1 MiB file on this node costs one server RPC, the
+// kOpen: its reply passes a read-only fd on the cached copy, and every
+// read() is a pread on it (DESIGN.md §20). The packed-index probe (one
+// per process, and no packed tree here) is off, so the count is exact.
+TEST_F(InterceptTest, LocalMiBSampleIsOneOpenRpc) {
+  const std::string rel = "mib/sample.bin";
+  const uint64_t size = 1u << 20;
+  const auto data = workload::expected_contents(rel, size);
+  ASSERT_TRUE(
+      storage::write_file(pfs_root_ + "/" + rel, data.data(), size).ok());
+  auto total_rpcs = [&] {
+    uint64_t n = 0;
+    for (const auto& [op, snap] : node_->aggregated_frame().op_latency) {
+      n += snap.count;
+    }
+    return n;
+  };
+  const uint64_t before = total_rpcs();
+  const uint64_t passes = node_->aggregated_frame().zerocopy.fd_passes;
+  const std::string out =
+      run_target({pfs_root_ + "/" + rel}, pfs_root_, node_->endpoints_csv(),
+                 true, false, "HVAC_PACK=0 HVAC_PFS_FALLBACK=0");
+  EXPECT_EQ(out, expected_line(pfs_root_ + "/" + rel, rel, size) + "\n");
+  EXPECT_EQ(total_rpcs() - before, 1u);
+  EXPECT_EQ(op_count(*node_, proto::kOpen), 1u);
+  EXPECT_EQ(node_->aggregated_frame().zerocopy.fd_passes - passes, 1u);
+}
+
 // The shim's servers run on this host, so its connections skip the TCP
 // stack: each one arrives over the server's node-local alias.
 TEST_F(InterceptTest, ShimReaderConnectsOverTheAlias) {

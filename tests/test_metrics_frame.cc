@@ -402,37 +402,38 @@ const char* const kGoldenWire =
     "0000dd00000000000000de00000000000000df00000000000000050058000000"
     "1700000000000000180000000000000019000000000000001a00000000000000"
     "1b000000000000001c000000000000001d000000000000001e00000000000000"
-    "1f00000000000000200000000000000021000000000000000600300000002200"
+    "1f00000000000000200000000000000021000000000000000600400000002200"
     "0000000000002300000000000000240000000000000025000000000000002600"
-    "0000000000002700000000000000070020000000280000000000000029000000"
-    "000000002a000000000000002b000000000000000800280000002c0000000000"
-    "00002d000000000000002e000000000000002f00000000000000300000000000"
-    "0000090064000000020006003100000000000000320000000000000033000000"
-    "0000000034000000000000003500000000000000e10000000000000036000000"
-    "000000003700000000000000380000000000000039000000000000003a000000"
-    "00000000e2000000000000000a00980000003b000000000000003c0000000000"
-    "00003d000000000000003e000000000000003f00000000000000400000000000"
-    "0000410000000000000042000000000000004300000000000000440000000000"
-    "0000450000000000000046000000000000004700000000000000480000000000"
-    "000049000000000000004a000000000000004b000000000000004c0000000000"
-    "00004d000000000000000b009a0100004e000000000000004f00000000000000"
-    "5000000000000000510000000000000052000000000000005300000000000000"
-    "5400000000000000550000000000000000000000000000007c10000000000000"
-    "7e00000000000000280056000000000000005700000000000000580000000000"
-    "000059000000000000005a000000000000005b000000000000005c0000000000"
-    "00005d000000000000005e000000000000005f00000000000000600000000000"
-    "0000610000000000000062000000000000006300000000000000640000000000"
-    "0000650000000000000066000000000000006700000000000000680000000000"
-    "000069000000000000006a000000000000006b000000000000006c0000000000"
-    "00006d000000000000006e000000000000006f00000000000000700000000000"
-    "0000710000000000000072000000000000007300000000000000740000000000"
-    "0000750000000000000076000000000000007700000000000000780000000000"
-    "000079000000000000007a000000000000007b000000000000007c0000000000"
-    "00007d000000000000000c0084000000020008007f0000000000000080000000"
-    "0000000081000000000000008200000000000000830000000000000084000000"
-    "0000000085000000000000008600000000000000870000000000000088000000"
-    "0000000089000000000000008a000000000000008b000000000000008c000000"
-    "000000008d000000000000008e00000000000000";
+    "0000000000002700000000000000e300000000000000e4000000000000000700"
+    "20000000280000000000000029000000000000002a000000000000002b000000"
+    "000000000800280000002c000000000000002d000000000000002e0000000000"
+    "00002f0000000000000030000000000000000900640000000200060031000000"
+    "0000000032000000000000003300000000000000340000000000000035000000"
+    "00000000e1000000000000003600000000000000370000000000000038000000"
+    "0000000039000000000000003a00000000000000e2000000000000000a009800"
+    "00003b000000000000003c000000000000003d000000000000003e0000000000"
+    "00003f0000000000000040000000000000004100000000000000420000000000"
+    "0000430000000000000044000000000000004500000000000000460000000000"
+    "00004700000000000000480000000000000049000000000000004a0000000000"
+    "00004b000000000000004c000000000000004d000000000000000b009a010000"
+    "4e000000000000004f0000000000000050000000000000005100000000000000"
+    "5200000000000000530000000000000054000000000000005500000000000000"
+    "00000000000000007c100000000000007e000000000000002800560000000000"
+    "00005700000000000000580000000000000059000000000000005a0000000000"
+    "00005b000000000000005c000000000000005d000000000000005e0000000000"
+    "00005f0000000000000060000000000000006100000000000000620000000000"
+    "0000630000000000000064000000000000006500000000000000660000000000"
+    "00006700000000000000680000000000000069000000000000006a0000000000"
+    "00006b000000000000006c000000000000006d000000000000006e0000000000"
+    "00006f0000000000000070000000000000007100000000000000720000000000"
+    "0000730000000000000074000000000000007500000000000000760000000000"
+    "00007700000000000000780000000000000079000000000000007a0000000000"
+    "00007b000000000000007c000000000000007d000000000000000c0084000000"
+    "020008007f000000000000008000000000000000810000000000000082000000"
+    "0000000083000000000000008400000000000000850000000000000086000000"
+    "000000008700000000000000880000000000000089000000000000008a000000"
+    "000000008b000000000000008c000000000000008d000000000000008e000000"
+    "00000000";
 
 const char* const kGoldenJson =
     "{\"version\":2,\"cache\":{\"hits\":1,\"misses\":2,\"hit_rate\":0.333333"
@@ -448,7 +449,8 @@ const char* const kGoldenJson =
     ",\"drains\":31,\"drained_requests\":32,\"faults_injected\":33}"
     ",\"zero_copy\":{\"sendfile_sends\":34,\"splice_sends\":35"
     ",\"fallback_sends\":36,\"sendfile_bytes\":37,\"splice_bytes\":38"
-    ",\"short_resumes\":39},\"meta_cache\":{\"hits\":40,\"misses\":41"
+    ",\"short_resumes\":39,\"fd_passes\":227,\"fd_pass_bytes\":228}"
+    ",\"meta_cache\":{\"hits\":40,\"misses\":41"
     ",\"expired\":42,\"invalidated\":43},\"trace\":{\"emitted\":44,\"dropped\":45"
     ",\"rings\":46,\"ring_capacity\":47,\"occupancy\":48}"
     ",\"reactors\":[{\"conns\":49,\"requests\":50,\"steals\":51,\"shed\":52"

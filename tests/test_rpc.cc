@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <thread>
 
 #include "common/buffer_pool.h"
@@ -704,6 +705,191 @@ TEST(RpcServer, SquattedAliasIsRefusedAndTcpServes) {
   expect_transport(server, Transport::kTcp);
   server.stop();
   reap();
+}
+
+// ---- fd passing -------------------------------------------------------------
+
+// Open fds of this process.
+size_t open_fd_count() {
+  size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
+// A handler's Payload::set_fd reaches a trusted AF_UNIX peer (the
+// alias, or a unix: endpoint) as a working fd on call_payload_fd. A
+// TCP peer, and a call that did not opt in, get none, and the server's
+// own copy closes with the payload either way.
+TEST(FdPassing, TrustedUnixPeersReceiveTcpPeersDoNot) {
+  HealthRegistry::global().reset();
+  const std::string unix_address = "unix:" + ::testing::TempDir() +
+                                   "hvac_fdpass_" +
+                                   std::to_string(::getpid()) + ".sock";
+  for (const std::string& bind : {std::string("127.0.0.1:0"), unix_address}) {
+    SCOPED_TRACE(bind);
+    const size_t before = open_fd_count();
+    auto owned = std::make_unique<RpcServer>(RpcServerOptions{bind, 2});
+    RpcServer& server = *owned;
+    std::atomic<bool> trusted{false};
+    server.register_payload_handler(
+        1, [&](const Bytes&) -> Result<Payload> {
+          trusted = peer_takes_fds();
+          Payload p(Bytes{42});
+          if (trusted) p.set_fd(Fd(::open("/dev/null", O_RDONLY | O_CLOEXEC)));
+          return p;
+        });
+    ASSERT_TRUE(server.start().ok());
+    {
+      RpcClient client(server.endpoint());
+      auto resp = client.call_payload_fd(1, Bytes{});
+      ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+      EXPECT_TRUE(trusted);
+      ASSERT_GE(resp->fd(), 0);
+      EXPECT_EQ(::fcntl(resp->fd(), F_GETFD) & FD_CLOEXEC, FD_CLOEXEC);
+      auto plain = client.call_payload(1, Bytes{});
+      ASSERT_TRUE(plain.ok());
+      EXPECT_EQ(plain->fd(), -1);
+    }
+    if (!Endpoint{bind}.is_unix()) {
+      RpcClient tcp(dial_address(server, Transport::kTcp));
+      auto resp = tcp.call_payload_fd(1, Bytes{});
+      ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+      EXPECT_FALSE(trusted);
+      EXPECT_EQ(resp->fd(), -1);
+    }
+    owned.reset();
+    EXPECT_EQ(open_fd_count(), before);
+  }
+}
+
+// Sends `frame` with `fds` attached as one SCM_RIGHTS message.
+void send_with_fds(int sock, const Bytes& frame, const std::vector<int>& fds) {
+  iovec iov{const_cast<uint8_t*>(frame.data()), frame.size()};
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  std::vector<char> control(CMSG_SPACE(fds.size() * sizeof(int)));
+  msg.msg_control = control.data();
+  msg.msg_controllen = control.size();
+  cmsghdr* cmsg = CMSG_FIRSTHDR(&msg);
+  cmsg->cmsg_level = SOL_SOCKET;
+  cmsg->cmsg_type = SCM_RIGHTS;
+  cmsg->cmsg_len = CMSG_LEN(fds.size() * sizeof(int));
+  std::memcpy(CMSG_DATA(cmsg), fds.data(), fds.size() * sizeof(int));
+  ASSERT_EQ(::sendmsg(sock, &msg, MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+}
+
+Bytes response_frame(uint64_t id, ErrorCode status, const Bytes& body) {
+  FrameHeader h;
+  h.payload_len = static_cast<uint32_t>(body.size());
+  h.request_id = id;
+  h.opcode = 1;
+  h.kind = FrameKind::kResponse;
+  h.status = status;
+  uint8_t hdr[kMaxHeaderSize];
+  const size_t len = encode_header(h, hdr);
+  Bytes frame(hdr, hdr + len);
+  frame.insert(frame.end(), body.begin(), body.end());
+  return frame;
+}
+
+// A hostile unix-socket server attaches an fd to every frame it writes.
+// The request's one byte picks the shape: a stale-id frame before the
+// answer, an error answer, an answer to a call that did not opt in, or
+// an answer carrying two fds (MSG_CTRUNC at the client). After 200
+// calls the client holds no fd it did not hand back.
+TEST(FdPassing, HostileFramesLeakNoFds) {
+  HealthRegistry::global().reset();
+  enum Shape : uint8_t { kTwoFds = 0, kStale, kError, kNotOptedIn };
+  const size_t baseline = open_fd_count();
+  const std::string path = ::testing::TempDir() + "hvac_fdleak_" +
+                           std::to_string(::getpid()) + ".sock";
+  const Endpoint endpoint{"unix:" + path};
+  auto listener = listen_on(endpoint, nullptr);
+  ASSERT_TRUE(listener.ok()) << listener.error().to_string();
+  const int attach = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(attach, 0);
+  std::atomic<bool> done{false};
+  std::thread hostile([&] {
+    while (!done) {
+      const int conn = ::accept4(listener->get(), nullptr, nullptr,
+                                 SOCK_CLOEXEC);
+      if (conn < 0) return;
+      for (;;) {
+        uint8_t hdr[kHeaderSize];
+        if (!recv_all(conn, hdr, sizeof(hdr)).ok()) break;
+        auto req = decode_header(hdr, sizeof(hdr));
+        if (!req.ok() || req->payload_len != 1) break;
+        uint8_t shape = 0;
+        if (!recv_all(conn, &shape, 1).ok()) break;
+        const uint64_t id = req->request_id;
+        switch (shape) {
+          case kTwoFds:
+            send_with_fds(conn, response_frame(id, ErrorCode::kOk, {1}),
+                          {attach, attach});
+            break;
+          case kStale:
+            send_with_fds(conn, response_frame(id + 1000, ErrorCode::kOk, {}),
+                          {attach});
+            send_with_fds(conn, response_frame(id, ErrorCode::kOk, {2}),
+                          {attach});
+            break;
+          case kError: {
+            WireWriter w;
+            w.put_string("no such file");
+            send_with_fds(conn,
+                          response_frame(id, ErrorCode::kNotFound,
+                                         std::move(w).take()),
+                          {attach});
+            break;
+          }
+          default:
+            send_with_fds(conn, response_frame(id, ErrorCode::kOk, {3}),
+                          {attach});
+        }
+      }
+      ::close(conn);
+    }
+  });
+
+  {
+    RpcClient client(endpoint, RpcClientOptions{500, 500});
+    size_t taken = 0;
+    for (int i = 0; i < 200; ++i) {
+      const uint8_t shape = static_cast<uint8_t>(i % 4);
+      const Bytes request{shape};
+      if (shape == kNotOptedIn) {
+        auto resp = client.call_payload(1, request);
+        ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+        EXPECT_EQ(resp->fd(), -1);
+        continue;
+      }
+      auto resp = client.call_payload_fd(1, request);
+      if (shape == kStale) {
+        ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+        ASSERT_EQ(resp->size(), 1u);
+        EXPECT_EQ(resp->data()[0], 2);
+        EXPECT_GE(resp->fd(), 0);  // the answer's own fd, closed with resp
+        ++taken;
+      } else if (shape == kError) {
+        ASSERT_FALSE(resp.ok());
+        EXPECT_EQ(resp.error().code, ErrorCode::kNotFound);
+      } else {
+        ASSERT_FALSE(resp.ok());  // two fds: the call fails, both close
+      }
+    }
+    EXPECT_EQ(taken, 50u);
+    done = true;
+  }  // the client's socket closes: the hostile loop ends
+  hostile.join();
+  listener->reset();
+  ::close(attach);
+  ::unlink(path.c_str());
+  EXPECT_EQ(open_fd_count(), baseline);
 }
 
 // ---- connect deadlines ------------------------------------------------------

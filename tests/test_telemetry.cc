@@ -326,37 +326,38 @@ const char* const kGoldenDelta =
     "0000000000000000000000000000000000000000000000000000050058000000"
     "5e03000000000000580300000000000052030000000000004c03000000000000"
     "460300000000000040030000000000003a030000000000003403000000000000"
-    "2e03000000000000280300000000000022030000000000000600300000001c03"
+    "2e03000000000000280300000000000022030000000000000600400000001c03"
     "000000000000160300000000000010030000000000000a030000000000000403"
-    "000000000000fe02000000000000070020000000f802000000000000f2020000"
-    "00000000ec02000000000000e602000000000000080028000000e00200000000"
-    "0000da020000000000002a050000000000003105000000000000380500000000"
-    "000009006400000002000600c202000000000000bc02000000000000b6020000"
-    "00000000b002000000000000aa02000000000000000000000000000062050000"
-    "000000006905000000000000700500000000000077050000000000007e050000"
-    "00000000160a0000000000000a00980000008602000000000000800200000000"
-    "00007a020000000000009a05000000000000a105000000000000a80500000000"
-    "0000af050000000000005c020000000000005602000000000000500200000000"
-    "0000cb05000000000000d205000000000000d905000000000000380200000000"
-    "00003202000000000000ee05000000000000f505000000000000fc0500000000"
-    "000003060000000000000b009a01000014020000000000000e02000000000000"
-    "08020000000000000202000000000000fc01000000000000f601000000000000"
-    "f0010000000000003b0600000000000000000000000000005839000000000000"
-    "f4000000000000002800e401000000000000de01000000000000d80100000000"
-    "0000d201000000000000cc01000000000000c601000000000000c00100000000"
-    "0000ba01000000000000b401000000000000ae01000000000000a80100000000"
-    "0000a2010000000000009c010000000000009601000000000000900100000000"
-    "00008a0100000000000084010000000000007e01000000000000780100000000"
-    "000072010000000000006c010000000000006601000000000000600100000000"
-    "00005a0100000000000054010000000000004e01000000000000480100000000"
-    "000042010000000000003c010000000000003601000000000000300100000000"
-    "00002a0100000000000024010000000000001e01000000000000180100000000"
-    "000012010000000000000c010000000000000601000000000000000100000000"
-    "0000fa000000000000000c008400000002000800610700000000000068070000"
-    "000000006f0700000000000076070000000000007d0700000000000084070000"
-    "000000008b0700000000000092070000000000009907000000000000a0070000"
-    "00000000a707000000000000ae07000000000000b507000000000000bc070000"
-    "00000000c307000000000000ca07000000000000";
+    "000000000000fe02000000000000000000000000000000000000000000000700"
+    "20000000f802000000000000f202000000000000ec02000000000000e6020000"
+    "00000000080028000000e002000000000000da020000000000002a0500000000"
+    "00003105000000000000380500000000000009006400000002000600c2020000"
+    "00000000bc02000000000000b602000000000000b002000000000000aa020000"
+    "0000000000000000000000006205000000000000690500000000000070050000"
+    "0000000077050000000000007e05000000000000160a0000000000000a009800"
+    "0000860200000000000080020000000000007a020000000000009a0500000000"
+    "0000a105000000000000a805000000000000af050000000000005c0200000000"
+    "000056020000000000005002000000000000cb05000000000000d20500000000"
+    "0000d90500000000000038020000000000003202000000000000ee0500000000"
+    "0000f505000000000000fc0500000000000003060000000000000b009a010000"
+    "14020000000000000e0200000000000008020000000000000202000000000000"
+    "fc01000000000000f601000000000000f0010000000000003b06000000000000"
+    "00000000000000005839000000000000f4000000000000002800e40100000000"
+    "0000de01000000000000d801000000000000d201000000000000cc0100000000"
+    "0000c601000000000000c001000000000000ba01000000000000b40100000000"
+    "0000ae01000000000000a801000000000000a2010000000000009c0100000000"
+    "0000960100000000000090010000000000008a01000000000000840100000000"
+    "00007e01000000000000780100000000000072010000000000006c0100000000"
+    "0000660100000000000060010000000000005a01000000000000540100000000"
+    "00004e01000000000000480100000000000042010000000000003c0100000000"
+    "0000360100000000000030010000000000002a01000000000000240100000000"
+    "00001e01000000000000180100000000000012010000000000000c0100000000"
+    "000006010000000000000001000000000000fa000000000000000c0084000000"
+    "02000800610700000000000068070000000000006f0700000000000076070000"
+    "000000007d0700000000000084070000000000008b0700000000000092070000"
+    "000000009907000000000000a007000000000000a707000000000000ae070000"
+    "00000000b507000000000000bc07000000000000c307000000000000ca070000"
+    "00000000";
 
 TEST(TimeSeriesGolden, FrameDeltaIsPinned) {
   const MetricsFrame d =
@@ -481,6 +482,12 @@ hvac_zerocopy_splice_bytes_total 38
 # HELP hvac_zerocopy_short_resumes Partial kernel sends resumed in place
 # TYPE hvac_zerocopy_short_resumes counter
 hvac_zerocopy_short_resumes_total 39
+# HELP hvac_zerocopy_fd_passes Read-only cache fds passed to local clients
+# TYPE hvac_zerocopy_fd_passes counter
+hvac_zerocopy_fd_passes_total 227
+# HELP hvac_zerocopy_fd_pass_bytes Bytes of the files whose cache fds were passed
+# TYPE hvac_zerocopy_fd_pass_bytes counter
+hvac_zerocopy_fd_pass_bytes_total 228
 # HELP hvac_meta_cache_hits Client metadata-cache hits
 # TYPE hvac_meta_cache_hits counter
 hvac_meta_cache_hits_total 40
@@ -753,6 +760,20 @@ TEST(OpenMetricsGolden, FamiliesMatchTheGolden) {
     EXPECT_EQ(family.samples,
               std::vector<std::string>{name + " " + std::to_string(it->second)});
   }
+}
+
+// `hvacctl metrics --families`, which scripts/check_openmetrics.py
+// requires of a live scrape, lists exactly the families the exporter
+// renders, in exposition order.
+TEST(OpenMetrics, FamilyListMatchesTheScrape) {
+  std::vector<std::string> rendered;
+  for (const std::string& line :
+       split_lines(server::render_openmetrics(golden::frame()))) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      rendered.push_back(line.substr(7, line.find(' ', 7) - 7));
+    }
+  }
+  EXPECT_EQ(rendered, core::openmetrics_families());
 }
 
 TEST(OpenMetrics, JournalReplayGaugesRenderFromTheTable) {

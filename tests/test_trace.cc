@@ -188,7 +188,11 @@ TEST(Trace, EndToEndSpanTreeAcrossRetryAndZeroCopy) {
 
   HvacClientOptions co;
   co.dataset_dir = pfs_root;
-  co.server_endpoints = node.endpoints();
+  // localhost:PORT names no node-local alias: over TCP the read below
+  // is an RPC, not a pread on a passed cache fd.
+  const std::string port = node.endpoints()[0].substr(
+      node.endpoints()[0].rfind(':') + 1);
+  co.server_endpoints = {"localhost:" + port};
   co.readahead_chunks = 0;  // keep the read a single synchronous call
   co.meta_ttl_ms = 0;
   HvacClient hvac(co);
