@@ -576,7 +576,8 @@ Result<int> HvacClient::open_remote(const std::string& logical,
     struct stat st{};
     if (inlined || !r.exhausted() || !cache_fd.valid() ||
         ::fstat(cache_fd.get(), &st) != 0 || !S_ISREG(st.st_mode) ||
-        entry.base + size > static_cast<uint64_t>(st.st_size)) {
+        entry.base > static_cast<uint64_t>(st.st_size) ||
+        size > static_cast<uint64_t>(st.st_size) - entry.base) {
       return Error(ErrorCode::kProtocol,
                    "kOpen reply promises no usable cache fd for " + logical);
     }

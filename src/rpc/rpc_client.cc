@@ -129,10 +129,8 @@ Result<Payload> RpcClient::call_impl(uint16_t opcode, const Bytes& request,
     Fd passed;  // closed unless it rides the answering frame out
     Status got = fault::check(fault::Site::kRpcRecv);
     if (got.ok()) {
-      got = take_fd ? recv_all_until_fd(socket_.get(), rhdr, kHeaderSize,
-                                        deadline_ms, &passed)
-                    : recv_all_until(socket_.get(), rhdr, kHeaderSize,
-                                     deadline_ms);
+      got = recv_all_until(socket_.get(), rhdr, kHeaderSize, deadline_ms,
+                           take_fd ? &passed : nullptr);
     }
     if (!got.ok()) {
       socket_.reset();

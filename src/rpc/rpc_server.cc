@@ -680,11 +680,8 @@ Status RpcServer::write_response(const std::shared_ptr<Connection>& conn,
     iov[0].iov_len = kHeaderSize;
     iov[1].iov_base = const_cast<uint8_t*>(body.data());
     iov[1].iov_len = body.size();
-    const int iovcnt = body.size() == 0 ? 1 : 2;
-    if (body.fd() >= 0 && conn->takes_fds) {
-      return send_vectored_fd(conn->fd.get(), iov, iovcnt, body.fd());
-    }
-    return send_vectored(conn->fd.get(), iov, iovcnt);
+    return send_vectored(conn->fd.get(), iov, body.size() == 0 ? 1 : 2,
+                         conn->takes_fds ? body.fd() : -1);
   }
 
   ZeroCopyMode mode = zerocopy_mode_;

@@ -362,16 +362,12 @@ Status send_vectored_flags(int fd, iovec* iov, int iovcnt, int flags,
 
 }  // namespace
 
-Status send_vectored(int fd, iovec* iov, int iovcnt) {
-  return send_vectored_flags(fd, iov, iovcnt, MSG_NOSIGNAL);
+Status send_vectored(int fd, iovec* iov, int iovcnt, int pass_fd) {
+  return send_vectored_flags(fd, iov, iovcnt, MSG_NOSIGNAL, pass_fd);
 }
 
 Status send_vectored_more(int fd, iovec* iov, int iovcnt) {
   return send_vectored_flags(fd, iov, iovcnt, MSG_NOSIGNAL | MSG_MORE);
-}
-
-Status send_vectored_fd(int fd, iovec* iov, int iovcnt, int pass_fd) {
-  return send_vectored_flags(fd, iov, iovcnt, MSG_NOSIGNAL, pass_fd);
 }
 
 Status send_frame(int fd, const void* header, size_t header_len,
@@ -402,7 +398,7 @@ Status recv_all(int fd, void* data, size_t size) {
 namespace {
 
 // recvmsg into [data, data + size), moving an SCM_RIGHTS fd into
-// `*passed`; see recv_all_until_fd.
+// `*passed`; see recv_all_until.
 ssize_t recv_with_fd(int fd, void* data, size_t size, Fd* passed,
                      Status* bad) {
   iovec iov{data, size};
@@ -437,8 +433,10 @@ ssize_t recv_with_fd(int fd, void* data, size_t size, Fd* passed,
   return n;
 }
 
-Status recv_until(int fd, void* data, size_t size, int64_t deadline_ms,
-                  Fd* passed) {
+}  // namespace
+
+Status recv_all_until(int fd, void* data, size_t size, int64_t deadline_ms,
+                      Fd* passed) {
   auto* p = static_cast<uint8_t*>(data);
   size_t got = 0;
   Status bad = Status::Ok();
@@ -462,18 +460,6 @@ Status recv_until(int fd, void* data, size_t size, int64_t deadline_ms,
     got += static_cast<size_t>(n);
   }
   return Status::Ok();
-}
-
-}  // namespace
-
-Status recv_all_until(int fd, void* data, size_t size,
-                      int64_t deadline_ms) {
-  return recv_until(fd, data, size, deadline_ms, nullptr);
-}
-
-Status recv_all_until_fd(int fd, void* data, size_t size,
-                         int64_t deadline_ms, Fd* passed) {
-  return recv_until(fd, data, size, deadline_ms, passed);
 }
 
 Status set_nonblocking(int fd, bool nonblocking) {

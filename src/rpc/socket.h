@@ -91,13 +91,10 @@ Result<Fd> connect_to(const Endpoint& endpoint, int timeout_ms = 5000);
 // applied — no SIGPIPE and no duplicated bytes). The iovec array is
 // clobbered as progress bookkeeping — pass a scratch copy. One
 // syscall in the common case, so a frame header + payload go out
-// together.
-Status send_vectored(int fd, iovec* iov, int iovcnt);
-
-// send_vectored that also passes `pass_fd` to an AF_UNIX peer: the fd
-// rides as SCM_RIGHTS on the first byte of `iov`, so the peer receives
-// it with whichever recvmsg reads that byte. The caller keeps its copy.
-Status send_vectored_fd(int fd, iovec* iov, int iovcnt, int pass_fd);
+// together. A `pass_fd` >= 0 goes to an AF_UNIX peer as SCM_RIGHTS on
+// the first byte of `iov`, so the peer receives it with whichever
+// recvmsg reads that byte; the caller keeps its copy.
+Status send_vectored(int fd, iovec* iov, int iovcnt, int pass_fd = -1);
 
 // One frame in one gathered send: `header` (the frame header plus any
 // trace context) and then `body`. A header sent on its own wakes the
@@ -176,16 +173,15 @@ Status recv_all(int fd, void* data, size_t size);
 // but trips this after at most deadline + one recv timeout. Expiry is
 // kTimeout; the caller must treat the stream as poisoned (bytes may
 // have been consumed mid-frame).
-Status recv_all_until(int fd, void* data, size_t size, int64_t deadline_ms);
-
-// recv_all_until that also takes the fd a peer may attach (SCM_RIGHTS)
-// to these bytes: recvmsg with MSG_CMSG_CLOEXEC, the fd into `*passed`.
+//
+// With `passed`, it also takes the fd a peer may attach (SCM_RIGHTS) to
+// these bytes: recvmsg with MSG_CMSG_CLOEXEC, the fd into `*passed`.
 // More than one fd, or a truncated control message (MSG_CTRUNC), is
-// kProtocol with every received fd closed. Plain recv() leaves no fd
-// behind either: the kernel closes what a reader without a control
-// buffer does not take.
-Status recv_all_until_fd(int fd, void* data, size_t size,
-                         int64_t deadline_ms, Fd* passed);
+// kProtocol with every received fd closed. Without it, plain recv()
+// leaves no fd behind either: the kernel closes what a reader without
+// a control buffer does not take.
+Status recv_all_until(int fd, void* data, size_t size, int64_t deadline_ms,
+                      Fd* passed = nullptr);
 
 // Marks fd non-blocking (used by the epoll progress loop).
 Status set_nonblocking(int fd, bool nonblocking);
