@@ -550,7 +550,8 @@ Result<int> HvacClient::open_remote(const std::string& logical,
   w.put_u8(1);  // takes_fd: a local home may pass its cached copy
   HVAC_ASSIGN_OR_RETURN(
       rpc::Payload resp,
-      channel(server).call_payload_fd(proto::kOpen, w.bytes()));
+      channel(server).call_payload(proto::kOpen, w.bytes(),
+                                   /*take_fd=*/true));
   WireReader r(resp.data(), resp.size());
   HVAC_ASSIGN_OR_RETURN(uint64_t remote_fd, r.get_u64());
   (void)remote_fd;  // 0: the stateless reply allocates none

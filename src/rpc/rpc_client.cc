@@ -57,18 +57,8 @@ Result<Bytes> RpcClient::call(uint16_t opcode, const Bytes& request) {
   return std::move(payload).take_bytes();
 }
 
-Result<Payload> RpcClient::call_payload(uint16_t opcode,
-                                        const Bytes& request) {
-  return call_impl(opcode, request, /*take_fd=*/false);
-}
-
-Result<Payload> RpcClient::call_payload_fd(uint16_t opcode,
-                                           const Bytes& request) {
-  return call_impl(opcode, request, /*take_fd=*/true);
-}
-
-Result<Payload> RpcClient::call_impl(uint16_t opcode, const Bytes& request,
-                                     bool take_fd) {
+Result<Payload> RpcClient::call_payload(uint16_t opcode, const Bytes& request,
+                                        bool take_fd) {
   if (request.size() > kMaxFrame) {
     return Error(ErrorCode::kInvalidArgument, "request exceeds max frame");
   }

@@ -58,14 +58,14 @@ class RpcClient {
   // leased from BufferPool::global(), so bulk reads recycle receive
   // buffers instead of allocating one per RPC. The lease rides inside
   // the returned Payload and goes back to the pool when it is dropped.
-  Result<Payload> call_payload(uint16_t opcode, const Bytes& request);
-
-  // call_payload for a request that opted in to a passed fd: only this
-  // call reads its reply header with recvmsg, and an fd the server
+  //
+  // `take_fd` is for a request that opted in to a passed fd: only such
+  // a call reads its reply header with recvmsg, and an fd the server
   // attached to the answering frame comes back in Payload::fd(). Fds on
   // stale or error frames are closed; a frame with more than one fd or
   // a truncated control message fails the call like a broken transport.
-  Result<Payload> call_payload_fd(uint16_t opcode, const Bytes& request);
+  Result<Payload> call_payload(uint16_t opcode, const Bytes& request,
+                               bool take_fd = false);
 
   // For idempotent ops only (stat/read/ping/metrics): retries
   // transport-level failures (kUnavailable/kTimeout) up to max_retries
@@ -95,8 +95,6 @@ class RpcClient {
 
  private:
   Status ensure_connected();
-  Result<Payload> call_impl(uint16_t opcode, const Bytes& request,
-                            bool take_fd);
 
   Endpoint endpoint_;
   RpcClientOptions options_;

@@ -47,7 +47,7 @@ struct FileExtent {
 // An extent-free payload may also carry one fd: the server passes it
 // to an AF_UNIX peer as SCM_RIGHTS on the frame and closes its own copy
 // with the payload; a client that asked for it (RpcClient::
-// call_payload_fd) finds the received fd here.
+// call_payload with take_fd) finds the received fd here.
 class Payload {
  public:
   Payload() = default;

@@ -180,7 +180,7 @@ TEST_F(PassedFdRig, PassedFdIsReadOnlyAndAddressesTheSlot) {
   w.put_string("large.bin");
   w.put_u8(1);  // stateless
   w.put_u8(1);  // takes_fd
-  auto resp = rc.call_payload_fd(proto::kOpen, w.bytes());
+  auto resp = rc.call_payload(proto::kOpen, w.bytes(), /*take_fd=*/true);
   ASSERT_TRUE(resp.ok()) << resp.error().to_string();
   ASSERT_GE(resp->fd(), 0);
   const int fd = resp->fd();
@@ -322,7 +322,7 @@ TEST(PassedFd, PackedSamplesGetNoFd) {
     w.put_string("big.bin");
     w.put_u8(1);
     w.put_u8(1);
-    auto resp = rc.call_payload_fd(proto::kOpen, w.bytes());
+    auto resp = rc.call_payload(proto::kOpen, w.bytes(), /*take_fd=*/true);
     ASSERT_TRUE(resp.ok()) << resp.error().to_string();
     EXPECT_EQ(resp->fd(), -1);
     rpc::WireReader r(resp->data(), resp->size());
@@ -423,7 +423,7 @@ TEST(PassedFd, ForeignUidPeerOnUnixEndpointGetsNoFd) {
   // The control: this process's uid gets an fd (and warms the cache,
   // so the child's open is a reactor-side hit).
   rpc::RpcClient rc(rpc::Endpoint{srv.address()});
-  auto own = rc.call_payload_fd(proto::kOpen, body.bytes());
+  auto own = rc.call_payload(proto::kOpen, body.bytes(), /*take_fd=*/true);
   ASSERT_TRUE(own.ok()) << own.error().to_string();
   EXPECT_GE(own->fd(), 0);
 

@@ -720,9 +720,9 @@ size_t open_fd_count() {
 }
 
 // A handler's Payload::set_fd reaches a trusted AF_UNIX peer (the
-// alias, or a unix: endpoint) as a working fd on call_payload_fd. A
-// TCP peer, and a call that did not opt in, get none, and the server's
-// own copy closes with the payload either way.
+// alias, or a unix: endpoint) as a working fd on a call_payload with
+// take_fd. A TCP peer, and a call that did not opt in, get none, and
+// the server's own copy closes with the payload either way.
 TEST(FdPassing, TrustedUnixPeersReceiveTcpPeersDoNot) {
   HealthRegistry::global().reset();
   const std::string unix_address = "unix:" + ::testing::TempDir() +
@@ -744,7 +744,7 @@ TEST(FdPassing, TrustedUnixPeersReceiveTcpPeersDoNot) {
     ASSERT_TRUE(server.start().ok());
     {
       RpcClient client(server.endpoint());
-      auto resp = client.call_payload_fd(1, Bytes{});
+      auto resp = client.call_payload(1, Bytes{}, /*take_fd=*/true);
       ASSERT_TRUE(resp.ok()) << resp.error().to_string();
       EXPECT_TRUE(trusted);
       ASSERT_GE(resp->fd(), 0);
@@ -755,7 +755,7 @@ TEST(FdPassing, TrustedUnixPeersReceiveTcpPeersDoNot) {
     }
     if (!Endpoint{bind}.is_unix()) {
       RpcClient tcp(dial_address(server, Transport::kTcp));
-      auto resp = tcp.call_payload_fd(1, Bytes{});
+      auto resp = tcp.call_payload(1, Bytes{}, /*take_fd=*/true);
       ASSERT_TRUE(resp.ok()) << resp.error().to_string();
       EXPECT_FALSE(trusted);
       EXPECT_EQ(resp->fd(), -1);
@@ -868,7 +868,7 @@ TEST(FdPassing, HostileFramesLeakNoFds) {
         EXPECT_EQ(resp->fd(), -1);
         continue;
       }
-      auto resp = client.call_payload_fd(1, request);
+      auto resp = client.call_payload(1, request, /*take_fd=*/true);
       if (shape == kStale) {
         ASSERT_TRUE(resp.ok()) << resp.error().to_string();
         ASSERT_EQ(resp->size(), 1u);
