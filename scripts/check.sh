@@ -329,7 +329,6 @@ case "$MODE" in
     sleep 0.5  # at least two collector ticks land in the ring
     python3 scripts/check_openmetrics.py \
       "http://127.0.0.1:$PROM/metrics" \
-      --hvacctl ./build/src/client/hvacctl \
       --out "${SCRAPE_OUT:-$TMP/scrape.txt}" \
       --stats "$TMP/stats.json"
     # Operator views over the same ring: one top iteration must render

@@ -3,7 +3,7 @@
 
 Usage:
     check_openmetrics.py <url-or-file> [--out FILE] [--stats STATS_JSON]
-                         [--tolerance 0.10] [--hvacctl PATH]
+                         [--tolerance 0.10]
 
 Grammar checks (the subset of the OpenMetrics text format the exporter
 promises):
@@ -18,8 +18,7 @@ promises):
 The scrape must carry exactly the families `hvacctl metrics --families`
 lists: the schema table's (core/metrics_schema.cc), so a row added there
 is required here with no second list to edit, and a family the schema
-does not know fails the check. --hvacctl defaults to the regular build's
-binary. With --stats, the client's HVAC_STATS_FILE dump is
+does not know fails the check. With --stats, the client's HVAC_STATS_FILE dump is
 cross-checked: the per-epoch stall buckets must sum to the shim's
 wall-clock read time within --tolerance (the buckets are a partition of
 each intercepted read, so anything bigger means attribution lost time).
@@ -33,21 +32,22 @@ import sys
 import urllib.request
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HVACCTL = os.path.join(ROOT, "build", "src", "client", "hvacctl")
 
 STALL_BUCKETS = ["local_hit", "remote_rpc", "pfs_wait", "backpressure",
                  "retry"]
 
 
-def schema_families(hvacctl):
-    """The families the schema table renders, from `hvacctl`."""
+def schema_families():
+    """The families the schema table renders, from the build's hvacctl."""
     try:
-        out = subprocess.run([hvacctl, "metrics", "--families"],
+        out = subprocess.run([HVACCTL, "metrics", "--families"],
                              capture_output=True, text=True, check=True)
     except (OSError, subprocess.CalledProcessError) as e:
-        fail(f"cannot list the schema's families with {hvacctl}: {e}")
+        fail(f"cannot list the schema's families with {HVACCTL}: {e}")
     families = out.stdout.split()
     if not families:
-        fail(f"{hvacctl} listed no families")
+        fail(f"{HVACCTL} listed no families")
     return families
 
 
@@ -198,13 +198,9 @@ def main():
     ap.add_argument("--stats", help="client HVAC_STATS_FILE dump to "
                                     "cross-check stall attribution")
     ap.add_argument("--tolerance", type=float, default=0.10)
-    ap.add_argument("--hvacctl",
-                    default=os.path.join(ROOT, "build", "src", "client",
-                                         "hvacctl"),
-                    help="hvacctl binary that lists the schema's families")
     args = ap.parse_args()
 
-    required = schema_families(args.hvacctl)
+    required = schema_families()
     text = fetch(args.source)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

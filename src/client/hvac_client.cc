@@ -543,15 +543,15 @@ Result<int> HvacClient::open(const std::string& path) {
 }
 
 Result<int> HvacClient::open_remote(const std::string& logical,
-                                    uint32_t server) {
+                                    uint32_t server, bool takes_fd) {
   WireWriter w;
   w.put_string(logical);
   w.put_u8(1);  // stateless: no server-side fd, small files inline
-  w.put_u8(1);  // takes_fd: a local home may pass its cached copy
+  // takes_fd: a local home may pass its cached copy.
+  w.put_u8(takes_fd ? 1 : 0);
   HVAC_ASSIGN_OR_RETURN(
       rpc::Payload resp,
-      channel(server).call_payload(proto::kOpen, w.bytes(),
-                                   /*take_fd=*/true));
+      channel(server).call_payload(proto::kOpen, w.bytes(), takes_fd));
   WireReader r(resp.data(), resp.size());
   HVAC_ASSIGN_OR_RETURN(uint64_t remote_fd, r.get_u64());
   (void)remote_fd;  // 0: the stateless reply allocates none
@@ -574,8 +574,13 @@ Result<int> HvacClient::open_remote(const std::string& logical,
   if (!r.exhausted()) {
     HVAC_ASSIGN_OR_RETURN(entry.base, r.get_u64());
     rpc::Fd cache_fd = resp.take_fd();
+    if (takes_fd && !inlined && r.exhausted() && !cache_fd.valid()) {
+      // The fd did not arrive: at RLIMIT_NOFILE the kernel drops it.
+      // Ask once more for a reply without one, read by RPC.
+      return open_remote(logical, server, /*takes_fd=*/false);
+    }
     struct stat st{};
-    if (inlined || !r.exhausted() || !cache_fd.valid() ||
+    if (!takes_fd || inlined || !r.exhausted() || !cache_fd.valid() ||
         ::fstat(cache_fd.get(), &st) != 0 || !S_ISREG(st.st_mode) ||
         entry.base > static_cast<uint64_t>(st.st_size) ||
         size > static_cast<uint64_t>(st.st_size) - entry.base) {

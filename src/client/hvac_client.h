@@ -257,10 +257,13 @@ class HvacClient {
   Result<int> open_via_pfs(const std::string& path);
 
   // One stateless kOpen to `server`: a vfd whose reads go by path, with
-  // the inline bytes attached for a small file, or the cache fd a local
-  // home passed for a large one. kProtocol when the reply is malformed
-  // (the caller fails over as for a dead server).
-  Result<int> open_remote(const std::string& logical, uint32_t server);
+  // the inline bytes attached for a small file, or, when `takes_fd`,
+  // the cache fd a local home passed for a large one. A promised fd
+  // that did not arrive costs one more kOpen without `takes_fd`.
+  // kProtocol when the reply is malformed (the caller fails over as for
+  // a dead server).
+  Result<int> open_remote(const std::string& logical, uint32_t server,
+                          bool takes_fd = true);
 
   // Meta-cache lookup with the breaker check folded in: an entry whose
   // home endpoint has an open circuit is invalidated on the spot (the

@@ -62,8 +62,10 @@ class RpcClient {
   // `take_fd` is for a request that opted in to a passed fd: only such
   // a call reads its reply header with recvmsg, and an fd the server
   // attached to the answering frame comes back in Payload::fd(). Fds on
-  // stale or error frames are closed; a frame with more than one fd or
-  // a truncated control message fails the call like a broken transport.
+  // stale or error frames are closed; a frame with more than one fd
+  // fails the call like a broken transport. A frame whose fd this
+  // process had no slot for comes back without one (see
+  // recv_all_until).
   Result<Payload> call_payload(uint16_t opcode, const Bytes& request,
                                bool take_fd = false);
 

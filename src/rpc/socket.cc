@@ -426,7 +426,10 @@ ssize_t recv_with_fd(int fd, void* data, size_t size, Fd* passed,
       }
     }
   }
-  if (extra || (msg.msg_flags & MSG_CTRUNC) != 0) {
+  // MSG_CTRUNC with no fd installed is this process at its fd limit:
+  // the kernel dropped the fd, and the bytes are intact, so the frame
+  // is read on without one. With an fd installed it means more than one.
+  if (extra || ((msg.msg_flags & MSG_CTRUNC) != 0 && passed->valid())) {
     passed->reset();
     *bad = Error(ErrorCode::kProtocol, "malformed fd-passing frame");
   }

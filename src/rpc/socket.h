@@ -176,8 +176,10 @@ Status recv_all(int fd, void* data, size_t size);
 //
 // With `passed`, it also takes the fd a peer may attach (SCM_RIGHTS) to
 // these bytes: recvmsg with MSG_CMSG_CLOEXEC, the fd into `*passed`.
-// More than one fd, or a truncated control message (MSG_CTRUNC), is
-// kProtocol with every received fd closed. Without it, plain recv()
+// More than one fd is kProtocol with every received fd closed. An fd
+// the kernel could not install (MSG_CTRUNC with none received: this
+// process is at RLIMIT_NOFILE) is dropped and the bytes still arrive,
+// so the caller sees a frame without an fd. Without it, plain recv()
 // leaves no fd behind either: the kernel closes what a reader without
 // a control buffer does not take.
 Status recv_all_until(int fd, void* data, size_t size, int64_t deadline_ms,

@@ -539,7 +539,7 @@ Result<rpc::Payload> HvacServer::open_cached_reply(const std::string& path,
   // extra syscall.
   if (takes_fd && size > proto::kMaxInlineBytes && !route.packed &&
       rpc::peer_takes_fds()) {
-    if (std::optional<rpc::Payload> passed = passed_fd_reply(path, size)) {
+    if (std::optional<rpc::Payload> passed = passed_fd_reply(pin)) {
       return std::move(*passed);
     }
   }
@@ -558,21 +558,19 @@ Result<rpc::Payload> HvacServer::open_cached_reply(const std::string& path,
 }
 
 std::optional<rpc::Payload> HvacServer::passed_fd_reply(
-    const std::string& path, uint64_t size) {
+    const storage::LocalStore::Pin& pin) {
   // Never the slab's own fd, which is O_RDWR: a fresh read-only open,
   // closed here once the frame is sent.
-  Result<storage::LocalStore::Opened> opened = cache_->store().open(path);
-  if (!opened.ok() || !opened->slab || opened->size != size) {
-    return std::nullopt;
-  }
-  WireWriter w = open_reply_head(0, size, /*cached=*/true);
+  Result<storage::PosixFile> slab = pin.open_slab_read();
+  if (!slab.ok() || !slab->valid()) return std::nullopt;
+  WireWriter w = open_reply_head(0, pin.size(), /*cached=*/true);
   w.put_u32(0);  // no inline bytes
-  w.put_u64(opened->base);
+  w.put_u64(pin.base());
   rpc::Payload reply(std::move(w).take());
-  reply.set_fd(rpc::Fd(opened->file.release()));
+  reply.set_fd(rpc::Fd(slab->release()));
   auto& zc = rpc::ZeroCopyCounters::global();
   zc.fd_passes.fetch_add(1, std::memory_order_relaxed);
-  zc.fd_pass_bytes.fetch_add(size, std::memory_order_relaxed);
+  zc.fd_pass_bytes.fetch_add(pin.size(), std::memory_order_relaxed);
   return reply;
 }
 

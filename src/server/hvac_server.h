@@ -213,12 +213,11 @@ class HvacServer {
   Result<rpc::Payload> open_cached_reply(const std::string& path,
                                          const PackedRoute& route,
                                          bool stateless, bool takes_fd);
-  // Passed-fd kOpen reply (DESIGN.md §20) for a slab-cached file of
-  // `size` bytes: a fresh O_RDONLY open of its slab attached to the
-  // frame and the slot's base in the body. Nullopt when the entry is
-  // gone or is a named (write-back) file.
-  std::optional<rpc::Payload> passed_fd_reply(const std::string& path,
-                                              uint64_t size);
+  // Passed-fd kOpen reply (DESIGN.md §20) for the pinned entry: a
+  // fresh O_RDONLY open of its slab attached to the frame and the
+  // slot's base in the body. Nullopt for a named (write-back) file.
+  std::optional<rpc::Payload> passed_fd_reply(
+      const storage::LocalStore::Pin& pin);
   // Legacy kOpen: registers `file`, whose bytes for `path` sit at
   // [base, base + size), in open_fds_ and replies with its remote fd.
   Result<rpc::Payload> open_remote_fd(storage::PosixFile file,

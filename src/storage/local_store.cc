@@ -83,6 +83,11 @@ Result<size_t> LocalStore::Pin::pread(void* buf, size_t count,
   return handle_->file.pread(buf, n, base_ + offset);
 }
 
+Result<PosixFile> LocalStore::Pin::open_slab_read() const {
+  if (!handle_->slab_name) return PosixFile();
+  return PosixFile::open_read(*handle_->slab_name);
+}
+
 PosixFile& LocalStore::Slot::file() const { return handle_->file; }
 
 size_t LocalStore::process_fd_budget() {
@@ -289,7 +294,6 @@ Result<LocalStore::Opened> LocalStore::open(
     if (it->second.slab) slab_name = it->second.slab->name;
   }
   if (slab_name) {
-    opened.slab = true;
     HVAC_ASSIGN_OR_RETURN(opened.file, PosixFile::open_read(*slab_name));
   } else {
     HVAC_ASSIGN_OR_RETURN(opened.file,

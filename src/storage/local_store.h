@@ -67,6 +67,11 @@ class LocalStore {
     // Keeps the fd open while the returned pointer lives (a queued
     // sendfile extent holds one).
     std::shared_ptr<const void> owner() const { return handle_; }
+    // A fresh read-only open of the slab the entry sits in, for a
+    // caller that keeps its own fd (a passed-fd kOpen); an invalid file
+    // for a named (write-back) entry, which writes grow in place. The
+    // pin keeps the slab linked, so the open cannot miss it.
+    Result<PosixFile> open_slab_read() const;
 
    private:
     friend class LocalStore;
@@ -95,15 +100,12 @@ class LocalStore {
     uint64_t length_ = 0;
   };
 
-  // A fresh read-only fd on an entry's backing file, for a caller that
-  // keeps its own handle (the legacy stateful kOpen, a passed-fd kOpen).
+  // A fresh fd on an entry's backing file, for a caller that keeps its
+  // own handle (the legacy stateful kOpen).
   struct Opened {
     PosixFile file;
     uint64_t base = 0;
     uint64_t size = 0;
-    // A slab slot, whose bytes are never rewritten; false for a named
-    // (write-back) file, which writes grow in place.
-    bool slab = false;
   };
 
   // The handle counters the metrics frame reports.

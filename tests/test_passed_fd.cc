@@ -5,12 +5,15 @@
 // and fork, and every case that must keep RPC reads instead.
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -256,6 +259,62 @@ TEST_F(PassedFdRig, ForkedChildReadsThroughInheritedEntry) {
   ASSERT_TRUE(client.close(*vfd).ok());
 }
 
+// A reader at RLIMIT_NOFILE has no slot for a passed fd: the kernel
+// drops it (MSG_CTRUNC) and the reply's bytes still arrive. The open
+// asks again without takes_fd on the same connection and reads by RPC:
+// no failover, no breaker strike. The client runs in a forked child
+// whose fd table is filled up to a lowered limit, so the server in
+// this process still opens its slab.
+TEST_F(PassedFdRig, ReaderAtFdLimitFallsBackToRpcReads) {
+  auto o = options();
+  o.readahead_chunks = 0;  // no async channel, which would need an fd
+  HvacClient client(o);
+  auto small = client.open(pfs_root_ + "/small.bin");  // dials the alias
+  ASSERT_TRUE(small.ok()) << small.error().to_string();
+  ASSERT_TRUE(client.close(*small).ok());
+  ASSERT_TRUE(client.prefetch(pfs_root_ + "/large.bin").ok());
+  int highest = 0;
+  for (const auto& e : fs::directory_iterator("/proc/self/fd")) {
+    highest = std::max(highest, std::stoi(e.path().filename().string()));
+  }
+  const uint64_t passes = server().metrics_frame().zerocopy.fd_passes;
+  const uint64_t want = fnv1a64(std::string_view(
+      reinterpret_cast<const char*>(large_.data()), large_.size()));
+  std::vector<uint8_t> buf(kLargeBytes);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Exit codes: 0 read by RPC with exact bytes, 1 setup, 2 open
+    // failed, 3 the open took an fd or failed over, 4 wrong bytes.
+    rlimit limit{};
+    if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(1);
+    limit.rlim_cur = static_cast<rlim_t>(highest) + 1;
+    if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(1);
+    while (::dup(0) >= 0) {
+    }
+    if (errno != EMFILE) ::_exit(1);
+    auto vfd = client.open(pfs_root_ + "/large.bin");
+    if (!vfd.ok()) ::_exit(2);
+    const client::ClientStats s = client.stats();
+    if (s.passed_fd_opens != 0 || s.fallback_opens != 0 ||
+        s.failovers != 0) {
+      ::_exit(3);
+    }
+    const auto n = client.pread(*vfd, buf.data(), buf.size(), 0);
+    const bool ok =
+        n.ok() && *n == buf.size() &&
+        fnv1a64(std::string_view(reinterpret_cast<const char*>(buf.data()),
+                                 buf.size())) == want;
+    ::_exit(ok ? 0 : 4);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  // The server did pass one, which the child's kernel dropped.
+  EXPECT_EQ(server().metrics_frame().zerocopy.fd_passes, passes + 1);
+}
+
 // Small files stay inline and TCP clients keep RPC reads: neither gets
 // an fd, and both still read exact bytes.
 TEST_F(PassedFdRig, SmallFilesAndTcpClientsGetNoFd) {
@@ -348,8 +407,9 @@ TEST(PassedFd, PackedSamplesGetNoFd) {
 }
 
 // A kOpen reply that promises an fd (a trailing base) but carries none
-// is malformed: the open fails over like a dead server, here to the
-// PFS, and the bytes stay exact.
+// gets one more kOpen without takes_fd, as at the fd limit. A base on
+// the answer to that is malformed: the open fails over like a dead
+// server, here to the PFS, and the bytes stay exact.
 TEST(PassedFd, PromisedFdMissingFailsOverToPfs) {
   rpc::HealthRegistry::global().reset();
   const std::string root = temp_dir("promise");
@@ -357,8 +417,10 @@ TEST(PassedFd, PromisedFdMissingFailsOverToPfs) {
   ASSERT_TRUE(
       storage::write_file(root + "/p.bin", data.data(), data.size()).ok());
   rpc::RpcServer hostile(rpc::RpcServerOptions{});
+  std::atomic<int> opens{0};
   hostile.register_handler(
       proto::kOpen, [&](const rpc::Bytes&) -> Result<rpc::Bytes> {
+        ++opens;
         rpc::WireWriter w;
         w.put_u64(0);
         w.put_u64(data.size());
@@ -376,6 +438,7 @@ TEST(PassedFd, PromisedFdMissingFailsOverToPfs) {
   HvacClient client(co);
   auto vfd = client.open(root + "/p.bin");
   ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+  EXPECT_EQ(opens, 2);
   EXPECT_EQ(client.stats().fallback_opens, 1u);
   EXPECT_EQ(client.stats().passed_fd_opens, 0u);
   std::vector<uint8_t> buf(data.size());

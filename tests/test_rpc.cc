@@ -800,7 +800,7 @@ Bytes response_frame(uint64_t id, ErrorCode status, const Bytes& body) {
 // A hostile unix-socket server attaches an fd to every frame it writes.
 // The request's one byte picks the shape: a stale-id frame before the
 // answer, an error answer, an answer to a call that did not opt in, or
-// an answer carrying two fds (MSG_CTRUNC at the client). After 200
+// an answer carrying two fds. After 200
 // calls the client holds no fd it did not hand back.
 TEST(FdPassing, HostileFramesLeakNoFds) {
   HealthRegistry::global().reset();
