@@ -143,7 +143,7 @@ void BM_SyncRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SyncRoundTrip);
 
-// BM_SyncRoundTrip with the client, the reactors and the handler pool
+// BM_SyncRoundTrip with the client, the reactor and the handler pool
 // on one CPU, as a reader and hvacd share a core on a node whose loader
 // is confined to one. Each reactor wakeup is then a context switch
 // away from the caller, so what a request frame costs in wakeups shows
@@ -184,9 +184,7 @@ void sync_round_trip_one_cpu(benchmark::State& state, bool tcp) {
     }
     state.counters["split_frames"] = benchmark::Counter(
         double(server.split_frames()), benchmark::Counter::kAvgIterations);
-    uint64_t local_conns = 0;
-    for (const auto& r : server.reactor_stats()) local_conns += r.local_conns;
-    state.counters["local_conns"] = double(local_conns);
+    state.counters["local_conns"] = double(server.reactor_stats().local_conns);
   }
   ::sched_setaffinity(0, sizeof(old), &old);
 }
@@ -391,7 +389,7 @@ class TelemetryPlane {
   // snapshot/delta/encode/render cost what a loaded hvacd's do.
   static hvac::core::MetricsFrame live_frame() {
     hvac::core::MetricsFrame f;
-    const hvac::BufferPool::Stats bp = hvac::BufferPool::aggregated_stats();
+    const hvac::BufferPool::Stats bp = hvac::BufferPool::global().stats();
     f.buffer_pool.leases = bp.hits + bp.misses + bp.unpooled;
     f.buffer_pool.pool_hits = bp.hits;
     f.buffer_pool.fallback_allocs = bp.misses + bp.unpooled;
@@ -492,50 +490,39 @@ BENCHMARK(BM_BulkReadZeroCopyTelemetry)
     ->Threads(8)
     ->UseRealTime();
 
-// --- Sharded-reactor saturation ------------------------------------
+// --- Saturated small reads ---------------------------------------
 //
-// The reactor-scaling gate: 64 connections (8 bench threads x 8 async
-// clients each) hammering one server with small reads (4-64 KiB, the
-// DL-sample shape), once with a single reactor and once with four.
-// The handler is an inline extent read, so the whole request lives on
-// the owning reactor — what scales (or doesn't) is the server core
-// itself: accept sharding, per-reactor epoll, decode and the
-// zero-copy send. scripts/bench_compare.py reads the two series as an
-// advisory scaling gate (the ratio only means something on a
-// multi-core runner).
+// 64 connections (8 bench threads x 8 async clients each) hammering
+// one server with small reads (4-64 KiB, the DL-sample shape). The
+// handler is an inline extent read, so the whole request lives on the
+// reactor: what this measures is the server core itself — epoll,
+// decode and the zero-copy send of one progress loop.
 
-// One server per reactor count, created on first use and kept for the
-// binary's lifetime like shared_server().
-RpcServer& saturated_server(int reactors) {
-  static std::mutex mu;
-  static std::map<int, RpcServer*> servers;
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = servers.find(reactors);
-  if (it != servers.end()) return *it->second;
-  RpcServerOptions o;
-  o.bind_address = "127.0.0.1:0";
-  o.handler_threads = size_t(reactors);
-  o.reactors = size_t(reactors);
-  auto* s = new RpcServer(o);
-  s->register_payload_handler(
-      4,
-      [](const Bytes& req) -> hvac::Result<Payload> {
-        WireReader r(req);
-        auto n = r.get_u32();
-        FileExtent ext;
-        ext.fd = shared_file();
-        ext.offset = 0;
-        ext.length = n.ok() ? *n : 0;
-        return blob_extent_payload(std::move(ext));
-      },
-      DispatchHint::kInline);
-  if (!s->start().ok()) std::abort();
-  servers[reactors] = s;
-  return *s;
+// Created on first use and kept for the binary's lifetime like
+// shared_server().
+RpcServer& saturated_server() {
+  static RpcServer* server = [] {
+    auto* s = new RpcServer(RpcServerOptions{"127.0.0.1:0"});
+    s->register_payload_handler(
+        4,
+        [](const Bytes& req) -> hvac::Result<Payload> {
+          WireReader r(req);
+          auto n = r.get_u32();
+          FileExtent ext;
+          ext.fd = shared_file();
+          ext.offset = 0;
+          ext.length = n.ok() ? *n : 0;
+          return blob_extent_payload(std::move(ext));
+        },
+        DispatchHint::kInline);
+    if (!s->start().ok()) std::abort();
+    return s;
+  }();
+  return *server;
 }
 
 void BM_SaturatedSmallReads(benchmark::State& state) {
-  RpcServer& server = saturated_server(int(state.range(0)));
+  RpcServer& server = saturated_server();
   constexpr size_t kClientsPerThread = 8;
   static constexpr uint32_t kSizes[] = {4 << 10, 8 << 10, 16 << 10,
                                         32 << 10, 64 << 10};
@@ -565,9 +552,6 @@ void BM_SaturatedSmallReads(benchmark::State& state) {
   state.SetBytesProcessed(bytes);
 }
 BENCHMARK(BM_SaturatedSmallReads)
-    ->ArgName("reactors")
-    ->Arg(1)
-    ->Arg(4)
     ->Threads(8)
     ->UseRealTime();
 

@@ -173,30 +173,6 @@ def epoch_prefetch_ratios(rows):
     return times
 
 
-def reactor_scaling(rows):
-    """Pair BM_SaturatedSmallReads medians by reactor count.
-
-    Returns (single_time, [(reactors, single_time / time), ...]) — the
-    per-config speedup over the single-reactor run. Higher is better;
-    N reactors below 2x single on a multi-core runner means the sharded
-    core is not scaling (lock on the hot path, accept imbalance, ...).
-    """
-    times = {}
-    for name, (t, _unit) in rows.items():
-        m = re.match(
-            r"BM_SaturatedSmallReads/reactors:(\d+)(?:/real_time)?"
-            r"/threads:\d+", name)
-        if not m:
-            continue
-        times[int(m.group(1))] = t
-    if 1 not in times or times[1] <= 0:
-        return None, []
-    single = times[1]
-    return single, [(n, single / t)
-                    for n, t in sorted(times.items())
-                    if n > 1 and t > 0]
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -382,29 +358,6 @@ def main():
             footer.append("**clairvoyant speedup below the 1.5x advisory "
                           "bar** — check the scheduler's issue window, "
                           "mover-thread count and shed re-pacing.")
-
-    # Advisory reactor-scaling gate: N reactors should finish the
-    # saturated small-read workload at least 2x as fast as one reactor.
-    # Advisory only — a single-core (or noisy shared) runner cannot
-    # show reactor parallelism at all, so this never fails the job.
-    _single, scaling = reactor_scaling(curr)
-    if scaling:
-        footer.append("")
-        footer.append("### reactor scaling (current run, saturated "
-                      "small reads)")
-        flagged = []
-        for n, speedup in scaling:
-            marker = ""
-            if speedup < 2.0:
-                marker = " ⚠ below 2x single-reactor throughput"
-                flagged.append((n, speedup))
-            footer.append(f"- {n} reactors: {speedup:.2f}x the "
-                          f"single-reactor median{marker}")
-        if flagged:
-            footer.append("**reactor scaling below the 2x advisory bar "
-                          f"at {len(flagged)} config(s)** — meaningful "
-                          "only on a multi-core runner; single-core "
-                          "runners report ~1x by construction.")
 
     report = "\n".join(header + lines + footer) + "\n"
     sys.stdout.write(report)

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification for the HVAC repo.
 #
-#   scripts/check.sh            build + ctest (the gate every PR must pass)
+#   scripts/check.sh            knob inventory (scripts/check_knobs.py),
+#                               then build + ctest (the gate every PR
+#                               must pass)
 #                               (CTEST_SHARD=K CTEST_TOTAL_SHARDS=N runs
 #                               every N-th test starting at K — CI splits
 #                               tier1 across shards with this)
@@ -71,7 +73,7 @@ MODE="${1:-tier1}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 # The concurrency-sensitive suites worth a TSan pass: the store's
-# pinned fds, the buffer pool, the RPC stack (reactors + work stealing),
+# pinned fds, the buffer pool, the RPC stack (reactor + handler pool),
 # the client read path, and metrics-frame assembly racing the
 # time-series collector and the OpenMetrics exporter.
 TSAN_SUITES="test_storage test_common test_rpc test_async_rpc \
@@ -80,6 +82,7 @@ test_prefetch test_metrics_frame test_telemetry test_passed_fd"
 
 case "$MODE" in
   tier1)
+    python3 scripts/check_knobs.py
     cmake -B build -S .
     cmake --build build -j "$JOBS"
     if [ -n "${CTEST_SHARD:-}" ]; then
@@ -113,9 +116,7 @@ case "$MODE" in
     cmake -B build-asan -S . -DHVAC_SANITIZE=address
     cmake --build build-asan -j "$JOBS" \
       --target test_chaos test_async_rpc test_client_edge test_reactor
-    # HVAC_REACTORS=4 forces the sharded core under every suite here,
-    # so shedding/drain/breaker interop is exercised multi-reactor.
-    HVAC_REACTORS=4 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
+    ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
       -R "Fault|Breaker|CallDeadline|Backpressure|Drain|Chaos|HostileServer|AsyncRpcFixture"
     ;;
   packed)

@@ -89,54 +89,11 @@ BufferPool::Options env_sized_options() {
   return options;
 }
 
-// Arena registry: append-only, leaked (arenas are bound to threads
-// whose lifetime we do not control at exit).
-std::mutex g_arena_mutex;
-std::vector<BufferPool*>& arena_registry() {
-  static auto* arenas = new std::vector<BufferPool*>();
-  return *arenas;
-}
-
-thread_local BufferPool* t_arena = nullptr;
-
 }  // namespace
 
 BufferPool& BufferPool::global() {
   static BufferPool* pool = new BufferPool(env_sized_options());
   return *pool;
-}
-
-BufferPool& BufferPool::arena(size_t index) {
-  std::lock_guard<std::mutex> lock(g_arena_mutex);
-  auto& arenas = arena_registry();
-  while (arenas.size() <= index) {
-    arenas.push_back(new BufferPool(env_sized_options()));
-  }
-  return *arenas[index];
-}
-
-void BufferPool::set_thread_arena(BufferPool* pool) { t_arena = pool; }
-
-BufferPool& BufferPool::local() {
-  return t_arena != nullptr ? *t_arena : global();
-}
-
-BufferPool::Stats BufferPool::aggregated_stats() {
-  Stats total = global().stats();
-  std::vector<BufferPool*> arenas;
-  {
-    std::lock_guard<std::mutex> lock(g_arena_mutex);
-    arenas = arena_registry();
-  }
-  for (BufferPool* pool : arenas) {
-    const Stats s = pool->stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.unpooled += s.unpooled;
-    total.recycled += s.recycled;
-    total.dropped += s.dropped;
-  }
-  return total;
 }
 
 }  // namespace hvac

@@ -111,25 +111,6 @@ class BufferPool {
   // sized from HVAC_BUFFER_POOL (buffers per class, default 64).
   static BufferPool& global();
 
-  // Reactor-private arena registry. arena(i) lazily creates a pool
-  // with the same env sizing as global(); arenas live for the process
-  // (never destroyed) and are shared by every server instance in it —
-  // arena i always belongs to reactor/shard index i, so a worker
-  // thread can bind one for its lifetime without lifetime hazards
-  // across server restarts.
-  static BufferPool& arena(size_t index);
-
-  // Binds `pool` as this thread's arena (nullptr unbinds). Reactor
-  // threads and their home pool workers bind arena(reactor_id) so
-  // hit-path buffers recycle core-locally.
-  static void set_thread_arena(BufferPool* pool);
-
-  // The thread's bound arena, or global() when none is bound.
-  static BufferPool& local();
-
-  // global() plus every arena created so far (metrics frame section).
-  static Stats aggregated_stats();
-
  private:
   friend class Lease;
 

@@ -208,7 +208,8 @@ void MetricsFrame::merge(const MetricsFrame& other, Peers peers) {
     v = field.kind == FieldKind::kMaxGauge ? std::max(v, o) : v + o;
   }
   // Reactor rows and per-op latency are per instance. Reactor rows
-  // merge by index: instances report their own reactor sets.
+  // merge by index: each instance reports one row, so a merged frame's
+  // row 0 sums its instances.
   if (other.reactor.reactors.size() > reactor.reactors.size()) {
     reactor.reactors.resize(other.reactor.reactors.size());
   }

@@ -171,16 +171,16 @@ struct TraceStats {
   uint64_t occupancy = 0;
 };
 
-// Per-reactor server counters (rpc/rpc_server.h).
+// Reactor counters (rpc/rpc_server.h): one row per server instance.
 struct ReactorStats {
   struct PerReactor {
     uint64_t conns = 0;
     uint64_t requests = 0;
+    // Always 0: the server no longer steals work. The word keeps the
+    // section's wire layout until perfbench stops reading it.
     uint64_t steals = 0;
     uint64_t shed = 0;
-    // Steal scans skipped by the adaptive throttle (shard depths were
-    // uniform, so a steal would only have moved the imbalance around).
-    uint64_t steal_backoffs = 0;
+    uint64_t steal_backoffs = 0;  // always 0, like steals
     // Of `conns`, those accepted over the node-local alias.
     uint64_t local_conns = 0;
   };

@@ -301,6 +301,18 @@ int openat(int dirfd, const char* path, int flags, ...) {
   return real_openat()(dirfd, path, flags, mode);
 }
 
+// CPython and other large-file-aware builds import the *64 names.
+int openat64(int dirfd, const char* path, int flags, ...) {
+  mode_t mode = 0;
+  if ((flags & O_CREAT) != 0 || (flags & O_TMPFILE) == O_TMPFILE) {
+    va_list ap;
+    va_start(ap, flags);
+    mode = va_arg(ap, mode_t);
+    va_end(ap);
+  }
+  return openat(dirfd, path, flags, mode);
+}
+
 ssize_t read(int fd, void* buf, size_t count) {
   if (g_in_shim == 0 && FdTable::is_virtual(fd) && g_client != nullptr) {
     ShimGuard guard;
@@ -535,6 +547,15 @@ int fstat(int fd, struct stat* st) {
     return -1;
   }
   return fn(fd, st);
+}
+
+// libpython's builtin open() sizes its buffer with fstat64; without
+// this it reaches libc with a virtual fd and fails with EBADF. On LP64
+// glibc the two structs are one layout and fstat64 is fstat's alias.
+static_assert(sizeof(struct stat) == sizeof(struct stat64),
+              "fstat64 forwards to fstat");
+int fstat64(int fd, struct stat64* st) {
+  return fstat(fd, reinterpret_cast<struct stat*>(st));
 }
 
 }  // extern "C"

@@ -1,8 +1,6 @@
 #include "rpc/rpc_server.h"
 
 #include <fcntl.h>
-#include <pthread.h>
-#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -11,8 +9,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <mutex>
 
-#include "common/buffer_pool.h"
 #include "common/env.h"
 #include "common/log.h"
 #include "common/trace.h"
@@ -20,47 +18,14 @@
 
 namespace hvac::rpc {
 
-// One reactor: an epoll loop thread that owns a listener shard and
-// every connection it accepted. All read-side state for a connection
-// is touched only by its owning reactor thread; response writes (from
-// pool workers or the reactor itself) serialize on the connection
-// write lock — the only cross-thread synchronization on the data
-// path.
-struct RpcServer::Reactor {
-  uint32_t id = 0;
-  Fd listen_fd;  // TCP: SO_REUSEPORT shard; unix: reactor 0 only
-  Fd alias_fd;   // TCP server's node-local alias: reactor 0 only
-  Fd epoll_fd;
-  Fd wake_fd;  // eventfd: stop/drain signal + fd-handoff doorbell
-  std::thread thread;
-
-  std::mutex conns_mutex;
-  std::unordered_map<int, std::shared_ptr<Connection>> conns;
-
-  // Unix-socket and alias connections: reactor 0 accepts and hands
-  // raw fds here; the owner adopts them on its next wake.
-  struct Handoff {
-    int fd;
-    bool local;  // accepted over the alias
-  };
-  std::mutex intake_mutex;
-  std::vector<Handoff> intake;
-
-  std::atomic<uint64_t> conns_accepted{0};
-  std::atomic<uint64_t> local_conns{0};
-  std::atomic<uint64_t> requests{0};
-  std::atomic<uint64_t> shed{0};
-};
-
-// Per-connection read state machine. Reads run only on the owning
-// reactor thread; writes run on pool workers (or the reactor, for
-// inline handlers) under write_mutex.
+// Per-connection read state machine. Reads run only on the reactor
+// thread; writes run on pool workers (or the reactor, for inline
+// handlers) under write_mutex — the only cross-thread synchronization
+// on the data path.
 struct RpcServer::Connection {
-  Connection(Fd socket, Reactor* owner) : fd(std::move(socket)),
-                                          reactor(owner) {}
+  explicit Connection(Fd socket) : fd(std::move(socket)) {}
 
   Fd fd;
-  Reactor* reactor;  // owning reactor (per-reactor accounting)
   bool takes_fds = false;  // see peer_takes_fds()
   std::mutex write_mutex;
   // Scratch pipe for the splice rung, created lazily on the first
@@ -167,38 +132,24 @@ void RpcServer::register_payload_handler(uint16_t opcode,
                                    std::move(on_reactor)};
 }
 
-size_t RpcServer::resolve_reactor_count() const {
-  size_t count = options_.reactors;
-  if (count == 0) {
-    const int64_t env = env_int_or("HVAC_REACTORS", 0);
-    if (env > 0) {
-      count = static_cast<size_t>(env);
-    } else {
-      const unsigned cores = std::thread::hardware_concurrency();
-      count = std::min<size_t>(cores == 0 ? 1 : cores, 8);
-    }
-  }
-  return std::clamp<size_t>(count, 1, 64);
-}
-
-Status RpcServer::setup_reactor(Reactor& r) {
+Status RpcServer::setup_epoll() {
   const int efd = ::epoll_create1(EPOLL_CLOEXEC);
   if (efd < 0) return Error::from_errno(errno, "epoll_create1");
-  r.epoll_fd = Fd(efd);
+  epoll_fd_ = Fd(efd);
 
   const int wfd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wfd < 0) return Error::from_errno(errno, "eventfd");
-  r.wake_fd = Fd(wfd);
+  wake_fd_ = Fd(wfd);
 
-  for (const Fd* fd : {&r.listen_fd, &r.alias_fd, &r.wake_fd}) {
+  for (const Fd* fd : {&listen_fd_, &alias_fd_, &wake_fd_}) {
     if (!fd->valid()) continue;
-    if (fd != &r.wake_fd) {
+    if (fd != &wake_fd_) {
       HVAC_RETURN_IF_ERROR(set_nonblocking(fd->get(), true));
     }
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd->get();
-    if (::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, fd->get(), &ev) != 0) {
+    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd->get(), &ev) != 0) {
       return Error::from_errno(errno, "epoll_ctl(add)");
     }
   }
@@ -206,106 +157,49 @@ Status RpcServer::setup_reactor(Reactor& r) {
 }
 
 Status RpcServer::start() {
-  const size_t count = resolve_reactor_count();
   const Endpoint requested{options_.bind_address};
-  reactors_.clear();
-  for (size_t i = 0; i < count; ++i) {
-    auto r = std::make_unique<Reactor>();
-    r->id = static_cast<uint32_t>(i);
-    reactors_.push_back(std::move(r));
-  }
-
-  if (requested.is_unix()) {
-    // One listener on reactor 0; accepted fds are round-robined to
-    // the other reactors over their intake queues (SO_REUSEPORT does
-    // not shard unix stream sockets usefully).
-    HVAC_ASSIGN_OR_RETURN(reactors_[0]->listen_fd,
-                          listen_on(requested, &bound_));
-  } else {
-    // TCP: every reactor binds the same port with SO_REUSEPORT; the
-    // kernel shards incoming connections across the listeners. The
-    // first bind resolves port 0, the rest join the learned port.
-    HVAC_ASSIGN_OR_RETURN(
-        reactors_[0]->listen_fd,
-        listen_on(requested, &bound_, /*reuseport=*/count > 1));
-    for (size_t i = 1; i < count; ++i) {
-      HVAC_ASSIGN_OR_RETURN(reactors_[i]->listen_fd,
-                            listen_on(bound_, nullptr, /*reuseport=*/true));
-    }
+  HVAC_ASSIGN_OR_RETURN(listen_fd_, listen_on(requested, &bound_));
+  if (!requested.is_unix()) {
     // Same-host clients dial the alias first (DESIGN.md §19). Losing
     // the name to another socket costs speed, not service.
     auto alias = listen_on_alias(bound_);
     if (alias.ok()) {
-      reactors_[0]->alias_fd = std::move(alias).value();
+      alias_fd_ = std::move(alias).value();
     } else {
       HVAC_LOG_WARN("serving TCP only: " << alias.error().to_string());
     }
   }
-  for (auto& r : reactors_) HVAC_RETURN_IF_ERROR(setup_reactor(*r));
+  HVAC_RETURN_IF_ERROR(setup_epoll());
 
   zerocopy_mode_ = resolve_zerocopy_mode();
-
-  WorkStealingPool::Options pool_options;
-  pool_options.shards = count;
-  pool_options.workers_per_shard =
-      std::max<size_t>(1, (options_.handler_threads + count - 1) / count);
-  pool_options.steal_enabled = env_bool_or("HVAC_STEAL", true);
-  pool_options.steal_throttle = env_bool_or("HVAC_STEAL_THROTTLE", true);
-  if (count > 1) {
-    // Workers recycle response buffers through their home reactor's
-    // arena, matching the reactor threads, so hit-path buffers never
-    // bounce between per-core free lists.
-    pool_options.worker_init = [](size_t shard) {
-      BufferPool::set_thread_arena(&BufferPool::arena(shard));
-    };
-  }
-  pool_ = std::make_unique<WorkStealingPool>(pool_options);
+  pool_ = std::make_unique<ThreadPool>(
+      std::max<size_t>(1, options_.handler_threads));
 
   running_.store(true, std::memory_order_release);
-  for (auto& r : reactors_) {
-    Reactor* rp = r.get();
-    rp->thread = std::thread([this, rp] { reactor_loop(*rp); });
-  }
+  thread_ = std::thread([this] { reactor_loop(); });
   HVAC_LOG_INFO("rpc server listening on "
                 << bound_.address
-                << (reactors_[0]->alias_fd.valid()
-                        ? " and " + local_alias_name(bound_)
-                        : std::string())
-                << " (reactors=" << count << ", zerocopy="
-                << zerocopy_mode_name(zerocopy_mode_) << ")");
+                << (alias_fd_.valid() ? " and " + local_alias_name(bound_)
+                                      : std::string())
+                << " (zerocopy=" << zerocopy_mode_name(zerocopy_mode_)
+                << ")");
   return Status::Ok();
 }
 
-void RpcServer::wake(Reactor& r) {
+void RpcServer::wake() {
   uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(r.wake_fd.get(), &one, sizeof(one));
+  [[maybe_unused]] ssize_t n = ::write(wake_fd_.get(), &one, sizeof(one));
 }
 
 void RpcServer::stop() {
-  const bool was_running =
-      running_.exchange(false, std::memory_order_acq_rel);
-  if (was_running) {
-    for (auto& r : reactors_) wake(*r);
-  }
-  for (auto& r : reactors_) {
-    if (r->thread.joinable()) r->thread.join();
-  }
-  // Pool tasks may still reference connections/reactors: drain the
-  // workers before tearing either down.
+  if (running_.exchange(false, std::memory_order_acq_rel)) wake();
+  if (thread_.joinable()) thread_.join();
+  // Pool tasks may still reference connections: drain the workers
+  // before tearing them down.
   if (pool_) pool_->shutdown();
-  for (auto& r : reactors_) {
-    {
-      std::lock_guard<std::mutex> lock(r->intake_mutex);
-      for (const Reactor::Handoff& h : r->intake) ::close(h.fd);
-      r->intake.clear();
-    }
-    {
-      std::lock_guard<std::mutex> lock(r->conns_mutex);
-      r->conns.clear();
-    }
-    r->listen_fd.reset();
-    r->alias_fd.reset();
-  }
+  conns_.clear();
+  listen_fd_.reset();
+  alias_fd_.reset();
   if (bound_.is_unix()) ::unlink(bound_.unix_path().c_str());
 }
 
@@ -314,9 +208,9 @@ void RpcServer::drain(int timeout_ms) {
   if (!draining_.exchange(true, std::memory_order_acq_rel)) {
     ResilienceCounters::global().drains.fetch_add(1,
                                                   std::memory_order_relaxed);
-    // Each reactor owns its listener; wake them all so every one
-    // deregisters and closes its shard (no new connections anywhere).
-    for (auto& r : reactors_) wake(*r);
+    // The reactor owns the listeners: wake it so it deregisters and
+    // closes them (no new connections).
+    wake();
   }
   const int64_t deadline = steady_now_ms() + std::max(timeout_ms, 0);
   while (inflight_.load(std::memory_order_acquire) > 0 &&
@@ -326,135 +220,62 @@ void RpcServer::drain(int timeout_ms) {
   }
 }
 
-std::vector<RpcServer::ReactorStats> RpcServer::reactor_stats() const {
-  std::vector<ReactorStats> out;
-  out.reserve(reactors_.size());
-  for (const auto& r : reactors_) {
-    ReactorStats s;
-    s.conns = r->conns_accepted.load(std::memory_order_relaxed);
-    s.local_conns = r->local_conns.load(std::memory_order_relaxed);
-    s.requests = r->requests.load(std::memory_order_relaxed);
-    s.steals = pool_ ? pool_->steals(r->id) : 0;
-    s.steal_backoffs = pool_ ? pool_->steal_backoffs(r->id) : 0;
-    s.shed = r->shed.load(std::memory_order_relaxed);
-    out.push_back(s);
-  }
-  return out;
+RpcServer::ReactorStats RpcServer::reactor_stats() const {
+  ReactorStats s;
+  s.conns = conns_accepted_.load(std::memory_order_relaxed);
+  s.local_conns = local_conns_.load(std::memory_order_relaxed);
+  s.requests = requests_served_.load(std::memory_order_relaxed);
+  s.shed = requests_shed_.load(std::memory_order_relaxed);
+  return s;
 }
 
-void RpcServer::adopt_connection(Reactor& r, int cfd, bool local) {
-  auto conn = std::make_shared<Connection>(Fd(cfd), &r);
+void RpcServer::adopt_connection(int cfd, bool local) {
+  auto conn = std::make_shared<Connection>(Fd(cfd));
   if (local || bound_.is_unix()) {
     conn->takes_fds = trusted_unix_peer(cfd);
   } else {
     set_nodelay(cfd);
   }
-  {
-    std::lock_guard<std::mutex> lock(r.conns_mutex);
-    r.conns[cfd] = conn;
-  }
   epoll_event cev{};
   cev.events = EPOLLIN;
   cev.data.fd = cfd;
-  if (::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, cfd, &cev) != 0) {
-    // Registration failed: without it the connection would sit in
-    // conns forever, invisible to the loop. Drop it now.
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, cfd, &cev) != 0) {
+    // Unregistered, the connection would never be read: drop it now.
     HVAC_LOG_WARN("epoll_ctl(add conn): " << std::strerror(errno));
-    std::lock_guard<std::mutex> lock(r.conns_mutex);
-    r.conns.erase(cfd);
     return;
   }
-  r.conns_accepted.fetch_add(1, std::memory_order_relaxed);
-  if (local) r.local_conns.fetch_add(1, std::memory_order_relaxed);
+  conns_[cfd] = std::move(conn);
+  conns_accepted_.fetch_add(1, std::memory_order_relaxed);
+  if (local) local_conns_.fetch_add(1, std::memory_order_relaxed);
 }
 
-namespace {
-
-// Opt-in reactor->CPU pinning (HVAC_REACTOR_PIN=1): reactor i sticks
-// to the i-th CPU of the process's *allowed* set, so the pinning
-// respects cgroup/cpuset restrictions (a batch scheduler that granted
-// 4 of 128 cores must see those 4 used, not EINVAL). Any failure is a
-// warn-and-continue: pinning is a locality optimization, never a
-// correctness requirement.
-void maybe_pin_reactor(uint32_t reactor_id) {
-  if (!env_bool_or("HVAC_REACTOR_PIN", false)) return;
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (::sched_getaffinity(0, sizeof(allowed), &allowed) != 0) {
-    HVAC_LOG_WARN("reactor pin: sched_getaffinity: "
-                  << std::strerror(errno));
-    return;
-  }
-  std::vector<int> cpus;
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
-  }
-  if (cpus.empty()) return;
-  const int target = cpus[reactor_id % cpus.size()];
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(target, &one);
-  const int rc =
-      ::pthread_setaffinity_np(::pthread_self(), sizeof(one), &one);
-  if (rc != 0) {
-    HVAC_LOG_WARN("reactor pin: pthread_setaffinity_np(cpu " << target
-                  << "): " << std::strerror(rc));
-    return;
-  }
-  HVAC_LOG_DEBUG("reactor " << reactor_id << " pinned to cpu " << target);
-}
-
-}  // namespace
-
-void RpcServer::reactor_loop(Reactor& r) {
-  maybe_pin_reactor(r.id);
-  const size_t count = reactors_.size();
-  if (count > 1) {
-    // Reactor-private buffer arena: inline handlers allocate and
-    // recycle through it without touching the global pool's mutex.
-    BufferPool::set_thread_arena(&BufferPool::arena(r.id));
-  }
-  // Accepts every pending connection on `listen_fd`. With `handoff`
-  // they are round-robined across reactors; remote ones travel as raw
-  // fds through the owner's intake queue.
-  auto accept_all = [&](int listen_fd, bool handoff, bool local) {
-    for (;;) {
-      const int cfd = ::accept4(listen_fd, nullptr, nullptr,
-                                SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (cfd < 0) {
-        if (errno == EINTR) continue;  // signal, not "done accepting"
-        return;  // EAGAIN or error: done accepting
-      }
-      if (handoff && count > 1) {
-        const size_t target =
-            next_reactor_.fetch_add(1, std::memory_order_relaxed) % count;
-        if (target != r.id) {
-          Reactor& owner = *reactors_[target];
-          {
-            std::lock_guard<std::mutex> lock(owner.intake_mutex);
-            owner.intake.push_back({cfd, local});
-          }
-          wake(owner);
-          continue;
-        }
-      }
-      adopt_connection(r, cfd, local);
+void RpcServer::accept_all(int listen_fd, bool local) {
+  for (;;) {
+    const int cfd =
+        ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (cfd < 0) {
+      if (errno == EINTR) continue;  // signal, not "done accepting"
+      return;  // EAGAIN or error: done accepting
     }
-  };
+    adopt_connection(cfd, local);
+  }
+}
+
+void RpcServer::reactor_loop() {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (running_.load(std::memory_order_acquire)) {
     if (draining_.load(std::memory_order_acquire)) {
       // Drain: stop accepting. Deregister + close here (the thread
       // that polls the fds) so no event for them can be in flight.
-      for (Fd* listener : {&r.listen_fd, &r.alias_fd}) {
+      for (Fd* listener : {&listen_fd_, &alias_fd_}) {
         if (!listener->valid()) continue;
-        ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_DEL, listener->get(),
+        ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, listener->get(),
                     nullptr);
         listener->reset();
       }
     }
-    const int n = ::epoll_wait(r.epoll_fd.get(), events, kMaxEvents, 500);
+    const int n = ::epoll_wait(epoll_fd_.get(), events, kMaxEvents, 500);
     if (n < 0) {
       if (errno == EINTR) continue;
       HVAC_LOG_ERROR("epoll_wait: " << std::strerror(errno));
@@ -462,50 +283,30 @@ void RpcServer::reactor_loop(Reactor& r) {
     }
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == r.wake_fd.get()) {
+      if (fd == wake_fd_.get()) {
         // Drain the eventfd counter so it does not stay readable and
         // spin the loop; stop() still breaks the loop via running_.
         uint64_t wcount = 0;
         [[maybe_unused]] ssize_t wr =
-            ::read(r.wake_fd.get(), &wcount, sizeof(wcount));
-        // Adopt any connections handed off by reactor 0.
-        std::vector<Reactor::Handoff> handed;
-        {
-          std::lock_guard<std::mutex> lock(r.intake_mutex);
-          handed.swap(r.intake);
-        }
-        for (const Reactor::Handoff& h : handed) {
-          if (draining_.load(std::memory_order_acquire)) {
-            ::close(h.fd);
-            continue;
-          }
-          adopt_connection(r, h.fd, h.local);
-        }
+            ::read(wake_fd_.get(), &wcount, sizeof(wcount));
         continue;
       }
-      if (r.listen_fd.valid() && fd == r.listen_fd.get()) {
-        // SO_REUSEPORT does not shard unix stream sockets usefully:
-        // reactor 0 spreads them itself.
-        accept_all(fd, /*handoff=*/bound_.is_unix(), /*local=*/false);
+      if (listen_fd_.valid() && fd == listen_fd_.get()) {
+        accept_all(fd, /*local=*/false);
         continue;
       }
-      if (r.alias_fd.valid() && fd == r.alias_fd.get()) {
-        accept_all(fd, /*handoff=*/true, /*local=*/true);
+      if (alias_fd_.valid() && fd == alias_fd_.get()) {
+        accept_all(fd, /*local=*/true);
         continue;
       }
-      std::shared_ptr<Connection> conn;
-      {
-        std::lock_guard<std::mutex> lock(r.conns_mutex);
-        auto it = r.conns.find(fd);
-        if (it != r.conns.end()) conn = it->second;
-      }
-      if (conn) handle_readable(r, conn);
+      // Copied: handle_readable may drop the map's reference.
+      auto it = conns_.find(fd);
+      if (it != conns_.end()) handle_readable(std::shared_ptr(it->second));
     }
   }
 }
 
-void RpcServer::handle_readable(Reactor& r,
-                                const std::shared_ptr<Connection>& conn) {
+void RpcServer::handle_readable(const std::shared_ptr<Connection>& conn) {
   // Drain everything available without blocking; a single readable
   // event may carry several pipelined requests. A frame cut off at
   // EAGAIN waits for another readiness event: count each such frame
@@ -524,7 +325,7 @@ void RpcServer::handle_readable(Reactor& r,
           ::recv(conn->fd.get(), conn->header_buf + conn->header_got,
                  kHeaderSize - conn->header_got, MSG_DONTWAIT);
       if (n == 0) {
-        drop_connection(r, conn->fd.get());
+        drop_connection(conn->fd.get());
         return;
       }
       if (n < 0) {
@@ -532,7 +333,7 @@ void RpcServer::handle_readable(Reactor& r,
           await_more();
           return;
         }
-        drop_connection(r, conn->fd.get());
+        drop_connection(conn->fd.get());
         return;
       }
       conn->header_got += static_cast<size_t>(n);
@@ -540,7 +341,7 @@ void RpcServer::handle_readable(Reactor& r,
       auto header = decode_header(conn->header_buf, kHeaderSize);
       if (!header.ok()) {
         HVAC_LOG_WARN("dropping connection: " << header.error().to_string());
-        drop_connection(r, conn->fd.get());
+        drop_connection(conn->fd.get());
         return;
       }
       if (header->payload_len > options_.max_frame_bytes) {
@@ -549,7 +350,7 @@ void RpcServer::handle_readable(Reactor& r,
         HVAC_LOG_WARN("dropping connection: frame of "
                       << header->payload_len << " bytes exceeds bound "
                       << options_.max_frame_bytes);
-        drop_connection(r, conn->fd.get());
+        drop_connection(conn->fd.get());
         return;
       }
       conn->header = *header;
@@ -575,7 +376,7 @@ void RpcServer::handle_readable(Reactor& r,
           ::recv(conn->fd.get(), conn->trace_buf + conn->trace_got,
                  kTraceContextSize - conn->trace_got, MSG_DONTWAIT);
       if (n == 0) {
-        drop_connection(r, conn->fd.get());
+        drop_connection(conn->fd.get());
         return;
       }
       if (n < 0) {
@@ -583,7 +384,7 @@ void RpcServer::handle_readable(Reactor& r,
           await_more();
           return;
         }
-        drop_connection(r, conn->fd.get());
+        drop_connection(conn->fd.get());
         return;
       }
       conn->trace_got += static_cast<size_t>(n);
@@ -591,7 +392,7 @@ void RpcServer::handle_readable(Reactor& r,
       if (!decode_trace_context(conn->header, conn->trace_buf,
                                 kTraceContextSize)
                .ok()) {
-        drop_connection(r, conn->fd.get());
+        drop_connection(conn->fd.get());
         return;
       }
       conn->in_trace = false;
@@ -611,7 +412,7 @@ void RpcServer::handle_readable(Reactor& r,
         ::recv(conn->fd.get(), conn->payload.data() + conn->payload_got,
                want, MSG_DONTWAIT);
     if (n == 0) {
-      drop_connection(r, conn->fd.get());
+      drop_connection(conn->fd.get());
       return;
     }
     if (n < 0) {
@@ -619,7 +420,7 @@ void RpcServer::handle_readable(Reactor& r,
         await_more();
         return;
       }
-      drop_connection(r, conn->fd.get());
+      drop_connection(conn->fd.get());
       return;
     }
     conn->payload_got += static_cast<size_t>(n);
@@ -636,7 +437,6 @@ void RpcServer::shed_request(const std::shared_ptr<Connection>& conn,
                              const FrameHeader& header,
                              const std::string& reason) {
   requests_shed_.fetch_add(1, std::memory_order_relaxed);
-  conn->reactor->shed.fetch_add(1, std::memory_order_relaxed);
   ResilienceCounters::global().server_shed.fetch_add(
       1, std::memory_order_relaxed);
   FrameHeader resp;
@@ -763,20 +563,15 @@ Status RpcServer::write_response(const std::shared_ptr<Connection>& conn,
 bool RpcServer::run_request(const std::shared_ptr<Connection>& conn,
                             const FrameHeader& header, const Bytes& payload,
                             uint64_t enqueue_ns, bool probe) {
-  const uint32_t reactor_id = conn->reactor->id;
   // Adopt the caller's context (no-op for untraced frames) and wrap
-  // the handler + send in server.dispatch; the pool wait becomes its
-  // own server.queue span — zero-length for inline dispatch, where
-  // the handler runs on the reactor with no queue. Both spans carry
-  // the reactor id so a timeline groups by core: server.queue's arg
-  // is the id itself, server.dispatch packs it above the opcode.
+  // the handler + send in server.dispatch (arg: the opcode); the pool
+  // wait becomes its own server.queue span — zero-length for inline
+  // dispatch, where the handler runs on the reactor with no queue.
   trace::ScopedContext adopt(header.trace);
   const bool traced_queue = enqueue_ns != 0 && header.has_trace;
   const uint64_t dispatch_ns = traced_queue ? trace::now_ns() : 0;
   {
-    trace::Span dspan("server.dispatch",
-                      (static_cast<uint64_t>(reactor_id) << 32) |
-                          header.opcode);
+    trace::Span dspan("server.dispatch", header.opcode);
     std::optional<Result<Payload>> answer =
         [&]() -> std::optional<Result<Payload>> {
       auto it = handlers_.find(header.opcode);
@@ -817,11 +612,10 @@ bool RpcServer::run_request(const std::shared_ptr<Connection>& conn,
     // Count before the write so a client that has already seen the
     // response also sees the counter (tests rely on this ordering).
     requests_served_.fetch_add(1, std::memory_order_relaxed);
-    conn->reactor->requests.fetch_add(1, std::memory_order_relaxed);
     if (Status ws = write_response(conn, resp, body); !ws.ok()) {
       // The header may already be on the wire with the payload short:
       // nothing valid can follow, so shut the socket down and let the
-      // owning reactor reap the connection (it owns drop_connection).
+      // reactor reap the connection (it owns drop_connection).
       HVAC_LOG_DEBUG("response write failed: " << ws.error().to_string());
       ::shutdown(conn->fd.get(), SHUT_RDWR);
     }
@@ -829,7 +623,7 @@ bool RpcServer::run_request(const std::shared_ptr<Connection>& conn,
   // Recorded once the request is answered, beside server.dispatch, so
   // a declined probe's re-queue yields one queue span, not two.
   if (traced_queue) {
-    trace::emit("server.queue", enqueue_ns, dispatch_ns, reactor_id);
+    trace::emit("server.queue", enqueue_ns, dispatch_ns);
   }
   if (draining_.load(std::memory_order_acquire)) {
     ResilienceCounters::global().drained_requests.fetch_add(
@@ -871,8 +665,8 @@ void RpcServer::dispatch(const std::shared_ptr<Connection>& conn,
     has_probe = static_cast<bool>(it->second.probe);
   }
   if (hint == DispatchHint::kInline) {
-    // Fast path: run on the owning reactor, no queue, no wake, no
-    // cross-core handoff. The handler promised not to block.
+    // Fast path: run on the reactor, no queue, no wake, no cross-core
+    // handoff. The handler promised not to block.
     run_request(conn, header, payload, enqueue_ns);
     return;
   }
@@ -887,13 +681,12 @@ void RpcServer::dispatch(const std::shared_ptr<Connection>& conn,
                payload = std::move(payload)]() {
     run_request(conn, header, payload, enqueue_ns);
   };
-  if (Status s = pool_->submit(conn->reactor->id, std::move(work)); !s.ok()) {
+  if (Status s = pool_->submit(std::move(work)); !s.ok()) {
     conn->inflight.fetch_sub(1, std::memory_order_relaxed);
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     if (s.error().code == ErrorCode::kCapacity) {
-      // Shard (and steal victims) saturated: shed with retry_after
-      // instead of queueing unboundedly — same contract as the
-      // per-connection cap.
+      // Pool saturated: shed with retry_after instead of queueing
+      // unboundedly — same contract as the per-connection cap.
       shed_request(conn, header, "dispatch queue full");
     } else {
       HVAC_LOG_DEBUG("dropping request during shutdown");
@@ -901,10 +694,9 @@ void RpcServer::dispatch(const std::shared_ptr<Connection>& conn,
   }
 }
 
-void RpcServer::drop_connection(Reactor& r, int fd) {
-  std::lock_guard<std::mutex> lock(r.conns_mutex);
-  ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_DEL, fd, nullptr);
-  r.conns.erase(fd);  // Connection destructor closes the socket
+void RpcServer::drop_connection(int fd) {
+  ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
+  conns_.erase(fd);  // Connection destructor closes the socket
 }
 
 }  // namespace hvac::rpc

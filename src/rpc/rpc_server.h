@@ -1,23 +1,20 @@
-// RPC server: N sharded reactors, each owning an epoll loop, a
-// listener shard (SO_REUSEPORT for TCP; fd handoff from reactor 0 for
-// unix sockets and for a TCP server's node-local alias, socket.h) and
-// the connections it accepted — the multi-instance
-// trick the HVAC paper uses to widen one Mercury progress loop,
-// folded into a single process. Frame decode and fast handlers run on
-// the owning reactor with no cross-reactor locks; mover-bound
-// handlers are queued on a work-stealing pool shard so an idle
-// reactor's workers can steal backlog from a busy one.
+// RPC server: one epoll reactor thread per server instance. It owns
+// the listener (TCP or unix:), a TCP server's node-local alias
+// listener (socket.h) and every connection, so frame decode and fast
+// handlers run with no cross-thread locks. Blocking (mover-bound)
+// handlers queue on a small ThreadPool whose workers write their own
+// responses. This is the paper's one Mercury progress loop per
+// instance: a node is widened by running more instances (hvacd
+// --instances, the paper's HVAC(i×1)), not by more loops inside one.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
@@ -37,19 +34,18 @@ using Handler = std::function<Result<Bytes>(const Bytes& request)>;
 // pool afterwards.
 using PayloadHandler = std::function<Result<Payload>(const Bytes& request)>;
 
-// Where a handler runs. kPooled (default) queues on the work-stealing
-// pool shard of the owning reactor — right for mover-bound or
-// blocking handlers. kInline runs on the reactor thread itself: zero
-// queue/wake cost for fast hit-path handlers (ping, cached reads) at
-// the price of stalling that reactor's other connections for the
-// handler's duration — only mark handlers that never block on
-// anything slower than local NVMe.
+// Where a handler runs. kPooled (default) queues on the handler pool
+// — right for mover-bound or blocking handlers. kInline runs on the
+// reactor thread itself: zero queue/wake cost for fast hit-path
+// handlers (ping, cached reads) at the price of stalling every other
+// connection for the handler's duration — only mark handlers that
+// never block on anything slower than local NVMe.
 enum class DispatchHint : uint8_t { kPooled = 0, kInline };
 
 // Reactor-side first attempt of a pooled handler: it runs inline on
-// the owning reactor and either answers (a Result) or declines with
+// the reactor and either answers (a Result) or declines with
 // std::nullopt because answering would block (a mover wait, a PFS
-// read). A declined request is queued on the pool shard and the
+// read). A declined request is queued on the pool and the
 // pooled handler runs it anew, so one opcode serves its hit
 // path inline and its miss path pooled. Either way the request counts
 // once as served and records one server.queue + server.dispatch pair
@@ -68,9 +64,9 @@ struct RpcServerOptions {
   // "unix:/tmp/x.sock". A TCP server also listens on its node-local
   // alias (local_alias_name in socket.h).
   std::string bind_address = "127.0.0.1:0";
-  // Handler pool width (total across all reactors). The paper runs i
-  // server instances per node to widen this; we additionally allow
-  // multiple handler threads per instance.
+  // Handler pool width. The paper runs i server instances per node to
+  // widen a node; pooled handlers get a few threads per instance so a
+  // mover wait does not stall the next miss.
   size_t handler_threads = 2;
   // Hard bound on request payload size. A header announcing more than
   // this is treated as hostile/corrupt: the frame is rejected before
@@ -84,24 +80,17 @@ struct RpcServerOptions {
   uint32_t max_inflight_per_conn = 256;
   // retry_after hint (ms) carried in shed responses.
   uint32_t shed_retry_after_ms = 50;
-  // Reactor count. 0 = auto: HVAC_REACTORS if set, else
-  // min(hardware cores, 8). Each reactor owns an epoll fd, a listener
-  // shard and a private buffer-pool arena.
-  size_t reactors = 0;
 };
 
 class RpcServer {
  public:
-  // Per-reactor counters exposed to the metrics frame (section 9).
+  // The reactor's counters: the instance's row of metrics frame
+  // section 9.
   struct ReactorStats {
-    uint64_t conns = 0;     // connections accepted by this reactor
+    uint64_t conns = 0;        // connections accepted
     uint64_t local_conns = 0;  // of those, accepted over the alias
-    uint64_t requests = 0;  // requests served for its connections
-    uint64_t steals = 0;    // its queued tasks run by foreign workers
-    uint64_t shed = 0;      // requests shed on its connections
-    // Steal scans its workers skipped because shard depths were
-    // uniform (adaptive throttle, HVAC_STEAL_THROTTLE).
-    uint64_t steal_backoffs = 0;
+    uint64_t requests = 0;     // requests served
+    uint64_t shed = 0;         // requests shed
   };
 
   explicit RpcServer(RpcServerOptions options);
@@ -123,18 +112,18 @@ class RpcServer {
   void register_payload_handler(uint16_t opcode, PayloadHandler pooled,
                                 ReactorProbe on_reactor);
 
-  // Binds the listener shards and spawns the reactor threads.
+  // Binds the listeners and spawns the reactor thread.
   Status start();
 
   // Stops accepting, closes connections and joins threads. Idempotent.
   void stop();
 
-  // Graceful drain (SIGTERM path): every reactor stops accepting new
+  // Graceful drain (SIGTERM path): the reactor stops accepting new
   // connections, sheds requests that arrive after the call, and this
-  // waits (bounded by `timeout_ms`) for in-flight responses on all
-  // reactors to be written. The reactors keep serving reads of
-  // already-buffered frames as sheds, so clients get an answer, not a
-  // hang. Call stop() afterwards.
+  // waits (bounded by `timeout_ms`) for in-flight responses to be
+  // written. The reactor keeps serving reads of already-buffered
+  // frames as sheds, so clients get an answer, not a hang. Call
+  // stop() afterwards.
   void drain(int timeout_ms = 5000);
 
   bool draining() const {
@@ -165,24 +154,22 @@ class RpcServer {
   uint64_t inflight() const {
     return inflight_.load(std::memory_order_relaxed);
   }
-  size_t reactor_count() const { return reactors_.size(); }
-  std::vector<ReactorStats> reactor_stats() const;
+  ReactorStats reactor_stats() const;
 
  private:
   struct Connection;
-  struct Reactor;
   struct HandlerEntry {
     PayloadHandler fn;
     DispatchHint hint = DispatchHint::kPooled;
     ReactorProbe probe;  // empty: no reactor-side attempt
   };
 
-  size_t resolve_reactor_count() const;
-  Status setup_reactor(Reactor& r);
-  void reactor_loop(Reactor& r);
-  void wake(Reactor& r);
-  void adopt_connection(Reactor& r, int cfd, bool local);
-  void handle_readable(Reactor& r, const std::shared_ptr<Connection>& conn);
+  Status setup_epoll();
+  void reactor_loop();
+  void wake();
+  void accept_all(int listen_fd, bool local);
+  void adopt_connection(int cfd, bool local);
+  void handle_readable(const std::shared_ptr<Connection>& conn);
   void dispatch(const std::shared_ptr<Connection>& conn, FrameHeader header,
                 Bytes payload);
   // Runs the handler (or, with `probe`, the reactor probe) and writes
@@ -198,17 +185,23 @@ class RpcServer {
   // shut the connection down.
   Status write_response(const std::shared_ptr<Connection>& conn,
                         FrameHeader resp, const Payload& body);
-  void drop_connection(Reactor& r, int fd);
+  void drop_connection(int fd);
   // Writes a status-only error frame for `header` (shed/backpressure
-  // path — runs on the owning reactor, before any pool submit).
+  // path — runs on the reactor, before any pool submit).
   void shed_request(const std::shared_ptr<Connection>& conn,
                     const FrameHeader& header, const std::string& reason);
 
   RpcServerOptions options_;
   std::unordered_map<uint16_t, HandlerEntry> handlers_;
   Endpoint bound_;
-  std::vector<std::unique_ptr<Reactor>> reactors_;
-  std::unique_ptr<WorkStealingPool> pool_;
+  Fd listen_fd_;
+  Fd alias_fd_;  // a TCP server's node-local alias
+  Fd epoll_fd_;
+  Fd wake_fd_;   // eventfd: stop/drain signal
+  // Touched only by the reactor thread while it runs; stop() clears
+  // it after the join.
+  std::unordered_map<int, std::shared_ptr<Connection>> conns_;
+  std::unique_ptr<ThreadPool> pool_;
   ZeroCopyMode zerocopy_mode_ = ZeroCopyMode::kOff;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
@@ -216,9 +209,9 @@ class RpcServer {
   std::atomic<uint64_t> split_frames_{0};
   std::atomic<uint64_t> requests_shed_{0};
   std::atomic<uint64_t> inflight_{0};
-  // Round-robin cursor for unix-socket and alias fd handoff (reactor 0
-  // accepts).
-  std::atomic<uint64_t> next_reactor_{0};
+  std::atomic<uint64_t> conns_accepted_{0};
+  std::atomic<uint64_t> local_conns_{0};
+  std::thread thread_;  // the reactor; uses every member above
 };
 
 }  // namespace hvac::rpc

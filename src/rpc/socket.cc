@@ -189,8 +189,7 @@ Result<Fd> listen_on_alias(const Endpoint& endpoint) {
   return fd;
 }
 
-Result<Fd> listen_on(const Endpoint& endpoint, Endpoint* bound_endpoint,
-                     bool reuseport) {
+Result<Fd> listen_on(const Endpoint& endpoint, Endpoint* bound_endpoint) {
   if (endpoint.is_unix()) {
     HVAC_ASSIGN_OR_RETURN(Fd fd, make_unix_socket());
     HVAC_ASSIGN_OR_RETURN(sockaddr_un addr, unix_addr(endpoint));
@@ -209,11 +208,6 @@ Result<Fd> listen_on(const Endpoint& endpoint, Endpoint* bound_endpoint,
   HVAC_ASSIGN_OR_RETURN(Fd fd, make_tcp_socket());
   int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuseport &&
-      ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) !=
-          0) {
-    return Error::from_errno(errno, "setsockopt(SO_REUSEPORT)");
-  }
   HVAC_ASSIGN_OR_RETURN(sockaddr_in addr, tcp_addr(endpoint));
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {

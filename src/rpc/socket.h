@@ -56,13 +56,8 @@ struct Endpoint {
 // Creates a listening socket bound to `endpoint`. For TCP, a port of 0
 // picks an ephemeral port; `bound_endpoint` (if non-null) receives the
 // actual address. All sockets are created CLOEXEC so they never leak
-// into the intercept shim's exec'd children. `reuseport` sets
-// SO_REUSEPORT before bind (TCP only) so N reactor listeners can
-// shard one port — the kernel hashes incoming connections across
-// them; it must be set on *every* listener sharing the port,
-// including the first.
-Result<Fd> listen_on(const Endpoint& endpoint, Endpoint* bound_endpoint,
-                     bool reuseport = false);
+// into the intercept shim's exec'd children.
+Result<Fd> listen_on(const Endpoint& endpoint, Endpoint* bound_endpoint);
 
 // The node-local alias of a TCP endpoint: the abstract-namespace
 // AF_UNIX name "\0hvac:<host:port>", spelled from the address string a

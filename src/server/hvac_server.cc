@@ -25,7 +25,6 @@ rpc::RpcServerOptions make_rpc_options(const HvacServerOptions& o) {
   rpc::RpcServerOptions r;
   r.bind_address = o.bind_address;
   r.handler_threads = o.rpc_handler_threads;
-  r.reactors = o.rpc_reactors;
   return r;
 }
 
@@ -449,7 +448,7 @@ Result<rpc::Payload> HvacServer::handle_read_segment(const Bytes& req) {
   // pread lands directly in a pooled payload buffer, after the blob
   // length prefix; no copy between the file and the socket.
   hvac::BufferPool::Lease lease =
-      hvac::BufferPool::local().acquire(rpc::kBlobPrefix + count);
+      hvac::BufferPool::global().acquire(rpc::kBlobPrefix + count);
   HVAC_ASSIGN_OR_RETURN(
       size_t n, cache_->pread_segment(path, seg_index, segment_bytes,
                                       lease.data() + rpc::kBlobPrefix,
@@ -643,7 +642,7 @@ Result<rpc::Payload> HvacServer::handle_read(const Bytes& req) {
     count = static_cast<uint32_t>(std::min<uint64_t>(count, avail));
   }
   hvac::BufferPool::Lease lease =
-      hvac::BufferPool::local().acquire(rpc::kBlobPrefix + count);
+      hvac::BufferPool::global().acquire(rpc::kBlobPrefix + count);
   uint8_t* dst = lease.data() + rpc::kBlobPrefix;
   size_t n = 0;
   if (open_file->pfs_fallback) {
@@ -812,7 +811,7 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
   // preads, so the table is stamped last.
   const size_t table_size = rpc::scatter_table_size(n);
   hvac::BufferPool::Lease lease =
-      hvac::BufferPool::local().acquire(table_size + s.total);
+      hvac::BufferPool::global().acquire(table_size + s.total);
   uint8_t* data = lease.data() + table_size;
   size_t cursor = 0;
   std::vector<uint32_t> actual(n);
@@ -1216,8 +1215,7 @@ core::MetricsFrame HvacServer::metrics_frame() const {
   f.handle_cache.deferred_closes = fds.deferred_closes;
   f.handle_cache.capacity = fds.budget;
 
-  // Pool counters aggregate the global pool plus every reactor arena.
-  const BufferPool::Stats bp = BufferPool::aggregated_stats();
+  const BufferPool::Stats bp = BufferPool::global().stats();
   f.buffer_pool.leases = bp.hits + bp.misses + bp.unpooled;
   f.buffer_pool.pool_hits = bp.hits;
   f.buffer_pool.fallback_allocs = bp.misses + bp.unpooled;
@@ -1268,17 +1266,15 @@ core::MetricsFrame HvacServer::metrics_frame() const {
   f.trace.ring_capacity = ts.ring_capacity;
   f.trace.occupancy = ts.occupancy;
 
-  // Per-reactor counters for this instance's RPC server (section 9).
-  for (const rpc::RpcServer::ReactorStats& rs : rpc_.reactor_stats()) {
-    core::ReactorStats::PerReactor row;
-    row.conns = rs.conns;
-    row.requests = rs.requests;
-    row.steals = rs.steals;
-    row.shed = rs.shed;
-    row.steal_backoffs = rs.steal_backoffs;
-    row.local_conns = rs.local_conns;
-    f.reactor.reactors.push_back(row);
-  }
+  // This instance's reactor row (section 9); steals and
+  // steal_backoffs stay 0 (core::ReactorStats).
+  const rpc::RpcServer::ReactorStats rs = rpc_.reactor_stats();
+  core::ReactorStats::PerReactor row;
+  row.conns = rs.conns;
+  row.requests = rs.requests;
+  row.shed = rs.shed;
+  row.local_conns = rs.local_conns;
+  f.reactor.reactors.push_back(row);
 
   // Checkpoint write path (section 10).
   f.write_back.writes = load(writes_);

@@ -51,9 +51,6 @@ struct HvacServerOptions {
   // queueing without limit. Tightened via HVAC_MOVER_QUEUE.
   size_t mover_queue_capacity = 4096;
   uint64_t seed = 0;
-  // RPC reactor count, forwarded to RpcServerOptions::reactors
-  // (0 = auto: HVAC_REACTORS, else min(cores, 8)).
-  size_t rpc_reactors = 0;
   // Load the dataset's packed-container index (.hvacpack/) when one
   // exists and resolve packed sample paths through it. Overridden by
   // HVAC_PACK=0. A corrupt index logs and disables packed resolution

@@ -23,7 +23,6 @@ NodeRuntime::NodeRuntime(NodeRuntimeOptions options)
     so.eviction_policy = options_.eviction_policy;
     so.data_mover_threads = options_.data_mover_threads;
     so.rpc_handler_threads = options_.rpc_handler_threads;
-    so.rpc_reactors = options_.rpc_reactors;
     so.seed = 0x48564143 + i;
     servers_.push_back(std::make_unique<HvacServer>(pfs_.get(), so));
   }

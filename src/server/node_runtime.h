@@ -25,8 +25,6 @@ struct NodeRuntimeOptions {
   std::string eviction_policy = "random";
   size_t data_mover_threads = core::DataMover::kDefaultMovers;
   size_t rpc_handler_threads = 2;
-  // Per-instance RPC reactor count (0 = auto, see RpcServerOptions).
-  size_t rpc_reactors = 0;
   // "HOST" binds ephemeral ports; "HOST:PORT" binds PORT + i for
   // instance i, so a restarted node comes back on its old endpoints.
   std::string bind_host = "127.0.0.1";

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/hash.h"
@@ -333,6 +334,82 @@ TEST_F(InterceptTest, WarmPackedSampleIsOneScatterRpc) {
   EXPECT_NE(json.str().find("\"read_ahead\":{\"issued\":0,"),
             std::string::npos)
       << json.str();
+  node.stop();
+}
+
+// Runs `cmd` through the shell; returns its stdout, or nullopt when
+// it exits non-zero.
+std::optional<std::string> capture(const std::string& cmd) {
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return std::nullopt;
+  std::string out;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) out.append(buf, n);
+  if (::pclose(pipe) != 0) return std::nullopt;
+  return out;
+}
+
+// CPython's builtin open() goes through the *64 names libpython
+// imports (openat64, fstat64): a 20 KB sample whose bytes ride the
+// open reply and a 300 KB one read through a passed cache fd both
+// come back whole, with st_size from the vfd, and neither falls back
+// to the PFS.
+TEST_F(InterceptTest, CPythonBuiltinOpenReadsThroughTheShim) {
+  // The real interpreter, not a version-manager wrapper script.
+  const auto which = capture(
+      "python3 -c 'import sys; print(sys.executable)' 2>/dev/null");
+  if (!which.has_value() || which->size() < 2) {
+    GTEST_SKIP() << "python3 not found";
+  }
+  const std::string python = which->substr(0, which->find('\n'));
+
+  const std::string root = temp_dir("py_pfs");
+  std::vector<std::string> paths;
+  for (const size_t size : {20'000, 300'000}) {
+    std::string bytes(size, '\0');
+    for (size_t i = 0; i < size; ++i) bytes[i] = char((i * 131 + size) >> 3);
+    paths.push_back(root + "/sample_" + std::to_string(size) + ".bin");
+    std::ofstream(paths.back(), std::ios::binary) << bytes;
+  }
+  server::NodeRuntimeOptions o;
+  o.pfs_root = root;
+  o.cache_root = temp_dir("py_cache");
+  server::NodeRuntime node(o);
+  ASSERT_TRUE(node.start().ok());
+
+  // Outside the dataset: only the samples go through the shim.
+  const std::string script = temp_dir("py_script") + "/read.py";
+  std::ofstream(script) <<
+      "import hashlib, os, sys\n"
+      "for p in sys.argv[1:]:\n"
+      "    with open(p, 'rb') as f:\n"
+      "        data = f.read()\n"
+      "        size = os.fstat(f.fileno()).st_size\n"
+      "    print(p, len(data), size, hashlib.sha256(data).hexdigest())\n";
+  std::string args = python + " " + script;
+  for (const auto& p : paths) args += " " + p;
+
+  const auto direct = capture(args);
+  ASSERT_TRUE(direct.has_value());
+  ASSERT_NE(direct->find(" 300000 300000 "), std::string::npos) << *direct;
+  const std::string stats = root + "/stats.json";
+  for (int pass = 0; pass < 2; ++pass) {  // cold, then warm
+    const auto shimmed =
+        capture("env LD_PRELOAD=" + std::string(HVAC_INTERCEPT_SO) +
+                " ASAN_OPTIONS=verify_asan_link_order=0 HVAC_DATASET_DIR=" +
+                root + " HVAC_SERVERS=" + node.endpoints_csv() +
+                " HVAC_STATS_FILE=" + stats + " " + args);
+    ASSERT_TRUE(shimmed.has_value()) << "pass " << pass;
+    EXPECT_EQ(*shimmed, *direct) << "pass " << pass;
+    std::ifstream in(stats);
+    std::stringstream json;
+    json << in.rdbuf();
+    EXPECT_NE(json.str().find("{\"opens\":2,\"remote_opens\":2,"
+                              "\"fallback_opens\":0,"),
+              std::string::npos)
+        << json.str();
+  }
   node.stop();
 }
 

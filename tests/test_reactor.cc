@@ -1,10 +1,10 @@
-// Sharded-reactor server core: connection distribution across
-// reactors (SO_REUSEPORT shards for TCP, fd handoff for unix
-// sockets), shed accounting summed across reactors under saturation,
-// graceful drain finishing in-flight work on every reactor, and
-// work-stealing correctness with the fault harness slowing one
-// shard's handlers. Suite names carry Backpressure/Drain/Fault/Chaos
-// so the chaos CI leg (scripts/check.sh chaos) picks them up.
+// The one-reactor server core and its handler pool: the pool's
+// non-blocking submit and draining shutdown, request and connection
+// accounting, shed accounting under saturation, graceful drain, and
+// pooled answers staying matched to their requests with the fault
+// harness slowing handlers. Suite names carry
+// Backpressure/Drain/Fault/Chaos so the chaos CI leg
+// (scripts/check.sh chaos) picks them up.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -32,99 +32,60 @@ using rpc::RpcClient;
 using rpc::RpcServer;
 using rpc::RpcServerOptions;
 
-uint64_t sum_conns(const std::vector<RpcServer::ReactorStats>& stats) {
-  uint64_t total = 0;
-  for (const auto& s : stats) total += s.conns;
-  return total;
-}
-
-uint64_t sum_requests(const std::vector<RpcServer::ReactorStats>& stats) {
-  uint64_t total = 0;
-  for (const auto& s : stats) total += s.requests;
-  return total;
-}
-
-uint64_t sum_shed(const std::vector<RpcServer::ReactorStats>& stats) {
-  uint64_t total = 0;
-  for (const auto& s : stats) total += s.shed;
-  return total;
-}
-
 std::string unix_endpoint(const std::string& tag) {
   return "unix:" + ::testing::TempDir() + "hvac_reactor_" + tag + "_" +
          std::to_string(::getpid()) + ".sock";
 }
 
-// ---- work-stealing pool (the dispatch tier on its own) --------------------
+// ---- handler pool (the dispatch tier on its own) ---------------------------
 
-TEST(ReactorChaos, WorkStealingPoolRunsEverySubmittedTask) {
-  WorkStealingPool::Options o;
-  o.shards = 4;
-  o.workers_per_shard = 1;
-  o.shard_capacity = 1024;
-  WorkStealingPool pool(o);
-  ASSERT_EQ(pool.shard_count(), 4u);
-  ASSERT_EQ(pool.num_threads(), 4u);
-
-  std::atomic<int> ran{0};
-  constexpr int kTasks = 400;
-  for (int i = 0; i < kTasks; ++i) {
-    ASSERT_TRUE(pool.submit(size_t(i) % 4, [&] { ran.fetch_add(1); }).ok());
-  }
-  pool.shutdown();  // drains: every accepted task runs before exit
-  EXPECT_EQ(ran.load(), kTasks);
-  EXPECT_FALSE(pool.submit(0, [] {}).ok());  // after shutdown: rejected
-}
-
-TEST(ReactorChaos, WorkStealingPoolStealsFromBusyShard) {
-  WorkStealingPool::Options o;
-  o.shards = 2;
-  o.workers_per_shard = 1;
-  WorkStealingPool pool(o);
-
-  // Park shard 1's worker so its queue sits idle, then pile work on
-  // shard 0: shard 1's worker must steal shard-0 backlog once it
-  // frees up, and the steals land on the victim shard's counter.
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  ASSERT_TRUE(pool.submit(1, [gate] { gate.wait(); }).ok());
-
-  std::atomic<int> ran{0};
-  constexpr int kTasks = 64;
-  for (int i = 0; i < kTasks; ++i) {
-    ASSERT_TRUE(pool.submit(0, [&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ran.fetch_add(1);
-    }).ok());
-  }
-  release.set_value();
-  pool.shutdown();
-  EXPECT_EQ(ran.load(), kTasks);
-  EXPECT_GT(pool.steals(0), 0u);  // victim-shard accounting
-}
-
-TEST(ReactorChaos, WorkStealingPoolBoundsQueueWithCapacityError) {
-  WorkStealingPool::Options o;
-  o.shards = 1;
-  o.workers_per_shard = 1;
-  o.shard_capacity = 4;
-  WorkStealingPool pool(o);
-
+TEST(ReactorChaos, ThreadPoolShutdownRunsEveryQueuedTask) {
+  ThreadPool pool(1);
+  // Park the only worker so every task below is still queued when
+  // shutdown starts.
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
   std::atomic<bool> started{false};
-  ASSERT_TRUE(pool.submit(0, [&started, gate] {
+  ASSERT_TRUE(pool.submit([&started, gate] {
     started.store(true);
     gate.wait();
   }).ok());
   while (!started.load()) std::this_thread::yield();
-  // Worker is provably blocked and the queue empty: it takes exactly
-  // shard_capacity more, then rejects with kCapacity instead of
-  // growing without bound.
+
+  std::atomic<int> ran{0};
+  constexpr int kTasks = 400;
+  for (int i = 0; i < kTasks; ++i) {
+    ASSERT_TRUE(pool.submit([&] { ran.fetch_add(1); }).ok());
+  }
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release.set_value();
+  });
+  pool.shutdown();  // drains: every accepted task runs before exit
+  releaser.join();
+  EXPECT_EQ(ran.load(), kTasks);
+  const Status late = pool.submit([] {});
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.error().code, ErrorCode::kCancelled);
+}
+
+TEST(ReactorChaos, ThreadPoolFullQueueGivesCapacityError) {
+  ThreadPool pool(1, /*queue_capacity=*/4);
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  std::atomic<bool> started{false};
+  ASSERT_TRUE(pool.submit([&started, gate] {
+    started.store(true);
+    gate.wait();
+  }).ok());
+  while (!started.load()) std::this_thread::yield();
+  // The worker is provably blocked and the queue empty: it takes
+  // exactly queue_capacity more, then rejects with kCapacity instead
+  // of blocking the submitting reactor.
   int accepted = 0;
   Status last = Status::Ok();
   for (int i = 0; i < 64; ++i) {
-    Status s = pool.submit(0, [] {});
+    Status s = pool.submit([] {});
     if (s.ok()) {
       ++accepted;
     } else {
@@ -139,23 +100,20 @@ TEST(ReactorChaos, WorkStealingPoolBoundsQueueWithCapacityError) {
   pool.shutdown();
 }
 
-// ---- connection distribution ----------------------------------------------
+// ---- connection and request accounting ------------------------------------
 
 TEST(ReactorChaos, TcpRequestsConservedAcrossReactors) {
+  // One reactor owns every connection: its row counts each connection
+  // and each request exactly once — nothing lost, nothing doubled.
   RpcServerOptions so;
   so.bind_address = "127.0.0.1:0";
   so.handler_threads = 4;
-  so.reactors = 4;
   RpcServer server(so);
   server.register_handler(1, [](const Bytes& req) {
     return Result<Bytes>(req);
   });
   ASSERT_TRUE(server.start().ok());
-  ASSERT_EQ(server.reactor_count(), 4u);
 
-  // 16 connections, 8 echoes each. SO_REUSEPORT hashes the 4-tuple,
-  // so per-reactor counts are kernel-dependent — what must hold is
-  // conservation: nothing lost, nothing double-counted.
   constexpr int kClients = 16;
   constexpr int kCallsEach = 8;
   std::vector<std::unique_ptr<RpcClient>> clients;
@@ -171,43 +129,10 @@ TEST(ReactorChaos, TcpRequestsConservedAcrossReactors) {
     }
   }
 
-  const auto stats = server.reactor_stats();
-  ASSERT_EQ(stats.size(), 4u);
-  EXPECT_EQ(sum_conns(stats), uint64_t(kClients));
-  EXPECT_EQ(sum_requests(stats), uint64_t(kClients) * kCallsEach);
+  const RpcServer::ReactorStats stats = server.reactor_stats();
+  EXPECT_EQ(stats.conns, uint64_t(kClients));
+  EXPECT_EQ(stats.requests, uint64_t(kClients) * kCallsEach);
   EXPECT_EQ(server.requests_served(), uint64_t(kClients) * kCallsEach);
-  server.stop();
-}
-
-TEST(ReactorChaos, UnixHandoffRoundRobinsConnections) {
-  RpcServerOptions so;
-  so.bind_address = unix_endpoint("handoff");
-  so.handler_threads = 4;
-  so.reactors = 4;
-  RpcServer server(so);
-  server.register_handler(1, [](const Bytes& req) {
-    return Result<Bytes>(req);
-  });
-  ASSERT_TRUE(server.start().ok());
-  ASSERT_EQ(server.reactor_count(), 4u);
-
-  // Unix sockets cannot shard the listener: reactor 0 accepts and
-  // hands fds round-robin, so 8 connections land exactly 2 per
-  // reactor. The ping makes each handoff observable before we look.
-  constexpr int kClients = 8;
-  std::vector<std::unique_ptr<RpcClient>> clients;
-  for (int i = 0; i < kClients; ++i) {
-    clients.push_back(std::make_unique<RpcClient>(server.endpoint()));
-    const auto resp = clients.back()->call(1, Bytes{uint8_t(i)});
-    ASSERT_TRUE(resp.ok()) << resp.error().to_string();
-  }
-
-  const auto stats = server.reactor_stats();
-  ASSERT_EQ(stats.size(), 4u);
-  for (size_t r = 0; r < stats.size(); ++r) {
-    EXPECT_EQ(stats[r].conns, 2u) << "reactor " << r;
-  }
-  EXPECT_EQ(sum_requests(stats), uint64_t(kClients));
   server.stop();
 }
 
@@ -218,7 +143,6 @@ TEST(ReactorBackpressure, ShedAccountingSumsAcrossReactors) {
   so.bind_address = unix_endpoint("shed");
   so.handler_threads = 2;
   so.max_inflight_per_conn = 2;
-  so.reactors = 2;
   RpcServer server(so);
   server.register_handler(1, [](const Bytes& req) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -227,9 +151,9 @@ TEST(ReactorBackpressure, ShedAccountingSumsAcrossReactors) {
   ASSERT_TRUE(server.start().ok());
 
   rpc::HealthRegistry::global().reset();
-  // Two pipelined clients — the unix handoff puts one on each
-  // reactor — each firing far past its per-connection in-flight cap,
-  // so both reactors shed.
+  // Two pipelined clients, each firing far past its per-connection
+  // in-flight cap: the reactor sheds on both connections, and its row
+  // sums them.
   AsyncRpcClient a(server.endpoint());
   AsyncRpcClient b(server.endpoint());
   std::vector<std::future<Result<Bytes>>> futures;
@@ -250,22 +174,21 @@ TEST(ReactorBackpressure, ShedAccountingSumsAcrossReactors) {
   EXPECT_GT(ok, 0u);
   EXPECT_GT(shed, 0u);
 
-  const auto stats = server.reactor_stats();
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(sum_shed(stats), shed);
+  const RpcServer::ReactorStats stats = server.reactor_stats();
+  EXPECT_EQ(stats.conns, 2u);
+  EXPECT_EQ(stats.shed, shed);
   EXPECT_EQ(server.requests_shed(), shed);
-  EXPECT_EQ(sum_requests(stats), ok);
+  EXPECT_EQ(stats.requests, ok);
   server.stop();
   rpc::HealthRegistry::global().reset();
 }
 
-// ---- graceful drain across reactors ---------------------------------------
+// ---- graceful drain -------------------------------------------------------
 
 TEST(ReactorDrain, DrainFinishesInflightOnAllReactors) {
   RpcServerOptions so;
   so.bind_address = unix_endpoint("drain");
   so.handler_threads = 4;
-  so.reactors = 4;
   RpcServer server(so);
   server.register_handler(1, [](const Bytes& req) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -274,9 +197,9 @@ TEST(ReactorDrain, DrainFinishesInflightOnAllReactors) {
   ASSERT_TRUE(server.start().ok());
   rpc::HealthRegistry::global().reset();
 
-  // One in-flight request per reactor (round-robin handoff), then
-  // drain: all four must be answered, not cut, and late arrivals on
-  // the still-open connections get a shed response rather than a hang.
+  // One in-flight request on each of four connections, then drain:
+  // all four must be answered, not cut, and late arrivals on the
+  // still-open connections get a shed response rather than a hang.
   std::vector<std::unique_ptr<AsyncRpcClient>> clients;
   std::vector<std::future<Result<Bytes>>> inflight;
   for (uint8_t i = 0; i < 4; ++i) {
@@ -303,13 +226,12 @@ TEST(ReactorDrain, DrainFinishesInflightOnAllReactors) {
   rpc::HealthRegistry::global().reset();
 }
 
-// ---- work stealing under fault injection ----------------------------------
+// ---- pooled handlers under fault injection --------------------------------
 
-TEST(ReactorFaultSteal, StealsKeepAnswersCorrectUnderInjectedDelay) {
+TEST(ReactorFault, PooledAnswersStayMatchedUnderInjectedDelay) {
   RpcServerOptions so;
-  so.bind_address = unix_endpoint("steal");
+  so.bind_address = unix_endpoint("delay");
   so.handler_threads = 2;
-  so.reactors = 2;
   RpcServer server(so);
   // Pooled handler slowed by the fault harness (the mover-bound
   // shape): every request checks the kRead site, which is configured
@@ -321,15 +243,10 @@ TEST(ReactorFaultSteal, StealsKeepAnswersCorrectUnderInjectedDelay) {
   ASSERT_TRUE(server.start().ok());
   ASSERT_TRUE(fault::configure("read:delay_ms=2").ok());
 
-  // Both clients land on reactor 0/1 via handoff; only client A sends,
-  // so reactor 0's shard backs up while reactor 1's worker idles — it
-  // must steal, and every stolen request must still return its own
-  // payload (no cross-wiring of connections or responses).
+  // One pipelined connection, two workers: responses race each other
+  // onto the socket, and every one must still carry its own payload
+  // (no cross-wiring of requests and responses).
   AsyncRpcClient a(server.endpoint());
-  AsyncRpcClient b(server.endpoint());
-  const auto warm = b.call(1, Bytes{0xFF});  // materialize b's conn
-  ASSERT_TRUE(warm.ok());
-
   std::vector<std::future<Result<Bytes>>> futures;
   constexpr uint8_t kCalls = 48;
   for (uint8_t i = 0; i < kCalls; ++i) {
@@ -341,29 +258,23 @@ TEST(ReactorFaultSteal, StealsKeepAnswersCorrectUnderInjectedDelay) {
     ASSERT_EQ(resp->size(), 1u);
     EXPECT_EQ((*resp)[0], i);
   }
-
-  const auto stats = server.reactor_stats();
-  ASSERT_EQ(stats.size(), 2u);
-  const uint64_t steals = stats[0].steals + stats[1].steals;
-  EXPECT_GT(steals, 0u);
+  EXPECT_EQ(server.reactor_stats().requests, uint64_t(kCalls));
   EXPECT_GT(fault::total_injected(), 0u);
   server.stop();
   fault::reset();
 }
 
-// ---- single-reactor fallback ----------------------------------------------
+// ---- the plain echo path --------------------------------------------------
 
 TEST(ReactorChaos, SingleReactorIsStatusQuo) {
   RpcServerOptions so;
   so.bind_address = "127.0.0.1:0";
   so.handler_threads = 2;
-  so.reactors = 1;
   RpcServer server(so);
   server.register_handler(1, [](const Bytes& req) {
     return Result<Bytes>(req);
   });
   ASSERT_TRUE(server.start().ok());
-  ASSERT_EQ(server.reactor_count(), 1u);
 
   RpcClient client(server.endpoint());
   for (uint8_t i = 0; i < 8; ++i) {
@@ -371,38 +282,10 @@ TEST(ReactorChaos, SingleReactorIsStatusQuo) {
     ASSERT_TRUE(resp.ok());
     EXPECT_EQ((*resp)[0], i);
   }
-  const auto stats = server.reactor_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].conns, 1u);
-  EXPECT_EQ(stats[0].requests, 8u);
+  const RpcServer::ReactorStats stats = server.reactor_stats();
+  EXPECT_EQ(stats.conns, 1u);
+  EXPECT_EQ(stats.requests, 8u);
   server.stop();
-}
-
-TEST(ReactorPinning, PinnedReactorsStillServe) {
-  // HVAC_REACTOR_PIN=1 pins each reactor to one allowed CPU. The pin
-  // is opt-in and warn-on-failure, so the observable contract is
-  // simply: the server works exactly as before, whatever the runner's
-  // cpuset looks like (more reactors than allowed CPUs included).
-  ::setenv("HVAC_REACTOR_PIN", "1", 1);
-  RpcServerOptions so;
-  so.bind_address = "127.0.0.1:0";
-  so.handler_threads = 2;
-  so.reactors = 4;
-  RpcServer server(so);
-  server.register_handler(1, [](const Bytes& req) {
-    return Result<Bytes>(req);
-  });
-  ASSERT_TRUE(server.start().ok());
-
-  RpcClient client(server.endpoint());
-  for (uint8_t i = 0; i < 16; ++i) {
-    const auto resp = client.call(1, Bytes{i});
-    ASSERT_TRUE(resp.ok()) << resp.error().to_string();
-    EXPECT_EQ((*resp)[0], i);
-  }
-  EXPECT_EQ(server.requests_served(), 16u);
-  server.stop();
-  ::unsetenv("HVAC_REACTOR_PIN");
 }
 
 }  // namespace

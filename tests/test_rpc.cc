@@ -160,15 +160,11 @@ Endpoint dial_address(const RpcServer& server, Transport t) {
 }
 
 uint64_t local_conns(const RpcServer& server) {
-  uint64_t total = 0;
-  for (const auto& r : server.reactor_stats()) total += r.local_conns;
-  return total;
+  return server.reactor_stats().local_conns;
 }
 
 uint64_t all_conns(const RpcServer& server) {
-  uint64_t total = 0;
-  for (const auto& r : server.reactor_stats()) total += r.conns;
-  return total;
+  return server.reactor_stats().conns;
 }
 
 // Every connection the server accepted came over `t`.
