@@ -30,8 +30,6 @@ class ThreadPool {
   // Runs every queued task, then joins the workers. Idempotent.
   void shutdown();
 
-  size_t num_threads() const { return workers_.size(); }
-
  private:
   void worker_loop();
 
