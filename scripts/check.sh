@@ -2,8 +2,8 @@
 # Tier-1 verification for the HVAC repo.
 #
 #   scripts/check.sh            knob inventory (scripts/check_knobs.py),
-#                               then build + ctest (the gate every PR
-#                               must pass)
+#                               then build + ctest (the gate every
+#                               change must pass)
 #                               (CTEST_SHARD=K CTEST_TOTAL_SHARDS=N runs
 #                               every N-th test starting at K — CI splits
 #                               tier1 across shards with this)
