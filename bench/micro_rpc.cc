@@ -74,24 +74,9 @@ RpcServer& shared_server() {
       Bytes out(n.ok() ? *n : 0);
       return out;
     });
-    // Opcode 3 is opcode 2 on the pooled hot path: pread the bytes
-    // into a pooled lease and send them with one gathered write, the
-    // way the server's read handlers respond with zero-copy off.
-    s->register_payload_handler(3, [](const Bytes& req)
-                                       -> hvac::Result<Payload> {
-      WireReader r(req);
-      auto n = r.get_u32();
-      const uint32_t count = n.ok() ? *n : 0;
-      auto lease = hvac::BufferPool::global().acquire(kBlobPrefix + count);
-      if (::pread(shared_file(), lease.data() + kBlobPrefix, count, 0) !=
-          ssize_t(count)) {
-        return hvac::Error(hvac::ErrorCode::kIoError, "bench pread");
-      }
-      return blob_payload(std::move(lease), count);
-    });
-    // Opcode 4 is opcode 3 with a file-backed body: the bytes go out
-    // kernel-to-kernel (sendfile by default; HVAC_ZEROCOPY picks the
-    // rung) and never touch user space on the server.
+    // Opcode 4 is opcode 2 with a file-backed body: the bytes go out
+    // kernel-to-kernel (sendfile) and never touch user space on the
+    // server.
     s->register_payload_handler(4, [](const Bytes& req)
                                        -> hvac::Result<Payload> {
       WireReader r(req);
@@ -230,12 +215,9 @@ void BM_BulkRead(benchmark::State& state) {
 }
 BENCHMARK(BM_BulkRead)->Arg(64 << 10)->Arg(1 << 20)->Arg(4 << 20);
 
-// Shared body for the pooled-vs-zerocopy comparison: each benchmark
-// thread is an independent client issuing bulk reads, the way N
-// DataLoader workers hammer one HVAC server. Concurrency matters for
-// the comparison — zero-copy's win is the server-side staging work it
-// deletes, which only shows once more than one stream contends for
-// the CPU.
+// Shared body for the zero-copy bulk reads: each benchmark thread is
+// an independent client issuing bulk reads, the way N DataLoader
+// workers hammer one HVAC server.
 void bulk_read_payload(benchmark::State& state, uint16_t opcode) {
   RpcClient client(shared_server().endpoint());
   WireWriter w;
@@ -257,22 +239,9 @@ void bulk_read_payload(benchmark::State& state, uint16_t opcode) {
   state.SetBytesProcessed(int64_t(state.iterations()) * state.range(0));
 }
 
-// The bulk read the way the server answers with zero-copy off: pread
-// into a pooled lease, one gathered write ("BENCH_rpc.json" carries
-// both series; scripts/bench_compare.py reports the ratio).
-void BM_BulkReadPooled(benchmark::State& state) {
-  bulk_read_payload(state, 3);
-}
-BENCHMARK(BM_BulkReadPooled)
-    ->Arg(64 << 10)
-    ->Arg(1 << 20)
-    ->Arg(4 << 20)
-    ->Threads(8)
-    ->UseRealTime();
-
-// The same bulk read with the response body sent straight from the
-// kernel page cache (sendfile): the server stages zero payload bytes
-// in user space.
+// A bulk read with the response body sent straight from the kernel
+// page cache (sendfile): the server stages zero payload bytes in user
+// space.
 void BM_BulkReadZeroCopy(benchmark::State& state) {
   bulk_read_payload(state, 4);
 }
@@ -398,12 +367,8 @@ class TelemetryPlane {
     const ZeroCopyCounters& zc = ZeroCopyCounters::global();
     f.zerocopy.sendfile_sends =
         zc.sendfile_sends.load(std::memory_order_relaxed);
-    f.zerocopy.splice_sends = zc.splice_sends.load(std::memory_order_relaxed);
-    f.zerocopy.fallback_sends =
-        zc.fallback_sends.load(std::memory_order_relaxed);
     f.zerocopy.sendfile_bytes =
         zc.sendfile_bytes.load(std::memory_order_relaxed);
-    f.zerocopy.splice_bytes = zc.splice_bytes.load(std::memory_order_relaxed);
     f.zerocopy.short_resumes =
         zc.short_resumes.load(std::memory_order_relaxed);
     for (uint16_t op : {hvac::proto::kOpen, hvac::proto::kRead,

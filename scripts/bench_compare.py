@@ -54,23 +54,6 @@ def fmt_time(value, unit):
     return f"{value:,.0f} {unit}"
 
 
-def zerocopy_ratios(rows):
-    """Pair BM_BulkReadPooled with BM_BulkReadZeroCopy by payload size.
-
-    Returns [(size_bytes, pooled_time / zerocopy_time), ...] — a ratio
-    above 1.0 means the zero-copy rung beats the pooled fallback.
-    """
-    pooled, zerocopy = {}, {}
-    for name, (t, _unit) in rows.items():
-        m = re.match(r"BM_BulkRead(Pooled|ZeroCopy)/(\d+)", name)
-        if not m:
-            continue
-        (pooled if m.group(1) == "Pooled" else zerocopy)[int(m.group(2))] = t
-    return [(size, pooled[size] / zerocopy[size])
-            for size in sorted(set(pooled) & set(zerocopy))
-            if zerocopy[size] > 0]
-
-
 def trace_overhead(rows):
     """Pair BM_BulkReadZeroCopy with BM_BulkReadZeroCopyTraced by size.
 
@@ -232,24 +215,6 @@ def main():
         footer.append(f"{len(improvements)} benchmark(s) improved beyond "
                       "the threshold.")
 
-    # Advisory pooled-vs-zerocopy gate: the zero-copy rung must not be
-    # slower than the pooled fallback it exists to beat.
-    zc_regressions = []
-    ratios = zerocopy_ratios(curr)
-    if ratios:
-        footer.append("")
-        footer.append("### pooled vs zero-copy (current run)")
-        for size, ratio in ratios:
-            marker = ""
-            if ratio < 1.0:
-                marker = " ⚠ zero-copy slower than pooled"
-                zc_regressions.append((size, ratio))
-            footer.append(f"- {size:,} B: zero-copy is {ratio:.2f}x the "
-                          f"pooled median{marker}")
-        if zc_regressions:
-            footer.append(f"**zero-copy regresses below the pooled "
-                          f"baseline at {len(zc_regressions)} size(s)**")
-
     # Advisory tracing-tax gate: HVAC_TRACE=1 buys span trees with the
     # per-span push cost; flag it when the traced series costs more
     # than 10% over the untraced one at any payload size.
@@ -365,7 +330,7 @@ def main():
         with open(args.report, "w") as f:
             f.write(report)
 
-    if (regressions or zc_regressions) and args.strict:
+    if regressions and args.strict:
         return 1
     return 0
 

@@ -7,7 +7,9 @@ A knob is an "HVAC_..." string literal in a src/ .cc or .h file; a
 documented knob is a README.md table row that starts with
 | `HVAC_...` |. The check fails, naming each side's extras, when the
 two sets differ: a knob nobody documented, or a row for a knob the
-code no longer reads. Exit 0 when they match, 1 otherwise.
+code no longer reads. It also fails when src/ reads more than
+MAX_KNOBS names, so a new knob has to raise the ceiling in its own
+diff. Exit 0 when all holds, 1 otherwise.
 """
 
 import pathlib
@@ -17,6 +19,8 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LITERAL = re.compile(r'"(HVAC_[A-Z0-9_]+)"')
 ROW = re.compile(r"^\| `(HVAC_[A-Z0-9_]+)` \|", re.MULTILINE)
+# The knob ceiling: lower it when a knob goes, never raise it quietly.
+MAX_KNOBS = 29
 
 
 def main():
@@ -32,6 +36,10 @@ def main():
         ok = False
     for name in sorted(documented - read):
         print(f"stale: {name} has a README row but src/ never reads it")
+        ok = False
+    if len(read) > MAX_KNOBS:
+        print(f"too many knobs: src/ reads {len(read)} HVAC_* names, "
+              f"MAX_KNOBS is {MAX_KNOBS}")
         ok = False
     if ok:
         print(f"knobs ok: {len(read)} HVAC_* names, each with one README row")

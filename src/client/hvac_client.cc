@@ -126,20 +126,14 @@ Result<HvacClientOptions> options_from_env() {
   o.prefetch_plan_file = env_string_or("HVAC_PREFETCH_PLAN", "");
   o.meta_ttl_ms = env_int_or("HVAC_META_TTL_MS", o.meta_ttl_ms);
   o.packed_enabled = env_bool_or("HVAC_PACK", true);
-  o.packed_ttl_ms = env_int_or("HVAC_PACK_TTL_MS", o.packed_ttl_ms);
   const std::string durability =
       env_string_or("HVAC_WRITE_DURABILITY", "local");
   o.write_durability = durability == "pfs" ? proto::kDurabilityPfs
                                            : proto::kDurabilityLocal;
-  // Fault-domain knobs: an end-to-end deadline per call and a bounded
-  // retry budget for idempotent ops (stat / positional reads).
+  // Fault-domain knob: an end-to-end deadline per call.
   o.rpc.call_timeout_ms =
       static_cast<int>(env_int_or("HVAC_CALL_TIMEOUT_MS",
                                   o.rpc.call_timeout_ms));
-  o.rpc.max_retries =
-      static_cast<int>(env_int_or("HVAC_RPC_RETRIES", o.rpc.max_retries));
-  o.rpc.retry_backoff_ms = static_cast<int>(
-      env_int_or("HVAC_RPC_RETRY_BACKOFF_MS", o.rpc.retry_backoff_ms));
   return o;
 }
 
@@ -147,8 +141,7 @@ HvacClient::HvacClient(HvacClientOptions options)
     : options_(std::move(options)),
       placement_(static_cast<uint32_t>(options_.server_endpoints.size()),
                  options_.placement, options_.replicas),
-      meta_(options_.meta_ttl_ms),
-      packed_(options_.packed_ttl_ms) {
+      meta_(options_.meta_ttl_ms) {
   fault::init_from_env();
   options_.dataset_dir = lexically_normal(options_.dataset_dir);
   channels_.resize(options_.server_endpoints.size());
@@ -990,6 +983,11 @@ Result<uint64_t> HvacClient::fstat_size(int vfd) {
   // on the same vfd.
   HVAC_ASSIGN_OR_RETURN(core::FdEntry entry, fds_.get(vfd));
   return entry.size;
+}
+
+Result<int> HvacClient::access_mode(int vfd) {
+  HVAC_ASSIGN_OR_RETURN(core::FdEntry entry, fds_.get(vfd));
+  return entry.writable ? O_WRONLY : O_RDONLY;
 }
 
 // ---- checkpoint write path ------------------------------------------------

@@ -88,9 +88,8 @@ struct HvacClientOptions {
   // a .hvacpack index, the client fetches it once and resolves packed
   // sample paths locally — opens and stats of packed samples cost zero
   // round trips. The fetched answer (present or absent) is re-checked
-  // every packed_ttl_ms (HVAC_PACK_TTL_MS; <= 0 never re-checks).
+  // every PackedCatalog::kTtlMs.
   bool packed_enabled = true;
-  int64_t packed_ttl_ms = 30000;
   // Checkpoint-write durability barrier (HVAC_WRITE_DURABILITY):
   // "local" (0) — fsync returns once the server's journal commit is on
   // node-local media; "pfs" (1) — fsync additionally waits until the
@@ -160,6 +159,10 @@ class HvacClient {
   // Size of an open vfd (the shim's fstat): one fd-table read that
   // never touches the offset, so it is safe beside a concurrent read.
   Result<uint64_t> fstat_size(int vfd);
+
+  // The access mode of an open vfd, O_RDONLY or O_WRONLY (the shim's
+  // fcntl F_GETFL); kBadFd when `vfd` is not open.
+  Result<int> access_mode(int vfd);
 
   // Warms the home server's cache (paper future work: prefetching):
   // a one-path kPrefetchBatch. kUnavailable when the mover shed it; a

@@ -8,8 +8,7 @@ namespace hvac::client {
 
 bool PackedCatalog::fresh_locked() const {
   if (state_ == State::kUnknown) return false;
-  if (ttl_ms_ <= 0) return true;
-  return rpc::steady_now_ms() - fetched_at_ms_ < ttl_ms_;
+  return rpc::steady_now_ms() - fetched_at_ms_ < kTtlMs;
 }
 
 std::optional<PackedCatalog::Resolved> PackedCatalog::resolve(

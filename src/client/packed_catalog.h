@@ -38,8 +38,9 @@ class PackedCatalog {
   using FetchFn =
       std::function<Result<std::optional<std::vector<uint8_t>>>()>;
 
-  // ttl_ms <= 0 caches the fetched answer for the process lifetime.
-  explicit PackedCatalog(int64_t ttl_ms) : ttl_ms_(ttl_ms) {}
+  // How long a fetched answer stays fresh before the next resolve
+  // re-fetches it (single-flight), so a re-pack is picked up.
+  static constexpr int64_t kTtlMs = 30000;
 
   // Resolves `logical` against the index, fetching (or re-fetching,
   // after the TTL) via `fetch` first when needed. Concurrent callers
@@ -59,7 +60,6 @@ class PackedCatalog {
 
   bool fresh_locked() const;
 
-  const int64_t ttl_ms_;
   mutable std::mutex mutex_;
   State state_ = State::kUnknown;
   int64_t fetched_at_ms_ = 0;

@@ -1,7 +1,5 @@
 #include "common/buffer_pool.h"
 
-#include "common/env.h"
-
 namespace hvac {
 
 BufferPool::BufferPool(Options options) : options_(options) {
@@ -80,19 +78,8 @@ BufferPool::Stats BufferPool::stats() const {
   return stats_;
 }
 
-namespace {
-
-BufferPool::Options env_sized_options() {
-  BufferPool::Options options;
-  options.max_per_class =
-      static_cast<size_t>(env_int_or("HVAC_BUFFER_POOL", 64));
-  return options;
-}
-
-}  // namespace
-
 BufferPool& BufferPool::global() {
-  static BufferPool* pool = new BufferPool(env_sized_options());
+  static BufferPool* pool = new BufferPool();
   return *pool;
 }
 

@@ -5,12 +5,8 @@
 // trip per sample. The pool keeps a bounded free list of reusable
 // buffers per power-of-two size class and hands them out through an
 // RAII Lease, so the server read handler and the client receive path
-// recycle the same few buffers instead of churning the allocator.
-//
-// Knobs (see DESIGN.md "Read hot path"):
-//   HVAC_BUFFER_POOL — buffers retained per size class for the global
-//                      pool (0 disables pooling: every acquire is a
-//                      plain heap allocation, the seed behaviour).
+// recycle the same few buffers instead of churning the allocator
+// (DESIGN.md "Read hot path").
 #pragma once
 
 #include <cstdint>
@@ -107,8 +103,8 @@ class BufferPool {
 
   Stats stats() const;
 
-  // Process-wide pool shared by the RPC server/client hot paths,
-  // sized from HVAC_BUFFER_POOL (buffers per class, default 64).
+  // Process-wide pool shared by the RPC server/client hot paths, with
+  // the default Options (64 buffers per class).
   static BufferPool& global();
 
  private:

@@ -167,7 +167,6 @@ const char* site_name(Site site) {
     case Site::kStoreRead: return "store_read";
     case Site::kPfsRead: return "pfs_read";
     case Site::kZcSend: return "zc_send";
-    case Site::kZcSplice: return "zc_splice";
     case Site::kJournalAppend: return "journal_append";
     case Site::kJournalFsync: return "journal_fsync";
     case Site::kStoreWrite: return "store_write";

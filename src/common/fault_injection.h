@@ -11,15 +11,15 @@
 //
 // Grammar: rules separated by ';', each rule `site:action[:token]*`.
 //   site    rpc_connect | rpc_send | rpc_recv | open | read | stat |
-//           store_read | pfs_read | zc_send | zc_splice |
+//           store_read | pfs_read | zc_send |
 //           journal_append | journal_fsync | store_write | pfs_write
 //   action  error            inject kIoError
 //           error=CODE       CODE in {unavailable, timeout, io,
 //                            not_found, capacity, protocol}
 //           delay_ms=N       sleep N ms, then continue
 //           short=N          cap one kernel transfer at N bytes
-//                            (cap_len sites only: zc_send/zc_splice —
-//                            forces the short-sendfile resume loop)
+//                            (cap_len site only: zc_send — forces
+//                            the short-sendfile resume loop)
 //   tokens  a bare float     probability of firing (default 1.0)
 //           seed=N           decision-stream seed (default 0)
 //           after=N          skip the first N checks of this rule
@@ -52,7 +52,6 @@ enum class Site : uint8_t {
   kStoreRead,
   kPfsRead,
   kZcSend,    // sendfile() leg of the zero-copy response path
-  kZcSplice,  // splice() leg of the zero-copy response path
   kJournalAppend,  // write-ahead journal record append
   kJournalFsync,   // journal commit-barrier fdatasync
   kStoreWrite,     // write-back store pwrite on local NVMe
@@ -84,10 +83,10 @@ inline Status check(Site site) {
   return detail::inject(site);
 }
 
-// Transfer-length hook for the zero-copy send loops: returns the
-// byte budget for one kernel transfer — `want`, or less when a
-// matching `short=N` rule fires. The resume loop around sendfile/
-// splice must deliver every byte regardless of how small the cap is.
+// Transfer-length hook for the zero-copy send loop: returns the byte
+// budget for one kernel transfer — `want`, or less when a matching
+// `short=N` rule fires. The resume loop around sendfile must deliver
+// every byte regardless of how small the cap is.
 inline size_t cap_len(Site site, size_t want) {
   if (!detail::g_enabled.load(std::memory_order_relaxed)) {
     return want;

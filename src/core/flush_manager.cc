@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/env.h"
 #include "common/log.h"
 #include "common/trace.h"
 
@@ -14,26 +13,15 @@ constexpr int64_t kBreakerPollMs = 20;
 }  // namespace
 
 FlushManager::Options FlushManager::Options::from_env() {
-  Options o;
-  o.queue_capacity = static_cast<size_t>(std::max<int64_t>(
-      1, env_int_or("HVAC_FLUSH_QUEUE", static_cast<int64_t>(o.queue_capacity))));
-  o.threads = static_cast<size_t>(std::max<int64_t>(
-      1, env_int_or("HVAC_FLUSH_THREADS", static_cast<int64_t>(o.threads))));
-  o.max_attempts = static_cast<int>(
-      env_int_or("HVAC_FLUSH_RETRIES", o.max_attempts));
-  o.retry_backoff_ms = static_cast<int>(
-      env_int_or("HVAC_FLUSH_BACKOFF_MS", o.retry_backoff_ms));
-  o.breaker = rpc::BreakerOptions::from_env();
-  return o;
+  return Options{rpc::BreakerOptions::from_env()};
 }
 
 FlushManager::FlushManager(Options options, FlushFn flush, DoneFn done)
-    : options_(options),
-      flush_(std::move(flush)),
+    : flush_(std::move(flush)),
       done_(std::move(done)),
       pfs_health_("pfs", options.breaker) {
-  workers_.reserve(options_.threads);
-  for (size_t i = 0; i < options_.threads; ++i) {
+  workers_.reserve(kThreads);
+  for (size_t i = 0; i < kThreads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -56,7 +44,7 @@ Status FlushManager::submit(const std::string& logical_path) {
         return Status::Ok();
       }
     }
-    if (queue_.size() < options_.queue_capacity) break;
+    if (queue_.size() < kQueueCapacity) break;
     space_cv_.wait(lock);  // backpressure: never shed a dirty path
   }
   enqueue_locked(logical_path);
@@ -183,7 +171,7 @@ bool FlushManager::flush_one(const std::string& path) {
     pfs_health_.record_failure();
     retries_.fetch_add(1, std::memory_order_relaxed);
     ++attempts;
-    if (options_.max_attempts > 0 && attempts >= options_.max_attempts) {
+    if (attempts >= kMaxAttempts) {
       // Budget exhausted: go to the back of the line (never drop
       // dirty data) and let other paths make progress.
       failures_.fetch_add(1, std::memory_order_relaxed);
@@ -197,7 +185,7 @@ bool FlushManager::flush_one(const std::string& path) {
       return !stop_;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(
-        options_.retry_backoff_ms * std::min(attempts, 8)));
+        kRetryBackoffMs * std::min(attempts, 8)));
   }
 
   std::unique_lock<std::mutex> lock(mutex_);

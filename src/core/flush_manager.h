@@ -36,14 +36,16 @@ namespace hvac::core {
 
 class FlushManager {
  public:
+  // Bound on queued paths; a full queue blocks submit.
+  static constexpr size_t kQueueCapacity = 256;
+  static constexpr size_t kThreads = 2;
+  // Retry schedule per path: attempts beyond kMaxAttempts re-queue the
+  // path at the back (durability is never dropped) and count a
+  // failure. The backoff scales with the attempt, up to 8x.
+  static constexpr int kMaxAttempts = 8;
+  static constexpr int kRetryBackoffMs = 20;
+
   struct Options {
-    size_t queue_capacity = 256;  // HVAC_FLUSH_QUEUE
-    size_t threads = 2;           // HVAC_FLUSH_THREADS
-    // Retry schedule per path: attempts beyond max_attempts re-queue
-    // the path at the back (durability is never dropped) and count a
-    // failure. 0 = retry in place forever.
-    int max_attempts = 8;         // HVAC_FLUSH_RETRIES
-    int retry_backoff_ms = 20;    // HVAC_FLUSH_BACKOFF_MS
     rpc::BreakerOptions breaker = {};
 
     static Options from_env();
@@ -119,7 +121,6 @@ class FlushManager {
   // Queues a path unconditionally; mutex_ must be held.
   void enqueue_locked(const std::string& logical_path);
 
-  const Options options_;
   const FlushFn flush_;
   const DoneFn done_;
   rpc::EndpointHealth pfs_health_;

@@ -105,11 +105,7 @@ const FieldSpec kFrameFields[] = {
                "HVAC_FAULT harness activations"),
 
     ZERO_COPY(sendfile_sends, kCounter, kProcess, "sendfile response sends"),
-    ZERO_COPY(splice_sends, kCounter, kProcess, "splice response sends"),
-    ZERO_COPY(fallback_sends, kCounter, kProcess,
-              "Extents staged through the pool"),
     ZERO_COPY(sendfile_bytes, kCounter, kProcess, "Bytes sent via sendfile"),
-    ZERO_COPY(splice_bytes, kCounter, kProcess, "Bytes sent via splice"),
     ZERO_COPY(short_resumes, kCounter, kProcess,
               "Partial kernel sends resumed in place"),
     ZERO_COPY(fd_passes, kCounter, kProcess,

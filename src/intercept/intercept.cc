@@ -18,6 +18,7 @@
 #include <fcntl.h>
 #include <stdarg.h>
 #include <stdio.h>  // fopencookie
+#include <sys/ioctl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -27,6 +28,8 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <unordered_map>
 
 #include "client/hvac_client.h"
 #include "common/env.h"
@@ -122,6 +125,15 @@ class ShimGuard {
 std::atomic<int> g_state{0};  // 0 = uninit, 1 = active, 2 = disabled
 HvacClient* g_client = nullptr;  // leaked on purpose: outlives exit hooks
 std::mutex g_init_mutex;
+
+// The streams fopen handed out and the vfd each reads (a cookie stream
+// has no fd of its own): fileno() answers the vfd, so a caller can
+// fstat or fcntl the stream as it would a real one.
+std::mutex g_streams_mutex;
+std::unordered_map<FILE*, int>& shim_streams() {
+  static auto* streams = new std::unordered_map<FILE*, int>;  // leaked
+  return *streams;
+}
 
 // HVAC_STATS_FILE: dump the client's counters as JSON when the
 // application exits, so a training job leaves a per-rank I/O summary
@@ -234,6 +246,25 @@ int do_open(const char* path) {
   return *vfd;
 }
 
+// The fcntl commands CPython issues on every fd it opens, answered for
+// a vfd: it means nothing to an exec'd image, so it reads as
+// close-on-exec and F_SETFD is accepted and dropped; F_GETFL gives its
+// access mode. nullopt: not a vfd or another command, for libc.
+std::optional<int> vfd_fcntl(int fd, int cmd) {
+  if (g_in_shim > 0 || !FdTable::is_virtual(fd) || g_client == nullptr ||
+      (cmd != F_GETFD && cmd != F_SETFD && cmd != F_GETFL)) {
+    return std::nullopt;
+  }
+  ShimGuard guard;
+  auto mode = g_client->access_mode(fd);
+  if (!mode.ok()) {
+    errno = EBADF;
+    return -1;
+  }
+  if (cmd == F_GETFD) return FD_CLOEXEC;
+  return cmd == F_GETFL ? *mode : 0;
+}
+
 int do_open_write(const char* path, bool trunc) {
   ShimGuard guard;
   hvac::trace::Span span("shim.open_write");
@@ -300,6 +331,13 @@ int openat(int dirfd, const char* path, int flags, ...) {
   }
   return real_openat()(dirfd, path, flags, mode);
 }
+
+// A _FORTIFY_SOURCE build calls these for an open whose flags are not
+// a compile-time constant; the flags never carry O_CREAT (glibc aborts
+// the caller first), so there is no mode.
+int __open_2(const char* path, int flags) { return open(path, flags); }
+
+int __open64_2(const char* path, int flags) { return open64(path, flags); }
 
 // CPython and other large-file-aware builds import the *64 names.
 int openat64(int dirfd, const char* path, int flags, ...) {
@@ -466,6 +504,11 @@ static int hvac_cookie_seek(void* cookie, off64_t* offset, int whence) {
 
 static int hvac_cookie_close(void* cookie) {
   const int vfd = static_cast<int>(reinterpret_cast<intptr_t>(cookie));
+  {
+    std::lock_guard<std::mutex> lock(g_streams_mutex);
+    std::erase_if(shim_streams(),
+                  [vfd](const auto& entry) { return entry.second == vfd; });
+  }
   ShimGuard guard;
   auto status = g_client->close(vfd);
   if (!status.ok()) {
@@ -496,7 +539,10 @@ static FILE* fopen_impl(const char* path) {
   if (f == nullptr) {
     ShimGuard guard;
     (void)g_client->close(vfd);
+    return nullptr;
   }
+  std::lock_guard<std::mutex> lock(g_streams_mutex);
+  shim_streams()[f] = vfd;
   return f;
 }
 
@@ -556,6 +602,70 @@ static_assert(sizeof(struct stat) == sizeof(struct stat64),
               "fstat64 forwards to fstat");
 int fstat64(int fd, struct stat64* st) {
   return fstat(fd, reinterpret_cast<struct stat*>(st));
+}
+
+// The vfd behind a stream fopen handed out; other streams go to libc.
+// libpython reads the fd of the script it runs this way.
+static int stream_vfd(FILE* stream) {
+  if (g_client == nullptr) return -1;
+  std::lock_guard<std::mutex> lock(g_streams_mutex);
+  const auto it = shim_streams().find(stream);
+  return it == shim_streams().end() ? -1 : it->second;
+}
+
+int fileno(FILE* stream) {
+  if (const int vfd = stream_vfd(stream); vfd >= 0) return vfd;
+  using fileno_fn = int (*)(FILE*);
+  static fileno_fn fn = resolve<fileno_fn>("fileno");
+  return fn(stream);
+}
+
+int fileno_unlocked(FILE* stream) {
+  if (const int vfd = stream_vfd(stream); vfd >= 0) return vfd;
+  using fileno_fn = int (*)(FILE*);
+  static fileno_fn fn = resolve<fileno_fn>("fileno_unlocked");
+  return fn(stream);
+}
+
+int fcntl(int fd, int cmd, ...) {
+  va_list ap;
+  va_start(ap, cmd);
+  void* arg = va_arg(ap, void*);
+  va_end(ap);
+  if (const auto answer = vfd_fcntl(fd, cmd)) return *answer;
+  using fcntl_fn = int (*)(int, int, ...);
+  static fcntl_fn fn = resolve<fcntl_fn>("fcntl");
+  return fn(fd, cmd, arg);
+}
+
+int fcntl64(int fd, int cmd, ...) {
+  va_list ap;
+  va_start(ap, cmd);
+  void* arg = va_arg(ap, void*);
+  va_end(ap);
+  if (const auto answer = vfd_fcntl(fd, cmd)) return *answer;
+  using fcntl_fn = int (*)(int, int, ...);
+  static fcntl_fn fn = resolve<fcntl_fn>("fcntl64");
+  if (fn == nullptr) fn = resolve<fcntl_fn>("fcntl");
+  return fn(fd, cmd, arg);
+}
+
+// A vfd is no device: only the close-on-exec requests (CPython's fast
+// way to mark an fd non-inheritable) succeed, as no-ops like F_SETFD.
+int ioctl(int fd, unsigned long request, ...) {
+  va_list ap;
+  va_start(ap, request);
+  void* arg = va_arg(ap, void*);
+  va_end(ap);
+  if (const auto open = vfd_fcntl(fd, F_GETFD)) {
+    if (*open < 0) return -1;
+    if (request == FIOCLEX || request == FIONCLEX) return 0;
+    errno = ENOTTY;
+    return -1;
+  }
+  using ioctl_fn = int (*)(int, unsigned long, ...);
+  static ioctl_fn fn = resolve<ioctl_fn>("ioctl");
+  return fn(fd, request, arg);
 }
 
 }  // extern "C"

@@ -195,9 +195,7 @@ Result<Payload> RpcClient::call_payload_idempotent(uint16_t opcode,
     trace::Span::event("rpc.retry", uint64_t(attempt));
     ResilienceCounters::global().retries.fetch_add(
         1, std::memory_order_relaxed);
-    if (options_.retry_backoff_ms > 0) {
-      sleep_ms(options_.retry_backoff_ms * attempt);
-    }
+    sleep_ms(kRetryBackoffMs * attempt);
     result = call_payload(opcode, request);
   }
   return result;

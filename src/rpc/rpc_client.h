@@ -34,11 +34,12 @@ struct RpcClientOptions {
   // cut by recv_timeout_ms, then the deadline check trips. 0 disables.
   int call_timeout_ms = 30000;
   // Bounded retry for *idempotent* calls (call_idempotent): total
-  // attempts = 1 + max_retries, with retry_backoff_ms * attempt sleeps
+  // attempts = 1 + max_retries, with kRetryBackoffMs * attempt sleeps
   // in between. Retries stop early when the breaker opens.
   int max_retries = 1;
-  int retry_backoff_ms = 20;
 };
+
+inline constexpr int kRetryBackoffMs = 20;
 
 class RpcClient {
  public:

@@ -28,11 +28,6 @@ struct RpcServer::Connection {
   Fd fd;
   bool takes_fds = false;  // see peer_takes_fds()
   std::mutex write_mutex;
-  // Scratch pipe for the splice rung, created lazily on the first
-  // extent-bearing response and reused for the connection's lifetime
-  // (guarded by write_mutex like all response writes).
-  Fd pipe_rd;
-  Fd pipe_wr;
   // Requests dispatched but not yet answered (backpressure cap).
   std::atomic<uint32_t> inflight{0};
 
@@ -87,19 +82,6 @@ RpcServer::RpcServer(RpcServerOptions options)
   }
   if (options_.max_frame_bytes > kMaxFrame) {
     options_.max_frame_bytes = static_cast<uint32_t>(kMaxFrame);
-  }
-  // Backpressure knobs: HVAC_MAX_INFLIGHT can tighten (never widen)
-  // the per-connection in-flight cap.
-  const int64_t env_inflight = env_int_or("HVAC_MAX_INFLIGHT", 0);
-  if (env_inflight > 0 &&
-      (options_.max_inflight_per_conn == 0 ||
-       static_cast<uint64_t>(env_inflight) <
-           options_.max_inflight_per_conn)) {
-    options_.max_inflight_per_conn = static_cast<uint32_t>(env_inflight);
-  }
-  const int64_t env_retry = env_int_or("HVAC_SHED_RETRY_AFTER_MS", 0);
-  if (env_retry > 0) {
-    options_.shed_retry_after_ms = static_cast<uint32_t>(env_retry);
   }
 }
 
@@ -171,7 +153,6 @@ Status RpcServer::start() {
   }
   HVAC_RETURN_IF_ERROR(setup_epoll());
 
-  zerocopy_mode_ = resolve_zerocopy_mode();
   pool_ = std::make_unique<ThreadPool>(
       std::max<size_t>(1, options_.handler_threads));
 
@@ -180,9 +161,7 @@ Status RpcServer::start() {
   HVAC_LOG_INFO("rpc server listening on "
                 << bound_.address
                 << (alias_fd_.valid() ? " and " + local_alias_name(bound_)
-                                      : std::string())
-                << " (zerocopy=" << zerocopy_mode_name(zerocopy_mode_)
-                << ")");
+                                      : std::string()));
   return Status::Ok();
 }
 
@@ -446,10 +425,10 @@ void RpcServer::shed_request(const std::shared_ptr<Connection>& conn,
   resp.status = ErrorCode::kUnavailable;
   WireWriter w;
   w.put_string(reason + "; retry_after_ms=" +
-               std::to_string(options_.shed_retry_after_ms));
+               std::to_string(kShedRetryAfterMs));
   // Retry hint as a structured trailer too (clients that only read
   // the message string skip it by length).
-  w.put_u32(options_.shed_retry_after_ms);
+  w.put_u32(kShedRetryAfterMs);
   const Bytes body = std::move(w).take();
   resp.payload_len = static_cast<uint32_t>(body.size());
   uint8_t hdr[kMaxHeaderSize];
@@ -469,93 +448,35 @@ Status RpcServer::write_response(const std::shared_ptr<Connection>& conn,
                                  FrameHeader resp, const Payload& body) {
   trace::Span span("server.send", body.total_size());
   uint8_t hdr[kMaxHeaderSize];
-  iovec iov[3];
-  std::lock_guard<std::mutex> lock(conn->write_mutex);
-
-  if (!body.has_extents()) {
-    encode_header(resp, hdr);
-    // Header + body leave in one gathered syscall; for a pooled body
-    // the bytes go kernel-to-socket with no intermediate copy at all.
-    iov[0].iov_base = hdr;
-    iov[0].iov_len = kHeaderSize;
-    iov[1].iov_base = const_cast<uint8_t*>(body.data());
-    iov[1].iov_len = body.size();
-    return send_vectored(conn->fd.get(), iov, body.size() == 0 ? 1 : 2,
-                         conn->takes_fds ? body.fd() : -1);
-  }
-
-  ZeroCopyMode mode = zerocopy_mode_;
-  if (mode == ZeroCopyMode::kSplice && !conn->pipe_rd.valid()) {
-    int pfd[2] = {-1, -1};
-    if (::pipe2(pfd, O_CLOEXEC) == 0) {
-      conn->pipe_rd = Fd(pfd[0]);
-      conn->pipe_wr = Fd(pfd[1]);
-    } else {
-      // Out of fds for the scratch pipe: sendfile needs none and works
-      // wherever splice does on this kernel.
-      mode = ZeroCopyMode::kSendfile;
-    }
-  }
-
-  if (mode == ZeroCopyMode::kOff) {
-    // Pooled fallback: stage the extent bytes in user space, then one
-    // gathered send — same syscall shape as the extent-free path.
-    auto& zc = ZeroCopyCounters::global();
-    Bytes staged(body.total_size() - body.size());
-    size_t at = 0;
-    for (const auto& e : body.extents()) {
-      size_t got = 0;
-      while (got < e.length) {
-        const ssize_t n =
-            ::pread(e.fd, staged.data() + at + got, e.length - got,
-                    static_cast<off_t>(e.offset + got));
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          return Error::from_errno(errno, "pread(extent fallback)");
-        }
-        if (n == 0) {
-          return Error(ErrorCode::kProtocol, "extent eof in fallback");
-        }
-        got += static_cast<size_t>(n);
-      }
-      at += e.length;
-      zc.fallback_sends.fetch_add(1, std::memory_order_relaxed);
-    }
-    encode_header(resp, hdr);
-    iov[0].iov_base = hdr;
-    iov[0].iov_len = kHeaderSize;
-    iov[1].iov_base = const_cast<uint8_t*>(body.data());
-    iov[1].iov_len = body.size();
-    iov[2].iov_base = staged.data();
-    iov[2].iov_len = staged.size();
-    return send_vectored(conn->fd.get(), iov, staged.empty() ? 2 : 3);
-  }
-
-  // Zero-copy rung: cork the header + memory head with MSG_MORE, then
-  // kernel-copy each extent; the last transfer flushes the cork. When
-  // every extent is empty nothing would follow to flush it, so send
-  // uncorked instead of stalling the frame in the kernel.
-  uint64_t extent_bytes = 0;
-  for (const auto& e : body.extents()) extent_bytes += e.length;
+  iovec iov[2];
   encode_header(resp, hdr);
   iov[0].iov_base = hdr;
   iov[0].iov_len = kHeaderSize;
   iov[1].iov_base = const_cast<uint8_t*>(body.data());
   iov[1].iov_len = body.size();
   const int head_cnt = body.size() == 0 ? 1 : 2;
+  std::lock_guard<std::mutex> lock(conn->write_mutex);
+
+  if (!body.has_extents()) {
+    // Header + body leave in one gathered syscall; for a pooled body
+    // the bytes go kernel-to-socket with no intermediate copy at all.
+    return send_vectored(conn->fd.get(), iov, head_cnt,
+                         conn->takes_fds ? body.fd() : -1);
+  }
+
+  // Cork the header + memory head with MSG_MORE, then sendfile each
+  // extent from its cache fd; the last transfer flushes the cork. When
+  // every extent is empty nothing would follow to flush it, so send
+  // uncorked instead of stalling the frame in the kernel.
+  uint64_t extent_bytes = 0;
+  for (const auto& e : body.extents()) extent_bytes += e.length;
   HVAC_RETURN_IF_ERROR(
       extent_bytes > 0 ? send_vectored_more(conn->fd.get(), iov, head_cnt)
                        : send_vectored(conn->fd.get(), iov, head_cnt));
   for (const auto& e : body.extents()) {
     if (e.length == 0) continue;
-    if (mode == ZeroCopyMode::kSendfile) {
-      HVAC_RETURN_IF_ERROR(
-          sendfile_exact(conn->fd.get(), e.fd, e.offset, e.length));
-    } else {
-      HVAC_RETURN_IF_ERROR(splice_exact(conn->fd.get(), e.fd, e.offset,
-                                        e.length, conn->pipe_rd.get(),
-                                        conn->pipe_wr.get()));
-    }
+    HVAC_RETURN_IF_ERROR(
+        sendfile_exact(conn->fd.get(), e.fd, e.offset, e.length));
   }
   return Status::Ok();
 }

@@ -76,11 +76,12 @@ struct RpcServerOptions {
   // Backpressure: requests in flight (dispatched, response not yet
   // written) allowed per connection. Beyond the cap new requests are
   // shed with kUnavailable instead of queueing unboundedly on the
-  // handler pool. 0 = unlimited. Tightened via HVAC_MAX_INFLIGHT.
+  // handler pool. 0 = unlimited.
   uint32_t max_inflight_per_conn = 256;
-  // retry_after hint (ms) carried in shed responses.
-  uint32_t shed_retry_after_ms = 50;
 };
+
+// retry_after hint (ms) carried in shed responses.
+inline constexpr uint32_t kShedRetryAfterMs = 50;
 
 class RpcServer {
  public:
@@ -133,11 +134,6 @@ class RpcServer {
   // The bound address (useful with port 0).
   const Endpoint& endpoint() const { return bound_; }
 
-  // The zero-copy send mode resolved at start() (HVAC_ZEROCOPY or the
-  // capability probe). Handlers consult this to decide whether to
-  // return file extents or stage bytes through the buffer pool.
-  ZeroCopyMode zerocopy_mode() const { return zerocopy_mode_; }
-
   // Observability for tests and the metrics frame.
   uint64_t requests_served() const {
     return requests_served_.load(std::memory_order_relaxed);
@@ -179,8 +175,8 @@ class RpcServer {
                    const FrameHeader& header, const Bytes& payload,
                    uint64_t enqueue_ns, bool probe = false);
   // Writes one response frame (header + memory head + extents, and a
-  // payload fd as SCM_RIGHTS) under the connection write lock, choosing
-  // the zero-copy rung for extent bytes. A failure after the header
+  // payload fd as SCM_RIGHTS) under the connection write lock; extent
+  // bytes go by sendfile. A failure after the header
   // bytes hit the wire leaves the stream mid-frame: the caller must
   // shut the connection down.
   Status write_response(const std::shared_ptr<Connection>& conn,
@@ -202,7 +198,6 @@ class RpcServer {
   // it after the join.
   std::unordered_map<int, std::shared_ptr<Connection>> conns_;
   std::unique_ptr<ThreadPool> pool_;
-  ZeroCopyMode zerocopy_mode_ = ZeroCopyMode::kOff;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   std::atomic<uint64_t> requests_served_{0};

@@ -15,10 +15,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstddef>
-#include <cstdio>
 #include <cstring>
 
-#include "common/env.h"
 #include "common/fault_injection.h"
 #include "common/trace.h"
 #include "rpc/health.h"  // steady_now_ms
@@ -475,13 +473,13 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-// ---- Zero-copy send ladder -------------------------------------------
+// ---- Zero-copy send --------------------------------------------------
 
 namespace {
 
-// sendfile/splice have no MSG_NOSIGNAL: a dead peer raises SIGPIPE at
-// the thread that wrote. Block it for the scope of the transfer and
-// swallow any instance it generated, so the zero-copy rungs keep the
+// sendfile has no MSG_NOSIGNAL: a dead peer raises SIGPIPE at the
+// thread that wrote. Block it for the scope of the transfer and
+// swallow any instance it generated, so sendfile_exact keeps the
 // same no-SIGPIPE contract as send_vectored. If SIGPIPE was
 // already blocked (or the mask call failed) this is a no-op.
 class ScopedSigpipeBlock {
@@ -513,77 +511,7 @@ class ScopedSigpipeBlock {
   bool armed_ = false;
 };
 
-// One real end-to-end transfer over a socketpair + unlinked temp file;
-// returns true when the syscall path works on this kernel/filesystem.
-bool probe_rung(ZeroCopyMode rung) {
-  int sv[2] = {-1, -1};
-  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
-    return false;
-  }
-  Fd sock_a(sv[0]);
-  Fd sock_b(sv[1]);
-
-  char tmpl[] = "/tmp/hvac_zc_probe_XXXXXX";
-  const int raw = ::mkstemp(tmpl);
-  if (raw < 0) return false;
-  Fd file(raw);
-  ::unlink(tmpl);
-  const char byte = 'z';
-  if (::pwrite(file.get(), &byte, 1, 0) != 1) return false;
-
-  bool ok = false;
-  if (rung == ZeroCopyMode::kSendfile) {
-    off_t off = 0;
-    ok = ::sendfile(sock_a.get(), file.get(), &off, 1) == 1;
-  } else if (rung == ZeroCopyMode::kSplice) {
-    int pfd[2] = {-1, -1};
-    if (::pipe2(pfd, O_CLOEXEC) != 0) return false;
-    Fd pipe_rd(pfd[0]);
-    Fd pipe_wr(pfd[1]);
-    off_t off = 0;
-    ok = ::splice(file.get(), &off, pipe_wr.get(), nullptr, 1,
-                  SPLICE_F_MOVE) == 1 &&
-         ::splice(pipe_rd.get(), nullptr, sock_a.get(), nullptr, 1,
-                  SPLICE_F_MOVE) == 1;
-  }
-  if (ok) {
-    char echo = 0;
-    ok = ::recv(sock_b.get(), &echo, 1, 0) == 1 && echo == byte;
-  }
-  return ok;
-}
-
 }  // namespace
-
-const char* zerocopy_mode_name(ZeroCopyMode mode) {
-  switch (mode) {
-    case ZeroCopyMode::kOff: return "off";
-    case ZeroCopyMode::kSendfile: return "sendfile";
-    case ZeroCopyMode::kSplice: return "splice";
-  }
-  return "?";
-}
-
-ZeroCopyMode resolve_zerocopy_mode() {
-  // Probe once per process; the env override is re-read every call so
-  // tests can flip HVAC_ZEROCOPY between server instances.
-  static const ZeroCopyMode probed = [] {
-    if (probe_rung(ZeroCopyMode::kSendfile)) return ZeroCopyMode::kSendfile;
-    if (probe_rung(ZeroCopyMode::kSplice)) return ZeroCopyMode::kSplice;
-    return ZeroCopyMode::kOff;
-  }();
-  if (const auto forced = env_string("HVAC_ZEROCOPY")) {
-    if (*forced == "off") return ZeroCopyMode::kOff;
-    if (*forced == "sendfile") return ZeroCopyMode::kSendfile;
-    if (*forced == "splice") return ZeroCopyMode::kSplice;
-    if (!forced->empty()) {
-      std::fprintf(stderr,
-                   "hvac: unknown HVAC_ZEROCOPY=%s, using probe result %s\n",
-                   forced->c_str(), zerocopy_mode_name(probed));
-    }
-  }
-  return probed;
-}
 
 Status sendfile_exact(int sock_fd, int file_fd, uint64_t offset,
                       size_t size) {
@@ -614,58 +542,6 @@ Status sendfile_exact(int sock_fd, int file_fd, uint64_t offset,
   }
   zc.sendfile_sends.fetch_add(1, std::memory_order_relaxed);
   zc.sendfile_bytes.fetch_add(size, std::memory_order_relaxed);
-  return Status::Ok();
-}
-
-Status splice_exact(int sock_fd, int file_fd, uint64_t offset, size_t size,
-                    int pipe_rd, int pipe_wr) {
-  trace::Span span("zc.splice", size);
-  ScopedSigpipeBlock no_sigpipe;
-  auto& zc = ZeroCopyCounters::global();
-  off_t off = static_cast<off_t>(offset);
-  size_t left = size;
-  while (left > 0) {
-    HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kZcSplice));
-    const size_t want = fault::cap_len(fault::Site::kZcSplice, left);
-    const ssize_t in = ::splice(file_fd, &off, pipe_wr, nullptr, want,
-                                SPLICE_F_MOVE | SPLICE_F_MORE);
-    if (in < 0) {
-      if (errno == EINTR) continue;
-      return Error::from_errno(errno, "splice(file->pipe)");
-    }
-    if (in == 0) {
-      return Error(ErrorCode::kProtocol, "splice: eof inside extent");
-    }
-    // The pipe now holds `in` bytes that MUST reach the socket: a
-    // failure here poisons the stream (header already promised them).
-    // SPLICE_F_MORE only while more of the extent follows — corking
-    // the final chunk would strand the frame's tail in the kernel
-    // until a timer flushes it, stalling the waiting client.
-    const unsigned int flags =
-        SPLICE_F_MOVE |
-        (left > static_cast<size_t>(in) ? SPLICE_F_MORE : 0);
-    size_t pending = static_cast<size_t>(in);
-    while (pending > 0) {
-      const ssize_t out = ::splice(pipe_rd, nullptr, sock_fd, nullptr,
-                                   pending, flags);
-      if (out < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          HVAC_RETURN_IF_ERROR(wait_writable(sock_fd));
-          continue;
-        }
-        return Error::from_errno(errno, "splice(pipe->socket)");
-      }
-      if (out == 0) {
-        return Error(ErrorCode::kProtocol, "splice: socket closed");
-      }
-      pending -= static_cast<size_t>(out);
-    }
-    left -= static_cast<size_t>(in);
-    if (left > 0) zc.short_resumes.fetch_add(1, std::memory_order_relaxed);
-  }
-  zc.splice_sends.fetch_add(1, std::memory_order_relaxed);
-  zc.splice_bytes.fetch_add(size, std::memory_order_relaxed);
   return Status::Ok();
 }
 

@@ -100,31 +100,17 @@ Status send_frame(int fd, const void* header, size_t header_len,
 
 // send_vectored with MSG_MORE: corks the bytes so the kernel holds
 // them until the next uncorked send on the fd. Used to emit a frame
-// header immediately before a sendfile/splice payload — header and
+// header immediately before a sendfile payload — header and
 // first payload bytes then leave in one segment instead of two.
 // MSG_NOSIGNAL and EINTR handling are identical to send_vectored
 // (MSG_MORE is advisory; a partial send resumed after EINTR keeps
 // both flags on every retry).
 Status send_vectored_more(int fd, iovec* iov, int iovcnt);
 
-// ---- Zero-copy send ladder -------------------------------------------
+// ---- Zero-copy send -------------------------------------------------
 //
-// The server hit path can move payload bytes kernel-to-kernel instead
-// of staging them through a pooled buffer. Three rungs, probed at
-// runtime and forcible with HVAC_ZEROCOPY=off|sendfile|splice:
-//   kSendfile  sendfile(2) from the cache fd straight to the socket
-//   kSplice    splice(2) through a pipe pair (per connection, lazy)
-//   kOff       today's pooled pread + send_vectored path
-enum class ZeroCopyMode : uint8_t { kOff = 0, kSendfile, kSplice };
-
-const char* zerocopy_mode_name(ZeroCopyMode mode);
-
-// Resolves the mode: HVAC_ZEROCOPY wins when set (unknown values fall
-// back to the probe); otherwise a one-time capability probe (real
-// sendfile/splice over a socketpair + temp file) picks the best rung.
-// The env var is re-read on every call so tests can flip it between
-// server instances; only the probe result is cached.
-ZeroCopyMode resolve_zerocopy_mode();
+// A cached extent leaves the server kernel-to-kernel: sendfile(2) from
+// the cache fd straight to the socket, never staged in user space.
 
 // Sends exactly `size` bytes of `file_fd` starting at `offset` to the
 // socket via sendfile(2), resuming short kernel transfers, EINTR and
@@ -135,22 +121,10 @@ ZeroCopyMode resolve_zerocopy_mode();
 // stream mid-frame — the caller must drop the connection.
 Status sendfile_exact(int sock_fd, int file_fd, uint64_t offset, size_t size);
 
-// Same contract as sendfile_exact but moves bytes file→pipe→socket
-// with splice(2). `pipe_rd`/`pipe_wr` are a scratch pipe owned by the
-// caller (per-connection, reused across sends); the pipe is always
-// fully drained to the socket before returning, success or not —
-// except on a mid-drain failure, after which the connection must be
-// dropped anyway. Fault site: zc_splice.
-Status splice_exact(int sock_fd, int file_fd, uint64_t offset, size_t size,
-                    int pipe_rd, int pipe_wr);
-
 // Process-global zero-copy telemetry (metrics frame v2 section 6).
 struct ZeroCopyCounters {
   std::atomic<uint64_t> sendfile_sends{0};   // extents sent via sendfile
-  std::atomic<uint64_t> splice_sends{0};     // extents sent via splice
-  std::atomic<uint64_t> fallback_sends{0};   // extents sent pooled (kOff)
   std::atomic<uint64_t> sendfile_bytes{0};
-  std::atomic<uint64_t> splice_bytes{0};
   std::atomic<uint64_t> short_resumes{0};    // kernel returned < asked
   std::atomic<uint64_t> fd_passes{0};        // cache fds passed to clients
   std::atomic<uint64_t> fd_pass_bytes{0};    // bytes of the files passed

@@ -25,11 +25,10 @@ namespace hvac::rpc {
 using Bytes = std::vector<uint8_t>;
 
 // A file-backed span of a response payload: `length` bytes at `offset`
-// of `fd`. The server sends it kernel-to-kernel (sendfile/splice) —
-// or preads it into a pooled buffer when zero-copy is off — so handler
-// code never stages these bytes in user space. `owner` is an opaque
-// keepalive (a LocalStore pin's fd, a shared OpenFile, …) that must
-// keep `fd` valid until the response is fully on the wire.
+// of `fd`. The server sends it kernel-to-kernel with sendfile, so
+// neither handler nor server stages these bytes in user space. `owner`
+// is an opaque keepalive (a LocalStore pin's fd, a shared OpenFile, …)
+// that must keep `fd` valid until the response is fully on the wire.
 struct FileExtent {
   std::shared_ptr<const void> owner;
   int fd = -1;
@@ -40,9 +39,8 @@ struct FileExtent {
 // A response payload: a memory head (owned byte vector in the general
 // case, pooled buffer lease on the read hot path) optionally followed
 // by file-backed extents. On the wire the head and extents form one
-// contiguous payload of total_size() bytes; how the extent bytes reach
-// the socket (sendfile, splice, or pooled pread fallback) is the
-// server's choice and invisible to the client.
+// contiguous payload of total_size() bytes; that the extent bytes
+// reach the socket by sendfile is invisible to the client.
 //
 // An extent-free payload may also carry one fd: the server passes it
 // to an AF_UNIX peer as SCM_RIGHTS on the frame and closes its own copy

@@ -89,13 +89,9 @@ HvacServer::HvacServer(storage::PfsBackend* pfs, HvacServerOptions options)
                                              options_.seed);
   cache_ = std::make_unique<core::CacheManager>(pfs_, std::move(store),
                                                 std::move(eviction));
-  size_t mover_queue = options_.mover_queue_capacity;
-  const int64_t env_queue = env_int_or("HVAC_MOVER_QUEUE", 0);
-  if (env_queue > 0 && static_cast<size_t>(env_queue) < mover_queue) {
-    mover_queue = static_cast<size_t>(env_queue);
-  }
   mover_ = std::make_unique<core::DataMover>(
-      cache_.get(), options_.data_mover_threads, mover_queue);
+      cache_.get(), options_.data_mover_threads,
+      options_.mover_queue_capacity);
   if (options_.write_enabled) {
     // The flusher copies the store's physical file out to the PFS.
     // The seq snapshot taken before the copy lets on_flushed tell a
@@ -115,19 +111,15 @@ HvacServer::HvacServer(storage::PfsBackend* pfs, HvacServerOptions options)
         },
         [this](const std::string& path) { on_flushed(path); });
   }
-  // Time-series collector config: options override, else env. The ring
-  // exists either way so kTimeSeries always answers (empty when off).
+  // Time-series collector cadence: options override, else env. The
+  // ring exists either way so kTimeSeries always answers (empty when
+  // off).
   int ts_interval = options_.ts_interval_ms;
   if (ts_interval < 0) {
     ts_interval = static_cast<int>(env_int_or("HVAC_TS_INTERVAL_MS", 1000));
   }
-  int ts_window = options_.ts_window;
-  if (ts_window < 0) {
-    ts_window = static_cast<int>(env_int_or("HVAC_TS_WINDOW", 300));
-  }
   ts_interval_ms_ = ts_interval > 0 ? static_cast<uint32_t>(ts_interval) : 0;
-  ts_ring_ = std::make_unique<core::TimeSeriesRing>(
-      ts_window > 0 ? static_cast<size_t>(ts_window) : 1);
+  ts_ring_ = std::make_unique<core::TimeSeriesRing>(kTimeSeriesWindow);
   register_handlers();
 }
 
@@ -613,47 +605,34 @@ Result<rpc::Payload> HvacServer::handle_read(const Bytes& req) {
     open_file = it->second;
   }
 
-  // Zero-copy hit path: hand the RPC server a FileExtent — it
-  // sendfiles (or splices) the bytes from the cached fd straight to
-  // the socket. The OpenFile shared_ptr rides along as the keepalive,
-  // so a concurrent kClose cannot close the fd mid-send. Cached
-  // copies are immutable, so the open-time size clamps the extent
-  // exactly like pread's short read would.
-  if (!open_file->pfs_fallback &&
-      rpc_.zerocopy_mode() != rpc::ZeroCopyMode::kOff) {
-    const uint64_t avail =
-        offset < open_file->size ? open_file->size - offset : 0;
-    const uint64_t n = std::min<uint64_t>(count, avail);
-    cache_->record_served_bytes(n, true);
+  // Clamp to the open-time size: for a packed sample the fd is the
+  // container, so reading past `size` would bleed into the next sample
+  // instead of hitting EOF.
+  const uint64_t avail =
+      offset < open_file->size ? open_file->size - offset : 0;
+  count = static_cast<uint32_t>(std::min<uint64_t>(count, avail));
+
+  // Cache hit: hand the RPC server a FileExtent — it sendfiles the
+  // bytes from the cached fd straight to the socket. The OpenFile
+  // shared_ptr rides along as the keepalive, so a concurrent kClose
+  // cannot close the fd mid-send.
+  if (!open_file->pfs_fallback) {
+    cache_->record_served_bytes(count, true);
     rpc::FileExtent extent;
     extent.owner = open_file;
     extent.fd = open_file->file.fd();
     extent.offset = open_file->base_offset + offset;
-    extent.length = n;
+    extent.length = count;
     return rpc::blob_extent_payload(std::move(extent));
   }
 
-  // Pooled path: clamp to the open-time size too — for a packed
-  // sample the fd is the container, so reading past `size` would
-  // bleed into the next sample instead of hitting EOF.
-  {
-    const uint64_t avail =
-        offset < open_file->size ? open_file->size - offset : 0;
-    count = static_cast<uint32_t>(std::min<uint64_t>(count, avail));
-  }
+  // PFS fallback: stage the bytes through the buffer pool.
   hvac::BufferPool::Lease lease =
       hvac::BufferPool::global().acquire(rpc::kBlobPrefix + count);
-  uint8_t* dst = lease.data() + rpc::kBlobPrefix;
-  size_t n = 0;
-  if (open_file->pfs_fallback) {
-    HVAC_ASSIGN_OR_RETURN(n, pfs_->pread(open_file->file, dst, count,
-                                         open_file->base_offset + offset));
-  } else {
-    HVAC_ASSIGN_OR_RETURN(n, open_file->file.pread(
-                                 dst, count,
-                                 open_file->base_offset + offset));
-  }
-  cache_->record_served_bytes(n, !open_file->pfs_fallback);
+  HVAC_ASSIGN_OR_RETURN(
+      size_t n, pfs_->pread(open_file->file, lease.data() + rpc::kBlobPrefix,
+                            count, open_file->base_offset + offset));
+  cache_->record_served_bytes(n, false);
   return rpc::blob_payload(std::move(lease), n);
 }
 
@@ -751,9 +730,9 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
   auto& want = s.want;
   const uint32_t n = static_cast<uint32_t>(want.size());
 
-  // Resolve a cached fd for the extents when one exists. In path mode
-  // the file may have been evicted since the client's metadata said
-  // "cached" — then every extent degrades to pread_through, which
+  // A cached fd answers with extents the RPC server sendfiles. In path
+  // mode the file may have been evicted since the client's metadata
+  // said "cached" — then every extent degrades to pread_through, which
   // re-fetches or reads the PFS (and does its own byte accounting).
   //
   // Packed samples arrive in path mode (the client resolved the sample
@@ -762,22 +741,17 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
   // mover, and translate every extent by the sample's base offset while
   // clamping to the sample length. The reply table always echoes the
   // *requested* sample-relative offsets.
-  std::shared_ptr<const void> owner;
-  int src_fd = -1;
-  bool cached_fd = false;
   uint64_t base = 0;
   uint64_t limit = 0;     // clamp bound: sample length or file size
   bool has_limit = false;
-  std::optional<storage::LocalStore::Pin> pin;
   if (open_file != nullptr) {
     path = open_file->logical_path;
     base = open_file->base_offset;
     limit = open_file->size;
     has_limit = true;
     if (!open_file->pfs_fallback) {
-      owner = open_file;
-      src_fd = open_file->file.fd();
-      cached_fd = true;
+      return scatter_extent_reply(s, base, limit, open_file,
+                                  open_file->file.fd());
     }
   } else {
     const PackedRoute route = route_packed(path);
@@ -789,26 +763,20 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
       // runs pooled, so the mover wait cannot stall a reactor.
       (void)mover_->fetch(path);
     }
-    auto pinned = cache_->store().open_pinned(path);
-    if (pinned.ok()) {
-      pin = std::move(pinned).value();
-      src_fd = pin->file().fd();
-      owner = pin->owner();
-      cached_fd = true;
-      limit = route.length_in(pin->size());
-      has_limit = true;
+    auto pin = cache_->store().open_pinned(path);
+    if (pin.ok()) {
+      // A pin reads relative to its entry; the raw fd needs its slot
+      // base.
+      return scatter_extent_reply(s, pin->base() + base,
+                                  route.length_in(pin->size()), pin->owner(),
+                                  pin->file().fd());
     }
   }
 
-  if (cached_fd && rpc_.zerocopy_mode() != rpc::ZeroCopyMode::kOff) {
-    // A pin reads relative to its entry; the raw fd needs its slot base.
-    const uint64_t fd_base = pin ? pin->base() + base : base;
-    return scatter_extent_reply(s, fd_base, limit, std::move(owner), src_fd);
-  }
-
-  // Pooled path: stage the extents packed behind the table in one
-  // lease. Actual lengths (EOF clamps) are only known after the
-  // preads, so the table is stamped last.
+  // No cached fd (a PFS-fallback remote fd, or an uncached path):
+  // stage the extents packed behind the table in one lease. Actual
+  // lengths (EOF clamps) are only known after the preads, so the table
+  // is stamped last.
   const size_t table_size = rpc::scatter_table_size(n);
   hvac::BufferPool::Lease lease =
       hvac::BufferPool::global().acquire(table_size + s.total);
@@ -826,17 +794,7 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
       clamped = static_cast<uint32_t>(std::min<uint64_t>(len, avail));
     }
     size_t got = 0;
-    if (cached_fd) {
-      if (open_file != nullptr) {
-        HVAC_ASSIGN_OR_RETURN(
-            got,
-            open_file->file.pread(data + cursor, clamped, base + off));
-      } else {
-        HVAC_ASSIGN_OR_RETURN(
-            got, pin->pread(data + cursor, clamped, base + off));
-      }
-      cache_->record_served_bytes(got, true);
-    } else if (open_file != nullptr) {
+    if (open_file != nullptr) {
       // PFS-fallback remote fd: read through the borrowed PFS handle.
       HVAC_ASSIGN_OR_RETURN(
           got, pfs_->pread(open_file->file, data + cursor, clamped,
@@ -1245,10 +1203,7 @@ core::MetricsFrame HvacServer::metrics_frame() const {
 
   const rpc::ZeroCopyCounters& zc = rpc::ZeroCopyCounters::global();
   f.zerocopy.sendfile_sends = load(zc.sendfile_sends);
-  f.zerocopy.splice_sends = load(zc.splice_sends);
-  f.zerocopy.fallback_sends = load(zc.fallback_sends);
   f.zerocopy.sendfile_bytes = load(zc.sendfile_bytes);
-  f.zerocopy.splice_bytes = load(zc.splice_bytes);
   f.zerocopy.short_resumes = load(zc.short_resumes);
   f.zerocopy.fd_passes = load(zc.fd_passes);
   f.zerocopy.fd_pass_bytes = load(zc.fd_pass_bytes);

@@ -48,7 +48,7 @@ struct HvacServerOptions {
   size_t rpc_handler_threads = 2;
   // Bound on queued fetches in the data-mover FIFO; beyond it opens/
   // prefetches are answered kUnavailable (backpressure) rather than
-  // queueing without limit. Tightened via HVAC_MOVER_QUEUE.
+  // queueing without limit.
   size_t mover_queue_capacity = 4096;
   uint64_t seed = 0;
   // Load the dataset's packed-container index (.hvacpack/) when one
@@ -64,12 +64,15 @@ struct HvacServerOptions {
   bool write_enabled = true;
   std::string journal_dir;
   // Metrics time-series collector (core/timeseries.h): snapshot cadence
-  // in ms (0 = off) and ring capacity in samples. Defaults come from
-  // HVAC_TS_INTERVAL_MS (1000) and HVAC_TS_WINDOW (300); a negative
-  // sentinel here means "read the env".
+  // in ms (0 = off). The default comes from HVAC_TS_INTERVAL_MS (1000);
+  // a negative sentinel here means "read the env". The ring keeps
+  // kTimeSeriesWindow samples.
   int ts_interval_ms = -1;
-  int ts_window = -1;
 };
+
+// Time-series ring capacity in samples: five minutes of history at the
+// default 1 s cadence; the oldest delta falls off when full.
+inline constexpr size_t kTimeSeriesWindow = 300;
 
 class HvacServer {
  public:

@@ -14,7 +14,7 @@
 //    flusher copies out and journal replay rebuilds.
 //
 // A written slot is never rewritten or hole-punched: a queued
-// sendfile/splice reply may still reference its page-cache pages after
+// sendfile reply may still reference its page-cache pages after
 // its pin drops. Space comes back a slab at a time, when a slab's last
 // entry goes (evict_slab() drops all of them at once); until then the
 // slab's bytes count in bytes_used(), but for the slots of entries a

@@ -217,11 +217,9 @@ Result<std::vector<std::string>> list_files_recursive(
 
 Result<PackReport> pack_tree(const std::string& root,
                              const PackOptions& options) {
-  uint64_t container_bytes = options.container_bytes;
-  if (container_bytes == 0) {
-    const int64_t env = env_int_or("HVAC_PACK_CONTAINER_BYTES", 0);
-    container_bytes = env > 0 ? static_cast<uint64_t>(env) : 64ull << 20;
-  }
+  const uint64_t container_bytes = options.container_bytes > 0
+                                       ? options.container_bytes
+                                       : kDefaultContainerBytes;
   HVAC_ASSIGN_OR_RETURN(std::vector<std::string> rels,
                         list_files_recursive(root, packed_dir_name()));
   if (rels.empty()) {

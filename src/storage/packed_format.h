@@ -88,11 +88,12 @@ class PackedIndex {
   uint64_t total_sample_bytes() const;
 };
 
+inline constexpr uint64_t kDefaultContainerBytes = 64ull << 20;
+
 struct PackOptions {
   // Target container size; a container closes once it reaches this.
-  // Overridden by HVAC_PACK_CONTAINER_BYTES when left at 0 by callers
-  // that want the env default.
-  uint64_t container_bytes = 64ull << 20;
+  // 0 takes the default.
+  uint64_t container_bytes = kDefaultContainerBytes;
 };
 
 struct PackReport {

@@ -48,7 +48,7 @@ class PosixFile {
   Result<size_t> pread(void* buf, size_t count, uint64_t offset) const;
   // The writes are exact: they resume short transfers and retry
   // EINTR/EAGAIN until every byte is down or a real error surfaces
-  // (same discipline as sendfile_exact/splice_exact on the read side).
+  // (same discipline as sendfile_exact on the read side).
   Result<size_t> write(const void* buf, size_t count);
   Result<size_t> pwrite(const void* buf, size_t count, uint64_t offset);
   // Gathered pwrite of `iovcnt` buffers to consecutive bytes from

@@ -6,6 +6,9 @@
 //
 //   intercept_target [--repeat N] PATH...  read every path N times
 //   intercept_target --stdio PATH...        fopen/fread instead
+//   intercept_target --fortified PATH...    open through __open_2, as a
+//                                           _FORTIFY_SOURCE build does
+//                                           for non-constant flags
 //   intercept_target --fstat-race PATH...   a second thread fstats each
 //                                           fd in a loop while read()
 //                                           streams it
@@ -22,6 +25,9 @@
 #include <string_view>
 #include <thread>
 #include <vector>
+
+// glibc's checked open, declared only under _FORTIFY_SOURCE.
+extern "C" int __open_2(const char* path, int flags);
 
 namespace {
 
@@ -125,8 +131,9 @@ int run_copy(const char* src, const char* dst) {
 
 // The default shape: open, fstat, lseek there and back, read() to
 // EOF, close.
-void run_posix(const char* path) {
-  const int fd = ::open(path, O_RDONLY);
+void run_posix(const char* path, bool fortified) {
+  const int fd = fortified ? ::__open_2(path, O_RDONLY)
+                           : ::open(path, O_RDONLY);
   if (fd < 0) {
     std::printf("%s ERROR open\n", path);
     return;
@@ -261,8 +268,11 @@ int main(int argc, char** argv) {
     repeat = std::strtol(argv[2], nullptr, 10);
     first = 3;
   }
+  const bool fortified =
+      argc > 1 && std::string_view(argv[1]) == "--fortified";
+  if (fortified) first = 2;
   for (long round = 0; round < repeat; ++round) {
-    for (int i = first; i < argc; ++i) run_posix(argv[i]);
+    for (int i = first; i < argc; ++i) run_posix(argv[i], fortified);
   }
   return 0;
 }

@@ -55,7 +55,14 @@ inline core::MetricsFrame frame(uint64_t base = 0, uint64_t step = 1) {
   f.buffer_pool = {n(), n(), n(), n(), n()};
   f.readahead = {n(), n(), n()};
   f.resilience = {n(), n(), n(), n(), n(), n(), n(), n(), n(), n(), n()};
-  f.zerocopy = {n(), n(), n(), n(), n(), n()};
+  // Words deleted from the schema still draw their number, so the
+  // words after them keep their golden values.
+  f.zerocopy.sendfile_sends = n();
+  n();  // splice_sends
+  n();  // fallback_sends
+  f.zerocopy.sendfile_bytes = n();
+  n();  // splice_bytes
+  f.zerocopy.short_resumes = n();
   f.meta_cache = {n(), n(), n(), n()};
   f.trace = {n(), n(), n(), n(), n()};
   f.reactor.reactors = {{n(), n(), n(), n(), n()}, {n(), n(), n(), n(), n()}};

@@ -214,6 +214,28 @@ TEST_F(InterceptTest, FstatNeverMovesAConcurrentReader) {
   EXPECT_EQ(out, expected_output());
 }
 
+// A _FORTIFY_SOURCE binary opens through __open_2 when its flags are
+// not a compile-time constant; the shim exports it, so those opens
+// reach HVAC instead of reading the PFS behind its back.
+TEST_F(InterceptTest, FortifiedOpenGoesThroughTheShim) {
+  std::vector<std::string> args = {"--fortified"};
+  for (const auto& p : abs_paths()) args.push_back(p);
+  const std::string stats = temp_dir("fortified_stats") + "/stats.json";
+  const std::string out =
+      run_target(args, pfs_root_, node_->endpoints_csv(), true, false,
+                 "HVAC_STATS_FILE=" + stats);
+  EXPECT_EQ(out, expected_output());
+  EXPECT_EQ(node_->aggregated_metrics().misses, tree_.relative_paths.size());
+  std::ifstream in(stats);
+  std::stringstream json;
+  json << in.rdbuf();
+  const std::string n = std::to_string(tree_.relative_paths.size());
+  EXPECT_NE(json.str().find("{\"opens\":" + n + ",\"remote_opens\":" + n +
+                            ",\"fallback_opens\":0,"),
+            std::string::npos)
+      << json.str();
+}
+
 uint64_t op_count(const server::NodeRuntime& node, uint16_t op) {
   const auto lat = node.aggregated_frame().op_latency;
   const auto it = lat.find(op);
@@ -410,6 +432,68 @@ TEST_F(InterceptTest, CPythonBuiltinOpenReadsThroughTheShim) {
               std::string::npos)
         << json.str();
   }
+  node.stop();
+}
+
+// A script stored under the dataset dir: CPython opens it with
+// fopen64, marks fileno() of the stream non-inheritable (ioctl
+// FIOCLEX) and fstats it, so the shim's stream must answer fileno with
+// its vfd and the vfd must take those calls. The script then runs
+// fcntl on a sample's vfd itself. Everything, the script included,
+// is read through HVAC.
+TEST_F(InterceptTest, CPythonRunsScriptStoredUnderDatasetDir) {
+  const auto which = capture(
+      "python3 -c 'import sys; print(sys.executable)' 2>/dev/null");
+  if (!which.has_value() || which->size() < 2) {
+    GTEST_SKIP() << "python3 not found";
+  }
+  const std::string python = which->substr(0, which->find('\n'));
+
+  const std::string root = temp_dir("py_script_pfs");
+  const std::string sample = root + "/sample.bin";
+  std::ofstream(sample, std::ios::binary) << std::string(30'000, 'x');
+  const std::string script = root + "/read.py";
+  std::ofstream(script) <<
+      "import fcntl, hashlib, os, sys\n"
+      "fd = os.open(sys.argv[1], os.O_RDONLY)\n"
+      "fd_flags = fcntl.fcntl(fd, fcntl.F_GETFD)\n"
+      "mode = fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE\n"
+      "data = os.read(fd, 1 << 20)\n"
+      "os.close(fd)\n"
+      "print(len(data), fd_flags, mode, hashlib.sha256(data).hexdigest())\n";
+  server::NodeRuntimeOptions o;
+  o.pfs_root = root;
+  o.cache_root = temp_dir("py_script_cache");
+  server::NodeRuntime node(o);
+  ASSERT_TRUE(node.start().ok());
+
+  const std::string args = python + " " + script + " " + sample;
+  const auto direct = capture(args);
+  ASSERT_TRUE(direct.has_value());
+  ASSERT_EQ(direct->rfind("30000 1 0 ", 0), 0u) << *direct;
+  const std::string stats = temp_dir("py_script_stats") + "/stats.json";
+  const auto shimmed =
+      capture("env LD_PRELOAD=" + std::string(HVAC_INTERCEPT_SO) +
+              " ASAN_OPTIONS=verify_asan_link_order=0 HVAC_DATASET_DIR=" +
+              root + " HVAC_SERVERS=" + node.endpoints_csv() +
+              " HVAC_STATS_FILE=" + stats + " " + args);
+  ASSERT_TRUE(shimmed.has_value());
+  EXPECT_EQ(*shimmed, *direct);
+  // The script's opens (CPython's fopen64, and its zipimport probe of
+  // the same path) and the sample's, all through HVAC.
+  std::ifstream in(stats);
+  std::stringstream json;
+  json << in.rdbuf();
+  unsigned opens = 0, remote = 0, fallback = 1;
+  ASSERT_EQ(std::sscanf(json.str().c_str(),
+                        "{\"opens\":%u,\"remote_opens\":%u,"
+                        "\"fallback_opens\":%u,",
+                        &opens, &remote, &fallback),
+            3)
+      << json.str();
+  EXPECT_GE(opens, 2u);
+  EXPECT_EQ(remote, opens);
+  EXPECT_EQ(fallback, 0u);
   node.stop();
 }
 

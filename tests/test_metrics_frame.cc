@@ -43,7 +43,7 @@ MetricsFrame sample_frame() {
   f.handle_cache = {5, 2, 4, 1, 3, 128};
   f.buffer_pool = {100, 90, 10, 80, 5};
   f.readahead = {40, 30, 6};
-  f.zerocopy = {50, 8, 3, 1 << 20, 1 << 16, 2};
+  f.zerocopy = {50, 1 << 20, 2};
   f.meta_cache = {25, 9, 4, 2};
   f.reactor.reactors = {{6, 100, 12, 3}, {2, 40, 0, 1}};
   // epoch, reads, total, local_hit, remote_rpc, pfs_wait, backpressure,
@@ -402,38 +402,37 @@ const char* const kGoldenWire =
     "0000dd00000000000000de00000000000000df00000000000000050058000000"
     "1700000000000000180000000000000019000000000000001a00000000000000"
     "1b000000000000001c000000000000001d000000000000001e00000000000000"
-    "1f00000000000000200000000000000021000000000000000600400000002200"
-    "0000000000002300000000000000240000000000000025000000000000002600"
-    "0000000000002700000000000000e300000000000000e4000000000000000700"
-    "20000000280000000000000029000000000000002a000000000000002b000000"
-    "000000000800280000002c000000000000002d000000000000002e0000000000"
-    "00002f0000000000000030000000000000000900640000000200060031000000"
-    "0000000032000000000000003300000000000000340000000000000035000000"
-    "00000000e1000000000000003600000000000000370000000000000038000000"
-    "0000000039000000000000003a00000000000000e2000000000000000a009800"
-    "00003b000000000000003c000000000000003d000000000000003e0000000000"
-    "00003f0000000000000040000000000000004100000000000000420000000000"
-    "0000430000000000000044000000000000004500000000000000460000000000"
-    "00004700000000000000480000000000000049000000000000004a0000000000"
-    "00004b000000000000004c000000000000004d000000000000000b009a010000"
-    "4e000000000000004f0000000000000050000000000000005100000000000000"
-    "5200000000000000530000000000000054000000000000005500000000000000"
-    "00000000000000007c100000000000007e000000000000002800560000000000"
-    "00005700000000000000580000000000000059000000000000005a0000000000"
-    "00005b000000000000005c000000000000005d000000000000005e0000000000"
-    "00005f0000000000000060000000000000006100000000000000620000000000"
-    "0000630000000000000064000000000000006500000000000000660000000000"
-    "00006700000000000000680000000000000069000000000000006a0000000000"
-    "00006b000000000000006c000000000000006d000000000000006e0000000000"
-    "00006f0000000000000070000000000000007100000000000000720000000000"
-    "0000730000000000000074000000000000007500000000000000760000000000"
-    "00007700000000000000780000000000000079000000000000007a0000000000"
-    "00007b000000000000007c000000000000007d000000000000000c0084000000"
-    "020008007f000000000000008000000000000000810000000000000082000000"
-    "0000000083000000000000008400000000000000850000000000000086000000"
-    "000000008700000000000000880000000000000089000000000000008a000000"
-    "000000008b000000000000008c000000000000008d000000000000008e000000"
-    "00000000";
+    "1f00000000000000200000000000000021000000000000000600280000002200"
+    "00000000000025000000000000002700000000000000e300000000000000e400"
+    "000000000000070020000000280000000000000029000000000000002a000000"
+    "000000002b000000000000000800280000002c000000000000002d0000000000"
+    "00002e000000000000002f000000000000003000000000000000090064000000"
+    "0200060031000000000000003200000000000000330000000000000034000000"
+    "000000003500000000000000e100000000000000360000000000000037000000"
+    "00000000380000000000000039000000000000003a00000000000000e2000000"
+    "000000000a00980000003b000000000000003c000000000000003d0000000000"
+    "00003e000000000000003f000000000000004000000000000000410000000000"
+    "0000420000000000000043000000000000004400000000000000450000000000"
+    "0000460000000000000047000000000000004800000000000000490000000000"
+    "00004a000000000000004b000000000000004c000000000000004d0000000000"
+    "00000b009a0100004e000000000000004f000000000000005000000000000000"
+    "5100000000000000520000000000000053000000000000005400000000000000"
+    "550000000000000000000000000000007c100000000000007e00000000000000"
+    "2800560000000000000057000000000000005800000000000000590000000000"
+    "00005a000000000000005b000000000000005c000000000000005d0000000000"
+    "00005e000000000000005f000000000000006000000000000000610000000000"
+    "0000620000000000000063000000000000006400000000000000650000000000"
+    "0000660000000000000067000000000000006800000000000000690000000000"
+    "00006a000000000000006b000000000000006c000000000000006d0000000000"
+    "00006e000000000000006f000000000000007000000000000000710000000000"
+    "0000720000000000000073000000000000007400000000000000750000000000"
+    "0000760000000000000077000000000000007800000000000000790000000000"
+    "00007a000000000000007b000000000000007c000000000000007d0000000000"
+    "00000c0084000000020008007f00000000000000800000000000000081000000"
+    "0000000082000000000000008300000000000000840000000000000085000000"
+    "0000000086000000000000008700000000000000880000000000000089000000"
+    "000000008a000000000000008b000000000000008c000000000000008d000000"
+    "000000008e00000000000000";
 
 const char* const kGoldenJson =
     "{\"version\":2,\"cache\":{\"hits\":1,\"misses\":2,\"hit_rate\":0.333333"
@@ -447,8 +446,7 @@ const char* const kGoldenJson =
     ",\"breaker_probes\":25,\"breaker_shed\":26,\"retries\":27"
     ",\"deadline_misses\":28,\"server_shed\":29,\"mover_rejects\":30"
     ",\"drains\":31,\"drained_requests\":32,\"faults_injected\":33}"
-    ",\"zero_copy\":{\"sendfile_sends\":34,\"splice_sends\":35"
-    ",\"fallback_sends\":36,\"sendfile_bytes\":37,\"splice_bytes\":38"
+    ",\"zero_copy\":{\"sendfile_sends\":34,\"sendfile_bytes\":37"
     ",\"short_resumes\":39,\"fd_passes\":227,\"fd_pass_bytes\":228}"
     ",\"meta_cache\":{\"hits\":40,\"misses\":41"
     ",\"expired\":42,\"invalidated\":43},\"trace\":{\"emitted\":44,\"dropped\":45"

@@ -1046,22 +1046,6 @@ Bytes drain_socket(int fd, size_t want) {
   return out;
 }
 
-TEST(ZeroCopy, ResolveModeHonoursEnvOverride) {
-  const char* prev = ::getenv("HVAC_ZEROCOPY");
-  const std::string saved = prev ? prev : "";
-  ::setenv("HVAC_ZEROCOPY", "off", 1);
-  EXPECT_EQ(resolve_zerocopy_mode(), ZeroCopyMode::kOff);
-  ::setenv("HVAC_ZEROCOPY", "sendfile", 1);
-  EXPECT_EQ(resolve_zerocopy_mode(), ZeroCopyMode::kSendfile);
-  ::setenv("HVAC_ZEROCOPY", "splice", 1);
-  EXPECT_EQ(resolve_zerocopy_mode(), ZeroCopyMode::kSplice);
-  ::unsetenv("HVAC_ZEROCOPY");
-  // With no override the probe picks a rung; Linux supports
-  // sendfile-to-socket, so it must not be the pooled fallback.
-  EXPECT_NE(resolve_zerocopy_mode(), ZeroCopyMode::kOff);
-  if (prev) ::setenv("HVAC_ZEROCOPY", saved.c_str(), 1);
-}
-
 TEST(ZeroCopy, SendfileExactDeliversExactBytes) {
   constexpr size_t kSize = 256 * 1024 + 17;
   TempPatternFile src(kSize);
@@ -1094,25 +1078,6 @@ TEST(ZeroCopy, SendfileExactHonoursOffset) {
   ::close(sv[1]);
 }
 
-TEST(ZeroCopy, SpliceExactDeliversExactBytes) {
-  constexpr size_t kSize = 192 * 1024 + 13;
-  TempPatternFile src(kSize);
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  int pd[2];
-  ASSERT_EQ(::pipe(pd), 0);
-  Bytes received;
-  std::thread reader([&] { received = drain_socket(sv[1], kSize); });
-  EXPECT_TRUE(splice_exact(sv[0], src.fd, 0, kSize, pd[0], pd[1]).ok());
-  ::shutdown(sv[0], SHUT_WR);
-  reader.join();
-  EXPECT_EQ(received, src.bytes);
-  ::close(sv[0]);
-  ::close(sv[1]);
-  ::close(pd[0]);
-  ::close(pd[1]);
-}
-
 TEST(ZeroCopy, ShortSendfileResumesUntilComplete) {
   // Cap every kernel transfer at 4 KiB: a 64 KiB extent takes 16
   // sendfile calls, and every byte must still arrive in order.
@@ -1141,37 +1106,11 @@ TEST(ZeroCopy, ShortSendfileResumesUntilComplete) {
   ::close(sv[1]);
 }
 
-TEST(ZeroCopy, ShortSpliceResumesUntilComplete) {
-  ASSERT_TRUE(fault::configure("zc_splice:short=1024").ok());
-  constexpr size_t kSize = 32 * 1024 + 5;
-  TempPatternFile src(kSize);
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  int pd[2];
-  ASSERT_EQ(::pipe(pd), 0);
-  Bytes received;
-  std::thread reader([&] { received = drain_socket(sv[1], kSize); });
-  EXPECT_TRUE(splice_exact(sv[0], src.fd, 0, kSize, pd[0], pd[1]).ok());
-  ::shutdown(sv[0], SHUT_WR);
-  reader.join();
-  fault::SiteStats st = fault::stats(fault::Site::kZcSplice);
-  fault::reset();
-
-  EXPECT_EQ(received, src.bytes);
-  EXPECT_GT(st.shorts, 0u);
-  ::close(sv[0]);
-  ::close(sv[1]);
-  ::close(pd[0]);
-  ::close(pd[1]);
-}
-
 // ---- extent payloads through a live server --------------------------------
 
 // Spins up a server whose handler answers with file-backed extents
 // (opcode 8: single blob; opcode 9: scatter frame) and verifies the
-// client sees byte-identical data. Exercised once per zero-copy rung —
-// the wire contract must not depend on how the bytes reached the
-// socket.
+// client sees byte-identical data after the server sendfiles them.
 void run_extent_payload_roundtrip(Transport t) {
   constexpr size_t kFile = 512 * 1024;
   auto src = std::make_shared<TempPatternFile>(kFile);
@@ -1253,38 +1192,13 @@ void run_extent_payload_roundtrip(Transport t) {
   expect_transport(server, t);
 }
 
-class ZeroCopyLeg : public ::testing::TestWithParam<const char*> {
- protected:
-  void SetUp() override {
-    const char* prev = ::getenv("HVAC_ZEROCOPY");
-    saved_ = prev ? prev : "";
-    had_ = prev != nullptr;
-    ::setenv("HVAC_ZEROCOPY", GetParam(), 1);
-  }
-  void TearDown() override {
-    if (had_) {
-      ::setenv("HVAC_ZEROCOPY", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("HVAC_ZEROCOPY");
-    }
-  }
-  std::string saved_;
-  bool had_ = false;
-};
-
-TEST_P(ZeroCopyLeg, ExtentPayloadRoundTrip) {
+TEST(ZeroCopy, ExtentPayloadRoundTrip) {
   run_extent_payload_roundtrip(Transport::kAlias);
 }
 
-TEST_P(ZeroCopyLeg, ExtentPayloadRoundTripOverTcp) {
+TEST(ZeroCopy, ExtentPayloadRoundTripOverTcp) {
   run_extent_payload_roundtrip(Transport::kTcp);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllRungs, ZeroCopyLeg,
-                         ::testing::Values("sendfile", "splice", "off"),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
 
 }  // namespace
 }  // namespace hvac::rpc

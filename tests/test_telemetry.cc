@@ -326,38 +326,37 @@ const char* const kGoldenDelta =
     "0000000000000000000000000000000000000000000000000000050058000000"
     "5e03000000000000580300000000000052030000000000004c03000000000000"
     "460300000000000040030000000000003a030000000000003403000000000000"
-    "2e03000000000000280300000000000022030000000000000600400000001c03"
-    "000000000000160300000000000010030000000000000a030000000000000403"
-    "000000000000fe02000000000000000000000000000000000000000000000700"
-    "20000000f802000000000000f202000000000000ec02000000000000e6020000"
-    "00000000080028000000e002000000000000da020000000000002a0500000000"
-    "00003105000000000000380500000000000009006400000002000600c2020000"
-    "00000000bc02000000000000b602000000000000b002000000000000aa020000"
-    "0000000000000000000000006205000000000000690500000000000070050000"
-    "0000000077050000000000007e05000000000000160a0000000000000a009800"
-    "0000860200000000000080020000000000007a020000000000009a0500000000"
-    "0000a105000000000000a805000000000000af050000000000005c0200000000"
-    "000056020000000000005002000000000000cb05000000000000d20500000000"
-    "0000d90500000000000038020000000000003202000000000000ee0500000000"
-    "0000f505000000000000fc0500000000000003060000000000000b009a010000"
-    "14020000000000000e0200000000000008020000000000000202000000000000"
-    "fc01000000000000f601000000000000f0010000000000003b06000000000000"
-    "00000000000000005839000000000000f4000000000000002800e40100000000"
-    "0000de01000000000000d801000000000000d201000000000000cc0100000000"
-    "0000c601000000000000c001000000000000ba01000000000000b40100000000"
-    "0000ae01000000000000a801000000000000a2010000000000009c0100000000"
-    "0000960100000000000090010000000000008a01000000000000840100000000"
-    "00007e01000000000000780100000000000072010000000000006c0100000000"
-    "0000660100000000000060010000000000005a01000000000000540100000000"
-    "00004e01000000000000480100000000000042010000000000003c0100000000"
-    "0000360100000000000030010000000000002a01000000000000240100000000"
-    "00001e01000000000000180100000000000012010000000000000c0100000000"
-    "000006010000000000000001000000000000fa000000000000000c0084000000"
-    "02000800610700000000000068070000000000006f0700000000000076070000"
-    "000000007d0700000000000084070000000000008b0700000000000092070000"
-    "000000009907000000000000a007000000000000a707000000000000ae070000"
-    "00000000b507000000000000bc07000000000000c307000000000000ca070000"
-    "00000000";
+    "2e03000000000000280300000000000022030000000000000600280000001c03"
+    "0000000000000a03000000000000fe0200000000000000000000000000000000"
+    "000000000000070020000000f802000000000000f202000000000000ec020000"
+    "00000000e602000000000000080028000000e002000000000000da0200000000"
+    "00002a0500000000000031050000000000003805000000000000090064000000"
+    "02000600c202000000000000bc02000000000000b602000000000000b0020000"
+    "00000000aa020000000000000000000000000000620500000000000069050000"
+    "00000000700500000000000077050000000000007e05000000000000160a0000"
+    "000000000a0098000000860200000000000080020000000000007a0200000000"
+    "00009a05000000000000a105000000000000a805000000000000af0500000000"
+    "00005c0200000000000056020000000000005002000000000000cb0500000000"
+    "0000d205000000000000d9050000000000003802000000000000320200000000"
+    "0000ee05000000000000f505000000000000fc05000000000000030600000000"
+    "00000b009a01000014020000000000000e020000000000000802000000000000"
+    "0202000000000000fc01000000000000f601000000000000f001000000000000"
+    "3b0600000000000000000000000000005839000000000000f400000000000000"
+    "2800e401000000000000de01000000000000d801000000000000d20100000000"
+    "0000cc01000000000000c601000000000000c001000000000000ba0100000000"
+    "0000b401000000000000ae01000000000000a801000000000000a20100000000"
+    "00009c01000000000000960100000000000090010000000000008a0100000000"
+    "000084010000000000007e010000000000007801000000000000720100000000"
+    "00006c01000000000000660100000000000060010000000000005a0100000000"
+    "000054010000000000004e010000000000004801000000000000420100000000"
+    "00003c01000000000000360100000000000030010000000000002a0100000000"
+    "000024010000000000001e010000000000001801000000000000120100000000"
+    "00000c0100000000000006010000000000000001000000000000fa0000000000"
+    "00000c008400000002000800610700000000000068070000000000006f070000"
+    "0000000076070000000000007d0700000000000084070000000000008b070000"
+    "0000000092070000000000009907000000000000a007000000000000a7070000"
+    "00000000ae07000000000000b507000000000000bc07000000000000c3070000"
+    "00000000ca07000000000000";
 
 TEST(TimeSeriesGolden, FrameDeltaIsPinned) {
   const MetricsFrame d =
@@ -467,18 +466,9 @@ hvac_resilience_faults_injected_total 33
 # HELP hvac_zerocopy_sendfile_sends sendfile response sends
 # TYPE hvac_zerocopy_sendfile_sends counter
 hvac_zerocopy_sendfile_sends_total 34
-# HELP hvac_zerocopy_splice_sends splice response sends
-# TYPE hvac_zerocopy_splice_sends counter
-hvac_zerocopy_splice_sends_total 35
-# HELP hvac_zerocopy_fallback_sends Extents staged through the pool
-# TYPE hvac_zerocopy_fallback_sends counter
-hvac_zerocopy_fallback_sends_total 36
 # HELP hvac_zerocopy_sendfile_bytes Bytes sent via sendfile
 # TYPE hvac_zerocopy_sendfile_bytes counter
 hvac_zerocopy_sendfile_bytes_total 37
-# HELP hvac_zerocopy_splice_bytes Bytes sent via splice
-# TYPE hvac_zerocopy_splice_bytes counter
-hvac_zerocopy_splice_bytes_total 38
 # HELP hvac_zerocopy_short_resumes Partial kernel sends resumed in place
 # TYPE hvac_zerocopy_short_resumes counter
 hvac_zerocopy_short_resumes_total 39

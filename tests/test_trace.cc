@@ -167,7 +167,6 @@ TEST(Trace, RingOverflowDropsExactly) {
 // server.dispatch → server.send → zc.sendfile — and the miss path
 // additionally shows the mover's queue-wait vs fetch split.
 TEST(Trace, EndToEndSpanTreeAcrossRetryAndZeroCopy) {
-  ::setenv("HVAC_ZEROCOPY", "sendfile", 1);
   trace::init_for_test(true, 1u << 15);
   trace::drain();
 
@@ -316,7 +315,6 @@ TEST(Trace, EndToEndSpanTreeAcrossRetryAndZeroCopy) {
   EXPECT_NE(tree.find("zc.sendfile"), std::string::npos);
 
   node.stop();
-  ::unsetenv("HVAC_ZEROCOPY");
 }
 
 // HVAC_SLOW_MS: a root span that overruns the threshold prints its
