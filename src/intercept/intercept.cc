@@ -650,8 +650,9 @@ int fcntl64(int fd, int cmd, ...) {
   return fn(fd, cmd, arg);
 }
 
-// A vfd is no device: only the close-on-exec requests (CPython's fast
-// way to mark an fd non-inheritable) succeed, as no-ops like F_SETFD.
+// A vfd is no device: once vfd_fcntl's F_GETFD has found it open, only
+// the close-on-exec requests (CPython's fast way to mark an fd
+// non-inheritable) succeed, as no-ops like F_SETFD.
 int ioctl(int fd, unsigned long request, ...) {
   va_list ap;
   va_start(ap, request);

@@ -1,6 +1,5 @@
 #include "rpc/rpc_server.h"
 
-#include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>

@@ -176,9 +176,9 @@ class RpcServer {
                    uint64_t enqueue_ns, bool probe = false);
   // Writes one response frame (header + memory head + extents, and a
   // payload fd as SCM_RIGHTS) under the connection write lock; extent
-  // bytes go by sendfile. A failure after the header
-  // bytes hit the wire leaves the stream mid-frame: the caller must
-  // shut the connection down.
+  // bytes go by sendfile. A failure after the header bytes hit the
+  // wire leaves the stream mid-frame: the caller must shut the
+  // connection down.
   Status write_response(const std::shared_ptr<Connection>& conn,
                         FrameHeader resp, const Payload& body);
   void drop_connection(int fd);
