@@ -4,7 +4,7 @@
 // frame every HVAC_TS_INTERVAL_MS and pushes the *per-interval delta*
 // (counters subtracted, gauges carried as point values, histograms
 // differenced bucket-wise) into a fixed-capacity ring of
-// HVAC_TS_WINDOW samples. `hvacctl top` and anything else that wants
+// kTimeSeriesWindow samples. `hvacctl top` and anything else that wants
 // rates reads the ring over kTimeSeries instead of diffing frames
 // caller-side.
 //
