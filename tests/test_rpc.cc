@@ -29,6 +29,11 @@
 namespace hvac::rpc {
 namespace {
 
+// hvacd reads HVAC_FAULT at start-up. This suite builds bare RpcServers,
+// so it reads the variable itself; the .zc_off leg in CMakeLists.txt
+// sets it.
+[[maybe_unused]] const bool kFaultsFromEnv = (fault::init_from_env(), true);
+
 // ---- wire -----------------------------------------------------------------
 
 TEST(Wire, RoundTripScalars) {
@@ -1192,13 +1197,23 @@ void run_extent_payload_roundtrip(Transport t) {
   expect_transport(server, t);
 }
 
-TEST(ZeroCopy, ExtentPayloadRoundTrip) {
+// Parameterised by send rung. Sendfile is the only rung left, so the
+// suite has one instance; its name is kept so tier-1 results stay
+// comparable across the rung deletion.
+class ZeroCopyLeg : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ZeroCopyLeg, ExtentPayloadRoundTrip) {
   run_extent_payload_roundtrip(Transport::kAlias);
 }
 
-TEST(ZeroCopy, ExtentPayloadRoundTripOverTcp) {
+TEST_P(ZeroCopyLeg, ExtentPayloadRoundTripOverTcp) {
   run_extent_payload_roundtrip(Transport::kTcp);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllRungs, ZeroCopyLeg, ::testing::Values("sendfile"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace hvac::rpc
