@@ -695,8 +695,8 @@ BENCHMARK(BM_SmallFileReadsInline)
 // One warm sample per iteration through the real HvacClient: open,
 // read it front to back in 1 MiB reads, close. Dialled by its bound
 // address the server is reached over its node-local alias, and the
-// kOpen reply passes a read-only fd on the cached copy: every read is
-// one pread and no RPC (DESIGN.md §20). The Tcp twin dials
+// kOpen reply names the cache slab, passing a read-only fd on it the
+// first time: every read is one pread and no RPC (DESIGN.md §20). The Tcp twin dials
 // localhost:PORT, which names no alias, and reads over kReadScatter
 // with read-ahead as a remote home would. `passed_fd_opens` per
 // iteration tells the two paths apart.
@@ -741,7 +741,8 @@ BulkFileFixture& bulk_file_fixture(uint32_t file_bytes) {
   return *slot;
 }
 
-void bulk_read_sample(benchmark::State& state, bool tcp) {
+void bulk_read_sample(benchmark::State& state, bool tcp,
+                      size_t read_bytes = 1 << 20) {
   const uint32_t file_bytes = uint32_t(state.range(0));
   BulkFileFixture& f = bulk_file_fixture(file_bytes);
   hvac::client::HvacClientOptions o;
@@ -755,7 +756,7 @@ void bulk_read_sample(benchmark::State& state, bool tcp) {
   o.meta_ttl_ms = 0;  // every open is a kOpen, as on a first epoch
   o.allow_pfs_fallback = false;
   hvac::client::HvacClient client(o);
-  std::vector<uint8_t> buf(1 << 20);
+  std::vector<uint8_t> buf(read_bytes);
   for (auto _ : state) {
     const auto vfd = client.open(f.path);
     if (!vfd.ok()) { state.SkipWithError("open failed"); break; }
@@ -796,6 +797,14 @@ BENCHMARK(BM_BulkReadPassedFdTcp)
     ->Arg(1 << 20)
     ->Arg(4 << 20)
     ->UseRealTime();
+
+// A warm_small sample: open, 8 KiB reads and close of a cached 16 KiB
+// file over the alias. The kOpen names the slab, whose fd the client
+// took on the first open; the reads are preads on it.
+void BM_LocalSmallOpen(benchmark::State& state) {
+  bulk_read_sample(state, /*tcp=*/false, /*read_bytes=*/8 << 10);
+}
+BENCHMARK(BM_LocalSmallOpen)->ArgName("bytes")->Arg(16 << 10)->UseRealTime();
 
 // --- Clairvoyant epoch reads ----------------------------------------
 //

@@ -146,6 +146,7 @@ HvacClient::HvacClient(HvacClientOptions options)
   options_.dataset_dir = lexically_normal(options_.dataset_dir);
   channels_.resize(options_.server_endpoints.size());
   async_channels_.resize(options_.server_endpoints.size());
+  slabs_.resize(options_.server_endpoints.size());
   // A plan file turns clairvoyant prefetch on for processes that never
   // call set_access_plan() themselves — the LD_PRELOAD shim's path.
   if (!options_.prefetch_plan_file.empty()) {
@@ -537,11 +538,22 @@ Result<int> HvacClient::open(const std::string& path) {
 
 Result<int> HvacClient::open_remote(const std::string& logical,
                                     uint32_t server, bool takes_fd) {
+  // The listed slabs stay open until the reply is matched, so an inode
+  // the reply names cannot have been closed, and reused, meanwhile.
+  std::vector<std::shared_ptr<core::SlabFd>> held;
+  if (takes_fd) {
+    std::lock_guard<std::mutex> lock(slabs_mutex_);
+    held = slabs_[server];
+  }
   WireWriter w;
   w.put_string(logical);
   w.put_u8(1);  // stateless: no server-side fd, small files inline
-  // takes_fd: a local home may pass its cached copy.
+  // takes_fd: a local home may name its cache slab.
   w.put_u8(takes_fd ? 1 : 0);
+  if (takes_fd) {
+    w.put_u8(static_cast<uint8_t>(held.size()));
+    for (const auto& slab : held) w.put_u64(slab->ino);
+  }
   HVAC_ASSIGN_OR_RETURN(
       rpc::Payload resp,
       channel(server).call_payload(proto::kOpen, w.bytes(), takes_fd));
@@ -551,36 +563,36 @@ Result<int> HvacClient::open_remote(const std::string& logical,
   HVAC_ASSIGN_OR_RETURN(uint64_t size, r.get_u64());
   HVAC_ASSIGN_OR_RETURN(uint8_t served_from, r.get_u8());
   HVAC_ASSIGN_OR_RETURN(WireReader::BlobView blob, r.get_blob_view());
-  // The blob is the whole file or nothing. Any other length — short,
-  // overlong, or bytes for a file too big to inline — would hand the
-  // application wrong bytes, so the reply is rejected and the caller
-  // fails over.
-  const bool inlined = size <= proto::kMaxInlineBytes;
+  core::FdEntry entry;
+  // A trailing {base, inode} names a cache slab (DESIGN.md §20) and
+  // carries no bytes. Otherwise the blob is the whole file or nothing.
+  // Any other length — short, overlong, or bytes for a file too big to
+  // inline — would hand the application wrong bytes, so the reply is
+  // rejected and the caller fails over. An fd the reply did not
+  // promise closes with `resp`.
+  const bool names_slab = !r.exhausted();
+  const bool inlined = !names_slab && size <= proto::kMaxInlineBytes;
   if (blob.size != (inlined ? size : 0)) {
     return Error(ErrorCode::kProtocol,
                  "kOpen reply inlines " + std::to_string(blob.size) +
                      " bytes of a " + std::to_string(size) + "-byte file");
   }
-  core::FdEntry entry;
-  // A trailing base promises a passed cache fd (DESIGN.md §20). An fd
-  // the reply did not promise closes with `resp`.
-  if (!r.exhausted()) {
+  if (names_slab) {
     HVAC_ASSIGN_OR_RETURN(entry.base, r.get_u64());
-    rpc::Fd cache_fd = resp.take_fd();
-    if (takes_fd && !inlined && r.exhausted() && !cache_fd.valid()) {
-      // The fd did not arrive: at RLIMIT_NOFILE the kernel drops it.
-      // Ask once more for a reply without one, read by RPC.
+    HVAC_ASSIGN_OR_RETURN(uint64_t ino, r.get_u64());
+    if (!takes_fd || !r.exhausted()) {
+      return Error(ErrorCode::kProtocol,
+                   "kOpen reply names a slab it may not for " + logical);
+    }
+    Result<std::shared_ptr<core::SlabFd>> slab =
+        reply_slab(server, resp.take_fd(), ino, entry.base, size, held);
+    if (!slab.ok() && slab.error().code == ErrorCode::kNotFound) {
+      // Neither held nor passed: at RLIMIT_NOFILE the kernel drops the
+      // fd. Ask once more for a reply with the bytes, or read by RPC.
       return open_remote(logical, server, /*takes_fd=*/false);
     }
-    struct stat st{};
-    if (!takes_fd || inlined || !r.exhausted() || !cache_fd.valid() ||
-        ::fstat(cache_fd.get(), &st) != 0 || !S_ISREG(st.st_mode) ||
-        entry.base > static_cast<uint64_t>(st.st_size) ||
-        size > static_cast<uint64_t>(st.st_size) - entry.base) {
-      return Error(ErrorCode::kProtocol,
-                   "kOpen reply promises no usable cache fd for " + logical);
-    }
-    entry.cache_fd = cache_fd.release();
+    if (!slab.ok()) return slab.error();
+    entry.slab = std::move(slab).value();
   }
   if (PrefetchScheduler* pf = prefetch_scheduler()) {
     pf->observe_sample_bytes(size);
@@ -592,14 +604,71 @@ Result<int> HvacClient::open_remote(const std::string& logical,
     entry.inline_data = std::make_shared<const std::vector<uint8_t>>(
         blob.data, blob.data + blob.size);
   }
-  const bool passed_fd = entry.cache_fd >= 0;
   const int vfd = fds_.insert(std::move(entry));
   meta_.put(logical,
             MetaEntry{size, server, served_from == proto::kFromCache});
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.remote_opens;
-  if (passed_fd) ++stats_.passed_fd_opens;
+  if (names_slab) ++stats_.passed_fd_opens;
   return vfd;
+}
+
+Result<std::shared_ptr<core::SlabFd>> HvacClient::reply_slab(
+    uint32_t server, rpc::Fd passed, uint64_t ino, uint64_t base,
+    uint64_t size, const std::vector<std::shared_ptr<core::SlabFd>>& held) {
+  auto fits = [&](uint64_t slab_size) {
+    return base <= slab_size && size <= slab_size - base;
+  };
+  auto stat_of = [](int fd, struct stat* st) {
+    return ::fstat(fd, st) == 0 && S_ISREG(st->st_mode);
+  };
+  struct stat st{};
+  if (passed.valid()) {
+    if (!stat_of(passed.get(), &st) ||
+        static_cast<uint64_t>(st.st_ino) != ino ||
+        !fits(static_cast<uint64_t>(st.st_size))) {
+      return Error(ErrorCode::kProtocol, "kOpen passed an fd that is not "
+                                         "the slab it names");
+    }
+    auto slab = std::make_shared<core::SlabFd>(
+        passed.release(), ino, static_cast<uint64_t>(st.st_size));
+    // A new slab: let go of held ones whose file is gone (evicted, or
+    // swept by a restarted server), then of the least recently used,
+    // so a reader pins at most kMaxHeldSlabs slabs' blocks per server.
+    std::lock_guard<std::mutex> lock(slabs_mutex_);
+    auto& table = slabs_[server];
+    table.erase(std::remove_if(table.begin(), table.end(),
+                               [&](const auto& s) {
+                                 struct stat h{};
+                                 return s->ino == ino ||
+                                        ::fstat(s->fd, &h) != 0 ||
+                                        h.st_nlink == 0;
+                               }),
+                table.end());
+    if (table.size() >= proto::kMaxHeldSlabs) table.erase(table.begin());
+    table.push_back(slab);
+    return slab;
+  }
+  auto it = std::find_if(held.begin(), held.end(),
+                         [&](const auto& s) { return s->ino == ino; });
+  if (it == held.end()) {
+    return Error(ErrorCode::kNotFound, "kOpen named a slab not held");
+  }
+  const std::shared_ptr<core::SlabFd>& slab = *it;
+  if (!fits(slab->known_size.load(std::memory_order_relaxed))) {
+    // The slab may have grown since it was last sized.
+    if (!stat_of(slab->fd, &st) || !fits(static_cast<uint64_t>(st.st_size))) {
+      return Error(ErrorCode::kProtocol, "kOpen names a slot past the end "
+                                         "of its slab");
+    }
+    slab->known_size.store(static_cast<uint64_t>(st.st_size),
+                           std::memory_order_relaxed);
+  }
+  std::lock_guard<std::mutex> lock(slabs_mutex_);
+  auto& table = slabs_[server];
+  auto at = std::find(table.begin(), table.end(), slab);
+  if (at != table.end()) std::rotate(at, at + 1, table.end());
+  return slab;
 }
 
 Result<size_t> HvacClient::pread_segmented(const core::FdEntry& entry,
@@ -748,16 +817,16 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
               ? static_cast<size_t>(std::min<uint64_t>(count,
                                                        entry.size - offset))
               : 0;
-  if (entry.fallback_pfs || entry.cache_fd >= 0) {
+  if (entry.fallback_pfs || entry.slab != nullptr) {
     // A packed sample sits at `base` inside its container blob, a
-    // passed cache fd's file at `base` inside its slab.
+    // slab-cached file at `base` inside its slab.
     const bool pfs = entry.fallback_pfs;
-    const ssize_t n = ::pread(pfs ? entry.pfs_fd : entry.cache_fd, buf,
+    const ssize_t n = ::pread(pfs ? entry.pfs_fd : entry.slab->fd, buf,
                               count, static_cast<off_t>(entry.base + offset));
     stall_charge(pfs ? core::StallBucket::kPfsWait
                      : core::StallBucket::kLocalHit);
     if (n < 0) return Error::from_errno(errno, pfs ? "pread(pfs)"
-                                                   : "pread(cache fd)");
+                                                   : "pread(cache slab)");
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.reads;
     stats_.bytes_read += static_cast<uint64_t>(n);
@@ -948,9 +1017,6 @@ Status HvacClient::close(int vfd) {
   trace::Span span("client.close");
   HVAC_ASSIGN_OR_RETURN(core::FdEntry entry, fds_.erase(vfd));
   readahead_drop(vfd);
-  if (entry.cache_fd >= 0 && ::close(entry.cache_fd) != 0) {
-    return Error::from_errno(errno, "close(cache fd)");
-  }
   if (entry.fallback_pfs) {
     if (entry.writable && ::fsync(entry.pfs_fd) != 0) {
       const Error e = Error::from_errno(errno, "fsync(pfs)");

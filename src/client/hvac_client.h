@@ -261,12 +261,22 @@ class HvacClient {
 
   // One stateless kOpen to `server`: a vfd whose reads go by path, with
   // the inline bytes attached for a small file, or, when `takes_fd`,
-  // the cache fd a local home passed for a large one. A promised fd
-  // that did not arrive costs one more kOpen without `takes_fd`.
-  // kProtocol when the reply is malformed (the caller fails over as for
-  // a dead server).
+  // the cache slab a local home named, whose fd this client already
+  // holds or the reply passed. A slab neither held nor passed costs one
+  // more kOpen without `takes_fd`. kProtocol when the reply is
+  // malformed (the caller fails over as for a dead server).
   Result<int> open_remote(const std::string& logical, uint32_t server,
                           bool takes_fd = true);
+
+  // The slab a kOpen reply from `server` named at `ino`, holding
+  // `size` bytes at `base`: `passed`, checked and taken into the
+  // table, or else one the request listed in `held`. kProtocol for an
+  // fd that is not that slab or a slot past its end; kNotFound when
+  // the reply passed nothing and the inode is not held.
+  Result<std::shared_ptr<core::SlabFd>> reply_slab(
+      uint32_t server, rpc::Fd passed, uint64_t ino, uint64_t base,
+      uint64_t size,
+      const std::vector<std::shared_ptr<core::SlabFd>>& held);
 
   // Meta-cache lookup with the breaker check folded in: an entry whose
   // home endpoint has an open circuit is invalidated on the spot (the
@@ -307,6 +317,11 @@ class HvacClient {
 
   std::mutex ra_mutex_;
   std::unordered_map<int, ReadAheadState> ra_;
+
+  // The slab fds held per server (DESIGN.md §20), least recently used
+  // first, at most proto::kMaxHeldSlabs each.
+  std::mutex slabs_mutex_;
+  std::vector<std::vector<std::shared_ptr<core::SlabFd>>> slabs_;
 
   mutable std::mutex stats_mutex_;
   ClientStats stats_;

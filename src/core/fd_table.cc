@@ -1,8 +1,12 @@
 #include "core/fd_table.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 
 namespace hvac::core {
+
+SlabFd::~SlabFd() { ::close(fd); }
 
 int FdTable::insert(FdEntry entry) {
   std::lock_guard<std::mutex> lock(mutex_);

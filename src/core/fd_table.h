@@ -11,6 +11,7 @@
 // reads address the file by path, so close is local.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -23,6 +24,23 @@
 
 namespace hvac::core {
 
+// A read-only fd on one of a home's cache slabs (DESIGN.md §20),
+// shared by the client's table of held slabs and every vfd reading
+// from it: it closes when the last of them lets go.
+struct SlabFd {
+  SlabFd(int fd, uint64_t ino, uint64_t size)
+      : fd(fd), ino(ino), known_size(size) {}
+  ~SlabFd();
+  SlabFd(const SlabFd&) = delete;
+  SlabFd& operator=(const SlabFd&) = delete;
+
+  const int fd;
+  const uint64_t ino;  // the inode the server named
+  // The slab's size when last fstat'ed: a filling slab grows, so a
+  // slot past it sends the client back to fstat.
+  std::atomic<uint64_t> known_size;
+};
+
 struct FdEntry {
   std::string logical_path;
   uint32_t server_index = 0;
@@ -32,13 +50,13 @@ struct FdEntry {
                               // at or past it are EOF without an RPC
   bool fallback_pfs = false;  // true: served by direct PFS fd
   int pfs_fd = -1;            // real fd when fallback_pfs
-  // Passed-fd read (DESIGN.md §20): a read-only fd on the home's cached
-  // copy, its bytes at base + offset. Reads are one pread, no RPC.
-  int cache_fd = -1;
+  // Slab read (DESIGN.md §20): the home's cache slab holding the file,
+  // its bytes at base + offset. Reads are one pread, no RPC.
+  std::shared_ptr<SlabFd> slab;
   // Packed sample: the container blob holding it (its placement key,
   // and the file a PFS fallback opens) and the sample's byte offset
-  // inside it; for a cache_fd, the slot's offset in its slab. Empty / 0
-  // for a plain file.
+  // inside it; for a slab read, the slot's offset in the slab. Empty /
+  // 0 for a plain file.
   std::string container_logical;
   uint64_t base = 0;
   bool segmented = false;     // true: stateless segment-granular reads

@@ -604,6 +604,59 @@ int fstat64(int fd, struct stat64* st) {
   return fstat(fd, reinterpret_cast<struct stat*>(st));
 }
 
+// The other stat forms that name an fd: the *at and statx calls with
+// AT_EMPTY_PATH and an empty path (glibc's fstatat is the newfstatat
+// syscall), and __fxstat64, the pre-2.33 entry point older binaries
+// import. On a vfd each answers as fstat does; every other call goes
+// to libc.
+static bool names_vfd(int dirfd, const char* path, int flags) {
+  return FdTable::is_virtual(dirfd) && (flags & AT_EMPTY_PATH) != 0 &&
+         path != nullptr && path[0] == '\0';
+}
+
+int fstatat(int dirfd, const char* path, struct stat* st, int flags) {
+  if (names_vfd(dirfd, path, flags)) return fstat(dirfd, st);
+  using fstatat_fn = int (*)(int, const char*, struct stat*, int);
+  static fstatat_fn fn = resolve<fstatat_fn>("fstatat");
+  return fn(dirfd, path, st, flags);
+}
+
+int fstatat64(int dirfd, const char* path, struct stat64* st, int flags) {
+  if (names_vfd(dirfd, path, flags)) {
+    return fstat(dirfd, reinterpret_cast<struct stat*>(st));
+  }
+  using fstatat64_fn = int (*)(int, const char*, struct stat64*, int);
+  static fstatat64_fn fn = resolve<fstatat64_fn>("fstatat64");
+  return fn(dirfd, path, st, flags);
+}
+
+int __fxstat64(int ver, int fd, struct stat64* st) {
+  if (FdTable::is_virtual(fd)) {
+    return fstat(fd, reinterpret_cast<struct stat*>(st));
+  }
+  using fxstat64_fn = int (*)(int, int, struct stat64*);
+  static fxstat64_fn fn = resolve<fxstat64_fn>("__fxstat64");
+  return fn(ver, fd, st);
+}
+
+int statx(int dirfd, const char* path, int flags, unsigned int mask,
+          struct statx* stx) {
+  if (names_vfd(dirfd, path, flags)) {
+    struct stat st{};
+    if (fstat(dirfd, &st) != 0) return -1;
+    std::memset(stx, 0, sizeof(*stx));
+    stx->stx_mask = STATX_TYPE | STATX_MODE | STATX_NLINK | STATX_SIZE;
+    stx->stx_mode = static_cast<uint16_t>(st.st_mode);
+    stx->stx_nlink = static_cast<uint32_t>(st.st_nlink);
+    stx->stx_size = static_cast<uint64_t>(st.st_size);
+    stx->stx_blksize = static_cast<uint32_t>(st.st_blksize);
+    return 0;
+  }
+  using statx_fn = int (*)(int, const char*, int, unsigned int, struct statx*);
+  static statx_fn fn = resolve<statx_fn>("statx");
+  return fn(dirfd, path, flags, mask, stx);
+}
+
 // The vfd behind a stream fopen handed out; other streams go to libc.
 // libpython reads the fd of the script it runs this way.
 static int stream_vfd(FILE* stream) {

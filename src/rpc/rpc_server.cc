@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <mutex>
@@ -17,12 +18,16 @@
 
 namespace hvac::rpc {
 
-// Per-connection read state machine. Reads run only on the reactor
-// thread; writes run on pool workers (or the reactor, for inline
-// handlers) under write_mutex — the only cross-thread synchronization
-// on the data path.
+// Per-connection read state. Reads run only on the reactor thread;
+// writes run on pool workers (or the reactor, for inline handlers)
+// under write_mutex — the only cross-thread synchronization on the
+// data path.
 struct RpcServer::Connection {
   explicit Connection(Fd socket) : fd(std::move(socket)) {}
+
+  // Requests of up to this many bytes, headers included, are parsed
+  // out of the receive buffer; a larger payload gets its own.
+  static constexpr size_t kRecvBytes = 8192;
 
   Fd fd;
   bool takes_fds = false;  // see peer_takes_fds()
@@ -30,28 +35,17 @@ struct RpcServer::Connection {
   // Requests dispatched but not yet answered (backpressure cap).
   std::atomic<uint32_t> inflight{0};
 
-  // Read state: first kHeaderSize bytes, then (for HVC2 frames) the
-  // trace context, then payload_len bytes.
-  uint8_t header_buf[kHeaderSize];
-  size_t header_got = 0;
-  uint8_t trace_buf[kTraceContextSize];
-  size_t trace_got = 0;
-  bool in_trace = false;
+  // Received bytes not yet parsed sit at [start, end) of `buf`.
+  std::array<uint8_t, kRecvBytes> buf;
+  size_t start = 0;
+  size_t end = 0;
+  // A frame too large for `buf`: its header, and its payload, whose
+  // bytes after the first payload_got land here directly.
   FrameHeader header;
   Bytes payload;
   size_t payload_got = 0;
   bool in_payload = false;
   bool split = false;  // this frame already waited for another event
-
-  void reset_frame() {
-    split = false;
-    header_got = 0;
-    trace_got = 0;
-    in_trace = false;
-    payload.clear();
-    payload_got = 0;
-    in_payload = false;
-  }
 };
 
 namespace {
@@ -285,129 +279,90 @@ void RpcServer::reactor_loop() {
 }
 
 void RpcServer::handle_readable(const std::shared_ptr<Connection>& conn) {
-  // Drain everything available without blocking; a single readable
-  // event may carry several pipelined requests. A frame cut off at
-  // EAGAIN waits for another readiness event: count each such frame
-  // once.
-  auto await_more = [&] {
-    const bool mid_frame =
-        conn->header_got > 0 || conn->in_trace || conn->in_payload;
-    if (mid_frame && !conn->split) {
-      conn->split = true;
-      split_frames_.fetch_add(1, std::memory_order_relaxed);
+  // One recv per readiness event: epoll is level-triggered, so bytes
+  // left in the socket report it readable again. Every complete frame
+  // the recv brought is dispatched; a frame still cut off waits for
+  // another event and is counted once as split.
+  Connection& c = *conn;
+  const int fd = c.fd.get();
+  if (!c.in_payload && c.start > 0) {
+    std::memmove(c.buf.data(), c.buf.data() + c.start, c.end - c.start);
+    c.end -= c.start;
+    c.start = 0;
+  }
+  const ssize_t n =
+      c.in_payload
+          ? ::recv(fd, c.payload.data() + c.payload_got,
+                   c.payload.size() - c.payload_got, MSG_DONTWAIT)
+          : ::recv(fd, c.buf.data() + c.end, c.buf.size() - c.end,
+                   MSG_DONTWAIT);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+    return;
+  }
+  if (n <= 0) {
+    drop_connection(fd);
+    return;
+  }
+  if (c.in_payload) {
+    c.payload_got += static_cast<size_t>(n);
+    if (c.payload_got == c.payload.size()) {
+      c.in_payload = false;
+      c.split = false;
+      dispatch(conn, c.header, std::move(c.payload));
+      c.payload = Bytes();
     }
-  };
-  for (;;) {
-    if (!conn->in_payload && !conn->in_trace) {
-      const ssize_t n =
-          ::recv(conn->fd.get(), conn->header_buf + conn->header_got,
-                 kHeaderSize - conn->header_got, MSG_DONTWAIT);
-      if (n == 0) {
-        drop_connection(conn->fd.get());
-        return;
-      }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-          await_more();
-          return;
-        }
-        drop_connection(conn->fd.get());
-        return;
-      }
-      conn->header_got += static_cast<size_t>(n);
-      if (conn->header_got < kHeaderSize) continue;
-      auto header = decode_header(conn->header_buf, kHeaderSize);
-      if (!header.ok()) {
-        HVAC_LOG_WARN("dropping connection: " << header.error().to_string());
-        drop_connection(conn->fd.get());
-        return;
-      }
-      if (header->payload_len > options_.max_frame_bytes) {
-        // A corrupt or hostile header must not size a buffer: reject
-        // before the resize and cut the connection.
-        HVAC_LOG_WARN("dropping connection: frame of "
-                      << header->payload_len << " bytes exceeds bound "
-                      << options_.max_frame_bytes);
-        drop_connection(conn->fd.get());
-        return;
-      }
-      conn->header = *header;
-      if (conn->header.has_trace) {
-        // HVC2: the trace context sits between header and payload.
-        conn->trace_got = 0;
-        conn->in_trace = true;
-      } else {
-        conn->payload.resize(conn->header.payload_len);
-        conn->payload_got = 0;
-        conn->in_payload = true;
-        if (conn->header.payload_len == 0) {
-          Bytes payload;
-          FrameHeader h = conn->header;
-          conn->reset_frame();
-          dispatch(conn, h, std::move(payload));
-          continue;
-        }
-      }
-    }
-    if (conn->in_trace) {
-      const ssize_t n =
-          ::recv(conn->fd.get(), conn->trace_buf + conn->trace_got,
-                 kTraceContextSize - conn->trace_got, MSG_DONTWAIT);
-      if (n == 0) {
-        drop_connection(conn->fd.get());
-        return;
-      }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-          await_more();
-          return;
-        }
-        drop_connection(conn->fd.get());
-        return;
-      }
-      conn->trace_got += static_cast<size_t>(n);
-      if (conn->trace_got < kTraceContextSize) continue;
-      if (!decode_trace_context(conn->header, conn->trace_buf,
-                                kTraceContextSize)
-               .ok()) {
-        drop_connection(conn->fd.get());
-        return;
-      }
-      conn->in_trace = false;
-      conn->payload.resize(conn->header.payload_len);
-      conn->payload_got = 0;
-      conn->in_payload = true;
-      if (conn->header.payload_len == 0) {
-        Bytes payload;
-        FrameHeader h = conn->header;
-        conn->reset_frame();
-        dispatch(conn, h, std::move(payload));
-        continue;
-      }
-    }
-    const size_t want = conn->payload.size() - conn->payload_got;
-    const ssize_t n =
-        ::recv(conn->fd.get(), conn->payload.data() + conn->payload_got,
-               want, MSG_DONTWAIT);
-    if (n == 0) {
-      drop_connection(conn->fd.get());
+  } else {
+    c.end += static_cast<size_t>(n);
+  }
+  while (!c.in_payload && c.end - c.start >= kHeaderSize) {
+    const uint8_t* at = c.buf.data() + c.start;
+    const size_t avail = c.end - c.start;
+    auto header = decode_header(at, kHeaderSize);
+    if (!header.ok()) {
+      HVAC_LOG_WARN("dropping connection: " << header.error().to_string());
+      drop_connection(fd);
       return;
     }
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        await_more();
-        return;
-      }
-      drop_connection(conn->fd.get());
+    if (header->payload_len > options_.max_frame_bytes) {
+      // A corrupt or hostile header must not size a buffer: reject
+      // before the resize and cut the connection.
+      HVAC_LOG_WARN("dropping connection: frame of "
+                    << header->payload_len << " bytes exceeds bound "
+                    << options_.max_frame_bytes);
+      drop_connection(fd);
       return;
     }
-    conn->payload_got += static_cast<size_t>(n);
-    if (conn->payload_got == conn->payload.size()) {
-      FrameHeader h = conn->header;
-      Bytes payload = std::move(conn->payload);
-      conn->reset_frame();
-      dispatch(conn, h, std::move(payload));
+    // HVC2: the trace context sits between header and payload.
+    const size_t head =
+        kHeaderSize + (header->has_trace ? kTraceContextSize : 0);
+    if (avail < head) break;
+    if (header->has_trace &&
+        !decode_trace_context(*header, at + kHeaderSize, kTraceContextSize)
+             .ok()) {
+      drop_connection(fd);
+      return;
     }
+    const size_t len = header->payload_len;
+    const size_t have = avail - head;
+    if (have >= len) {
+      c.start += head + len;
+      c.split = false;
+      dispatch(conn, *header, Bytes(at + head, at + head + len));
+      continue;
+    }
+    if (head + len <= c.buf.size()) break;  // completes in the buffer
+    // Too large for the buffer: the rest of the payload is received
+    // straight into its own.
+    c.header = *header;
+    c.payload.resize(len);
+    std::memcpy(c.payload.data(), at + head, have);
+    c.payload_got = have;
+    c.in_payload = true;
+    c.start = c.end = 0;
+  }
+  if ((c.in_payload || c.end > c.start) && !c.split) {
+    c.split = true;
+    split_frames_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -478,45 +478,34 @@ void set_nodelay(int fd) {
 namespace {
 
 // sendfile has no MSG_NOSIGNAL: a dead peer raises SIGPIPE at the
-// thread that wrote. Block it for the scope of the transfer and
-// swallow any instance it generated, so sendfile_exact keeps the
-// same no-SIGPIPE contract as send_vectored. If SIGPIPE was
-// already blocked (or the mask call failed) this is a no-op.
-class ScopedSigpipeBlock {
- public:
-  ScopedSigpipeBlock() {
-    sigset_t block;
-    sigemptyset(&block);
-    sigaddset(&block, SIGPIPE);
-    armed_ = ::pthread_sigmask(SIG_BLOCK, &block, &old_) == 0 &&
-             !sigismember(&old_, SIGPIPE);
-  }
-  ~ScopedSigpipeBlock() {
-    if (!armed_) return;
-    sigset_t pending;
-    if (::sigpending(&pending) == 0 && sigismember(&pending, SIGPIPE)) {
-      sigset_t just_pipe;
-      sigemptyset(&just_pipe);
-      sigaddset(&just_pipe, SIGPIPE);
-      const timespec zero{0, 0};
-      (void)::sigtimedwait(&just_pipe, nullptr, &zero);
-    }
-    (void)::pthread_sigmask(SIG_SETMASK, &old_, nullptr);
-  }
-  ScopedSigpipeBlock(const ScopedSigpipeBlock&) = delete;
-  ScopedSigpipeBlock& operator=(const ScopedSigpipeBlock&) = delete;
+// thread that wrote. The first sendfile_exact on a thread blocks
+// SIGPIPE there for the thread's life, so sendfile_exact keeps the
+// same no-SIGPIPE contract as send_vectored without two mask calls
+// around every extent. Blocked, the signal is only left pending: an
+// EPIPE consumes it.
+void block_sigpipe_once() {
+  thread_local bool blocked = false;
+  if (blocked) return;
+  sigset_t sigs;
+  sigemptyset(&sigs);
+  sigaddset(&sigs, SIGPIPE);
+  blocked = ::pthread_sigmask(SIG_BLOCK, &sigs, nullptr) == 0;
+}
 
- private:
-  sigset_t old_{};
-  bool armed_ = false;
-};
+void consume_sigpipe() {
+  sigset_t sigs;
+  sigemptyset(&sigs);
+  sigaddset(&sigs, SIGPIPE);
+  const timespec zero{0, 0};
+  (void)::sigtimedwait(&sigs, nullptr, &zero);
+}
 
 }  // namespace
 
 Status sendfile_exact(int sock_fd, int file_fd, uint64_t offset,
                       size_t size) {
   trace::Span span("zc.sendfile", size);
-  ScopedSigpipeBlock no_sigpipe;
+  block_sigpipe_once();
   auto& zc = ZeroCopyCounters::global();
   off_t off = static_cast<off_t>(offset);
   size_t left = size;
@@ -530,7 +519,9 @@ Status sendfile_exact(int sock_fd, int file_fd, uint64_t offset,
         HVAC_RETURN_IF_ERROR(wait_writable(sock_fd));
         continue;
       }
-      return Error::from_errno(errno, "sendfile");
+      const int err = errno;
+      if (err == EPIPE) consume_sigpipe();
+      return Error::from_errno(err, "sendfile");
     }
     if (n == 0) {
       // The file shrank under the extent we promised in the header:

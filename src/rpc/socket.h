@@ -115,8 +115,8 @@ Status send_vectored_more(int fd, iovec* iov, int iovcnt);
 // Sends exactly `size` bytes of `file_fd` starting at `offset` to the
 // socket via sendfile(2), resuming short kernel transfers, EINTR and
 // EAGAIN (poll POLLOUT) until the extent is fully on the wire. SIGPIPE
-// is blocked-and-drained for the calling thread (sendfile has no
-// MSG_NOSIGNAL). Fault sites: zc_send (error/delay via check,
+// is blocked on the calling thread from its first call on (sendfile has
+// no MSG_NOSIGNAL), and the one an EPIPE leaves pending is consumed. Fault sites: zc_send (error/delay via check,
 // short=N via cap_len). Any failure after the first byte leaves the
 // stream mid-frame — the caller must drop the connection.
 Status sendfile_exact(int sock_fd, int file_fd, uint64_t offset, size_t size);

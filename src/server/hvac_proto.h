@@ -14,9 +14,10 @@ namespace hvac::proto {
 // stateless kOpen (opcode numbers are never reused).
 enum Opcode : uint16_t {
   kPing = 1,      // ()                 -> ()
-  kOpen = 2,      // (path [, stateless u8 [, takes_fd u8]])
+  kOpen = 2,      // (path [, stateless u8 [, takes_fd u8
+                  //  [, n u8, slab_ino u64 * n]]])
                   //   -> (remote_fd u64, size u64, served_from u8
-                  //       [, inline blob [, base u64]])
+                  //       [, inline blob [, base u64, slab_ino u64]])
                   // With `stateless` = 1 (every HvacClient open) the
                   // server keeps no per-open state: remote_fd is 0 and
                   // the reply carries a trailing blob holding the whole
@@ -28,14 +29,20 @@ enum Opcode : uint16_t {
                   // from the pool. Without the flag (raw-wire only) the
                   // server allocates a remote fd and replies with the
                   // prefix alone.
-                  // With `takes_fd` = 1 (every HvacClient open), a
-                  // slab-cached file over kMaxInlineBytes asked for
-                  // over AF_UNIX by a peer of the server's uid or root
-                  // is answered with a read-only fd on its slab as
-                  // SCM_RIGHTS on the reply frame and the slot's `base`
-                  // after the empty blob: the client preads
-                  // base + offset with no further RPC (DESIGN.md §20).
-                  // A reply with `base` and no fd is malformed.
+                  // With `takes_fd` = 1 (every HvacClient open) the
+                  // request lists the inodes of the slabs the client
+                  // already holds an fd on for this server (at most
+                  // kMaxHeldSlabs). A slab-cached file of any size
+                  // asked for over AF_UNIX by a peer of the server's
+                  // uid or root is answered with an empty blob, the
+                  // slot's `base` and its slab's inode; a read-only fd
+                  // on the slab rides as SCM_RIGHTS on the reply frame
+                  // only when that inode is not listed. The client
+                  // preads base + offset with no further RPC
+                  // (DESIGN.md §20). A reply naming an inode that is
+                  // neither listed nor carried is what a reader at
+                  // RLIMIT_NOFILE sees; the client asks again without
+                  // `takes_fd`.
   kRead = 3,      // (remote_fd, offset, count) -> (blob). Raw-wire only.
   kClose = 4,     // (remote_fd)        -> (). Raw-wire only.
   kStat = 5,      // (path)             -> (size)
@@ -143,6 +150,11 @@ constexpr uint32_t kMaxReadChunk = 4u << 20;
 // A protocol constant, not a knob: the client validates replies
 // against it.
 constexpr uint32_t kMaxInlineBytes = 64u << 10;
+
+// Bound on the slab inodes one kOpen lists: the slab fds a client
+// keeps per server. Slabs are 64 MiB, so 16 cover a gigabyte of
+// samples; the client drops the least recently used beyond them.
+constexpr uint8_t kMaxHeldSlabs = 16;
 
 // Bounds on one kReadScatter request: at most kMaxScatterExtents
 // extents of at most kMaxReadChunk each, and at most kMaxScatterBytes

@@ -28,29 +28,6 @@ rpc::RpcServerOptions make_rpc_options(const HvacServerOptions& o) {
   return r;
 }
 
-// kOpen request: (path [, stateless u8 [, takes_fd u8]]). Without the
-// stateless flag it is the legacy form that allocates a remote fd.
-struct OpenRequest {
-  std::string path;
-  bool stateless = false;
-  bool takes_fd = false;
-};
-
-Result<OpenRequest> parse_open(const Bytes& req) {
-  WireReader r(req);
-  OpenRequest open;
-  HVAC_ASSIGN_OR_RETURN(open.path, r.get_string());
-  if (!r.exhausted()) {
-    HVAC_ASSIGN_OR_RETURN(uint8_t flag, r.get_u8());
-    open.stateless = flag != 0;
-  }
-  if (!r.exhausted()) {
-    HVAC_ASSIGN_OR_RETURN(uint8_t flag, r.get_u8());
-    open.takes_fd = flag != 0;
-  }
-  return open;
-}
-
 // The kOpen reply prefix both request forms share.
 WireWriter open_reply_head(uint64_t remote_fd, uint64_t size, bool cached) {
   WireWriter w;
@@ -124,6 +101,30 @@ HvacServer::HvacServer(storage::PfsBackend* pfs, HvacServerOptions options)
 }
 
 HvacServer::~HvacServer() { stop(); }
+
+Result<HvacServer::OpenRequest> HvacServer::parse_open(const Bytes& req) {
+  WireReader r(req);
+  OpenRequest open;
+  HVAC_ASSIGN_OR_RETURN(open.path, r.get_string());
+  if (!r.exhausted()) {
+    HVAC_ASSIGN_OR_RETURN(uint8_t flag, r.get_u8());
+    open.stateless = flag != 0;
+  }
+  if (!r.exhausted()) {
+    HVAC_ASSIGN_OR_RETURN(uint8_t flag, r.get_u8());
+    open.takes_fd = flag != 0;
+  }
+  if (!r.exhausted()) {
+    HVAC_ASSIGN_OR_RETURN(open.n_held, r.get_u8());
+    if (open.n_held > proto::kMaxHeldSlabs) {
+      return Error(ErrorCode::kInvalidArgument, "kOpen lists too many slabs");
+    }
+    for (uint8_t i = 0; i < open.n_held; ++i) {
+      HVAC_ASSIGN_OR_RETURN(open.held[i], r.get_u64());
+    }
+  }
+  return open;
+}
 
 Status HvacServer::start() {
   fault::init_from_env();
@@ -452,12 +453,11 @@ std::optional<Result<rpc::Payload>> HvacServer::open_on_reactor(
     const Bytes& req) {
   Result<OpenRequest> open = parse_open(req);
   if (!open.ok()) return Result<rpc::Payload>(open.error());
-  std::string path = std::move(open->path);
+  std::string path = open->path;
   const PackedRoute route = route_packed(path);
   // Any failure here (not cached: the mover decides; an injected store
   // fault) is for the pooled run to retry or report.
-  Result<rpc::Payload> reply =
-      open_cached_reply(path, route, open->stateless, open->takes_fd);
+  Result<rpc::Payload> reply = open_cached_reply(*open, path, route);
   if (!reply.ok()) return std::nullopt;
   // The hit and eviction touch the mover's ensure_cached records on
   // the pooled path, so hit counts do not depend on where kOpen ran.
@@ -467,7 +467,7 @@ std::optional<Result<rpc::Payload>> HvacServer::open_on_reactor(
 
 Result<rpc::Payload> HvacServer::handle_open(const Bytes& req) {
   HVAC_ASSIGN_OR_RETURN(OpenRequest open, parse_open(req));
-  std::string path = std::move(open.path);
+  std::string path = open.path;
   // Packed sample: the reply is for the *container* (fetched and cached
   // once for all its samples) with the sample's base/length applied;
   // the reported size is the sample's, not the blob's.
@@ -480,8 +480,7 @@ Result<rpc::Payload> HvacServer::handle_open(const Bytes& req) {
   for (int attempt = 0; attempt < 3; ++attempt) {
     HVAC_ASSIGN_OR_RETURN(bool cached, mover_->fetch(path));
     if (!cached) break;  // capacity overflow: serve from the PFS
-    Result<rpc::Payload> reply =
-        open_cached_reply(path, route, open.stateless, open.takes_fd);
+    Result<rpc::Payload> reply = open_cached_reply(open, path, route);
     if (reply.ok() || reply.error().code != ErrorCode::kNotFound) {
       return reply;
     }
@@ -512,11 +511,10 @@ Result<rpc::Payload> HvacServer::handle_open(const Bytes& req) {
   return rpc::Payload(std::move(w).take());
 }
 
-Result<rpc::Payload> HvacServer::open_cached_reply(const std::string& path,
-                                                   const PackedRoute& route,
-                                                   bool stateless,
-                                                   bool takes_fd) {
-  if (!stateless) {
+Result<rpc::Payload> HvacServer::open_cached_reply(const OpenRequest& open,
+                                                   const std::string& path,
+                                                   const PackedRoute& route) {
+  if (!open.stateless) {
     HVAC_ASSIGN_OR_RETURN(storage::LocalStore::Opened opened,
                           cache_->store().open(path));
     return open_remote_fd(std::move(opened.file), path,
@@ -525,17 +523,14 @@ Result<rpc::Payload> HvacServer::open_cached_reply(const std::string& path,
   }
   HVAC_ASSIGN_OR_RETURN(storage::LocalStore::Pin pin,
                         cache_->store().open_pinned(path));
-  const uint64_t size = route.length_in(pin.size());
-  // Decided after the size is known, so a small file's open costs no
-  // extra syscall.
-  if (takes_fd && size > proto::kMaxInlineBytes && !route.packed &&
-      rpc::peer_takes_fds()) {
-    if (std::optional<rpc::Payload> passed = passed_fd_reply(pin)) {
-      return std::move(*passed);
+  if (open.takes_fd && !route.packed && rpc::peer_takes_fds()) {
+    if (std::optional<rpc::Payload> reply = slab_reply(open, pin)) {
+      return std::move(*reply);
     }
   }
   // The inline bytes go out like a kRead hit: a sendfile extent off
   // the pinned slab, which the pin keeps open until they are sent.
+  const uint64_t size = route.length_in(pin.size());
   const uint64_t inline_len = inline_length(size);
   WireWriter w = open_reply_head(0, size, /*cached=*/true);
   w.put_u32(static_cast<uint32_t>(inline_len));
@@ -548,19 +543,28 @@ Result<rpc::Payload> HvacServer::open_cached_reply(const std::string& path,
   return reply;
 }
 
-std::optional<rpc::Payload> HvacServer::passed_fd_reply(
-    const storage::LocalStore::Pin& pin) {
-  // Never the slab's own fd, which is O_RDWR: a fresh read-only open,
-  // closed here once the frame is sent.
-  Result<storage::PosixFile> slab = pin.open_slab_read();
-  if (!slab.ok() || !slab->valid()) return std::nullopt;
+std::optional<rpc::Payload> HvacServer::slab_reply(
+    const OpenRequest& open, const storage::LocalStore::Pin& pin) {
+  const uint64_t ino = pin.slab_ino();
+  if (ino == 0) return std::nullopt;  // a named file grows in place
+  rpc::Fd fd;
+  if (!open.holds(ino)) {
+    // Never the slab's own fd, which is O_RDWR: a fresh read-only
+    // open, closed here once the frame is sent.
+    Result<storage::PosixFile> slab = pin.open_slab_read();
+    if (!slab.ok() || !slab->valid()) return std::nullopt;
+    fd = rpc::Fd(slab->release());
+  }
   WireWriter w = open_reply_head(0, pin.size(), /*cached=*/true);
   w.put_u32(0);  // no inline bytes
   w.put_u64(pin.base());
+  w.put_u64(ino);
   rpc::Payload reply(std::move(w).take());
-  reply.set_fd(rpc::Fd(slab->release()));
   auto& zc = rpc::ZeroCopyCounters::global();
-  zc.fd_passes.fetch_add(1, std::memory_order_relaxed);
+  if (fd.valid()) {
+    reply.set_fd(std::move(fd));
+    zc.fd_passes.fetch_add(1, std::memory_order_relaxed);
+  }
   zc.fd_pass_bytes.fetch_add(pin.size(), std::memory_order_relaxed);
   return reply;
 }

@@ -9,6 +9,8 @@
 // directory and endpoint.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -206,18 +208,37 @@ class HvacServer {
   };
   PackedRoute route_packed(std::string& path) const;
 
-  // kOpen reply for the cached copy of `path` (kNotFound once evicted):
-  // stateless, the inline blob as an extent off a handle-cache pin, or,
-  // for a `takes_fd` request that passed_fd_reply() answers, a
-  // read-only fd on the slab; legacy, a new remote fd.
-  Result<rpc::Payload> open_cached_reply(const std::string& path,
-                                         const PackedRoute& route,
-                                         bool stateless, bool takes_fd);
-  // Passed-fd kOpen reply (DESIGN.md §20) for the pinned entry: a
-  // fresh O_RDONLY open of its slab attached to the frame and the
-  // slot's base in the body. Nullopt for a named (write-back) file.
-  std::optional<rpc::Payload> passed_fd_reply(
-      const storage::LocalStore::Pin& pin);
+  // A parsed kOpen request (hvac_proto.h). Without `stateless` it is
+  // the legacy form that allocates a remote fd.
+  struct OpenRequest {
+    std::string path;
+    bool stateless = false;
+    bool takes_fd = false;
+    // Inodes of the slabs the client already holds an fd on.
+    std::array<uint64_t, proto::kMaxHeldSlabs> held{};
+    uint8_t n_held = 0;
+    bool holds(uint64_t ino) const {
+      return std::find(held.begin(), held.begin() + n_held, ino) !=
+             held.begin() + n_held;
+    }
+  };
+  static Result<OpenRequest> parse_open(const rpc::Bytes& req);
+
+  // kOpen reply for the cached copy of `open.path`, already routed
+  // (kNotFound once evicted): stateless, a slab reference from
+  // slab_reply() for a `takes_fd` request over a trusted local
+  // connection, else the inline blob as an extent off a handle-cache
+  // pin; legacy, a new remote fd.
+  Result<rpc::Payload> open_cached_reply(const OpenRequest& open,
+                                         const std::string& path,
+                                         const PackedRoute& route);
+  // Slab-reference kOpen reply (DESIGN.md §20) for the pinned entry:
+  // the slot's base and its slab's inode in the body, and a fresh
+  // O_RDONLY open of the slab attached to the frame unless `open`
+  // lists that inode. Nullopt for a named (write-back) file, or when
+  // the slab cannot be opened.
+  std::optional<rpc::Payload> slab_reply(
+      const OpenRequest& open, const storage::LocalStore::Pin& pin);
   // Legacy kOpen: registers `file`, whose bytes for `path` sit at
   // [base, base + size), in open_fds_ and replies with its remote fd.
   Result<rpc::Payload> open_remote_fd(storage::PosixFile file,

@@ -2,9 +2,11 @@
 
 #include <dirent.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -52,12 +54,14 @@ uint64_t align_up(uint64_t v) {
 struct LocalStore::Handle {
   PosixFile file;
   std::shared_ptr<const std::string> slab_name;  // null: a named file
+  uint64_t slab_ino = 0;                         // 0: a named file
 };
 
 struct LocalStore::Slab {
   // The slab's path; its deleter unlinks the file, so the slab stays
   // linked while the store or any handle on it holds a reference.
   std::shared_ptr<const std::string> name;
+  uint64_t ino = 0;  // the slab file's inode number, read at create
   // The read-write fd: kept for reads when `budgeted`, otherwise only
   // while claims append to it.
   std::shared_ptr<Handle> handle;
@@ -82,6 +86,8 @@ Result<size_t> LocalStore::Pin::pread(void* buf, size_t count,
       std::min<uint64_t>(count, size_ - offset));
   return handle_->file.pread(buf, n, base_ + offset);
 }
+
+uint64_t LocalStore::Pin::slab_ino() const { return handle_->slab_ino; }
 
 Result<PosixFile> LocalStore::Pin::open_slab_read() const {
   if (!handle_->slab_name) return PosixFile();
@@ -167,13 +173,21 @@ Result<std::shared_ptr<LocalStore::Slab>> LocalStore::new_slab(
                 kSlabSuffix);
   const std::string path = path_join(root_, name);
   HVAC_ASSIGN_OR_RETURN(PosixFile file, PosixFile::create_write(path));
+  struct stat st{};
+  if (::fstat(file.fd(), &st) != 0) {
+    const Error e = Error::from_errno(errno, "fstat " + path);
+    (void)remove_file(path);
+    return e;
+  }
   auto slab = std::make_shared<Slab>();
+  slab->ino = static_cast<uint64_t>(st.st_ino);
   slab->name = std::shared_ptr<const std::string>(
       new std::string(path), [](const std::string* p) {
         (void)remove_file(*p);
         delete p;
       });
-  slab->handle = std::make_shared<Handle>(Handle{std::move(file), slab->name});
+  slab->handle =
+      std::make_shared<Handle>(Handle{std::move(file), slab->name, slab->ino});
   slab->limit = limit;
   slab->budgeted = claim_fd(fd_budget_);
   return slab;
@@ -435,6 +449,7 @@ Result<LocalStore::Pin> LocalStore::open_pinned(
     const std::string& logical_path) const {
   std::shared_ptr<const Handle> held;
   std::shared_ptr<const std::string> slab_name;
+  uint64_t slab_ino = 0;
   uint64_t base = 0;
   uint64_t size = 0;
   {
@@ -451,6 +466,7 @@ Result<LocalStore::Pin> LocalStore::open_pinned(
         held = e.slab->handle;
       } else {
         slab_name = e.slab->name;
+        slab_ino = e.slab->ino;
       }
     }
   }
@@ -471,7 +487,7 @@ Result<LocalStore::Pin> LocalStore::open_pinned(
     HVAC_ASSIGN_OR_RETURN(size, file.size());
   }
   return Pin(std::make_shared<const Handle>(
-                 Handle{std::move(file), std::move(slab_name)}),
+                 Handle{std::move(file), std::move(slab_name), slab_ino}),
              base, size);
 }
 

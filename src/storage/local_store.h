@@ -67,6 +67,9 @@ class LocalStore {
     // Keeps the fd open while the returned pointer lives (a queued
     // sendfile extent holds one).
     std::shared_ptr<const void> owner() const { return handle_; }
+    // Inode number of the slab the entry sits in, recorded when the
+    // slab was created; 0 for a named (write-back) entry.
+    uint64_t slab_ino() const;
     // A fresh read-only open of the slab the entry sits in, for a
     // caller that keeps its own fd (a passed-fd kOpen); an invalid file
     // for a named (write-back) entry, which writes grow in place. The

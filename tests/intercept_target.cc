@@ -12,6 +12,10 @@
 //   intercept_target --fstat-race PATH...   a second thread fstats each
 //                                           fd in a loop while read()
 //                                           streams it
+//   intercept_target --stat-family PATH...  sizes each fd with fstatat,
+//                                           fstatat64 and statx
+//                                           (AT_EMPTY_PATH) and
+//                                           __fxstat64 too
 //   intercept_target --copy SRC DST         checkpoint-shaped write
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -26,8 +30,10 @@
 #include <thread>
 #include <vector>
 
-// glibc's checked open, declared only under _FORTIFY_SOURCE.
+// glibc's checked open, declared only under _FORTIFY_SOURCE, and its
+// pre-2.33 fstat entry point, no longer declared at all.
 extern "C" int __open_2(const char* path, int flags);
+extern "C" int __fxstat64(int ver, int fd, struct stat64* st);
 
 namespace {
 
@@ -170,6 +176,54 @@ void run_posix(const char* path, bool fortified) {
   std::printf("%s %" PRIu64 " %016" PRIx64 "\n", path, total, h);
 }
 
+// Every other stat form that names the fd itself must agree with
+// fstat's size; then the fd is read to EOF.
+int run_stat_family(const char* path) {
+  const int fd = ::open(path, O_RDONLY);
+  if (fd < 0) {
+    std::printf("%s ERROR open\n", path);
+    return 1;
+  }
+  struct stat st{};
+  struct stat64 st64{};
+  struct statx stx{};
+  const char* error = nullptr;
+  if (::fstat(fd, &st) != 0) {
+    error = "fstat";
+  } else if (::fstatat(fd, "", &st, AT_EMPTY_PATH) != 0) {
+    error = "fstatat";
+  } else if (::fstatat64(fd, "", &st64, AT_EMPTY_PATH) != 0 ||
+             st64.st_size != st.st_size) {
+    error = "fstatat64";
+  } else if (::statx(fd, "", AT_EMPTY_PATH, STATX_SIZE, &stx) != 0 ||
+             (stx.stx_mask & STATX_SIZE) == 0 ||
+             stx.stx_size != static_cast<uint64_t>(st.st_size)) {
+    error = "statx";
+  } else if (::__fxstat64(1, fd, &st64) != 0 || st64.st_size != st.st_size) {
+    error = "__fxstat64";
+  }
+  uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t total = 0;
+  std::vector<uint8_t> buf(8192);
+  while (error == nullptr) {
+    const ssize_t n = ::read(fd, buf.data(), buf.size());
+    if (n < 0) error = "read";
+    if (n <= 0) break;
+    h = fnv1a(buf.data(), static_cast<size_t>(n), h);
+    total += static_cast<uint64_t>(n);
+  }
+  ::close(fd);
+  if (error == nullptr && total != static_cast<uint64_t>(st.st_size)) {
+    error = "size";
+  }
+  if (error != nullptr) {
+    std::printf("%s ERROR %s\n", path, error);
+    return 1;
+  }
+  std::printf("%s %" PRIu64 " %016" PRIx64 "\n", path, total, h);
+  return 0;
+}
+
 // fstat racing read(): one thread streams the fd with small reads,
 // front to back and over again, while another fstats it in a loop.
 // fstat must report the size without ever moving the reader's offset:
@@ -252,6 +306,11 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::string_view(argv[1]) == "--fstat-race") {
     int rc = 0;
     for (int i = 2; i < argc; ++i) rc |= run_fstat_race(argv[i]);
+    return rc;
+  }
+  if (argc > 1 && std::string_view(argv[1]) == "--stat-family") {
+    int rc = 0;
+    for (int i = 2; i < argc; ++i) rc |= run_stat_family(argv[i]);
     return rc;
   }
   if (argc > 1 && std::string_view(argv[1]) == "--stdio") {

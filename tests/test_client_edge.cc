@@ -511,9 +511,15 @@ struct InlineRig {
   std::unique_ptr<server::NodeRuntime> node_;
 };
 
+// Over TCP: a same-uid peer on the node-local alias is sent a slab
+// reference instead of the bytes (DESIGN.md §20).
 TEST(InlineOpen, SmallFileServedWithoutReadRpc) {
   InlineRig rig;
-  HvacClient client(rig.options(rig.node_->endpoints()));
+  std::vector<std::string> tcp;
+  for (const std::string& e : rig.node_->endpoints()) {
+    tcp.push_back("localhost:" + e.substr(e.rfind(':') + 1));
+  }
+  HvacClient client(rig.options(tcp));
   // A miss (fetched, then inlined), then a hit answered on the reactor.
   EXPECT_EQ(rig.read_all(client), rig.expected_);
   EXPECT_EQ(rig.read_all(client), rig.expected_);
@@ -523,6 +529,7 @@ TEST(InlineOpen, SmallFileServedWithoutReadRpc) {
   EXPECT_EQ(lat.count(proto::kRead), 0u);
   EXPECT_EQ(lat.count(proto::kClose), 0u);
   EXPECT_EQ(rig.node_->instance(0).open_remote_fds(), 0u);
+  EXPECT_EQ(client.stats().passed_fd_opens, 0u);
 }
 
 // Total RPCs the node has answered, over every opcode.

@@ -472,10 +472,31 @@ size_t slab_files(const std::string& dir) {
   return n;
 }
 
-// A client holding a passed cache fd (DESIGN.md §20) keeps reading the
-// exact bytes after the daemon is killed with kill -9 and a successor
-// on the same cache dir deletes the dead daemon's slabs: the held fd
-// pins the inode, and slots are never rewritten.
+// This process's fds on slab files, or only on those that are gone.
+size_t slab_fds(bool deleted_only) {
+  size_t n = 0;
+  for (const auto& e : fs::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const std::string target = fs::read_symlink(e.path(), ec).string();
+    if (ec) continue;
+    const bool deleted = target.size() > 10 &&
+                         target.compare(target.size() - 10, 10,
+                                        " (deleted)") == 0;
+    const std::string name = deleted ? target.substr(0, target.size() - 10)
+                                     : target;
+    if (fs::path(name).extension() == ".slab" && (deleted || !deleted_only)) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+// A client holding a slab fd (DESIGN.md §20) keeps reading the exact
+// bytes after the daemon is killed with kill -9 and a successor on the
+// same cache dir and port deletes the dead daemon's slabs: the held fd
+// pins the inode, and slots are never rewritten. The successor holds
+// none of the old slabs, so a new open takes a new slab fd, and the
+// swept slab leaves the client's table when it arrives.
 TEST(DaemonRestart, HeldCacheFdReadsSurviveKillNineAndSlabSweep) {
   const std::string pfs = temp_dir("heldfd_pfs");
   const std::string cache = temp_dir("heldfd_cache");
@@ -493,6 +514,7 @@ TEST(DaemonRestart, HeldCacheFdReadsSurviveKillNineAndSlabSweep) {
   copts.dataset_dir = pfs;
   copts.server_endpoints = {endpoint};
   copts.allow_pfs_fallback = false;
+  copts.meta_ttl_ms = 0;
   client::HvacClient client(copts);
   auto vfd = client.open(pfs + "/big.bin");
   ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
@@ -504,15 +526,29 @@ TEST(DaemonRestart, HeldCacheFdReadsSurviveKillNineAndSlabSweep) {
   int status = 0;
   ::waitpid(pid, &status, 0);
   EXPECT_GT(slab_files(cache), 0u);  // the dead daemon's slabs remain
-  pid = spawn_hvacd(pfs, cache, meta + "/ports2", nullptr);
+  pid = spawn_hvacd(pfs, cache, meta + "/ports2", nullptr, endpoint);
   ASSERT_GT(pid, 0);
-  ASSERT_FALSE(wait_endpoints(meta + "/ports2").empty());
+  ASSERT_EQ(wait_endpoints(meta + "/ports2"), endpoint);
   EXPECT_EQ(slab_files(cache), 0u);  // ... until its successor starts
 
   ASSERT_EQ(client.read(*vfd, data.data() + size / 2, size / 2).value(),
             size / 2);
   EXPECT_EQ(data, expected);
+
+  // The first call after the kill finds the old connection dead; the
+  // idempotent stat retries on a fresh one.
+  ASSERT_TRUE(client.stat_size(pfs + "/big.bin").ok());
+  auto again = client.open(pfs + "/big.bin");
+  ASSERT_TRUE(again.ok()) << again.error().to_string();
+  EXPECT_EQ(client.stats().passed_fd_opens, 2u);
+  EXPECT_EQ(slab_fds(/*deleted_only=*/true), 1u);  // the old vfd's
   ASSERT_TRUE(client.close(*vfd).ok());
+  EXPECT_EQ(slab_fds(/*deleted_only=*/true), 0u);
+  EXPECT_EQ(slab_fds(/*deleted_only=*/false), 1u);
+  std::vector<uint8_t> fresh(size);
+  ASSERT_EQ(client.pread(*again, fresh.data(), size, 0).value(), size);
+  EXPECT_EQ(fresh, expected);
+  ASSERT_TRUE(client.close(*again).ok());
   EXPECT_EQ(client.stats().fallback_opens, 0u);
 
   ::kill(pid, SIGTERM);

@@ -236,6 +236,28 @@ TEST_F(InterceptTest, FortifiedOpenGoesThroughTheShim) {
       << json.str();
 }
 
+// fstatat, fstatat64 and statx with AT_EMPTY_PATH, and __fxstat64,
+// each size a vfd as fstat does; before the shim exported them they
+// reached libc with the vfd and failed with EBADF.
+TEST_F(InterceptTest, StatFamilySizesAVfd) {
+  std::vector<std::string> args = {"--stat-family"};
+  for (const auto& p : abs_paths()) args.push_back(p);
+  EXPECT_EQ(run_target(args, "", "", /*preload=*/false), expected_output());
+  const std::string stats = temp_dir("stat_family_stats") + "/stats.json";
+  const std::string out =
+      run_target(args, pfs_root_, node_->endpoints_csv(), true, false,
+                 "HVAC_STATS_FILE=" + stats);
+  EXPECT_EQ(out, expected_output());
+  std::ifstream in(stats);
+  std::stringstream json;
+  json << in.rdbuf();
+  const std::string n = std::to_string(tree_.relative_paths.size());
+  EXPECT_NE(json.str().find("{\"opens\":" + n + ",\"remote_opens\":" + n +
+                            ",\"fallback_opens\":0,"),
+            std::string::npos)
+      << json.str();
+}
+
 uint64_t op_count(const server::NodeRuntime& node, uint16_t op) {
   const auto lat = node.aggregated_frame().op_latency;
   const auto it = lat.find(op);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <type_traits>
 
 #include "client/hvac_client.h"
 #include "server/node_runtime.h"
@@ -16,12 +17,18 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// gtest names a parameter that has no printer by its bytes, and ctest
+// lists those bytes in every case's name: a padding byte would make
+// the names differ between builds. So every byte is a field.
 struct MatrixParam {
   uint32_t nodes;
   uint32_t instances;
-  core::PlacementPolicy policy;
   uint64_t segment_bytes;  // 0 = whole-file caching
+  core::PlacementPolicy policy;
+  uint32_t unused = 0;
 };
+static_assert(std::has_unique_object_representations_v<MatrixParam>,
+              "MatrixParam must have no padding");
 
 std::string param_name(const ::testing::TestParamInfo<MatrixParam>& info) {
   const MatrixParam& p = info.param;
@@ -105,17 +112,17 @@ TEST_P(DeployMatrix, EndToEndcorrectness) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, DeployMatrix,
     ::testing::Values(
-        MatrixParam{1, 1, core::PlacementPolicy::kHashModulo, 0},
-        MatrixParam{1, 4, core::PlacementPolicy::kHashModulo, 0},
-        MatrixParam{2, 2, core::PlacementPolicy::kHashModulo, 0},
-        MatrixParam{3, 1, core::PlacementPolicy::kHashModulo, 0},
-        MatrixParam{2, 2, core::PlacementPolicy::kRendezvous, 0},
-        MatrixParam{3, 2, core::PlacementPolicy::kRendezvous, 0},
-        MatrixParam{2, 2, core::PlacementPolicy::kJump, 0},
-        MatrixParam{1, 2, core::PlacementPolicy::kHashModulo, 8 * 1024},
-        MatrixParam{3, 1, core::PlacementPolicy::kHashModulo, 8 * 1024},
-        MatrixParam{2, 2, core::PlacementPolicy::kRendezvous, 8 * 1024},
-        MatrixParam{3, 2, core::PlacementPolicy::kJump, 8 * 1024}),
+        MatrixParam{1, 1, 0, core::PlacementPolicy::kHashModulo},
+        MatrixParam{1, 4, 0, core::PlacementPolicy::kHashModulo},
+        MatrixParam{2, 2, 0, core::PlacementPolicy::kHashModulo},
+        MatrixParam{3, 1, 0, core::PlacementPolicy::kHashModulo},
+        MatrixParam{2, 2, 0, core::PlacementPolicy::kRendezvous},
+        MatrixParam{3, 2, 0, core::PlacementPolicy::kRendezvous},
+        MatrixParam{2, 2, 0, core::PlacementPolicy::kJump},
+        MatrixParam{1, 2, 8 * 1024, core::PlacementPolicy::kHashModulo},
+        MatrixParam{3, 1, 8 * 1024, core::PlacementPolicy::kHashModulo},
+        MatrixParam{2, 2, 8 * 1024, core::PlacementPolicy::kRendezvous},
+        MatrixParam{3, 2, 8 * 1024, core::PlacementPolicy::kJump}),
     param_name);
 
 }  // namespace

@@ -1,8 +1,10 @@
-// Passed-fd bulk reads (DESIGN.md §20): a local kOpen of a slab-cached
-// file over proto::kMaxInlineBytes hands the client a read-only fd on
-// the cached copy, and every read of the vfd is one pread on it. These
-// tests pin the bytes, the fd's mode, its life across eviction, purge
-// and fork, and every case that must keep RPC reads instead.
+// One slab fd per reader (DESIGN.md §20): a local kOpen of a
+// slab-cached file names its slab, the first such reply for a slab
+// hands the client a read-only fd on it, and every read of the vfd is
+// one pread on a slab fd the client holds. These tests pin the bytes,
+// the fd's mode, one pass per slab, the held table's life across
+// eviction, purge and fork, hostile replies, and every case that must
+// keep today's replies instead.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -16,6 +18,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -50,11 +53,57 @@ std::string temp_dir(const std::string& name) {
 }
 
 constexpr size_t kLargeBytes = (1u << 20) + 12'345;
-constexpr size_t kSmallBytes = proto::kMaxInlineBytes;  // inlined, no fd
+constexpr size_t kSmallBytes = proto::kMaxInlineBytes;  // inline over TCP
 
 uint64_t op_count(const core::MetricsFrame& f, uint16_t op) {
   auto it = f.op_latency.find(op);
   return it == f.op_latency.end() ? 0 : it->second.count;
+}
+
+// This process's fds on `path`, or with `deleted_slabs`, on slab files
+// that are gone.
+size_t fds_on(const std::string& path, bool deleted_slabs = false) {
+  size_t n = 0;
+  for (const auto& e : fs::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const std::string target = fs::read_symlink(e.path(), ec).string();
+    if (ec) continue;
+    const std::string gone = std::string(".slab") + " (deleted)";
+    if (deleted_slabs ? target.size() > gone.size() &&
+                            target.compare(target.size() - gone.size(),
+                                           gone.size(), gone) == 0
+                      : target == path) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+// Runs `body` in a forked child whose fd table is full at a lowered
+// RLIMIT_NOFILE, so a passed fd finds no slot (the kernel drops it and
+// flags MSG_CTRUNC). The server in this process still opens its slab.
+// Returns the child's exit code: `body`'s, or 100 when the setup
+// failed.
+int at_fd_limit(const std::function<int()>& body) {
+  int highest = 0;
+  for (const auto& e : fs::directory_iterator("/proc/self/fd")) {
+    highest = std::max(highest, std::stoi(e.path().filename().string()));
+  }
+  const pid_t child = ::fork();
+  if (child < 0) return 100;
+  if (child == 0) {
+    rlimit limit{};
+    if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(100);
+    limit.rlim_cur = static_cast<rlim_t>(highest) + 1;
+    if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(100);
+    while (::dup(0) >= 0) {
+    }
+    if (errno != EMFILE) ::_exit(100);
+    ::_exit(body());
+  }
+  int status = 0;
+  if (::waitpid(child, &status, 0) != child || !WIFEXITED(status)) return 100;
+  return WEXITSTATUS(status);
 }
 
 // One large and one small file on the PFS, served by a one-instance
@@ -172,18 +221,24 @@ TEST_F(PassedFdRig, BytesMatchDirectReadsWithNoReadRpc) {
 }
 
 // The fd a kOpen reply carries is a fresh O_RDONLY open (never the
-// slab's own O_RDWR fd), close-on-exec, and the body's base addresses
-// the file inside the slab.
+// slab's own O_RDWR fd), close-on-exec, its inode the one the body
+// names, and the body's base addresses the file inside the slab. A
+// request that lists that inode gets the same body and no fd.
 TEST_F(PassedFdRig, PassedFdIsReadOnlyAndAddressesTheSlot) {
   HvacClient warm(options());
   ASSERT_TRUE(warm.prefetch(pfs_root_ + "/large.bin").ok());
 
   rpc::RpcClient rc(rpc::Endpoint{node_->endpoints()[0]});
-  rpc::WireWriter w;
-  w.put_string("large.bin");
-  w.put_u8(1);  // stateless
-  w.put_u8(1);  // takes_fd
-  auto resp = rc.call_payload(proto::kOpen, w.bytes(), /*take_fd=*/true);
+  auto open = [&](const std::vector<uint64_t>& held) {
+    rpc::WireWriter w;
+    w.put_string("large.bin");
+    w.put_u8(1);  // stateless
+    w.put_u8(1);  // takes_fd
+    w.put_u8(static_cast<uint8_t>(held.size()));
+    for (uint64_t ino : held) w.put_u64(ino);
+    return rc.call_payload(proto::kOpen, w.bytes(), /*take_fd=*/true);
+  };
+  auto resp = open({});
   ASSERT_TRUE(resp.ok()) << resp.error().to_string();
   ASSERT_GE(resp->fd(), 0);
   const int fd = resp->fd();
@@ -201,11 +256,34 @@ TEST_F(PassedFdRig, PassedFdIsReadOnlyAndAddressesTheSlot) {
   EXPECT_EQ(r.get_u8().value(), proto::kFromCache);
   EXPECT_EQ(r.get_blob_view().value().size, 0u);  // nothing inline
   const uint64_t base = r.get_u64().value();
+  const uint64_t ino = r.get_u64().value();
   EXPECT_TRUE(r.exhausted());
+  struct stat st{};
+  ASSERT_EQ(::fstat(fd, &st), 0);
+  EXPECT_EQ(static_cast<uint64_t>(st.st_ino), ino);
   std::vector<uint8_t> bytes(kLargeBytes);
   ASSERT_EQ(::pread(fd, bytes.data(), bytes.size(), static_cast<off_t>(base)),
             static_cast<ssize_t>(kLargeBytes));
   EXPECT_EQ(bytes, large_);
+
+  const uint64_t passes = server().metrics_frame().zerocopy.fd_passes;
+  auto again = open({ino + 1, ino});
+  ASSERT_TRUE(again.ok()) << again.error().to_string();
+  EXPECT_EQ(again->fd(), -1);
+  EXPECT_EQ(server().metrics_frame().zerocopy.fd_passes, passes);
+  rpc::WireReader r2(again->data(), again->size());
+  ASSERT_TRUE(r2.get_u64().ok());
+  ASSERT_TRUE(r2.get_u64().ok());
+  ASSERT_TRUE(r2.get_u8().ok());
+  ASSERT_TRUE(r2.get_blob_view().ok());
+  EXPECT_EQ(r2.get_u64().value(), base);
+  EXPECT_EQ(r2.get_u64().value(), ino);
+  EXPECT_TRUE(r2.exhausted());
+
+  // A list longer than kMaxHeldSlabs is refused.
+  auto overlong = open(std::vector<uint64_t>(proto::kMaxHeldSlabs + 1, ino));
+  ASSERT_FALSE(overlong.ok());
+  EXPECT_EQ(overlong.error().code, ErrorCode::kInvalidArgument);
 }
 
 // Slots are never rewritten and an open fd pins the inode: dropping
@@ -232,104 +310,156 @@ TEST_F(PassedFdRig, HeldFdReadsSurviveEvictSlabAndPurge) {
 }
 
 // A forked child (a DataLoader worker) inherits the vfd table and the
-// cache fd with it: its reads are the same pread, and correct.
+// held slab table with it: its reads of an inherited vfd are the same
+// pread, and its own open of another file in that slab lists the slab,
+// takes no fd and reads through the inherited one.
 TEST_F(PassedFdRig, ForkedChildReadsThroughInheritedEntry) {
   HvacClient client(options());
+  ASSERT_TRUE(client.prefetch(pfs_root_ + "/small.bin").ok());
   auto vfd = client.open(pfs_root_ + "/large.bin");
   ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
   ASSERT_EQ(client.stats().passed_fd_opens, 1u);
-  const uint64_t want = fnv1a64(std::string_view(
-      reinterpret_cast<const char*>(large_.data()), large_.size()));
+  const uint64_t passes = server().metrics_frame().zerocopy.fd_passes;
+  const uint64_t scatters =
+      op_count(server().metrics_frame(), proto::kReadScatter);
+  auto hash = [](const std::vector<uint8_t>& b, size_t n) {
+    return fnv1a64(
+        std::string_view(reinterpret_cast<const char*>(b.data()), n));
+  };
+  const uint64_t want_large = hash(large_, large_.size());
+  const uint64_t want_small = hash(small_, small_.size());
   std::vector<uint8_t> buf(kLargeBytes);
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
-    const auto n = client.pread(*vfd, buf.data(), buf.size(), 0);
-    const bool ok =
-        n.ok() && *n == buf.size() &&
-        fnv1a64(std::string_view(reinterpret_cast<const char*>(buf.data()),
-                                 buf.size())) == want;
-    ::_exit(ok ? 0 : 1);
+    // Exit codes: 0 exact, 1 inherited vfd, 2 open, 3 new vfd.
+    auto n = client.pread(*vfd, buf.data(), buf.size(), 0);
+    if (!n.ok() || *n != buf.size() || hash(buf, *n) != want_large) {
+      ::_exit(1);
+    }
+    auto small = client.open(pfs_root_ + "/small.bin");
+    if (!small.ok() || client.stats().passed_fd_opens != 2) ::_exit(2);
+    n = client.pread(*small, buf.data(), buf.size(), 0);
+    if (!n.ok() || *n != kSmallBytes || hash(buf, *n) != want_small) {
+      ::_exit(3);
+    }
+    ::_exit(0);
   }
   int status = 0;
   ASSERT_EQ(::waitpid(child, &status, 0), child);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
+  const core::MetricsFrame f = server().metrics_frame();
+  EXPECT_EQ(f.zerocopy.fd_passes, passes);  // the child listed the slab
+  EXPECT_EQ(op_count(f, proto::kReadScatter), scatters);
   expect_range(client, *vfd, large_, 0, kLargeBytes);
   ASSERT_TRUE(client.close(*vfd).ok());
 }
 
 // A reader at RLIMIT_NOFILE has no slot for a passed fd: the kernel
-// drops it (MSG_CTRUNC) and the reply's bytes still arrive. The open
-// asks again without takes_fd on the same connection and reads by RPC:
-// no failover, no breaker strike. The client runs in a forked child
-// whose fd table is filled up to a lowered limit, so the server in
-// this process still opens its slab.
+// drops it (MSG_CTRUNC) and the reply's bytes still arrive, naming a
+// slab the reader does not hold. The open asks again without takes_fd
+// on the same connection and reads by RPC: no failover, no breaker
+// strike. The prefetch dials the alias first, and holds no slab.
 TEST_F(PassedFdRig, ReaderAtFdLimitFallsBackToRpcReads) {
   auto o = options();
   o.readahead_chunks = 0;  // no async channel, which would need an fd
   HvacClient client(o);
-  auto small = client.open(pfs_root_ + "/small.bin");  // dials the alias
-  ASSERT_TRUE(small.ok()) << small.error().to_string();
-  ASSERT_TRUE(client.close(*small).ok());
   ASSERT_TRUE(client.prefetch(pfs_root_ + "/large.bin").ok());
-  int highest = 0;
-  for (const auto& e : fs::directory_iterator("/proc/self/fd")) {
-    highest = std::max(highest, std::stoi(e.path().filename().string()));
-  }
   const uint64_t passes = server().metrics_frame().zerocopy.fd_passes;
   const uint64_t want = fnv1a64(std::string_view(
       reinterpret_cast<const char*>(large_.data()), large_.size()));
   std::vector<uint8_t> buf(kLargeBytes);
-  const pid_t child = ::fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) {
-    // Exit codes: 0 read by RPC with exact bytes, 1 setup, 2 open
-    // failed, 3 the open took an fd or failed over, 4 wrong bytes.
-    rlimit limit{};
-    if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(1);
-    limit.rlim_cur = static_cast<rlim_t>(highest) + 1;
-    if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(1);
-    while (::dup(0) >= 0) {
-    }
-    if (errno != EMFILE) ::_exit(1);
+  // Exit codes: 0 read by RPC with exact bytes, 2 open failed, 3 the
+  // open took an fd or failed over, 4 wrong bytes.
+  const int rc = at_fd_limit([&] {
     auto vfd = client.open(pfs_root_ + "/large.bin");
-    if (!vfd.ok()) ::_exit(2);
+    if (!vfd.ok()) return 2;
     const client::ClientStats s = client.stats();
     if (s.passed_fd_opens != 0 || s.fallback_opens != 0 ||
         s.failovers != 0) {
-      ::_exit(3);
+      return 3;
     }
     const auto n = client.pread(*vfd, buf.data(), buf.size(), 0);
     const bool ok =
         n.ok() && *n == buf.size() &&
         fnv1a64(std::string_view(reinterpret_cast<const char*>(buf.data()),
                                  buf.size())) == want;
-    ::_exit(ok ? 0 : 4);
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(child, &status, 0), child);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-  // The server did pass one, which the child's kernel dropped.
+    return ok ? 0 : 4;
+  });
+  EXPECT_EQ(rc, 0);
+  // The server did pass one for the slab, which the child's kernel
+  // dropped.
   EXPECT_EQ(server().metrics_frame().zerocopy.fd_passes, passes + 1);
 }
 
-// Small files stay inline and TCP clients keep RPC reads: neither gets
-// an fd, and both still read exact bytes.
-TEST_F(PassedFdRig, SmallFilesAndTcpClientsGetNoFd) {
+// A small file at the fd limit comes back as inline bytes on the
+// second kOpen: no read RPC, no failover.
+TEST_F(PassedFdRig, ReaderAtFdLimitGetsInlineBytes) {
+  auto o = options();
+  o.readahead_chunks = 0;
+  HvacClient client(o);
+  ASSERT_TRUE(client.prefetch(pfs_root_ + "/small.bin").ok());
+  const core::MetricsFrame before = server().metrics_frame();
+  std::vector<uint8_t> buf(kSmallBytes);
+  // Exit codes: 0 exact inline bytes, 2 open failed, 3 the open took
+  // an fd or failed over, 4 wrong bytes.
+  const int rc = at_fd_limit([&] {
+    auto vfd = client.open(pfs_root_ + "/small.bin");
+    if (!vfd.ok()) return 2;
+    const client::ClientStats s = client.stats();
+    if (s.passed_fd_opens != 0 || s.fallback_opens != 0 ||
+        s.failovers != 0) {
+      return 3;
+    }
+    const auto n = client.pread(*vfd, buf.data(), buf.size(), 0);
+    return n.ok() && buf == small_ ? 0 : 4;
+  });
+  EXPECT_EQ(rc, 0);
+  const core::MetricsFrame after = server().metrics_frame();
+  EXPECT_EQ(after.zerocopy.fd_passes, before.zerocopy.fd_passes + 1);
+  EXPECT_EQ(op_count(after, proto::kOpen), op_count(before, proto::kOpen) + 2);
+  EXPECT_EQ(op_count(after, proto::kReadScatter),
+            op_count(before, proto::kReadScatter));
+}
+
+// Over the alias a small file is served like a large one: its kOpen
+// names the slab and carries no bytes. Every file of one slab costs
+// one fd pass per reader, and no read RPC.
+TEST_F(PassedFdRig, SmallFilesShareOneSlabFd) {
   const uint64_t passes = server().metrics_frame().zerocopy.fd_passes;
   HvacClient local(options());
-  auto small = local.open(pfs_root_ + "/small.bin");
-  ASSERT_TRUE(small.ok()) << small.error().to_string();
-  EXPECT_EQ(read_all(local, *small, 10'000), small_);
-  ASSERT_TRUE(local.close(*small).ok());
-  EXPECT_EQ(local.stats().passed_fd_opens, 0u);
+  for (int pass = 0; pass < 2; ++pass) {  // a miss, then a hit
+    for (const std::string name : {"small.bin", "large.bin"}) {
+      auto vfd = local.open(pfs_root_ + "/" + name);
+      ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+      EXPECT_EQ(read_all(local, *vfd, 10'000),
+                name == "small.bin" ? small_ : large_);
+      ASSERT_TRUE(local.close(*vfd).ok());
+    }
+  }
+  EXPECT_EQ(local.stats().passed_fd_opens, 4u);
+  EXPECT_EQ(slab_files(), 1u);
+  const core::MetricsFrame f = server().metrics_frame();
+  EXPECT_EQ(f.zerocopy.fd_passes, passes + 1);
+  EXPECT_EQ(op_count(f, proto::kReadScatter), 0u);
+}
 
+// TCP clients keep today's replies: inline bytes for a small file,
+// RPC reads for a large one, and never an fd.
+TEST_F(PassedFdRig, TcpClientsGetNoFd) {
+  const uint64_t passes = server().metrics_frame().zerocopy.fd_passes;
   auto o = options();
   o.server_endpoints = tcp_endpoints();
   HvacClient tcp(o);
   for (int pass = 0; pass < 2; ++pass) {  // a miss, then a hit
+    auto small = tcp.open(pfs_root_ + "/small.bin");
+    ASSERT_TRUE(small.ok()) << small.error().to_string();
+    EXPECT_EQ(read_all(tcp, *small, 10'000), small_);
+    ASSERT_TRUE(tcp.close(*small).ok());
+  }
+  EXPECT_EQ(op_count(server().metrics_frame(), proto::kReadScatter), 0u);
+  for (int pass = 0; pass < 2; ++pass) {
     auto vfd = tcp.open(pfs_root_ + "/large.bin");
     ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
     EXPECT_EQ(read_all(tcp, *vfd, 1 << 20), large_);
@@ -338,6 +468,100 @@ TEST_F(PassedFdRig, SmallFilesAndTcpClientsGetNoFd) {
   EXPECT_EQ(tcp.stats().passed_fd_opens, 0u);
   EXPECT_GT(op_count(server().metrics_frame(), proto::kReadScatter), 0u);
   EXPECT_EQ(server().metrics_frame().zerocopy.fd_passes, passes);
+}
+
+// A slab dropped under open vfds (evict_slab) keeps serving them: the
+// held fd pins the inode and slots are never rewritten. Once they are
+// closed the client's table still holds the unlinked slab, until the
+// next slab arrives and its st_nlink of 0 lets it go.
+TEST_F(PassedFdRig, EvictedSlabLeavesTheTableWhenTheNextArrives) {
+  HvacClient client(options());
+  auto small = client.open(pfs_root_ + "/small.bin");
+  ASSERT_TRUE(small.ok()) << small.error().to_string();
+  auto large = client.open(pfs_root_ + "/large.bin");
+  ASSERT_TRUE(large.ok()) << large.error().to_string();
+  ASSERT_EQ(slab_files(), 1u);  // both in one slab
+  const uint64_t passes = server().metrics_frame().zerocopy.fd_passes;
+  EXPECT_EQ(server().cache().store().evict_slab("large.bin").size(), 2u);
+  EXPECT_EQ(slab_files(), 0u);
+  expect_range(client, *small, small_, 0, kSmallBytes);
+  expect_range(client, *large, large_, 0, kLargeBytes);
+  ASSERT_TRUE(client.close(*small).ok());
+  ASSERT_TRUE(client.close(*large).ok());
+  EXPECT_EQ(fds_on("", /*deleted_slabs=*/true), 1u);  // the table's
+
+  auto again = client.open(pfs_root_ + "/large.bin");  // refetched
+  ASSERT_TRUE(again.ok()) << again.error().to_string();
+  EXPECT_EQ(server().metrics_frame().zerocopy.fd_passes, passes + 1);
+  EXPECT_EQ(fds_on("", /*deleted_slabs=*/true), 0u);
+  expect_range(client, *again, large_, 0, kLargeBytes);
+  ASSERT_TRUE(client.close(*again).ok());
+}
+
+// 256 small files spread over several slabs (a 16 MiB store cuts
+// 1 MiB slabs) read byte-exact with no read RPC, and the server passes
+// exactly one fd per distinct slab.
+TEST(PassedFd, ManySmallFilesOnePassPerSlab) {
+  rpc::HealthRegistry::global().reset();
+  const std::string root = temp_dir("many_pfs");
+  const std::string cache = temp_dir("many_cache");
+  constexpr int kFiles = 256;
+  std::vector<std::vector<uint8_t>> want;
+  std::vector<std::string> paths;
+  for (int i = 0; i < kFiles; ++i) {
+    const std::string rel = "s/" + std::to_string(i) + ".bin";
+    want.push_back(workload::expected_contents(rel, 9'000 + 37 * i));
+    paths.push_back(root + "/" + rel);
+    fs::create_directories(root + "/s");
+    ASSERT_TRUE(storage::write_file(paths.back(), want.back().data(),
+                                    want.back().size())
+                    .ok());
+  }
+  server::NodeRuntimeOptions o;
+  o.pfs_root = root;
+  o.cache_root = cache;
+  o.cache_capacity_bytes_per_instance = 16u << 20;
+  server::NodeRuntime node(o);
+  ASSERT_TRUE(node.start().ok());
+  HvacClientOptions co;
+  co.dataset_dir = root;
+  co.server_endpoints = node.endpoints();
+  co.meta_ttl_ms = 0;
+  co.allow_pfs_fallback = false;
+  {
+    HvacClient warm(co);
+    ASSERT_EQ(warm.prefetch_many(paths).value(), paths.size());
+  }
+  size_t slabs = 0;
+  for (const auto& e : fs::recursive_directory_iterator(cache)) {
+    if (e.path().extension() == ".slab") ++slabs;
+  }
+  ASSERT_GT(slabs, 1u);
+  ASSERT_LE(slabs, proto::kMaxHeldSlabs);
+  const core::MetricsFrame before = node.aggregated_frame();
+
+  HvacClient client(co);
+  std::vector<uint8_t> buf(64 << 10);
+  for (int i = 0; i < kFiles; ++i) {
+    auto vfd = client.open(paths[i]);
+    ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+    std::vector<uint8_t> got;
+    for (;;) {
+      auto n = client.read(*vfd, buf.data(), 8192);
+      ASSERT_TRUE(n.ok()) << n.error().to_string();
+      if (*n == 0) break;
+      got.insert(got.end(), buf.begin(), buf.begin() + *n);
+    }
+    EXPECT_EQ(got, want[i]) << paths[i];
+    ASSERT_TRUE(client.close(*vfd).ok());
+  }
+  const core::MetricsFrame after = node.aggregated_frame();
+  EXPECT_EQ(after.zerocopy.fd_passes - before.zerocopy.fd_passes, slabs);
+  EXPECT_EQ(op_count(after, proto::kOpen) - op_count(before, proto::kOpen),
+            uint64_t{kFiles});
+  EXPECT_EQ(op_count(after, proto::kReadScatter),
+            op_count(before, proto::kReadScatter));
+  EXPECT_EQ(client.stats().passed_fd_opens, uint64_t{kFiles});
 }
 
 // A write-back file is a named file that writes grow in place, not a
@@ -406,10 +630,11 @@ TEST(PassedFd, PackedSamplesGetNoFd) {
   EXPECT_EQ(client.stats().passed_fd_opens, 0u);
 }
 
-// A kOpen reply that promises an fd (a trailing base) but carries none
-// gets one more kOpen without takes_fd, as at the fd limit. A base on
-// the answer to that is malformed: the open fails over like a dead
-// server, here to the PFS, and the bytes stay exact.
+// A kOpen reply that names a slab the client does not hold and
+// carries no fd gets one more kOpen without takes_fd, as at the fd
+// limit. A slab named in the answer to that is malformed: the open
+// fails over like a dead server, here to the PFS, and the bytes stay
+// exact.
 TEST(PassedFd, PromisedFdMissingFailsOverToPfs) {
   rpc::HealthRegistry::global().reset();
   const std::string root = temp_dir("promise");
@@ -426,7 +651,8 @@ TEST(PassedFd, PromisedFdMissingFailsOverToPfs) {
         w.put_u64(data.size());
         w.put_u8(proto::kFromCache);
         w.put_u32(0);
-        w.put_u64(0);  // base, but no fd on the frame
+        w.put_u64(0);      // base
+        w.put_u64(12345);  // a slab inode, but no fd on the frame
         return std::move(w).take();
       });
   ASSERT_TRUE(hostile.start().ok());
@@ -447,6 +673,63 @@ TEST(PassedFd, PromisedFdMissingFailsOverToPfs) {
   EXPECT_EQ(buf, data);
   ASSERT_TRUE(client.close(*vfd).ok());
   hostile.stop();
+}
+
+// A slab reference that does not check out fails the open over with
+// kProtocol, to the PFS here, and leaves no fd on the passed file
+// behind: an fd whose inode is not the one named, or a slot that ends
+// past the file.
+TEST(PassedFd, HostileSlabRepliesFailOverAndLeakNoFd) {
+  rpc::HealthRegistry::global().reset();
+  const std::string root = temp_dir("hostile_slab");
+  const auto data = workload::expected_contents("h.bin", 50'000);
+  const std::string path = root + "/h.bin";
+  ASSERT_TRUE(storage::write_file(path, data.data(), data.size()).ok());
+  struct stat st{};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  const uint64_t ino = st.st_ino;
+  struct Case {
+    const char* name;
+    uint64_t ino;
+    uint64_t base;
+  };
+  for (const Case& c : {Case{"other_inode", ino + 1, 0},
+                        Case{"slot_past_end", ino, 10}}) {
+    SCOPED_TRACE(c.name);
+    rpc::RpcServer hostile(rpc::RpcServerOptions{});
+    hostile.register_payload_handler(
+        proto::kOpen, [&](const rpc::Bytes&) -> Result<rpc::Payload> {
+          rpc::WireWriter w;
+          w.put_u64(0);
+          w.put_u64(data.size());
+          w.put_u8(proto::kFromCache);
+          w.put_u32(0);
+          w.put_u64(c.base);
+          w.put_u64(c.ino);
+          rpc::Payload p(std::move(w).take());
+          p.set_fd(rpc::Fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC)));
+          return p;
+        });
+    ASSERT_TRUE(hostile.start().ok());
+    HvacClientOptions co;
+    co.dataset_dir = root;
+    co.server_endpoints = {hostile.endpoint().address};
+    co.rpc.max_retries = 0;
+    {
+      HvacClient client(co);
+      auto vfd = client.open(path);
+      ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+      EXPECT_EQ(client.stats().fallback_opens, 1u);
+      EXPECT_EQ(client.stats().passed_fd_opens, 0u);
+      std::vector<uint8_t> buf(data.size());
+      ASSERT_EQ(client.pread(*vfd, buf.data(), buf.size(), 0).value(),
+                data.size());
+      EXPECT_EQ(buf, data);
+      ASSERT_TRUE(client.close(*vfd).ok());
+    }
+    hostile.stop();
+    EXPECT_EQ(fds_on(path), 0u);
+  }
 }
 
 // Peers of another uid never get an fd, even on a unix: endpoint whose

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 #include <sched.h>
 #include <sys/socket.h>
+#include <netinet/in.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cerrno>
 #include <cstddef>
 #include <cstdlib>
@@ -592,6 +595,117 @@ TEST(RpcServer, RequestFramesArriveInOneReadinessEventOverTcp) {
   run_request_frames_in_one_readiness_event(Transport::kTcp);
 }
 
+// A blocking TCP connection to `endpoint`'s port on 127.0.0.1, or -1.
+int raw_tcp_connect(const Endpoint& endpoint) {
+  const auto hp = endpoint.host_port();
+  if (!hp.ok()) return -1;
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(hp->second));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) ==
+          0) {
+    return fd;
+  }
+  if (fd >= 0) ::close(fd);
+  return -1;
+}
+
+Status send_all(int fd, const uint8_t* data, size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return Error::from_errno(errno, "send");
+    data += n;
+    size -= static_cast<size_t>(n);
+  }
+  return Status::Ok();
+}
+
+Bytes drain_bytes(int fd, size_t want) {
+  Bytes out(want);
+  size_t got = 0;
+  while (got < want) {
+    const ssize_t n = ::recv(fd, out.data() + got, want - got, 0);
+    if (n <= 0) break;
+    got += static_cast<size_t>(n);
+  }
+  out.resize(got);
+  return out;
+}
+
+// One request frame: header + body.
+Bytes request_frame(uint64_t id, uint16_t opcode, const Bytes& body) {
+  FrameHeader h;
+  h.payload_len = static_cast<uint32_t>(body.size());
+  h.request_id = id;
+  h.opcode = opcode;
+  uint8_t hdr[kMaxHeaderSize];
+  const size_t len = encode_header(h, hdr);
+  Bytes frame(hdr, hdr + len);
+  frame.insert(frame.end(), body.begin(), body.end());
+  return frame;
+}
+
+// Reads one response frame off a blocking socket.
+Result<std::pair<FrameHeader, Bytes>> read_response(int fd) {
+  Bytes hdr = drain_bytes(fd, kHeaderSize);
+  if (hdr.size() != kHeaderSize) {
+    return Error(ErrorCode::kUnavailable, "short header");
+  }
+  HVAC_ASSIGN_OR_RETURN(FrameHeader h, decode_header(hdr.data(), hdr.size()));
+  Bytes body = drain_bytes(fd, h.payload_len);
+  if (body.size() != h.payload_len) {
+    return Error(ErrorCode::kUnavailable, "short body");
+  }
+  return std::make_pair(h, std::move(body));
+}
+
+// The reactor parses every complete frame one recv brought, and keeps
+// a frame cut across sends until its last byte arrives: three frames
+// pipelined in one send (the middle one larger than the receive
+// buffer) and a fourth split over three sends are answered in order.
+TEST(RpcServer, PipelinedAndSplitFramesAnsweredInOrder) {
+  RpcServer server(RpcServerOptions{"127.0.0.1:0", 2});
+  server.register_handler(
+      1, [](const Bytes& b) -> Result<Bytes> { return b; },
+      DispatchHint::kInline);
+  ASSERT_TRUE(server.start().ok());
+  const int fd = raw_tcp_connect(server.endpoint());
+  ASSERT_GE(fd, 0);
+  std::vector<Bytes> bodies;
+  for (size_t size : {size_t{5}, size_t{100'000}, size_t{0}, size_t{3'000}}) {
+    Bytes b(size);
+    for (size_t i = 0; i < size; ++i) b[i] = static_cast<uint8_t>(i * 7 + size);
+    bodies.push_back(std::move(b));
+  }
+  Bytes batch;
+  for (uint64_t id = 1; id <= 3; ++id) {
+    const Bytes f = request_frame(id, 1, bodies[id - 1]);
+    batch.insert(batch.end(), f.begin(), f.end());
+  }
+  ASSERT_TRUE(send_all(fd, batch.data(), batch.size()).ok());
+  const Bytes split = request_frame(4, 1, bodies[3]);
+  const size_t cuts[] = {0, 7, kHeaderSize + 1000, split.size()};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        send_all(fd, split.data() + cuts[i], cuts[i + 1] - cuts[i]).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  for (uint64_t id = 1; id <= 4; ++id) {
+    auto resp = read_response(fd);
+    ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+    EXPECT_EQ(resp->first.request_id, id);
+    EXPECT_EQ(resp->first.status, ErrorCode::kOk);
+    EXPECT_EQ(resp->second, bodies[id - 1]);
+  }
+  EXPECT_EQ(server.requests_served(), 4u);
+  EXPECT_GE(server.split_frames(), 1u);
+  ::close(fd);
+}
+
 // ---- node-local alias lifecycle --------------------------------------------
 
 TEST(RpcServer, AliasRefusesConnectionsAfterDrain) {
@@ -1039,17 +1153,7 @@ struct TempPatternFile {
   }
 };
 
-Bytes drain_socket(int fd, size_t want) {
-  Bytes out(want);
-  size_t got = 0;
-  while (got < want) {
-    const ssize_t n = ::recv(fd, out.data() + got, want - got, 0);
-    if (n <= 0) break;
-    got += static_cast<size_t>(n);
-  }
-  out.resize(got);
-  return out;
-}
+Bytes drain_socket(int fd, size_t want) { return drain_bytes(fd, want); }
 
 TEST(ZeroCopy, SendfileExactDeliversExactBytes) {
   constexpr size_t kSize = 256 * 1024 + 17;
@@ -1064,6 +1168,71 @@ TEST(ZeroCopy, SendfileExactDeliversExactBytes) {
   EXPECT_EQ(received, src.bytes);
   ::close(sv[0]);
   ::close(sv[1]);
+}
+
+// SIGPIPE pending on the calling thread.
+bool sigpipe_pending() {
+  sigset_t pending;
+  sigemptyset(&pending);
+  return ::sigpending(&pending) == 0 && sigismember(&pending, SIGPIPE);
+}
+
+// A peer that closes mid-sendfile yields an error Status, not a dead
+// process, and leaves no SIGPIPE pending on the sending thread.
+TEST(ZeroCopy, PeerClosingMidSendfileLeavesNoSigpipe) {
+  constexpr size_t kSize = 8u << 20;
+  TempPatternFile src(kSize);
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  std::thread peer([&] {
+    (void)drain_socket(sv[1], 64 << 10);
+    ::close(sv[1]);
+  });
+  bool failed = false;
+  bool pending = true;
+  std::thread sender([&] {
+    failed = !sendfile_exact(sv[0], src.fd, 0, kSize).ok();
+    pending = sigpipe_pending();
+  });
+  sender.join();
+  peer.join();
+  EXPECT_TRUE(failed);
+  EXPECT_FALSE(pending);
+  ::close(sv[0]);
+}
+
+// The same on a server thread: an inline handler's extent reply to a
+// client that hangs up mid-frame. The reactor thread, which sent it,
+// reports no pending SIGPIPE and keeps serving.
+TEST(ZeroCopy, ClientClosingMidReplyLeavesServerWithoutSigpipe) {
+  constexpr size_t kSize = 8u << 20;
+  TempPatternFile src(kSize);
+  RpcServer server(RpcServerOptions{"127.0.0.1:0", 2});
+  server.register_payload_handler(
+      1,
+      [&](const Bytes&) -> Result<Payload> {
+        return blob_extent_payload(FileExtent{nullptr, src.fd, 0, kSize});
+      },
+      DispatchHint::kInline);
+  server.register_handler(
+      2,
+      [](const Bytes&) -> Result<Bytes> {
+        return Bytes{static_cast<uint8_t>(sigpipe_pending() ? 1 : 0)};
+      },
+      DispatchHint::kInline);
+  ASSERT_TRUE(server.start().ok());
+  for (int round = 0; round < 3; ++round) {
+    const int fd = raw_tcp_connect(server.endpoint());
+    ASSERT_GE(fd, 0);
+    const Bytes frame = request_frame(1, 1, {});
+    ASSERT_TRUE(send_all(fd, frame.data(), frame.size()).ok());
+    EXPECT_EQ(drain_socket(fd, 64 << 10).size(), size_t{64 << 10});
+    ::close(fd);
+  }
+  RpcClient client(server.endpoint());
+  auto pending = client.call(2, Bytes{});
+  ASSERT_TRUE(pending.ok()) << pending.error().to_string();
+  EXPECT_EQ(*pending, Bytes{0});
 }
 
 TEST(ZeroCopy, SendfileExactHonoursOffset) {
