@@ -5,10 +5,10 @@
 // allocation order), computes each file's home with the metadata-less
 // Placement function, and forwards opens and reads over RPC. Read fds
 // are stateless on the server: open is one kOpen that returns the size
-// (and the whole file when it is small; a home on this node may pass a
-// read-only fd on its cached copy of a large one, which then serves
-// every read), other reads address the file by path, and close is
-// local. A small file whose open
+// (and the whole file when it is small; a home on this node instead
+// names the cache slab holding the file, passing a read-only fd on it
+// the first time, and that fd then serves every read), other reads
+// address the file by path, and close is local. A small file whose open
 // carried no bytes (packed index, meta cache) is fetched whole by its
 // first read, so every small fd costs one round trip. Reads above the
 // chunk size are split into multiple bulk pulls. On any transport failure the
@@ -120,7 +120,7 @@ struct ClientStats {
   uint64_t bytes_written = 0;
   uint64_t fsyncs = 0;           // durability barriers requested
   uint64_t fallback_write_opens = 0;  // write opens served by the PFS
-  uint64_t passed_fd_opens = 0;  // opens answered with a cache fd
+  uint64_t passed_fd_opens = 0;  // opens answered with a cache slab
 };
 
 // JSON rendering of the shim's exit summary (HVAC_STATS_FILE): the

@@ -60,23 +60,28 @@ uint64_t op_count(const core::MetricsFrame& f, uint16_t op) {
   return it == f.op_latency.end() ? 0 : it->second.count;
 }
 
-// This process's fds on `path`, or with `deleted_slabs`, on slab files
-// that are gone.
-size_t fds_on(const std::string& path, bool deleted_slabs = false) {
+// This process's fds whose /proc/self/fd link satisfies `match`.
+size_t fds_where(const std::function<bool(const std::string&)>& match) {
   size_t n = 0;
   for (const auto& e : fs::directory_iterator("/proc/self/fd")) {
     std::error_code ec;
     const std::string target = fs::read_symlink(e.path(), ec).string();
-    if (ec) continue;
-    const std::string gone = std::string(".slab") + " (deleted)";
-    if (deleted_slabs ? target.size() > gone.size() &&
-                            target.compare(target.size() - gone.size(),
-                                           gone.size(), gone) == 0
-                      : target == path) {
-      ++n;
-    }
+    if (!ec && match(target)) ++n;
   }
   return n;
+}
+
+size_t fds_on(const std::string& path) {
+  return fds_where([&](const std::string& t) { return t == path; });
+}
+
+// Fds on slab files that are gone.
+size_t deleted_slab_fds() {
+  const std::string gone = ".slab (deleted)";
+  return fds_where([&](const std::string& t) {
+    return t.size() > gone.size() &&
+           t.compare(t.size() - gone.size(), gone.size(), gone) == 0;
+  });
 }
 
 // Runs `body` in a forked child whose fd table is full at a lowered
@@ -488,12 +493,12 @@ TEST_F(PassedFdRig, EvictedSlabLeavesTheTableWhenTheNextArrives) {
   expect_range(client, *large, large_, 0, kLargeBytes);
   ASSERT_TRUE(client.close(*small).ok());
   ASSERT_TRUE(client.close(*large).ok());
-  EXPECT_EQ(fds_on("", /*deleted_slabs=*/true), 1u);  // the table's
+  EXPECT_EQ(deleted_slab_fds(), 1u);  // the table's
 
   auto again = client.open(pfs_root_ + "/large.bin");  // refetched
   ASSERT_TRUE(again.ok()) << again.error().to_string();
   EXPECT_EQ(server().metrics_frame().zerocopy.fd_passes, passes + 1);
-  EXPECT_EQ(fds_on("", /*deleted_slabs=*/true), 0u);
+  EXPECT_EQ(deleted_slab_fds(), 0u);
   expect_range(client, *again, large_, 0, kLargeBytes);
   ASSERT_TRUE(client.close(*again).ok());
 }
