@@ -36,11 +36,12 @@ struct RpcServer::Connection {
   std::atomic<uint32_t> inflight{0};
 
   // Received bytes not yet parsed sit at [start, end) of `buf`.
-  std::array<uint8_t, kRecvBytes> buf;
+  std::array<uint8_t, kRecvBytes> buf{};
   size_t start = 0;
   size_t end = 0;
-  // A frame too large for `buf`: its header, and its payload, whose
-  // bytes after the first payload_got land here directly.
+  // A frame too large for `buf`: its header and its own payload
+  // buffer, of which payload_got bytes have arrived; the rest is
+  // received straight into it.
   FrameHeader header;
   Bytes payload;
   size_t payload_got = 0;

@@ -513,11 +513,11 @@ TEST(PassedFd, ManySmallFilesOnePassPerSlab) {
   constexpr int kFiles = 256;
   std::vector<std::vector<uint8_t>> want;
   std::vector<std::string> paths;
+  fs::create_directories(root + "/s");
   for (int i = 0; i < kFiles; ++i) {
     const std::string rel = "s/" + std::to_string(i) + ".bin";
     want.push_back(workload::expected_contents(rel, 9'000 + 37 * i));
     paths.push_back(root + "/" + rel);
-    fs::create_directories(root + "/s");
     ASSERT_TRUE(storage::write_file(paths.back(), want.back().data(),
                                     want.back().size())
                     .ok());
