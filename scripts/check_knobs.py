@@ -20,7 +20,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 LITERAL = re.compile(r'"(HVAC_[A-Z0-9_]+)"')
 ROW = re.compile(r"^\| `(HVAC_[A-Z0-9_]+)` \|", re.MULTILINE)
 # The knob ceiling: lower it when a knob goes, never raise it quietly.
-MAX_KNOBS = 29
+MAX_KNOBS = 28
 
 
 def main():

@@ -89,6 +89,21 @@ Result<core::FdEntry> pfs_read_entry(const std::string& path) {
   return entry;
 }
 
+// Every byte of [buf, buf + count) into `fd` at `offset`.
+Status pwrite_exact(int fd, const uint8_t* buf, size_t count,
+                    uint64_t offset, const char* what) {
+  for (size_t done = 0; done < count;) {
+    const ssize_t n = ::pwrite(fd, buf + done, count - done,
+                               static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR || errno == EAGAIN) continue;
+      return Error::from_errno(errno, what);
+    }
+    done += static_cast<size_t>(n);
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<HvacClientOptions> options_from_env() {
@@ -197,17 +212,17 @@ void HvacClient::set_access_plan(const std::vector<std::string>& paths) {
 }
 
 bool HvacClient::eligible(const std::string& path) const {
-  return path_under(path, options_.dataset_dir);
+  return under_dir(path, options_.dataset_dir);
 }
 
 Result<std::string> HvacClient::logical_path(const std::string& path) const {
-  if (!eligible(path)) {
+  std::optional<std::string> logical =
+      relative_under(path, options_.dataset_dir);
+  if (!logical.has_value()) {
     return Error(ErrorCode::kInvalidArgument,
                  path + " is not under " + options_.dataset_dir);
   }
-  std::string normal = lexically_normal(path);
-  if (normal.size() == options_.dataset_dir.size()) return std::string(".");
-  return normal.substr(options_.dataset_dir.size() + 1);
+  return std::move(*logical);
 }
 
 uint32_t HvacClient::home_of(const std::string& path) const {
@@ -484,19 +499,30 @@ Result<int> HvacClient::open(const std::string& path) {
   // re-resolves its cached copy per read. If the copy was evicted
   // meanwhile the server degrades that read to its PFS path, so a
   // stale entry costs latency, never correctness.
+  // A file the home served from a slab is re-opened this way only
+  // while the client still holds that slab; otherwise the kOpen below
+  // passes it again.
   if (std::optional<MetaEntry> meta = meta_lookup(logical);
       meta.has_value() && meta->cached) {
-    if (PrefetchScheduler* pf = prefetch_scheduler()) {
-      pf->observe_sample_bytes(meta->size);
+    std::shared_ptr<core::SlabFd> slab;
+    if (meta->in_slab) slab = held_slab(meta->home, meta->slab);
+    if (!meta->in_slab || slab != nullptr) {
+      if (PrefetchScheduler* pf = prefetch_scheduler()) {
+        pf->observe_sample_bytes(meta->size);
+      }
+      core::FdEntry entry;
+      entry.logical_path = logical;
+      entry.server_index = meta->home;
+      entry.size = meta->size;
+      entry.base = meta->base;
+      entry.slab = std::move(slab);
+      const bool local = entry.slab != nullptr;
+      const int vfd = fds_.insert(std::move(entry));
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++stats_.remote_opens;
+      if (local) ++stats_.passed_fd_opens;
+      return vfd;
     }
-    core::FdEntry entry;
-    entry.logical_path = logical;
-    entry.server_index = meta->home;
-    entry.size = meta->size;
-    const int vfd = fds_.insert(std::move(entry));
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.remote_opens;
-    return vfd;
   }
 
   // Try the primary home, then the replicas (paper §III-H fail-over) —
@@ -604,13 +630,26 @@ Result<int> HvacClient::open_remote(const std::string& logical,
     entry.inline_data = std::make_shared<const std::vector<uint8_t>>(
         blob.data, blob.data + blob.size);
   }
+  const MetaEntry meta{size, server, served_from == proto::kFromCache,
+                       entry.slab != nullptr, entry.slab, entry.base};
   const int vfd = fds_.insert(std::move(entry));
-  meta_.put(logical,
-            MetaEntry{size, server, served_from == proto::kFromCache});
+  meta_.put(logical, meta);
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.remote_opens;
   if (names_slab) ++stats_.passed_fd_opens;
   return vfd;
+}
+
+std::shared_ptr<core::SlabFd> HvacClient::held_slab(
+    uint32_t server, const std::weak_ptr<core::SlabFd>& slab) {
+  std::shared_ptr<core::SlabFd> held = slab.lock();
+  if (held == nullptr) return nullptr;
+  std::lock_guard<std::mutex> lock(slabs_mutex_);
+  auto& table = slabs_[server];
+  auto it = std::find(table.begin(), table.end(), held);
+  if (it == table.end()) return nullptr;
+  std::rotate(it, it + 1, table.end());
+  return held;
 }
 
 Result<std::shared_ptr<core::SlabFd>> HvacClient::reply_slab(
@@ -1030,13 +1069,14 @@ Status HvacClient::close(int vfd) {
   }
   if (entry.writable) {
     // close is a durability barrier on the write path: the server
-    // commits the journal (and drains to the PFS at level "pfs")
+    // commits the file (and drains it to the PFS at level "pfs")
     // before dropping the handle, so this failure IS surfaced.
-    WireWriter w;
-    w.put_u64(entry.remote_fd);
-    w.put_u8(options_.write_durability);
+    const uint64_t fd_bytes =
+        entry.write_fd ? entry.write_fd->unsynced_bytes.exchange(0) : 0;
     HVAC_ASSIGN_OR_RETURN(
-        Bytes resp, channel(entry.server_index).call(proto::kWriteClose, w));
+        Bytes resp, channel(entry.server_index)
+                        .call(proto::kWriteClose,
+                              barrier_request(entry.remote_fd, fd_bytes)));
     (void)resp;
     return Status::Ok();
   }
@@ -1073,26 +1113,42 @@ Result<int> HvacClient::open_write(const std::string& path, bool trunc) {
   WireWriter w;
   w.put_string(logical);
   w.put_u8(trunc ? 1 : 0);
-  Result<Bytes> resp = channel(server).call(proto::kWriteOpen, w);
+  w.put_u8(1);  // takes_fd: a local home passes its named file
+  Result<rpc::Payload> resp = channel(server).call_payload(
+      proto::kWriteOpen, w.bytes(), /*take_fd=*/true);
   if (resp.ok()) {
-    WireReader r(*resp);
+    WireReader r(resp->data(), resp->size());
     HVAC_ASSIGN_OR_RETURN(uint64_t remote_fd, r.get_u64());
     HVAC_ASSIGN_OR_RETURN(uint8_t mode, r.get_u8());
-    (void)mode;  // server-side routing detail; the fd API is identical
     core::FdEntry entry;
     entry.logical_path = logical;
     entry.server_index = server;
     entry.remote_fd = remote_fd;
     entry.writable = true;
+    if (rpc::Fd passed = resp->take_fd(); passed.valid()) {
+      // Only a write-back handle's own file, open for writing only: any
+      // other fd closes here and the open fails.
+      struct stat st{};
+      const int flags = ::fcntl(passed.get(), F_GETFL);
+      if (mode != proto::kWriteBack || ::fstat(passed.get(), &st) != 0 ||
+          !S_ISREG(st.st_mode) || flags < 0 ||
+          (flags & O_ACCMODE) != O_WRONLY) {
+        return Error(ErrorCode::kProtocol,
+                     "kWriteOpen passed an fd that is not a write-only "
+                     "file for " + logical);
+      }
+      entry.write_fd = std::make_shared<core::WriteFd>(passed.release());
+    }
     const int vfd = fds_.insert(std::move(entry));
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.remote_opens;
     return vfd;
   }
   // Fail open on transport errors only: a real error from a healthy
-  // server (bad path etc.) is final. Mid-file writes do NOT fail over
-  // (bytes already acked to a dead server would silently vanish from
-  // the copy), so the choice of backing is made once, here.
+  // server (bad path, a malformed reply etc.) is final. Mid-file writes
+  // do NOT fail over (bytes already acked to a dead server would
+  // silently vanish from the copy), so the choice of backing is made
+  // once, here.
   if (resp.error().code != ErrorCode::kUnavailable &&
       resp.error().code != ErrorCode::kTimeout) {
     return resp.error();
@@ -1124,15 +1180,17 @@ Result<size_t> HvacClient::pwrite(int vfd, const void* buf, size_t count,
   const auto* src = static_cast<const uint8_t*>(buf);
   size_t done = 0;
   if (entry.fallback_pfs) {
-    while (done < count) {
-      const ssize_t n = ::pwrite(entry.pfs_fd, src + done, count - done,
-                                 static_cast<off_t>(offset + done));
-      if (n < 0) {
-        if (errno == EINTR || errno == EAGAIN) continue;
-        return Error::from_errno(errno, "pwrite(pfs)");
-      }
-      done += static_cast<size_t>(n);
-    }
+    HVAC_RETURN_IF_ERROR(
+        pwrite_exact(entry.pfs_fd, src, count, offset, "pwrite(pfs)"));
+    done = count;
+  } else if (entry.write_fd) {
+    // The bytes go once, into the named file; the next barrier commits
+    // them.
+    HVAC_RETURN_IF_ERROR(pwrite_exact(entry.write_fd->fd, src, count, offset,
+                                      "pwrite(write-back file)"));
+    entry.write_fd->unsynced_bytes.fetch_add(count,
+                                             std::memory_order_relaxed);
+    done = count;
   } else {
     // Chunk to the RPC frame cap. A chunk is idempotent (same bytes,
     // same offset), so transport retries are safe.
@@ -1178,6 +1236,14 @@ Result<size_t> HvacClient::write(int vfd, const void* buf, size_t count) {
   return n;
 }
 
+Bytes HvacClient::barrier_request(uint64_t remote_fd, uint64_t fd_bytes) const {
+  WireWriter w;
+  w.put_u64(remote_fd);
+  w.put_u8(options_.write_durability);
+  w.put_u64(fd_bytes);
+  return std::move(w).take();
+}
+
 Status HvacClient::fsync(int vfd) {
   trace::Span span("client.fsync");
   HVAC_ASSIGN_OR_RETURN(core::FdEntry entry, fds_.get(vfd));
@@ -1194,15 +1260,35 @@ Status HvacClient::fsync(int vfd) {
     }
     return Status::Ok();
   }
-  WireWriter w;
-  w.put_u64(entry.remote_fd);
-  w.put_u8(options_.write_durability);
+  const uint64_t fd_bytes =
+      entry.write_fd ? entry.write_fd->unsynced_bytes.exchange(0) : 0;
   // The barrier is idempotent — committing twice is harmless.
-  HVAC_ASSIGN_OR_RETURN(
-      Bytes resp,
-      channel(entry.server_index).call_idempotent(proto::kFsync, w));
-  (void)resp;
-  return Status::Ok();
+  Result<Bytes> resp = channel(entry.server_index)
+                           .call_idempotent(proto::kFsync,
+                                            barrier_request(entry.remote_fd,
+                                                            fd_bytes));
+  if (resp.ok()) return Status::Ok();
+  if (resp.error().code == ErrorCode::kCapacity && entry.write_fd) {
+    // The file outgrew the store: the server put every byte on the
+    // PFS and writes through from here. Drop the fd, go on by kWrite,
+    // and sync what is now a PFS file.
+    entry.write_fd.reset();
+    HVAC_RETURN_IF_ERROR(fds_.replace(vfd, entry));
+    HVAC_ASSIGN_OR_RETURN(
+        Bytes again, channel(entry.server_index)
+                         .call_idempotent(proto::kFsync,
+                                          barrier_request(entry.remote_fd, 0)));
+    (void)again;
+    return Status::Ok();
+  }
+  if (entry.write_fd && (resp.error().code == ErrorCode::kUnavailable ||
+                         resp.error().code == ErrorCode::kTimeout)) {
+    // The server may never have seen them: the next barrier reports
+    // them again.
+    entry.write_fd->unsynced_bytes.fetch_add(fd_bytes,
+                                             std::memory_order_relaxed);
+  }
+  return resp.error();
 }
 
 Result<uint64_t> HvacClient::stat_size(const std::string& path) {

@@ -143,10 +143,12 @@ class HvacClient {
   Status close(int vfd);
 
   // Checkpoint write path: the file lands in the home server's
-  // write-back tier (journal + local NVMe) and is flushed to the PFS
-  // asynchronously; fsync() is the durability barrier (level set by
-  // options().write_durability). A failed kWriteOpen fails open to a
-  // direct PFS fd — a cache must never kill a training run.
+  // write-back tier (a named file on local NVMe; a home on this node
+  // passes an fd on it, and writes are plain pwrites) and is copied to
+  // the PFS once, after close; fsync() is the durability barrier
+  // (level set by options().write_durability). A kWriteOpen that
+  // cannot reach its home fails open to a direct PFS fd — a cache must
+  // never kill a training run.
   Result<int> open_write(const std::string& path, bool trunc);
   Result<size_t> write(int vfd, const void* buf, size_t count);
   Result<size_t> pwrite(int vfd, const void* buf, size_t count,
@@ -259,6 +261,10 @@ class HvacClient {
 
   Result<int> open_via_pfs(const std::string& path);
 
+  // kFsync / kWriteClose body for write handle `remote_fd`, reporting
+  // `fd_bytes` pwritten through its passed fd since the last barrier.
+  rpc::Bytes barrier_request(uint64_t remote_fd, uint64_t fd_bytes) const;
+
   // One stateless kOpen to `server`: a vfd whose reads go by path, with
   // the inline bytes attached for a small file, or, when `takes_fd`,
   // the cache slab a local home named, whose fd this client already
@@ -277,6 +283,11 @@ class HvacClient {
       uint32_t server, rpc::Fd passed, uint64_t ino, uint64_t base,
       uint64_t size,
       const std::vector<std::shared_ptr<core::SlabFd>>& held);
+
+  // `slab`, marked most recently used in `server`'s table; null when
+  // the table no longer holds it.
+  std::shared_ptr<core::SlabFd> held_slab(
+      uint32_t server, const std::weak_ptr<core::SlabFd>& slab);
 
   // Meta-cache lookup with the breaker check folded in: an entry whose
   // home endpoint has an open circuit is invalidated on the spot (the

@@ -4,10 +4,10 @@
 // metadata service (paper §III-E) each re-open still pays a stat/open
 // round trip just to re-learn what the client already knew: the file's
 // size, its home server, and whether that server holds a cached copy.
-// This cache remembers {size, home, cached} per logical path for a
-// short TTL (HVAC_META_TTL_MS), so a fresh entry lets open() hand out
+// This cache remembers {size, home, cached, slab} per logical path for
+// a short TTL (HVAC_META_TTL_MS), so a fresh entry lets open() hand out
 // a fd with zero round trips — reads address the file by path via
-// kReadScatter, like every read fd.
+// kReadScatter, or are preads on the slab the client still holds.
 //
 // Staleness is bounded three ways: the TTL, explicit invalidation on
 // any transport-level failure touching the path, and a breaker check
@@ -19,10 +19,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+
+#include "core/fd_table.h"
 
 namespace hvac::client {
 
@@ -30,6 +33,14 @@ struct MetaEntry {
   uint64_t size = 0;
   uint32_t home = 0;   // server index that served the file last
   bool cached = false;  // home held a node-local copy at lookup time
+  // The cache slab the home named for the file (DESIGN.md §20) and the
+  // file's offset in it. A re-open reads through that very fd while the
+  // client still holds it; once the fd is gone its inode number may
+  // name another slab, so the entry keeps the fd, weakly, not the
+  // number.
+  bool in_slab = false;
+  std::weak_ptr<core::SlabFd> slab;
+  uint64_t base = 0;
 };
 
 class MetaCache {

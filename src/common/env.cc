@@ -83,6 +83,57 @@ std::string lexically_normal(const std::string& path) {
   return out;
 }
 
+namespace {
+
+// An absolute path with no empty, "." or ".." component and no
+// trailing '/': lexically_normal returns it unchanged.
+bool normal_absolute(std::string_view p) {
+  if (p.empty() || p.front() != '/') return false;
+  if (p.size() == 1) return true;
+  if (p.back() == '/') return false;
+  for (size_t i = 1; i <= p.size();) {
+    size_t j = p.find('/', i);
+    if (j == std::string_view::npos) j = p.size();
+    const std::string_view seg = p.substr(i, j - i);
+    if (seg.empty() || seg == "." || seg == "..") return false;
+    i = j + 1;
+  }
+  return true;
+}
+
+// `normal` (lexically normal) relative to the normal `dir`.
+std::optional<std::string_view> strip_dir(std::string_view normal,
+                                          std::string_view dir) {
+  if (dir == "/") {
+    if (normal.empty() || normal.front() != '/') return std::nullopt;
+    return normal.size() == 1 ? std::string_view(".") : normal.substr(1);
+  }
+  if (dir.empty() || normal.substr(0, dir.size()) != dir) return std::nullopt;
+  if (normal.size() == dir.size()) return std::string_view(".");
+  if (normal[dir.size()] != '/') return std::nullopt;
+  return normal.substr(dir.size() + 1);
+}
+
+}  // namespace
+
+std::optional<std::string> relative_under(const std::string& path,
+                                          const std::string& dir) {
+  if (!dir.empty() && dir.front() == '/' && normal_absolute(path)) {
+    auto rel = strip_dir(path, dir);
+    return rel ? std::optional<std::string>(*rel) : std::nullopt;
+  }
+  const std::string normal = lexically_normal(path);
+  auto rel = strip_dir(normal, dir);
+  return rel ? std::optional<std::string>(*rel) : std::nullopt;
+}
+
+bool under_dir(const std::string& path, const std::string& dir) {
+  if (!dir.empty() && dir.front() == '/' && normal_absolute(path)) {
+    return strip_dir(path, dir).has_value();
+  }
+  return strip_dir(lexically_normal(path), dir).has_value();
+}
+
 bool path_under(const std::string& path, const std::string& dir) {
   if (dir.empty()) return false;
   std::string p = lexically_normal(path);

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hvac {
@@ -29,5 +30,16 @@ bool path_under(const std::string& path, const std::string& dir);
 // Lexically normalizes "a//b/./c" -> "a/b/c" (no filesystem access, so
 // it is safe inside the interception shim).
 std::string lexically_normal(const std::string& path);
+
+// `path` relative to `dir`, which must be lexically normal: "." for
+// `dir` itself, nullopt when `path` is not under it — what normalizing
+// `path` and stripping `dir` would give. Every open asks, so an
+// absolute path that is already normal (no "//", "/./", "/../" or
+// trailing '/') under an absolute `dir` is compared in place:
+// under_dir() allocates nothing and relative_under() only its answer.
+// Any other path is normalized first.
+std::optional<std::string> relative_under(const std::string& path,
+                                          const std::string& dir);
+bool under_dir(const std::string& path, const std::string& dir);
 
 }  // namespace hvac

@@ -171,6 +171,7 @@ const char* site_name(Site site) {
     case Site::kJournalFsync: return "journal_fsync";
     case Site::kStoreWrite: return "store_write";
     case Site::kPfsWrite: return "pfs_write";
+    case Site::kWriteBarrier: return "write_barrier";
     case Site::kCount: break;
   }
   return "?";

@@ -12,7 +12,8 @@
 // Grammar: rules separated by ';', each rule `site:action[:token]*`.
 //   site    rpc_connect | rpc_send | rpc_recv | open | read | stat |
 //           store_read | pfs_read | zc_send |
-//           journal_append | journal_fsync | store_write | pfs_write
+//           journal_append | journal_fsync | store_write | pfs_write |
+//           write_barrier
 //   action  error            inject kIoError
 //           error=CODE       CODE in {unavailable, timeout, io,
 //                            not_found, capacity, protocol}
@@ -56,6 +57,7 @@ enum class Site : uint8_t {
   kJournalFsync,   // journal commit-barrier fdatasync
   kStoreWrite,     // write-back store pwrite on local NVMe
   kPfsWrite,       // flusher's copy-out to the PFS
+  kWriteBarrier,   // barrier: file data synced, size not yet journaled
   kCount,  // sentinel
 };
 

@@ -8,6 +8,8 @@ namespace hvac::core {
 
 SlabFd::~SlabFd() { ::close(fd); }
 
+WriteFd::~WriteFd() { ::close(fd); }
+
 int FdTable::insert(FdEntry entry) {
   std::lock_guard<std::mutex> lock(mutex_);
   const int vfd = next_fd_++;

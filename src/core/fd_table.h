@@ -41,6 +41,22 @@ struct SlabFd {
   std::atomic<uint64_t> known_size;
 };
 
+// A local checkpoint writer's O_WRONLY fd on its home's named file
+// (DESIGN.md §21), shared by the copies of its vfd's entry: it closes
+// when the last of them lets go.
+struct WriteFd {
+  explicit WriteFd(int fd) : fd(fd) {}
+  ~WriteFd();
+  WriteFd(const WriteFd&) = delete;
+  WriteFd& operator=(const WriteFd&) = delete;
+
+  const int fd;
+  // Bytes pwritten since the last barrier: the next kFsync or
+  // kWriteClose reports them, and a barrier with none and no kWrite
+  // since costs the server nothing.
+  std::atomic<uint64_t> unsynced_bytes{0};
+};
+
 struct FdEntry {
   std::string logical_path;
   uint32_t server_index = 0;
@@ -69,6 +85,9 @@ struct FdEntry {
                               // is a kWriteOpen cookie, or pfs_fd is a
                               // real O_WRONLY fd when fallback_pfs)
   uint64_t remote_fd = 0;     // kWriteOpen cookie (write handles only)
+  // Local write-back handle: writes are pwrites into the named file,
+  // with no RPC; null for kWrite handles.
+  std::shared_ptr<WriteFd> write_fd;
 };
 
 class FdTable {

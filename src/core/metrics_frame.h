@@ -130,10 +130,14 @@ struct WriteBackStats {
   uint64_t flush_lag_ms = 0;     // age of the oldest unflushed file
   uint64_t write_through_sheds = 0;  // handles shed to PFS (ENOSPC)
   uint64_t write_through_bytes = 0;
-  uint64_t replay_writes = 0;    // last restart's journal replay
-  uint64_t replay_bytes = 0;
+  uint64_t replay_writes = 0;    // last restart's replay: committed
+                                 // size records it honoured
+  uint64_t replay_bytes = 0;     // committed bytes it re-queued
   uint64_t replay_truncated_bytes = 0;  // torn/CRC-bad tail cut
   uint64_t replay_dirty_files = 0;      // re-queued to the flusher
+  // Checkpoint bytes written into node-local files: by kWrite, or
+  // through a passed fd (counted at the writer's next barrier).
+  uint64_t local_write_bytes = 0;
 };
 
 // Clairvoyant prefetch pipeline (client/prefetch_scheduler.h) plus the

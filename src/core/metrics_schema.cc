@@ -145,13 +145,15 @@ const FieldSpec kFrameFields[] = {
                "Bytes written through to the PFS"),
     // The last restart's journal replay: a fact, not a flow.
     WRITE_BACK(replay_writes, kGauge, kInstance,
-               "Writes re-applied by the last journal replay"),
+               "Committed sizes the last journal replay honoured"),
     WRITE_BACK(replay_bytes, kGauge, kInstance,
-               "Bytes re-applied by the last journal replay"),
+               "Committed bytes the last journal replay re-queued"),
     WRITE_BACK(replay_truncated_bytes, kGauge, kInstance,
                "Torn or CRC-bad journal tail bytes the last replay cut"),
     WRITE_BACK(replay_dirty_files, kGauge, kInstance,
                "Files the last replay re-queued to the flusher"),
+    WRITE_BACK(local_write_bytes, kCounter, kInstance,
+               "Checkpoint bytes written into node-local files"),
 
     // Plan, issue and pacing words are the process's scheduler; the
     // dedup words are this instance's mover.

@@ -128,11 +128,14 @@ Result<Payload> RpcClient::call_payload(uint16_t opcode, const Bytes& request,
         ResilienceCounters::global().deadline_misses.fetch_add(
             1, std::memory_order_relaxed);
       }
-      return fail(Error(got.error().code == ErrorCode::kTimeout
-                            ? ErrorCode::kTimeout
-                            : ErrorCode::kUnavailable,
-                        "recv from " + endpoint_.address + " failed: " +
-                            got.error().message));
+      // kProtocol is a malformed fd-passing frame: the peer answered,
+      // wrongly, so it is no transport failure.
+      const ErrorCode code = got.error().code == ErrorCode::kTimeout ||
+                                     got.error().code == ErrorCode::kProtocol
+                                 ? got.error().code
+                                 : ErrorCode::kUnavailable;
+      return fail(Error(code, "recv from " + endpoint_.address +
+                                  " failed: " + got.error().message));
     }
     auto resp = decode_header(rhdr, kHeaderSize);
     if (!resp.ok()) {

@@ -450,7 +450,7 @@ Status recv_all_until(int fd, void* data, size_t size, int64_t deadline_ms,
     }
     if (n == 0) {
       return got == 0 ? Error(ErrorCode::kUnavailable, "peer closed")
-                      : Error(ErrorCode::kProtocol, "eof mid-frame");
+                      : Error(ErrorCode::kUnavailable, "eof mid-frame");
     }
     got += static_cast<size_t>(n);
   }

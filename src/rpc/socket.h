@@ -141,7 +141,8 @@ Status recv_all(int fd, void* data, size_t size);
 // one byte per SO_RCVTIMEO window passes the per-recv timeout forever
 // but trips this after at most deadline + one recv timeout. Expiry is
 // kTimeout; the caller must treat the stream as poisoned (bytes may
-// have been consumed mid-frame).
+// have been consumed mid-frame). EOF is kUnavailable, mid-frame too, so
+// kProtocol means only a malformed fd-passing frame.
 //
 // With `passed`, it also takes the fd a peer may attach (SCM_RIGHTS) to
 // these bytes: recvmsg with MSG_CMSG_CLOEXEC, the fd into `*passed`.

@@ -87,22 +87,40 @@ enum Opcode : uint16_t {
                       // trips, and reads address samples by path via
                       // kReadScatter (the server translates to
                       // container offsets).
-  kWriteOpen = 13,  // (path, trunc u8) -> (remote_fd u64, mode u8)
+  kWriteOpen = 13,  // (path, trunc u8 [, takes_fd u8])
+                    //   -> (remote_fd u64, mode u8)
                     // Opens a checkpoint file for writing through the
                     // write-back store. `mode` is a WriteMode: the
                     // server may answer kWriteThrough when local NVMe
-                    // is already over budget.
+                    // is already over budget. With `takes_fd` = 1 (every
+                    // HvacClient open) a write-back reply to an AF_UNIX
+                    // peer of the server's uid or root carries an
+                    // O_WRONLY fd on the store's named file as
+                    // SCM_RIGHTS: the client pwrites into it and sends
+                    // no kWrite (DESIGN.md §21). No fd arrives over
+                    // TCP, for another uid or at the client's
+                    // RLIMIT_NOFILE; that client uses kWrite.
   kWrite = 14,      // (remote_fd u64, offset u64, blob) -> (written u32)
-                    // Journal append + local-store pwrite. Ack means
-                    // the bytes are in the write-back tier (durable
-                    // only after kFsync / kWriteClose).
-  kFsync = 15,      // (remote_fd u64, level u8) -> ()
-                    // Durability barrier. level is a WriteDurability:
-                    // kLocal waits for the journal commit fdatasync,
-                    // kPfs additionally waits until the flusher has
-                    // landed the file on the PFS.
-  kWriteClose = 16,  // (remote_fd u64, level u8) -> ()
-                     // fsync(level) semantics, then drops the handle.
+                    // Server-side pwrite into the named file (or the
+                    // PFS file of a write-through handle). Ack means
+                    // the bytes are in the write-back tier; durable
+                    // only after kFsync / kWriteClose.
+  kFsync = 15,      // (remote_fd u64, level u8 [, fd_bytes u64]) -> ()
+                    // Durability barrier, ordered: fdatasync the named
+                    // file, charge its size to the store, then journal
+                    // {path, size} + kCommit and fdatasync the journal.
+                    // `fd_bytes` counts the bytes the client pwrote
+                    // through its passed fd since its last barrier; a
+                    // barrier with none and no kWrite since does
+                    // nothing. level is a WriteDurability: kPfs also
+                    // waits until the flusher landed the file on the
+                    // PFS. kCapacity: the file outgrew the store; the
+                    // server shed the handle to write-through and the
+                    // client drops its fd, sends the barrier again and
+                    // writes on by kWrite.
+  kWriteClose = 16,  // (remote_fd u64, level u8 [, fd_bytes u64]) -> ()
+                     // fsync(level) semantics, then drops the handle
+                     // and queues the file's one PFS copy.
   kTimeSeries = 17,  // () -> time-series frame (core/timeseries.h):
                      // the collector's ring of per-interval metric
                      // deltas, oldest first. Empty (0 samples,
@@ -112,13 +130,13 @@ enum Opcode : uint16_t {
 
 // kWriteOpen response mode / per-handle write routing.
 enum WriteMode : uint8_t {
-  kWriteBack = 0,     // journal + local NVMe, async PFS flush
+  kWriteBack = 0,     // local NVMe, journaled barriers, PFS copy at close
   kWriteThrough = 1,  // local NVMe full: bytes go straight to the PFS
 };
 
 // kFsync / kWriteClose barrier levels (HVAC_WRITE_DURABILITY).
 enum WriteDurability : uint8_t {
-  kDurabilityLocal = 0,  // journal commit record is on local media
+  kDurabilityLocal = 0,  // file data and its size record on local media
   kDurabilityPfs = 1,    // file is fully flushed to the PFS
 };
 

@@ -81,6 +81,7 @@ HvacServer::HvacServer(storage::PfsBackend* pfs, HvacServerOptions options)
             std::lock_guard<std::mutex> lock(write_state_mutex_);
             flush_snapshot_seq_[path] = last_write_seq_[path];
           }
+          trace::Span span("server.flush_copy");
           auto copied = pfs_->copy_in(
               cache_->store().physical_path(path), path);
           if (!copied.ok()) return copied.error();
@@ -167,65 +168,63 @@ void HvacServer::collector_loop() {
 }
 
 Status HvacServer::recover_journal() {
-  std::string dir = options_.journal_dir;
-  if (dir.empty()) dir = env_string_or("HVAC_JOURNAL_DIR", "");
-  if (dir.empty()) dir = options_.cache_dir;
+  const std::string& dir = options_.cache_dir;
   HVAC_RETURN_IF_ERROR(storage::make_directories(dir));
-  // Per-instance file name (instances may share HVAC_JOURNAL_DIR):
-  // keyed by the cache dir, which is unique per instance.
   char name[40];
   std::snprintf(name, sizeof(name), "hvac-%016llx.wal",
                 static_cast<unsigned long long>(
                     stable_hash(options_.cache_dir)));
   HVAC_ASSIGN_OR_RETURN(journal_, storage::WriteJournal::open(
                                       path_join(dir, name)));
+  HVAC_ASSIGN_OR_RETURN(last_replay_, journal_->replay());
 
-  // Re-apply the log into the local store. A record that no longer
-  // fits the NVMe budget is applied anyway and logged — it carries
-  // acked bytes, and the flusher drains it to the PFS right after.
-  auto apply = [this](const std::string& path, uint64_t offset,
-                      const void* data, size_t size) -> Status {
-    HVAC_ASSIGN_OR_RETURN(storage::PosixFile f,
-                          cache_->store().open_write(path));
-    HVAC_ASSIGN_OR_RETURN(size_t n, f.pwrite(data, size, offset));
-    (void)n;
-    HVAC_ASSIGN_OR_RETURN(uint64_t sz, f.size());
-    Status s = cache_->store().update_size(path, sz);
-    if (!s.ok() && s.error().code == ErrorCode::kCapacity) {
+  // Every path the PFS does not hold at its last committed size: trim
+  // the named file back to that size, so bytes written after the last
+  // acked barrier are never presented as committed, account it, and
+  // queue its PFS copy. A file shorter than its record was cut by a
+  // later truncating open whose record did not survive; it is never
+  // padded. A file over the store budget is kept and logged: it holds
+  // acked bytes, and the flusher drains it right after.
+  for (const auto& [path, committed] : last_replay_.dirty) {
+    Result<storage::PosixFile> f =
+        storage::PosixFile::open_rw(cache_->store().physical_path(path));
+    Result<uint64_t> on_disk = f.ok() ? f->size() : Result<uint64_t>(f.error());
+    if (!on_disk.ok()) {
+      HVAC_LOG_WARN("replay: no named file for " << path << " ("
+                                                 << on_disk.error().to_string()
+                                                 << "), its bytes are lost");
+      continue;
+    }
+    const uint64_t size = std::min(*on_disk, committed);
+    if (*on_disk > committed) {
+      HVAC_RETURN_IF_ERROR(f->truncate(committed));
+      HVAC_RETURN_IF_ERROR(f->datasync());
+    }
+    Status s = cache_->store().update_size(path, size);
+    if (!s.ok() && s.error().code != ErrorCode::kCapacity) return s;
+    if (!s.ok()) {
       HVAC_LOG_WARN("replay over budget for " << path
                                               << " (keeping the bytes)");
-      return Status::Ok();
     }
-    return s;
-  };
-  auto truncate = [this](const std::string& path) -> Status {
-    HVAC_ASSIGN_OR_RETURN(storage::PosixFile f,
-                          cache_->store().open_write(path));
-    HVAC_RETURN_IF_ERROR(f.truncate(0));
-    return cache_->store().update_size(path, 0);
-  };
-  HVAC_ASSIGN_OR_RETURN(last_replay_, journal_->replay(apply, truncate));
-
-  // Resume partial flushes: every path still dirty in the journal
-  // goes back on the flusher's queue.
-  for (const std::string& path : last_replay_.dirty_paths) {
     {
       std::lock_guard<std::mutex> lock(write_state_mutex_);
       last_write_seq_[path] = ++write_seq_counter_;
-      dirty_bytes_by_path_[path];  // mark dirty (presence)
+      dirty_bytes_by_path_[path] = size;
     }
-    Status s = flusher_->submit(path);
+    replay_requeued_bytes_ += size;
+    s = flusher_->submit(path);
     if (!s.ok()) {
       HVAC_LOG_WARN("replay resubmit failed for " << path << ": "
                                                   << s.error().to_string());
     }
   }
-  if (last_replay_.writes_applied > 0 || last_replay_.truncated_bytes > 0) {
-    HVAC_LOG_INFO("journal replay: "
-                  << last_replay_.writes_applied << " writes ("
-                  << last_replay_.bytes_applied << " bytes), "
-                  << last_replay_.dirty_paths.size() << " dirty, "
-                  << last_replay_.truncated_bytes << " torn bytes cut");
+  if (!last_replay_.dirty.empty() || last_replay_.truncated_bytes > 0) {
+    HVAC_LOG_INFO("journal replay: " << last_replay_.dirty.size()
+                                     << " dirty files ("
+                                     << replay_requeued_bytes_
+                                     << " committed bytes), "
+                                     << last_replay_.truncated_bytes
+                                     << " torn bytes cut");
   }
   return Status::Ok();
 }
@@ -240,12 +239,21 @@ void HvacServer::stop() {
   collector_cv_.notify_all();
   if (collector_.joinable()) collector_.join();
   rpc_.stop();
-  // Give dirty checkpoints a bounded chance to reach the PFS; what
-  // does not drain stays in the journal (write records carry the
-  // bytes, so purging the local copies below loses nothing — replay
-  // reconstructs them on the next start).
+  // Give dirty checkpoints a bounded chance to reach the PFS: a file
+  // is copied at its close, so one whose handle was never closed is
+  // queued here. What does not drain stays in the journal and in the
+  // named files, which the purge below then keeps for the next
+  // start's replay.
   bool drained = true;
   if (flusher_) {
+    std::vector<std::string> dirty;
+    {
+      std::lock_guard<std::mutex> lock(write_state_mutex_);
+      for (const auto& entry : dirty_bytes_by_path_) {
+        dirty.push_back(entry.first);
+      }
+    }
+    for (const std::string& path : dirty) (void)flusher_->submit(path);
     drained = flusher_->drain(5000).ok();
     if (!drained) {
       HVAC_LOG_WARN("flush drain timed out; journal covers the rest");
@@ -280,11 +288,9 @@ void HvacServer::stop() {
   }
   // Cache lifetime is coupled to the server (job) lifetime: purge the
   // node-local store on teardown (paper §III-D) — unless dirty
-  // write-back data failed to drain. After a checkpoint_reset the
-  // journal only covers the latest burst of writes, so the next
-  // start's replay needs the surviving local copies to reconstruct
-  // complete files; purging here would make the resumed flush rename
-  // a holey reconstruction over the complete PFS copy.
+  // write-back data failed to drain. The named files hold those
+  // bytes and the journal only their sizes, so the next start's
+  // replay needs them.
   if (cache_) {
     if (drained && !dirty_left) {
       cache_->purge();
@@ -384,9 +390,9 @@ void HvacServer::register_handlers() {
     core::ScopedLatencyTimer t(latency_, proto::kPackedIndex);
     return handle_packed_index(req);
   }, rpc::DispatchHint::kInline);
-  // Write path: every op can touch the journal's fdatasync or wait on
-  // the flusher, so all four stay pooled.
-  rpc_.register_handler(proto::kWriteOpen, [this](const Bytes& req) {
+  // Write path: every op can touch a fdatasync, a prefill from the
+  // PFS or a flusher wait, so all four stay pooled.
+  rpc_.register_payload_handler(proto::kWriteOpen, [this](const Bytes& req) {
     core::ScopedLatencyTimer t(latency_, proto::kWriteOpen);
     return handle_write_open(req);
   });
@@ -910,13 +916,17 @@ Result<std::shared_ptr<HvacServer::WriteHandle>> HvacServer::find_write_fd(
   return it->second;
 }
 
-Result<Bytes> HvacServer::handle_write_open(const Bytes& req) {
+Result<rpc::Payload> HvacServer::handle_write_open(const Bytes& req) {
   if (!journal_) {
     return Error(ErrorCode::kUnavailable, "write path disabled");
   }
   WireReader r(req);
   HVAC_ASSIGN_OR_RETURN(std::string path, r.get_string());
   HVAC_ASSIGN_OR_RETURN(uint8_t trunc, r.get_u8());
+  uint8_t takes_fd = 0;
+  if (!r.exhausted()) {
+    HVAC_ASSIGN_OR_RETURN(takes_fd, r.get_u8());
+  }
 
   auto h = std::make_shared<WriteHandle>();
   h->logical_path = path;
@@ -938,25 +948,30 @@ Result<Bytes> HvacServer::handle_write_open(const Bytes& req) {
         [&](storage::PosixFile& out) { return cache_->prefill(path, out); });
   };
   auto f = open_backing();
+  rpc::Fd passed;
   if (f.ok()) {
     h->file = std::move(f).value();
     h->mode = proto::kWriteBack;
     if (trunc) {
-      // open_write() emptied the file and its entry.
+      // open_write() emptied the file and its entry. The emptying is
+      // the next barrier's to commit, and the file's one PFS copy is
+      // made at close. The record keeps a replay from trimming what
+      // this writer puts in the file back to an older committed size.
       std::lock_guard<std::mutex> lock(write_state_mutex_);
       HVAC_RETURN_IF_ERROR(journal_->append_truncate(path));
-      h->size = 0;
-      // The truncation itself must reach the PFS.
       last_write_seq_[path] = ++write_seq_counter_;
-      dirty_bytes_by_path_[path];
+      h->unsynced = true;
     } else {
       HVAC_ASSIGN_OR_RETURN(h->size, h->file.size());
     }
-    if (trunc) {
-      Status s = flusher_->submit(path);
-      if (!s.ok()) {
-        HVAC_LOG_WARN("flush submit failed: " << s.error().to_string());
-      }
+    if (takes_fd != 0 && rpc::peer_takes_fds()) {
+      // Never the server's own O_RDWR fd: a fresh write-only open,
+      // closed here once the frame is sent.
+      HVAC_ASSIGN_OR_RETURN(
+          storage::PosixFile wronly,
+          storage::PosixFile::open_write_only(
+              cache_->store().physical_path(path)));
+      passed = rpc::Fd(wronly.release());
     }
   } else if (f.error().code == ErrorCode::kCapacity) {
     // Local NVMe full before the first byte: write through to the PFS
@@ -978,23 +993,26 @@ Result<Bytes> HvacServer::handle_write_open(const Bytes& req) {
   WireWriter w;
   w.put_u64(remote_fd);
   w.put_u8(static_cast<uint8_t>(h->mode));
-  return std::move(w).take();
+  rpc::Payload reply(std::move(w).take());
+  if (passed.valid()) {
+    reply.set_fd(std::move(passed));
+    rpc::ZeroCopyCounters::global().fd_passes.fetch_add(
+        1, std::memory_order_relaxed);
+  }
+  return reply;
 }
 
 Status HvacServer::shed_to_write_through(WriteHandle& h) {
   write_through_sheds_.fetch_add(1, std::memory_order_relaxed);
-  bool dirty = false;
-  {
-    std::lock_guard<std::mutex> lock(write_state_mutex_);
-    dirty = dirty_bytes_by_path_.count(h.logical_path) > 0;
-  }
-  if (dirty) {
-    // Land the locally-written prefix on the PFS first, then open the
-    // (renamed-into-place) PFS file and continue there.
-    HVAC_RETURN_IF_ERROR(flusher_->submit(h.logical_path));
-    HVAC_RETURN_IF_ERROR(flusher_->wait(h.logical_path));
-  }
+  // Land the locally written prefix on the PFS first, committed or
+  // not (a passed-fd writer's bytes reach the server only at its
+  // barrier), then drop the local copy, which would go stale, and
+  // continue on the (renamed-into-place) PFS file.
+  HVAC_RETURN_IF_ERROR(flusher_->submit(h.logical_path));
+  HVAC_RETURN_IF_ERROR(flusher_->wait(h.logical_path));
+  (void)cache_->store().evict(h.logical_path);
   HVAC_ASSIGN_OR_RETURN(h.pfs_file, pfs_->open_write(h.logical_path, false));
+  h.file = storage::PosixFile();
   h.mode = proto::kWriteThrough;
   return Status::Ok();
 }
@@ -1012,9 +1030,8 @@ Result<Bytes> HvacServer::handle_write(const Bytes& req) {
   std::lock_guard<std::mutex> handle_lock(h->mutex);
 
   if (h->mode == proto::kWriteBack) {
-    // Capacity gate (and fault site) before any state changes, so an
-    // ENOSPC write sheds without leaving a journal record for bytes
-    // that end up on the PFS instead.
+    // Capacity gate (and fault site) before the bytes land, so an
+    // ENOSPC write sheds and lands on the PFS instead.
     Status gate = [&]() -> Status {
       HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kStoreWrite));
       const uint64_t new_size =
@@ -1034,15 +1051,13 @@ Result<Bytes> HvacServer::handle_write(const Bytes& req) {
 
   size_t n = 0;
   if (h->mode == proto::kWriteBack) {
-    trace::Span span("server.journal", blob.size);
-    std::lock_guard<std::mutex> lock(write_state_mutex_);
-    HVAC_RETURN_IF_ERROR(journal_->append_write(h->logical_path, offset,
-                                                blob.data, blob.size));
     HVAC_ASSIGN_OR_RETURN(n, h->file.pwrite(blob.data, blob.size, offset));
+    h->unsynced = true;
+    local_write_bytes_.fetch_add(n, std::memory_order_relaxed);
     // Seq bump after the pwrite: a flusher snapshot taken from here on
     // is guaranteed to copy these bytes.
+    std::lock_guard<std::mutex> lock(write_state_mutex_);
     last_write_seq_[h->logical_path] = ++write_seq_counter_;
-    dirty_bytes_by_path_[h->logical_path] += n;
   } else {
     HVAC_ASSIGN_OR_RETURN(
         n, pfs_->pwrite(h->pfs_file, blob.data, blob.size, offset));
@@ -1050,29 +1065,63 @@ Result<Bytes> HvacServer::handle_write(const Bytes& req) {
   }
   writes_.fetch_add(1, std::memory_order_relaxed);
   write_bytes_.fetch_add(n, std::memory_order_relaxed);
-  if (h->mode == proto::kWriteBack) {
-    Status s = flusher_->submit(h->logical_path);
-    if (!s.ok()) {
-      // Shutdown race: the journal still has the record; the next
-      // start()'s replay resubmits the path.
-      HVAC_LOG_WARN("flush submit failed: " << s.error().to_string());
-    }
-  }
 
   WireWriter w;
   w.put_u32(static_cast<uint32_t>(n));
   return std::move(w).take();
 }
 
-Status HvacServer::sync_handle(WriteHandle& h, uint8_t level) {
+Result<HvacServer::BarrierRequest> HvacServer::parse_barrier(
+    const Bytes& req) {
+  WireReader r(req);
+  BarrierRequest b;
+  HVAC_ASSIGN_OR_RETURN(b.remote_fd, r.get_u64());
+  HVAC_ASSIGN_OR_RETURN(b.level, r.get_u8());
+  if (!r.exhausted()) {
+    HVAC_ASSIGN_OR_RETURN(b.fd_bytes, r.get_u64());
+  }
+  return b;
+}
+
+Status HvacServer::sync_handle(WriteHandle& h, const BarrierRequest& b) {
   fsyncs_.fetch_add(1, std::memory_order_relaxed);
   if (h.mode == proto::kWriteThrough) {
     return h.pfs_file.sync();
   }
-  // The durability barrier: once the commit record is on local media
-  // a kill -9 cannot lose anything acked before it.
-  HVAC_RETURN_IF_ERROR(journal_->commit());
-  if (level == proto::kDurabilityPfs) {
+  if (b.fd_bytes > 0) {
+    h.unsynced = true;
+    local_write_bytes_.fetch_add(b.fd_bytes, std::memory_order_relaxed);
+  }
+  if (h.unsynced) {
+    // Ordered write-back: the bytes are on local media before the
+    // record that commits them, so neither a kill -9 nor a power loss
+    // can leave a committed size over bytes that never landed.
+    {
+      trace::Span span("server.data_sync");
+      HVAC_RETURN_IF_ERROR(h.file.datasync());
+    }
+    HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kWriteBarrier));
+    HVAC_ASSIGN_OR_RETURN(uint64_t size, h.file.size());
+    if (size > h.size) {
+      Status charged = cache_->store().update_size(h.logical_path, size);
+      if (!charged.ok()) {
+        if (charged.error().code != ErrorCode::kCapacity) return charged;
+        HVAC_RETURN_IF_ERROR(shed_to_write_through(h));
+        return charged;
+      }
+    }
+    h.size = size;
+    {
+      std::lock_guard<std::mutex> lock(write_state_mutex_);
+      HVAC_RETURN_IF_ERROR(journal_->append_size(h.logical_path, size));
+      last_write_seq_[h.logical_path] = ++write_seq_counter_;
+      dirty_bytes_by_path_[h.logical_path] = size;
+    }
+    trace::Span span("server.journal_sync");
+    HVAC_RETURN_IF_ERROR(journal_->commit());
+    h.unsynced = false;
+  }
+  if (b.level == proto::kDurabilityPfs) {
     HVAC_RETURN_IF_ERROR(flusher_->submit(h.logical_path));
     HVAC_RETURN_IF_ERROR(flusher_->wait(h.logical_path));
   }
@@ -1080,34 +1129,49 @@ Status HvacServer::sync_handle(WriteHandle& h, uint8_t level) {
 }
 
 Result<Bytes> HvacServer::handle_fsync(const Bytes& req) {
-  WireReader r(req);
-  HVAC_ASSIGN_OR_RETURN(uint64_t remote_fd, r.get_u64());
-  HVAC_ASSIGN_OR_RETURN(uint8_t level, r.get_u8());
+  HVAC_ASSIGN_OR_RETURN(BarrierRequest b, parse_barrier(req));
   HVAC_ASSIGN_OR_RETURN(std::shared_ptr<WriteHandle> h,
-                        find_write_fd(remote_fd));
+                        find_write_fd(b.remote_fd));
   std::lock_guard<std::mutex> lock(h->mutex);
-  HVAC_RETURN_IF_ERROR(sync_handle(*h, level));
+  HVAC_RETURN_IF_ERROR(sync_handle(*h, b));
   return Bytes{};
 }
 
 Result<Bytes> HvacServer::handle_write_close(const Bytes& req) {
-  WireReader r(req);
-  HVAC_ASSIGN_OR_RETURN(uint64_t remote_fd, r.get_u64());
-  HVAC_ASSIGN_OR_RETURN(uint8_t level, r.get_u8());
+  HVAC_ASSIGN_OR_RETURN(BarrierRequest b, parse_barrier(req));
   HVAC_ASSIGN_OR_RETURN(std::shared_ptr<WriteHandle> h,
-                        find_write_fd(remote_fd));
+                        find_write_fd(b.remote_fd));
   Status synced;
   {
     std::lock_guard<std::mutex> lock(h->mutex);
-    synced = sync_handle(*h, level);
+    synced = sync_handle(*h, b);
+    if (!synced.ok() && synced.error().code == ErrorCode::kCapacity) {
+      // Shed at the last barrier: every byte is in the PFS file now,
+      // which only needs its own sync.
+      synced = sync_handle(*h, b);
+    }
   }
   // Drop the handle even when the barrier failed: the client erases
   // its vfd before this RPC, so a kept handle (and its open files)
-  // would just leak until shutdown. The journal still holds every
-  // acked byte, so nothing is lost by letting go.
+  // would just leak until shutdown. What an earlier barrier committed
+  // is in the journal, so nothing acked is lost by letting go.
   {
     std::lock_guard<std::mutex> lock(write_fds_mutex_);
-    write_fds_.erase(remote_fd);
+    write_fds_.erase(b.remote_fd);
+  }
+  // The file's one PFS copy (a pfs-level barrier has made it already).
+  bool dirty = false;
+  {
+    std::lock_guard<std::mutex> lock(write_state_mutex_);
+    dirty = dirty_bytes_by_path_.count(h->logical_path) > 0;
+  }
+  if (dirty) {
+    Status s = flusher_->submit(h->logical_path);
+    if (!s.ok()) {
+      // Shutdown race: the journal has the committed size; the next
+      // start()'s replay resubmits the path.
+      HVAC_LOG_WARN("flush submit failed: " << s.error().to_string());
+    }
   }
   if (!synced.ok()) return synced.error();
   return Bytes{};
@@ -1241,6 +1305,7 @@ core::MetricsFrame HvacServer::metrics_frame() const {
   f.write_back.fsyncs = load(fsyncs_);
   f.write_back.write_through_sheds = load(write_through_sheds_);
   f.write_back.write_through_bytes = load(write_through_bytes_);
+  f.write_back.local_write_bytes = load(local_write_bytes_);
   {
     std::lock_guard<std::mutex> lock(write_state_mutex_);
     f.write_back.dirty_files = dirty_bytes_by_path_.size();
@@ -1261,10 +1326,10 @@ core::MetricsFrame HvacServer::metrics_frame() const {
     f.write_back.flush_inflight = fs.inflight;
     f.write_back.flush_lag_ms = fs.oldest_dirty_ms;
   }
-  f.write_back.replay_writes = last_replay_.writes_applied;
-  f.write_back.replay_bytes = last_replay_.bytes_applied;
+  f.write_back.replay_writes = last_replay_.sizes_committed;
+  f.write_back.replay_bytes = replay_requeued_bytes_;
   f.write_back.replay_truncated_bytes = last_replay_.truncated_bytes;
-  f.write_back.replay_dirty_files = last_replay_.dirty_paths.size();
+  f.write_back.replay_dirty_files = last_replay_.dirty.size();
 
   // Clairvoyant prefetch (section 11): the scheduler counters are
   // nonzero when a client shares this process (the embedded/bench

@@ -58,13 +58,12 @@ struct HvacServerOptions {
   // HVAC_PACK=0. A corrupt index logs and disables packed resolution
   // rather than failing the server (the unpacked tree still serves).
   bool packed_enabled = true;
-  // Checkpoint write path. The write-ahead journal lives in
-  // `journal_dir` (default: HVAC_JOURNAL_DIR, else cache_dir) and is
-  // replayed on start(), so a kill -9 loses nothing past the last
-  // acked fsync. write_enabled = false skips journal/flusher setup
-  // (read-only deployments).
+  // Checkpoint write path. The journal lives in cache_dir, beside the
+  // named files whose committed sizes it records, and is replayed on
+  // start(), so a kill -9 loses nothing past the last acked fsync.
+  // write_enabled = false skips journal/flusher setup (read-only
+  // deployments).
   bool write_enabled = true;
-  std::string journal_dir;
   // Metrics time-series collector (core/timeseries.h): snapshot cadence
   // in ms (0 = off). The default comes from HVAC_TS_INTERVAL_MS (1000);
   // a negative sentinel here means "read the env". The ring keeps
@@ -126,14 +125,16 @@ class HvacServer {
     bool pfs_fallback = false;
   };
 
-  // One open checkpoint write handle. `mutex` serializes the
-  // journal-append → store-pwrite → dirty-accounting sequence per
-  // handle; distinct handles write concurrently.
+  // One open checkpoint write handle. `mutex` serializes its kWrites
+  // and barriers; distinct handles write concurrently.
   struct WriteHandle {
     std::string logical_path;
-    storage::PosixFile file;      // write-back: the store's backing file
+    storage::PosixFile file;      // write-back: the store's named file
     storage::PosixFile pfs_file;  // write-through: the PFS file itself
-    uint64_t size = 0;            // high-water mark for store accounting
+    uint64_t size = 0;            // bytes charged to the store budget
+    // Written or truncated since the last barrier: the next one has
+    // something to commit.
+    bool unsynced = false;
     proto::WriteMode mode = proto::kWriteBack;
     std::mutex mutex;
   };
@@ -175,20 +176,31 @@ class HvacServer {
 
   // Checkpoint write path (ROADMAP "write path"; paper §III-F lists
   // checkpoint writes as HVAC's other I/O class).
-  Result<rpc::Bytes> handle_write_open(const rpc::Bytes& req);
+  Result<rpc::Payload> handle_write_open(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_write(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_fsync(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_write_close(const rpc::Bytes& req);
 
   Result<std::shared_ptr<WriteHandle>> find_write_fd(uint64_t remote_fd);
-  // Shared fsync(level) semantics behind kFsync and kWriteClose.
-  Status sync_handle(WriteHandle& h, uint8_t level);
+  // A parsed kFsync / kWriteClose request.
+  struct BarrierRequest {
+    uint64_t remote_fd = 0;
+    uint8_t level = proto::kDurabilityLocal;
+    uint64_t fd_bytes = 0;  // pwritten through the passed fd since the
+                            // client's last barrier
+  };
+  static Result<BarrierRequest> parse_barrier(const rpc::Bytes& req);
+  // Shared fsync(level) semantics behind kFsync and kWriteClose: the
+  // ordered barrier (hvac_proto.h kFsync). kCapacity when the file
+  // outgrew the store: the handle is write-through on return.
+  Status sync_handle(WriteHandle& h, const BarrierRequest& b);
   // Journal replay + dirty-path resubmission, called from start().
   Status recover_journal();
   // Flusher completion: journal kFlushed record, dirty-byte
   // accounting, checkpoint-reset when everything drained.
   void on_flushed(const std::string& logical_path);
-  // Demotes a write-back handle to write-through after ENOSPC.
+  // Demotes a write-back handle to write-through after ENOSPC: its
+  // named file goes to the PFS first, so the prefix is kept.
   Status shed_to_write_through(WriteHandle& h);
 
   // Packed resolution for prefetch/open/stat/read paths: when `path`
@@ -273,7 +285,7 @@ class HvacServer {
   std::unordered_map<uint64_t, std::shared_ptr<OpenFile>> open_fds_;
   std::atomic<uint64_t> next_remote_fd_{1};
 
-  // Write path. `write_state_mutex_` makes journal-append +
+  // Write path. `write_state_mutex_` makes a barrier's size record +
   // dirty-accounting atomic against the flusher's kFlushed records,
   // and gates checkpoint_reset on the dirty map being empty.
   std::unique_ptr<storage::WriteJournal> journal_;
@@ -281,21 +293,25 @@ class HvacServer {
   std::mutex write_fds_mutex_;
   std::unordered_map<uint64_t, std::shared_ptr<WriteHandle>> write_fds_;
   mutable std::mutex write_state_mutex_;
+  // Committed bytes per path that the PFS does not hold yet.
   std::unordered_map<std::string, uint64_t> dirty_bytes_by_path_;
-  // Closes the copy-vs-late-write race: a write bumps its path's seq
-  // *after* its pwrite (same critical section), the flusher snapshots
-  // the seq before copying, and on_flushed only records kFlushed when
-  // the seq is unchanged — otherwise the copy may predate the write
-  // and the path is resubmitted instead of marked clean.
+  // Closes the copy-vs-late-write race: a kWrite, a truncating open
+  // and a barrier bump the path's seq *after* touching the file, the
+  // flusher snapshots the seq before copying, and on_flushed only
+  // records kFlushed when the seq is unchanged — otherwise the copy
+  // may predate the change and the path is resubmitted instead of
+  // marked clean.
   std::unordered_map<std::string, uint64_t> last_write_seq_;
   std::unordered_map<std::string, uint64_t> flush_snapshot_seq_;
   uint64_t write_seq_counter_ = 0;
   storage::JournalReplayStats last_replay_;
+  uint64_t replay_requeued_bytes_ = 0;
   std::atomic<uint64_t> writes_{0};
   std::atomic<uint64_t> write_bytes_{0};
   std::atomic<uint64_t> fsyncs_{0};
   std::atomic<uint64_t> write_through_sheds_{0};
   std::atomic<uint64_t> write_through_bytes_{0};
+  std::atomic<uint64_t> local_write_bytes_{0};
 
   // Per-op handler-execution latency (queueing and network excluded),
   // bumped lock-free from the handler threads.

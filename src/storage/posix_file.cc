@@ -41,6 +41,12 @@ Result<PosixFile> PosixFile::open_rw(const std::string& path) {
   return PosixFile(fd);
 }
 
+Result<PosixFile> PosixFile::open_write_only(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+  if (fd < 0) return Error::from_errno(errno, "open_write_only " + path);
+  return PosixFile(fd);
+}
+
 Result<size_t> PosixFile::read(void* buf, size_t count) {
   for (;;) {
     const ssize_t n = ::read(fd_, buf, count);

@@ -36,6 +36,9 @@ class PosixFile {
   // files across restarts and must not lose what a crashed process
   // already persisted.
   static Result<PosixFile> open_rw(const std::string& path);
+  // O_WRONLY open of an existing file, no truncation: the fd a local
+  // checkpoint writer is handed (DESIGN.md §21).
+  static Result<PosixFile> open_write_only(const std::string& path);
 
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }

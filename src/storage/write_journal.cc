@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstring>
-#include <unordered_set>
 
 #include "common/fault_injection.h"
 
@@ -10,10 +9,10 @@ namespace hvac::storage {
 
 namespace {
 
-// A record body is [u8 type][u64 seq] plus at most a path, an offset,
-// a length prefix and one client-chunked data blob (<= 4 MiB on the
-// wire). Anything claiming to be bigger is corruption, not data —
-// replay treats it like a CRC failure and truncates.
+// A record body is [u8 type][u64 seq] plus at most a path and a size
+// (a retired kWrite also held one <= 4 MiB payload). Anything claiming
+// to be bigger is corruption, not data — replay treats it like a CRC
+// failure and truncates.
 constexpr uint32_t kMaxBody = (8u << 20);
 constexpr size_t kFrameHeader = 8;  // u32 len + u32 crc
 
@@ -174,16 +173,20 @@ Status WriteJournal::append_record(std::vector<uint8_t>& head,
   return Status::Ok();
 }
 
-Status WriteJournal::append_write(const std::string& logical_path,
-                                  uint64_t offset, const void* data,
-                                  size_t size) {
-  std::vector<uint8_t> head = record_head(
-      JournalRecordType::kWrite, 4 + logical_path.size() + 8 + 4);
+Status WriteJournal::append_size(const std::string& logical_path,
+                                 uint64_t size) {
+  std::vector<uint8_t> head =
+      record_head(JournalRecordType::kSize, 4 + logical_path.size() + 8);
   put_string(head, logical_path);
-  put_u64(head, offset);
-  put_u32(head, static_cast<uint32_t>(size));
+  put_u64(head, size);
   std::lock_guard<std::mutex> lock(mutex_);
-  return append_record(head, data, size);
+  return append_record(head, nullptr, 0);
+}
+
+Status WriteJournal::append_write(const std::string& logical_path,
+                                  uint64_t offset, const void* /*data*/,
+                                  size_t size) {
+  return append_size(logical_path, offset + size);
 }
 
 Status WriteJournal::append_path_record(JournalRecordType type,
@@ -217,14 +220,13 @@ Status WriteJournal::commit() {
   return Status::Ok();
 }
 
-Result<JournalReplayStats> WriteJournal::replay(const ApplyFn& apply,
-                                                const TruncateFn& truncate) {
+Result<JournalReplayStats> WriteJournal::replay() {
   std::lock_guard<std::mutex> lock(mutex_);
   JournalReplayStats stats;
 
   // Snapshot the log. Reading it whole is fine: the journal is
-  // checkpoint-reset whenever all dirty paths drain, so its size is
-  // bounded by one burst of unflushed writes.
+  // checkpoint-reset whenever all dirty paths drain, and its records
+  // are a few dozen bytes each.
   std::vector<uint8_t> log;
   log.resize(end_);
   size_t got = 0;
@@ -236,10 +238,11 @@ Result<JournalReplayStats> WriteJournal::replay(const ApplyFn& apply,
   }
   log.resize(got);
 
-  // Last-writer-wins per path: a kWrite marks it dirty, a kFlushed
-  // with a later seq clears it.
-  std::unordered_set<std::string> dirty;
+  // Sizes appended since the last kCommit: committed only once one
+  // follows, so a barrier cut before its marker presents nothing.
+  std::map<std::string, uint64_t> pending;
   uint64_t max_seq = 0;
+  uint64_t records = 0;
 
   size_t pos = 0;
   size_t valid_end = 0;
@@ -257,54 +260,47 @@ Result<JournalReplayStats> WriteJournal::replay(const ApplyFn& apply,
     Cursor c{body, len};
     const auto type = static_cast<JournalRecordType>(c.u8());
     const uint64_t seq = c.u64();
-    bool parsed = true;
+    std::string path;
+    uint64_t size = 0;
     switch (type) {
-      case JournalRecordType::kWrite: {
-        const std::string path = c.str();
-        const uint64_t offset = c.u64();
-        const uint32_t data_len = c.u32();
-        if (c.bad || c.left < data_len) {
-          parsed = false;
-          break;
-        }
-        HVAC_RETURN_IF_ERROR(apply(path, offset, c.p, data_len));
-        ++stats.writes_applied;
-        stats.bytes_applied += data_len;
-        dirty.insert(path);
+      case JournalRecordType::kSize:
+        path = c.str();
+        size = c.u64();
+        if (!c.bad) pending[path] = size;
         break;
-      }
       case JournalRecordType::kCommit:
-        parsed = !c.bad;
-        if (parsed) ++stats.commits_seen;
+        if (c.bad) break;
+        ++stats.commits_seen;
+        stats.sizes_committed += pending.size();
+        for (auto& [p, s] : pending) stats.dirty[p] = s;
+        pending.clear();
         break;
-      case JournalRecordType::kFlushed: {
-        const std::string path = c.str();
-        parsed = !c.bad;
-        if (parsed) {
-          ++stats.flushes_seen;
-          dirty.erase(path);
-        }
+      case JournalRecordType::kFlushed:
+        path = c.str();
+        if (c.bad) break;
+        ++stats.flushes_seen;
+        stats.dirty.erase(path);
         break;
-      }
-      case JournalRecordType::kTruncate: {
-        const std::string path = c.str();
-        parsed = !c.bad;
-        if (parsed) {
-          ++stats.truncates_seen;
-          if (truncate) {
-            HVAC_RETURN_IF_ERROR(truncate(path));
-            // Still dirty: the truncation itself must reach the PFS.
-            dirty.insert(path);
-          }
-        }
+      case JournalRecordType::kTruncate:
+        path = c.str();
+        if (c.bad) break;
+        ++stats.truncates_seen;
+        stats.dirty.erase(path);
+        pending.erase(path);
         break;
-      }
+      case JournalRecordType::kRetiredWrite:
+        if (c.bad) break;
+        return Error(ErrorCode::kInvalidArgument,
+                     path_ + " holds a retired kWrite payload record at "
+                             "offset " + std::to_string(pos) +
+                         ": replay it with the build that wrote it");
       default:
-        parsed = false;
+        c.bad = true;
         break;
     }
-    if (!parsed) break;  // framed correctly but body is garbage
+    if (c.bad) break;  // framed correctly but body is garbage
     max_seq = seq + 1 > max_seq ? seq + 1 : max_seq;
+    ++records;
     pos += kFrameHeader + len;
     valid_end = pos;
   }
@@ -316,9 +312,7 @@ Result<JournalReplayStats> WriteJournal::replay(const ApplyFn& apply,
     end_ = valid_end;
   }
   seq_ = max_seq;
-  records_ = stats.writes_applied + stats.commits_seen +
-             stats.flushes_seen + stats.truncates_seen;
-  stats.dirty_paths.assign(dirty.begin(), dirty.end());
+  records_ = records;
   return stats;
 }
 

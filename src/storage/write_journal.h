@@ -1,40 +1,43 @@
-// Crash-consistent write-ahead journal for the checkpoint write path.
+// Crash-consistent journal for the checkpoint write path.
 //
-// Every write the server acknowledges lands here *before* it touches
-// the write-back store, so a kill -9 at any instant loses nothing the
-// application was told is durable. The format is a flat append-only
-// log of length-prefixed, CRC-framed records:
+// The bytes of a checkpoint live in one place on the node: the store's
+// named file, written by the server's kWrite handler or by a local
+// writer through a passed fd. The journal holds no payload. It records,
+// per barrier, how many bytes of which file are committed, so a kill -9
+// or a power loss at any instant loses nothing the application was told
+// is durable. The format is a flat append-only log of length-prefixed,
+// CRC-framed records:
 //
 //   ┌────────┬────────┬──────────────────────────────┐
 //   │ u32 len│ u32 crc│ body (len bytes)             │  repeated
 //   └────────┴────────┴──────────────────────────────┘
 //   body := [u8 type][u64 seq][type-specific fields]
-//     kWrite   : [u32 path_len][path][u64 offset][u32 data_len][data]
+//     kSize    : [u32 path_len][path][u64 size]  (committed at the next
+//                                                 kCommit)
 //     kCommit  : (nothing — an fsync barrier marker)
 //     kFlushed : [u32 path_len][path]  (PFS now holds the bytes)
 //     kTruncate: [u32 path_len][path]  (file reset to empty)
 //
-// `crc` is CRC-32 (IEEE 802.3 polynomial) over the body. An append is
-// gathered, not copied: the frame header and the body up to the
-// payload (type, seq and the type's fields) are encoded into a small
-// head buffer, the CRC is chained over the head and then the caller's
-// bytes, and one exact pwritev at the end of the log stores both. The
-// bytes on disk are exactly the layout above, unchanged from when
-// records were assembled whole in memory, so older journals replay
-// as they are. Appends are buffered in the page cache; `commit()`
-// appends a kCommit marker and fdatasync()s — that is the durability
-// barrier behind the shim's fsync/fdatasync/close — and does nothing
-// when nothing was appended since the last successful barrier or
-// reset. On restart, `replay()` walks the log from the
-// start: complete CRC-valid records are re-applied idempotently
-// (pwrite of the same bytes at the same offset commutes with itself),
-// the first torn or CRC-bad record truncates the tail — by
-// construction everything after a torn record postdates the last
-// acked barrier, so cutting it breaks no promise.
+// Record type 1 held a write's payload; it is retired and its number is
+// never reused. A journal that holds one was written by an older build
+// whose acked bytes sit in that journal and nowhere else, so replay()
+// refuses it rather than drop them (DESIGN.md §21).
+//
+// `crc` is CRC-32 (IEEE 802.3 polynomial) over the body. The barrier
+// (the server's sync_handle) is ordered write-back, ext4's
+// data=ordered for one file: fdatasync the named file, then
+// append_size() + commit(), whose fdatasync makes the record durable
+// only once the bytes it covers are. `commit()` does nothing when
+// nothing was appended since the last successful barrier or reset. On
+// restart, `replay()` walks the log from the start and returns, per
+// path the PFS does not hold yet, its last committed size; the caller
+// trims the named file back to it, so no unacked tail is presented as
+// committed. The first torn or CRC-bad record truncates the tail — by
+// construction everything after it postdates the last acked barrier.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -52,24 +55,27 @@ uint32_t crc32(const void* data, size_t size);
 uint32_t crc32_update(uint32_t crc, const void* data, size_t size);
 
 enum class JournalRecordType : uint8_t {
-  kWrite = 1,
+  kRetiredWrite = 1,  // [path][u64 offset][u32 len][data]: replay refuses
   kCommit = 2,
   kFlushed = 3,
   kTruncate = 4,  // [path]: file reset to empty (O_TRUNC re-open)
+  kSize = 5,      // [path][u64 size]: committed by the next kCommit
 };
 
 // What replay() found and did — surfaced in the metrics frame and by
 // `hvacctl journal` as the last-replay summary.
 struct JournalReplayStats {
-  uint64_t writes_applied = 0;    // kWrite records re-applied
-  uint64_t bytes_applied = 0;     // payload bytes across those
+  uint64_t sizes_committed = 0;   // kSize records a kCommit covered
   uint64_t commits_seen = 0;
   uint64_t flushes_seen = 0;      // kFlushed records
   uint64_t truncates_seen = 0;    // kTruncate records
   uint64_t truncated_bytes = 0;   // torn/CRC-bad tail cut off
-  // Paths with a kWrite after their last kFlushed: still dirty, the
-  // caller re-enqueues them to the flusher.
-  std::vector<std::string> dirty_paths;
+  // Paths whose last committed size the PFS does not hold yet, with
+  // that size: the caller trims each named file to it and re-enqueues
+  // the path to the flusher. A kFlushed clears a path; so does a
+  // kTruncate, since the application itself discarded those bytes and
+  // the PFS keeps its older copy.
+  std::map<std::string, uint64_t> dirty;
 };
 
 class WriteJournal {
@@ -81,6 +87,12 @@ class WriteJournal {
 
   // Appends one record. Not durable until commit(). Thread-safe.
   // Fault site: journal_append.
+  // `size` bytes of `logical_path`'s file are committed once the next
+  // kCommit is durable.
+  Status append_size(const std::string& logical_path, uint64_t size);
+  // The extent form of append_size, for callers that journal each
+  // write: records offset + size. `data` is not stored — the bytes
+  // live in the file the record names.
   Status append_write(const std::string& logical_path, uint64_t offset,
                       const void* data, size_t size);
   Status append_flushed(const std::string& logical_path);
@@ -96,17 +108,12 @@ class WriteJournal {
   // marker), journal_fsync (the sync).
   Status commit();
 
-  // Re-applies the log through `apply` (called for each kWrite record;
-  // it must be idempotent), truncating any torn/CRC-bad tail. A bad
-  // tail is NOT an error — recovery proceeds with everything before
-  // it. Call once, before the first append of this incarnation.
-  using ApplyFn = std::function<Status(
-      const std::string& logical_path, uint64_t offset, const void* data,
-      size_t size)>;
-  // Called for kTruncate records; null = ignore them.
-  using TruncateFn = std::function<Status(const std::string& logical_path)>;
-  Result<JournalReplayStats> replay(const ApplyFn& apply,
-                                    const TruncateFn& truncate = nullptr);
+  // Walks the log and returns what it commits (see JournalReplayStats),
+  // truncating any torn/CRC-bad tail. A bad tail is NOT an error —
+  // recovery proceeds with everything before it. A retired kWrite
+  // record is: kInvalidArgument, and the log is left as it is. Call
+  // once, before the first append of this incarnation.
+  Result<JournalReplayStats> replay();
 
   // Truncates the log to empty — valid only when every dirty path has
   // been flushed to the PFS (the caller's bookkeeping proves it).

@@ -86,6 +86,7 @@ inline core::MetricsFrame frame(uint64_t base = 0, uint64_t step = 1) {
   for (auto& row : f.reactor.reactors) row.local_conns = n();
   f.zerocopy.fd_passes = n();
   f.zerocopy.fd_pass_bytes = n();
+  f.write_back.local_write_bytes = n();
   return f;
 }
 

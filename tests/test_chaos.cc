@@ -39,6 +39,17 @@ std::string temp_dir(const std::string& name) {
   return dir;
 }
 
+// `node`'s endpoints as localhost:PORT, which names no node-local
+// alias: the client stays on TCP, so a warm read is an RPC the server
+// answers with sendfile, not a pread on a held slab fd (DESIGN.md §20).
+std::vector<std::string> tcp_endpoints(const server::NodeRuntime& node) {
+  std::vector<std::string> out;
+  for (const std::string& e : node.endpoints()) {
+    out.push_back("localhost:" + e.substr(e.rfind(':') + 1));
+  }
+  return out;
+}
+
 int64_t now_us() { return rpc::steady_now_us(); }
 
 // ---- fault-injection harness ----------------------------------------------
@@ -484,7 +495,8 @@ TEST(Chaos, KillOneOfTwoServersMidEpoch) {
 
   client::HvacClientOptions co;
   co.dataset_dir = pfs_root;
-  co.server_endpoints = node.endpoints();
+  // Over TCP every warm read is an RPC, so the dead server is found.
+  co.server_endpoints = tcp_endpoints(node);
   co.readahead_chunks = 0;  // keep the latency profile single-path
   co.rpc.connect_timeout_ms = 1000;
   co.rpc.recv_timeout_ms = 1000;
@@ -633,7 +645,7 @@ TEST(Chaos, ZeroCopyShortTransfersStayByteExact) {
 
   client::HvacClientOptions co;
   co.dataset_dir = pfs_root;
-  co.server_endpoints = node.endpoints();
+  co.server_endpoints = tcp_endpoints(node);
   client::HvacClient client(co);
 
   std::vector<uint8_t> data(expected.size());
@@ -678,7 +690,7 @@ TEST(Chaos, ZeroCopySendFailureMidTransferFailsOverByteExact) {
 
   client::HvacClientOptions co;
   co.dataset_dir = pfs_root;
-  co.server_endpoints = node.endpoints();
+  co.server_endpoints = tcp_endpoints(node);
   co.readahead_chunks = 0;  // one RPC per chunk: deterministic fault hits
   co.rpc.connect_timeout_ms = 1000;
   co.rpc.recv_timeout_ms = 1000;

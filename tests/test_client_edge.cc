@@ -541,12 +541,18 @@ uint64_t total_rpcs(const server::NodeRuntime& node) {
   return n;
 }
 
-// A re-open answered by the meta cache carries no bytes, so its first
-// read fetches the whole small file in one kReadScatter; every later
-// read — a pread mid-file, then lseek(0) and a full re-read — is local.
+// Over TCP a re-open answered by the meta cache carries no bytes, so
+// its first read fetches the whole small file in one kReadScatter;
+// every later read — a pread mid-file, then lseek(0) and a full
+// re-read — is local. (Over the alias it reads the slab the first open
+// passed: InterceptTest.MetaCacheReopenReadsTheHeldSlab.)
 TEST(InlineOpen, MetaCacheReopenFetchesWholeFileOnce) {
   InlineRig rig;
-  auto o = rig.options(rig.node_->endpoints());
+  std::vector<std::string> tcp;
+  for (const std::string& e : rig.node_->endpoints()) {
+    tcp.push_back("localhost:" + e.substr(e.rfind(':') + 1));
+  }
+  auto o = rig.options(tcp);
   o.meta_ttl_ms = 60'000;
   HvacClient client(o);
   const std::string path = rig.pfs_root_ + "/" + rig.rel_;

@@ -264,6 +264,32 @@ uint64_t op_count(const server::NodeRuntime& node, uint16_t op) {
   return it == lat.end() ? 0 : it->second.count;
 }
 
+// A re-open answered by the meta cache reads the slab its first open
+// passed, by pread: each file opened twice is 2 of 2 slab opens, and
+// no read goes by RPC.
+TEST_F(InterceptTest, MetaCacheReopenReadsTheHeldSlab) {
+  std::vector<std::string> args = abs_paths();
+  const std::vector<std::string> again = abs_paths();
+  args.insert(args.end(), again.begin(), again.end());
+  const std::string stats = temp_dir("reopen_stats") + "/stats.json";
+  const uint64_t scatters = op_count(*node_, proto::kReadScatter);
+  const std::string out =
+      run_target(args, pfs_root_, node_->endpoints_csv(), true, false,
+                 "HVAC_STATS_FILE=" + stats);
+  EXPECT_EQ(out, expected_output() + expected_output());
+  std::ifstream in(stats);
+  std::stringstream json;
+  json << in.rdbuf();
+  const std::string n = std::to_string(args.size());
+  EXPECT_NE(json.str().find("\"passed_fd_opens\":" + n), std::string::npos)
+      << json.str();
+  EXPECT_NE(json.str().find("\"meta_cache\":{\"hits\":" +
+                            std::to_string(again.size())),
+            std::string::npos)
+      << json.str();
+  EXPECT_EQ(op_count(*node_, proto::kReadScatter), scatters);
+}
+
 // A warm sample of at most proto::kMaxInlineBytes costs one round
 // trip: the stateless kOpen returns its bytes, EOF is known from the
 // size, and close is local.

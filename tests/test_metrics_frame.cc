@@ -410,29 +410,29 @@ const char* const kGoldenWire =
     "0200060031000000000000003200000000000000330000000000000034000000"
     "000000003500000000000000e100000000000000360000000000000037000000"
     "00000000380000000000000039000000000000003a00000000000000e2000000"
-    "000000000a00980000003b000000000000003c000000000000003d0000000000"
+    "000000000a00a00000003b000000000000003c000000000000003d0000000000"
     "00003e000000000000003f000000000000004000000000000000410000000000"
     "0000420000000000000043000000000000004400000000000000450000000000"
     "0000460000000000000047000000000000004800000000000000490000000000"
     "00004a000000000000004b000000000000004c000000000000004d0000000000"
-    "00000b009a0100004e000000000000004f000000000000005000000000000000"
-    "5100000000000000520000000000000053000000000000005400000000000000"
-    "550000000000000000000000000000007c100000000000007e00000000000000"
-    "2800560000000000000057000000000000005800000000000000590000000000"
-    "00005a000000000000005b000000000000005c000000000000005d0000000000"
-    "00005e000000000000005f000000000000006000000000000000610000000000"
-    "0000620000000000000063000000000000006400000000000000650000000000"
-    "0000660000000000000067000000000000006800000000000000690000000000"
-    "00006a000000000000006b000000000000006c000000000000006d0000000000"
-    "00006e000000000000006f000000000000007000000000000000710000000000"
-    "0000720000000000000073000000000000007400000000000000750000000000"
-    "0000760000000000000077000000000000007800000000000000790000000000"
-    "00007a000000000000007b000000000000007c000000000000007d0000000000"
-    "00000c0084000000020008007f00000000000000800000000000000081000000"
-    "0000000082000000000000008300000000000000840000000000000085000000"
-    "0000000086000000000000008700000000000000880000000000000089000000"
-    "000000008a000000000000008b000000000000008c000000000000008d000000"
-    "000000008e00000000000000";
+    "0000e5000000000000000b009a0100004e000000000000004f00000000000000"
+    "5000000000000000510000000000000052000000000000005300000000000000"
+    "5400000000000000550000000000000000000000000000007c10000000000000"
+    "7e00000000000000280056000000000000005700000000000000580000000000"
+    "000059000000000000005a000000000000005b000000000000005c0000000000"
+    "00005d000000000000005e000000000000005f00000000000000600000000000"
+    "0000610000000000000062000000000000006300000000000000640000000000"
+    "0000650000000000000066000000000000006700000000000000680000000000"
+    "000069000000000000006a000000000000006b000000000000006c0000000000"
+    "00006d000000000000006e000000000000006f00000000000000700000000000"
+    "0000710000000000000072000000000000007300000000000000740000000000"
+    "0000750000000000000076000000000000007700000000000000780000000000"
+    "000079000000000000007a000000000000007b000000000000007c0000000000"
+    "00007d000000000000000c0084000000020008007f0000000000000080000000"
+    "0000000081000000000000008200000000000000830000000000000084000000"
+    "0000000085000000000000008600000000000000870000000000000088000000"
+    "0000000089000000000000008a000000000000008b000000000000008c000000"
+    "000000008d000000000000008e00000000000000";
 
 const char* const kGoldenJson =
     "{\"version\":2,\"cache\":{\"hits\":1,\"misses\":2,\"hit_rate\":0.333333"
@@ -460,7 +460,8 @@ const char* const kGoldenJson =
     ",\"flush_retries\":67,\"flush_failures\":68,\"flush_queue_depth\":69"
     ",\"flush_inflight\":70,\"flush_lag_ms\":71,\"write_through_sheds\":72"
     ",\"write_through_bytes\":73,\"replay_writes\":74,\"replay_bytes\":75"
-    ",\"replay_truncated_bytes\":76,\"replay_dirty_files\":77}"
+    ",\"replay_truncated_bytes\":76,\"replay_dirty_files\":77"
+    ",\"local_write_bytes\":229}"
     ",\"prefetch\":{\"planned\":78,\"issued\":79,\"completed\":80,\"shed\":81"
     ",\"late\":82,\"hit_after_prefetch\":83,\"deduped\":84,\"dedup_inflight\":85"
     ",\"paced_delay_us\":{\"count\":4220,\"mean\":0.000,\"p50\":3919.910"

@@ -10,6 +10,7 @@
 #include <map>
 
 #include "client/hvac_client.h"
+#include "common/env.h"
 #include "common/rng.h"
 #include "core/cache_manager.h"
 #include "rpc/protocol.h"
@@ -189,6 +190,48 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClientPatternCheck,
                          ::testing::Values(10, 11, 12, 13));
 
 // ---- wire corruption robustness -------------------------------------------------
+
+// ---- path check: in-place fast path vs normalization ----------------------
+
+// Random paths built from the pieces that make normalization matter
+// ("//", ".", "..", trailing slashes) and from look-alike prefixes of
+// the dataset dir (/d/x vs /d/xy). An already-normal absolute path is
+// compared in place, any other one is normalized first; both must give
+// path_under's eligibility answer and the logical path normalization
+// gives.
+TEST(PathCheck, FastAndSlowPathsAgree) {
+  SplitMix64 rng(42);
+  const std::vector<std::string> dirs = {"/d/x", "/data/set", "/"};
+  const std::vector<std::string> pieces = {"d",  "x",  "xy", "data", "set",
+                                           "sets", ".", "..", "",   "f.bin"};
+  size_t normal = 0;
+  for (int round = 0; round < 20000; ++round) {
+    const std::string& dir = dirs[rng.next_below(dirs.size())];
+    std::string path = rng.next_below(8) == 0 ? "" : "/";
+    const size_t n = 1 + rng.next_below(6);
+    for (size_t k = 0; k < n; ++k) {
+      if (k > 0) path += rng.next_below(6) == 0 ? "//" : "/";
+      path += pieces[rng.next_below(pieces.size())];
+    }
+    if (rng.next_below(5) == 0) path += "/";
+    const std::string norm = lexically_normal(path);
+    if (norm == path) ++normal;
+    // Reference: normalize, then strip the dir.
+    std::optional<std::string> want;
+    if (path_under(path, dir)) {
+      if (norm == dir) {
+        want = ".";
+      } else {
+        want = norm.substr(dir == "/" ? 1 : dir.size() + 1);
+      }
+    }
+    EXPECT_EQ(under_dir(path, dir), want.has_value()) << path << " " << dir;
+    EXPECT_EQ(relative_under(path, dir), want) << path << " " << dir;
+    // The normalized spelling takes the fast path to the same answer.
+    EXPECT_EQ(relative_under(norm, dir), want) << norm << " " << dir;
+  }
+  EXPECT_GT(normal, 1000u);  // both paths were exercised
+}
 
 TEST(WireFuzz, CorruptedHeadersNeverCrash) {
   SplitMix64 rng(0xf022);

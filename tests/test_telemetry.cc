@@ -334,29 +334,29 @@ const char* const kGoldenDelta =
     "02000600c202000000000000bc02000000000000b602000000000000b0020000"
     "00000000aa020000000000000000000000000000620500000000000069050000"
     "00000000700500000000000077050000000000007e05000000000000160a0000"
-    "000000000a0098000000860200000000000080020000000000007a0200000000"
+    "000000000a00a0000000860200000000000080020000000000007a0200000000"
     "00009a05000000000000a105000000000000a805000000000000af0500000000"
     "00005c0200000000000056020000000000005002000000000000cb0500000000"
     "0000d205000000000000d9050000000000003802000000000000320200000000"
     "0000ee05000000000000f505000000000000fc05000000000000030600000000"
-    "00000b009a01000014020000000000000e020000000000000802000000000000"
-    "0202000000000000fc01000000000000f601000000000000f001000000000000"
-    "3b0600000000000000000000000000005839000000000000f400000000000000"
-    "2800e401000000000000de01000000000000d801000000000000d20100000000"
-    "0000cc01000000000000c601000000000000c001000000000000ba0100000000"
-    "0000b401000000000000ae01000000000000a801000000000000a20100000000"
-    "00009c01000000000000960100000000000090010000000000008a0100000000"
-    "000084010000000000007e010000000000007801000000000000720100000000"
-    "00006c01000000000000660100000000000060010000000000005a0100000000"
-    "000054010000000000004e010000000000004801000000000000420100000000"
-    "00003c01000000000000360100000000000030010000000000002a0100000000"
-    "000024010000000000001e010000000000001801000000000000120100000000"
-    "00000c0100000000000006010000000000000001000000000000fa0000000000"
-    "00000c008400000002000800610700000000000068070000000000006f070000"
-    "0000000076070000000000007d0700000000000084070000000000008b070000"
-    "0000000092070000000000009907000000000000a007000000000000a7070000"
-    "00000000ae07000000000000b507000000000000bc07000000000000c3070000"
-    "00000000ca07000000000000";
+    "000000000000000000000b009a01000014020000000000000e02000000000000"
+    "08020000000000000202000000000000fc01000000000000f601000000000000"
+    "f0010000000000003b0600000000000000000000000000005839000000000000"
+    "f4000000000000002800e401000000000000de01000000000000d80100000000"
+    "0000d201000000000000cc01000000000000c601000000000000c00100000000"
+    "0000ba01000000000000b401000000000000ae01000000000000a80100000000"
+    "0000a2010000000000009c010000000000009601000000000000900100000000"
+    "00008a0100000000000084010000000000007e01000000000000780100000000"
+    "000072010000000000006c010000000000006601000000000000600100000000"
+    "00005a0100000000000054010000000000004e01000000000000480100000000"
+    "000042010000000000003c010000000000003601000000000000300100000000"
+    "00002a0100000000000024010000000000001e01000000000000180100000000"
+    "000012010000000000000c010000000000000601000000000000000100000000"
+    "0000fa000000000000000c008400000002000800610700000000000068070000"
+    "000000006f0700000000000076070000000000007d0700000000000084070000"
+    "000000008b0700000000000092070000000000009907000000000000a0070000"
+    "00000000a707000000000000ae07000000000000b507000000000000bc070000"
+    "00000000c307000000000000ca07000000000000";
 
 TEST(TimeSeriesGolden, FrameDeltaIsPinned) {
   const MetricsFrame d =
@@ -553,6 +553,9 @@ hvac_write_back_write_through_sheds_total 72
 # HELP hvac_write_back_write_through_bytes Bytes written through to the PFS
 # TYPE hvac_write_back_write_through_bytes counter
 hvac_write_back_write_through_bytes_total 73
+# HELP hvac_write_back_local_write_bytes Checkpoint bytes written into node-local files
+# TYPE hvac_write_back_local_write_bytes counter
+hvac_write_back_local_write_bytes_total 229
 # HELP hvac_write_back_dirty_bytes Unflushed write-back bytes
 # TYPE hvac_write_back_dirty_bytes gauge
 hvac_write_back_dirty_bytes 62

@@ -1,11 +1,13 @@
-// Crash-consistency tests for the checkpoint write path: the
-// write-ahead journal's framing (round-trip, torn tails, CRC
-// corruption, idempotent replay) and the server's graceful ENOSPC
-// degradation from write-back to write-through.
+// Crash-consistency tests for the checkpoint write path: the journal's
+// framing (round-trip, torn tails, CRC corruption, idempotent replay,
+// committed sizes, the retired payload record, a fuzzed decoder) and
+// the server's graceful ENOSPC degradation from write-back to
+// write-through.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -35,29 +37,6 @@ std::string temp_dir(const std::string& name) {
   fs::create_directories(dir);
   return dir;
 }
-
-// In-memory replay target: reconstructs file images from the log the
-// same way the server's recovery pass reconstructs store files.
-struct Replayed {
-  std::map<std::string, std::vector<uint8_t>> files;
-
-  WriteJournal::ApplyFn apply() {
-    return [this](const std::string& path, uint64_t offset, const void* data,
-                  size_t size) -> Status {
-      auto& f = files[path];
-      if (f.size() < offset + size) f.resize(offset + size);
-      std::memcpy(f.data() + offset, data, size);
-      return Status::Ok();
-    };
-  }
-
-  WriteJournal::TruncateFn truncate() {
-    return [this](const std::string& path) -> Status {
-      files[path].clear();
-      return Status::Ok();
-    };
-  }
-};
 
 std::vector<uint8_t> bytes(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
@@ -156,13 +135,13 @@ struct Frame {
   }
 };
 
-Frame write_frame(uint64_t seq, const std::string& path, uint64_t offset,
-                  const std::vector<uint8_t>& data) {
-  Frame f(JournalRecordType::kWrite, seq);
-  f.str(path).u64(offset).u32(static_cast<uint32_t>(data.size()));
-  f.raw(data.data(), data.size());
+Frame size_frame(uint64_t seq, const std::string& path, uint64_t size) {
+  Frame f(JournalRecordType::kSize, seq);
+  f.str(path).u64(size);
   return f;
 }
+
+using Dirty = std::map<std::string, uint64_t>;
 
 std::vector<uint8_t> file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -175,56 +154,76 @@ TEST(WriteJournal, GatheredRecordsMatchHandBuiltFrames) {
   {
     auto j = WriteJournal::open(path);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE((*j)->append_write("ckpt/a.bin", 4096, payload.data(),
+    ASSERT_TRUE((*j)->append_size("ckpt/a.bin", 4096).ok());
+    // The extent form stores the extent's end, never its bytes.
+    ASSERT_TRUE((*j)->append_write("ckpt/a.bin", 7, payload.data(),
                                    payload.size()).ok());
-    ASSERT_TRUE((*j)->append_write("ckpt/a.bin", 7, "", 0).ok());
     ASSERT_TRUE((*j)->append_truncate("ckpt/a.bin").ok());
     ASSERT_TRUE((*j)->append_flushed("ckpt/b.bin").ok());
     ASSERT_TRUE((*j)->commit().ok());
   }
   std::vector<uint8_t> expect;
-  write_frame(0, "ckpt/a.bin", 4096, payload).append_to(expect);
-  write_frame(1, "ckpt/a.bin", 7, {}).append_to(expect);
+  size_frame(0, "ckpt/a.bin", 4096).append_to(expect);
+  size_frame(1, "ckpt/a.bin", 1007).append_to(expect);
   Frame(JournalRecordType::kTruncate, 2).str("ckpt/a.bin").append_to(expect);
   Frame(JournalRecordType::kFlushed, 3).str("ckpt/b.bin").append_to(expect);
   Frame(JournalRecordType::kCommit, 4).append_to(expect);
   EXPECT_EQ(file_bytes(path), expect);
 }
 
-// A log laid down frame by frame from the documented layout — what
-// any earlier build wrote — replays, and the next append continues it.
+void write_log(const std::string& path, const std::vector<uint8_t>& log) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(log.data()),
+            static_cast<std::streamsize>(log.size()));
+}
+
+// A log laid down frame by frame from the documented layout replays,
+// and the next append continues it.
 TEST(WriteJournal, HandBuiltJournalReplaysUnchanged) {
   const std::string path = temp_dir("handbuilt") + "/j.wal";
   std::vector<uint8_t> log;
-  write_frame(0, "a", 0, bytes("alpha")).append_to(log);
-  write_frame(1, "b", 0, bytes("stale")).append_to(log);
-  Frame(JournalRecordType::kFlushed, 2).str("a").append_to(log);
-  Frame(JournalRecordType::kTruncate, 3).str("b").append_to(log);
-  write_frame(4, "b", 0, bytes("new")).append_to(log);
-  Frame(JournalRecordType::kCommit, 5).append_to(log);
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(log.data()),
-              static_cast<std::streamsize>(log.size()));
-  }
+  size_frame(0, "a", 5).append_to(log);
+  size_frame(1, "b", 5).append_to(log);
+  Frame(JournalRecordType::kCommit, 2).append_to(log);
+  Frame(JournalRecordType::kFlushed, 3).str("a").append_to(log);
+  Frame(JournalRecordType::kTruncate, 4).str("b").append_to(log);
+  size_frame(5, "b", 3).append_to(log);
+  Frame(JournalRecordType::kCommit, 6).append_to(log);
+  write_log(path, log);
   auto j = WriteJournal::open(path);
   ASSERT_TRUE(j.ok());
-  Replayed r;
-  auto stats = (*j)->replay(r.apply(), r.truncate());
+  auto stats = (*j)->replay();
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
-  EXPECT_EQ(stats->writes_applied, 3u);
+  EXPECT_EQ(stats->sizes_committed, 3u);
   EXPECT_EQ(stats->flushes_seen, 1u);
   EXPECT_EQ(stats->truncates_seen, 1u);
-  EXPECT_EQ(stats->commits_seen, 1u);
+  EXPECT_EQ(stats->commits_seen, 2u);
   EXPECT_EQ(stats->truncated_bytes, 0u);
-  EXPECT_EQ(stats->dirty_paths, std::vector<std::string>{"b"});
-  EXPECT_EQ(r.files["a"], bytes("alpha"));
-  EXPECT_EQ(r.files["b"], bytes("new"));
-  EXPECT_EQ((*j)->next_seq(), 6u);
+  EXPECT_EQ(stats->dirty, (Dirty{{"b", 3}}));
+  EXPECT_EQ((*j)->next_seq(), 7u);
 
-  ASSERT_TRUE((*j)->append_write("c", 3, "xyz", 3).ok());
-  write_frame(6, "c", 3, bytes("xyz")).append_to(log);
+  ASSERT_TRUE((*j)->append_size("c", 3).ok());
+  size_frame(7, "c", 3).append_to(log);
   EXPECT_EQ(file_bytes(path), log);
+}
+
+// Record type 1 held a write's payload. A journal that still holds one
+// is refused, not cut: its acked bytes exist nowhere else.
+TEST(WriteJournal, RetiredPayloadRecordIsRefused) {
+  const std::string path = temp_dir("retired") + "/j.wal";
+  std::vector<uint8_t> log;
+  size_frame(0, "a", 5).append_to(log);
+  Frame(JournalRecordType::kCommit, 1).append_to(log);
+  Frame retired(JournalRecordType::kRetiredWrite, 2);
+  retired.str("b").u64(0).u32(4).raw("data", 4);
+  retired.append_to(log);
+  write_log(path, log);
+  auto j = WriteJournal::open(path);
+  ASSERT_TRUE(j.ok());
+  auto stats = (*j)->replay();
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_EQ(file_bytes(path), log);  // left for the build that wrote it
 }
 
 TEST(WriteJournal, RoundTripAndDirtyTracking) {
@@ -232,26 +231,42 @@ TEST(WriteJournal, RoundTripAndDirtyTracking) {
   {
     auto j = WriteJournal::open(path);
     ASSERT_TRUE(j.ok()) << j.error().to_string();
-    ASSERT_TRUE((*j)->append_write("a", 0, "hello", 5).ok());
-    ASSERT_TRUE((*j)->append_write("b", 0, "world", 5).ok());
+    ASSERT_TRUE((*j)->append_size("a", 5).ok());
+    ASSERT_TRUE((*j)->append_size("b", 5).ok());
+    ASSERT_TRUE((*j)->commit().ok());
     ASSERT_TRUE((*j)->append_flushed("a").ok());
     ASSERT_TRUE((*j)->commit().ok());
   }
   auto j = WriteJournal::open(path);
   ASSERT_TRUE(j.ok());
-  Replayed r;
-  auto stats = (*j)->replay(r.apply());
+  auto stats = (*j)->replay();
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
-  EXPECT_EQ(stats->writes_applied, 2u);
-  EXPECT_EQ(stats->bytes_applied, 10u);
-  EXPECT_EQ(stats->commits_seen, 1u);
+  EXPECT_EQ(stats->sizes_committed, 2u);
+  EXPECT_EQ(stats->commits_seen, 2u);
   EXPECT_EQ(stats->flushes_seen, 1u);
   EXPECT_EQ(stats->truncated_bytes, 0u);
-  // "a" was flushed after its write; only "b" is still dirty.
-  ASSERT_EQ(stats->dirty_paths.size(), 1u);
-  EXPECT_EQ(stats->dirty_paths[0], "b");
-  EXPECT_EQ(r.files["a"], bytes("hello"));
-  EXPECT_EQ(r.files["b"], bytes("world"));
+  // "a" was flushed after its commit; only "b" is still owed.
+  EXPECT_EQ(stats->dirty, (Dirty{{"b", 5}}));
+}
+
+// A barrier cut between its size record and its kCommit (the torn
+// tail of a kill -9) commits nothing: the file keeps its older size.
+TEST(WriteJournal, SizeWithoutCommitIsNotReplayed) {
+  const std::string path = temp_dir("nocommit") + "/j.wal";
+  {
+    auto j = WriteJournal::open(path);
+    ASSERT_TRUE(j.ok());
+    ASSERT_TRUE((*j)->append_size("a", 4).ok());
+    ASSERT_TRUE((*j)->commit().ok());
+    ASSERT_TRUE((*j)->append_size("a", 9).ok());
+    ASSERT_TRUE((*j)->append_size("b", 3).ok());
+  }
+  auto j = WriteJournal::open(path);
+  ASSERT_TRUE(j.ok());
+  auto stats = (*j)->replay();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->sizes_committed, 1u);
+  EXPECT_EQ(stats->dirty, (Dirty{{"a", 4}}));
 }
 
 TEST(WriteJournal, TornTailTruncatedWithoutError) {
@@ -260,7 +275,7 @@ TEST(WriteJournal, TornTailTruncatedWithoutError) {
   {
     auto j = WriteJournal::open(path);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE((*j)->append_write("a", 0, "data", 4).ok());
+    ASSERT_TRUE((*j)->append_size("a", 4).ok());
     ASSERT_TRUE((*j)->commit().ok());
     valid_end = (*j)->size_bytes();
   }
@@ -276,22 +291,20 @@ TEST(WriteJournal, TornTailTruncatedWithoutError) {
 
   auto j = WriteJournal::open(path);
   ASSERT_TRUE(j.ok());
-  Replayed r;
-  auto stats = (*j)->replay(r.apply());
+  auto stats = (*j)->replay();
   ASSERT_TRUE(stats.ok()) << "torn tail must not fail recovery: "
                           << stats.error().to_string();
-  EXPECT_EQ(stats->writes_applied, 1u);
+  EXPECT_EQ(stats->sizes_committed, 1u);
   EXPECT_GT(stats->truncated_bytes, 0u);
-  EXPECT_EQ(r.files["a"], bytes("data"));
+  EXPECT_EQ(stats->dirty, (Dirty{{"a", 4}}));
   // The tail was physically cut: a second incarnation sees a clean log.
   EXPECT_EQ(fs::file_size(path), valid_end);
   auto j2 = WriteJournal::open(path);
   ASSERT_TRUE(j2.ok());
-  Replayed r2;
-  auto stats2 = (*j2)->replay(r2.apply());
+  auto stats2 = (*j2)->replay();
   ASSERT_TRUE(stats2.ok());
   EXPECT_EQ(stats2->truncated_bytes, 0u);
-  EXPECT_EQ(stats2->writes_applied, 1u);
+  EXPECT_EQ(stats2->sizes_committed, 1u);
 }
 
 TEST(WriteJournal, CrcCorruptionCutsTailFromBadRecord) {
@@ -301,13 +314,14 @@ TEST(WriteJournal, CrcCorruptionCutsTailFromBadRecord) {
   {
     auto j = WriteJournal::open(path);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE((*j)->append_write("a", 0, "aaaa", 4).ok());
+    ASSERT_TRUE((*j)->append_size("a", 4).ok());
+    ASSERT_TRUE((*j)->commit().ok());
     first_end = (*j)->size_bytes();
-    ASSERT_TRUE((*j)->append_write("b", 0, "bbbb", 4).ok());
+    ASSERT_TRUE((*j)->append_size("b", 4).ok());
     ASSERT_TRUE((*j)->commit().ok());
     total = (*j)->size_bytes();
   }
-  // Flip one byte inside the second record's body (past its 8-byte
+  // Flip one byte inside the third record's body (past its 8-byte
   // len+crc header): the CRC check must reject it and everything after.
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
@@ -320,13 +334,11 @@ TEST(WriteJournal, CrcCorruptionCutsTailFromBadRecord) {
   }
   auto j = WriteJournal::open(path);
   ASSERT_TRUE(j.ok());
-  Replayed r;
-  auto stats = (*j)->replay(r.apply());
+  auto stats = (*j)->replay();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->writes_applied, 1u);
+  EXPECT_EQ(stats->sizes_committed, 1u);
   EXPECT_EQ(stats->truncated_bytes, total - first_end);
-  EXPECT_EQ(r.files.count("b"), 0u);
-  EXPECT_EQ(r.files["a"], bytes("aaaa"));
+  EXPECT_EQ(stats->dirty, (Dirty{{"a", 4}}));
   EXPECT_EQ(fs::file_size(path), first_end);
 }
 
@@ -335,46 +347,44 @@ TEST(WriteJournal, ReplayIsIdempotent) {
   {
     auto j = WriteJournal::open(path);
     ASSERT_TRUE(j.ok());
-    // Overlapping writes: replay must preserve append order so the
-    // later record wins on the overlap.
-    ASSERT_TRUE((*j)->append_write("a", 0, "xxxx", 4).ok());
-    ASSERT_TRUE((*j)->append_write("a", 2, "yyyy", 4).ok());
+    // Two barriers of one file: the later committed size wins, and
+    // replaying the same log twice gives the same answer.
+    ASSERT_TRUE((*j)->append_size("a", 4).ok());
+    ASSERT_TRUE((*j)->commit().ok());
+    ASSERT_TRUE((*j)->append_size("a", 6).ok());
     ASSERT_TRUE((*j)->commit().ok());
   }
-  std::vector<uint8_t> first;
   for (int round = 0; round < 2; ++round) {
     auto j = WriteJournal::open(path);
     ASSERT_TRUE(j.ok());
-    Replayed r;
-    auto stats = (*j)->replay(r.apply());
+    auto stats = (*j)->replay();
     ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->writes_applied, 2u);
-    EXPECT_EQ(r.files["a"], bytes("xxyyyy"));
-    if (round == 0) {
-      first = r.files["a"];
-    } else {
-      EXPECT_EQ(r.files["a"], first);
-    }
+    EXPECT_EQ(stats->sizes_committed, 2u);
+    EXPECT_EQ(stats->dirty, (Dirty{{"a", 6}}));
   }
 }
 
+// A truncating open discards what earlier barriers committed for the
+// file (the application emptied it); later barriers commit anew.
 TEST(WriteJournal, TruncateRecordResetsFile) {
   const std::string path = temp_dir("trunc") + "/j.wal";
   {
     auto j = WriteJournal::open(path);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE((*j)->append_write("a", 0, "stale-old", 9).ok());
+    ASSERT_TRUE((*j)->append_size("a", 9).ok());
+    ASSERT_TRUE((*j)->append_size("b", 9).ok());
+    ASSERT_TRUE((*j)->commit().ok());
     ASSERT_TRUE((*j)->append_truncate("a").ok());
-    ASSERT_TRUE((*j)->append_write("a", 0, "new", 3).ok());
+    ASSERT_TRUE((*j)->append_truncate("b").ok());
+    ASSERT_TRUE((*j)->append_size("a", 3).ok());
     ASSERT_TRUE((*j)->commit().ok());
   }
   auto j = WriteJournal::open(path);
   ASSERT_TRUE(j.ok());
-  Replayed r;
-  auto stats = (*j)->replay(r.apply(), r.truncate());
+  auto stats = (*j)->replay();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->truncates_seen, 1u);
-  EXPECT_EQ(r.files["a"], bytes("new"));
+  EXPECT_EQ(stats->truncates_seen, 2u);
+  EXPECT_EQ(stats->dirty, (Dirty{{"a", 3}}));
 }
 
 TEST(WriteJournal, CheckpointResetEmptiesLog) {
@@ -382,22 +392,80 @@ TEST(WriteJournal, CheckpointResetEmptiesLog) {
   {
     auto j = WriteJournal::open(path);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE((*j)->append_write("a", 0, "data", 4).ok());
+    ASSERT_TRUE((*j)->append_size("a", 4).ok());
     ASSERT_TRUE((*j)->commit().ok());
     ASSERT_TRUE((*j)->checkpoint_reset().ok());
     EXPECT_EQ((*j)->size_bytes(), 0u);
     // The journal keeps working after a reset.
-    ASSERT_TRUE((*j)->append_write("b", 0, "fresh", 5).ok());
+    ASSERT_TRUE((*j)->append_size("b", 5).ok());
     ASSERT_TRUE((*j)->commit().ok());
   }
   auto j = WriteJournal::open(path);
   ASSERT_TRUE(j.ok());
-  Replayed r;
-  auto stats = (*j)->replay(r.apply());
+  auto stats = (*j)->replay();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->writes_applied, 1u);
-  EXPECT_EQ(r.files.count("a"), 0u);
-  EXPECT_EQ(r.files["b"], bytes("fresh"));
+  EXPECT_EQ(stats->sizes_committed, 1u);
+  EXPECT_EQ(stats->dirty, (Dirty{{"b", 5}}));
+}
+
+// The decoder under random damage: a valid log of every record type,
+// cut, bit-flipped, spliced and overwritten with noise, never crashes
+// (the ASan leg runs this), and replay either answers or refuses a
+// retired record, never reporting a size no intact record holds.
+TEST(WriteJournalFuzz, DamagedLogsReplayOrRefuseCleanly) {
+  const std::string dir = temp_dir("fuzz");
+  std::vector<uint8_t> base;
+  size_frame(0, "ckpt/a", 4096).append_to(base);
+  size_frame(1, "ckpt/b", 1 << 20).append_to(base);
+  Frame(JournalRecordType::kCommit, 2).append_to(base);
+  Frame(JournalRecordType::kFlushed, 3).str("ckpt/a").append_to(base);
+  Frame(JournalRecordType::kTruncate, 4).str("ckpt/b").append_to(base);
+  size_frame(5, "ckpt/b", 77).append_to(base);
+  Frame(JournalRecordType::kCommit, 6).append_to(base);
+  Frame retired(JournalRecordType::kRetiredWrite, 7);
+  retired.str("ckpt/c").u64(0).u32(3).raw("xyz", 3);
+  const std::vector<uint64_t> sizes = {4096, 1 << 20, 77};
+  uint32_t seed = 12345;
+  auto next = [&] {
+    seed = seed * 1664525u + 1013904223u;
+    return seed >> 8;
+  };
+  for (int round = 0; round < 3000; ++round) {
+    std::vector<uint8_t> log = base;
+    if (round % 5 == 0) retired.append_to(log);
+    const int damage = static_cast<int>(next() % 4);
+    if (damage == 0 && !log.empty()) {
+      log.resize(next() % log.size());
+    } else if (damage == 1) {
+      for (int k = 0; k < 1 + static_cast<int>(next() % 4); ++k) {
+        log[next() % log.size()] ^= static_cast<uint8_t>(1u << (next() % 8));
+      }
+    } else if (damage == 2) {
+      const size_t at = next() % log.size();
+      const std::vector<uint8_t> noise = pseudo_random(next() % 64, next());
+      log.insert(log.begin() + static_cast<std::ptrdiff_t>(at), noise.begin(),
+                 noise.end());
+    } else {
+      // A frame whose length and CRC are right but whose body lies.
+      Frame lie(static_cast<JournalRecordType>(next() % 8), next());
+      lie.u32(next() % 4096).u64(next());
+      lie.append_to(log);
+    }
+    const std::string path = dir + "/j" + std::to_string(round % 4) + ".wal";
+    write_log(path, log);
+    auto j = WriteJournal::open(path);
+    ASSERT_TRUE(j.ok());
+    auto stats = (*j)->replay();
+    if (!stats.ok()) {
+      EXPECT_EQ(stats.error().code, ErrorCode::kInvalidArgument);
+      continue;
+    }
+    for (const auto& [p, size] : stats->dirty) {
+      EXPECT_NE(std::find(sizes.begin(), sizes.end(), size), sizes.end())
+          << p << " " << size;
+    }
+    EXPECT_LE((*j)->size_bytes(), log.size());
+  }
 }
 
 // ---- ENOSPC shed: a full local store degrades to write-through ----
@@ -408,7 +476,10 @@ struct WriteNode {
   std::unique_ptr<server::NodeRuntime> node;
   client::HvacClientOptions copts;
 
-  explicit WriteNode(const std::string& name, uint64_t capacity = 0) {
+  // `tcp`: dial localhost:PORT, which names no node-local alias, so
+  // the writer gets no fd and writes by kWrite.
+  explicit WriteNode(const std::string& name, uint64_t capacity = 0,
+                     bool tcp = false) {
     pfs_root = temp_dir(name + "_pfs");
     cache_root = temp_dir(name + "_cache");
     server::NodeRuntimeOptions o;
@@ -420,6 +491,11 @@ struct WriteNode {
     EXPECT_TRUE(node->start().ok());
     copts.dataset_dir = pfs_root;
     copts.server_endpoints = node->endpoints();
+    if (tcp) {
+      for (std::string& e : copts.server_endpoints) {
+        e = "localhost:" + e.substr(e.rfind(':') + 1);
+      }
+    }
     copts.allow_pfs_fallback = false;  // a shed must happen server-side
   }
 
@@ -456,9 +532,9 @@ TEST(WriteShed, FullStoreAtOpenDegradesToWriteThrough) {
 }
 
 TEST(WriteShed, MidFileCapacityShedsAndKeepsPrefix) {
-  WriteNode n("shed_mid");
+  WriteNode n("shed_mid", 0, /*tcp=*/true);
   // The first kStoreWrite check (the write-back open) passes; the
-  // capacity gate on the first write fires ENOSPC, so the handle
+  // capacity gate on the first kWrite fires ENOSPC, so the handle
   // sheds mid-file: the locally-written prefix is flushed to the PFS
   // first, then writing continues there.
   FaultGuard fault("store_write:error=capacity:after=1");
@@ -502,7 +578,9 @@ TEST(WriteShed, CleanWriteBackLandsOnPfsAndResetsJournal) {
   EXPECT_EQ(got, payload);
   const auto wb = n.node->aggregated_frame().write_back;
   EXPECT_EQ(wb.write_through_sheds, 0u);
-  EXPECT_GE(wb.writes, 1u);
+  // Written once on the node: through the passed fd, no kWrite.
+  EXPECT_EQ(wb.writes, 0u);
+  EXPECT_EQ(wb.local_write_bytes, payload.size());
   EXPECT_GE(wb.fsyncs, 1u);
   // Once every dirty file is flushed the journal checkpoints to empty.
   for (int i = 0; i < 500 && n.node->aggregated_frame().write_back.dirty_files;
@@ -511,6 +589,42 @@ TEST(WriteShed, CleanWriteBackLandsOnPfsAndResetsJournal) {
   }
   EXPECT_EQ(n.node->aggregated_frame().write_back.dirty_files, 0u);
   EXPECT_EQ(n.node->aggregated_frame().write_back.journal_records, 0u);
+}
+
+// A passed-fd writer's bytes reach the server only at its barrier.
+// When that barrier finds the file over the store budget, the server
+// lands the whole prefix on the PFS and writes through from there:
+// the fsync still succeeds, and the client writes on by kWrite.
+TEST(WriteShed, PassedFdWriterShedsAtBarrierAndKeepsPrefix) {
+  constexpr size_t kCapacity = 64 * 1024;
+  WriteNode n("shed_fd", kCapacity);
+  client::HvacClient client(n.copts);
+  auto vfd = client.open_write(n.pfs_root + "/ckpt/big.bin", true);
+  ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+  const std::vector<uint8_t> prefix = pseudo_random(kCapacity + 4096, 21);
+  const std::vector<uint8_t> tail = pseudo_random(10 * 1024, 22);
+  ASSERT_EQ(client.write(*vfd, prefix.data(), prefix.size()).value(),
+            prefix.size());
+  EXPECT_EQ(n.node->aggregated_frame().write_back.writes, 0u);
+  ASSERT_TRUE(client.fsync(*vfd).ok());
+  ASSERT_EQ(client.write(*vfd, tail.data(), tail.size()).value(),
+            tail.size());
+  ASSERT_TRUE(client.fsync(*vfd).ok());
+  ASSERT_TRUE(client.close(*vfd).ok());
+
+  std::vector<uint8_t> expect = prefix;
+  expect.insert(expect.end(), tail.begin(), tail.end());
+  const std::string got = n.pfs_read("ckpt/big.bin");
+  EXPECT_EQ(got.size(), expect.size());
+  EXPECT_TRUE(got == std::string(expect.begin(), expect.end()));
+  const auto wb = n.node->aggregated_frame().write_back;
+  EXPECT_EQ(wb.write_through_sheds, 1u);
+  EXPECT_EQ(wb.writes, 1u);  // the tail, by kWrite
+  EXPECT_EQ(wb.write_through_bytes, tail.size());
+  EXPECT_EQ(wb.local_write_bytes, prefix.size());
+  EXPECT_EQ(wb.dirty_files, 0u);
+  const storage::LocalStore& store = n.node->instance(0).cache().store();
+  EXPECT_LE(store.bytes_used(), store.capacity_bytes());
 }
 
 // A checkpoint handle is write-only: reading it is EBADF, as with an
@@ -631,8 +745,9 @@ TEST(WritePath, NonTruncatingOpenOfFullStoreWritesBack) {
   }
 }
 
-// A write whose journal record failed has already recorded its size:
-// a read of the file serves the bytes on disk, not that size.
+// A barrier whose size record failed has already charged the file's
+// size to the store: a read of the file serves the bytes on disk, and
+// the writer's bytes stay readable before any barrier commits them.
 TEST(WritePath, FailedWriteLeavesReadsAtOnDiskBytes) {
   WriteNode n("short_named");
   client::HvacClient writer(n.copts);
@@ -642,7 +757,7 @@ TEST(WritePath, FailedWriteLeavesReadsAtOnDiskBytes) {
   ASSERT_TRUE(writer.write(*wfd, "abc", 3).ok());
   {
     FaultGuard f("journal_append:error=io");
-    ASSERT_FALSE(writer.write(*wfd, "xxxx", 4).ok());
+    ASSERT_FALSE(writer.fsync(*wfd).ok());
   }
   client::HvacClient reader(n.copts);
   auto rfd = reader.open(path);
@@ -658,13 +773,12 @@ TEST(WritePath, FailedWriteLeavesReadsAtOnDiskBytes) {
 // ---- an undrained stop must not purge the local store ----
 
 TEST(WritePath, UndrainedStopKeepsLocalStoreForReplay) {
-  // Burst 1 flushes clean (the journal checkpoint-resets to empty),
-  // then burst 2 lands while the PFS is down. The graceful stop's
-  // drain times out, and the journal now only covers burst 2 — so the
-  // local store files must survive the stop. Purging them would make
-  // the next start's replay reconstruct a burst-2-only file with a
-  // hole where burst 1 was, and rename that over the complete PFS
-  // copy.
+  // Burst 1 is closed and flushed clean (the journal checkpoint-resets
+  // to empty), then a second handle adds burst 2 while the PFS is
+  // down. The graceful stop's drain times out, and the journal now
+  // only holds burst 2's committed size — so the named file must
+  // survive the stop. Purging it would leave the next start's replay
+  // nothing to land, and the PFS would keep burst 1 alone.
   auto n = std::make_unique<WriteNode>("undrained");
   const std::string pfs_root = n->pfs_root;
   const std::string cache_root = n->cache_root;
@@ -674,16 +788,19 @@ TEST(WritePath, UndrainedStopKeepsLocalStoreForReplay) {
     ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
     auto w1 = client.write(*vfd, "AAAA", 4);
     ASSERT_TRUE(w1.ok()) << w1.error().to_string();
-    ASSERT_TRUE(client.fsync(*vfd).ok());
+    ASSERT_TRUE(client.close(*vfd).ok());
     // Wait until burst 1 is flushed and the journal has reset.
     for (int i = 0;
          i < 500 && n->node->aggregated_frame().write_back.dirty_files; ++i) {
       ::usleep(10 * 1000);
     }
     ASSERT_EQ(n->node->aggregated_frame().write_back.dirty_files, 0u);
+    ASSERT_EQ(n->node->aggregated_frame().write_back.journal_records, 0u);
 
     // PFS down (persistent): burst 2 stays in the store + journal.
     ASSERT_TRUE(fault::configure("pfs_write:error=io").ok());
+    vfd = client.open_write(pfs_root + "/ckpt/big.bin", false);
+    ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
     auto w2 = client.pwrite(*vfd, "BBBB", 4, 4);
     ASSERT_TRUE(w2.ok()) << w2.error().to_string();
     ASSERT_TRUE(client.fsync(*vfd).ok());  // local durability barrier
@@ -693,8 +810,8 @@ TEST(WritePath, UndrainedStopKeepsLocalStoreForReplay) {
   n.reset();
   ASSERT_TRUE(fault::configure("").ok());  // PFS back up
 
-  // Restart on the same cache/journal: replay plus the resumed flush
-  // must land the complete file.
+  // Restart on the same cache dir: replay plus the resumed flush must
+  // land the complete file.
   server::NodeRuntimeOptions o;
   o.pfs_root = pfs_root;
   o.cache_root = cache_root;
@@ -711,6 +828,7 @@ TEST(WritePath, UndrainedStopKeepsLocalStoreForReplay) {
     ::usleep(10 * 1000);
   }
   EXPECT_EQ(got, "AAAABBBB");
+  EXPECT_EQ(node2.aggregated_frame().write_back.replay_bytes, 8u);
   node2.stop();
 }
 
@@ -721,7 +839,7 @@ TEST(WriteJournal, CommitOnEmptyJournalLeavesItEmpty) {
   const std::string path = temp_dir("empty_commit") + "/j.wal";
   auto j = WriteJournal::open(path);
   ASSERT_TRUE(j.ok());
-  ASSERT_TRUE((*j)->append_write("a", 0, "data", 4).ok());
+  ASSERT_TRUE((*j)->append_size("a", 4).ok());
   ASSERT_TRUE((*j)->commit().ok());
   EXPECT_EQ((*j)->record_count(), 2u);
   ASSERT_TRUE((*j)->checkpoint_reset().ok());
@@ -738,11 +856,11 @@ TEST(WriteJournalFaults, AppendAndFsyncFaultsSurfaceCleanly) {
   ASSERT_TRUE(j.ok());
   {
     FaultGuard f("journal_append:error=io");
-    EXPECT_FALSE((*j)->append_write("a", 0, "x", 1).ok());
+    EXPECT_FALSE((*j)->append_size("a", 1).ok());
   }
   {
     FaultGuard f("journal_fsync:error=io");
-    EXPECT_TRUE((*j)->append_write("a", 0, "x", 1).ok());
+    EXPECT_TRUE((*j)->append_size("a", 1).ok());
     EXPECT_FALSE((*j)->commit().ok());
   }
   // The journal keeps working after injected failures.
@@ -757,33 +875,30 @@ TEST(WriteJournalFaults, FailedAppendLeavesNextAtSameOffset) {
   {
     auto j = WriteJournal::open(path);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE((*j)->append_write("a", 0, "acked", 5).ok());
-    write_frame(0, "a", 0, bytes("acked")).append_to(expect);
+    ASSERT_TRUE((*j)->append_size("a", 5).ok());
+    size_frame(0, "a", 5).append_to(expect);
     const uint64_t end = (*j)->size_bytes();
     {
       FaultGuard f("journal_append:error=io");
-      EXPECT_FALSE((*j)->append_write("b", 0, "refused", 7).ok());
+      EXPECT_FALSE((*j)->append_size("b", 7).ok());
       EXPECT_FALSE((*j)->commit().ok());
     }
     EXPECT_EQ((*j)->size_bytes(), end);
     EXPECT_EQ((*j)->next_seq(), 1u);
     EXPECT_EQ((*j)->record_count(), 1u);
     EXPECT_EQ(fs::file_size(path), end);
-    ASSERT_TRUE((*j)->append_write("c", 0, "next", 4).ok());
-    write_frame(1, "c", 0, bytes("next")).append_to(expect);
+    ASSERT_TRUE((*j)->append_size("c", 4).ok());
+    size_frame(1, "c", 4).append_to(expect);
     EXPECT_EQ(file_bytes(path), expect);
     ASSERT_TRUE((*j)->commit().ok());
   }
   auto j = WriteJournal::open(path);
   ASSERT_TRUE(j.ok());
-  Replayed r;
-  auto stats = (*j)->replay(r.apply());
+  auto stats = (*j)->replay();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->writes_applied, 2u);
+  EXPECT_EQ(stats->sizes_committed, 2u);
   EXPECT_EQ(stats->truncated_bytes, 0u);
-  EXPECT_EQ(r.files.count("b"), 0u);
-  EXPECT_EQ(r.files["a"], bytes("acked"));
-  EXPECT_EQ(r.files["c"], bytes("next"));
+  EXPECT_EQ(stats->dirty, (Dirty{{"a", 5}, {"c", 4}}));
 }
 
 // A pwritev that fails part way (here: a file-size limit) must not
@@ -793,33 +908,31 @@ TEST(WriteJournalFaults, FailedWriteCutsPartialFrame) {
   const std::string path = temp_dir("partial") + "/j.wal";
   auto j = WriteJournal::open(path);
   ASSERT_TRUE(j.ok());
-  ASSERT_TRUE((*j)->append_write("a", 0, "acked", 5).ok());
+  ASSERT_TRUE((*j)->append_size("a", 5).ok());
   const uint64_t end = (*j)->size_bytes();
-  const std::vector<uint8_t> big = pseudo_random(4096, 9);
+  const std::string long_path(4096, 'p');
   rlimit old{};
   ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old), 0);
   auto* old_handler = std::signal(SIGXFSZ, SIG_IGN);
   rlimit cap = old;
   cap.rlim_cur = end + 100;
   ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &cap), 0);
-  const Status failed = (*j)->append_write("big", 0, big.data(), big.size());
+  const Status failed = (*j)->append_size(long_path, 1);
   ::setrlimit(RLIMIT_FSIZE, &old);
   std::signal(SIGXFSZ, old_handler);
   EXPECT_FALSE(failed.ok());
   EXPECT_EQ((*j)->size_bytes(), end);
   EXPECT_EQ(fs::file_size(path), end);
-  ASSERT_TRUE((*j)->append_write("c", 0, "next", 4).ok());
+  ASSERT_TRUE((*j)->append_size("c", 4).ok());
   ASSERT_TRUE((*j)->commit().ok());
 
   auto j2 = WriteJournal::open(path);
   ASSERT_TRUE(j2.ok());
-  Replayed r;
-  auto stats = (*j2)->replay(r.apply());
+  auto stats = (*j2)->replay();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->writes_applied, 2u);
+  EXPECT_EQ(stats->sizes_committed, 2u);
   EXPECT_EQ(stats->truncated_bytes, 0u);
-  EXPECT_EQ(r.files.count("big"), 0u);
-  EXPECT_EQ(r.files["c"], bytes("next"));
+  EXPECT_EQ(stats->dirty, (Dirty{{"a", 5}, {"c", 4}}));
 }
 
 // commit() syncs only when something was appended since the last
@@ -835,7 +948,7 @@ TEST(WriteJournalFaults, CommitSyncsOnlyAfterNewAppends) {
   EXPECT_TRUE((*j)->commit().ok());  // fresh journal: nothing to sync
   EXPECT_EQ(fsync_checks(), 0u);
 
-  ASSERT_TRUE((*j)->append_write("a", 0, "x", 1).ok());
+  ASSERT_TRUE((*j)->append_size("a", 1).ok());
   EXPECT_FALSE((*j)->commit().ok());
   EXPECT_EQ(fsync_checks(), 1u);
   EXPECT_FALSE((*j)->commit().ok());  // the failed barrier is retried
@@ -862,16 +975,18 @@ TEST(WriteJournalFaults, ServerSurvivesJournalAppendFailure) {
   client::HvacClient client(n.copts);
   auto vfd = client.open_write(n.pfs_root + "/ckpt/j.bin", true);
   ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+  ASSERT_TRUE(client.write(*vfd, "ok", 2).ok());
   {
-    // A write the journal could not record must NOT be acked — an ack
-    // without a journal record would be a durability lie.
+    // A barrier the journal could not record must NOT be acked — an
+    // ack without a committed size would be a durability lie.
     FaultGuard f("journal_append:error=io");
-    EXPECT_FALSE(client.write(*vfd, "xx", 2).ok());
+    EXPECT_FALSE(client.fsync(*vfd).ok());
   }
-  // The handle (and the server) survive: the next write goes through.
-  auto w = client.write(*vfd, "ok", 2);
-  ASSERT_TRUE(w.ok()) << w.error().to_string();
+  // The handle (and the server) survive: the next barrier commits the
+  // bytes the failed one could not, though the client wrote nothing
+  // since.
   EXPECT_TRUE(client.fsync(*vfd).ok());
+  EXPECT_GE(n.node->aggregated_frame().write_back.journal_records, 2u);
   EXPECT_TRUE(client.close(*vfd).ok());
   std::string got;
   for (int i = 0; i < 500; ++i) {
