@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <sys/wait.h>
+#include <thread>
 #include <tuple>
 #include <unistd.h>
 
@@ -333,6 +334,58 @@ TEST(WriteCrash, KillNineLosesNoAckedFsyncBytes) {
   EXPECT_NE(out.find("\"replay_writes\":"), std::string::npos) << out;
   EXPECT_EQ(out.find("\"replay_writes\":0,"), std::string::npos) << out;
 
+  ::kill(pid, SIGTERM);
+  ::waitpid(pid, &status, 0);
+}
+
+// A kill -9 inside a barrier, after the file's fdatasync and before its
+// size record (the write_barrier fault site stalls it there): the bytes
+// an earlier barrier acked land on the PFS, and the tail written since,
+// synced but never acked, is not presented as committed.
+TEST(WriteCrash, KillNineMidBarrierKeepsOnlyAckedBytes) {
+  const std::string pfs = temp_dir("barrier_pfs");
+  const std::string cache = temp_dir("barrier_cache");
+  const std::string meta = temp_dir("barrier_meta");
+  pid_t pid = spawn_hvacd(pfs, cache, meta + "/ports1",
+                          "write_barrier:delay_ms=5000:after=1");
+  ASSERT_GT(pid, 0);
+  const std::string endpoints = wait_endpoints(meta + "/ports1");
+  ASSERT_FALSE(endpoints.empty()) << "hvacd did not come up";
+
+  const std::string acked(1000, 'A');
+  {
+    client::HvacClientOptions copts;
+    copts.dataset_dir = pfs;
+    copts.server_endpoints = split_csv(endpoints);
+    copts.allow_pfs_fallback = false;
+    copts.rpc.max_retries = 0;
+    client::HvacClient client(copts);
+    auto vfd = client.open_write(pfs + "/ckpt/b.bin", true);
+    ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+    ASSERT_TRUE(client.write(*vfd, acked.data(), acked.size()).ok());
+    ASSERT_TRUE(client.fsync(*vfd).ok());  // the acked barrier
+    ASSERT_TRUE(client.write(*vfd, "TAILTAIL", 8).ok());
+    EXPECT_EQ(client.stats().writes, 2u);
+    std::thread stalled([&] { EXPECT_FALSE(client.fsync(*vfd).ok()); });
+    ::usleep(500 * 1000);  // the barrier is in its stall
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    stalled.join();
+  }
+  EXPECT_FALSE(fs::exists(pfs + "/ckpt/b.bin"));
+
+  pid = spawn_hvacd(pfs, cache, meta + "/ports2", nullptr);
+  ASSERT_GT(pid, 0);
+  ASSERT_FALSE(wait_endpoints(meta + "/ports2").empty())
+      << "hvacd did not restart";
+  std::string got;
+  for (int tries = 0; tries < 1000 && got.empty(); ++tries) {
+    if (fs::exists(pfs + "/ckpt/b.bin")) got = read_file(pfs + "/ckpt/b.bin");
+    if (got.empty()) ::usleep(10 * 1000);
+  }
+  EXPECT_EQ(got, acked);
+  int status = 0;
   ::kill(pid, SIGTERM);
   ::waitpid(pid, &status, 0);
 }

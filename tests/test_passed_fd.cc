@@ -588,6 +588,117 @@ TEST_F(PassedFdRig, WriteBackFilesGetNoFd) {
   EXPECT_GT(op_count(server().metrics_frame(), proto::kReadScatter), 0u);
 }
 
+// A local kWriteOpen passes a fresh O_WRONLY fd on the store's named
+// file, and the client writes through it with no kWrite. A TCP writer
+// and one at RLIMIT_NOFILE get no fd and write by kWrite; every PFS
+// file is byte-exact after close.
+TEST_F(PassedFdRig, WriteOpenPassesAWriteOnlyFdOnTheNamedFile) {
+  rpc::RpcClient rc(rpc::Endpoint{node_->endpoints()[0]});
+  rpc::WireWriter w;
+  w.put_string("ckpt/raw.bin");
+  w.put_u8(1);  // trunc
+  w.put_u8(1);  // takes_fd
+  auto resp = rc.call_payload(proto::kWriteOpen, w.bytes(), /*take_fd=*/true);
+  ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+  ASSERT_GE(resp->fd(), 0);
+  EXPECT_EQ(::fcntl(resp->fd(), F_GETFL) & O_ACCMODE, O_WRONLY);
+  struct stat passed{};
+  struct stat named{};
+  ASSERT_EQ(::fstat(resp->fd(), &passed), 0);
+  ASSERT_EQ(::stat(server().cache().store().physical_path("ckpt/raw.bin")
+                       .c_str(),
+                   &named),
+            0);
+  EXPECT_EQ(passed.st_ino, named.st_ino);
+
+  auto write_file = [&](HvacClient& client, const std::string& rel) {
+    auto wfd = client.open_write(pfs_root_ + "/" + rel, true);
+    if (!wfd.ok()) return false;
+    return client.write(*wfd, large_.data(), large_.size()).ok() &&
+           client.fsync(*wfd).ok() && client.close(*wfd).ok();
+  };
+  auto pfs_copy = [&](const std::string& rel) {
+    auto f = storage::read_file(pfs_root_ + "/" + rel);
+    for (int i = 0; i < 500 && (!f.ok() || f->size() != large_.size()); ++i) {
+      ::usleep(10 * 1000);
+      f = storage::read_file(pfs_root_ + "/" + rel);
+    }
+    return f.ok() ? *f : std::vector<uint8_t>{};
+  };
+  const uint64_t writes0 = server().metrics_frame().write_back.writes;
+  {
+    HvacClient local(options());
+    ASSERT_TRUE(write_file(local, "ckpt/local.bin"));
+  }
+  EXPECT_EQ(server().metrics_frame().write_back.writes, writes0);
+  EXPECT_EQ(pfs_copy("ckpt/local.bin"), large_);
+
+  HvacClientOptions tcp = options();
+  tcp.server_endpoints = tcp_endpoints();
+  {
+    HvacClient remote(tcp);
+    ASSERT_TRUE(write_file(remote, "ckpt/tcp.bin"));
+  }
+  const uint64_t writes1 = server().metrics_frame().write_back.writes;
+  EXPECT_GT(writes1, writes0);
+  EXPECT_EQ(pfs_copy("ckpt/tcp.bin"), large_);
+
+  // Dialled before the fork: at the limit no socket could be opened.
+  auto lo = options();
+  lo.readahead_chunks = 0;
+  HvacClient limited(lo);
+  ASSERT_TRUE(limited.prefetch(pfs_root_ + "/large.bin").ok());
+  const int code = at_fd_limit(
+      [&] { return write_file(limited, "ckpt/limit.bin") ? 0 : 1; });
+  EXPECT_EQ(code, 0);
+  EXPECT_GT(server().metrics_frame().write_back.writes, writes1);
+  EXPECT_EQ(pfs_copy("ckpt/limit.bin"), large_);
+}
+
+// A kWriteOpen reply whose fd is not a write-only regular file fails
+// the open with kProtocol, with no PFS fallback, and the fd closes.
+TEST(PassedFd, HostileWriteOpenRepliesFailAndLeakNoFd) {
+  rpc::HealthRegistry::global().reset();
+  const std::string root = temp_dir("hostile_write");
+  const std::string path = root + "/victim.bin";
+  ASSERT_TRUE(storage::write_file(path, "x", 1).ok());
+  struct Case {
+    const char* name;
+    const char* file;
+    int flags;
+  };
+  for (const Case& c : {Case{"not_regular", "/dev/null", O_WRONLY},
+                        Case{"read_only", path.c_str(), O_RDONLY},
+                        Case{"read_write", path.c_str(), O_RDWR}}) {
+    SCOPED_TRACE(c.name);
+    const size_t fds_before = fds_on(c.file);
+    rpc::RpcServer hostile(rpc::RpcServerOptions{});
+    hostile.register_payload_handler(
+        proto::kWriteOpen, [&](const rpc::Bytes&) -> Result<rpc::Payload> {
+          rpc::WireWriter w;
+          w.put_u64(1);
+          w.put_u8(proto::kWriteBack);
+          rpc::Payload p(std::move(w).take());
+          p.set_fd(rpc::Fd(::open(c.file, c.flags | O_CLOEXEC)));
+          return p;
+        });
+    ASSERT_TRUE(hostile.start().ok());
+    HvacClientOptions co;
+    co.dataset_dir = root;
+    co.server_endpoints = {hostile.endpoint().address};
+    co.rpc.max_retries = 0;
+    {
+      HvacClient client(co);
+      auto vfd = client.open_write(root + "/ckpt.bin", true);
+      ASSERT_FALSE(vfd.ok());
+      EXPECT_EQ(vfd.error().code, ErrorCode::kProtocol);
+      EXPECT_EQ(client.stats().fallback_write_opens, 0u);
+    }
+    hostile.stop();
+    EXPECT_EQ(fds_on(c.file), fds_before);
+  }
+}
+
 // A packed sample shares its container's slot with its neighbours: a
 // kOpen for it, even one that opts in, is answered without an fd.
 TEST(PassedFd, PackedSamplesGetNoFd) {
