@@ -1,8 +1,9 @@
 // Async write-back flusher: drains dirty checkpoint files from the
 // node-local store to the PFS.
 //
-// The write path acks at NVMe speed (journal + local store); this is
-// the background half that makes the PFS eventually hold the bytes.
+// The write path acks at NVMe speed (the local store, its sizes in the
+// journal); this is the background half that makes the PFS eventually
+// hold the bytes, one copy per file, queued at close.
 // Shapewise it is the data-mover's mirror image — a bounded FIFO of
 // logical paths worked by a small thread pool — with the resilience
 // posture of the RPC layer: flush attempts are gated by a circuit

@@ -435,7 +435,7 @@ int fsync(int fd) {
 
 int fdatasync(int fd) {
   if (g_in_shim == 0 && FdTable::is_virtual(fd) && g_client != nullptr) {
-    // Same barrier as fsync: the journal commit IS the data sync.
+    // Same barrier as fsync: it fdatasyncs the file, then commits its size.
     return fsync(fd);
   }
   return real_fdatasync()(fd);
