@@ -38,10 +38,6 @@ std::string temp_dir(const std::string& name) {
   return dir;
 }
 
-std::vector<uint8_t> bytes(const std::string& s) {
-  return std::vector<uint8_t>(s.begin(), s.end());
-}
-
 // Clears fault rules on every exit path (a leaked rule would poison
 // unrelated tests in this binary).
 struct FaultGuard {
