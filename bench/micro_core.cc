@@ -106,10 +106,11 @@ void BM_WireDecodeReadResponse(benchmark::State& state) {
 }
 BENCHMARK(BM_WireDecodeReadResponse)->Arg(4096)->Arg(1 << 20);
 
-// One kWrite record per iteration: CRC plus the gathered pwritev into
-// the page cache (no commit, so no fdatasync). The log is reset every
-// 64 MiB, off the clock, to keep the file small.
-void BM_JournalAppendWrite(benchmark::State& state) {
+// One barrier's size record per iteration: CRC plus the gathered
+// pwritev of a payload-free {path, size} record into the page cache (no
+// commit, so no fdatasync). The log is reset every 64 MiB, off the
+// clock, to keep the file small.
+void BM_JournalAppendSize(benchmark::State& state) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("hvac_bench_journal_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
@@ -118,26 +119,23 @@ void BM_JournalAppendWrite(benchmark::State& state) {
     state.SkipWithError(journal.error().to_string().c_str());
     return;
   }
-  const std::vector<uint8_t> data(size_t(state.range(0)), 0x5A);
-  uint64_t offset = 0;
+  uint64_t size = 0;
   for (auto _ : state) {
-    if (!(*journal)->append_write("ckpt/shard_0.bin", offset, data.data(),
-                                  data.size()).ok()) {
-      state.SkipWithError("append_write failed");
+    size += 1u << 20;
+    if (!(*journal)->append_size("ckpt/shard_0.bin", size).ok()) {
+      state.SkipWithError("append_size failed");
       break;
     }
-    offset += data.size();
     if ((*journal)->size_bytes() >= (64u << 20)) {
       state.PauseTiming();
       (void)(*journal)->checkpoint_reset();
       state.ResumeTiming();
     }
   }
-  state.SetBytesProcessed(int64_t(state.iterations()) * state.range(0));
   journal->reset();
   std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_JournalAppendWrite)->Arg(4096)->Arg(1 << 20);
+BENCHMARK(BM_JournalAppendSize);
 
 uint64_t process_cpu_us() {
   rusage ru{};

@@ -806,6 +806,38 @@ void BM_LocalSmallOpen(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalSmallOpen)->ArgName("bytes")->Arg(16 << 10)->UseRealTime();
 
+// A seq_ckpt checkpoint shard through HvacClient over the alias:
+// open_write, 4 x 1 MiB write, fsync and close. The writes are pwrites
+// into the fd the kWriteOpen reply passed, so a shard costs three RPCs;
+// the close queues the file's one PFS copy.
+void BM_CheckpointShard(benchmark::State& state) {
+  constexpr size_t kWrite = 1 << 20;
+  BulkFileFixture& f = bulk_file_fixture(1 << 20);
+  hvac::client::HvacClientOptions o;
+  o.dataset_dir = f.pfs_root;
+  o.server_endpoints = {f.server->address()};
+  o.allow_pfs_fallback = false;
+  hvac::client::HvacClient client(o);
+  const std::vector<uint8_t> buf(kWrite, 0x5A);
+  const std::string path = f.pfs_root + "/ckpt/shard.bin";
+  for (auto _ : state) {
+    const auto vfd = client.open_write(path, /*trunc=*/true);
+    if (!vfd.ok()) { state.SkipWithError("open_write failed"); break; }
+    bool ok = true;
+    for (int i = 0; i < 4 && ok; ++i) {
+      const auto n = client.write(*vfd, buf.data(), buf.size());
+      ok = n.ok() && *n == buf.size();
+    }
+    ok = ok && client.fsync(*vfd).ok();
+    if (!client.close(*vfd).ok() || !ok) {
+      state.SkipWithError("shard write failed");
+      break;
+    }
+  }
+  state.SetBytesProcessed(int64_t(state.iterations()) * 4 * kWrite);
+}
+BENCHMARK(BM_CheckpointShard)->UseRealTime();
+
 // --- Clairvoyant epoch reads ----------------------------------------
 //
 // One COLD training epoch per iteration: a fresh server (empty cache)

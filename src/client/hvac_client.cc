@@ -1071,13 +1071,16 @@ Status HvacClient::close(int vfd) {
     // close is a durability barrier on the write path: the server
     // commits the file (and drains it to the PFS at level "pfs")
     // before dropping the handle, so this failure IS surfaced.
+    // kCapacity: the last barrier shed the file, which is whole and
+    // synced on the PFS.
     const uint64_t fd_bytes =
         entry.write_fd ? entry.write_fd->unsynced_bytes.exchange(0) : 0;
-    HVAC_ASSIGN_OR_RETURN(
-        Bytes resp, channel(entry.server_index)
-                        .call(proto::kWriteClose,
-                              barrier_request(entry.remote_fd, fd_bytes)));
-    (void)resp;
+    Result<Bytes> resp = channel(entry.server_index)
+                             .call(proto::kWriteClose,
+                                   barrier_request(entry.remote_fd, fd_bytes));
+    if (!resp.ok() && resp.error().code != ErrorCode::kCapacity) {
+      return resp.error();
+    }
     return Status::Ok();
   }
   // Read fds hold no server-side state: closing one is local.
@@ -1183,18 +1186,15 @@ Result<size_t> HvacClient::pwrite(int vfd, const void* buf, size_t count,
     HVAC_RETURN_IF_ERROR(
         pwrite_exact(entry.pfs_fd, src, count, offset, "pwrite(pfs)"));
     done = count;
-  } else if (entry.write_fd) {
-    // The bytes go once, into the named file; the next barrier commits
-    // them.
-    HVAC_RETURN_IF_ERROR(pwrite_exact(entry.write_fd->fd, src, count, offset,
-                                      "pwrite(write-back file)"));
-    entry.write_fd->unsynced_bytes.fetch_add(count,
-                                             std::memory_order_relaxed);
-    done = count;
   } else {
+    if (entry.write_fd) {
+      HVAC_ASSIGN_OR_RETURN(bool local,
+                            pwrite_local(vfd, entry, src, count, offset));
+      if (local) done = count;
+    }
     // Chunk to the RPC frame cap. A chunk is idempotent (same bytes,
     // same offset), so transport retries are safe.
-    while (done < count) {
+    while (!entry.write_fd && done < count) {
       const uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(
           count - done, options_.read_chunk_bytes));
       WireWriter w;
@@ -1236,12 +1236,65 @@ Result<size_t> HvacClient::write(int vfd, const void* buf, size_t count) {
   return n;
 }
 
+Result<bool> HvacClient::pwrite_local(int vfd, core::FdEntry& entry,
+                                      const uint8_t* src, size_t count,
+                                      uint64_t offset) {
+  // The bytes go once, into the named file; the next barrier commits
+  // them and charges the file to the store.
+  Status s = pwrite_exact(entry.write_fd->fd, src, count, offset,
+                          "pwrite(write-back file)");
+  if (s.ok()) {
+    const uint64_t unsynced = entry.write_fd->unsynced_bytes.fetch_add(
+                                  count, std::memory_order_relaxed) +
+                              count;
+    if (unsynced >= options_.write_fd_barrier_bytes) {
+      // A shed here takes these bytes to the PFS with the rest; any
+      // other failure is the application's next fsync or close to see.
+      (void)barrier(vfd, entry);
+    }
+    return true;
+  }
+  if (s.error().code != ErrorCode::kCapacity) return s.error();
+  // The local disk is full: a barrier over budget sheds the handle, and
+  // the write goes to the PFS by kWrite. A disk full under the budget
+  // is the application's ENOSPC.
+  HVAC_RETURN_IF_ERROR(barrier(vfd, entry));
+  if (entry.write_fd) return s.error();
+  return false;
+}
+
 Bytes HvacClient::barrier_request(uint64_t remote_fd, uint64_t fd_bytes) const {
   WireWriter w;
   w.put_u64(remote_fd);
   w.put_u8(options_.write_durability);
   w.put_u64(fd_bytes);
   return std::move(w).take();
+}
+
+Status HvacClient::barrier(int vfd, core::FdEntry& entry) {
+  const uint64_t fd_bytes =
+      entry.write_fd ? entry.write_fd->unsynced_bytes.exchange(0) : 0;
+  // The barrier is idempotent — committing twice is harmless.
+  Result<Bytes> resp = channel(entry.server_index)
+                           .call_idempotent(proto::kFsync,
+                                            barrier_request(entry.remote_fd,
+                                                            fd_bytes));
+  if (resp.ok()) return Status::Ok();
+  if (resp.error().code == ErrorCode::kCapacity) {
+    if (entry.write_fd) {
+      entry.write_fd.reset();
+      HVAC_RETURN_IF_ERROR(fds_.replace(vfd, entry));
+    }
+    return Status::Ok();
+  }
+  if (entry.write_fd && (resp.error().code == ErrorCode::kUnavailable ||
+                         resp.error().code == ErrorCode::kTimeout)) {
+    // The server may never have seen them: the next barrier reports
+    // them again.
+    entry.write_fd->unsynced_bytes.fetch_add(fd_bytes,
+                                             std::memory_order_relaxed);
+  }
+  return resp.error();
 }
 
 Status HvacClient::fsync(int vfd) {
@@ -1260,35 +1313,7 @@ Status HvacClient::fsync(int vfd) {
     }
     return Status::Ok();
   }
-  const uint64_t fd_bytes =
-      entry.write_fd ? entry.write_fd->unsynced_bytes.exchange(0) : 0;
-  // The barrier is idempotent — committing twice is harmless.
-  Result<Bytes> resp = channel(entry.server_index)
-                           .call_idempotent(proto::kFsync,
-                                            barrier_request(entry.remote_fd,
-                                                            fd_bytes));
-  if (resp.ok()) return Status::Ok();
-  if (resp.error().code == ErrorCode::kCapacity && entry.write_fd) {
-    // The file outgrew the store: the server put every byte on the
-    // PFS and writes through from here. Drop the fd, go on by kWrite,
-    // and sync what is now a PFS file.
-    entry.write_fd.reset();
-    HVAC_RETURN_IF_ERROR(fds_.replace(vfd, entry));
-    HVAC_ASSIGN_OR_RETURN(
-        Bytes again, channel(entry.server_index)
-                         .call_idempotent(proto::kFsync,
-                                          barrier_request(entry.remote_fd, 0)));
-    (void)again;
-    return Status::Ok();
-  }
-  if (entry.write_fd && (resp.error().code == ErrorCode::kUnavailable ||
-                         resp.error().code == ErrorCode::kTimeout)) {
-    // The server may never have seen them: the next barrier reports
-    // them again.
-    entry.write_fd->unsynced_bytes.fetch_add(fd_bytes,
-                                             std::memory_order_relaxed);
-  }
-  return resp.error();
+  return barrier(vfd, entry);
 }
 
 Result<uint64_t> HvacClient::stat_size(const std::string& path) {

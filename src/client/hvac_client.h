@@ -95,6 +95,11 @@ struct HvacClientOptions {
   // node-local media; "pfs" (1) — fsync additionally waits until the
   // flusher landed the file on the PFS.
   uint8_t write_durability = 0;
+  // Bytes a passed-fd writer may add to its file between barriers.
+  // Past this, a write runs a kFsync itself, so the store's budget is
+  // charged (and an over-budget file shed to the PFS) before the file
+  // outgrows it by more than this.
+  uint64_t write_fd_barrier_bytes = 64ull << 20;
   rpc::RpcClientOptions rpc;
 };
 
@@ -264,6 +269,16 @@ class HvacClient {
   // kFsync / kWriteClose body for write handle `remote_fd`, reporting
   // `fd_bytes` pwritten through its passed fd since the last barrier.
   rpc::Bytes barrier_request(uint64_t remote_fd, uint64_t fd_bytes) const;
+  // One kFsync for write vfd `vfd`. kCapacity from the server is its
+  // ack for a shed handle: the fd is dropped (here and in the table),
+  // and the vfd writes by kWrite from then on.
+  Status barrier(int vfd, core::FdEntry& entry);
+  // A write through the passed fd (see write_fd_barrier_bytes). False
+  // when a full local disk made a barrier shed the handle: nothing was
+  // written, and the caller writes by kWrite.
+  Result<bool> pwrite_local(int vfd, core::FdEntry& entry,
+                            const uint8_t* src, size_t count,
+                            uint64_t offset);
 
   // One stateless kOpen to `server`: a vfd whose reads go by path, with
   // the inline bytes attached for a small file, or, when `takes_fd`,

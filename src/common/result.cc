@@ -54,7 +54,7 @@ ErrorCode errno_to_error_code(int err) {
       return ErrorCode::kUnavailable;
     case ETIMEDOUT: return ErrorCode::kTimeout;
     case EEXIST: return ErrorCode::kExists;
-    case ENOSPC: return ErrorCode::kCapacity;
+    case ENOSPC: case EDQUOT: return ErrorCode::kCapacity;
     case EPROTO: return ErrorCode::kProtocol;
     case EBADF: return ErrorCode::kBadFd;
     case ECANCELED: return ErrorCode::kCancelled;

@@ -115,9 +115,11 @@ enum Opcode : uint16_t {
                     // nothing. level is a WriteDurability: kPfs also
                     // waits until the flusher landed the file on the
                     // PFS. kCapacity: the file outgrew the store; the
-                    // server shed the handle to write-through and the
-                    // client drops its fd, sends the barrier again and
-                    // writes on by kWrite.
+                    // server put every byte in the synced PFS file and
+                    // shed the handle to write-through. That answer is
+                    // the barrier's ack: the client drops its fd and
+                    // writes on by kWrite. Only committed bytes ever
+                    // reach the PFS (a shed commits the whole file).
   kWriteClose = 16,  // (remote_fd u64, level u8 [, fd_bytes u64]) -> ()
                      // fsync(level) semantics, then drops the handle
                      // and queues the file's one PFS copy.

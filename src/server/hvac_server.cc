@@ -70,20 +70,27 @@ HvacServer::HvacServer(storage::PfsBackend* pfs, HvacServerOptions options)
       cache_.get(), options_.data_mover_threads,
       options_.mover_queue_capacity);
   if (options_.write_enabled) {
-    // The flusher copies the store's physical file out to the PFS.
-    // The seq snapshot taken before the copy lets on_flushed tell a
-    // copy that includes every acked write from one that a late write
-    // slipped past (see last_write_seq_).
+    // The flusher copies the store's physical file out to the PFS, up
+    // to the path's committed size: bytes past the last barrier (a
+    // passed-fd writer's, which the server never saw) stay local. The
+    // seq snapshot taken before the copy lets on_flushed tell a copy
+    // that includes every commit from one that a later barrier slipped
+    // past (see last_write_seq_).
     flusher_ = std::make_unique<core::FlushManager>(
         core::FlushManager::Options::from_env(),
         [this](const std::string& path) -> Status {
+          uint64_t committed = 0;
           {
             std::lock_guard<std::mutex> lock(write_state_mutex_);
             flush_snapshot_seq_[path] = last_write_seq_[path];
+            auto dirty = dirty_bytes_by_path_.find(path);
+            // Clean: the PFS already holds every committed byte.
+            if (dirty == dirty_bytes_by_path_.end()) return Status::Ok();
+            committed = dirty->second;
           }
           trace::Span span("server.flush_copy");
-          auto copied = pfs_->copy_in(
-              cache_->store().physical_path(path), path);
+          auto copied = pfs_->copy_in(cache_->store().physical_path(path),
+                                      path, committed);
           if (!copied.ok()) return copied.error();
           return Status::Ok();
         },
@@ -241,9 +248,10 @@ void HvacServer::stop() {
   rpc_.stop();
   // Give dirty checkpoints a bounded chance to reach the PFS: a file
   // is copied at its close, so one whose handle was never closed is
-  // queued here. What does not drain stays in the journal and in the
-  // named files, which the purge below then keeps for the next
-  // start's replay.
+  // queued here, at its last committed size (what it holds past its
+  // last barrier was never acked). What does not drain stays in the
+  // journal and in the named files, which the purge below then keeps
+  // for the next start's replay.
   bool drained = true;
   if (flusher_) {
     std::vector<std::string> dirty;
@@ -1004,10 +1012,15 @@ Result<rpc::Payload> HvacServer::handle_write_open(const Bytes& req) {
 
 Status HvacServer::shed_to_write_through(WriteHandle& h) {
   write_through_sheds_.fetch_add(1, std::memory_order_relaxed);
-  // Land the locally written prefix on the PFS first, committed or
-  // not (a passed-fd writer's bytes reach the server only at its
-  // barrier), then drop the local copy, which would go stale, and
-  // continue on the (renamed-into-place) PFS file.
+  // Land the whole locally written prefix on the PFS first: the kWrites
+  // acked so far, or the bytes the shedding barrier is about to ack.
+  // Then drop the local copy, which would go stale, and continue on the
+  // (renamed-into-place) PFS file.
+  HVAC_ASSIGN_OR_RETURN(uint64_t size, h.file.size());
+  {
+    std::lock_guard<std::mutex> lock(write_state_mutex_);
+    dirty_bytes_by_path_[h.logical_path] = size;
+  }
   HVAC_RETURN_IF_ERROR(flusher_->submit(h.logical_path));
   HVAC_RETURN_IF_ERROR(flusher_->wait(h.logical_path));
   (void)cache_->store().evict(h.logical_path);
@@ -1106,7 +1119,10 @@ Status HvacServer::sync_handle(WriteHandle& h, const BarrierRequest& b) {
       Status charged = cache_->store().update_size(h.logical_path, size);
       if (!charged.ok()) {
         if (charged.error().code != ErrorCode::kCapacity) return charged;
+        // Every byte is in the PFS file now: sync it, and the kCapacity
+        // answer is the barrier's ack (the client drops its fd).
         HVAC_RETURN_IF_ERROR(shed_to_write_through(h));
+        HVAC_RETURN_IF_ERROR(h.pfs_file.sync());
         return charged;
       }
     }
@@ -1145,11 +1161,6 @@ Result<Bytes> HvacServer::handle_write_close(const Bytes& req) {
   {
     std::lock_guard<std::mutex> lock(h->mutex);
     synced = sync_handle(*h, b);
-    if (!synced.ok() && synced.error().code == ErrorCode::kCapacity) {
-      // Shed at the last barrier: every byte is in the PFS file now,
-      // which only needs its own sync.
-      synced = sync_handle(*h, b);
-    }
   }
   // Drop the handle even when the barrier failed: the client erases
   // its vfd before this RPC, so a kept handle (and its open files)

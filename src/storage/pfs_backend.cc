@@ -110,7 +110,8 @@ Result<size_t> PfsBackend::pwrite(PosixFile& file, const void* buf,
 }
 
 Result<uint64_t> PfsBackend::copy_in(const std::string& src,
-                                     const std::string& relative_path) {
+                                     const std::string& relative_path,
+                                     uint64_t length) {
   HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kPfsWrite));
   charge_metadata();
   const std::string dst = absolute(relative_path);
@@ -120,7 +121,7 @@ Result<uint64_t> PfsBackend::copy_in(const std::string& src,
       dst.rfind('/') == std::string::npos ? std::string("/")
                                           : dst.substr(0, dst.rfind('/'))));
   HVAC_ASSIGN_OR_RETURN(PosixFile out, PosixFile::create_write(tmp));
-  HVAC_ASSIGN_OR_RETURN(uint64_t total, copy_range(in, 0, UINT64_MAX, out, 0));
+  HVAC_ASSIGN_OR_RETURN(uint64_t total, copy_range(in, 0, length, out, 0));
   HVAC_RETURN_IF_ERROR(out.sync());
   HVAC_RETURN_IF_ERROR(out.close());
   if (::rename(tmp.c_str(), dst.c_str()) != 0) {

@@ -87,9 +87,12 @@ class PfsBackend {
   // the destination — the flusher's write-back step, the inverse of
   // copy_out. Writes land in a `.hvacflush` sibling first and rename
   // into place, so a crashed flush never leaves a half-written
-  // checkpoint visible under the final name. Fault site: pfs_write.
+  // checkpoint visible under the final name. Copies at most `length`
+  // bytes of `src`, so bytes past it never reach the PFS. Fault site:
+  // pfs_write.
   Result<uint64_t> copy_in(const std::string& src,
-                           const std::string& relative_path);
+                           const std::string& relative_path,
+                           uint64_t length = UINT64_MAX);
 
   bool exists(const std::string& relative_path) const;
 

@@ -390,6 +390,61 @@ TEST(WriteCrash, KillNineMidBarrierKeepsOnlyAckedBytes) {
   ::waitpid(pid, &status, 0);
 }
 
+// A writer that outlives a kill -9 of its hvacd keeps its passed fd on
+// the named file and can pwrite into it with no RPC, after the restart
+// has trimmed the file to its committed size. The replayed flush copies
+// the committed size only: the PFS gets exactly the acked bytes.
+TEST(WriteCrash, SurvivingWriterAfterRestartAddsNothingToThePfs) {
+  const std::string pfs = temp_dir("survivor_pfs");
+  const std::string cache = temp_dir("survivor_cache");
+  const std::string meta = temp_dir("survivor_meta");
+  pid_t pid = spawn_hvacd(pfs, cache, meta + "/ports1", nullptr);
+  ASSERT_GT(pid, 0);
+  const std::string endpoints = wait_endpoints(meta + "/ports1");
+  ASSERT_FALSE(endpoints.empty()) << "hvacd did not come up";
+
+  const std::string acked(1000, 'A');
+  client::HvacClientOptions copts;
+  copts.dataset_dir = pfs;
+  copts.server_endpoints = split_csv(endpoints);
+  copts.allow_pfs_fallback = false;
+  copts.rpc.max_retries = 0;
+  client::HvacClient client(copts);
+  auto vfd = client.open_write(pfs + "/ckpt/s.bin", true);
+  ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+  ASSERT_TRUE(client.write(*vfd, acked.data(), acked.size()).ok());
+  ASSERT_TRUE(client.fsync(*vfd).ok());  // the acked barrier
+  int status = 0;
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, &status, 0);
+  EXPECT_FALSE(fs::exists(pfs + "/ckpt/s.bin"));
+
+  // The replayed flush stalls, so the surviving write lands first.
+  pid = spawn_hvacd(pfs, cache, meta + "/ports2", "pfs_write:delay_ms=1500");
+  ASSERT_GT(pid, 0);
+  ASSERT_FALSE(wait_endpoints(meta + "/ports2").empty())
+      << "hvacd did not restart";
+  ASSERT_EQ(client.write(*vfd, "TAILTAIL", 8).value(), 8u);
+  EXPECT_EQ(client.stats().writes, 2u);
+  // The tail reached the trimmed named file (the same inode).
+  bool tail_landed = false;
+  for (const auto& e : fs::recursive_directory_iterator(cache)) {
+    if (e.is_regular_file() && e.file_size() == acked.size() + 8) {
+      tail_landed = read_file(e.path().string()) == acked + "TAILTAIL";
+    }
+  }
+  EXPECT_TRUE(tail_landed);
+
+  std::string got;
+  for (int tries = 0; tries < 1000 && got.empty(); ++tries) {
+    if (fs::exists(pfs + "/ckpt/s.bin")) got = read_file(pfs + "/ckpt/s.bin");
+    if (got.empty()) ::usleep(10 * 1000);
+  }
+  EXPECT_EQ(got, acked);
+  ::kill(pid, SIGTERM);
+  ::waitpid(pid, &status, 0);
+}
+
 size_t count_slabs(const std::string& dir) {
   size_t n = 0;
   for (const auto& e : fs::recursive_directory_iterator(dir)) {
