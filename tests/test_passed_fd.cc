@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/hvac_client.h"
@@ -28,6 +29,7 @@
 #include "rpc/protocol.h"
 #include "rpc/rpc_client.h"
 #include "rpc/rpc_server.h"
+#include "rpc/socket.h"
 #include "rpc/wire.h"
 #include "server/hvac_proto.h"
 #include "server/hvac_server.h"
@@ -699,6 +701,82 @@ TEST(PassedFd, HostileWriteOpenRepliesFailAndLeakNoFd) {
   }
 }
 
+// A kWriteOpen reply that carries two fds, even write-only ones on a
+// regular file, is malformed: the open fails with kProtocol, with no
+// PFS fallback, and neither fd stays open. A raw unix-socket server
+// sends it, since an RpcServer attaches one fd at most.
+TEST(PassedFd, WriteOpenReplyWithTwoFdsFailsAndLeaksNoFd) {
+  rpc::HealthRegistry::global().reset();
+  const std::string root = temp_dir("two_fds");
+  const std::string target = root + "/named.bin";
+  ASSERT_TRUE(storage::write_file(target, "x", 1).ok());
+  const std::string sock = ::testing::TempDir() + "hvac_twofd_" +
+                           std::to_string(::getpid()) + ".sock";
+  auto listener = rpc::listen_on(rpc::Endpoint{"unix:" + sock}, nullptr);
+  ASSERT_TRUE(listener.ok()) << listener.error().to_string();
+  const int attach = ::open(target.c_str(), O_WRONLY | O_CLOEXEC);
+  ASSERT_GE(attach, 0);
+  std::thread hostile([&] {
+    const int conn =
+        ::accept4(listener->get(), nullptr, nullptr, SOCK_CLOEXEC);
+    if (conn < 0) return;
+    uint8_t hdr[rpc::kMaxHeaderSize];
+    auto req = rpc::recv_all(conn, hdr, rpc::kHeaderSize).ok()
+                   ? rpc::decode_header(hdr, rpc::kHeaderSize)
+                   : Result<rpc::FrameHeader>(Error(ErrorCode::kIoError, ""));
+    std::vector<uint8_t> body(req.ok() ? req->payload_len : 0);
+    if (req.ok() && (!req->has_trace ||
+                     rpc::recv_all(conn, hdr, rpc::kTraceContextSize).ok()) &&
+        rpc::recv_all(conn, body.data(), body.size()).ok()) {
+      rpc::WireWriter w;
+      w.put_u64(1);
+      w.put_u8(proto::kWriteBack);
+      rpc::FrameHeader h;
+      h.payload_len = static_cast<uint32_t>(w.bytes().size());
+      h.request_id = req->request_id;
+      h.opcode = req->opcode;
+      h.kind = rpc::FrameKind::kResponse;
+      h.status = ErrorCode::kOk;
+      uint8_t out[rpc::kMaxHeaderSize];
+      const size_t len = rpc::encode_header(h, out);
+      std::vector<uint8_t> frame(out, out + len);
+      frame.insert(frame.end(), w.bytes().begin(), w.bytes().end());
+      iovec iov{frame.data(), frame.size()};
+      msghdr msg{};
+      msg.msg_iov = &iov;
+      msg.msg_iovlen = 1;
+      const int fds[2] = {attach, attach};
+      alignas(cmsghdr) char control[CMSG_SPACE(sizeof(fds))];
+      msg.msg_control = control;
+      msg.msg_controllen = sizeof(control);
+      cmsghdr* cmsg = CMSG_FIRSTHDR(&msg);
+      cmsg->cmsg_level = SOL_SOCKET;
+      cmsg->cmsg_type = SCM_RIGHTS;
+      cmsg->cmsg_len = CMSG_LEN(sizeof(fds));
+      std::memcpy(CMSG_DATA(cmsg), fds, sizeof(fds));
+      (void)::sendmsg(conn, &msg, MSG_NOSIGNAL);
+      uint8_t drain = 0;
+      (void)::recv(conn, &drain, 1, 0);  // until the client hangs up
+    }
+    ::close(conn);
+  });
+  {
+    HvacClientOptions co;
+    co.dataset_dir = root;
+    co.server_endpoints = {"unix:" + sock};
+    co.rpc.max_retries = 0;
+    HvacClient client(co);
+    auto vfd = client.open_write(root + "/ckpt.bin", true);
+    ASSERT_FALSE(vfd.ok());
+    EXPECT_EQ(vfd.error().code, ErrorCode::kProtocol);
+    EXPECT_EQ(client.stats().fallback_write_opens, 0u);
+  }
+  hostile.join();
+  ::close(attach);
+  EXPECT_EQ(fds_on(target), 0u);
+  ::unlink(sock.c_str());
+}
+
 // A packed sample shares its container's slot with its neighbours: a
 // kOpen for it, even one that opts in, is answered without an fd.
 TEST(PassedFd, PackedSamplesGetNoFd) {
@@ -848,10 +926,11 @@ TEST(PassedFd, HostileSlabRepliesFailOverAndLeakNoFd) {
   }
 }
 
-// Peers of another uid never get an fd, even on a unix: endpoint whose
-// socket file they may connect to. The peer runs as uid 65534 in a
-// forked child that speaks raw syscalls; the parent (root) is the
-// control and does get one.
+// Peers of another uid never get an fd, neither a slab's nor a
+// write-back file's, even on a unix: endpoint whose socket file they
+// may connect to. The peer runs as uid 65534 in a forked child that
+// speaks raw syscalls; the parent (root) is the control and does get
+// one.
 TEST(PassedFd, ForeignUidPeerOnUnixEndpointGetsNoFd) {
   if (::geteuid() != 0) GTEST_SKIP() << "needs root to run a peer uid";
   rpc::HealthRegistry::global().reset();
@@ -869,60 +948,65 @@ TEST(PassedFd, ForeignUidPeerOnUnixEndpointGetsNoFd) {
   const std::string sock = srv.address().substr(5);
   ASSERT_EQ(::chmod(sock.c_str(), 0777), 0);
 
-  rpc::WireWriter body;
-  body.put_string("u.bin");
-  body.put_u8(1);
-  body.put_u8(1);
-  rpc::FrameHeader h;
-  h.payload_len = static_cast<uint32_t>(body.bytes().size());
-  h.request_id = 1;
-  h.opcode = proto::kOpen;
-  uint8_t hdr[rpc::kMaxHeaderSize];
-  const size_t hdr_len = rpc::encode_header(h, hdr);
-  std::vector<uint8_t> frame(hdr, hdr + hdr_len);
-  frame.insert(frame.end(), body.bytes().begin(), body.bytes().end());
+  // A kOpen and a write-back kWriteOpen, each opting in to an fd.
+  for (const uint16_t op : {uint16_t(proto::kOpen),
+                            uint16_t(proto::kWriteOpen)}) {
+    SCOPED_TRACE(op);
+    rpc::WireWriter body;
+    body.put_string(op == proto::kOpen ? "u.bin" : "ckpt/u.bin");
+    body.put_u8(1);  // stateless / trunc
+    body.put_u8(1);  // takes_fd
+    rpc::FrameHeader h;
+    h.payload_len = static_cast<uint32_t>(body.bytes().size());
+    h.request_id = 1;
+    h.opcode = op;
+    uint8_t hdr[rpc::kMaxHeaderSize];
+    const size_t hdr_len = rpc::encode_header(h, hdr);
+    std::vector<uint8_t> frame(hdr, hdr + hdr_len);
+    frame.insert(frame.end(), body.bytes().begin(), body.bytes().end());
 
-  // The control: this process's uid gets an fd (and warms the cache,
-  // so the child's open is a reactor-side hit).
-  rpc::RpcClient rc(rpc::Endpoint{srv.address()});
-  auto own = rc.call_payload(proto::kOpen, body.bytes(), /*take_fd=*/true);
-  ASSERT_TRUE(own.ok()) << own.error().to_string();
-  EXPECT_GE(own->fd(), 0);
+    // The control: this process's uid gets an fd (and warms the cache,
+    // so the child's open is a reactor-side hit).
+    rpc::RpcClient rc(rpc::Endpoint{srv.address()});
+    auto own = rc.call_payload(op, body.bytes(), /*take_fd=*/true);
+    ASSERT_TRUE(own.ok()) << own.error().to_string();
+    EXPECT_GE(own->fd(), 0);
 
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  ASSERT_LT(sock.size(), sizeof(addr.sun_path));
-  std::memcpy(addr.sun_path, sock.c_str(), sock.size());
-  const pid_t child = ::fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) {
-    // Raw syscalls only between fork and _exit. Exit codes: 0 answered
-    // without an fd, 1 answered with one, 2+ setup or transport error.
-    if (::setgid(65534) != 0 || ::setuid(65534) != 0) ::_exit(2);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0 || ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                            sizeof(addr)) != 0) {
-      ::_exit(3);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    ASSERT_LT(sock.size(), sizeof(addr.sun_path));
+    std::memcpy(addr.sun_path, sock.c_str(), sock.size());
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      // Raw syscalls only between fork and _exit. Exit codes: 0 answered
+      // without an fd, 1 answered with one, 2+ setup or transport error.
+      if (::setgid(65534) != 0 || ::setuid(65534) != 0) ::_exit(2);
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (fd < 0 || ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                              sizeof(addr)) != 0) {
+        ::_exit(3);
+      }
+      if (::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(frame.size())) {
+        ::_exit(4);
+      }
+      uint8_t reply[rpc::kHeaderSize];
+      alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))];
+      iovec iov{reply, sizeof(reply)};
+      msghdr msg{};
+      msg.msg_iov = &iov;
+      msg.msg_iovlen = 1;
+      msg.msg_control = control;
+      msg.msg_controllen = sizeof(control);
+      if (::recvmsg(fd, &msg, 0) <= 0) ::_exit(5);
+      ::_exit(CMSG_FIRSTHDR(&msg) != nullptr ? 1 : 0);
     }
-    if (::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) !=
-        static_cast<ssize_t>(frame.size())) {
-      ::_exit(4);
-    }
-    uint8_t reply[rpc::kHeaderSize];
-    alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))];
-    iovec iov{reply, sizeof(reply)};
-    msghdr msg{};
-    msg.msg_iov = &iov;
-    msg.msg_iovlen = 1;
-    msg.msg_control = control;
-    msg.msg_controllen = sizeof(control);
-    if (::recvmsg(fd, &msg, 0) <= 0) ::_exit(5);
-    ::_exit(CMSG_FIRSTHDR(&msg) != nullptr ? 1 : 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
   }
-  int status = 0;
-  ASSERT_EQ(::waitpid(child, &status, 0), child);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
   srv.stop();
 }
 
