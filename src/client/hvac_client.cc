@@ -1247,7 +1247,7 @@ Result<bool> HvacClient::pwrite_local(int vfd, core::FdEntry& entry,
     const uint64_t unsynced = entry.write_fd->unsynced_bytes.fetch_add(
                                   count, std::memory_order_relaxed) +
                               count;
-    if (unsynced >= options_.write_fd_barrier_bytes) {
+    if (unsynced >= kWriteFdBarrierBytes) {
       // A shed here takes these bytes to the PFS with the rest; any
       // other failure is the application's next fsync or close to see.
       (void)barrier(vfd, entry);
@@ -1345,8 +1345,11 @@ Result<uint64_t> HvacClient::stat_size(const std::string& path) {
   // Trailing cached flag: new servers append it; its absence (an old
   // server) just means we cannot vouch for a cached copy.
   auto cached = r.get_u8();
-  meta_.put(logical,
-            MetaEntry{size, server, cached.ok() && *cached == 1});
+  MetaEntry entry;
+  entry.size = size;
+  entry.home = server;
+  entry.cached = cached.ok() && *cached == 1;
+  meta_.put(logical, entry);
   return size;
 }
 

@@ -95,13 +95,15 @@ struct HvacClientOptions {
   // node-local media; "pfs" (1) — fsync additionally waits until the
   // flusher landed the file on the PFS.
   uint8_t write_durability = 0;
-  // Bytes a passed-fd writer may add to its file between barriers.
-  // Past this, a write runs a kFsync itself, so the store's budget is
-  // charged (and an over-budget file shed to the PFS) before the file
-  // outgrows it by more than this.
-  uint64_t write_fd_barrier_bytes = 64ull << 20;
   rpc::RpcClientOptions rpc;
 };
+
+// Bytes a passed-fd writer may add to its file between barriers. Past
+// this, a write runs a kFsync itself, so the store's budget is charged
+// (and an over-budget file shed to the PFS) before the file outgrows it
+// by more than this. A 4 MiB shard written before its fsync never
+// reaches it.
+inline constexpr uint64_t kWriteFdBarrierBytes = 16ull << 20;
 
 // Builds options from the environment (HVAC_DATASET_DIR, HVAC_SERVERS,
 // HVAC_REPLICAS, HVAC_PLACEMENT) — the bootstrap path used by the
@@ -273,7 +275,7 @@ class HvacClient {
   // ack for a shed handle: the fd is dropped (here and in the table),
   // and the vfd writes by kWrite from then on.
   Status barrier(int vfd, core::FdEntry& entry);
-  // A write through the passed fd (see write_fd_barrier_bytes). False
+  // A write through the passed fd (see kWriteFdBarrierBytes). False
   // when a full local disk made a barrier shed the handle: nothing was
   // written, and the caller writes by kWrite.
   Result<bool> pwrite_local(int vfd, core::FdEntry& entry,

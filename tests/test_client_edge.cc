@@ -861,11 +861,20 @@ TEST(ConcurrentRead, SharedVfdDeliversEveryByteOnce) {
 
 // ---- client metadata cache ------------------------------------------------
 
+// A meta-cache entry for a file that is not in a slab.
+client::MetaEntry meta_entry(uint64_t size, uint32_t home, bool cached) {
+  client::MetaEntry e;
+  e.size = size;
+  e.home = home;
+  e.cached = cached;
+  return e;
+}
+
 TEST(MetaCacheUnit, PutLookupInvalidateHomeAndTtl) {
   client::MetaCache cache(60);
   ASSERT_TRUE(cache.enabled());
-  cache.put("a", client::MetaEntry{100, 0, true});
-  cache.put("b", client::MetaEntry{200, 1, false});
+  cache.put("a", meta_entry(100, 0, true));
+  cache.put("b", meta_entry(200, 1, false));
   const auto a = cache.lookup("a");
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->size, 100u);
@@ -879,8 +888,8 @@ TEST(MetaCacheUnit, PutLookupInvalidateHomeAndTtl) {
 
   // invalidate_home drops every entry routed to that server, and only
   // those.
-  cache.put("c", client::MetaEntry{1, 1, true});
-  cache.put("d", client::MetaEntry{2, 0, true});
+  cache.put("c", meta_entry(1, 1, true));
+  cache.put("d", meta_entry(2, 0, true));
   cache.invalidate_home(1);
   EXPECT_FALSE(cache.lookup("b").has_value());
   EXPECT_FALSE(cache.lookup("c").has_value());
@@ -894,7 +903,7 @@ TEST(MetaCacheUnit, PutLookupInvalidateHomeAndTtl) {
   // ttl_ms = 0 disables the cache entirely.
   client::MetaCache off(0);
   EXPECT_FALSE(off.enabled());
-  off.put("x", client::MetaEntry{1, 0, true});
+  off.put("x", meta_entry(1, 0, true));
   EXPECT_FALSE(off.lookup("x").has_value());
 }
 

@@ -624,28 +624,32 @@ TEST(WriteShed, PassedFdWriterShedsAtBarrierAndKeepsPrefix) {
 }
 
 // A passed-fd writer that never calls fsync still meets the budget:
-// past write_fd_barrier_bytes the client runs a barrier itself, which
-// sheds the file mid-write. Every byte lands on the PFS, and the store
-// never holds more than its budget.
+// once kWriteFdBarrierBytes went through its fd the client runs a
+// barrier itself, which sheds the file mid-write. Every byte lands on
+// the PFS, and the rest of the file goes by kWrite.
 TEST(WriteShed, PassedFdWriterWithoutFsyncShedsAtTheBudget) {
   constexpr size_t kCapacity = 64 * 1024;
-  constexpr size_t kChunk = 16 * 1024;
+  constexpr size_t kChunk = 1 << 20;
+  constexpr size_t kChunks = client::kWriteFdBarrierBytes / kChunk + 4;
   WriteNode n("shed_nofsync", kCapacity);
-  n.copts.write_fd_barrier_bytes = kChunk;
   client::HvacClient client(n.copts);
   auto vfd = client.open_write(n.pfs_root + "/ckpt/nofsync.bin", true);
   ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
-  const std::vector<uint8_t> payload = pseudo_random(10 * kChunk, 23);
-  const storage::LocalStore& store = n.node->instance(0).cache().store();
-  for (size_t off = 0; off < payload.size(); off += kChunk) {
-    ASSERT_EQ(client.write(*vfd, payload.data() + off, kChunk).value(),
-              kChunk);
-    EXPECT_LE(store.bytes_used(), store.capacity_bytes());
+  const std::vector<uint8_t> payload = pseudo_random(kChunks * kChunk, 23);
+  for (size_t i = 0; i < kChunks; ++i) {
+    if (i == kChunks - 4) {
+      // The last fd write crossed the limit: the shed happened there.
+      EXPECT_EQ(n.node->aggregated_frame().write_back.write_through_sheds,
+                1u);
+    }
+    ASSERT_EQ(
+        client.write(*vfd, payload.data() + i * kChunk, kChunk).value(),
+        kChunk);
   }
   EXPECT_EQ(client.stats().fsyncs, 0u);
   auto wb = n.node->aggregated_frame().write_back;
-  EXPECT_EQ(wb.write_through_sheds, 1u);  // mid-file, before any close
-  EXPECT_GE(wb.writes, 1u);               // the rest, by kWrite
+  EXPECT_EQ(wb.writes, 4u);  // the rest, by kWrite
+  EXPECT_EQ(wb.write_through_bytes, 4 * kChunk);
   ASSERT_TRUE(client.close(*vfd).ok());
 
   const std::string got = n.pfs_read("ckpt/nofsync.bin");
@@ -653,8 +657,10 @@ TEST(WriteShed, PassedFdWriterWithoutFsyncShedsAtTheBudget) {
   EXPECT_TRUE(got == std::string(payload.begin(), payload.end()));
   wb = n.node->aggregated_frame().write_back;
   EXPECT_EQ(wb.write_through_sheds, 1u);
-  EXPECT_EQ(wb.local_write_bytes + wb.write_through_bytes, payload.size());
+  EXPECT_EQ(wb.local_write_bytes, client::kWriteFdBarrierBytes);
   EXPECT_EQ(wb.dirty_files, 0u);
+  const storage::LocalStore& store = n.node->instance(0).cache().store();
+  EXPECT_LE(store.bytes_used(), store.capacity_bytes());
 }
 
 // A checkpoint handle is write-only: reading it is EBADF, as with an
