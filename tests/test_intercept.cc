@@ -545,6 +545,48 @@ TEST_F(InterceptTest, CPythonRunsScriptStoredUnderDatasetDir) {
   node.stop();
 }
 
+// A shim writer of another uid gets no fd on the named file: its
+// checkpoint goes by kWrite, lands byte-exact on the PFS, and never
+// falls back to the PFS itself (which uid 65534 could not write).
+TEST_F(InterceptTest, ForeignUidShimWriterUsesKWrite) {
+  if (::geteuid() != 0 || ::access("/usr/bin/setpriv", X_OK) != 0) {
+    GTEST_SKIP() << "needs root and setpriv to run a writer uid";
+  }
+  // The build tree may sit where uid 65534 cannot reach: run copies.
+  const std::string bin = temp_dir("uid_bin");
+  const std::string shim = bin + "/shim.so";
+  const std::string target = bin + "/target";
+  fs::copy_file(HVAC_INTERCEPT_SO, shim);
+  fs::copy_file(HVAC_TARGET_BIN, target);
+  const std::string src = bin + "/src.bin";
+  const auto data = workload::expected_contents("src.bin", 300'000);
+  ASSERT_TRUE(storage::write_file(src, data.data(), data.size()).ok());
+  for (const std::string& f : {bin, shim, target, src}) {
+    ASSERT_EQ(::chmod(f.c_str(), 0755), 0) << f;
+  }
+  const std::string dst = pfs_root_ + "/ckpt/uid.bin";
+  const uint64_t passes = node_->aggregated_frame().zerocopy.fd_passes;
+  std::ostringstream cmd;
+  cmd << "setpriv --reuid=65534 --regid=65534 --clear-groups env"
+      << " LD_PRELOAD=" << shim << " ASAN_OPTIONS=verify_asan_link_order=0"
+      << " HVAC_DATASET_DIR=" << pfs_root_
+      << " HVAC_SERVERS=" << node_->endpoints_csv() << " " << target
+      << " --copy " << src << " " << dst << " > /dev/null 2>&1";
+  ASSERT_EQ(std::system(cmd.str().c_str()), 0) << cmd.str();
+
+  const auto wb = node_->aggregated_frame().write_back;
+  EXPECT_EQ(wb.writes, (data.size() + 65535) / 65536);  // 64 KiB writes
+  EXPECT_EQ(wb.local_write_bytes, data.size());
+  EXPECT_EQ(node_->aggregated_frame().zerocopy.fd_passes, passes);
+  Result<std::vector<uint8_t>> got = storage::read_file(dst);
+  for (int i = 0; i < 500 && (!got.ok() || *got != data); ++i) {
+    ::usleep(10 * 1000);
+    got = storage::read_file(dst);
+  }
+  ASSERT_TRUE(got.ok()) << got.error().to_string();
+  EXPECT_TRUE(*got == data);
+}
+
 // Read fds hold no server state, so shim clients SIGKILLed mid-epoch
 // leave nothing behind: the server's remote-fd gauge stays 0 while
 // they run and after they die.
