@@ -868,6 +868,23 @@ TEST(WritePath, UndrainedStopKeepsLocalStoreForReplay) {
   node2.stop();
 }
 
+// A graceful stop lands a handle that was never closed at its last
+// barrier: what the passed-fd writer wrote after it was never acked and
+// does not reach the PFS.
+TEST(WritePath, StopLandsAnUnclosedHandleAtItsLastBarrier) {
+  WriteNode n("unclosed");
+  client::HvacClient client(n.copts);
+  auto vfd = client.open_write(n.pfs_root + "/ckpt/u.bin", true);
+  ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+  const std::string acked(1000, 'A');
+  ASSERT_TRUE(client.write(*vfd, acked.data(), acked.size()).ok());
+  ASSERT_TRUE(client.fsync(*vfd).ok());
+  ASSERT_TRUE(client.write(*vfd, "TAILTAIL", 8).ok());
+  EXPECT_EQ(n.node->aggregated_frame().write_back.writes, 0u);  // by fd
+  n.node->stop();
+  EXPECT_EQ(n.pfs_read("ckpt/u.bin"), acked);
+}
+
 // A commit that lands after the flusher's checkpoint reset (the client
 // fsyncs or closes once its bytes already reached the PFS) must leave
 // the journal empty, not holding a lone commit marker.
