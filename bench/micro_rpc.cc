@@ -753,7 +753,6 @@ void bulk_read_sample(benchmark::State& state, bool tcp,
         "localhost:" +
         std::to_string(Endpoint{f.server->address()}.host_port()->second);
   }
-  o.meta_ttl_ms = 0;  // every open is a kOpen, as on a first epoch
   o.allow_pfs_fallback = false;
   hvac::client::HvacClient client(o);
   std::vector<uint8_t> buf(read_bytes);

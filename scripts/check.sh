@@ -353,10 +353,11 @@ case "$MODE" in
     ./build-asan/tests/test_daemon --gtest_filter='WriteCrash.*'
     # Shim-level smoke on the regular build: intercept_target --copy
     # writes a checkpoint with plain POSIX calls through LD_PRELOAD
-    # (open O_WRONLY|O_TRUNC -> virtual fd -> write RPCs -> journal +
-    # write-back store), `hvacctl journal` reports the write-back
-    # tier, and after a graceful stop the flushed PFS copy must be
-    # byte-identical.
+    # (open O_WRONLY|O_TRUNC -> virtual fd -> a local writer pwrites
+    # into the cache file fd its open passed; each fsync/close barrier
+    # journals the committed size), `hvacctl journal` reports the
+    # write-back tier, and after a graceful stop the flushed PFS copy
+    # must be byte-identical.
     cmake -B build -S .
     cmake --build build -j "$JOBS" \
       --target hvacd hvacctl hvac_intercept intercept_target

@@ -139,7 +139,6 @@ Result<HvacClientOptions> options_from_env() {
     o.prefetch_bw_mbps = mbps > 0 ? mbps : 0.0;
   }
   o.prefetch_plan_file = env_string_or("HVAC_PREFETCH_PLAN", "");
-  o.meta_ttl_ms = env_int_or("HVAC_META_TTL_MS", o.meta_ttl_ms);
   o.packed_enabled = env_bool_or("HVAC_PACK", true);
   const std::string durability =
       env_string_or("HVAC_WRITE_DURABILITY", "local");
@@ -155,8 +154,7 @@ Result<HvacClientOptions> options_from_env() {
 HvacClient::HvacClient(HvacClientOptions options)
     : options_(std::move(options)),
       placement_(static_cast<uint32_t>(options_.server_endpoints.size()),
-                 options_.placement, options_.replicas),
-      meta_(options_.meta_ttl_ms) {
+                 options_.placement, options_.replicas) {
   fault::init_from_env();
   options_.dataset_dir = lexically_normal(options_.dataset_dir);
   channels_.resize(options_.server_endpoints.size());
@@ -391,32 +389,6 @@ Result<int> HvacClient::open_via_pfs(const std::string& path) {
   return vfd;
 }
 
-std::optional<MetaEntry> HvacClient::meta_lookup(const std::string& logical) {
-  if (!meta_.enabled()) return std::nullopt;
-  std::optional<MetaEntry> meta = meta_.lookup(logical);
-  if (meta.has_value() &&
-      meta->home < options_.server_endpoints.size()) {
-    // Breaker-trip invalidation: the entry's home has an open circuit,
-    // so acting on the cached location would only fail fast anyway.
-    // Drop everything we remembered about that server.
-    auto health = rpc::HealthRegistry::global().get(
-        options_.server_endpoints[meta->home]);
-    if (health->state() == rpc::EndpointHealth::State::kOpen) {
-      meta_.invalidate_home(meta->home);
-      meta.reset();
-    }
-  } else {
-    meta.reset();
-  }
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  if (meta.has_value()) {
-    ++stats_.meta_hits;
-  } else {
-    ++stats_.meta_misses;
-  }
-  return meta;
-}
-
 std::optional<PackedCatalog::Resolved> HvacClient::packed_lookup(
     const std::string& logical) {
   if (!options_.packed_enabled || options_.server_endpoints.empty()) {
@@ -493,38 +465,6 @@ Result<int> HvacClient::open(const std::string& path) {
     }
   }
 
-  // Metadata-cache fast path: a fresh entry saying "home X holds a
-  // cached copy of this file" lets us skip the open round trip — reads
-  // address the file by logical path like every read, and the server
-  // re-resolves its cached copy per read. If the copy was evicted
-  // meanwhile the server degrades that read to its PFS path, so a
-  // stale entry costs latency, never correctness.
-  // A file the home served from a slab is re-opened this way only
-  // while the client still holds that slab; otherwise the kOpen below
-  // passes it again.
-  if (std::optional<MetaEntry> meta = meta_lookup(logical);
-      meta.has_value() && meta->cached) {
-    std::shared_ptr<core::SlabFd> slab;
-    if (meta->in_slab) slab = held_slab(meta->home, meta->slab);
-    if (!meta->in_slab || slab != nullptr) {
-      if (PrefetchScheduler* pf = prefetch_scheduler()) {
-        pf->observe_sample_bytes(meta->size);
-      }
-      core::FdEntry entry;
-      entry.logical_path = logical;
-      entry.server_index = meta->home;
-      entry.size = meta->size;
-      entry.base = meta->base;
-      entry.slab = std::move(slab);
-      const bool local = entry.slab != nullptr;
-      const int vfd = fds_.insert(std::move(entry));
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.remote_opens;
-      if (local) ++stats_.passed_fd_opens;
-      return vfd;
-    }
-  }
-
   // Try the primary home, then the replicas (paper §III-H fail-over) —
   // but walk replicas whose breaker is open LAST, so a file homed at a
   // known-dead primary goes straight to a live replica instead of
@@ -550,7 +490,6 @@ Result<int> HvacClient::open(const std::string& path) {
         last_error.code != ErrorCode::kProtocol) {
       return last_error;
     }
-    meta_.invalidate(logical);
     HVAC_LOG_DEBUG("open failover from server " << server << ": "
                                                 << last_error.to_string());
   }
@@ -588,6 +527,7 @@ Result<int> HvacClient::open_remote(const std::string& logical,
   (void)remote_fd;  // 0: the stateless reply allocates none
   HVAC_ASSIGN_OR_RETURN(uint64_t size, r.get_u64());
   HVAC_ASSIGN_OR_RETURN(uint8_t served_from, r.get_u8());
+  (void)served_from;  // the client keeps no per-file state to note it in
   HVAC_ASSIGN_OR_RETURN(WireReader::BlobView blob, r.get_blob_view());
   core::FdEntry entry;
   // A trailing {base, inode} names a cache slab (DESIGN.md §20) and
@@ -630,26 +570,11 @@ Result<int> HvacClient::open_remote(const std::string& logical,
     entry.inline_data = std::make_shared<const std::vector<uint8_t>>(
         blob.data, blob.data + blob.size);
   }
-  const MetaEntry meta{size, server, served_from == proto::kFromCache,
-                       entry.slab != nullptr, entry.slab, entry.base};
   const int vfd = fds_.insert(std::move(entry));
-  meta_.put(logical, meta);
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.remote_opens;
   if (names_slab) ++stats_.passed_fd_opens;
   return vfd;
-}
-
-std::shared_ptr<core::SlabFd> HvacClient::held_slab(
-    uint32_t server, const std::weak_ptr<core::SlabFd>& slab) {
-  std::shared_ptr<core::SlabFd> held = slab.lock();
-  if (held == nullptr) return nullptr;
-  std::lock_guard<std::mutex> lock(slabs_mutex_);
-  auto& table = slabs_[server];
-  auto it = std::find(table.begin(), table.end(), held);
-  if (it == table.end()) return nullptr;
-  std::rotate(it, it + 1, table.end());
-  return held;
 }
 
 Result<std::shared_ptr<core::SlabFd>> HvacClient::reply_slab(
@@ -768,9 +693,7 @@ Status HvacClient::recover_fd(int vfd, const core::FdEntry& stale,
                               bool force_pfs) {
   HVAC_LOG_INFO("recovering fd " << vfd << " for " << stale.logical_path
                                  << " after server loss");
-  // Whatever the meta cache believed about this file routed us to the
-  // server that just failed; any read-ahead in flight targets it too.
-  meta_.invalidate(stale.logical_path);
+  // Any read-ahead in flight targets the server that just failed.
   readahead_drop(vfd);
   core::FdEntry fresh = stale;
   bool retargeted = false;
@@ -848,10 +771,10 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
     // A checkpoint write handle has no read side (O_WRONLY).
     return Error(ErrorCode::kBadFd, "fd not open for reading");
   }
-  // Every read fd's size is authoritative (the open reply, the meta
-  // cache or the packed index, for immutable dataset files; the file
-  // itself on the PFS): nothing past it is requested, and a read at EOF
-  // returns 0 without a round trip.
+  // Every read fd's size is authoritative (the open reply or the packed
+  // index, for immutable dataset files; the file itself on the PFS):
+  // nothing past it is requested, and a read at EOF returns 0 without a
+  // round trip.
   count = offset < entry.size
               ? static_cast<size_t>(std::min<uint64_t>(count,
                                                        entry.size - offset))
@@ -882,7 +805,6 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
   // bound) must not trap the client in a loop, so the last attempt
   // goes straight to the PFS.
   auto recover = [&](Error cause) -> Result<size_t> {
-    meta_.invalidate(entry.logical_path);
     constexpr int kMaxRecoveries = 3;
     if (recoveries >= kMaxRecoveries) return cause;
     const bool force_pfs = recoveries + 1 == kMaxRecoveries;
@@ -1108,9 +1030,6 @@ Result<int> HvacClient::open_write(const std::string& path, bool trunc) {
     ++stats_.opens;
   }
   HVAC_ASSIGN_OR_RETURN(std::string logical, logical_path(path));
-  // A write invalidates whatever the read path remembered or cached
-  // about this file.
-  meta_.invalidate(logical);
 
   const uint32_t server = placement_.home(logical);
   WireWriter w;
@@ -1324,9 +1243,6 @@ Result<uint64_t> HvacClient::stat_size(const std::string& path) {
   if (std::optional<PackedCatalog::Resolved> packed = packed_lookup(logical)) {
     return packed->length;
   }
-  if (std::optional<MetaEntry> meta = meta_lookup(logical)) {
-    return meta->size;
-  }
   WireWriter w;
   w.put_string(logical);
   const uint32_t server = placement_.home(logical);
@@ -1334,23 +1250,13 @@ Result<uint64_t> HvacClient::stat_size(const std::string& path) {
   // (bounded, breaker-gated) before the PFS fallback takes over.
   Result<Bytes> resp = channel(server).call_idempotent(proto::kStat, w);
   if (!resp.ok()) {
-    meta_.invalidate(logical);
     if (options_.allow_pfs_fallback) {
       return storage::file_size(path);
     }
     return resp.error();
   }
   WireReader r(*resp);
-  HVAC_ASSIGN_OR_RETURN(uint64_t size, r.get_u64());
-  // Trailing cached flag: new servers append it; its absence (an old
-  // server) just means we cannot vouch for a cached copy.
-  auto cached = r.get_u8();
-  MetaEntry entry;
-  entry.size = size;
-  entry.home = server;
-  entry.cached = cached.ok() && *cached == 1;
-  meta_.put(logical, entry);
-  return size;
+  return r.get_u64();
 }
 
 Status HvacClient::prefetch(const std::string& path) {
@@ -1482,12 +1388,6 @@ std::string stats_to_json(const ClientStats& s) {
     << ",\"fallback_allocs\":" << bp.misses + bp.unpooled
     << ",\"recycled\":" << bp.recycled << ",\"dropped\":" << bp.dropped
     << "}";
-  const core::MetaCacheCounters& mc = core::MetaCacheCounters::global();
-  o << ",\"meta_cache\":{\"hits\":" << s.meta_hits
-    << ",\"misses\":" << s.meta_misses
-    << ",\"expired\":" << mc.expired.load(std::memory_order_relaxed)
-    << ",\"invalidated\":"
-    << mc.invalidated.load(std::memory_order_relaxed) << "}";
   const core::PrefetchCounters& pf = core::PrefetchCounters::global();
   const core::LatencySnapshot paced = pf.paced_delay.snapshot();
   o << ",\"prefetch\":{\"planned\":"

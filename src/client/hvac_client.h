@@ -8,10 +8,10 @@
 // (and the whole file when it is small; a home on this node instead
 // names the cache slab holding the file, passing a read-only fd on it
 // the first time, and that fd then serves every read), other reads
-// address the file by path, and close is local. A small file whose open
-// carried no bytes (packed index, meta cache) is fetched whole by its
-// first read, so every small fd costs one round trip. Reads above the
-// chunk size are split into multiple bulk pulls. On any transport failure the
+// address the file by path, and close is local. A small packed sample,
+// whose open carries no bytes, is fetched whole by its first read, so
+// every small fd costs one round trip. Reads above the chunk size are
+// split into multiple bulk pulls. On any transport failure the
 // client fails open: replicas are tried in order, and as a last
 // resort the file is read directly from the PFS mount — a cache must
 // never kill a training run (paper §III-H).
@@ -28,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "client/meta_cache.h"
 #include "client/packed_catalog.h"
 #include "client/readahead_policy.h"
 #include "common/result.h"
@@ -80,10 +79,6 @@ struct HvacClientOptions {
   // access order — absolute or dataset-relative. Loaded at client
   // construction; ignored when empty.
   std::string prefetch_plan_file;
-  // TTL for the client metadata cache (HVAC_META_TTL_MS): per-epoch
-  // re-opens of a file whose {size, home, cached} is still fresh skip
-  // the stat/open round trip entirely. 0 disables.
-  int64_t meta_ttl_ms = 3000;
   // Packed-container resolution (HVAC_PACK): when the dataset carries
   // a .hvacpack index, the client fetches it once and resolves packed
   // sample paths locally — opens and stats of packed samples cost zero
@@ -121,8 +116,6 @@ struct ClientStats {
   uint64_t readahead_hits = 0;    // reads served from a pending chunk
   uint64_t readahead_wasted = 0;  // pending chunks discarded unread
                                   // (non-sequential turn, close, failover)
-  uint64_t meta_hits = 0;    // opens/stats answered from the meta cache
-  uint64_t meta_misses = 0;  // lookups that had to pay the round trip
   uint64_t writes = 0;           // write() calls on write vfds
   uint64_t bytes_written = 0;
   uint64_t fsyncs = 0;           // durability barriers requested
@@ -301,17 +294,6 @@ class HvacClient {
       uint64_t size,
       const std::vector<std::shared_ptr<core::SlabFd>>& held);
 
-  // `slab`, marked most recently used in `server`'s table; null when
-  // the table no longer holds it.
-  std::shared_ptr<core::SlabFd> held_slab(
-      uint32_t server, const std::weak_ptr<core::SlabFd>& slab);
-
-  // Meta-cache lookup with the breaker check folded in: an entry whose
-  // home endpoint has an open circuit is invalidated on the spot (the
-  // cached location is unusable until the breaker half-opens). Bumps
-  // the per-client hit/miss stats.
-  std::optional<MetaEntry> meta_lookup(const std::string& logical);
-
   // Packed-index resolution: non-nullopt when `logical` is a sample of
   // the dataset's packed containers (fetching the index first when
   // needed — see PackedCatalog).
@@ -337,7 +319,6 @@ class HvacClient {
   HvacClientOptions options_;
   core::Placement placement_;
   core::FdTable fds_;
-  MetaCache meta_;
   PackedCatalog packed_;
   std::vector<std::unique_ptr<rpc::RpcClient>> channels_;
   std::vector<std::unique_ptr<rpc::AsyncRpcClient>> async_channels_;

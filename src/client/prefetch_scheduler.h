@@ -55,7 +55,7 @@ struct PrefetchSchedulerOptions {
   double bw_mbps = 0.0;
   // SEED for the per-sample pacing estimate. The live estimate is an
   // EWMA of sizes measured on the client's own open paths (packed
-  // index, meta cache, open replies — all free, no extra round trip),
+  // index, open replies — all free, no extra round trip),
   // so pacing tracks the dataset's real sample size instead of
   // assuming 1 MiB forever.
   uint64_t est_sample_bytes = 1u << 20;

@@ -104,7 +104,7 @@ class Span {
   void discard();
 
   // Zero-duration child of the current active span ("retry happened",
-  // "meta cache miss"). No-op when tracing is off or no trace active.
+  // "breaker open"). No-op when tracing is off or no trace active.
   static void event(const char* name, uint64_t arg = 0);
 
  private:

@@ -61,9 +61,9 @@ struct FdEntry {
   std::string logical_path;
   uint32_t server_index = 0;
   uint64_t offset = 0;        // sequential read position
-  uint64_t size = 0;          // file size: authoritative (open reply,
-                              // meta cache or packed index), so reads
-                              // at or past it are EOF without an RPC
+  uint64_t size = 0;          // file size: authoritative (open reply
+                              // or packed index), so reads at or past
+                              // it are EOF without an RPC
   bool fallback_pfs = false;  // true: served by direct PFS fd
   int pfs_fd = -1;            // real fd when fallback_pfs
   // Slab read (DESIGN.md §20): the home's cache slab holding the file,

@@ -78,11 +78,19 @@ void FlushManager::enqueue_locked(const std::string& logical_path) {
 
 Status FlushManager::wait(const std::string& logical_path) {
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] {
-    return stop_ || state_.find(logical_path) == state_.end();
+  const auto failed = [&]() -> uint64_t {
+    auto it = state_.find(logical_path);
+    return it == state_.end() ? 0 : it->second.failed_attempts;
+  };
+  const uint64_t failed_before = failed();
+  done_cv_.wait_for(lock, std::chrono::milliseconds(kWaitMs), [&] {
+    return stop_ || state_.count(logical_path) == 0 ||
+           failed() != failed_before;
   });
-  if (state_.find(logical_path) == state_.end()) return Status::Ok();
-  return Error(ErrorCode::kCancelled, "flush manager stopped");
+  if (state_.count(logical_path) == 0) return Status::Ok();
+  if (stop_) return Error(ErrorCode::kCancelled, "flush manager stopped");
+  return Error(ErrorCode::kIoError,
+               "flush of " + logical_path + " did not land; it stays queued");
 }
 
 Status FlushManager::drain(int64_t timeout_ms) {
@@ -170,6 +178,11 @@ bool FlushManager::flush_one(const std::string& path) {
     }
     pfs_health_.record_failure();
     retries_.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++state_[path].failed_attempts;
+    }
+    done_cv_.notify_all();
     ++attempts;
     if (attempts >= kMaxAttempts) {
       // Budget exhausted: go to the back of the line (never drop

@@ -15,7 +15,7 @@
 // Per-path bookkeeping guarantees: a path is never flushed by two
 // workers at once; a write that lands while its path is mid-flush
 // re-queues it (the flush may have copied a stale prefix); `wait`
-// returns only when the path has no queued or in-flight flush — the
+// succeeds only when the path has no queued or in-flight flush — the
 // `HVAC_WRITE_DURABILITY=pfs` fsync barrier.
 #pragma once
 
@@ -45,6 +45,8 @@ class FlushManager {
   // failure. The backoff scales with the attempt, up to 8x.
   static constexpr int kMaxAttempts = 8;
   static constexpr int kRetryBackoffMs = 20;
+  // Longest wait() (below a client's default 30 s call deadline).
+  static constexpr int64_t kWaitMs = 20'000;
 
   struct Options {
     rpc::BreakerOptions breaker = {};
@@ -78,8 +80,11 @@ class FlushManager {
   // since a resubmit replaces the entry the worker just retired.
   Status resubmit(const std::string& logical_path);
 
-  // Blocks until `logical_path` has no pending or in-flight flush
-  // (kCancelled on shutdown). The pfs-durability fsync barrier.
+  // Blocks until `logical_path` has no pending or in-flight flush.
+  // kIoError once an attempt to flush it fails, or after kWaitMs (the
+  // path stays queued either way), so a failing or stalled PFS cannot
+  // park the caller; kCancelled on shutdown. The pfs-durability fsync
+  // barrier.
   Status wait(const std::string& logical_path);
 
   // Blocks until every submitted path is flushed, or `timeout_ms`
@@ -113,6 +118,7 @@ class FlushManager {
     bool inflight = false;
     bool dirtied_again = false;  // submit() landed mid-flight
     int64_t first_submit_ms = 0;
+    uint64_t failed_attempts = 0;  // wakes wait()
   };
 
   void worker_loop();

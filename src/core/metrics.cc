@@ -38,11 +38,6 @@ ReadAheadCounters& ReadAheadCounters::global() {
   return counters;
 }
 
-MetaCacheCounters& MetaCacheCounters::global() {
-  static MetaCacheCounters counters;
-  return counters;
-}
-
 PrefetchCounters& PrefetchCounters::global() {
   static PrefetchCounters counters;
   return counters;

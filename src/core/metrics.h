@@ -193,22 +193,6 @@ struct ReadAheadCounters {
   static ReadAheadCounters& global();
 };
 
-// ---- client metadata-cache counters ---------------------------------------
-
-// Process-wide accounting for the client's TTL metadata cache
-// (client/meta_cache.h): per-epoch re-opens served without a stat/open
-// round trip show up as hits. Exported through the metrics frame and
-// the HVAC_STATS_FILE dump.
-struct MetaCacheCounters {
-  std::atomic<uint64_t> hits{0};
-  std::atomic<uint64_t> misses{0};
-  std::atomic<uint64_t> expired{0};      // entries aged out by the TTL
-  std::atomic<uint64_t> invalidated{0};  // dropped on transport failure
-                                         // or breaker trip
-
-  static MetaCacheCounters& global();
-};
-
 // ---- clairvoyant prefetch counters ----------------------------------------
 
 // Process-wide accounting for the client's plan-driven prefetch

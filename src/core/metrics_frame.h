@@ -48,7 +48,7 @@ enum MetricsSection : uint16_t {
   kSectionLatency = 4,
   kSectionResilience = 5,
   kSectionZeroCopy = 6,
-  kSectionMetaCache = 7,
+  // 7 was meta_cache, the client metadata cache: retired, sent empty.
   kSectionTrace = 8,
   kSectionReactors = 9,
   kSectionWriteBack = 10,
@@ -102,14 +102,6 @@ struct ZeroCopyStats {
   uint64_t short_resumes = 0;  // partial kernel sends resumed in-place
   uint64_t fd_passes = 0;      // cache fds passed to local clients
   uint64_t fd_pass_bytes = 0;  // bytes of the files those fds read
-};
-
-// Client metadata cache (client/meta_cache.h).
-struct MetaCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t expired = 0;
-  uint64_t invalidated = 0;
 };
 
 // Checkpoint write path (server/hvac_server.cc write handlers,
@@ -201,7 +193,6 @@ struct MetricsFrame {
   ReadAheadStats readahead;
   ResilienceStats resilience;
   ZeroCopyStats zerocopy;
-  MetaCacheStats meta_cache;
   TraceStats trace;
   ReactorStats reactor;
   WriteBackStats write_back;

@@ -32,9 +32,6 @@ using enum FieldScope;
 #define ZERO_COPY(field, ...)                              \
   HVAC_ROW(kSectionZeroCopy, "zero_copy", zerocopy, field, \
            "hvac_zerocopy_" #field, __VA_ARGS__)
-#define META_CACHE(field, ...)                                 \
-  HVAC_ROW(kSectionMetaCache, "meta_cache", meta_cache, field, \
-           "hvac_meta_cache_" #field, __VA_ARGS__)
 #define TRACE(field, ...)                                              \
   HVAC_ROW(kSectionTrace, "trace", trace, field, "hvac_trace_" #field, \
            __VA_ARGS__)
@@ -113,12 +110,6 @@ const FieldSpec kFrameFields[] = {
     ZERO_COPY(fd_pass_bytes, kCounter, kProcess,
               "Bytes of the files whose cache fds were passed"),
 
-    META_CACHE(hits, kCounter, kProcess, "Client metadata-cache hits"),
-    META_CACHE(misses, kCounter, kProcess, "Client metadata-cache misses"),
-    META_CACHE(expired, kCounter, kProcess, "Metadata entries aged out"),
-    META_CACHE(invalidated, kCounter, kProcess,
-               "Metadata entries dropped on failure"),
-
     TRACE(emitted, kCounter, kProcess, "Trace spans emitted"),
     TRACE(dropped, kCounter, kProcess, "Trace spans dropped (ring full)"),
     TRACE(rings, kGauge, kProcess, "Per-thread trace rings"),
@@ -177,7 +168,6 @@ const FieldSpec kFrameFields[] = {
 #undef READ_AHEAD
 #undef RESILIENCE
 #undef ZERO_COPY
-#undef META_CACHE
 #undef TRACE
 #undef WRITE_BACK
 #undef PREFETCH

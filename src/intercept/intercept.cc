@@ -722,4 +722,28 @@ int ioctl(int fd, unsigned long request, ...) {
   return fn(fd, request, arg);
 }
 
+// Page-cache advice means nothing to a vfd: an open one takes it and
+// drops it (CPython's os.posix_fadvise, a loader's readahead hint).
+// posix_fadvise reports its error as the return value, not in errno.
+int posix_fadvise(int fd, off_t offset, off_t len, int advice) {
+  if (const auto open = vfd_fcntl(fd, F_GETFD)) return *open < 0 ? EBADF : 0;
+  using fadvise_fn = int (*)(int, off_t, off_t, int);
+  static fadvise_fn fn = resolve<fadvise_fn>("posix_fadvise");
+  return fn(fd, offset, len, advice);
+}
+
+int posix_fadvise64(int fd, off64_t offset, off64_t len, int advice) {
+  if (const auto open = vfd_fcntl(fd, F_GETFD)) return *open < 0 ? EBADF : 0;
+  using fadvise64_fn = int (*)(int, off64_t, off64_t, int);
+  static fadvise64_fn fn = resolve<fadvise64_fn>("posix_fadvise64");
+  return fn(fd, offset, len, advice);
+}
+
+ssize_t readahead(int fd, off64_t offset, size_t count) {
+  if (const auto open = vfd_fcntl(fd, F_GETFD)) return *open < 0 ? -1 : 0;
+  using readahead_fn = ssize_t (*)(int, off64_t, size_t);
+  static readahead_fn fn = resolve<readahead_fn>("readahead");
+  return fn(fd, offset, count);
+}
+
 }  // extern "C"

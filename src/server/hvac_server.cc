@@ -225,6 +225,9 @@ Status HvacServer::recover_journal() {
                                                   << s.error().to_string());
     }
   }
+  // Every other named file is clean, or holds no acked byte: nothing
+  // would count or delete it.
+  cache_->store().remove_unheld_named_files();
   if (!last_replay_.dirty.empty() || last_replay_.truncated_bytes > 0) {
     HVAC_LOG_INFO("journal replay: " << last_replay_.dirty.size()
                                      << " dirty files ("
@@ -851,29 +854,19 @@ Result<Bytes> HvacServer::handle_close(const Bytes& req) {
 Result<Bytes> HvacServer::handle_stat(const Bytes& req) {
   WireReader r(req);
   HVAC_ASSIGN_OR_RETURN(std::string path, r.get_string());
-  // Packed sample: the size comes from the index; "cached" means the
-  // container blob is resident.
+  // A packed sample's size comes from the index.
   const PackedRoute route = route_packed(path);
-  if (route.packed) {
-    WireWriter w;
-    w.put_u64(route.length);
-    w.put_u8(cache_->is_cached(path) ? 1 : 0);
-    return std::move(w).take();
-  }
-  uint64_t size = 0;
-  Result<uint64_t> cached_size = cache_->store().cached_size(path);
-  const bool cached = cached_size.ok();
-  if (cached) {
-    size = *cached_size;
-  } else {
-    HVAC_ASSIGN_OR_RETURN(size, pfs_->size_of(path));
+  uint64_t size = route.length;
+  if (!route.packed) {
+    Result<uint64_t> cached_size = cache_->store().cached_size(path);
+    if (cached_size.ok()) {
+      size = *cached_size;
+    } else {
+      HVAC_ASSIGN_OR_RETURN(size, pfs_->size_of(path));
+    }
   }
   WireWriter w;
   w.put_u64(size);
-  // Trailing cached flag (added for the client metadata cache). Old
-  // clients read the u64 and stop; new clients treat a missing flag as
-  // not-cached.
-  w.put_u8(cached ? 1 : 0);
   return std::move(w).take();
 }
 
@@ -1286,12 +1279,6 @@ core::MetricsFrame HvacServer::metrics_frame() const {
   f.zerocopy.short_resumes = load(zc.short_resumes);
   f.zerocopy.fd_passes = load(zc.fd_passes);
   f.zerocopy.fd_pass_bytes = load(zc.fd_pass_bytes);
-
-  const core::MetaCacheCounters& mc = core::MetaCacheCounters::global();
-  f.meta_cache.hits = load(mc.hits);
-  f.meta_cache.misses = load(mc.misses);
-  f.meta_cache.expired = load(mc.expired);
-  f.meta_cache.invalidated = load(mc.invalidated);
 
   const trace::Stats ts = trace::stats();
   f.trace.emitted = ts.emitted;

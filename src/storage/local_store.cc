@@ -20,6 +20,7 @@ namespace hvac::storage {
 namespace {
 
 constexpr char kSlabSuffix[] = ".slab";
+constexpr char kNamedSuffix[] = ".hvac";
 
 // fds held by slabs of every store in the process.
 std::atomic<size_t> g_fds_held{0};
@@ -39,10 +40,10 @@ void release_fds(size_t n) {
   g_fds_held.fetch_sub(n, std::memory_order_relaxed);
 }
 
-bool is_slab_name(const char* name) {
+bool has_suffix(const char* name, const char* suffix) {
   const size_t n = std::strlen(name);
-  const size_t s = sizeof(kSlabSuffix) - 1;
-  return n > s && std::strcmp(name + n - s, kSlabSuffix) == 0;
+  const size_t s = std::strlen(suffix);
+  return n > s && std::strcmp(name + n - s, suffix) == 0;
 }
 
 uint64_t align_up(uint64_t v) {
@@ -119,7 +120,7 @@ LocalStore::LocalStore(std::string root, uint64_t capacity_bytes,
   // them once it is gone.
   if (DIR* dir = ::opendir(root_.c_str())) {
     while (const dirent* e = ::readdir(dir)) {
-      if (is_slab_name(e->d_name)) {
+      if (has_suffix(e->d_name, kSlabSuffix)) {
         (void)remove_file(path_join(root_, e->d_name));
       }
     }
@@ -134,7 +135,7 @@ std::string LocalStore::physical_path(
   char name[32];
   std::snprintf(name, sizeof(name), "%016" PRIx64,
                 stable_hash(logical_path));
-  return path_join(root_, std::string(name) + ".hvac");
+  return path_join(root_, std::string(name) + kNamedSuffix);
 }
 
 bool LocalStore::contains(const std::string& logical_path) const {
@@ -565,6 +566,25 @@ void LocalStore::purge() {
     }
   }
   for (const std::string& path : named) (void)remove_file(path);
+}
+
+void LocalStore::remove_unheld_named_files() {
+  std::unordered_set<std::string> held;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [logical, entry] : entries_) {
+      if (!entry.slab) held.insert(physical_path(logical));
+    }
+  }
+  if (DIR* dir = ::opendir(root_.c_str())) {
+    while (const dirent* e = ::readdir(dir)) {
+      const std::string path = path_join(root_, e->d_name);
+      if (has_suffix(e->d_name, kNamedSuffix) && held.count(path) == 0) {
+        (void)remove_file(path);
+      }
+    }
+    ::closedir(dir);
+  }
 }
 
 size_t LocalStore::entry_count() const {

@@ -231,6 +231,11 @@ class LocalStore {
   // lifetime", paper §III-D).
   void purge();
 
+  // Deletes every named file in the root that no entry holds: what a
+  // restarted server's journal replay did not re-register is clean
+  // (already on the PFS) or was never acked.
+  void remove_unheld_named_files();
+
   uint64_t bytes_used() const {
     return bytes_used_.load(std::memory_order_relaxed);
   }

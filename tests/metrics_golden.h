@@ -63,7 +63,7 @@ inline core::MetricsFrame frame(uint64_t base = 0, uint64_t step = 1) {
   f.zerocopy.sendfile_bytes = n();
   n();  // splice_bytes
   f.zerocopy.short_resumes = n();
-  f.meta_cache = {n(), n(), n(), n()};
+  for (int i = 0; i < 4; ++i) n();  // the retired section 7's words
   f.trace = {n(), n(), n(), n(), n()};
   f.reactor.reactors = {{n(), n(), n(), n(), n()}, {n(), n(), n(), n(), n()}};
   f.write_back = {n(), n(), n(), n(), n(), n(), n(), n(), n(), n(),

@@ -12,12 +12,12 @@
 #include <thread>
 
 #include "client/hvac_client.h"
-#include "client/meta_cache.h"
 #include "rpc/health.h"
 #include "rpc/rpc_server.h"
 #include "rpc/wire.h"
 #include "server/hvac_proto.h"
 #include "server/node_runtime.h"
+#include "storage/packed_format.h"
 #include "workload/file_tree.h"
 
 namespace hvac {
@@ -457,15 +457,20 @@ std::unique_ptr<rpc::RpcServer> hostile_open_server(rpc::Bytes reply) {
   return server;
 }
 
-// One small file on the PFS plus a real server for it.
+// One small file on the PFS plus a real server for it. `packed`: the
+// file is packed into container 0 and its original deleted.
 struct InlineRig {
-  InlineRig() {
+  explicit InlineRig(bool packed = false) {
     pfs_root_ = temp_dir("inline_pfs");
     rel_ = "small.bin";
     expected_ = workload::expected_contents(rel_, 3'000);
     EXPECT_TRUE(storage::write_file(pfs_root_ + "/" + rel_,
                                     expected_.data(), expected_.size())
                     .ok());
+    if (packed) {
+      EXPECT_TRUE(storage::pack_tree(pfs_root_).ok());
+      fs::remove(pfs_root_ + "/" + rel_);
+    }
     server::NodeRuntimeOptions o;
     o.pfs_root = pfs_root_;
     o.cache_root = temp_dir("inline_cache");
@@ -477,7 +482,6 @@ struct InlineRig {
     HvacClientOptions o;
     o.dataset_dir = pfs_root_;
     o.server_endpoints = std::move(endpoints);
-    o.meta_ttl_ms = 0;
     o.rpc.max_retries = 0;
     return o;
   }
@@ -532,71 +536,6 @@ TEST(InlineOpen, SmallFileServedWithoutReadRpc) {
   EXPECT_EQ(client.stats().passed_fd_opens, 0u);
 }
 
-// Total RPCs the node has answered, over every opcode.
-uint64_t total_rpcs(const server::NodeRuntime& node) {
-  uint64_t n = 0;
-  for (const auto& [op, snap] : node.aggregated_frame().op_latency) {
-    n += snap.count;
-  }
-  return n;
-}
-
-// Over TCP a re-open answered by the meta cache carries no bytes, so
-// its first read fetches the whole small file in one kReadScatter;
-// every later read — a pread mid-file, then lseek(0) and a full
-// re-read — is local. (Over the alias it reads the slab the first open
-// passed: InterceptTest.MetaCacheReopenReadsTheHeldSlab.)
-TEST(InlineOpen, MetaCacheReopenFetchesWholeFileOnce) {
-  InlineRig rig;
-  std::vector<std::string> tcp;
-  for (const std::string& e : rig.node_->endpoints()) {
-    tcp.push_back("localhost:" + e.substr(e.rfind(':') + 1));
-  }
-  auto o = rig.options(tcp);
-  o.meta_ttl_ms = 60'000;
-  HvacClient client(o);
-  const std::string path = rig.pfs_root_ + "/" + rig.rel_;
-  ASSERT_TRUE(client.prefetch(path).ok());
-  // This open's reply says "served from cache": the client remembers
-  // {size, home, cached}.
-  EXPECT_EQ(rig.read_all(client), rig.expected_);
-
-  const uint64_t before = total_rpcs(*rig.node_);
-  const auto lat_before = rig.node_->aggregated_frame().op_latency;
-  const uint64_t scatters_before =
-      lat_before.count(proto::kReadScatter)
-          ? lat_before.at(proto::kReadScatter).count
-          : 0;
-  const auto stats_before = client.stats();
-  auto vfd = client.open(path);
-  ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
-  EXPECT_EQ(client.stats().meta_hits, stats_before.meta_hits + 1);
-
-  std::vector<uint8_t> mid(1000);
-  auto n = client.pread(*vfd, mid.data(), mid.size(), 1000);
-  ASSERT_TRUE(n.ok()) << n.error().to_string();
-  ASSERT_EQ(*n, mid.size());
-  EXPECT_TRUE(std::equal(mid.begin(), mid.end(), rig.expected_.begin() + 1000));
-  EXPECT_EQ(total_rpcs(*rig.node_), before + 1);
-  EXPECT_EQ(rig.node_->aggregated_frame().op_latency.at(proto::kReadScatter)
-                .count,
-            scatters_before + 1);
-
-  ASSERT_EQ(client.lseek(*vfd, 0, SEEK_SET).value(), 0);
-  std::vector<uint8_t> data;
-  uint8_t buf[700];
-  for (;;) {
-    n = client.read(*vfd, buf, sizeof(buf));
-    ASSERT_TRUE(n.ok()) << n.error().to_string();
-    if (*n == 0) break;
-    data.insert(data.end(), buf, buf + *n);
-  }
-  EXPECT_EQ(data, rig.expected_);
-  EXPECT_TRUE(client.close(*vfd).ok());
-  EXPECT_EQ(total_rpcs(*rig.node_), before + 1);
-  EXPECT_EQ(client.stats().readahead_issued, 0u);
-}
-
 TEST(HostileServer, InlineReplyRejectedAndRecoveredViaReplica) {
   InlineRig rig;
   for (auto& [name, reply] : hostile_open_replies(rig.expected_)) {
@@ -649,11 +588,10 @@ TEST(HostileServer, InlineReplyRejectedAndRecoveredViaPfs) {
 
 // ---- hostile whole-file scatter replies -------------------------------------
 //
-// A small file whose open carried no bytes (a meta-cache or packed-index
-// open) is fetched whole by its first read: one path-mode kReadScatter
-// for [0, size). A reply that is not exactly that one extent is treated
-// like a dead server — the replica, then the PFS — and never handed to
-// the application.
+// A small packed sample's open carries no bytes, so its first read
+// fetches it whole: one path-mode kReadScatter for [0, size). A reply
+// that is not exactly that one extent is treated like a dead server —
+// the replica, then the PFS — and never handed to the application.
 
 // kReadScatter replies for a whole-file request of `real`, each
 // malformed in one way.
@@ -688,19 +626,20 @@ std::vector<std::pair<std::string, rpc::Bytes>> hostile_scatter_replies(
   return out;
 }
 
-// An RPC server that answers kOpen honestly (the whole file inline,
-// "served from cache") and every kReadScatter with `reply`.
+// An RPC server that answers kPackedIndex honestly, with the index
+// packed under `pfs_root`, and every kReadScatter with `reply`.
 std::unique_ptr<rpc::RpcServer> hostile_scatter_server(
-    const std::vector<uint8_t>& real, rpc::Bytes reply) {
+    const std::string& pfs_root, rpc::Bytes reply) {
   auto server = std::make_unique<rpc::RpcServer>(rpc::RpcServerOptions{});
+  auto index =
+      storage::read_file(pfs_root + "/" + storage::packed_index_logical());
+  EXPECT_TRUE(index.ok());
   rpc::WireWriter w;
-  w.put_u64(0);
-  w.put_u64(real.size());
-  w.put_u8(proto::kFromCache);
-  w.put_blob(real.data(), real.size());
+  w.put_u8(1);  // present
+  w.put_blob(index->data(), index->size());
   server->register_handler(
-      proto::kOpen, [open = std::move(w).take()](const rpc::Bytes&)
-                        -> Result<rpc::Bytes> { return open; });
+      proto::kPackedIndex, [index = std::move(w).take()](const rpc::Bytes&)
+                               -> Result<rpc::Bytes> { return index; });
   server->register_handler(proto::kReadScatter,
                            [reply](const rpc::Bytes&) -> Result<rpc::Bytes> {
                              return reply;
@@ -710,34 +649,33 @@ std::unique_ptr<rpc::RpcServer> hostile_scatter_server(
 }
 
 TEST(HostileServer, WholeFileScatterRejectedAndRecoveredViaReplica) {
-  InlineRig rig;
+  InlineRig rig(/*packed=*/true);
+  const std::string container =
+      rig.pfs_root_ + "/" + storage::packed_container_logical(0);
   for (auto& [name, reply] : hostile_scatter_replies(rig.expected_)) {
     SCOPED_TRACE(name);
     rpc::HealthRegistry::global().reset();
-    auto hostile = hostile_scatter_server(rig.expected_, reply);
+    auto hostile = hostile_scatter_server(rig.pfs_root_, reply);
+    // Place the hostile server at the container's primary home and the
+    // real one at its replica.
     std::vector<std::string> endpoints = {hostile->endpoint().address,
                                           rig.node_->endpoints()[0]};
     auto o = rig.options(endpoints);
     o.replicas = 2;
-    o.meta_ttl_ms = 60'000;
-    if (HvacClient(o).home_of(rig.pfs_root_ + "/" + rig.rel_) != 0) {
+    if (HvacClient(o).home_of(container) != 0) {
       std::swap(endpoints[0], endpoints[1]);
       o.server_endpoints = endpoints;
     }
     HvacClient client(o);
-    // The first open is answered inline by the hostile primary and
-    // teaches the meta cache "cached there"; the re-open carries no
-    // bytes, so its first read is the whole-file scatter.
-    EXPECT_EQ(rig.read_all(client), rig.expected_);
     const auto lat = rig.node_->aggregated_frame().op_latency;
     const uint64_t scatters_before =
         lat.count(proto::kReadScatter) ? lat.at(proto::kReadScatter).count
                                        : 0;
     EXPECT_EQ(rig.read_all(client), rig.expected_);
-    EXPECT_EQ(client.stats().meta_hits, 1u);
     EXPECT_EQ(rig.node_->aggregated_frame().op_latency.at(
                   proto::kReadScatter).count,
               scatters_before + 1);  // the replica served
+    EXPECT_EQ(rig.real_opens(), 0u);
     EXPECT_EQ(client.stats().failovers, 1u);
     EXPECT_EQ(client.stats().fallback_opens, 0u);
     hostile->stop();
@@ -746,24 +684,21 @@ TEST(HostileServer, WholeFileScatterRejectedAndRecoveredViaReplica) {
 }
 
 TEST(HostileServer, WholeFileScatterRejectedAndRecoveredViaPfs) {
-  InlineRig rig;
+  InlineRig rig(/*packed=*/true);
   for (auto& [name, reply] : hostile_scatter_replies(rig.expected_)) {
     SCOPED_TRACE(name);
     rpc::HealthRegistry::global().reset();
-    auto hostile = hostile_scatter_server(rig.expected_, reply);
+    auto hostile = hostile_scatter_server(rig.pfs_root_, reply);
     auto o = rig.options({hostile->endpoint().address});
-    o.meta_ttl_ms = 60'000;
     HvacClient client(o);
+    // The PFS copy is read out of the container.
     EXPECT_EQ(rig.read_all(client), rig.expected_);
-    EXPECT_EQ(rig.read_all(client), rig.expected_);
-    EXPECT_EQ(client.stats().meta_hits, 1u);
     EXPECT_EQ(client.stats().fallback_opens, 1u);
 
     // With the PFS escape hatch closed the read fails instead of
     // serving wrong bytes.
     o.allow_pfs_fallback = false;
     HvacClient strict(o);
-    EXPECT_EQ(rig.read_all(strict), rig.expected_);  // inline open
     const auto vfd = strict.open(rig.pfs_root_ + "/" + rig.rel_);
     ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
     std::vector<uint8_t> buf(rig.expected_.size(), 0);
@@ -857,151 +792,6 @@ TEST(ConcurrentRead, SharedVfdDeliversEveryByteOnce) {
     EXPECT_TRUE(client.close(*vfd).ok());
   }
   node.stop();
-}
-
-// ---- client metadata cache ------------------------------------------------
-
-// A meta-cache entry for a file that is not in a slab.
-client::MetaEntry meta_entry(uint64_t size, uint32_t home, bool cached) {
-  client::MetaEntry e;
-  e.size = size;
-  e.home = home;
-  e.cached = cached;
-  return e;
-}
-
-TEST(MetaCacheUnit, PutLookupInvalidateHomeAndTtl) {
-  client::MetaCache cache(60);
-  ASSERT_TRUE(cache.enabled());
-  cache.put("a", meta_entry(100, 0, true));
-  cache.put("b", meta_entry(200, 1, false));
-  const auto a = cache.lookup("a");
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->size, 100u);
-  EXPECT_EQ(a->home, 0u);
-  EXPECT_TRUE(a->cached);
-  EXPECT_EQ(cache.size(), 2u);
-
-  cache.invalidate("a");
-  EXPECT_FALSE(cache.lookup("a").has_value());
-  EXPECT_TRUE(cache.lookup("b").has_value());
-
-  // invalidate_home drops every entry routed to that server, and only
-  // those.
-  cache.put("c", meta_entry(1, 1, true));
-  cache.put("d", meta_entry(2, 0, true));
-  cache.invalidate_home(1);
-  EXPECT_FALSE(cache.lookup("b").has_value());
-  EXPECT_FALSE(cache.lookup("c").has_value());
-  EXPECT_TRUE(cache.lookup("d").has_value());
-
-  // Entries expire after the TTL.
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  EXPECT_FALSE(cache.lookup("d").has_value());
-  EXPECT_EQ(cache.size(), 0u);
-
-  // ttl_ms = 0 disables the cache entirely.
-  client::MetaCache off(0);
-  EXPECT_FALSE(off.enabled());
-  off.put("x", meta_entry(1, 0, true));
-  EXPECT_FALSE(off.lookup("x").has_value());
-}
-
-TEST_F(EdgeFixture, MetaCachePathModeReopenSkipsOpenRpc) {
-  HvacClient client(base_options());  // default HVAC_META_TTL_MS: 3 s
-  const std::string path = pfs_root_ + "/" + rel_;
-  std::vector<uint8_t> buf(expected_.size());
-
-  // Warm the server cache: the pass-1 read-through schedules caching
-  // (possibly asynchronously), so loop until reads come from cache.
-  for (int i = 0; i < 200; ++i) {
-    auto vfd = client.open(path);
-    ASSERT_TRUE(vfd.ok());
-    ASSERT_TRUE(client.pread(*vfd, buf.data(), buf.size(), 0).ok());
-    ASSERT_TRUE(client.close(*vfd).ok());
-    if (node_->aggregated_metrics().bytes_from_cache >=
-        expected_.size()) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  // One more open/close: its reply says "served from cache", which is
-  // what makes the client remember {size, home, cached=true}.
-  {
-    auto vfd = client.open(path);
-    ASSERT_TRUE(vfd.ok());
-    ASSERT_TRUE(client.close(*vfd).ok());
-  }
-
-  const uint64_t opens_before =
-      node_->aggregated_frame().op_latency[proto::kOpen].count;
-  const auto stats_before = client.stats();
-
-  // This open must be answered from the meta cache alone: no kOpen
-  // RPC reaches the server, and the path-mode fd still reads the
-  // exact bytes.
-  auto vfd = client.open(path);
-  ASSERT_TRUE(vfd.ok());
-  std::fill(buf.begin(), buf.end(), 0);
-  const auto n = client.pread(*vfd, buf.data(), buf.size(), 0);
-  ASSERT_TRUE(n.ok()) << n.error().to_string();
-  EXPECT_EQ(*n, expected_.size());
-  EXPECT_EQ(buf, expected_);
-  ASSERT_TRUE(client.close(*vfd).ok());
-
-  EXPECT_EQ(node_->aggregated_frame().op_latency[proto::kOpen].count,
-            opens_before);
-  EXPECT_GT(client.stats().meta_hits, stats_before.meta_hits);
-}
-
-TEST_F(EdgeFixture, MetaCacheTtlExpiryForcesRestat) {
-  auto options = base_options();
-  options.meta_ttl_ms = 80;
-  HvacClient client(options);
-  const std::string path = pfs_root_ + "/" + rel_;
-
-  ASSERT_TRUE(client.stat_size(path).ok());  // miss: populates
-  const auto s1 = client.stats();
-  ASSERT_TRUE(client.stat_size(path).ok());  // within TTL
-  const auto s2 = client.stats();
-  EXPECT_EQ(s2.meta_hits, s1.meta_hits + 1);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(160));
-  const auto size = client.stat_size(path);  // expired: re-stats
-  ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, expected_.size());
-  const auto s3 = client.stats();
-  EXPECT_EQ(s3.meta_hits, s2.meta_hits);
-  EXPECT_GT(s3.meta_misses, s2.meta_misses);
-}
-
-TEST_F(EdgeFixture, BreakerTripInvalidatesMetaEntries) {
-  rpc::HealthRegistry::global().reset();
-  HvacClient client(base_options());
-  const std::string path = pfs_root_ + "/" + rel_;
-
-  ASSERT_TRUE(client.stat_size(path).ok());  // populate {size, home}
-  const auto s1 = client.stats();
-  ASSERT_TRUE(client.stat_size(path).ok());
-  EXPECT_GT(client.stats().meta_hits, s1.meta_hits);
-
-  // Trip the breaker on the entry's home endpoint by hand.
-  auto health = rpc::HealthRegistry::global().get(node_->endpoints()[0]);
-  while (health->state() != rpc::EndpointHealth::State::kOpen) {
-    health->record_failure();
-  }
-
-  // The next lookup sees the open circuit and drops everything cached
-  // for that home instead of trusting a route that would fail fast —
-  // a miss, answered via re-stat or the PFS fallback.
-  const auto s2 = client.stats();
-  const auto size = client.stat_size(path);
-  ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, expected_.size());
-  const auto s3 = client.stats();
-  EXPECT_EQ(s3.meta_hits, s2.meta_hits);
-  EXPECT_GT(s3.meta_misses, s2.meta_misses);
-  rpc::HealthRegistry::global().reset();
 }
 
 }  // namespace

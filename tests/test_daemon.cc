@@ -622,7 +622,6 @@ TEST(DaemonRestart, HeldCacheFdReadsSurviveKillNineAndSlabSweep) {
   copts.dataset_dir = pfs;
   copts.server_endpoints = {endpoint};
   copts.allow_pfs_fallback = false;
-  copts.meta_ttl_ms = 0;
   client::HvacClient client(copts);
   auto vfd = client.open(pfs + "/big.bin");
   ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();

@@ -264,14 +264,20 @@ uint64_t op_count(const server::NodeRuntime& node, uint16_t op) {
   return it == lat.end() ? 0 : it->second.count;
 }
 
-// A re-open answered by the meta cache reads the slab its first open
-// passed, by pread: each file opened twice is 2 of 2 slab opens, and
-// no read goes by RPC.
-TEST_F(InterceptTest, MetaCacheReopenReadsTheHeldSlab) {
+// A re-open is one more stateless kOpen, and it reads the slab the
+// first open passed, by pread: each file opened twice is 2 of 2 slab
+// opens, the re-opens pass no fd, and no read goes by RPC.
+TEST_F(InterceptTest, ReopenReadsTheHeldSlab) {
+  // Once each, in a reader of its own: the fds the first opens pass.
+  (void)run_target(abs_paths(), pfs_root_, node_->endpoints_csv(), true);
+  const uint64_t first_passes = node_->aggregated_frame().zerocopy.fd_passes;
+  ASSERT_GT(first_passes, 0u);
+
   std::vector<std::string> args = abs_paths();
   const std::vector<std::string> again = abs_paths();
   args.insert(args.end(), again.begin(), again.end());
   const std::string stats = temp_dir("reopen_stats") + "/stats.json";
+  const uint64_t opens = op_count(*node_, proto::kOpen);
   const uint64_t scatters = op_count(*node_, proto::kReadScatter);
   const std::string out =
       run_target(args, pfs_root_, node_->endpoints_csv(), true, false,
@@ -283,10 +289,9 @@ TEST_F(InterceptTest, MetaCacheReopenReadsTheHeldSlab) {
   const std::string n = std::to_string(args.size());
   EXPECT_NE(json.str().find("\"passed_fd_opens\":" + n), std::string::npos)
       << json.str();
-  EXPECT_NE(json.str().find("\"meta_cache\":{\"hits\":" +
-                            std::to_string(again.size())),
-            std::string::npos)
-      << json.str();
+  EXPECT_EQ(op_count(*node_, proto::kOpen) - opens, args.size());
+  EXPECT_EQ(node_->aggregated_frame().zerocopy.fd_passes - first_passes,
+            first_passes);
   EXPECT_EQ(op_count(*node_, proto::kReadScatter), scatters);
 }
 
@@ -487,8 +492,8 @@ TEST_F(InterceptTest, CPythonBuiltinOpenReadsThroughTheShim) {
 // fopen64, marks fileno() of the stream non-inheritable (ioctl
 // FIOCLEX) and fstats it, so the shim's stream must answer fileno with
 // its vfd and the vfd must take those calls. The script then runs
-// fcntl on a sample's vfd itself. Everything, the script included,
-// is read through HVAC.
+// posix_fadvise and fcntl on a sample's vfd itself. Everything, the
+// script included, is read through HVAC.
 TEST_F(InterceptTest, CPythonRunsScriptStoredUnderDatasetDir) {
   const auto which = capture(
       "python3 -c 'import sys; print(sys.executable)' 2>/dev/null");
@@ -504,6 +509,7 @@ TEST_F(InterceptTest, CPythonRunsScriptStoredUnderDatasetDir) {
   std::ofstream(script) <<
       "import fcntl, hashlib, os, sys\n"
       "fd = os.open(sys.argv[1], os.O_RDONLY)\n"
+      "os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_SEQUENTIAL)\n"
       "fd_flags = fcntl.fcntl(fd, fcntl.F_GETFD)\n"
       "mode = fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE\n"
       "data = os.read(fd, 1 << 20)\n"
@@ -597,7 +603,6 @@ TEST_F(InterceptTest, KilledShimClientsLeaveNoServerFds) {
   env.push_back("ASAN_OPTIONS=verify_asan_link_order=0");
   env.push_back("HVAC_DATASET_DIR=" + pfs_root_);
   env.push_back("HVAC_SERVERS=" + node_->endpoints_csv());
-  env.push_back("HVAC_META_TTL_MS=0");  // every re-open sends a kOpen
   std::vector<std::string> args = {HVAC_TARGET_BIN, "--repeat", "1000000"};
   for (const auto& p : abs_paths()) args.push_back(p);
   std::vector<char*> argv, envp;

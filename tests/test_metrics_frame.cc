@@ -44,7 +44,6 @@ MetricsFrame sample_frame() {
   f.buffer_pool = {100, 90, 10, 80, 5};
   f.readahead = {40, 30, 6};
   f.zerocopy = {50, 1 << 20, 2};
-  f.meta_cache = {25, 9, 4, 2};
   f.reactor.reactors = {{6, 100, 12, 3}, {2, 40, 0, 1}};
   // epoch, reads, total, local_hit, remote_rpc, pfs_wait, backpressure,
   // retry — buckets sum to total by construction.
@@ -76,8 +75,6 @@ TEST(MetricsFrame, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->zerocopy.sendfile_sends, 50u);
   EXPECT_EQ(decoded->zerocopy.sendfile_bytes, uint64_t{1} << 20);
   EXPECT_EQ(decoded->zerocopy.short_resumes, 2u);
-  EXPECT_EQ(decoded->meta_cache.hits, 25u);
-  EXPECT_EQ(decoded->meta_cache.invalidated, 2u);
   ASSERT_EQ(decoded->reactor.reactors.size(), 2u);
   EXPECT_EQ(decoded->reactor.reactors[0].conns, 6u);
   EXPECT_EQ(decoded->reactor.reactors[0].requests, 100u);
@@ -216,7 +213,6 @@ TEST(MetricsFrame, MergeSumsSections) {
   EXPECT_EQ(a.buffer_pool.leases, 200u);
   EXPECT_EQ(a.readahead.consumed, 60u);
   EXPECT_EQ(a.zerocopy.sendfile_sends, 100u);
-  EXPECT_EQ(a.meta_cache.hits, 50u);
   // Reactor rows merge element-wise by index (instance A reactor i +
   // instance B reactor i).
   ASSERT_EQ(a.reactor.reactors.size(), 2u);
@@ -357,7 +353,6 @@ TEST(MetricsFrame, JsonSpellsOutEverySection) {
         "\"read_ahead\"", "\"latency_us\"", "\"read\"", "\"p50\"",
         "\"p99\"", "\"deferred_closes\":3", "\"wasted\":6",
         "\"zero_copy\"", "\"sendfile_sends\":50",
-        "\"meta_cache\"", "\"invalidated\":2",
         "\"reactors\"", "\"steals\":12",
         "\"stall\"", "\"pfs_wait_s\"", "\"retry_s\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
@@ -404,8 +399,7 @@ const char* const kGoldenWire =
     "1b000000000000001c000000000000001d000000000000001e00000000000000"
     "1f00000000000000200000000000000021000000000000000600280000002200"
     "00000000000025000000000000002700000000000000e300000000000000e400"
-    "000000000000070020000000280000000000000029000000000000002a000000"
-    "000000002b000000000000000800280000002c000000000000002d0000000000"
+    "0000000000000700000000000800280000002c000000000000002d0000000000"
     "00002e000000000000002f000000000000003000000000000000090064000000"
     "0200060031000000000000003200000000000000330000000000000034000000"
     "000000003500000000000000e100000000000000360000000000000037000000"
@@ -448,8 +442,7 @@ const char* const kGoldenJson =
     ",\"drains\":31,\"drained_requests\":32,\"faults_injected\":33}"
     ",\"zero_copy\":{\"sendfile_sends\":34,\"sendfile_bytes\":37"
     ",\"short_resumes\":39,\"fd_passes\":227,\"fd_pass_bytes\":228}"
-    ",\"meta_cache\":{\"hits\":40,\"misses\":41"
-    ",\"expired\":42,\"invalidated\":43},\"trace\":{\"emitted\":44,\"dropped\":45"
+    ",\"trace\":{\"emitted\":44,\"dropped\":45"
     ",\"rings\":46,\"ring_capacity\":47,\"occupancy\":48}"
     ",\"reactors\":[{\"conns\":49,\"requests\":50,\"steals\":51,\"shed\":52"
     ",\"steal_backoffs\":53,\"local_conns\":225},{\"conns\":54"
@@ -675,11 +668,8 @@ TEST(MetricsFrameAggregation, NodeRuntimeAggregatesInstances) {
   copts.dataset_dir = pfs_root;
   copts.server_endpoints = node.endpoints();
   // Keep reads synchronous so no read-ahead RPC is still in flight
-  // when the frames are sampled below, and disable the meta cache so
-  // round two really re-opens (the exact per-op counts below depend on
-  // every round hitting the server).
+  // when the frames are sampled below.
   copts.readahead_chunks = 0;
-  copts.meta_ttl_ms = 0;
   client::HvacClient client(copts);
 
   std::vector<uint8_t> buf(8192);

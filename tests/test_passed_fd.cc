@@ -140,7 +140,6 @@ class PassedFdRig : public ::testing::Test {
     HvacClientOptions o;
     o.dataset_dir = pfs_root_;
     o.server_endpoints = node_->endpoints();
-    o.meta_ttl_ms = 0;
     o.allow_pfs_fallback = false;
     return o;
   }
@@ -533,7 +532,6 @@ TEST(PassedFd, ManySmallFilesOnePassPerSlab) {
   HvacClientOptions co;
   co.dataset_dir = root;
   co.server_endpoints = node.endpoints();
-  co.meta_ttl_ms = 0;
   co.allow_pfs_fallback = false;
   {
     HvacClient warm(co);

@@ -125,20 +125,20 @@ TEST(System, SingleNodeReadThroughCacheMatchesDisk) {
   EXPECT_EQ(m.hits, 0u);
   EXPECT_EQ(m.pfs_fallbacks, 0u);
 
-  // Second pass: every re-open is answered by the client meta cache
-  // (no open round trip at all) and the bytes still come off the
-  // node-local copy: a pread on the slab fd the first open passed.
-  const uint64_t meta_hits_before = client.stats().meta_hits;
+  // Second pass: every re-open is one kOpen that hits the node-local
+  // copy, and its bytes come off that copy: a pread on the slab fd the
+  // first open passed.
   const uint64_t slab_opens_before = client.stats().passed_fd_opens;
   const auto server_before = alloc.total_metrics();
   for (const auto& rel : alloc.tree.relative_paths) {
     ASSERT_TRUE(read_whole(client, alloc.abs(rel)).ok());
   }
-  EXPECT_GE(client.stats().meta_hits - meta_hits_before,
-            alloc.tree.relative_paths.size());
   EXPECT_EQ(client.stats().passed_fd_opens - slab_opens_before,
             alloc.tree.relative_paths.size());
-  EXPECT_EQ(alloc.total_metrics().hits, server_before.hits);
+  EXPECT_EQ(client.stats().passed_fd_opens, client.stats().remote_opens);
+  EXPECT_EQ(alloc.total_metrics().hits - server_before.hits,
+            alloc.tree.relative_paths.size());
+  EXPECT_EQ(alloc.total_metrics().misses, server_before.misses);
   EXPECT_EQ(alloc.total_metrics().pfs_fallbacks, 0u);
 }
 
@@ -387,10 +387,9 @@ TEST(System, TrainingCurveIdenticalThroughHvac) {
   EXPECT_TRUE(direct->identical_to(*cached));
   EXPECT_GT(cached->final_top1, 0.55);  // the model actually learned
   EXPECT_GT(cached->final_top5, 0.9);
-  // And the cache really served the later epochs: the meta cache
-  // short-circuited the re-opens, and every open read the node-local
-  // copy through a slab fd the client holds (DESIGN.md §20).
-  EXPECT_GT(client.stats().meta_hits, 0u);
+  // And the cache really served the later epochs: every open read the
+  // node-local copy through a slab fd the client holds (DESIGN.md §20).
+  EXPECT_GT(client.stats().remote_opens, 0u);
   EXPECT_EQ(client.stats().passed_fd_opens, client.stats().remote_opens);
 }
 

@@ -328,8 +328,7 @@ const char* const kGoldenDelta =
     "460300000000000040030000000000003a030000000000003403000000000000"
     "2e03000000000000280300000000000022030000000000000600280000001c03"
     "0000000000000a03000000000000fe0200000000000000000000000000000000"
-    "000000000000070020000000f802000000000000f202000000000000ec020000"
-    "00000000e602000000000000080028000000e002000000000000da0200000000"
+    "000000000000070000000000080028000000e002000000000000da0200000000"
     "00002a0500000000000031050000000000003805000000000000090064000000"
     "02000600c202000000000000bc02000000000000b602000000000000b0020000"
     "00000000aa020000000000000000000000000000620500000000000069050000"
@@ -478,18 +477,6 @@ hvac_zerocopy_fd_passes_total 227
 # HELP hvac_zerocopy_fd_pass_bytes Bytes of the files whose cache fds were passed
 # TYPE hvac_zerocopy_fd_pass_bytes counter
 hvac_zerocopy_fd_pass_bytes_total 228
-# HELP hvac_meta_cache_hits Client metadata-cache hits
-# TYPE hvac_meta_cache_hits counter
-hvac_meta_cache_hits_total 40
-# HELP hvac_meta_cache_misses Client metadata-cache misses
-# TYPE hvac_meta_cache_misses counter
-hvac_meta_cache_misses_total 41
-# HELP hvac_meta_cache_expired Metadata entries aged out
-# TYPE hvac_meta_cache_expired counter
-hvac_meta_cache_expired_total 42
-# HELP hvac_meta_cache_invalidated Metadata entries dropped on failure
-# TYPE hvac_meta_cache_invalidated counter
-hvac_meta_cache_invalidated_total 43
 # HELP hvac_trace_emitted Trace spans emitted
 # TYPE hvac_trace_emitted counter
 hvac_trace_emitted_total 44

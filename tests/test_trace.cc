@@ -193,7 +193,6 @@ TEST(Trace, EndToEndSpanTreeAcrossRetryAndZeroCopy) {
       node.endpoints()[0].rfind(':') + 1);
   co.server_endpoints = {"localhost:" + port};
   co.readahead_chunks = 0;  // keep the read a single synchronous call
-  co.meta_ttl_ms = 0;
   HvacClient hvac(co);
 
   const std::string path =

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -20,6 +21,7 @@
 #include "client/hvac_client.h"
 #include "common/fault_injection.h"
 #include "core/metrics_frame.h"
+#include "server/hvac_proto.h"
 #include "server/node_runtime.h"
 #include "storage/write_journal.h"
 
@@ -866,6 +868,136 @@ TEST(WritePath, UndrainedStopKeepsLocalStoreForReplay) {
   EXPECT_EQ(got, "AAAABBBB");
   EXPECT_EQ(node2.aggregated_frame().write_back.replay_bytes, 8u);
   node2.stop();
+}
+
+// A named file the journal does not list as dirty is clean: its bytes
+// are on the PFS. The next start deletes it rather than leave it
+// unaccounted in the cache dir, and re-registers only the dirty one.
+TEST(WritePath, RestartDeletesCleanNamedFiles) {
+  auto n = std::make_unique<WriteNode>("clean_named");
+  const std::string pfs_root = n->pfs_root;
+  const std::string cache_root = n->cache_root;
+  const storage::LocalStore& store = n->node->instance(0).cache().store();
+  const std::string clean = store.physical_path("ckpt/clean.bin");
+  const std::string dirty = store.physical_path("ckpt/dirty.bin");
+  {
+    client::HvacClient client(n->copts);
+    auto vfd = client.open_write(pfs_root + "/ckpt/clean.bin", true);
+    ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+    ASSERT_TRUE(client.write(*vfd, "CLEAN", 5).ok());
+    ASSERT_TRUE(client.close(*vfd).ok());
+    for (int i = 0;
+         i < 500 && n->node->aggregated_frame().write_back.dirty_files; ++i) {
+      ::usleep(10 * 1000);
+    }
+    ASSERT_EQ(n->node->aggregated_frame().write_back.dirty_files, 0u);
+    ASSERT_EQ(n->pfs_read("ckpt/clean.bin"), "CLEAN");
+
+    // A second file the PFS refuses keeps the store across the stop.
+    ASSERT_TRUE(fault::configure("pfs_write:error=io").ok());
+    vfd = client.open_write(pfs_root + "/ckpt/dirty.bin", true);
+    ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+    ASSERT_TRUE(client.write(*vfd, "DIRTY", 5).ok());
+    ASSERT_TRUE(client.close(*vfd).ok());
+  }
+  n->node->stop();
+  n.reset();
+  ASSERT_TRUE(fault::configure("").ok());
+  ASSERT_TRUE(fs::exists(clean));
+  ASSERT_TRUE(fs::exists(dirty));
+
+  server::NodeRuntimeOptions o;
+  o.pfs_root = pfs_root;
+  o.cache_root = cache_root;
+  o.instances = 1;
+  server::NodeRuntime node2(o);
+  ASSERT_TRUE(node2.start().ok());
+  EXPECT_FALSE(fs::exists(clean));
+  EXPECT_TRUE(fs::exists(dirty));
+  std::string got;
+  for (int i = 0; i < 500; ++i) {
+    std::ifstream in(pfs_root + "/ckpt/dirty.bin", std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    got = ss.str();
+    if (got == "DIRTY") break;
+    ::usleep(10 * 1000);
+  }
+  EXPECT_EQ(got, "DIRTY");
+  std::ifstream in(pfs_root + "/ckpt/clean.bin", std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  EXPECT_EQ(ss.str(), "CLEAN");
+  node2.stop();
+}
+
+// ---- the pfs durability level (HVAC_WRITE_DURABILITY=pfs) ----
+
+// Once a pfs-level fsync returns, the PFS file holds exactly the bytes
+// it committed, before any close: from a passed-fd writer over the
+// node-local alias, and from a kWrite writer over TCP.
+TEST(WritePath, PfsDurabilityFsyncLandsCommittedBytes) {
+  for (const bool tcp : {false, true}) {
+    SCOPED_TRACE(tcp ? "tcp" : "alias");
+    WriteNode n(tcp ? "pfs_level_tcp" : "pfs_level_alias", 0, tcp);
+    n.copts.write_durability = proto::kDurabilityPfs;
+    client::HvacClient client(n.copts);
+    auto vfd = client.open_write(n.pfs_root + "/ckpt/p.bin", true);
+    ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+    const std::string first(3000, 'a');
+    ASSERT_TRUE(client.write(*vfd, first.data(), first.size()).ok());
+    ASSERT_TRUE(client.fsync(*vfd).ok());
+    EXPECT_EQ(n.pfs_read("ckpt/p.bin"), first);
+
+    ASSERT_TRUE(client.write(*vfd, "bbbb", 4).ok());
+    EXPECT_EQ(n.pfs_read("ckpt/p.bin"), first);  // not committed yet
+    ASSERT_TRUE(client.fsync(*vfd).ok());
+    EXPECT_EQ(n.pfs_read("ckpt/p.bin"), first + "bbbb");
+    EXPECT_EQ(n.node->aggregated_frame().write_back.writes, tcp ? 2u : 0u);
+    ASSERT_TRUE(client.close(*vfd).ok());
+  }
+}
+
+// A pfs-level fsync against a PFS that refuses every write reports the
+// failure, promptly: the file stays queued for the flusher, and the
+// server's handler threads stay free for the next request.
+TEST(WritePath, PfsDurabilityFsyncFailsWhenThePfsDoes) {
+  WriteNode n("pfs_level_down");
+  n.copts.write_durability = proto::kDurabilityPfs;
+  // A barrier parked on the PFS fails the test in seconds, not minutes.
+  n.copts.rpc.recv_timeout_ms = 2000;
+  n.copts.rpc.call_timeout_ms = 2000;
+  client::HvacClient client(n.copts);
+  auto vfd = client.open_write(n.pfs_root + "/ckpt/d.bin", true);
+  ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+  ASSERT_TRUE(client.write(*vfd, "DOWN", 4).ok());
+  client::HvacClientOptions local = n.copts;
+  local.write_durability = proto::kDurabilityLocal;
+  client::HvacClient other(local);
+  {
+    FaultGuard fault("pfs_write:error=io");
+    for (int i = 0; i < 3; ++i) {  // the third opens the PFS breaker
+      const auto t0 = std::chrono::steady_clock::now();
+      const Status synced = client.fsync(*vfd);
+      EXPECT_FALSE(synced.ok());
+      EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                std::chrono::milliseconds(1500));
+    }
+    // A local-level writer is served by the same handler pool.
+    auto ofd = other.open_write(n.pfs_root + "/ckpt/other.bin", true);
+    ASSERT_TRUE(ofd.ok()) << ofd.error().to_string();
+    ASSERT_TRUE(other.write(*ofd, "UP", 2).ok());
+    ASSERT_TRUE(other.close(*ofd).ok());
+  }
+  // With the PFS back, the queued flush lands the committed bytes.
+  for (int i = 0;
+       i < 1000 && n.node->aggregated_frame().write_back.dirty_files; ++i) {
+    ::usleep(10 * 1000);
+  }
+  ASSERT_TRUE(client.fsync(*vfd).ok());
+  EXPECT_EQ(n.pfs_read("ckpt/d.bin"), "DOWN");
+  EXPECT_EQ(n.pfs_read("ckpt/other.bin"), "UP");
+  ASSERT_TRUE(client.close(*vfd).ok());
 }
 
 // A graceful stop lands a handle that was never closed at its last
