@@ -78,14 +78,15 @@ void FlushManager::enqueue_locked(const std::string& logical_path) {
 
 Status FlushManager::wait(const std::string& logical_path) {
   std::unique_lock<std::mutex> lock(mutex_);
-  const auto failed = [&]() -> uint64_t {
+  const auto spent = [&]() -> uint64_t {
     auto it = state_.find(logical_path);
-    return it == state_.end() ? 0 : it->second.failed_attempts;
+    return it == state_.end() ? 0 : it->second.budgets_spent;
   };
-  const uint64_t failed_before = failed();
+  const uint64_t spent_before = spent();
   done_cv_.wait_for(lock, std::chrono::milliseconds(kWaitMs), [&] {
     return stop_ || state_.count(logical_path) == 0 ||
-           failed() != failed_before;
+           spent() != spent_before ||
+           pfs_health_.state() == rpc::EndpointHealth::State::kOpen;
   });
   if (state_.count(logical_path) == 0) return Status::Ok();
   if (stop_) return Error(ErrorCode::kCancelled, "flush manager stopped");
@@ -178,11 +179,6 @@ bool FlushManager::flush_one(const std::string& path) {
     }
     pfs_health_.record_failure();
     retries_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++state_[path].failed_attempts;
-    }
-    done_cv_.notify_all();
     ++attempts;
     if (attempts >= kMaxAttempts) {
       // Budget exhausted: go to the back of the line (never drop
@@ -190,12 +186,20 @@ bool FlushManager::flush_one(const std::string& path) {
       failures_.fetch_add(1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(mutex_);
       auto& st = state_[path];
+      ++st.budgets_spent;
       st.inflight = false;
       st.dirtied_again = false;
       st.queued = true;
       queue_.push_back(path);
       work_cv_.notify_one();
+      done_cv_.notify_all();
       return !stop_;
+    }
+    {
+      // A waiter checks whether this failure opened the breaker; the
+      // lock orders that check against its wait.
+      std::lock_guard<std::mutex> lock(mutex_);
+      done_cv_.notify_all();
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(
         kRetryBackoffMs * std::min(attempts, 8)));

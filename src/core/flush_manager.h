@@ -81,10 +81,11 @@ class FlushManager {
   Status resubmit(const std::string& logical_path);
 
   // Blocks until `logical_path` has no pending or in-flight flush.
-  // kIoError once an attempt to flush it fails, or after kWaitMs (the
-  // path stays queued either way), so a failing or stalled PFS cannot
-  // park the caller; kCancelled on shutdown. The pfs-durability fsync
-  // barrier.
+  // kIoError once the PFS breaker is open or the path spends an
+  // attempt budget (kMaxAttempts), or after kWaitMs (the path stays
+  // queued either way), so a failing or stalled PFS cannot park the
+  // caller while a transient error is retried through; kCancelled on
+  // shutdown. The pfs-durability fsync barrier.
   Status wait(const std::string& logical_path);
 
   // Blocks until every submitted path is flushed, or `timeout_ms`
@@ -118,7 +119,7 @@ class FlushManager {
     bool inflight = false;
     bool dirtied_again = false;  // submit() landed mid-flight
     int64_t first_submit_ms = 0;
-    uint64_t failed_attempts = 0;  // wakes wait()
+    uint64_t budgets_spent = 0;  // wakes wait()
   };
 
   void worker_loop();

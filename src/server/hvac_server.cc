@@ -191,8 +191,11 @@ Status HvacServer::recover_journal() {
   // queue its PFS copy. A file shorter than its record was cut by a
   // later truncating open whose record did not survive; it is never
   // padded. A file over the store budget is kept and logged: it holds
-  // acked bytes, and the flusher drains it right after.
+  // acked bytes, and the flusher drains it right after (unregistered,
+  // it stays on disk until the next start's sweep below).
+  std::vector<std::string> dirty;
   for (const auto& [path, committed] : last_replay_.dirty) {
+    dirty.push_back(path);
     Result<storage::PosixFile> f =
         storage::PosixFile::open_rw(cache_->store().physical_path(path));
     Result<uint64_t> on_disk = f.ok() ? f->size() : Result<uint64_t>(f.error());
@@ -227,7 +230,7 @@ Status HvacServer::recover_journal() {
   }
   // Every other named file is clean, or holds no acked byte: nothing
   // would count or delete it.
-  cache_->store().remove_unheld_named_files();
+  cache_->store().remove_named_files_except(dirty);
   if (!last_replay_.dirty.empty() || last_replay_.truncated_bytes > 0) {
     HVAC_LOG_INFO("journal replay: " << last_replay_.dirty.size()
                                      << " dirty files ("

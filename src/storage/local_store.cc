@@ -568,18 +568,14 @@ void LocalStore::purge() {
   for (const std::string& path : named) (void)remove_file(path);
 }
 
-void LocalStore::remove_unheld_named_files() {
-  std::unordered_set<std::string> held;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [logical, entry] : entries_) {
-      if (!entry.slab) held.insert(physical_path(logical));
-    }
-  }
+void LocalStore::remove_named_files_except(
+    const std::vector<std::string>& keep) {
+  std::unordered_set<std::string> kept;
+  for (const std::string& logical : keep) kept.insert(physical_path(logical));
   if (DIR* dir = ::opendir(root_.c_str())) {
     while (const dirent* e = ::readdir(dir)) {
       const std::string path = path_join(root_, e->d_name);
-      if (has_suffix(e->d_name, kNamedSuffix) && held.count(path) == 0) {
+      if (has_suffix(e->d_name, kNamedSuffix) && kept.count(path) == 0) {
         (void)remove_file(path);
       }
     }

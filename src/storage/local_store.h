@@ -231,10 +231,10 @@ class LocalStore {
   // lifetime", paper §III-D).
   void purge();
 
-  // Deletes every named file in the root that no entry holds: what a
-  // restarted server's journal replay did not re-register is clean
-  // (already on the PFS) or was never acked.
-  void remove_unheld_named_files();
+  // Deletes every named file in the root but those of the logical
+  // paths in `keep`: at a restart, a file the journal does not list as
+  // dirty is clean (already on the PFS) or holds no acked byte.
+  void remove_named_files_except(const std::vector<std::string>& keep);
 
   uint64_t bytes_used() const {
     return bytes_used_.load(std::memory_order_relaxed);

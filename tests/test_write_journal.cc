@@ -872,7 +872,8 @@ TEST(WritePath, UndrainedStopKeepsLocalStoreForReplay) {
 
 // A named file the journal does not list as dirty is clean: its bytes
 // are on the PFS. The next start deletes it rather than leave it
-// unaccounted in the cache dir, and re-registers only the dirty one.
+// unaccounted in the cache dir. The dirty one survives and lands, even
+// when the restarted store's budget is too small to register it.
 TEST(WritePath, RestartDeletesCleanNamedFiles) {
   auto n = std::make_unique<WriteNode>("clean_named");
   const std::string pfs_root = n->pfs_root;
@@ -880,6 +881,8 @@ TEST(WritePath, RestartDeletesCleanNamedFiles) {
   const storage::LocalStore& store = n->node->instance(0).cache().store();
   const std::string clean = store.physical_path("ckpt/clean.bin");
   const std::string dirty = store.physical_path("ckpt/dirty.bin");
+  std::string payload(64 * 1024, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) payload[i] = char('a' + i % 23);
   {
     client::HvacClient client(n->copts);
     auto vfd = client.open_write(pfs_root + "/ckpt/clean.bin", true);
@@ -897,7 +900,7 @@ TEST(WritePath, RestartDeletesCleanNamedFiles) {
     ASSERT_TRUE(fault::configure("pfs_write:error=io").ok());
     vfd = client.open_write(pfs_root + "/ckpt/dirty.bin", true);
     ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
-    ASSERT_TRUE(client.write(*vfd, "DIRTY", 5).ok());
+    ASSERT_TRUE(client.write(*vfd, payload.data(), payload.size()).ok());
     ASSERT_TRUE(client.close(*vfd).ok());
   }
   n->node->stop();
@@ -910,6 +913,7 @@ TEST(WritePath, RestartDeletesCleanNamedFiles) {
   o.pfs_root = pfs_root;
   o.cache_root = cache_root;
   o.instances = 1;
+  o.cache_capacity_bytes_per_instance = payload.size() / 4;  // over budget
   server::NodeRuntime node2(o);
   ASSERT_TRUE(node2.start().ok());
   EXPECT_FALSE(fs::exists(clean));
@@ -920,10 +924,11 @@ TEST(WritePath, RestartDeletesCleanNamedFiles) {
     std::stringstream ss;
     ss << in.rdbuf();
     got = ss.str();
-    if (got == "DIRTY") break;
+    if (got == payload) break;
     ::usleep(10 * 1000);
   }
-  EXPECT_EQ(got, "DIRTY");
+  EXPECT_TRUE(got == payload) << got.size() << " bytes on the PFS";
+  EXPECT_EQ(node2.aggregated_frame().write_back.replay_bytes, payload.size());
   std::ifstream in(pfs_root + "/ckpt/clean.bin", std::ios::binary);
   std::stringstream ss;
   ss << in.rdbuf();
@@ -976,7 +981,9 @@ TEST(WritePath, PfsDurabilityFsyncFailsWhenThePfsDoes) {
   client::HvacClient other(local);
   {
     FaultGuard fault("pfs_write:error=io");
-    for (int i = 0; i < 3; ++i) {  // the third opens the PFS breaker
+    // The first fails once its flush opens the PFS breaker (three
+    // attempts); the next two while it stays open.
+    for (int i = 0; i < 3; ++i) {
       const auto t0 = std::chrono::steady_clock::now();
       const Status synced = client.fsync(*vfd);
       EXPECT_FALSE(synced.ok());
@@ -997,6 +1004,25 @@ TEST(WritePath, PfsDurabilityFsyncFailsWhenThePfsDoes) {
   ASSERT_TRUE(client.fsync(*vfd).ok());
   EXPECT_EQ(n.pfs_read("ckpt/d.bin"), "DOWN");
   EXPECT_EQ(n.pfs_read("ckpt/other.bin"), "UP");
+  ASSERT_TRUE(client.close(*vfd).ok());
+}
+
+// One failed copy is retried through: a pfs-level fsync that meets a
+// single PFS error still returns success, with the bytes on the PFS.
+TEST(WritePath, PfsDurabilityFsyncRidesThroughATransientPfsError) {
+  WriteNode n("pfs_level_blip");
+  n.copts.write_durability = proto::kDurabilityPfs;
+  client::HvacClient client(n.copts);
+  auto vfd = client.open_write(n.pfs_root + "/ckpt/t.bin", true);
+  ASSERT_TRUE(vfd.ok()) << vfd.error().to_string();
+  ASSERT_TRUE(client.write(*vfd, "BLIP", 4).ok());
+  {
+    FaultGuard fault("pfs_write:error=io:count=1");
+    const Status synced = client.fsync(*vfd);
+    EXPECT_TRUE(synced.ok()) << synced.error().to_string();
+  }
+  EXPECT_EQ(n.pfs_read("ckpt/t.bin"), "BLIP");
+  EXPECT_GE(n.node->aggregated_frame().write_back.flush_retries, 1u);
   ASSERT_TRUE(client.close(*vfd).ok());
 }
 
